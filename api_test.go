@@ -3,6 +3,7 @@ package deeprecsys_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -405,8 +406,7 @@ func TestServeFleet(t *testing.T) {
 	}
 }
 
-// TestServeFleetValidation pins the fleet-tier construction checks and the
-// single-replica behavior of the membership methods.
+// TestServeFleetValidation pins the fleet-tier construction checks.
 func TestServeFleetValidation(t *testing.T) {
 	sys, err := deeprecsys.NewSystem("NCF", "skylake")
 	if err != nil {
@@ -430,22 +430,138 @@ func TestServeFleetValidation(t *testing.T) {
 			t.Errorf("bad fleet options %d accepted: %+v", i, opts)
 		}
 	}
+}
 
-	single, err := sys.Serve(deeprecsys.ServeOptions{Workers: 1})
+// TestServeOneReplicaIsAFleet pins the one service path: the default
+// (Replicas 0) service is a fleet of one — it reports its single replica,
+// grows with AddReplica, retires replica 0 with its counters folded into
+// the totals, and accepts the fleet-level options at one replica.
+func TestServeOneReplicaIsAFleet(t *testing.T) {
+	sys, err := deeprecsys.NewSystem("NCF", "skylake")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer single.Close()
-	if _, err := single.AddReplica(false); !errors.Is(err, deeprecsys.ErrNotFleet) {
-		t.Errorf("AddReplica on single service: %v, want ErrNotFleet", err)
+	tenants := []deeprecsys.TenantSpec{{Model: "NCF", Name: "a"}, {Model: "NCF", Name: "b", Seed: 2}}
+	svc, err := sys.Serve(deeprecsys.ServeOptions{Workers: 1, BatchSize: 16, Tenants: tenants})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := single.DrainReplica(0); !errors.Is(err, deeprecsys.ErrNotFleet) {
-		t.Errorf("DrainReplica on single service: %v, want ErrNotFleet", err)
+	defer svc.Close()
+	ctx := context.Background()
+	const n = 6
+	for i := 0; i < n; i++ {
+		reply, err := svc.Submit(ctx, 40, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.Replica != 0 {
+			t.Errorf("Reply.Replica = %d, want 0", reply.Replica)
+		}
 	}
-	if err := single.RemoveReplica(0); !errors.Is(err, deeprecsys.ErrNotFleet) {
-		t.Errorf("RemoveReplica on single service: %v, want ErrNotFleet", err)
+	st := svc.Stats()
+	if st.Replicas != 1 || st.Healthy != 1 || st.RoutingPolicy != "round-robin" {
+		t.Errorf("stats = %+v, want 1 healthy replica under round-robin", st)
 	}
-	if st := single.Stats(); st.Replicas != 1 || st.PerReplica != nil || st.RoutingPolicy != "" {
-		t.Errorf("single-service stats carry fleet fields: %+v", st)
+	if len(st.PerReplica) != 1 || st.PerReplica[0].ID != 0 || st.PerReplica[0].Completed != n {
+		t.Fatalf("PerReplica = %+v, want one entry, ID 0, %d completed", st.PerReplica, n)
+	}
+	if err := svc.DrainReplica(0); err == nil {
+		t.Error("drained the last routable replica")
+	}
+
+	id, err := svc.AddReplica(false)
+	if err != nil || id != 1 {
+		t.Fatalf("AddReplica = %d, %v; want ID 1", id, err)
+	}
+	if got := svc.Stats().Replicas; got != 2 {
+		t.Fatalf("after AddReplica: %d replicas, want 2", got)
+	}
+	if err := svc.DrainReplica(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.RemoveReplica(0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		reply, err := svc.Submit(ctx, 40, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.Replica != 1 {
+			t.Errorf("after removing replica 0: Reply.Replica = %d, want 1", reply.Replica)
+		}
+	}
+	st = svc.Stats()
+	if len(st.PerReplica) != 1 || st.PerReplica[0].ID != 1 {
+		t.Fatalf("PerReplica after churn = %+v, want only replica 1", st.PerReplica)
+	}
+	if st.Submitted != 2*n || st.Completed != 2*n || !st.Conserved() {
+		t.Errorf("ledger after churn = %+v, want %d submitted and completed (replica 0's counters folded)", st.Ledger, 2*n)
+	}
+	var sum deeprecsys.Ledger
+	for _, ts := range st.Tenants {
+		if !ts.Conserved() {
+			t.Errorf("tenant %s not conserved: %+v", ts.Name, ts.Ledger)
+		}
+		sum = sum.Add(ts.Ledger)
+	}
+	if sum != st.Ledger {
+		t.Errorf("fleet totals != tenant sums:\nfleet   %+v\ntenants %+v", st.Ledger, sum)
+	}
+
+	// The options that used to require Replicas >= 2 work at one replica.
+	for i, opts := range []deeprecsys.ServeOptions{
+		{Replicas: 1, Retry: true},
+		{Replicas: 1, Chaos: "every=1h,crash=0.5,restart=1s"},
+		{Replicas: 1, AutoScale: true, MinReplicas: 1, MaxReplicas: 2},
+		{Replicas: 1, Tenants: []deeprecsys.TenantSpec{{Model: "NCF", MaxOutstanding: 8}}},
+	} {
+		opts.Workers = 1
+		one, err := sys.Serve(opts)
+		if err != nil {
+			t.Errorf("fleet option set %d refused at one replica: %v", i, err)
+			continue
+		}
+		if _, err := one.Submit(ctx, 8, 0); err != nil {
+			t.Errorf("fleet option set %d: Submit: %v", i, err)
+		}
+		one.Close()
+	}
+}
+
+// TestOneReplicaMatchesFleetReplicaZero pins that the default service is
+// exactly replica 0 of a larger fleet: same seed stream, same nominal speed,
+// so the same query sequence returns bit-identical recommendations.
+func TestOneReplicaMatchesFleetReplicaZero(t *testing.T) {
+	sys, err := deeprecsys.NewSystem("NCF", "skylake", deeprecsys.WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := sys.Serve(deeprecsys.ServeOptions{Workers: 1, BatchSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	two, err := sys.Serve(deeprecsys.ServeOptions{Workers: 1, BatchSize: 16, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer two.Close()
+	if err := two.DrainReplica(1); err != nil { // all traffic to replica 0
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i, size := range []int{40, 7, 129, 16, 300} {
+		a, err := one.Submit(ctx, size, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := two.Submit(ctx, size, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Replica != 0 || !reflect.DeepEqual(a.Recs, b.Recs) {
+			t.Errorf("query %d (size %d): one-replica recs %v, fleet replica %d recs %v", i, size, a.Recs, b.Replica, b.Recs)
+		}
 	}
 }

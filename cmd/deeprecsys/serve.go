@@ -37,23 +37,23 @@ func serveMain(args []string) {
 	threshold := fs.Int("threshold", 0, "initial offload threshold: queries >= this size go whole to the accelerator (0 = no offload; needs -gpu)")
 	sla := fs.Duration("sla", 0, "p95 target (0 = the model's published SLA)")
 	autotune := fs.Bool("autotune", false, "retune the knobs online against the measured p95 (batch size, and offload threshold with -gpu; per replica with -replicas)")
-	replicas := fs.Int("replicas", 1, "fleet size: shard traffic across this many replica services (1 = single service)")
-	policy := fs.String("policy", "round-robin", "fleet routing policy: round-robin, least-loaded, or size-aware[:<n>] (needs -replicas >= 2)")
+	replicas := fs.Int("replicas", 1, "fleet size: shard traffic across this many replica services")
+	policy := fs.String("policy", "round-robin", "fleet routing policy: round-robin, least-loaded, or size-aware[:<n>]")
 	jitter := fs.Float64("jitter", 0, "per-replica service-time jitter: speed factors drawn from N(1, jitter^2), the offline fleet simulator's node model")
 	gpuReplicas := fs.Int("gpu-replicas", 0, "provision the accelerator on only the first n replicas (0 = all; needs -gpu)")
 	admission := fs.String("admission", "none", "admission control: none, reject, queue:<depth>, or shed-oldest[:<depth>]")
 	deadline := fs.Duration("deadline", 0, "per-query latency budget; expired queries are shed before execution (0 = none)")
 	degrade := fs.String("degrade", "none", "graceful-degradation ladder: truncate=<n> and/or fallback=<model> (comma-separated; needs -sla or a model SLA)")
-	autoscale := fs.String("autoscale", "", "fleet autoscaling bounds <min>:<max>; the fleet grows on SLA breach and shrinks on headroom (needs -replicas >= 2)")
-	chaos := fs.String("chaos", "none", "fault injection: key=value list among every=<dur>, crash=<p>, restart=<dur>, slow=<p>, factor=<f>, spike=<p>, delay=<dur> (needs -replicas >= 2)")
-	retry := fs.Bool("retry", false, "resubmit a query once when a replica crash aborts it (needs -replicas >= 2)")
+	autoscale := fs.String("autoscale", "", "fleet autoscaling bounds <min>:<max>; the fleet grows on SLA breach and shrinks on headroom")
+	chaos := fs.String("chaos", "none", "fault injection: key=value list among every=<dur>, crash=<p>, restart=<dur>, slow=<p>, factor=<f>, spike=<p>, delay=<dur>")
+	retry := fs.Bool("retry", false, "resubmit a query once when a replica crash aborts it")
 	rows := fs.Int("rows", 0, "embedding-table rows per table (0 = the zoo default, 10^4); at-scale geometries pair with -store")
 	lookups := fs.Int("lookups", 0, "embedding lookups per table per item (0 = the model's default)")
 	store := fs.String("store", "", "embedding-store spec: dense, synth, or mmap:<dir> (files from `deeprecsys tables gen`), each optionally +\",cache=lru:<cap>\" or \",cache=lfu:<cap>\" (\"\" = classic in-memory tables)")
 	access := fs.String("access", "", "sparse-index popularity: uniform or zipf[:<s>[,<v>]] hot-row skew (\"\" = uniform)")
 	shardTables := fs.Bool("shard-tables", false, "shard the embedding-row space across the fleet's replicas (needs -store and -replicas >= 2)")
 	listen := fs.String("listen", "", "serve over HTTP on this address (e.g. 127.0.0.1:8080; port 0 picks one) until SIGINT/SIGTERM instead of driving a local workload; shutdown drains gracefully and prints the final report")
-	remote := fs.String("remote", "", "comma-separated http://host:port targets of `deeprecsys serve -listen` processes to join as fleet replicas (needs -replicas >= 2)")
+	remote := fs.String("remote", "", "comma-separated http://host:port targets of `deeprecsys serve -listen` processes to join as fleet replicas")
 	topn := fs.Int("topn", 0, "ranked items to return per query (0 = latency only)")
 	tracePath := fs.String("trace", "", "replay a loadgen CSV trace ('-' = stdin)")
 	wl := fs.String("workload", "production", "workload spec to generate the drive stream (ignored with -trace)")
@@ -114,14 +114,6 @@ func serveMain(args []string) {
 	}
 	if *gpuReplicas > 0 && !*gpu {
 		fmt.Fprintln(os.Stderr, "serve: -gpu-replicas needs -gpu")
-		os.Exit(2)
-	}
-	if *replicas < 2 && (*jitter != 0 || *gpuReplicas != 0 || *policy != "round-robin") {
-		fmt.Fprintln(os.Stderr, "serve: -policy, -jitter, and -gpu-replicas need -replicas >= 2")
-		os.Exit(2)
-	}
-	if *remote != "" && *replicas < 2 {
-		fmt.Fprintln(os.Stderr, "serve: -remote joins replicas into a fleet (needs -replicas >= 2)")
 		os.Exit(2)
 	}
 	minReplicas, maxReplicas, doScale, err := parseAutoscale(*autoscale)
@@ -207,13 +199,13 @@ func serveMain(args []string) {
 
 	st := svc.Stats()
 	switch {
-	case len(specs) > 0 && *replicas >= 2:
+	case len(specs) > 0 && st.Replicas > 1:
 		fmt.Printf("serving %d tenants (%s) live: %d queries over %d shared replicas (%s routing)\n",
 			len(specs), strings.Join(svc.Tenants(), ", "), len(queries), st.Replicas, st.RoutingPolicy)
 	case len(specs) > 0:
 		fmt.Printf("serving %d tenants (%s) live: %d queries on one shared pool\n",
 			len(specs), strings.Join(svc.Tenants(), ", "), len(queries))
-	case *replicas >= 2:
+	case st.Replicas > 1:
 		fmt.Printf("serving %s live: %d queries over %d replicas (%s routing), batch %d, p95 target %v\n",
 			*modelName, len(queries), st.Replicas, st.RoutingPolicy, svc.BatchSize(), st.SLA)
 	default:
@@ -335,7 +327,7 @@ drive:
 		}
 		fmt.Printf("embedding store %q: %d-row tables%s, %s access: %.1f%% cache hit rate, %d evictions, %.1f MB read from backing store\n",
 			*store, final.TableRows, layout, accessName,
-			final.CacheHitRate*100, final.CacheEvictions, float64(final.CacheBytesRead)/(1<<20))
+			final.EmbHitRate*100, final.EmbEvictions, float64(final.EmbBytesRead)/(1<<20))
 	}
 	if doScale {
 		fmt.Printf("autoscale: %d scale-ups, %d scale-downs, ended at %d replicas\n",
@@ -345,7 +337,7 @@ drive:
 		fmt.Printf("chaos: %d crashes (%d restarted), %d queries aborted, %d retried, %d/%d replicas healthy at end\n",
 			final.Crashes, final.Restarts, final.Failed, final.Retried, final.Healthy, final.Replicas)
 	}
-	if *replicas >= 2 {
+	if len(final.PerReplica) > 1 {
 		fmt.Printf("per-replica (%s routing):\n", final.RoutingPolicy)
 		fmt.Printf("  %3s %6s %4s %8s %6s %5s %12s %12s\n",
 			"id", "speed", "gpu", "served", "batch", "thr", "p50", "p95")

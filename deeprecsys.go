@@ -37,10 +37,10 @@
 //     pool executing actual model forward passes, tracks the online p95
 //     against the SLA, optionally retunes both knobs — batch size and
 //     offload threshold — with a background DeepRecSched hill climb, and
-//     drains gracefully on Close. ServeOptions.Replicas >= 2 raises the
-//     Service to a fleet: a load-balancing front end sharding traffic
-//     across N replica services under a pluggable routing policy
-//     (round-robin, least-loaded, size-aware), with per-replica
+//     drains gracefully on Close. Every Service is a fleet of
+//     ServeOptions.Replicas replica services (one by default): a
+//     load-balancing front end sharding traffic under a pluggable routing
+//     policy (round-robin, least-loaded, size-aware), with per-replica
 //     heterogeneity and AutoTune, fleet-wide online percentiles, and
 //     membership changes that never drop in-flight queries.
 //

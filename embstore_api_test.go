@@ -32,14 +32,14 @@ func TestServeWithEmbeddingStore(t *testing.T) {
 	if st.TableRows != 50000 {
 		t.Errorf("TableRows = %d, want 50000", st.TableRows)
 	}
-	if st.CacheHits+st.CacheMisses == 0 {
+	if st.EmbHits+st.EmbMisses == 0 {
 		t.Fatal("no cache lookups counted")
 	}
-	if st.CacheBytesRead == 0 {
+	if st.EmbBytesRead == 0 {
 		t.Error("no backing-store bytes counted")
 	}
-	if st.CacheHitRate < 0 || st.CacheHitRate > 1 {
-		t.Errorf("hit rate %v outside [0,1]", st.CacheHitRate)
+	if st.EmbHitRate < 0 || st.EmbHitRate > 1 {
+		t.Errorf("hit rate %v outside [0,1]", st.EmbHitRate)
 	}
 }
 
@@ -73,12 +73,12 @@ func TestServeShardedFleet(t *testing.T) {
 	}
 	var sum uint64
 	for _, r := range st.PerReplica {
-		sum += r.CacheHits + r.CacheMisses
+		sum += r.EmbHits + r.EmbMisses
 	}
 	if sum == 0 {
 		t.Fatal("no per-replica cache traffic on a sharded fleet")
 	}
-	if got := st.CacheHits + st.CacheMisses; got != sum {
+	if got := st.EmbHits + st.EmbMisses; got != sum {
 		t.Errorf("fleet lookups %d != per-replica sum %d", got, sum)
 	}
 	if _, err := svc.AddReplica(false); err == nil {
@@ -118,7 +118,7 @@ func TestStoreFleetAddReplica(t *testing.T) {
 	for _, r := range st.PerReplica {
 		if r.ID == id {
 			found = true
-			if r.CacheHits+r.CacheMisses == 0 {
+			if r.EmbHits+r.EmbMisses == 0 {
 				t.Error("grown replica served no store-backed lookups")
 			}
 		}

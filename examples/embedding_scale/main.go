@@ -66,9 +66,9 @@ func main() {
 	st := svc.Stats()
 	fmt.Printf("served %d queries against %q with zipf:%.2f access:\n", st.Completed, spec, *alpha)
 	fmt.Printf("  %d lookups, %.1f%% cache hit rate, %d evictions\n",
-		st.CacheHits+st.CacheMisses, st.CacheHitRate*100, st.CacheEvictions)
+		st.EmbHits+st.EmbMisses, st.EmbHitRate*100, st.EmbEvictions)
 	fmt.Printf("  %.1f MB read from the backing store (vs %.1f GB to materialize)\n",
-		float64(st.CacheBytesRead)/(1<<20), denseBytes/(1<<30))
+		float64(st.EmbBytesRead)/(1<<20), denseBytes/(1<<30))
 	svc.Close()
 	sys.Close()
 
@@ -122,5 +122,5 @@ func main() {
 	}
 	mst := msvc.Stats()
 	fmt.Printf("served %d queries from the mmap'd files: %.1f%% hit rate, %.1f MB read through the mapping\n",
-		mst.Completed, mst.CacheHitRate*100, float64(mst.CacheBytesRead)/(1<<20))
+		mst.Completed, mst.EmbHitRate*100, float64(mst.EmbBytesRead)/(1<<20))
 }

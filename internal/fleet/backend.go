@@ -118,41 +118,14 @@ func (fb fleetBackend) Submit(ctx context.Context, q live.Query) (live.Reply, er
 	return reply, err
 }
 
-// Stats maps the fleet-merged snapshot onto one live.Stats ledger, the
-// shape a Backend consumer (an upstream front end, the RPC server's
-// /statsz) aggregates. FrontSubmitted — each query once, however many
-// replicas it tried — is the Submitted figure the outside world sees.
+// Stats is the fleet-merged snapshot as a Backend consumer (an upstream
+// front end, the RPC server's /statsz and Retry-After hint) aggregates it,
+// with FrontSubmitted — each query once, however many replicas it tried —
+// as the Submitted figure the outside world sees.
 func (fb fleetBackend) Stats() live.Stats {
 	fst := fb.f.Stats()
-	return live.Stats{
-		Submitted:      fst.FrontSubmitted,
-		Completed:      fst.Completed,
-		Cancelled:      fst.Cancelled,
-		BatchSize:      fb.f.BatchSize(),
-		GPUThreshold:   fb.f.GPUThreshold(),
-		GPUQueries:     fst.GPUQueries,
-		GPUQueryShare:  fst.GPUQueryShare,
-		GPUWorkShare:   fst.GPUWorkShare,
-		P50:            fst.P50,
-		P95:            fst.P95,
-		WindowLen:      fst.WindowLen,
-		SLA:            fst.SLA,
-		Retunes:        fst.Retunes,
-		Shed:           fst.Shed,
-		Evicted:        fst.Evicted,
-		ShedDeadline:   fst.ShedDeadline,
-		Abandoned:      fst.Abandoned,
-		Failed:         fst.Failed,
-		Truncated:      fst.Truncated,
-		FallbackServed: fst.FallbackServed,
-		DegradeSteps:   fst.DegradeSteps,
-		EmbStore:       fst.EmbStore,
-		EmbHits:        fst.EmbHits,
-		EmbMisses:      fst.EmbMisses,
-		EmbEvictions:   fst.EmbEvictions,
-		EmbBytesRead:   fst.EmbBytesRead,
-		EmbHitRate:     fst.EmbHitRate,
-	}
+	fst.Submitted = fst.FrontSubmitted
+	return fst.Stats
 }
 
 func (fb fleetBackend) TenantStats(i int) live.Stats {

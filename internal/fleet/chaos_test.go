@@ -395,9 +395,8 @@ func TestChaosSoakFlashCrowd(t *testing.T) {
 	}
 	// Replica-level conservation: every submitted attempt is accounted for
 	// by exactly one terminal counter.
-	accounted := st.Completed + st.Cancelled + st.Shed + st.ShedDeadline + st.Failed + st.Abandoned
-	if st.Submitted != accounted {
-		t.Errorf("counter identity: submitted %d != accounted %d (%+v)", st.Submitted, accounted, st)
+	if !st.Conserved() {
+		t.Errorf("counter identity: submitted %d != accounted (%+v)", st.Submitted, st)
 	}
 	if st.Completed != completed.Load()+warm {
 		t.Errorf("Completed = %d, client successes+warmup = %d: an admitted query was lost",

@@ -114,8 +114,8 @@ type Fleet struct {
 	// Lifetime accounting for removed replicas, folded into Stats so the
 	// fleet's counters are monotone across membership changes.
 	// retiredTenants is the per-tenant breakdown of the same retirement.
-	retired        live.Stats
-	retiredTenants []live.Stats
+	retired        live.Ledger
+	retiredTenants []live.Ledger
 
 	// Front-door accounting: every query entering the fleet counts once
 	// here even when a replica failure makes it try two replicas, so the
@@ -157,7 +157,7 @@ func New(cfgs []live.Config, policy Policy) (*Fleet, error) {
 		tenantOut:      make([]atomic.Int64, len(infos)),
 		tenantCap:      make([]atomic.Int64, len(infos)),
 		capShed:        make([]atomic.Uint64, len(infos)),
-		retiredTenants: make([]live.Stats, len(infos)),
+		retiredTenants: make([]live.Ledger, len(infos)),
 	}
 	if tp, ok := policy.(TenantPolicy); ok {
 		tp.BindTenants(infos)
@@ -503,9 +503,9 @@ func (f *Fleet) Remove(id int) error {
 	err := r.svc.Close()
 
 	f.mu.Lock()
-	f.retired = f.retired.Accumulate(r.svc.Stats())
+	f.retired = f.retired.Add(r.svc.Stats().Ledger)
 	for ti := range f.retiredTenants {
-		f.retiredTenants[ti] = f.retiredTenants[ti].Accumulate(r.svc.TenantStats(ti))
+		f.retiredTenants[ti] = f.retiredTenants[ti].Add(r.svc.TenantStats(ti).Ledger)
 	}
 	for i, cur := range f.replicas {
 		if cur == r {
@@ -629,40 +629,27 @@ type TenantStats struct {
 	live.Stats
 }
 
-// Stats is a fleet-wide online snapshot.
+// Stats is a fleet-wide online snapshot: one live.Stats-shaped aggregate
+// over the members (as TenantStats is per tenant) plus what only a fleet
+// has — routing, membership, front-door, elasticity and chaos state.
 type Stats struct {
 	// Policy is the routing policy's name.
 	Policy string
 	// Size is the number of routable (non-draining) replicas.
 	Size int
-	// Submitted / Completed / Cancelled / GPUQueries / Retunes are
-	// fleet-lifetime counts: the sum over current members plus every
-	// removed replica's final counters.
-	Submitted, Completed, Cancelled uint64
-	GPUQueries                      uint64
-	Retunes                         uint64
-	// GPUQueryShare is the fleet-lifetime fraction of admitted queries
-	// offloaded and GPUWorkShare the fraction of admitted candidate-item
-	// work offloaded — both over current members plus removed replicas,
-	// consistent with the lifetime counts above.
-	GPUQueryShare, GPUWorkShare float64
-	// P50 / P95 are fleet-wide online percentiles over the union of the
-	// replicas' latency windows — the live counterpart of the paper's
-	// fleet-wide latency distribution.
-	P50, P95 time.Duration
-	// WindowLen is the merged sample count behind the percentiles.
-	WindowLen int
-	// SLA is the replicas' shared p95 target (0 = none).
-	SLA time.Duration
-	// Overload and failure counters, fleet-lifetime sums over current
-	// members plus removed replicas: Shed / Evicted / ShedDeadline /
-	// Abandoned mirror the live.Stats admission counters, Failed counts
-	// queries aborted by replica crashes, and Truncated / FallbackServed /
-	// DegradeSteps mirror the degrade-ladder counters.
-	Shed, Evicted, ShedDeadline, Abandoned uint64
-	Failed                                 uint64
-	Truncated, FallbackServed              uint64
-	DegradeSteps                           uint64
+	// Stats is the fleet-merged snapshot. Its Ledger is the fleet-lifetime
+	// sum over current members plus every removed replica's final counters
+	// (so Submitted is the per-replica sum; FrontSubmitted below counts
+	// each query once). GPUQueryShare is GPUQueries over Submitted; the
+	// other ratios are recomputed from the summed ledger, so they are exact
+	// fleet-wide rates, not averages of per-replica rates. P50 / P95 are
+	// computed over the union of the replicas' latency windows — the live
+	// counterpart of the paper's fleet-wide latency distribution. SLA is
+	// the replicas' shared target, Queued the summed admission-queue
+	// depth, BatchSize / DegradeLevel the first replica's and GPUThreshold
+	// the first GPU-capable replica's (per-replica AutoTune may diverge
+	// them; Replicas carries each replica's own).
+	live.Stats
 	// FrontSubmitted counts queries entering the fleet's front door —
 	// each query once, however many replicas it tried — and Retried the
 	// crash-triggered second attempts, so sum(replica Submitted) ==
@@ -672,14 +659,6 @@ type Stats struct {
 	// Restarts count chaos-injected replica failures and their recoveries.
 	ScaleUps, ScaleDowns uint64
 	Crashes, Restarts    uint64
-	// Embedding-tier counters, fleet-lifetime sums over every store-backed
-	// replica (current members plus removed ones). EmbStore reports whether
-	// any replica serves from a pluggable embedding store; EmbHitRate is
-	// recomputed from the summed hit/miss counters, so it is the exact
-	// fleet-wide rate, not an average of per-replica rates.
-	EmbStore                                       bool
-	EmbHits, EmbMisses, EmbEvictions, EmbBytesRead uint64
-	EmbHitRate                                     float64
 	// Healthy is the number of routable replicas that are not failed.
 	Healthy int
 	// Replicas holds the per-replica snapshots in ID order.
@@ -687,11 +666,6 @@ type Stats struct {
 	// Tenants holds the per-tenant fleet-merged snapshots in tenant order
 	// (one entry, name "", on a single-model fleet).
 	Tenants []TenantStats
-}
-
-// MeetsSLA reports whether the fleet-wide p95 is within the target.
-func (s Stats) MeetsSLA() bool {
-	return s.SLA > 0 && s.WindowLen > 0 && s.P95 <= s.SLA
 }
 
 // Stats returns a fleet-wide online snapshot: per-replica states plus
@@ -702,25 +676,7 @@ func (f *Fleet) Stats() Stats {
 	st := Stats{
 		Policy:         f.policy.Name(),
 		Size:           f.routable(),
-		SLA:            f.sla,
-		Submitted:      f.retired.Submitted,
-		Completed:      f.retired.Completed,
-		Cancelled:      f.retired.Cancelled,
-		GPUQueries:     f.retired.GPUQueries,
-		Retunes:        f.retired.Retunes,
-		Shed:           f.retired.Shed,
-		Evicted:        f.retired.Evicted,
-		ShedDeadline:   f.retired.ShedDeadline,
-		Abandoned:      f.retired.Abandoned,
-		Failed:         f.retired.Failed,
-		Truncated:      f.retired.Truncated,
-		FallbackServed: f.retired.FallbackServed,
-		DegradeSteps:   f.retired.DegradeSteps,
-		EmbStore:       f.retired.EmbStore,
-		EmbHits:        f.retired.EmbHits,
-		EmbMisses:      f.retired.EmbMisses,
-		EmbEvictions:   f.retired.EmbEvictions,
-		EmbBytesRead:   f.retired.EmbBytesRead,
+		Stats:          live.Stats{Ledger: f.retired, SLA: f.sla},
 		FrontSubmitted: f.frontSubmitted.Load(),
 		Retried:        f.retried.Load(),
 		ScaleUps:       f.scaleUps.Load(),
@@ -730,30 +686,17 @@ func (f *Fleet) Stats() Stats {
 		Replicas:       make([]ReplicaStats, 0, len(f.replicas)),
 	}
 	var merged []float64
-	gpuItems := f.retired.GPUItems
-	workItems := f.retired.WorkItems
-	for _, r := range f.replicas {
+	gpuSeen := false
+	for i, r := range f.replicas {
 		rs := r.svc.Stats()
-		st.Submitted += rs.Submitted
-		st.Completed += rs.Completed
-		st.Cancelled += rs.Cancelled
-		st.GPUQueries += rs.GPUQueries
-		st.Retunes += rs.Retunes
-		st.Shed += rs.Shed
-		st.Evicted += rs.Evicted
-		st.ShedDeadline += rs.ShedDeadline
-		st.Abandoned += rs.Abandoned
-		st.Failed += rs.Failed
-		st.Truncated += rs.Truncated
-		st.FallbackServed += rs.FallbackServed
-		st.DegradeSteps += rs.DegradeSteps
-		st.EmbStore = st.EmbStore || rs.EmbStore
-		st.EmbHits += rs.EmbHits
-		st.EmbMisses += rs.EmbMisses
-		st.EmbEvictions += rs.EmbEvictions
-		st.EmbBytesRead += rs.EmbBytesRead
-		gpuItems += rs.GPUItems
-		workItems += rs.WorkItems
+		st.Ledger = st.Ledger.Add(rs.Ledger)
+		st.Queued += rs.Queued
+		if i == 0 {
+			st.BatchSize, st.DegradeLevel = rs.BatchSize, rs.DegradeLevel
+		}
+		if r.hasGPU && !gpuSeen {
+			st.GPUThreshold, gpuSeen = rs.GPUThreshold, true
+		}
 		if !r.draining && r.healthy() {
 			st.Healthy++
 		}
@@ -768,70 +711,58 @@ func (f *Fleet) Stats() Stats {
 			Stats:       rs,
 		})
 	}
-	if st.Submitted > 0 {
-		st.GPUQueryShare = float64(st.GPUQueries) / float64(st.Submitted)
-	}
-	if workItems > 0 {
-		st.GPUWorkShare = float64(gpuItems) / float64(workItems)
-	}
-	if lookups := st.EmbHits + st.EmbMisses; lookups > 0 {
-		st.EmbHitRate = float64(st.EmbHits) / float64(lookups)
-	}
-	if len(merged) > 0 {
-		st.WindowLen = len(merged)
-		st.P50 = time.Duration(stats.Percentile(merged, 50) * float64(time.Second))
-		st.P95 = time.Duration(stats.Percentile(merged, 95) * float64(time.Second))
-	}
+	derive(&st.Stats, merged)
 	st.Tenants = make([]TenantStats, len(f.tenants))
 	for ti := range f.tenants {
-		ts := TenantStats{
+		agg := live.Stats{Ledger: f.retiredTenants[ti]}
+		var tmerged []float64
+		for ri, r := range f.replicas {
+			rs := r.svc.TenantStats(ti)
+			if ri == 0 {
+				// Identity/knob fields come from the first member.
+				agg.Tenant, agg.Share = rs.Tenant, rs.Share
+				agg.BatchSize, agg.GPUThreshold = rs.BatchSize, rs.GPUThreshold
+				agg.SLA, agg.DegradeLevel = rs.SLA, rs.DegradeLevel
+			}
+			agg.Ledger = agg.Ledger.Add(rs.Ledger)
+			agg.Queued += rs.Queued
+			tmerged = append(tmerged, r.svc.TenantLatencySnapshot(ti)...)
+		}
+		derive(&agg, tmerged)
+		st.Tenants[ti] = TenantStats{
 			Name:        f.tenants[ti].Name,
 			Share:       f.tenants[ti].Share,
 			Shape:       f.tenants[ti].Shape,
 			Outstanding: int(f.tenantOut[ti].Load()),
 			Cap:         int(f.tenantCap[ti].Load()),
 			CapShed:     f.capShed[ti].Load(),
+			Stats:       agg,
 		}
-		agg := f.retiredTenants[ti]
-		var tmerged []float64
-		for ri, r := range f.replicas {
-			rs := r.svc.TenantStats(ti)
-			if ri == 0 {
-				// Identity/knob fields come from the first member; the
-				// counter fold below re-adds its counters.
-				agg.Tenant, agg.Share = rs.Tenant, rs.Share
-				agg.BatchSize, agg.GPUThreshold = rs.BatchSize, rs.GPUThreshold
-				agg.SLA, agg.DegradeLevel = rs.SLA, rs.DegradeLevel
-			}
-			agg = agg.Accumulate(rs)
-			agg.Queued += rs.Queued // gauge: Accumulate folds lifetime counters only
-			tmerged = append(tmerged, r.svc.TenantLatencySnapshot(ti)...)
-		}
-		agg.WindowLen = len(tmerged)
-		agg.P50, agg.P95 = 0, 0
-		if len(tmerged) > 0 {
-			agg.P50 = time.Duration(stats.Percentile(tmerged, 50) * float64(time.Second))
-			agg.P95 = time.Duration(stats.Percentile(tmerged, 95) * float64(time.Second))
-		}
-		agg.GPUQueryShare, agg.GPUWorkShare, agg.EmbHitRate = 0, 0, 0
-		if agg.Submitted > 0 {
-			agg.GPUQueryShare = float64(agg.GPUQueries) / float64(agg.Submitted)
-		}
-		if agg.WorkItems > 0 {
-			agg.GPUWorkShare = float64(agg.GPUItems) / float64(agg.WorkItems)
-		}
-		if lookups := agg.EmbHits + agg.EmbMisses; lookups > 0 {
-			agg.EmbHitRate = float64(agg.EmbHits) / float64(lookups)
-		}
-		ts.Stats = agg
-		st.Tenants[ti] = ts
 	}
 	return st
 }
 
-// Close stops accepting queries, then drains and closes every replica
-// concurrently. Close is idempotent; concurrent Submits either finish
-// normally or observe ErrClosed.
+// derive fills the non-additive half of a merged snapshot from its summed
+// ledger and the union of its members' latency windows.
+func derive(st *live.Stats, window []float64) {
+	st.WindowLen = len(window)
+	if len(window) > 0 {
+		st.P50 = time.Duration(stats.Percentile(window, 50) * float64(time.Second))
+		st.P95 = time.Duration(stats.Percentile(window, 95) * float64(time.Second))
+	}
+	if st.Submitted > 0 {
+		st.GPUQueryShare = float64(st.GPUQueries) / float64(st.Submitted)
+	}
+	st.GPUWorkShare = st.Ledger.GPUWorkShare()
+	st.EmbHitRate = st.Ledger.EmbHitRate()
+}
+
+// Close stops accepting queries, then closes every replica concurrently:
+// queries executing on a lane finish, queries still parked in an admission
+// queue are flushed with live.ErrShutdown (a saturated fleet closes in
+// bounded time instead of serving its backlog), and Close returns once every
+// routed Submit has returned. Close is idempotent; concurrent Submits either
+// finish normally or observe ErrClosed.
 func (f *Fleet) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -860,8 +791,8 @@ func (f *Fleet) Close() error {
 	for i, r := range members {
 		go func(i int, r *replica) {
 			defer wg.Done()
-			r.inflight.Wait()
 			errs[i] = r.svc.Close()
+			r.inflight.Wait()
 		}(i, r)
 	}
 	wg.Wait()

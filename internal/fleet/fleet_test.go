@@ -256,6 +256,11 @@ func TestSizeAwareFleetRouting(t *testing.T) {
 	if want := 400.0 / 408.0; st.GPUWorkShare != want {
 		t.Errorf("GPUWorkShare = %v, want %v", st.GPUWorkShare, want)
 	}
+	// The fleet viewed as one Backend carries the item counts, so an
+	// upstream fleet merging it recomputes the same exact work share.
+	if up := (live.Ledger{}).Add(f.AsBackend().Stats().Ledger); up.WorkItems != 408 || up.GPUItems != 400 || up.GPUWorkShare() != st.GPUWorkShare {
+		t.Errorf("AsBackend ledger = %+v, want 400 of 408 items offloaded", up)
+	}
 	// Removing the GPU replica must keep the lifetime counters and shares
 	// consistent: the offloads it served stay in the totals.
 	if err := f.Remove(1); err != nil {
@@ -525,5 +530,47 @@ func TestMixedFleetSoak(t *testing.T) {
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseAbandonsQueued pins the shutdown semantics a fleet of one
+// inherits from its replica: Close lets the executing query finish, flushes
+// the queries still parked in the admission queue with ErrShutdown rather
+// than serving the backlog first, and the ledger records them as Abandoned.
+func TestCloseAbandonsQueued(t *testing.T) {
+	cfg := baseConfig(testModel(t), 1)
+	cfg.Admission = live.AdmissionConfig{Policy: live.AdmitQueue, Concurrency: 1, Depth: 8}
+	f := newFleet(t, []live.Config{cfg}, nil)
+	// The injected delay holds the one admission slot open past the forward
+	// pass, so the holder is slow however fast the kernels are.
+	if err := f.replicas[0].svc.(faulter).SetDelay(200 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	const queued = 4
+	errs := make(chan error, 1+queued)
+	for i := 0; i < 1+queued; i++ {
+		go func() {
+			_, _, err := f.Submit(context.Background(), live.Query{Candidates: 10})
+			errs <- err
+		}()
+	}
+	waitUntil(t, 5*time.Second, "queue forms behind the holder", func() bool { return f.Stats().Queued == queued })
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var done, shutdown int
+	for i := 0; i < 1+queued; i++ {
+		switch err := <-errs; {
+		case err == nil:
+			done++
+		case errors.Is(err, live.ErrShutdown):
+			shutdown++
+		default:
+			t.Errorf("Submit at close = %v, want completion or ErrShutdown", err)
+		}
+	}
+	st := f.Stats()
+	if done != 1 || shutdown != queued || st.Completed != 1 || st.Abandoned != queued || !st.Conserved() {
+		t.Errorf("%d completed / %d flushed, ledger %+v; want 1 completed and %d abandoned", done, shutdown, st.Ledger, queued)
 	}
 }

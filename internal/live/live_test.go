@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -125,10 +126,35 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 }
 
+// gatedAccess is an index distribution whose draws block until open is
+// closed — a test seam that parks a CPU worker inside a chunk for exactly as
+// long as the test wants, however fast the kernels are.
+type gatedAccess struct {
+	entered chan struct{} // closed at the first blocked draw
+	open    chan struct{}
+	once    *sync.Once
+}
+
+func (g gatedAccess) Name() string { return "gated" }
+func (g gatedAccess) Source(*rand.Rand, int) workload.IndexSource {
+	return g
+}
+func (g gatedAccess) Next() int {
+	g.once.Do(func() { close(g.entered) })
+	<-g.open
+	return 0
+}
+
 // TestContextCancellationMidQuery cancels a query while its chunks are
-// queued behind a clogged single-worker pipeline.
+// queued behind a clogged single-worker pipeline. The clog is a gate, not a
+// race against the clock: the lone worker is parked inside the holder
+// query's first chunk until the cancelled query has returned, so the
+// verdict does not depend on how fast the kernels run.
 func TestContextCancellationMidQuery(t *testing.T) {
-	s := newService(t, Config{Workers: 1, BatchSize: 1, QueueDepth: 1})
+	gate := gatedAccess{entered: make(chan struct{}), open: make(chan struct{}), once: new(sync.Once)}
+	s := newService(t, Config{Workers: 1, BatchSize: 1, QueueDepth: 1, Access: gate})
+	openGate := sync.OnceFunc(func() { close(gate.open) })
+	defer openGate() // a failed assertion must not leave the worker parked under Close
 	// Clog the lone worker and the depth-1 queue with a many-chunk query.
 	bgDone := make(chan struct{})
 	go func() {
@@ -137,6 +163,7 @@ func TestContextCancellationMidQuery(t *testing.T) {
 			t.Errorf("background query: %v", err)
 		}
 	}()
+	<-gate.entered
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
@@ -144,6 +171,7 @@ func TestContextCancellationMidQuery(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Submit = %v, want deadline exceeded", err)
 	}
+	openGate()
 	<-bgDone
 	st := s.Stats()
 	if st.Cancelled != 1 || st.Completed != 1 {

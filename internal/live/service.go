@@ -290,7 +290,10 @@ type Reply struct {
 }
 
 // Stats is an online snapshot of the service (or, from TenantStats, of one
-// tenant's slice of it).
+// tenant's slice of it): the lifetime Ledger plus everything that is not a
+// counter — identity, the current knobs and gauges, the windowed
+// percentiles, and the ratios derived from the ledger's sums. Merging
+// snapshots adds the ledgers and recomputes the rest.
 type Stats struct {
 	// Tenant is the tenant's name in per-tenant snapshots ("" for the
 	// classic single-model service and for whole-service aggregates).
@@ -298,70 +301,31 @@ type Stats struct {
 	// Share is the tenant's configured relative traffic weight (0 in
 	// whole-service aggregates of a multi-tenant service).
 	Share float64
-	// Submitted / Completed / Cancelled are lifetime query counts.
-	Submitted uint64
-	Completed uint64
-	Cancelled uint64
+	// Ledger holds the lifetime counters.
+	Ledger
 	// BatchSize is the current per-request batch size.
 	BatchSize int
 	// GPUThreshold is the current offload threshold (0 = no offload).
 	GPUThreshold int
-	// GPUQueries is the lifetime count of queries routed to the
-	// accelerator lane (counted at admission, like the simulator).
-	GPUQueries uint64
 	// GPUQueryShare is the fraction of admitted queries offloaded;
-	// GPUWorkShare is the fraction of candidate-item work offloaded — the
-	// live counterparts of the simulator's Fig. 14 series.
+	// GPUWorkShare is the fraction of candidate-item work offloaded
+	// (Ledger.GPUWorkShare) — the live counterparts of the simulator's
+	// Fig. 14 series.
 	GPUQueryShare float64
 	GPUWorkShare  float64
-	// WorkItems is the lifetime count of admitted candidate items across
-	// both lanes and GPUItems the offloaded portion — the integer counts
-	// behind GPUWorkShare, exposed so a fleet front end can aggregate
-	// work shares exactly.
-	WorkItems, GPUItems uint64
 	// P50 / P95 are the windowed online latency percentiles.
 	P50, P95 time.Duration
 	// WindowLen is the number of samples behind the percentiles.
 	WindowLen int
 	// SLA echoes the configured target (0 = none).
 	SLA time.Duration
-	// Retunes counts knob changes (batch size or offload threshold) made
-	// by the controller.
-	Retunes uint64
-	// Shed counts queries refused with ErrOverloaded by admission control,
-	// each exactly once (rejections, full-queue sheds, and shed-oldest
-	// evictions); Evicted is the shed-oldest subset. ShedDeadline counts queries shed before
-	// execution because their deadline had already expired (at arrival or
-	// during the queue wait). Abandoned counts queued-but-unstarted
-	// queries flushed with ErrShutdown at Close.
-	Shed, Evicted, ShedDeadline, Abandoned uint64
 	// Queued is the current admission-queue length (a gauge, not a
 	// lifetime count).
 	Queued int
 	// DegradeLevel is the current rung of the degrade ladder (0 = full
-	// service); DegradeSteps counts the controller's level moves.
-	// Truncated counts queries served over a truncated candidate slate
-	// and FallbackServed queries served by the cheaper fallback model.
-	DegradeLevel   int
-	DegradeSteps   uint64
-	Truncated      uint64
-	FallbackServed uint64
-	// Failed counts queries aborted with ErrReplicaDown by fault
-	// injection (in-flight at Fail, or arriving while failed).
-	Failed uint64
-	// EmbStore reports whether a pluggable embedding store backs the
-	// model's tables; the Emb* counters below are zero otherwise (classic
-	// in-memory tables have nothing to count).
-	EmbStore bool
-	// EmbHits / EmbMisses / EmbEvictions are the embedding-cache counters
-	// summed across the model's tables (the degrade fallback model's
-	// included when it is store-backed); EmbBytesRead is the bytes fetched
-	// from backing storage — mmap'd files or the synthetic generator — so
-	// it measures exactly the traffic the cache did NOT absorb.
-	EmbHits, EmbMisses, EmbEvictions uint64
-	EmbBytesRead                     uint64
-	// EmbHitRate is EmbHits / (EmbHits + EmbMisses), 0 until a store-backed
-	// lookup has been served.
+	// service).
+	DegradeLevel int
+	// EmbHitRate is Ledger.EmbHitRate at snapshot time.
 	EmbHitRate float64
 }
 
@@ -369,34 +333,6 @@ type Stats struct {
 // no SLA is configured or no sample has been measured).
 func (s Stats) MeetsSLA() bool {
 	return s.SLA > 0 && s.WindowLen > 0 && s.P95 <= s.SLA
-}
-
-// Accumulate returns s with b's lifetime counters added. Knobs, gauges,
-// percentiles, and derived ratios are left as s's — callers merging
-// snapshots (tenant aggregation, fleet counter folding across membership
-// churn) recompute those from the merged windows and counter sums.
-func (s Stats) Accumulate(b Stats) Stats {
-	s.Submitted += b.Submitted
-	s.Completed += b.Completed
-	s.Cancelled += b.Cancelled
-	s.GPUQueries += b.GPUQueries
-	s.WorkItems += b.WorkItems
-	s.GPUItems += b.GPUItems
-	s.Retunes += b.Retunes
-	s.Shed += b.Shed
-	s.Evicted += b.Evicted
-	s.ShedDeadline += b.ShedDeadline
-	s.Abandoned += b.Abandoned
-	s.DegradeSteps += b.DegradeSteps
-	s.Truncated += b.Truncated
-	s.FallbackServed += b.FallbackServed
-	s.Failed += b.Failed
-	s.EmbStore = s.EmbStore || b.EmbStore
-	s.EmbHits += b.EmbHits
-	s.EmbMisses += b.EmbMisses
-	s.EmbEvictions += b.EmbEvictions
-	s.EmbBytesRead += b.EmbBytesRead
-	return s
 }
 
 // inflight tracks one submitted query across its units of work: batch-sized
@@ -824,25 +760,23 @@ func (s *Service) Fail() {
 // the health signal fleet routing checks.
 func (s *Service) Failed() bool { return s.failed.Load() }
 
-// Stats returns an online snapshot. On a multi-tenant service the lifetime
-// counters are summed across tenants, the percentiles are computed over the
-// merged tenant windows, and the knob/SLA fields are tenant 0's (read
-// TenantStats for any one tenant's own).
+// Stats returns an online snapshot. On a multi-tenant service the ledgers
+// are summed across tenants, the percentiles are computed over the merged
+// tenant windows, and the knob/SLA fields are tenant 0's (read TenantStats
+// for any one tenant's own).
 func (s *Service) Stats() Stats {
-	if len(s.tenants) == 1 {
-		return s.tenants[0].snapshot()
-	}
 	st := s.tenants[0].snapshot()
+	if len(s.tenants) == 1 {
+		return st
+	}
 	st.Tenant = ""
 	st.Share = 0
+	admitted := s.tenants[0].cpuQueries.Load()
 	for _, t := range s.tenants[1:] {
 		ts := t.snapshot()
-		st = st.Accumulate(ts)
-		st.Queued += ts.Queued // gauge: Accumulate folds lifetime counters only
-	}
-	var cpuQ uint64
-	for _, t := range s.tenants {
-		cpuQ += t.cpuQueries.Load()
+		st.Ledger = st.Ledger.Add(ts.Ledger)
+		st.Queued += ts.Queued
+		admitted += t.cpuQueries.Load()
 	}
 	all := s.LatencySnapshot()
 	st.P50, st.P95 = 0, 0
@@ -851,17 +785,20 @@ func (s *Service) Stats() Stats {
 		st.P95 = time.Duration(stats.Percentile(all, 95) * float64(time.Second))
 	}
 	st.WindowLen = len(all)
-	st.GPUQueryShare, st.GPUWorkShare, st.EmbHitRate = 0, 0, 0
-	if total := st.GPUQueries + cpuQ; total > 0 {
-		st.GPUQueryShare = float64(st.GPUQueries) / float64(total)
-	}
-	if st.WorkItems > 0 {
-		st.GPUWorkShare = float64(st.GPUItems) / float64(st.WorkItems)
-	}
-	if looked := st.EmbHits + st.EmbMisses; looked > 0 {
-		st.EmbHitRate = float64(st.EmbHits) / float64(looked)
-	}
+	st.setRatios(admitted + st.GPUQueries)
 	return st
+}
+
+// setRatios fills the ratios a snapshot derives from its ledger's sums.
+// admitted — the queries that reached a lane — is GPUQueryShare's
+// denominator, which the ledger does not carry.
+func (s *Stats) setRatios(admitted uint64) {
+	s.GPUQueryShare = 0
+	if admitted > 0 {
+		s.GPUQueryShare = float64(s.GPUQueries) / float64(admitted)
+	}
+	s.GPUWorkShare = s.Ledger.GPUWorkShare()
+	s.EmbHitRate = s.Ledger.EmbHitRate()
 }
 
 // TenantStats returns one tenant's slice of the online snapshot: its own

@@ -240,32 +240,38 @@ func (t *tenant) countAborted(err error) {
 	}
 }
 
-// snapshot builds this tenant's slice of the service Stats.
+// snapshot builds this tenant's slice of the service Stats: the one place
+// the ledger's counters are loaded from their atomics.
 func (t *tenant) snapshot() Stats {
 	sum := t.win.Summary()
+	gpuItems := t.gpuItems.Load()
 	st := Stats{
-		Tenant:         t.name,
-		Share:          t.share,
-		Submitted:      t.submitted.Load(),
-		Completed:      t.completed.Load(),
-		Cancelled:      t.cancelled.Load(),
-		BatchSize:      int(t.batch.Load()),
-		GPUThreshold:   int(t.thresh.Load()),
-		GPUQueries:     t.gpuQueries.Load(),
-		P50:            time.Duration(sum.P50 * float64(time.Second)),
-		P95:            time.Duration(sum.P95 * float64(time.Second)),
-		WindowLen:      sum.Count,
-		SLA:            t.sla,
-		Retunes:        t.retunes.Load(),
-		Shed:           t.shed.Load(),
-		Evicted:        t.evicted.Load(),
-		ShedDeadline:   t.shedDeadline.Load(),
-		Abandoned:      t.abandoned.Load(),
-		DegradeLevel:   int(t.degLevel.Load()),
-		DegradeSteps:   t.degradeSteps.Load(),
-		Truncated:      t.truncated.Load(),
-		FallbackServed: t.fallbackServed.Load(),
-		Failed:         t.failedQ.Load(),
+		Tenant: t.name,
+		Share:  t.share,
+		Ledger: Ledger{
+			Submitted:      t.submitted.Load(),
+			Completed:      t.completed.Load(),
+			Cancelled:      t.cancelled.Load(),
+			Shed:           t.shed.Load(),
+			Evicted:        t.evicted.Load(),
+			ShedDeadline:   t.shedDeadline.Load(),
+			Abandoned:      t.abandoned.Load(),
+			Failed:         t.failedQ.Load(),
+			GPUQueries:     t.gpuQueries.Load(),
+			WorkItems:      gpuItems + t.cpuItems.Load(),
+			GPUItems:       gpuItems,
+			Retunes:        t.retunes.Load(),
+			DegradeSteps:   t.degradeSteps.Load(),
+			Truncated:      t.truncated.Load(),
+			FallbackServed: t.fallbackServed.Load(),
+		},
+		BatchSize:    int(t.batch.Load()),
+		GPUThreshold: int(t.thresh.Load()),
+		P50:          time.Duration(sum.P50 * float64(time.Second)),
+		P95:          time.Duration(sum.P95 * float64(time.Second)),
+		WindowLen:    sum.Count,
+		SLA:          t.sla,
+		DegradeLevel: int(t.degLevel.Load()),
 	}
 	if t.adm != nil {
 		st.Queued = t.adm.queued()
@@ -281,15 +287,7 @@ func (t *tenant) snapshot() Stats {
 		st.EmbMisses = est.Misses
 		st.EmbEvictions = est.Evictions
 		st.EmbBytesRead = est.BytesRead
-		st.EmbHitRate = est.HitRate()
 	}
-	if total := st.GPUQueries + t.cpuQueries.Load(); total > 0 {
-		st.GPUQueryShare = float64(st.GPUQueries) / float64(total)
-	}
-	st.GPUItems = t.gpuItems.Load()
-	st.WorkItems = st.GPUItems + t.cpuItems.Load()
-	if st.WorkItems > 0 {
-		st.GPUWorkShare = float64(st.GPUItems) / float64(st.WorkItems)
-	}
+	st.setRatios(st.GPUQueries + t.cpuQueries.Load())
 	return st
 }

@@ -195,7 +195,7 @@ func TestTenantAdmissionIsolation(t *testing.T) {
 	if got := st0.Completed + st0.Shed; got != burst/2 {
 		t.Errorf("tenant 0 accounted %d of %d", got, burst/2)
 	}
-	if st0.Submitted != st0.Completed+st0.Cancelled+st0.Shed+st0.ShedDeadline+st0.Failed+st0.Abandoned {
+	if !st0.Conserved() {
 		t.Errorf("tenant 0 conservation violated: %+v", st0)
 	}
 }

@@ -231,47 +231,40 @@ func (r *RemoteReplica) statsz() StatsResponse {
 // online latency view overridden by client-side RTT measurements and
 // wire-lost submits folded in as Submitted+Failed.
 func (r *RemoteReplica) Stats() live.Stats {
-	st := r.statsz().Service
-	r.overlayLatency(&st, r.lat)
 	var lost uint64
 	for i := range r.wireLost {
 		lost += r.wireLost[i].Load()
 	}
-	st.Submitted += lost
-	st.Failed += lost
-	return st
+	return overlay(r.statsz().Service, r.lat, lost)
 }
 
 // TenantStats returns tenant i's slice of the remote ledger.
 func (r *RemoteReplica) TenantStats(i int) live.Stats {
-	sz := r.statsz()
 	if i < 0 || i >= len(r.tenants) {
 		return live.Stats{}
 	}
-	var st live.Stats
+	sz := r.statsz()
+	st := sz.Service // single-model server: the anonymous tenant is the whole service
 	if i < len(sz.Tenants) {
 		st = sz.Tenants[i].Stats
-	} else {
-		// Single-model server: the anonymous tenant is the whole service.
-		st = sz.Service
 	}
-	r.overlayLatency(&st, r.tenantLat[i])
-	lost := r.wireLost[i].Load()
-	st.Submitted += lost
-	st.Failed += lost
-	return st
+	return overlay(st, r.tenantLat[i], r.wireLost[i].Load())
 }
 
-// overlayLatency swaps the server-measured online percentiles for the
-// client-observed ones when enough RTTs have been seen: the wire is part
-// of this replica's service time from where the fleet stands.
-func (r *RemoteReplica) overlayLatency(st *live.Stats, w *stats.Window) {
-	if w.Len() == 0 {
-		return
+// overlay lays the client's view over a fetched snapshot: submits that
+// provably never reached the server count as Submitted+Failed, and once
+// RTTs have been seen the client-observed percentiles replace the
+// server-measured ones — the wire is part of this replica's service time
+// from where the fleet stands.
+func overlay(st live.Stats, w *stats.Window, lost uint64) live.Stats {
+	st.Submitted += lost
+	st.Failed += lost
+	if n := w.Len(); n > 0 {
+		st.P50 = time.Duration(w.Percentile(50) * float64(time.Second))
+		st.P95 = time.Duration(w.Percentile(95) * float64(time.Second))
+		st.WindowLen = n
 	}
-	st.P50 = time.Duration(w.Percentile(50) * float64(time.Second))
-	st.P95 = time.Duration(w.Percentile(95) * float64(time.Second))
-	st.WindowLen = w.Len()
+	return st
 }
 
 func (r *RemoteReplica) TenantCount() int { return len(r.tenants) }

@@ -207,10 +207,8 @@ func TestRemoteWireLostIdentity(t *testing.T) {
 	// (remote.Stats.Failed is the embedded counter; ReplicaStats.Failed the
 	// health bool shadowing it.)
 	rst := remote.Stats
-	disposed := rst.Completed + rst.Cancelled + rst.Shed + rst.ShedDeadline + rst.Failed + rst.Abandoned
-	if rst.Submitted != disposed {
-		t.Fatalf("remote replica conservation broken: submitted=%d disposed=%d (failed=%d)",
-			rst.Submitted, disposed, rst.Failed)
+	if !rst.Conserved() {
+		t.Fatalf("remote replica conservation broken: %+v", rst.Ledger)
 	}
 	if cs := r.Client().Stats(); cs.ConnectErrors == 0 {
 		t.Fatal("dropping wire injected no connect errors; the test exercised nothing")

@@ -87,7 +87,7 @@ func (s *stubBackend) Submit(ctx context.Context, q live.Query) (live.Reply, err
 }
 
 func (s *stubBackend) Stats() live.Stats {
-	return live.Stats{Submitted: s.n.Load(), BatchSize: int(s.batch.Load()), P50: 5 * time.Millisecond}
+	return live.Stats{Ledger: live.Ledger{Submitted: s.n.Load()}, BatchSize: int(s.batch.Load()), P50: 5 * time.Millisecond}
 }
 func (s *stubBackend) TenantStats(i int) live.Stats          { return s.Stats() }
 func (s *stubBackend) TenantCount() int                      { return len(s.tenants) }

@@ -9,16 +9,6 @@ import (
 	"github.com/deeprecinfra/deeprecsys/internal/rpc"
 )
 
-// backend exposes the service's serving stack through the fleet's
-// transport interface: the single replica directly, the fleet through its
-// aggregating adapter.
-func (s *Service) backend() fleet.Backend {
-	if s.fl != nil {
-		return s.fl.AsBackend()
-	}
-	return s.inner
-}
-
 // HTTPServer is a Service published on the wire: the HTTP/JSON serving
 // boundary (POST /v1/recommend plus the /healthz, /readyz, /statsz probes
 // and /v1/knobs) documented in docs/ARCHITECTURE.md. Create one with
@@ -35,7 +25,7 @@ type HTTPServer struct {
 // NewRemoteClient, `loadgen -target`, or any HTTP client speaking the wire
 // format; a fleet in another process joins it with AddRemoteReplica.
 func (s *Service) StartHTTP(addr string) (*HTTPServer, error) {
-	srv := rpc.NewServer(s.backend(), rpc.ServerConfig{Model: s.model})
+	srv := rpc.NewServer(s.fl.AsBackend(), rpc.ServerConfig{Model: s.model})
 	if _, err := srv.Start(addr); err != nil {
 		return nil, err
 	}
@@ -56,30 +46,14 @@ func (h *HTTPServer) Close() error { return h.srv.Close() }
 
 // HTTPServerCounters is the wire-level disposition ledger of an
 // HTTPServer: how the boundary itself answered requests, on top of the
-// Service's own stats.
-type HTTPServerCounters struct {
-	// Requests counts recommend requests reaching the server; OK the
-	// successful replies.
-	Requests, OK uint64
-	// Overloaded, Deadline, Draining, Down, Cancelled, and BadRequest
-	// count the refused requests by wire error code.
-	Overloaded, Deadline, Draining, Down, Cancelled, BadRequest uint64
-}
+// Service's own stats. Requests counts recommend requests reaching the
+// server and OK the successful replies; Overloaded, Deadline, Draining,
+// Down, Cancelled, and BadRequest count the refused requests by wire error
+// code.
+type HTTPServerCounters = rpc.ServerCounters
 
 // Counters returns the server's wire-level disposition ledger.
-func (h *HTTPServer) Counters() HTTPServerCounters {
-	c := h.srv.Counters()
-	return HTTPServerCounters{
-		Requests:   c.Requests,
-		OK:         c.OK,
-		Overloaded: c.Overloaded,
-		Deadline:   c.Deadline,
-		Draining:   c.Draining,
-		Down:       c.Down,
-		Cancelled:  c.Cancelled,
-		BadRequest: c.BadRequest,
-	}
-}
+func (h *HTTPServer) Counters() HTTPServerCounters { return h.srv.Counters() }
 
 // ClientOptions tunes a RemoteClient. The zero value is a sane profile:
 // 3 attempts with jittered exponential backoff and a 20% retry budget, no
@@ -192,56 +166,30 @@ func (c *RemoteClient) recommend(ctx context.Context, req rpc.RecommendRequest) 
 func (c *RemoteClient) Healthy(ctx context.Context) error { return c.c.Healthz(ctx) }
 
 // RemoteClientStats is the client-side wire ledger: how Recommend calls
-// fared on the network.
-type RemoteClientStats struct {
-	// Requests counts Recommend calls; Attempts the HTTP sends they
-	// expanded into (hedges included); Successes/Failures partition the
-	// finished calls.
-	Requests, Attempts, Successes, Failures uint64
-	// Retries counts backed-off re-sends; BudgetDenied retries the
-	// client-wide budget refused; Hedges fired hedge requests and
-	// HedgeWins those that beat the primary.
-	Retries, BudgetDenied, Hedges, HedgeWins uint64
-	// ConnectErrors, Resets, Overloaded, and DeadlineErrors break down
-	// the failures observed across attempts.
-	ConnectErrors, Resets, Overloaded, DeadlineErrors uint64
-}
+// fared on the network. Requests counts Recommend calls and Attempts the
+// HTTP sends they expanded into (hedges included); Successes/Failures
+// partition the finished calls; Retries counts backed-off re-sends,
+// BudgetDenied retries the client-wide budget refused, Hedges fired hedge
+// requests and HedgeWins those that beat the primary; ConnectErrors,
+// Resets, Overloaded, and DeadlineErrors break down the failures observed
+// across attempts.
+type RemoteClientStats = rpc.ClientStats
 
 // Stats returns the client-side wire ledger.
-func (c *RemoteClient) Stats() RemoteClientStats {
-	st := c.c.Stats()
-	return RemoteClientStats{
-		Requests:       st.Requests,
-		Attempts:       st.Attempts,
-		Successes:      st.Successes,
-		Failures:       st.Failures,
-		Retries:        st.Retries,
-		BudgetDenied:   st.BudgetDenied,
-		Hedges:         st.Hedges,
-		HedgeWins:      st.HedgeWins,
-		ConnectErrors:  st.ConnectErrors,
-		Resets:         st.Resets,
-		Overloaded:     st.Overloaded,
-		DeadlineErrors: st.DeadlineErrors,
-	}
-}
+func (c *RemoteClient) Stats() RemoteClientStats { return c.c.Stats() }
 
 // Close releases the client's idle connections.
 func (c *RemoteClient) Close() { c.c.Close() }
 
 // AddRemoteReplica joins a Service published in another process (via
-// StartHTTP or `serve -listen`) to this fleet's routing set, returning its
+// StartHTTP or `serve -listen`) to this service's routing set, returning its
 // replica ID. The remote member is routed exactly like a local replica —
 // health-check ejection and crash retry work over the wire — but the
 // fleet does not own its lifecycle: RemoveReplica detaches it (folding
 // its served counters into the fleet totals) without shutting the remote
 // process down, and the autoscaler and process-level chaos never pick it.
-// The remote server's tenant set must match this fleet's. Fails with
-// ErrNotFleet on a single-replica Service.
+// The remote server's tenant set must match this service's.
 func (s *Service) AddRemoteReplica(target string) (int, error) {
-	if s.fl == nil {
-		return 0, ErrNotFleet
-	}
 	if s.sharded {
 		return 0, fmt.Errorf("deeprecsys: cannot join %s to a table-sharded fleet (the shard layout is fixed at Serve)", target)
 	}
@@ -249,9 +197,5 @@ func (s *Service) AddRemoteReplica(target string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	id, err := s.fl.AddBackend(r, fleet.BackendInfo{})
-	if err != nil {
-		return 0, err
-	}
-	return id, nil
+	return s.fl.AddBackend(r, fleet.BackendInfo{})
 }

@@ -2,7 +2,13 @@ package deeprecsys_test
 
 import (
 	"context"
-	"errors"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -130,13 +136,108 @@ func TestAddRemoteReplica(t *testing.T) {
 		t.Fatal("no query crossed the wire to the remote replica")
 	}
 
-	// A single-replica service has no fleet to join anything to.
+	// A one-replica service is a fleet of one: the remote member joins it
+	// as replica 1 and serves its share.
 	single, err := sys.Serve(deeprecsys.ServeOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer single.Close()
-	if _, err := single.AddRemoteReplica("http://" + bsrv.Addr()); !errors.Is(err, deeprecsys.ErrNotFleet) {
-		t.Fatalf("got %v, want ErrNotFleet", err)
+	id, err := single.AddRemoteReplica("http://" + bsrv.Addr())
+	if err != nil || id != 1 {
+		t.Fatalf("AddRemoteReplica on a one-replica service = %d, %v; want ID 1", id, err)
+	}
+	before := bsrv.Counters().OK
+	for i := 0; i < 4; i++ {
+		if _, err := single.Submit(ctx, 32, 0); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	if got := bsrv.Counters().OK - before; got != 2 {
+		t.Errorf("remote member served %d of 4 round-robin queries, want 2", got)
+	}
+	if got := single.Stats().Replicas; got != 2 {
+		t.Errorf("Replicas = %d, want 2", got)
+	}
+}
+
+// TestRetryAfterTracksQueueDepth is the regression test for the fleet
+// adapter dropping the Queued gauge: a saturated service behind StartHTTP
+// must derive its 503 Retry-After hint from its real admission-queue depth
+// (depth+1 service times, 10ms each before any query has completed) and
+// report that depth in /statsz — at one replica and at two. Every query is
+// offloaded to the modeled accelerator, whose service time (42ms for a
+// 1000-candidate DLRM-RMC2 query) does not depend on kernel speed, so the
+// holders outlast the burst on any host.
+func TestRetryAfterTracksQueueDepth(t *testing.T) {
+	sys, err := deeprecsys.NewSystem("DLRM-RMC2", "skylake", deeprecsys.WithGPU())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ replicas, depth int }{{1, 2}, {1, 6}, {2, 6}} {
+		t.Run(fmt.Sprintf("replicas=%d/queue:%d", tc.replicas, tc.depth), func(t *testing.T) {
+			svc, err := sys.Serve(deeprecsys.ServeOptions{
+				Replicas:     tc.replicas,
+				Workers:      1, // admission concurrency 2 per replica
+				GPUThreshold: 1,
+				Admission:    fmt.Sprintf("queue:%d", tc.depth),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			srv, err := svc.StartHTTP("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			base := "http://" + srv.Addr()
+
+			// Overfill every replica's execution slots and queue.
+			burst := tc.replicas*(2+tc.depth) + 6
+			hints := make(chan time.Duration, burst)
+			var wg sync.WaitGroup
+			for i := 0; i < burst; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					resp, err := http.Post(base+"/v1/recommend", "application/json", strings.NewReader(`{"candidates":1000}`))
+					if err != nil {
+						t.Errorf("post: %v", err)
+						return
+					}
+					defer resp.Body.Close()
+					io.Copy(io.Discard, resp.Body)
+					if resp.StatusCode == http.StatusServiceUnavailable {
+						ms, err := strconv.Atoi(resp.Header.Get("Deeprecsys-Retry-After-Ms"))
+						if err != nil {
+							t.Errorf("503 without a Retry-After hint: %v", err)
+						}
+						hints <- time.Duration(ms) * time.Millisecond
+					}
+				}()
+			}
+			// The first shed proves a queue is full; the queue then takes
+			// depth/2 modeled service times to drain, so /statsz sees it.
+			hint := <-hints
+			resp, err := http.Get(base + "/statsz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var statsz struct{ Service struct{ Queued int } }
+			err = json.NewDecoder(resp.Body).Decode(&statsz)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Wait()
+
+			if statsz.Service.Queued == 0 {
+				t.Error("/statsz service.Queued = 0 on a saturated service")
+			}
+			if want := time.Duration(tc.depth+1) * 10 * time.Millisecond; hint < want {
+				t.Errorf("Retry-After hint %v, want >= %v (queue depth %d + 1 service times)", hint, want, tc.depth)
+			}
+		})
 	}
 }

@@ -62,13 +62,12 @@ type ServeOptions struct {
 	// a latency knob for large queries on multi-core hosts; results are
 	// bit-identical to serial execution. Default 1 (off).
 	IntraOp int
-	// Replicas selects the fleet tier: with N >= 2 the service becomes a
-	// load-balancing front end sharding Submit traffic across N complete
-	// replica services, each with its own executor lanes, online latency
-	// window, and (with AutoTune) its own controller. The default (0 or 1)
-	// is the single-replica service, behaviorally identical to serving
-	// without the fleet tier; Jitter and GPUReplicas then have no effect,
-	// and RoutingPolicy is validated but unused.
+	// Replicas is the fleet size: the service is a load-balancing front end
+	// sharding Submit traffic across N complete replica services, each with
+	// its own executor lanes, online latency window, and (with AutoTune) its
+	// own controller. The default (0 or 1) is a fleet of one — the same
+	// serving path at N = 1, which AddReplica, AddRemoteReplica, and
+	// AutoScale grow like any other.
 	Replicas int
 	// RoutingPolicy picks the serving replica per query: "round-robin"
 	// (the default), "least-loaded" (fewest outstanding queries), or
@@ -106,7 +105,7 @@ type ServeOptions struct {
 	// AutoScale runs the fleet autoscaler: a closed-loop controller growing
 	// the fleet toward MaxReplicas while the fleet-wide online p95 breaches
 	// the SLA or replicas are shedding, and shrinking toward MinReplicas
-	// under sustained headroom. Requires Replicas >= 2.
+	// under sustained headroom.
 	AutoScale bool
 	// MinReplicas / MaxReplicas bound the autoscaler (defaults: 1 and
 	// Replicas, respectively).
@@ -114,11 +113,10 @@ type ServeOptions struct {
 	// Chaos enables fault injection on the fleet, as a spec string parsed
 	// by the fleet tier: comma-separated key=value pairs among every=<dur>,
 	// crash=<p>, restart=<dur>, slow=<p>, factor=<f>, spike=<p>,
-	// delay=<dur>. "" or "none" disables. Requires Replicas >= 2.
+	// delay=<dur>. "" or "none" disables.
 	Chaos string
 	// Retry resubmits a query exactly once when a replica crash aborts it
-	// (health-checked routing steers the retry to a live replica). Requires
-	// Replicas >= 2.
+	// (health-checked routing steers the retry to a live replica).
 	Retry bool
 	// Access is the sparse-index popularity distribution query inputs draw
 	// embedding rows from: "uniform" (the default) or "zipf[:<s>[,<v>]]"
@@ -146,10 +144,6 @@ type ServeOptions struct {
 	ShardTables bool
 }
 
-// ErrNotFleet is returned by the replica-membership methods (AddReplica,
-// DrainReplica, RemoveReplica) of a single-replica Service.
-var ErrNotFleet = errors.New("deeprecsys: not a fleet (ServeOptions.Replicas < 2)")
-
 // Service is a live concurrent recommendation server for one System: the
 // online counterpart of the offline Tune/Capacity simulator. Submit real
 // queries from any number of goroutines; the service routes queries above
@@ -158,29 +152,28 @@ var ErrNotFleet = errors.New("deeprecsys: not a fleet (ServeOptions.Replicas < 2
 // forward passes, tracks the online p95 against the SLA, and drains
 // gracefully on Close.
 //
-// With ServeOptions.Replicas >= 2 the Service is a fleet: a routing front
-// end over N complete replica services, with fleet-wide percentiles,
+// Every Service is a fleet: a routing front end over ServeOptions.Replicas
+// complete replica services (one by default), with fleet-wide percentiles,
 // per-replica stats, and live membership changes (AddReplica,
 // DrainReplica, RemoveReplica). See docs/ARCHITECTURE.md for how the fleet
 // tier relates to the offline cluster simulator.
 type Service struct {
-	inner *live.Service // single-replica mode
-	fl    *fleet.Fleet  // fleet mode (Replicas >= 2)
+	fl    *fleet.Fleet
 	model string
 
 	tableRows int  // full logical embedding-table rows (0 = no tables)
 	sharded   bool // table rows split across replicas: membership is fixed
 
-	// Fleet-mode replica template for AddReplica: the base live config,
-	// specialized per added replica with the next seed in the stream.
+	// Replica template for AddReplica: the base live config, specialized
+	// per added replica with the next seed in the stream.
 	base     live.Config
 	nextSeed atomic.Int64
 
 	// Store-backed fleets give every replica its own model instance so
 	// per-replica cache counters stay per-replica truth (a shared model
 	// would merge every replica's traffic into one cache). newReplicaModel
-	// builds one more (nil on classic or single-replica services); owned
-	// tracks them for Close, which releases them after the fleet drains.
+	// builds one more (nil on classic services); owned tracks them for
+	// Close, which releases them after the fleet drains.
 	newReplicaModel func() (*model.Model, error)
 	ownedMu         sync.Mutex
 	owned           []*model.Model
@@ -190,7 +183,7 @@ type Service struct {
 	// Share-weighted splitter behind Submit, per-tenant fresh-instance
 	// builders for store-backed tenants (nil entries for classic tenants,
 	// which share one instance across replicas), and the MaxOutstanding
-	// caps serveFleet installs.
+	// caps startFleet installs.
 	tenantNames    []string
 	tenantModels   []string
 	tenantIdx      map[string]int
@@ -212,9 +205,9 @@ func (s *Service) addOwned(m *model.Model) {
 // serves with the accelerator offload lane enabled, backed by the same
 // analytical device model as the offline simulator.
 //
-// ServeOptions.Replicas >= 2 starts the fleet tier instead: N replica
-// services behind the ServeOptions.RoutingPolicy router, with optional
-// node heterogeneity (Jitter) and a partially GPU-provisioned fleet
+// The service is ServeOptions.Replicas replica services (one by default)
+// behind the ServeOptions.RoutingPolicy router, with optional node
+// heterogeneity (Jitter) and a partially GPU-provisioned fleet
 // (GPUReplicas).
 func (s *System) Serve(opts ServeOptions) (*Service, error) {
 	// A table-sharded fleet never serves from the shared full-table model —
@@ -278,27 +271,22 @@ func (s *System) Serve(opts ServeOptions) (*Service, error) {
 	if opts.Replicas < 0 {
 		return nil, fmt.Errorf("deeprecsys: %d replicas", opts.Replicas)
 	}
-	// The fleet options are validated even when the fleet tier is off, so
-	// a misconfiguration fails identically at any replica count instead
-	// of surfacing only at scale-out.
-	if _, err := fleet.ParsePolicy(opts.RoutingPolicy); err != nil {
+	if opts.Replicas == 0 {
+		opts.Replicas = 1
+	}
+	policy, err := fleet.ParsePolicy(opts.RoutingPolicy)
+	if err != nil {
 		return nil, err
 	}
 	if opts.Jitter < 0 {
 		return nil, fmt.Errorf("deeprecsys: negative jitter %v", opts.Jitter)
 	}
-	if opts.GPUReplicas < 0 {
-		return nil, fmt.Errorf("deeprecsys: %d GPU replicas", opts.GPUReplicas)
-	}
-	if opts.Replicas >= 2 && opts.GPUReplicas > opts.Replicas {
+	if opts.GPUReplicas < 0 || opts.GPUReplicas > opts.Replicas {
 		return nil, fmt.Errorf("deeprecsys: GPUReplicas %d outside [0, Replicas=%d]", opts.GPUReplicas, opts.Replicas)
 	}
 	if opts.GPUReplicas > 0 && gpu == nil {
 		return nil, errors.New("deeprecsys: GPUReplicas set but no accelerator provisioned (use WithGPU)")
 	}
-	// The chaos spec is validated at any replica count (like the routing
-	// policy) so a typo fails fast; the fleet-only features themselves
-	// require the fleet tier.
 	chaos, err := fleet.ParseChaos(opts.Chaos)
 	if err != nil {
 		return nil, err
@@ -311,43 +299,27 @@ func (s *System) Serve(opts ServeOptions) (*Service, error) {
 			return nil, errors.New("deeprecsys: ShardTables requires an embedding store (use WithEmbeddingStore)")
 		}
 		if opts.Replicas < 2 {
-			return nil, errors.New("deeprecsys: ShardTables requires a fleet (ServeOptions.Replicas >= 2)")
+			return nil, errors.New("deeprecsys: ShardTables requires ServeOptions.Replicas >= 2 (one replica would hold every row)")
 		}
 		if opts.AutoScale {
 			return nil, errors.New("deeprecsys: ShardTables is incompatible with AutoScale (the shard layout is fixed at Serve)")
 		}
 	}
-	if opts.Replicas <= 1 {
-		if opts.AutoScale {
-			return nil, errors.New("deeprecsys: AutoScale requires a fleet (ServeOptions.Replicas >= 2)")
-		}
-		if opts.Chaos != "" && opts.Chaos != "none" {
-			return nil, errors.New("deeprecsys: Chaos requires a fleet (ServeOptions.Replicas >= 2)")
-		}
-		if opts.Retry {
-			return nil, errors.New("deeprecsys: Retry requires a fleet (ServeOptions.Replicas >= 2)")
-		}
-	}
 	svc := &Service{model: s.cfg.Name, tableRows: s.logicalTableRows(), sharded: opts.ShardTables}
 	if len(opts.Tenants) > 0 {
-		if err := s.applyTenants(svc, &base, opts); err != nil {
-			svc.closeOwned()
-			return nil, err
-		}
+		err = s.applyTenants(svc, &base, opts)
 		// A multi-tenant service reports per-tenant table geometry, not
 		// the unserved system model's.
 		svc.tableRows = 0
 	}
-	if opts.Replicas <= 1 {
-		inner, err := live.New(base)
-		if err != nil {
-			svc.closeOwned()
-			return nil, err
-		}
-		svc.inner = inner
-		return svc, nil
+	if err == nil {
+		err = s.startFleet(svc, base, opts, policy, chaos)
 	}
-	return s.serveFleet(svc, base, opts, chaos)
+	if err != nil {
+		svc.closeOwned() // models built before the failure
+		return nil, err
+	}
+	return svc, nil
 }
 
 // logicalTableRows is the full embedding-table row count the system was
@@ -400,20 +372,17 @@ func (s *System) parseDegrade(spec string) (live.DegradeConfig, error) {
 	return cfg, nil
 }
 
-// serveFleet starts the fleet tier: opts.Replicas copies of the base
-// config, each with its own seed stream, a speed factor from the shared
-// node-jitter model, and — for replicas past GPUReplicas — no accelerator.
-// On a store-backed system every replica additionally gets its own model
-// instance (same model seed, so identical weights) so its embedding-cache
-// counters are its own; with ShardTables each replica's instance maps only
-// its shard of the row space. The retry, autoscale, and chaos layers start
-// here, on top of the serving fleet.
-func (s *System) serveFleet(svc *Service, base live.Config, opts ServeOptions, chaos fleet.ChaosConfig) (*Service, error) {
-	policy, err := fleet.ParsePolicy(opts.RoutingPolicy)
-	if err != nil {
-		svc.closeOwned()
-		return nil, err
-	}
+// startFleet starts the serving fleet: opts.Replicas copies of the base
+// config, each with its own seed stream (replica 0 keeps the system seed), a
+// speed factor from the shared node-jitter model, and — for replicas past
+// GPUReplicas — no accelerator. On a store-backed system every replica of a
+// multi-replica fleet additionally gets its own model instance (same model
+// seed, so identical weights) so its embedding-cache counters are its own;
+// with ShardTables each replica's instance maps only its shard of the row
+// space. A fleet of one serves the system's cached instance. The retry,
+// autoscale, and chaos layers start here, on top of the serving fleet.
+// Models built before a failure are left in svc.owned for the caller.
+func (s *System) startFleet(svc *Service, base live.Config, opts ServeOptions, policy fleet.Policy, chaos fleet.ChaosConfig) error {
 	gpuReplicas := opts.Replicas
 	if opts.GPUReplicas > 0 {
 		gpuReplicas = opts.GPUReplicas
@@ -434,8 +403,7 @@ func (s *System) serveFleet(svc *Service, base live.Config, opts ServeOptions, c
 			}
 			m, err := build()
 			if err != nil {
-				svc.closeOwned()
-				return nil, fmt.Errorf("deeprecsys: tenant %s: %w", svc.tenantNames[ti], err)
+				return fmt.Errorf("deeprecsys: tenant %s: %w", svc.tenantNames[ti], err)
 			}
 			svc.addOwned(m)
 			cfgs[i].Tenants[ti].Model = m
@@ -448,15 +416,15 @@ func (s *System) serveFleet(svc *Service, base live.Config, opts ServeOptions, c
 			return model.New(cfg, s.seed)
 		}
 		svc.newReplicaModel = func() (*model.Model, error) { return newStoreModel(embstore.Shard{}) }
-		for i := range cfgs {
+		// A fleet of one keeps base.Model, the system's cached instance.
+		for i := 0; i < len(cfgs) && opts.Replicas > 1; i++ {
 			shard := embstore.Shard{}
 			if opts.ShardTables {
 				shard = embstore.Shard{Index: i, Count: opts.Replicas}
 			}
 			m, err := newStoreModel(shard)
 			if err != nil {
-				svc.closeOwned()
-				return nil, err
+				return err
 			}
 			svc.addOwned(m)
 			cfgs[i].Model = m
@@ -464,8 +432,7 @@ func (s *System) serveFleet(svc *Service, base live.Config, opts ServeOptions, c
 	}
 	fl, err := fleet.New(cfgs, policy)
 	if err != nil {
-		svc.closeOwned()
-		return nil, err
+		return err
 	}
 	svc.fl = fl
 	svc.nextSeed.Store(s.seed + replicaSeedStride*int64(opts.Replicas))
@@ -474,8 +441,7 @@ func (s *System) serveFleet(svc *Service, base live.Config, opts ServeOptions, c
 		if limit > 0 {
 			if err := fl.SetTenantCap(i, limit); err != nil {
 				fl.Close()
-				svc.closeOwned()
-				return nil, err
+				return err
 			}
 		}
 	}
@@ -511,19 +477,17 @@ func (s *System) serveFleet(svc *Service, base live.Config, opts ServeOptions, c
 		})
 		if err != nil {
 			fl.Close()
-			svc.closeOwned()
-			return nil, err
+			return err
 		}
 	}
 	if chaos.Crash > 0 || chaos.Slow > 0 || chaos.Spike > 0 {
 		chaos.Seed = s.seed
 		if err := fl.StartChaos(chaos); err != nil {
 			fl.Close()
-			svc.closeOwned()
-			return nil, err
+			return err
 		}
 	}
-	return svc, nil
+	return nil
 }
 
 // replicaSeedStride separates the replicas' seed streams: each replica
@@ -555,12 +519,8 @@ func replicaConfig(base live.Config, seed int64, speed float64, gpu bool) live.C
 // AddReplica starts one more nominal-speed replica from the fleet's base
 // configuration and joins it to the routing set, returning its replica ID.
 // withGPU provisions the accelerator offload lane on the new replica; it
-// requires a system built WithGPU. AddReplica fails with ErrNotFleet on a
-// single-replica Service.
+// requires a system built WithGPU.
 func (s *Service) AddReplica(withGPU bool) (int, error) {
-	if s.fl == nil {
-		return 0, ErrNotFleet
-	}
 	if s.sharded {
 		return 0, errors.New("deeprecsys: cannot add a replica to a table-sharded fleet (the shard layout is fixed at Serve)")
 	}
@@ -569,72 +529,54 @@ func (s *Service) AddReplica(withGPU bool) (int, error) {
 	}
 	seed := s.nextSeed.Add(replicaSeedStride) - replicaSeedStride
 	cfg := replicaConfig(s.base, seed, 1, withGPU)
-	// Store-backed tenants: the joining replica gets its own instances,
-	// like every replica at Serve.
+	// Store-backed models: the joining replica gets its own instances, like
+	// every replica at Serve — released here if the join fails, owned by
+	// the service (for release at Close) once it succeeds.
 	var grown []*model.Model
+	fail := func(err error) (int, error) {
+		for _, g := range grown {
+			g.Close()
+		}
+		return 0, err
+	}
 	for ti, build := range s.tenantBuilders {
 		if build == nil {
 			continue
 		}
 		m, err := build()
 		if err != nil {
-			for _, g := range grown {
-				g.Close()
-			}
-			return 0, fmt.Errorf("deeprecsys: tenant %s: %w", s.tenantNames[ti], err)
+			return fail(fmt.Errorf("deeprecsys: tenant %s: %w", s.tenantNames[ti], err))
 		}
 		grown = append(grown, m)
 		cfg.Tenants[ti].Model = m
 	}
-	if len(grown) > 0 {
-		id, err := s.fl.Add(cfg)
-		if err != nil {
-			for _, g := range grown {
-				g.Close()
-			}
-			return 0, err
-		}
-		for _, g := range grown {
-			s.addOwned(g)
-		}
-		return id, nil
-	}
 	if s.newReplicaModel != nil {
 		m, err := s.newReplicaModel()
 		if err != nil {
-			return 0, err
+			return fail(err)
 		}
+		grown = append(grown, m)
 		cfg.Model = m
-		id, err := s.fl.Add(cfg)
-		if err != nil {
-			m.Close()
-			return 0, err
-		}
-		s.addOwned(m)
-		return id, nil
 	}
-	return s.fl.Add(cfg)
+	id, err := s.fl.Add(cfg)
+	if err != nil {
+		return fail(err)
+	}
+	for _, g := range grown {
+		s.addOwned(g)
+	}
+	return id, nil
 }
 
 // DrainReplica excludes a replica from routing while its in-flight queries
 // finish; the replica keeps serving them until RemoveReplica. Draining the
 // last routable replica is refused.
-func (s *Service) DrainReplica(id int) error {
-	if s.fl == nil {
-		return ErrNotFleet
-	}
-	return s.fl.Drain(id)
-}
+func (s *Service) DrainReplica(id int) error { return s.fl.Drain(id) }
 
 // RemoveReplica drains a replica, waits for its in-flight queries to
 // complete, closes it, and retires it from the fleet — no query is
 // dropped. Its lifetime counters fold into the fleet totals.
-func (s *Service) RemoveReplica(id int) error {
-	if s.fl == nil {
-		return ErrNotFleet
-	}
-	return s.fl.Remove(id)
-}
+func (s *Service) RemoveReplica(id int) error { return s.fl.Remove(id) }
 
 // Reply is the answer to one live query.
 type Reply struct {
@@ -650,8 +592,7 @@ type Reply struct {
 	// Degraded reports whether the fallback model served the query (the
 	// deepest rung of the degrade ladder).
 	Degraded bool
-	// Replica is the ID of the replica that served the query (0 on a
-	// single-replica Service).
+	// Replica is the ID of the replica that served the query.
 	Replica int
 	// Tenant is the name of the tenant that served the query ("" on a
 	// single-model Service) — on a plain Submit, the tenant the weighted
@@ -662,8 +603,8 @@ type Reply struct {
 // Submit serves one live query: rank `candidates` items and return the
 // `topN` highest-CTR ones (topN 0 skips ranking; load drivers use it to
 // measure latency only). On a multi-tenant service the Share-weighted
-// split picks the serving tenant (SubmitTo addresses one explicitly); on a
-// fleet the routing policy then picks the serving replica. Submit blocks
+// split picks the serving tenant (SubmitTo addresses one explicitly); the
+// routing policy then picks the serving replica. Submit blocks
 // until the query completes, ctx is cancelled, or the service closes; it
 // is safe for concurrent use.
 func (s *Service) Submit(ctx context.Context, candidates, topN int) (Reply, error) {
@@ -676,16 +617,7 @@ func (s *Service) Submit(ctx context.Context, candidates, topN int) (Reply, erro
 
 // submit runs one tenant-resolved query through the serving stack.
 func (s *Service) submit(ctx context.Context, q live.Query) (Reply, error) {
-	var (
-		r       live.Reply
-		replica int
-		err     error
-	)
-	if s.fl != nil {
-		r, replica, err = s.fl.Submit(ctx, q)
-	} else {
-		r, err = s.inner.Submit(ctx, q)
-	}
+	r, replica, err := s.fl.Submit(ctx, q)
 	if err != nil {
 		return Reply{}, err
 	}
@@ -702,49 +634,39 @@ func (s *Service) submit(ctx context.Context, q live.Query) (Reply, error) {
 	return reply, nil
 }
 
+// Ledger is the lifetime counter ledger every snapshot embeds — Submitted,
+// Completed, the shed/abandon/fail dispositions, the offload, degrade and
+// embedding-cache counters — declared once and merged by addition at every
+// tier (tenant, replica, fleet, wire). Conserved checks its conservation
+// identity; GPUWorkShare and EmbHitRate derive the ratios from its sums.
+type Ledger = live.Ledger
+
 // ServiceStats is an online snapshot of a live Service.
 type ServiceStats struct {
 	// Model is the served model's name.
 	Model string
-	// Submitted / Completed / Cancelled are lifetime query counts.
-	Submitted, Completed, Cancelled uint64
-	// BatchSize is the current per-request batch size.
-	BatchSize int
-	// GPUThreshold is the current offload threshold (0 = no offload).
-	GPUThreshold int
-	// GPUQueries counts queries routed to the accelerator lane.
-	GPUQueries uint64
-	// GPUQueryShare is the fraction of admitted queries offloaded;
+	// Ledger holds the lifetime counters, summed over replicas (removed
+	// ones included) — except Submitted, which counts each query once at
+	// the service's front door however many replicas it tried (Retried
+	// below counts the second attempts).
+	Ledger
+	// BatchSize is the current per-request batch size and DegradeLevel the
+	// current degrade rung (the first replica's; PerReplica carries each
+	// replica's own). GPUThreshold is the current offload threshold (the
+	// first GPU-capable replica's; 0 = no offload).
+	BatchSize, GPUThreshold, DegradeLevel int
+	// GPUQueryShare is the fraction of submitted queries offloaded;
 	// GPUWorkShare is the fraction of candidate-item work offloaded — the
 	// live counterparts of the simulator's Fig. 14 series.
 	GPUQueryShare, GPUWorkShare float64
-	// P50 / P95 are the windowed online latency percentiles.
+	// P50 / P95 are the windowed online latency percentiles, computed over
+	// the union of the replicas' latency windows.
 	P50, P95 time.Duration
 	// WindowLen is the number of samples behind the percentiles.
 	WindowLen int
 	// SLA is the target the service reports against.
 	SLA time.Duration
-	// Retunes counts knob changes (batch size or offload threshold) made
-	// by the AutoTune controller (summed over replicas on a fleet).
-	Retunes uint64
-	// Shed counts queries refused with ErrOverloaded by admission control
-	// (Evicted is the shed-oldest subset), ShedDeadline queries shed before
-	// execution on an expired deadline, and Abandoned queued-but-unstarted
-	// queries flushed at Close. All are lifetime counts, summed over
-	// replicas (including removed ones) on a fleet.
-	Shed, Evicted, ShedDeadline, Abandoned uint64
-	// Failed counts queries aborted by injected replica crashes.
-	Failed uint64
-	// Truncated counts queries served over a truncated candidate slate,
-	// FallbackServed queries served by the cheaper fallback model, and
-	// DegradeSteps the degrade controllers' ladder moves. DegradeLevel is
-	// the current rung on a single-replica service (fleets report it
-	// per-replica).
-	Truncated, FallbackServed, DegradeSteps uint64
-	DegradeLevel                            int
-	// Retried counts crash-triggered second submissions (fleet retry);
-	// each retried query still counts once in Submitted at the fleet's
-	// front door.
+	// Retried counts crash-triggered second submissions (ServeOptions.Retry).
 	Retried uint64
 	// ScaleUps / ScaleDowns count autoscaler membership moves; Crashes /
 	// Restarts count injected replica failures and their recoveries.
@@ -753,32 +675,19 @@ type ServiceStats struct {
 	// Healthy is the number of routable replicas not currently failed
 	// (equals Replicas when chaos is off).
 	Healthy int
-	// Replicas is the number of routable replicas (1 on a single-replica
-	// Service).
+	// Replicas is the number of routable replicas.
 	Replicas int
 	// TableRows is the full logical embedding-table row count the system
 	// was configured with (0 for models without tables), even when
 	// ShardTables splits it across replicas.
 	TableRows int
-	// EmbStore reports whether a pluggable embedding store backs the served
-	// model (WithEmbeddingStore); the cache counters below are zero
-	// otherwise. CacheHits / CacheMisses / CacheEvictions count hot-row
-	// cache traffic summed over every table (and every replica, removed
-	// ones included, on a fleet); CacheBytesRead is the bytes fetched from
-	// backing storage — the traffic the cache did NOT absorb. CacheHitRate
-	// is recomputed from the summed counters.
-	EmbStore                               bool
-	CacheHits, CacheMisses, CacheEvictions uint64
-	CacheBytesRead                         uint64
-	CacheHitRate                           float64
-	// RoutingPolicy is the fleet router's name ("" on a single-replica
-	// Service).
+	// EmbHitRate is the hot-row cache hit rate recomputed from the summed
+	// Ledger counters (zero unless Ledger.EmbStore).
+	EmbHitRate float64
+	// RoutingPolicy is the router's name.
 	RoutingPolicy string
-	// PerReplica holds per-replica snapshots in replica-ID order (nil on
-	// a single-replica Service). On a fleet the top-level P50/P95 are
-	// fleet-wide — computed over the union of the replicas' latency
-	// windows — while each PerReplica entry carries that replica's own
-	// window, knobs, and lifetime counts.
+	// PerReplica holds per-replica snapshots in replica-ID order: each
+	// entry carries that replica's own window, knobs, and ledger.
 	PerReplica []ReplicaStats
 	// Tenants holds per-tenant snapshots in ServeOptions.Tenants order
 	// (nil on a single-model Service). The top-level counters and
@@ -789,7 +698,7 @@ type ServiceStats struct {
 	Tenants []TenantStats
 }
 
-// ReplicaStats is the online snapshot of one fleet replica.
+// ReplicaStats is the online snapshot of one replica.
 type ReplicaStats struct {
 	// ID is the fleet-assigned replica identity (stable across membership
 	// changes; IDs of removed replicas are not reused).
@@ -802,34 +711,25 @@ type ReplicaStats struct {
 	// Draining reports whether the replica is excluded from routing.
 	Draining bool
 	// Failed reports whether the replica has been crashed by fault
-	// injection (ejected from routing until its restart).
+	// injection (ejected from routing until its restart). It shadows the
+	// ledger's Failed query counter, which reads as Ledger.Failed.
 	Failed bool
 	// Outstanding is the number of routed-but-unreturned queries — the
 	// signal the least-loaded policy balances on.
 	Outstanding int
-	// Submitted / Completed / Cancelled are the replica's lifetime counts.
-	Submitted, Completed, Cancelled uint64
-	// Shed / ShedDeadline are the replica's admission-control sheds;
-	// DegradeLevel is its current degrade rung.
-	Shed, ShedDeadline uint64
-	DegradeLevel       int
+	// Ledger holds the replica's own lifetime counters. On a table-sharded
+	// fleet its Emb* counters show per-shard locality.
+	Ledger
 	// BatchSize and GPUThreshold are the replica's current knob values
-	// (per-replica AutoTune may diverge them across the fleet).
-	BatchSize    int
-	GPUThreshold int
-	// GPUQueries counts queries served by the replica's offload lane.
-	GPUQueries uint64
+	// (per-replica AutoTune may diverge them across the fleet);
+	// DegradeLevel is its current degrade rung.
+	BatchSize, GPUThreshold, DegradeLevel int
 	// P50 / P95 are the replica's own windowed percentiles.
 	P50, P95 time.Duration
 	// WindowLen is the number of samples behind the percentiles.
 	WindowLen int
-	// Retunes counts the replica's AutoTune knob changes.
-	Retunes uint64
-	// CacheHits / CacheMisses and CacheHitRate are the replica's own
-	// embedding-cache counters (zero without an embedding store). On a
-	// table-sharded fleet they show per-shard locality.
-	CacheHits, CacheMisses uint64
-	CacheHitRate           float64
+	// EmbHitRate is the replica's own embedding-cache hit rate.
+	EmbHitRate float64
 }
 
 // MeetsSLA reports whether the online p95 is within the target.
@@ -837,101 +737,36 @@ func (st ServiceStats) MeetsSLA() bool {
 	return st.SLA > 0 && st.WindowLen > 0 && st.P95 <= st.SLA
 }
 
-// Stats returns an online snapshot of the service. On a fleet, P50/P95
-// are fleet-wide (over the union of the replicas' latency windows), the
-// counters are fleet-lifetime sums including removed replicas, and
-// PerReplica carries the per-replica breakdown.
+// Stats returns an online snapshot of the service: P50/P95 over the union
+// of the replicas' latency windows, counters as fleet-lifetime sums
+// including removed replicas, and the per-replica breakdown in PerReplica.
 func (s *Service) Stats() ServiceStats {
-	if s.fl != nil {
-		return s.fleetStats()
-	}
-	st := s.inner.Stats()
-	out := ServiceStats{
-		Model:          s.model,
-		Submitted:      st.Submitted,
-		Completed:      st.Completed,
-		Cancelled:      st.Cancelled,
-		BatchSize:      st.BatchSize,
-		GPUThreshold:   st.GPUThreshold,
-		GPUQueries:     st.GPUQueries,
-		GPUQueryShare:  st.GPUQueryShare,
-		GPUWorkShare:   st.GPUWorkShare,
-		P50:            st.P50,
-		P95:            st.P95,
-		WindowLen:      st.WindowLen,
-		SLA:            st.SLA,
-		Retunes:        st.Retunes,
-		Shed:           st.Shed,
-		Evicted:        st.Evicted,
-		ShedDeadline:   st.ShedDeadline,
-		Abandoned:      st.Abandoned,
-		Failed:         st.Failed,
-		Truncated:      st.Truncated,
-		FallbackServed: st.FallbackServed,
-		DegradeSteps:   st.DegradeSteps,
-		DegradeLevel:   st.DegradeLevel,
-		Healthy:        1,
-		Replicas:       1,
-		TableRows:      s.tableRows,
-		EmbStore:       st.EmbStore,
-		CacheHits:      st.EmbHits,
-		CacheMisses:    st.EmbMisses,
-		CacheEvictions: st.EmbEvictions,
-		CacheBytesRead: st.EmbBytesRead,
-		CacheHitRate:   st.EmbHitRate,
-	}
-	if len(s.tenantNames) > 0 {
-		out.Tenants = make([]TenantStats, len(s.tenantNames))
-		for i := range s.tenantNames {
-			out.Tenants[i] = tenantStatsFromLive(s.tenantNames[i], s.tenantModels[i], s.inner.TenantStats(i))
-		}
-	}
-	return out
-}
-
-// fleetStats maps the fleet snapshot onto the public ServiceStats.
-func (s *Service) fleetStats() ServiceStats {
 	fst := s.fl.Stats()
 	st := ServiceStats{
-		Model:          s.model,
-		Submitted:      fst.FrontSubmitted,
-		Completed:      fst.Completed,
-		Cancelled:      fst.Cancelled,
-		BatchSize:      s.fl.BatchSize(),
-		GPUThreshold:   s.fl.GPUThreshold(),
-		GPUQueries:     fst.GPUQueries,
-		P50:            fst.P50,
-		P95:            fst.P95,
-		WindowLen:      fst.WindowLen,
-		GPUQueryShare:  fst.GPUQueryShare,
-		GPUWorkShare:   fst.GPUWorkShare,
-		SLA:            fst.SLA,
-		Retunes:        fst.Retunes,
-		Shed:           fst.Shed,
-		Evicted:        fst.Evicted,
-		ShedDeadline:   fst.ShedDeadline,
-		Abandoned:      fst.Abandoned,
-		Failed:         fst.Failed,
-		Truncated:      fst.Truncated,
-		FallbackServed: fst.FallbackServed,
-		DegradeSteps:   fst.DegradeSteps,
-		Retried:        fst.Retried,
-		ScaleUps:       fst.ScaleUps,
-		ScaleDowns:     fst.ScaleDowns,
-		Crashes:        fst.Crashes,
-		Restarts:       fst.Restarts,
-		Healthy:        fst.Healthy,
-		Replicas:       fst.Size,
-		RoutingPolicy:  fst.Policy,
-		TableRows:      s.tableRows,
-		EmbStore:       fst.EmbStore,
-		CacheHits:      fst.EmbHits,
-		CacheMisses:    fst.EmbMisses,
-		CacheEvictions: fst.EmbEvictions,
-		CacheBytesRead: fst.EmbBytesRead,
-		CacheHitRate:   fst.EmbHitRate,
-		PerReplica:     make([]ReplicaStats, len(fst.Replicas)),
+		Model:         s.model,
+		Ledger:        fst.Ledger,
+		BatchSize:     fst.BatchSize,
+		GPUThreshold:  fst.GPUThreshold,
+		DegradeLevel:  fst.DegradeLevel,
+		GPUQueryShare: fst.GPUQueryShare,
+		GPUWorkShare:  fst.GPUWorkShare,
+		P50:           fst.P50,
+		P95:           fst.P95,
+		WindowLen:     fst.WindowLen,
+		SLA:           fst.SLA,
+		Retried:       fst.Retried,
+		ScaleUps:      fst.ScaleUps,
+		ScaleDowns:    fst.ScaleDowns,
+		Crashes:       fst.Crashes,
+		Restarts:      fst.Restarts,
+		Healthy:       fst.Healthy,
+		Replicas:      fst.Size,
+		TableRows:     s.tableRows,
+		EmbHitRate:    fst.EmbHitRate,
+		RoutingPolicy: fst.Policy,
+		PerReplica:    make([]ReplicaStats, len(fst.Replicas)),
 	}
+	st.Submitted = fst.FrontSubmitted
 	for i, r := range fst.Replicas {
 		st.PerReplica[i] = ReplicaStats{
 			ID:           r.ID,
@@ -940,88 +775,69 @@ func (s *Service) fleetStats() ServiceStats {
 			Draining:     r.Draining,
 			Failed:       r.Failed,
 			Outstanding:  r.Outstanding,
-			Submitted:    r.Stats.Submitted,
-			Completed:    r.Stats.Completed,
-			Cancelled:    r.Stats.Cancelled,
-			Shed:         r.Stats.Shed,
-			ShedDeadline: r.Stats.ShedDeadline,
-			DegradeLevel: r.Stats.DegradeLevel,
-			BatchSize:    r.Stats.BatchSize,
-			GPUThreshold: r.Stats.GPUThreshold,
-			GPUQueries:   r.Stats.GPUQueries,
-			P50:          r.Stats.P50,
-			P95:          r.Stats.P95,
-			WindowLen:    r.Stats.WindowLen,
-			Retunes:      r.Stats.Retunes,
-			CacheHits:    r.Stats.EmbHits,
-			CacheMisses:  r.Stats.EmbMisses,
-			CacheHitRate: r.Stats.EmbHitRate,
+			Ledger:       r.Ledger,
+			BatchSize:    r.BatchSize,
+			GPUThreshold: r.GPUThreshold,
+			DegradeLevel: r.DegradeLevel,
+			P50:          r.P50,
+			P95:          r.P95,
+			WindowLen:    r.WindowLen,
+			EmbHitRate:   r.EmbHitRate,
 		}
 	}
 	if len(s.tenantNames) > 0 {
 		st.Tenants = make([]TenantStats, len(fst.Tenants))
 		for i, ft := range fst.Tenants {
-			ts := tenantStatsFromLive(s.tenantNames[i], s.tenantModels[i], ft.Stats)
-			ts.Outstanding = ft.Outstanding
-			ts.Cap = ft.Cap
-			ts.CapShed = ft.CapShed
-			ts.Shape = ft.Shape
-			st.Tenants[i] = ts
+			st.Tenants[i] = TenantStats{
+				Name:          s.tenantNames[i],
+				Model:         s.tenantModels[i],
+				Share:         ft.Share,
+				Ledger:        ft.Ledger,
+				SLA:           ft.SLA,
+				P50:           ft.P50,
+				P95:           ft.P95,
+				WindowLen:     ft.WindowLen,
+				BatchSize:     ft.BatchSize,
+				GPUThreshold:  ft.GPUThreshold,
+				DegradeLevel:  ft.DegradeLevel,
+				GPUQueryShare: ft.GPUQueryShare,
+				GPUWorkShare:  ft.GPUWorkShare,
+				EmbHitRate:    ft.EmbHitRate,
+				Outstanding:   ft.Outstanding,
+				Cap:           ft.Cap,
+				CapShed:       ft.CapShed,
+				Shape:         ft.Shape,
+			}
 		}
 	}
 	return st
 }
 
 // BatchSize returns the current per-request batch size (the first
-// replica's, on a fleet whose per-replica AutoTune has diverged them).
-func (s *Service) BatchSize() int {
-	if s.fl != nil {
-		return s.fl.BatchSize()
-	}
-	return s.inner.BatchSize()
-}
+// replica's, when per-replica AutoTune has diverged them).
+func (s *Service) BatchSize() int { return s.fl.BatchSize() }
 
 // SetBatchSize retunes the batch size for subsequent queries (the manual
-// counterpart of AutoTune); a fleet applies it to every replica.
-func (s *Service) SetBatchSize(b int) error {
-	if s.fl != nil {
-		return s.fl.SetBatchSize(b)
-	}
-	return s.inner.SetBatchSize(b)
-}
+// counterpart of AutoTune) on every replica.
+func (s *Service) SetBatchSize(b int) error { return s.fl.SetBatchSize(b) }
 
-// GPUThreshold returns the current offload threshold (0 = no offload; on
-// a fleet, the first GPU-capable replica's).
-func (s *Service) GPUThreshold() int {
-	if s.fl != nil {
-		return s.fl.GPUThreshold()
-	}
-	return s.inner.GPUThreshold()
-}
+// GPUThreshold returns the current offload threshold (the first
+// GPU-capable replica's; 0 = no offload).
+func (s *Service) GPUThreshold() int { return s.fl.GPUThreshold() }
 
 // SetGPUThreshold retunes the accelerator offload threshold for subsequent
-// queries (the manual counterpart of the AutoTune threshold walk): queries
-// of at least thr candidates are served whole by the accelerator lane; 0
-// disables offload. It fails on a service without an accelerator; a fleet
-// applies it to every GPU-capable replica.
-func (s *Service) SetGPUThreshold(thr int) error {
-	if s.fl != nil {
-		return s.fl.SetGPUThreshold(thr)
-	}
-	return s.inner.SetGPUThreshold(thr)
-}
+// queries (the manual counterpart of the AutoTune threshold walk) on every
+// GPU-capable replica: queries of at least thr candidates are served whole
+// by the accelerator lane; 0 disables offload. It fails on a service
+// without an accelerator.
+func (s *Service) SetGPUThreshold(thr int) error { return s.fl.SetGPUThreshold(thr) }
 
 // Close stops accepting queries, drains every in-flight query, and shuts
-// the worker pool(s) down. On a store-backed fleet it then releases the
-// per-replica model instances (file mappings included) — after the drain,
-// so no forward pass reads an unmapped table. Close is idempotent.
+// the worker pools down. It then releases the service's own model
+// instances (file mappings included) — after the drain, so no forward pass
+// reads an unmapped table. Close is idempotent.
 func (s *Service) Close() error {
-	var err error
-	if s.fl != nil {
-		err = s.fl.Close()
-	} else {
-		err = s.inner.Close()
-	}
+	err := s.fl.Close()
 	if cerr := s.closeOwned(); err == nil {
 		err = cerr
 	}

@@ -65,9 +65,8 @@ type TenantSpec struct {
 	Seed int64
 	// MaxOutstanding caps the tenant's fleet-wide routed-but-unreturned
 	// queries; excess queries are shed at the front door with
-	// ErrOverloaded before touching a replica. Requires a fleet
-	// (ServeOptions.Replicas >= 2); single-replica services bound tenants
-	// with Admission instead. 0 = uncapped.
+	// ErrOverloaded before touching a replica (Admission bounds the tenant
+	// per replica instead). 0 = uncapped.
 	MaxOutstanding int
 	// Workload names the tenant's query-size/arrival scenario, as a
 	// ParseWorkload spec. The Service does not read it — queries carry
@@ -76,9 +75,8 @@ type TenantSpec struct {
 	Workload string
 	// Store backs the tenant's embedding tables with a pluggable store,
 	// as a WithEmbeddingStore spec string ("" = classic in-memory tables).
-	// On a fleet every replica gets its own store-backed instance so
-	// per-replica cache counters stay per-replica truth; incompatible
-	// with AutoScale.
+	// Every replica gets its own store-backed instance so per-replica cache
+	// counters stay per-replica truth; incompatible with AutoScale.
 	Store string
 	// Rows / Lookups override the tenant model's embedding-table geometry,
 	// as in WithTableScale (0 = keep the zoo default).
@@ -214,7 +212,8 @@ func (ts *tenantSplit) next() int {
 // models (owned by svc for release at Close), fills base.Tenants, and
 // wires svc's tenant bookkeeping (names, weighted split, store builders,
 // fleet caps). Models built before a failure are svc.closeOwned by the
-// caller.
+// caller; store-backed tenants' instances are built per replica by
+// startFleet and AddReplica.
 func (s *System) applyTenants(svc *Service, base *live.Config, opts ServeOptions) error {
 	if s.store != nil {
 		return errors.New("deeprecsys: ServeOptions.Tenants on a store-backed system (give each tenant its own store via TenantSpec.Store)")
@@ -309,8 +308,6 @@ func (s *System) applyTenants(svc *Service, base *live.Config, opts ServeOptions
 			Share:        spec.Share,
 		}
 		if storeBacked {
-			// Fleet replicas each build their own instance (serveFleet /
-			// AddReplica); the single-replica path builds one below.
 			svc.tenantBuilders[i] = builder
 		} else {
 			m, err := builder()
@@ -330,26 +327,6 @@ func (s *System) applyTenants(svc *Service, base *live.Config, opts ServeOptions
 	svc.split = newTenantSplit(shares)
 	if opts.AutoScale && anyStore {
 		return errors.New("deeprecsys: AutoScale with store-backed tenants is not supported (grown replicas cannot share a store instance)")
-	}
-	if opts.Replicas <= 1 {
-		for i, c := range svc.tenantCaps {
-			if c > 0 {
-				return fmt.Errorf("deeprecsys: tenant %s: MaxOutstanding requires a fleet (bound a single replica's tenant with Admission)", svc.tenantNames[i])
-			}
-		}
-		// Store-backed tenants on the single replica: build the one
-		// instance now.
-		for i, b := range svc.tenantBuilders {
-			if b == nil {
-				continue
-			}
-			m, err := b()
-			if err != nil {
-				return fmt.Errorf("deeprecsys: tenant %s: %w", svc.tenantNames[i], err)
-			}
-			svc.addOwned(m)
-			base.Tenants[i].Model = m
-		}
 	}
 	return nil
 }
@@ -379,89 +356,42 @@ func (s *Service) SubmitTo(ctx context.Context, tenant string, candidates, topN 
 // TenantStats is the online snapshot of one tenant of a multi-tenant
 // Service: the tenant's own knobs, windowed percentiles against its own
 // SLA, and lifetime counter ledger, independent of its neighbors on the
-// shared lanes. On a fleet the counters are fleet-merged (current members
-// plus removed replicas) and the percentiles computed over the union of the
-// tenant's per-replica latency windows.
+// shared lanes. The counters are fleet-merged (current replicas plus removed
+// ones) and the percentiles computed over the union of the tenant's
+// per-replica latency windows.
 type TenantStats struct {
 	// Name is the tenant's name, Model the zoo model it serves, Share its
 	// configured traffic weight.
 	Name  string
 	Model string
 	Share float64
+	// Ledger holds the tenant's lifetime counters. Per tenant it is
+	// Conserved — Submitted == Completed + Cancelled + Shed + ShedDeadline
+	// + Failed + Abandoned — independently of every other tenant.
+	Ledger
 	// SLA is the tenant's p95 target; P50/P95 its windowed online
 	// percentiles; WindowLen the samples behind them.
 	SLA       time.Duration
 	P50, P95  time.Duration
 	WindowLen int
-	// BatchSize / GPUThreshold are the tenant's current knob values;
-	// Retunes counts its controller's knob moves.
-	BatchSize    int
-	GPUThreshold int
-	Retunes      uint64
-	// Lifetime query counters. Per tenant they satisfy
-	// Submitted == Completed + Cancelled + Shed + ShedDeadline + Failed +
-	// Abandoned, independently of every other tenant.
-	Submitted, Completed, Cancelled        uint64
-	Shed, Evicted, ShedDeadline, Abandoned uint64
-	Failed                                 uint64
-	// Degradation ledger: see ServiceStats.
-	Truncated, FallbackServed, DegradeSteps uint64
-	DegradeLevel                            int
-	// GPU offload ledger: see ServiceStats.
-	GPUQueries                  uint64
-	GPUQueryShare, GPUWorkShare float64
-	// Fleet-only fields (zero on a single-replica service): Outstanding is
-	// the tenant's fleet-wide routed-but-unreturned count, Cap its
-	// MaxOutstanding ceiling (0 = uncapped), CapShed the queries refused at
-	// the front door for exceeding it, and Shape the tenant's normalized
-	// (FC-FLOP share, embedding-byte share) resource vector — what
-	// shape-aware placement keys on.
+	// BatchSize / GPUThreshold are the tenant's current knob values and
+	// DegradeLevel its current degrade rung (the first replica's).
+	BatchSize, GPUThreshold, DegradeLevel int
+	// GPUQueryShare / GPUWorkShare / EmbHitRate: see ServiceStats.
+	GPUQueryShare, GPUWorkShare, EmbHitRate float64
+	// Outstanding is the tenant's fleet-wide routed-but-unreturned count,
+	// Cap its MaxOutstanding ceiling (0 = uncapped), CapShed the queries
+	// refused at the front door for exceeding it (they reach no replica, so
+	// they are in no Ledger), and Shape the tenant's normalized (FC-FLOP
+	// share, embedding-byte share) resource vector — what shape-aware
+	// placement keys on.
 	Outstanding int
 	Cap         int
 	CapShed     uint64
 	Shape       [2]float64
-	// Embedding-store cache counters (zero without a TenantSpec.Store).
-	EmbStore               bool
-	CacheHits, CacheMisses uint64
-	CacheHitRate           float64
 }
 
 // MeetsSLA reports whether the tenant's online p95 is within its target.
 func (t TenantStats) MeetsSLA() bool {
 	return t.SLA > 0 && t.WindowLen > 0 && t.P95 <= t.SLA
-}
-
-// tenantStatsFromLive maps one tenant's live snapshot onto the public type.
-func tenantStatsFromLive(name, modelName string, st live.Stats) TenantStats {
-	return TenantStats{
-		Name:           name,
-		Model:          modelName,
-		Share:          st.Share,
-		SLA:            st.SLA,
-		P50:            st.P50,
-		P95:            st.P95,
-		WindowLen:      st.WindowLen,
-		BatchSize:      st.BatchSize,
-		GPUThreshold:   st.GPUThreshold,
-		Retunes:        st.Retunes,
-		Submitted:      st.Submitted,
-		Completed:      st.Completed,
-		Cancelled:      st.Cancelled,
-		Shed:           st.Shed,
-		Evicted:        st.Evicted,
-		ShedDeadline:   st.ShedDeadline,
-		Abandoned:      st.Abandoned,
-		Failed:         st.Failed,
-		Truncated:      st.Truncated,
-		FallbackServed: st.FallbackServed,
-		DegradeSteps:   st.DegradeSteps,
-		DegradeLevel:   st.DegradeLevel,
-		GPUQueries:     st.GPUQueries,
-		GPUQueryShare:  st.GPUQueryShare,
-		GPUWorkShare:   st.GPUWorkShare,
-		EmbStore:       st.EmbStore,
-		CacheHits:      st.EmbHits,
-		CacheMisses:    st.EmbMisses,
-		CacheHitRate:   st.EmbHitRate,
-	}
 }

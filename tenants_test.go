@@ -290,8 +290,9 @@ func TestTenantValidation(t *testing.T) {
 		{Workers: 1, Tenants: []deeprecsys.TenantSpec{{Model: "NOPE"}}},
 		// Duplicate tenant names (both default to the model name).
 		{Workers: 1, Tenants: []deeprecsys.TenantSpec{{Model: "NCF"}, {Model: "NCF"}}},
-		// MaxOutstanding is a fleet-level knob.
-		{Workers: 1, Tenants: []deeprecsys.TenantSpec{{Model: "NCF", MaxOutstanding: 8}}},
+		// MaxOutstanding must not be negative (at one replica it is accepted:
+		// see TestServeOneReplicaIsAFleet).
+		{Workers: 1, Tenants: []deeprecsys.TenantSpec{{Model: "NCF", MaxOutstanding: -1}}},
 		// ShardTables shards one model's tables; incompatible with Tenants.
 		{Workers: 1, ShardTables: true, Tenants: []deeprecsys.TenantSpec{{Model: "NCF"}}},
 		// Bad nested specs.
