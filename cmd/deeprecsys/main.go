@@ -32,9 +32,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"github.com/deeprecinfra/deeprecsys/internal/experiments"
+	"github.com/deeprecinfra/deeprecsys/internal/workload"
 )
 
 func main() {
@@ -69,7 +69,7 @@ func main() {
 	}
 	opt.Seed = *seed
 	if *models != "" {
-		opt.Models = strings.Split(*models, ",")
+		opt.Models = workload.Fields(*models, ",")
 	}
 
 	args := flag.Args()

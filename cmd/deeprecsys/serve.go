@@ -9,7 +9,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	deeprecsys "github.com/deeprecinfra/deeprecsys"
+	"github.com/deeprecinfra/deeprecsys/internal/fleet"
 	"github.com/deeprecinfra/deeprecsys/internal/workload"
 )
 
@@ -38,7 +38,7 @@ func serveMain(args []string) {
 	sla := fs.Duration("sla", 0, "p95 target (0 = the model's published SLA)")
 	autotune := fs.Bool("autotune", false, "retune the knobs online against the measured p95 (batch size, and offload threshold with -gpu; per replica with -replicas)")
 	replicas := fs.Int("replicas", 1, "fleet size: shard traffic across this many replica services")
-	policy := fs.String("policy", "round-robin", "fleet routing policy: round-robin, least-loaded, or size-aware[:<n>]")
+	policy := fs.String("policy", "round-robin", "fleet routing policy: "+strings.Join(fleet.PolicyUsages(), ", "))
 	jitter := fs.Float64("jitter", 0, "per-replica service-time jitter: speed factors drawn from N(1, jitter^2), the offline fleet simulator's node model")
 	gpuReplicas := fs.Int("gpu-replicas", 0, "provision the accelerator on only the first n replicas (0 = all; needs -gpu)")
 	admission := fs.String("admission", "none", "admission control: none, reject, queue:<depth>, or shed-oldest[:<depth>]")
@@ -177,8 +177,7 @@ func serveMain(args []string) {
 	defer stop()
 
 	if *remote != "" {
-		for _, target := range strings.Split(*remote, ",") {
-			target = strings.TrimSpace(target)
+		for _, target := range workload.Fields(*remote, ",") {
 			if target == "" {
 				continue
 			}
@@ -505,16 +504,12 @@ func parseAutoscale(spec string) (min, max int, on bool, err error) {
 	if spec == "" {
 		return 0, 0, false, nil
 	}
-	lo, hi, ok := strings.Cut(spec, ":")
-	if !ok {
-		return 0, 0, false, fmt.Errorf("bad -autoscale %q (want <min>:<max>)", spec)
+	lo, hi := workload.Call(spec)
+	if len(hi) == 1 {
+		err = workload.Args([]string{lo, hi[0]}, workload.Int(&min, 1), workload.Int(&max, 1))
 	}
-	min, err = strconv.Atoi(lo)
-	if err == nil {
-		max, err = strconv.Atoi(hi)
-	}
-	if err != nil || min < 1 || max < min {
-		return 0, 0, false, fmt.Errorf("bad -autoscale %q (want 1 <= min <= max)", spec)
+	if len(hi) != 1 || err != nil || max < min {
+		return 0, 0, false, fmt.Errorf("bad -autoscale %q (want <min>:<max> with 1 <= min <= max)", spec)
 	}
 	return min, max, true, nil
 }

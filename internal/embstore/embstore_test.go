@@ -403,6 +403,7 @@ func TestParseSpec(t *testing.T) {
 	for _, in := range []string{
 		"", "disk", "mmap:", "synth,cache=", "synth,cache=lru", "synth,cache=arc:100",
 		"synth,cache=lru:0", "synth,cache=lru:-5", "synth,cache=lru:10TB", "synth,shard=2",
+		"synth,cache=lru:21474836480GB", // 2^64+ bytes: must not wrap into an accepted budget
 	} {
 		if _, err := ParseSpec(in); err == nil {
 			t.Errorf("ParseSpec(%q) accepted invalid spec", in)

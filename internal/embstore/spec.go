@@ -2,8 +2,10 @@ package embstore
 
 import (
 	"fmt"
-	"strconv"
+	"math"
 	"strings"
+
+	"github.com/deeprecinfra/deeprecsys/internal/workload"
 )
 
 // BackendKind names one of the three row-storage backends.
@@ -54,70 +56,63 @@ type Spec struct {
 // KB/MB/GB suffix, e.g. "mmap:/data/tables,cache=lru:64MB" or
 // "synth,cache=lfu:200000".
 func ParseSpec(spec string) (Spec, error) {
-	var sp Spec
-	backend, rest, hasCache := strings.Cut(spec, ",")
-	switch {
-	case backend == "dense":
-		sp.Kind = BackendDense
-	case backend == "synth":
-		sp.Kind = BackendSynth
-	case strings.HasPrefix(backend, "mmap:"):
-		sp.Kind = BackendMmap
-		sp.Dir = strings.TrimPrefix(backend, "mmap:")
-		if sp.Dir == "" {
-			return sp, fmt.Errorf("embstore: mmap store needs a directory, e.g. %q", "mmap:/data/tables")
-		}
-	default:
-		return sp, fmt.Errorf("embstore: unknown store %q (want dense, synth, or mmap:<dir>)", backend)
-	}
-	if !hasCache {
-		return sp, nil
-	}
-	val, ok := strings.CutPrefix(rest, "cache=")
-	if !ok {
-		return sp, fmt.Errorf("embstore: unknown store option %q (want cache=lru:<cap> or cache=lfu:<cap>)", rest)
-	}
-	policy, capSpec, ok := strings.Cut(val, ":")
-	if !ok {
-		return sp, fmt.Errorf("embstore: cache needs a capacity, e.g. %q or %q", "cache=lru:100000", "cache=lfu:64MB")
-	}
-	switch policy {
-	case "lru":
-		sp.Cache.Policy = CacheLRU
-	case "lfu":
-		sp.Cache.Policy = CacheLFUAdmit
-	default:
-		return sp, fmt.Errorf("embstore: unknown cache policy %q (want lru or lfu)", policy)
-	}
-	rows, bytes, err := parseCapacity(capSpec)
+	fields := workload.Fields(spec, ",")
+	sp, err := workload.ParseCall("embstore", "store", fields[0], storeForms)
 	if err != nil {
 		return sp, err
 	}
-	sp.Cache.Rows, sp.Cache.Bytes = rows, bytes
+	var cache string
+	err = workload.Pairs("embstore", "store option", fields[1:], "=",
+		workload.NewKey("cache=lru:<cap>|lfu:<cap>", workload.String(&cache)))
+	if err == nil && len(fields) > 1 {
+		sp.Cache, err = workload.ParseCall("embstore", "cache", cache, cacheForms)
+	}
+	if err != nil {
+		return sp, err
+	}
 	return sp, sp.Cache.Validate()
 }
 
-// parseCapacity reads a row count ("200000") or byte budget ("64MB").
-func parseCapacity(s string) (rows int, bytes int64, err error) {
-	mult := int64(0)
-	num := s
-	for _, suf := range []struct {
-		name string
-		mult int64
-	}{{"KB", 1 << 10}, {"MB", 1 << 20}, {"GB", 1 << 30}, {"B", 1}} {
-		if n, ok := strings.CutSuffix(s, suf.name); ok {
-			mult, num = suf.mult, n
-			break
+var storeForms = []workload.Form[Spec]{
+	workload.NewForm("dense", func([]string) (Spec, error) { return Spec{Kind: BackendDense}, nil }),
+	workload.NewForm("synth", func([]string) (Spec, error) { return Spec{Kind: BackendSynth}, nil }),
+	workload.NewForm("mmap:<dir>", func(args []string) (Spec, error) {
+		return Spec{Kind: BackendMmap, Dir: args[0]}, workload.Need(nil, args[0] != "", "a directory, e.g. mmap:/data/tables")
+	}, 1),
+}
+
+var cacheForms = []workload.Form[CacheConfig]{
+	workload.NewForm("lru:<cap>", cacheForm(CacheLRU), 1),
+	workload.NewForm("lfu:<cap>", cacheForm(CacheLFUAdmit), 1),
+}
+
+// cacheForm builds policy p's config from its capacity argument: a row
+// count ("200000") or a byte budget ("64MB").
+func cacheForm(p CachePolicy) func([]string) (CacheConfig, error) {
+	return func(args []string) (CacheConfig, error) {
+		c := CacheConfig{Policy: p}
+		num, mult := args[0], int64(0)
+		for _, suf := range []struct {
+			name string
+			mult int64
+		}{{"KB", 1 << 10}, {"MB", 1 << 20}, {"GB", 1 << 30}, {"B", 1}} {
+			if n, ok := strings.CutSuffix(args[0], suf.name); ok {
+				num, mult = n, suf.mult
+				break
+			}
 		}
+		var v int64
+		err := workload.Int(&v, 1)(num)
+		if err != nil || mult > 0 && v > math.MaxInt64/mult {
+			return c, fmt.Errorf("capacity %q must be a positive row count or a B/KB/MB/GB byte budget that fits 63 bits", args[0])
+		}
+		if mult == 0 {
+			c.Rows = int(v)
+		} else {
+			c.Bytes = v * mult
+		}
+		return c, nil
 	}
-	v, perr := strconv.ParseInt(num, 10, 64)
-	if perr != nil || v <= 0 {
-		return 0, 0, fmt.Errorf("embstore: bad cache capacity %q (want a positive row count or B/KB/MB/GB bytes)", s)
-	}
-	if mult == 0 {
-		return int(v), 0, nil
-	}
-	return 0, v * mult, nil
 }
 
 // String renders the spec back in grammar form.

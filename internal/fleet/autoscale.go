@@ -8,15 +8,6 @@ import (
 	"github.com/deeprecinfra/deeprecsys/internal/live"
 )
 
-// Autoscaler decision constants, mirroring the live controller's discipline:
-// a decision needs a minimum sample base, and scale-down requires real
-// headroom under the SLA, not mere compliance, so the two directions cannot
-// oscillate against each other at the boundary.
-const (
-	asMinSamples = 32
-	asHeadroom   = 0.5
-)
-
 // AutoscaleConfig parameterizes the fleet autoscaler — the slowest layer of
 // the overload defense, above per-query admission control and the
 // per-replica degrade ladder: when sustained load exceeds what the current
@@ -76,50 +67,40 @@ func (f *Fleet) StartAutoscale(cfg AutoscaleConfig) error {
 	return nil
 }
 
-// autoscaler is the controller loop. Its overload signal matches the live
-// degrader's: the merged online p95 against the SLA, plus the fleet-wide
-// shed-counter delta — under deep saturation few queries complete, so the
-// latency window alone under-reports distress.
+// autoscaler is the controller loop: a live.Stepper over the fleet-merged
+// online p95 and the fleet-wide shed counter (the live degrader's overload
+// signal, one tier up) whose actuator is the membership — a breach adds a
+// replica up to Max, headroom removes the newest one down to Min. The
+// fleet has no one window to reset; replicas keep their own.
 func (f *Fleet) autoscaler(cfg AutoscaleConfig) {
 	defer close(f.asDone)
-	ticker := time.NewTicker(cfg.Interval)
-	defer ticker.Stop()
-	slaSec := f.sla.Seconds()
-	settling := false
-	var lastShed uint64
-	for {
-		select {
-		case <-f.asStop:
-			return
-		case <-ticker.C:
-		}
-		st := f.Stats()
-		shedNow := st.Shed + st.ShedDeadline
-		shedDelta := shedNow - lastShed
-		lastShed = shedNow
-		if settling {
-			settling = false
-			continue
-		}
-		p95 := st.P95.Seconds()
-		enough := st.WindowLen >= asMinSamples
-		switch {
-		case (shedDelta > 0 || (enough && p95 > slaSec)) && st.Size < cfg.Max:
-			if _, err := f.Add(cfg.NewConfig()); err == nil {
-				f.scaleUps.Add(1)
-				settling = true
-			}
-		case enough && p95 < asHeadroom*slaSec && shedDelta == 0 && st.Size > cfg.Min:
-			if id, ok := f.newestHealthy(); ok {
-				// Remove blocks for the drain — lossless by construction —
-				// so a shrink never drops an admitted query.
-				if err := f.Remove(id); err == nil {
-					f.scaleDowns.Add(1)
+	st := live.Stepper{SLA: f.sla}
+	st.Run(f.asStop, cfg.Interval,
+		func() live.Signal {
+			fs := f.Stats()
+			return live.Signal{P95: fs.P95.Seconds(), Samples: fs.WindowLen, Shed: fs.Shed + fs.ShedDeadline}
+		},
+		func(dir int) bool {
+			if dir < 0 {
+				if f.Size() >= cfg.Max {
+					return false
 				}
-				settling = true
+				if _, err := f.Add(cfg.NewConfig()); err != nil {
+					return false
+				}
+				f.scaleUps.Add(1)
+				return true
 			}
-		}
-	}
+			// Remove blocks for the drain — lossless by construction — so
+			// a shrink never drops an admitted query.
+			id, ok := f.newestHealthy()
+			if f.Size() <= cfg.Min || !ok || f.Remove(id) != nil {
+				return false
+			}
+			f.scaleDowns.Add(1)
+			return true
+		},
+		nil)
 }
 
 // newestHealthy returns the ID of the newest routable, healthy, local

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -103,55 +101,27 @@ func (c ChaosConfig) withDefaults() (ChaosConfig, error) {
 //
 // Example: "every=500ms,crash=0.2,restart=1s,slow=0.3,factor=2.5".
 func ParseChaos(spec string) (ChaosConfig, error) {
-	if spec == "" || spec == "none" {
-		return ChaosConfig{}, nil
-	}
 	var cfg ChaosConfig
-	for _, field := range strings.Split(spec, ",") {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return ChaosConfig{}, fmt.Errorf("fleet: bad chaos field %q in %q (want key=value)", field, spec)
-		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
-		switch key {
-		case "every", "restart", "delay":
-			d, err := time.ParseDuration(val)
-			if err != nil || d <= 0 {
-				return ChaosConfig{}, fmt.Errorf("fleet: chaos %s %q must be a positive duration", key, val)
-			}
-			switch key {
-			case "every":
-				cfg.Interval = d
-			case "restart":
-				cfg.Restart = d
-			case "delay":
-				cfg.SpikeDelay = d
-			}
-		case "crash", "slow", "spike", "factor":
-			v, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return ChaosConfig{}, fmt.Errorf("fleet: chaos %s %q must be a number", key, val)
-			}
-			switch key {
-			case "crash":
-				cfg.Crash = v
-			case "slow":
-				cfg.Slow = v
-			case "spike":
-				cfg.Spike = v
-			case "factor":
-				cfg.SlowFactor = v
-			}
-		default:
-			return ChaosConfig{}, workload.UnknownSpec("fleet", "chaos key", key, "every=<dur>", "crash=<p>", "restart=<dur>", "slow=<p>", "factor=<f>", "spike=<p>", "delay=<dur>")
-		}
+	if workload.Off(spec) {
+		return cfg, nil
 	}
-	if _, err := cfg.withDefaults(); err != nil {
+	err := workload.Pairs("fleet", "chaos", workload.Fields(spec, ","), "=",
+		workload.NewKey("every=<dur>", workload.PosDuration(&cfg.Interval)),
+		workload.NewKey("crash=<p>", workload.Float(&cfg.Crash)),
+		workload.NewKey("restart=<dur>", workload.PosDuration(&cfg.Restart)),
+		workload.NewKey("slow=<p>", workload.Float(&cfg.Slow)),
+		workload.NewKey("factor=<f>", workload.Float(&cfg.SlowFactor)),
+		workload.NewKey("spike=<p>", workload.Float(&cfg.Spike)),
+		workload.NewKey("delay=<dur>", workload.PosDuration(&cfg.SpikeDelay)))
+	if err == nil {
+		// Range checks are withDefaults', shared with StartChaos.
+		_, err = cfg.withDefaults()
+	}
+	if err == nil && !cfg.enabled() {
+		err = fmt.Errorf("fleet: chaos spec %q injects nothing (set crash, slow, or spike)", spec)
+	}
+	if err != nil {
 		return ChaosConfig{}, err
-	}
-	if !cfg.enabled() {
-		return ChaosConfig{}, fmt.Errorf("fleet: chaos spec %q injects nothing (set crash, slow, or spike)", spec)
 	}
 	return cfg, nil
 }

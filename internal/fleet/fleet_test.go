@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -142,6 +143,26 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if p.(SizeAware).Threshold != DefaultSizeThreshold {
 		t.Errorf("default size-aware threshold %d, want %d", p.(SizeAware).Threshold, DefaultSizeThreshold)
+	}
+}
+
+// TestPolicyUsagesParse: the list `serve -policy` prints and the unknown-
+// policy error enumerates is the parser's own table, so every listed form
+// must parse and none may be missing.
+func TestPolicyUsagesParse(t *testing.T) {
+	usages := PolicyUsages()
+	if len(usages) != 5 {
+		t.Errorf("PolicyUsages lists %d policies, want 5: %v", len(usages), usages)
+	}
+	_, err := ParsePolicy("nope")
+	for _, u := range usages {
+		name, _, _ := strings.Cut(u, "[")
+		if _, perr := ParsePolicy(name); perr != nil {
+			t.Errorf("listed policy %q does not parse: %v", u, perr)
+		}
+		if err == nil || !strings.Contains(err.Error(), u) {
+			t.Errorf("unknown-policy error %v does not list %q", err, u)
+		}
 	}
 }
 

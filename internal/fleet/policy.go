@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"github.com/deeprecinfra/deeprecsys/internal/workload"
@@ -310,39 +308,25 @@ func (p *ShapeSpread) PickTenant(tenant, size int, candidates []Candidate) int {
 //	tenant-partition       share-proportional replica partitions per tenant
 //	shape-spread           interference-aware placement by resource shape
 func ParsePolicy(spec string) (Policy, error) {
-	name, arg, hasArg := strings.Cut(spec, ":")
-	switch name {
-	case "", "round-robin":
-		if hasArg {
-			return nil, fmt.Errorf("fleet: round-robin takes no parameter (got %q)", spec)
-		}
-		return NewRoundRobin(), nil
-	case "least-loaded":
-		if hasArg {
-			return nil, fmt.Errorf("fleet: least-loaded takes no parameter (got %q)", spec)
-		}
-		return NewLeastLoaded(), nil
-	case "size-aware":
-		if !hasArg {
-			return NewSizeAware(0), nil
-		}
-		thr, err := strconv.Atoi(arg)
-		if err != nil || thr < 1 {
-			return nil, fmt.Errorf("fleet: size-aware threshold %q must be a positive integer", arg)
-		}
-		return NewSizeAware(thr), nil
-	case "tenant-partition":
-		if hasArg {
-			return nil, fmt.Errorf("fleet: tenant-partition takes no parameter (got %q)", spec)
-		}
-		return NewTenantPartition(), nil
-	case "shape-spread":
-		if hasArg {
-			return nil, fmt.Errorf("fleet: shape-spread takes no parameter (got %q)", spec)
-		}
-		return NewShapeSpread(), nil
-	default:
-		return nil, workload.UnknownSpec("fleet", "routing policy", spec,
-			"round-robin", "least-loaded", "size-aware[:<n>]", "tenant-partition", "shape-spread")
+	if spec == "" {
+		spec = "round-robin"
 	}
+	return workload.ParseCall("fleet", "routing policy", spec, policyForms)
 }
+
+var policyForms = []workload.Form[Policy]{
+	workload.NewForm("round-robin", func([]string) (Policy, error) { return NewRoundRobin(), nil }),
+	workload.NewForm("least-loaded", func([]string) (Policy, error) { return NewLeastLoaded(), nil }),
+	workload.NewForm("size-aware[:<n>]", func(args []string) (Policy, error) {
+		thr := 0 // NewSizeAware's "use the default"
+		err := workload.Args(args, workload.Int(&thr, 1))
+		return NewSizeAware(thr), err
+	}, 0, 1),
+	workload.NewForm("tenant-partition", func([]string) (Policy, error) { return NewTenantPartition(), nil }),
+	workload.NewForm("shape-spread", func([]string) (Policy, error) { return NewShapeSpread(), nil }),
+}
+
+// PolicyUsages lists every spec ParsePolicy accepts, in documentation
+// order — the list its unknown-policy error enumerates and `serve -policy`
+// prints as help, so the two cannot drift.
+func PolicyUsages() []string { return workload.Usages(policyForms) }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/deeprecinfra/deeprecsys/internal/workload"
@@ -84,39 +82,24 @@ type AdmissionConfig struct {
 //	shed-oldest[:<depth>] bounded FIFO; shed the oldest waiter when full
 //	                     (depth defaults to 4× the concurrency limit)
 func ParseAdmission(spec string) (AdmissionConfig, error) {
-	name, arg, hasArg := strings.Cut(spec, ":")
-	switch name {
-	case "", "none":
-		if hasArg {
-			return AdmissionConfig{}, fmt.Errorf("live: admission policy none takes no parameter (got %q)", spec)
-		}
-		return AdmissionConfig{}, nil
-	case "reject":
-		if hasArg {
-			return AdmissionConfig{}, fmt.Errorf("live: admission policy reject takes no parameter (got %q)", spec)
-		}
-		return AdmissionConfig{Policy: AdmitReject}, nil
-	case "queue":
-		if !hasArg {
-			return AdmissionConfig{}, errors.New("live: admission policy queue needs a depth (want queue:<depth>)")
-		}
-		depth, err := strconv.Atoi(arg)
-		if err != nil || depth < 1 {
-			return AdmissionConfig{}, fmt.Errorf("live: admission queue depth %q must be a positive integer", arg)
-		}
-		return AdmissionConfig{Policy: AdmitQueue, Depth: depth}, nil
-	case "shed-oldest":
-		cfg := AdmissionConfig{Policy: AdmitShedOldest}
-		if hasArg {
-			depth, err := strconv.Atoi(arg)
-			if err != nil || depth < 1 {
-				return AdmissionConfig{}, fmt.Errorf("live: admission queue depth %q must be a positive integer", arg)
-			}
-			cfg.Depth = depth
-		}
-		return cfg, nil
-	default:
-		return AdmissionConfig{}, workload.UnknownSpec("live", "admission policy", spec, "none", "reject", "queue:<depth>", "shed-oldest[:<depth>]")
+	if spec == "" {
+		spec = "none"
+	}
+	return workload.ParseCall("live", "admission policy", spec, admissionForms)
+}
+
+var admissionForms = []workload.Form[AdmissionConfig]{
+	workload.NewForm("none", admissionForm(AdmitAll)),
+	workload.NewForm("reject", admissionForm(AdmitReject)),
+	workload.NewForm("queue:<depth>", admissionForm(AdmitQueue), 1),
+	workload.NewForm("shed-oldest[:<depth>]", admissionForm(AdmitShedOldest), 0, 1),
+}
+
+// admissionForm builds policy p's config from its optional queue depth.
+func admissionForm(p AdmissionPolicy) func([]string) (AdmissionConfig, error) {
+	return func(args []string) (AdmissionConfig, error) {
+		cfg := AdmissionConfig{Policy: p}
+		return cfg, workload.Args(args, workload.Int(&cfg.Depth, 1))
 	}
 }
 

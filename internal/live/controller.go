@@ -1,27 +1,11 @@
 package live
 
-import (
-	"time"
+import "github.com/deeprecinfra/deeprecsys/internal/workload"
 
-	"github.com/deeprecinfra/deeprecsys/internal/workload"
-)
-
-// Controller thresholds. The hold band keeps the knobs still while the
-// measured tail sits comfortably under the target; the climb resumes only
-// when the tail drifts out of it.
-const (
-	// headroomFrac: below this fraction of the SLA the tail has enough
-	// slack to trade request-level parallelism back for batch efficiency
-	// (and to pull offloaded work back onto the cores).
-	headroomFrac = 0.5
-	// minTuneSamples gates adjustments until the window carries enough
-	// fresh observations to estimate a p95 at all.
-	minTuneSamples = 32
-	// offThreshold represents "no offload" on the threshold ladder: one
-	// above the largest possible query. The walk leaves and re-enters
-	// offload through this rung, stored as 0 in the knob.
-	offThreshold = workload.MaxQuerySize + 1
-)
+// offThreshold represents "no offload" on the threshold ladder: one above
+// the largest possible query. The walk leaves and re-enters offload through
+// this rung, stored as 0 in the knob.
+const offThreshold = workload.MaxQuerySize + 1
 
 // controllerFor is the online analogue of DeepRecSched's two-knob hill climb
 // (paper Section IV): instead of probing candidate operating points against
@@ -34,11 +18,11 @@ const (
 // configuration whose p95 holds the SLA: when the tail breaches the target
 // it sheds load (finer batches, more of the heavy tail offloaded), and when
 // the tail has ample headroom it relaxes (coarser batches, offload walked
-// back toward the CPU). One knob moves per adjustment, in strict
-// alternation, so every window of samples is attributable to a single
-// change. After every move the window is reset and one interval is skipped
-// so the next decision reads only samples produced at the new operating
-// point — the same settle/reset discipline as the single-knob controller.
+// back toward the CPU). It is a Stepper (which owns the decision rule and
+// the settle/reset discipline) whose actuator moves one knob per decision,
+// in strict alternation, so every window of samples is attributable to a
+// single change. It watches latency only: admission sheds are the
+// degrader's signal.
 //
 // On a multi-tenant service one controller runs per AutoTune tenant,
 // walking that tenant's own knobs against that tenant's own measured p95;
@@ -47,55 +31,30 @@ const (
 // placement exists to manage).
 func (s *Service) controllerFor(t *tenant) {
 	defer s.bgWG.Done()
-	ticker := time.NewTicker(s.cfg.TuneInterval)
-	defer ticker.Stop()
-	slaSec := t.sla.Seconds()
-	settling := false
 	moveBatch := true // batch is the paper's primary knob; start there
-	for {
-		select {
-		case <-s.bgStop:
-			return
-		case <-ticker.C:
-		}
-		if settling {
-			// The window now holds only post-change samples; measure next tick.
-			settling = false
-			t.win.Reset()
-			continue
-		}
-		if t.win.Len() < minTuneSamples {
-			continue
-		}
-		p95 := t.win.Percentile(95)
-		var dir int
-		switch {
-		case p95 > slaSec:
-			dir = -1 // tail breached: shed load
-		case p95 < headroomFrac*slaSec:
-			dir = +1 // ample headroom: recover efficiency
-		default:
-			continue // inside the band: hold
-		}
-		// Move the preferred knob; when it is already at its limit, give
-		// the other knob the turn instead of holding.
-		moved := false
-		for try := 0; try < 2 && !moved; try++ {
-			if moveBatch || s.acc == nil {
-				moved = s.stepBatch(t, dir)
-			} else {
-				moved = s.stepThreshold(t, dir)
+	st := Stepper{SLA: t.sla}
+	st.Run(s.bgStop, s.cfg.TuneInterval,
+		func() Signal { return Signal{P95: t.win.Percentile(95), Samples: t.win.Len()} },
+		func(dir int) bool {
+			// Move the preferred knob; when it is already at its limit,
+			// give the other knob the turn instead of holding.
+			moved := false
+			for try := 0; try < 2 && !moved; try++ {
+				if moveBatch || s.acc == nil {
+					moved = s.stepBatch(t, dir)
+				} else {
+					moved = s.stepThreshold(t, dir)
+				}
+				if s.acc != nil {
+					moveBatch = !moveBatch
+				}
 			}
-			if s.acc != nil {
-				moveBatch = !moveBatch
+			if moved {
+				t.retunes.Add(1)
 			}
-		}
-		if moved {
-			t.retunes.Add(1)
-			t.win.Reset()
-			settling = true
-		}
-	}
+			return moved
+		},
+		t.win.Reset)
 }
 
 // stepBatch walks the batch-size knob one power-of-two rung: down for

@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/deeprecinfra/deeprecsys/internal/model"
 )
@@ -55,19 +54,12 @@ type degradeRung struct {
 	fallback bool // serve with the cheaper model on the CPU lane
 }
 
-// degrader is the SLA-aware controller that walks the degrade ladder: the
+// degraderFor is the SLA-aware controller that walks the degrade ladder: the
 // middle layer of the overload defense, between per-query admission
-// control (instantaneous) and the fleet autoscaler (slow). It runs on the
-// same settle/reset discipline as the two-knob hill climb: one level move
-// per decision, window reset after every move, one interval skipped so the
-// next decision reads only samples from the new operating point.
-//
-// The step-up signal is sustained overload: the measured p95 over the
-// breach threshold, or admission control actively shedding (under deep
-// saturation few queries complete, so the shed counter — not the latency
-// window — is the reliable signal). The step-down signal is restored
-// headroom: p95 under headroomFrac of the SLA with no shedding in the
-// interval.
+// control (instantaneous) and the fleet autoscaler (slow). It is a Stepper
+// whose actuator is the ladder level: a breach — the measured p95 over the
+// SLA, or admission control actively shedding — steps one rung deeper,
+// restored headroom with no shedding steps one rung back.
 //
 // On a multi-tenant service one degrader runs per eligible tenant (ladder
 // configured and SLA set), walking that tenant's own ladder against that
@@ -75,45 +67,21 @@ type degradeRung struct {
 // while its neighbors serve full slates.
 func (s *Service) degraderFor(t *tenant) {
 	defer s.bgWG.Done()
-	ticker := time.NewTicker(s.cfg.TuneInterval)
-	defer ticker.Stop()
-	slaSec := t.sla.Seconds()
-	settling := false
-	lastShed := t.shed.Load() + t.shedDeadline.Load()
-	for {
-		select {
-		case <-s.bgStop:
-			return
-		case <-ticker.C:
-		}
-		shedNow := t.shed.Load() + t.shedDeadline.Load()
-		shedDelta := shedNow - lastShed
-		lastShed = shedNow
-		if settling {
-			settling = false
-			t.win.Reset()
-			continue
-		}
-		p95 := t.win.Percentile(95)
-		enough := t.win.Len() >= minTuneSamples
-		lvl := int(t.degLevel.Load())
-		switch {
-		case shedDelta > 0 || (enough && p95 > slaSec):
-			if lvl+1 < len(t.degLadder) {
-				t.degLevel.Store(int32(lvl + 1))
-				t.degradeSteps.Add(1)
-				t.win.Reset()
-				settling = true
+	st := Stepper{SLA: t.sla}
+	st.Run(s.bgStop, s.cfg.TuneInterval,
+		func() Signal {
+			return Signal{P95: t.win.Percentile(95), Samples: t.win.Len(), Shed: t.shed.Load() + t.shedDeadline.Load()}
+		},
+		func(dir int) bool {
+			lvl := int(t.degLevel.Load()) - dir // a breach (-1) degrades further
+			if lvl < 0 || lvl >= len(t.degLadder) {
+				return false
 			}
-		case enough && p95 < headroomFrac*slaSec && shedDelta == 0:
-			if lvl > 0 {
-				t.degLevel.Store(int32(lvl - 1))
-				t.degradeSteps.Add(1)
-				t.win.Reset()
-				settling = true
-			}
-		}
-	}
+			t.degLevel.Store(int32(lvl))
+			t.degradeSteps.Add(1)
+			return true
+		},
+		t.win.Reset)
 }
 
 // DegradeLevel returns tenant 0's current degrade level (0 = full service).

@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -66,50 +64,20 @@ func (c NetChaos) Enabled() bool { return c.Delay > 0 || c.Drop > 0 || c.Reset >
 //
 // Example: "netdelay:5ms,netdrop:0.05,netreset:0.02".
 func ParseNetChaos(spec string) (NetChaos, error) {
-	if spec == "" || spec == "none" {
-		return NetChaos{}, nil
-	}
 	var cfg NetChaos
-	for _, field := range strings.Split(spec, ",") {
-		field = strings.TrimSpace(field)
-		key, val, ok := strings.Cut(field, ":")
-		if !ok {
-			key, val, ok = strings.Cut(field, "=")
-		}
-		if !ok {
-			return NetChaos{}, fmt.Errorf("rpc: bad net-chaos field %q in %q (want key:value)", field, spec)
-		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
-		switch key {
-		case "netdelay":
-			d, err := time.ParseDuration(val)
-			if err != nil || d <= 0 {
-				return NetChaos{}, fmt.Errorf("rpc: netdelay %q must be a positive duration", val)
-			}
-			cfg.Delay = d
-		case "netdrop", "netreset":
-			p, err := strconv.ParseFloat(val, 64)
-			if err != nil || p < 0 || p > 1 {
-				return NetChaos{}, fmt.Errorf("rpc: %s %q must be a probability in [0, 1]", key, val)
-			}
-			if key == "netdrop" {
-				cfg.Drop = p
-			} else {
-				cfg.Reset = p
-			}
-		case "netseed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return NetChaos{}, fmt.Errorf("rpc: netseed %q must be an integer", val)
-			}
-			cfg.Seed = n
-		default:
-			return NetChaos{}, workload.UnknownSpec("rpc", "net-chaos key", key, "netdelay:<dur>", "netdrop:<p>", "netreset:<p>", "netseed:<n>")
-		}
+	if workload.Off(spec) {
+		return cfg, nil
 	}
-	if !cfg.Enabled() {
-		return NetChaos{}, fmt.Errorf("rpc: net-chaos spec %q injects nothing (set netdelay, netdrop, or netreset)", spec)
+	err := workload.Pairs("rpc", "net-chaos", workload.Fields(spec, ","), ":=",
+		workload.NewKey("netdelay:<dur>", workload.PosDuration(&cfg.Delay)),
+		workload.NewKey("netdrop:<p>", workload.Prob(&cfg.Drop)),
+		workload.NewKey("netreset:<p>", workload.Prob(&cfg.Reset)),
+		workload.NewKey("netseed:<n>", workload.Int(&cfg.Seed)))
+	if err == nil && !cfg.Enabled() {
+		err = fmt.Errorf("rpc: net-chaos spec %q injects nothing (set netdelay, netdrop, or netreset)", spec)
+	}
+	if err != nil {
+		return NetChaos{}, err
 	}
 	return cfg, nil
 }

@@ -3,8 +3,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 )
 
 // Skewed sparse-index access: which embedding rows queries actually touch.
@@ -84,35 +82,14 @@ func (s zipfSource) Next() int { return int(s.z.Uint64()) }
 //	zipf:<s>             Zipf skew with the given s (> 1)
 //	zipf:<s>,<v>         Zipf skew with the given s (> 1) and v (>= 1)
 func ParseAccess(spec string) (IndexDist, error) {
-	name, arg, hasArg := strings.Cut(spec, ":")
-	switch name {
-	case "uniform":
-		if hasArg {
-			return nil, fmt.Errorf("workload: uniform access takes no parameters (got %q)", spec)
-		}
-		return UniformAccess{}, nil
-	case "zipf":
+	return ParseCall("workload", "access distribution", spec, accessForms)
+}
+
+var accessForms = []Form[IndexDist]{
+	NewForm("uniform", func([]string) (IndexDist, error) { return UniformAccess{}, nil }),
+	NewForm("zipf[:<s>[,<v>]]", func(a []string) (IndexDist, error) {
 		z := ZipfAccess{S: 1.2, V: 1}
-		if hasArg {
-			sStr, vStr, hasV := strings.Cut(arg, ",")
-			s, err := strconv.ParseFloat(sStr, 64)
-			if err != nil {
-				return nil, fmt.Errorf("workload: bad zipf spec %q (want zipf:<s>[,<v>])", spec)
-			}
-			z.S = s
-			if hasV {
-				v, err := strconv.ParseFloat(vStr, 64)
-				if err != nil {
-					return nil, fmt.Errorf("workload: bad zipf spec %q (want zipf:<s>[,<v>])", spec)
-				}
-				z.V = v
-			}
-		}
-		if z.S <= 1 || z.V < 1 {
-			return nil, fmt.Errorf("workload: zipf needs s > 1 and v >= 1, got s=%g v=%g", z.S, z.V)
-		}
-		return z, nil
-	default:
-		return nil, UnknownSpec("workload", "access distribution", spec, "uniform", "zipf:<s>[,<v>]")
-	}
+		err := Args(a, Float(&z.S), Float(&z.V))
+		return z, Need(err, z.S > 1 && z.V >= 1, "s > 1 and v >= 1")
+	}, 0, 1, 2),
 }

@@ -3,9 +3,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
-	"time"
 )
 
 // Spec parsing: the textual workload format shared by the public
@@ -14,62 +11,28 @@ import (
 // deeprecsys.ParseWorkload; ParseDist and ParseArrivals implement its two
 // halves (the size-distribution spec and the arrival spec).
 
-// ParseDist parses a size-distribution spec.
-func ParseDist(spec string) (SizeDist, error) {
-	name, arg, hasArg := strings.Cut(spec, ":")
-	switch name {
-	case "production":
-		if hasArg {
-			return nil, fmt.Errorf("workload: production takes no parameters (got %q)", spec)
-		}
-		return DefaultProduction(), nil
-	case "lognormal":
-		if !hasArg {
-			return DefaultLogNormal(), nil
-		}
-		mu, sigma, err := parsePair(arg)
-		if err != nil || sigma <= 0 {
-			return nil, fmt.Errorf("workload: bad lognormal spec %q (want lognormal:<mu>,<sigma> with sigma > 0)", spec)
-		}
-		return LogNormal{Mu: mu, Sigma: sigma}, nil
-	case "normal":
-		if !hasArg {
-			return Normal{Mean: 100, Stddev: 40}, nil
-		}
-		mean, stddev, err := parsePair(arg)
-		if err != nil || stddev < 0 {
-			return nil, fmt.Errorf("workload: bad normal spec %q (want normal:<mean>,<stddev> with stddev >= 0)", spec)
-		}
-		return Normal{Mean: mean, Stddev: stddev}, nil
-	case "fixed":
-		if !hasArg {
-			return nil, fmt.Errorf("workload: fixed needs a size (want fixed:<n>)")
-		}
-		size, err := strconv.Atoi(arg)
-		if err != nil || size < 1 || size > MaxQuerySize {
-			return nil, fmt.Errorf("workload: bad fixed size in %q (want 1..%d)", spec, MaxQuerySize)
-		}
-		return Fixed{Size: size}, nil
-	default:
-		return nil, fmt.Errorf("workload: unknown distribution %q (have production, lognormal, normal, fixed:<n>)", spec)
-	}
+// distForms is the size-distribution half of the grammar.
+var distForms = []Form[SizeDist]{
+	NewForm("production", func([]string) (SizeDist, error) { return DefaultProduction(), nil }),
+	NewForm("lognormal[:<mu>,<sigma>]", func(a []string) (SizeDist, error) {
+		d := DefaultLogNormal()
+		err := Args(a, Float(&d.Mu), Float(&d.Sigma))
+		return d, Need(err, d.Sigma > 0, "sigma > 0")
+	}, 0, 2),
+	NewForm("normal[:<mean>,<stddev>]", func(a []string) (SizeDist, error) {
+		d := Normal{Mean: 100, Stddev: 40}
+		err := Args(a, Float(&d.Mean), Float(&d.Stddev))
+		return d, Need(err, d.Stddev >= 0, "stddev >= 0")
+	}, 0, 2),
+	NewForm("fixed:<n>", func(a []string) (SizeDist, error) {
+		var d Fixed
+		return d, Args(a, Int(&d.Size, 1, MaxQuerySize))
+	}, 1),
 }
 
-// parsePair parses "a,b" into two floats.
-func parsePair(s string) (float64, float64, error) {
-	a, b, ok := strings.Cut(s, ",")
-	if !ok {
-		return 0, 0, fmt.Errorf("workload: want two comma-separated values, got %q", s)
-	}
-	x, err := strconv.ParseFloat(strings.TrimSpace(a), 64)
-	if err != nil {
-		return 0, 0, err
-	}
-	y, err := strconv.ParseFloat(strings.TrimSpace(b), 64)
-	if err != nil {
-		return 0, 0, err
-	}
-	return x, y, nil
+// ParseDist parses a size-distribution spec.
+func ParseDist(spec string) (SizeDist, error) {
+	return ParseCall("workload", "size distribution", spec, distForms)
 }
 
 // ParseArrivals parses an arrival-process spec at the given base rate.
@@ -95,83 +58,28 @@ func ParseArrivals(spec string, ratePerSec float64) (ArrivalProcess, error) {
 	if ratePerSec <= 0 {
 		return nil, fmt.Errorf("workload: arrival rate must be positive, got %v", ratePerSec)
 	}
-	name, arg, hasArg := strings.Cut(spec, ":")
-	switch name {
-	case "poisson":
-		if hasArg {
-			return nil, fmt.Errorf("workload: poisson takes no parameters (got %q)", spec)
-		}
-		return Poisson{RatePerSec: ratePerSec}, nil
-	case "uniform":
-		if hasArg {
-			return nil, fmt.Errorf("workload: uniform takes no parameters (got %q)", spec)
-		}
-		return Uniform{RatePerSec: ratePerSec}, nil
-	case "diurnal":
-		if !hasArg {
-			return nil, fmt.Errorf("workload: diurnal needs parameters (want diurnal:<amplitude>,<period>)")
-		}
-		parts := strings.Split(arg, ",")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("workload: bad diurnal spec %q (want diurnal:<amplitude>,<period>)", spec)
-		}
-		amp, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-		if err != nil || amp < 0 || amp >= 1 {
-			return nil, fmt.Errorf("workload: diurnal amplitude in %q must be in [0, 1)", spec)
-		}
-		period, err := time.ParseDuration(strings.TrimSpace(parts[1]))
-		if err != nil || period <= 0 {
-			return nil, fmt.Errorf("workload: diurnal period in %q must be a positive duration", spec)
-		}
-		return &DiurnalArrivals{BaseQPS: ratePerSec, Amplitude: amp, Period: period}, nil
-	case "flash":
-		if !hasArg {
-			return nil, fmt.Errorf("workload: flash needs parameters (want flash:<mult>,<start>,<ramp>,<hold>,<decay>)")
-		}
-		parts := strings.Split(arg, ",")
-		if len(parts) != 5 {
-			return nil, fmt.Errorf("workload: bad flash spec %q (want flash:<mult>,<start>,<ramp>,<hold>,<decay>)", spec)
-		}
-		mult, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-		if err != nil || mult < 1 {
-			return nil, fmt.Errorf("workload: flash multiplier in %q must be >= 1", spec)
-		}
-		var durs [4]time.Duration
-		for i, p := range parts[1:] {
-			d, err := time.ParseDuration(strings.TrimSpace(p))
-			if err != nil || d < 0 {
-				return nil, fmt.Errorf("workload: flash duration %q in %q must be a non-negative duration", p, spec)
-			}
-			durs[i] = d
-		}
-		if mult > 1 && durs[1]+durs[2]+durs[3] == 0 {
-			return nil, fmt.Errorf("workload: flash spec %q has no spike extent (ramp, hold, and decay all zero)", spec)
-		}
-		return &Flash{BaseQPS: ratePerSec, Mult: mult, Start: durs[0], Ramp: durs[1], Hold: durs[2], Decay: durs[3]}, nil
-	case "mmpp":
-		if !hasArg {
-			return nil, fmt.Errorf("workload: mmpp needs parameters (want mmpp:<mult>,<meanLow>,<meanHigh>)")
-		}
-		parts := strings.Split(arg, ",")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("workload: bad mmpp spec %q (want mmpp:<mult>,<meanLow>,<meanHigh>)", spec)
-		}
-		mult, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-		if err != nil || mult < 1 {
-			return nil, fmt.Errorf("workload: mmpp burst multiplier in %q must be >= 1", spec)
-		}
-		meanLow, err := time.ParseDuration(strings.TrimSpace(parts[1]))
-		if err != nil || meanLow <= 0 {
-			return nil, fmt.Errorf("workload: mmpp low-state sojourn in %q must be a positive duration", spec)
-		}
-		meanHigh, err := time.ParseDuration(strings.TrimSpace(parts[2]))
-		if err != nil || meanHigh <= 0 {
-			return nil, fmt.Errorf("workload: mmpp high-state sojourn in %q must be a positive duration", spec)
-		}
-		return &MMPP{LowQPS: ratePerSec, HighQPS: ratePerSec * mult, MeanLow: meanLow, MeanHigh: meanHigh}, nil
-	default:
-		return nil, fmt.Errorf("workload: unknown arrival process %q (have poisson, uniform, diurnal:<amp>,<period>, flash:<mult>,<start>,<ramp>,<hold>,<decay>, mmpp:<mult>,<meanLow>,<meanHigh>)", spec)
-	}
+	return ParseCall("workload", "arrival process", spec, []Form[ArrivalProcess]{
+		NewForm("poisson", func([]string) (ArrivalProcess, error) { return Poisson{RatePerSec: ratePerSec}, nil }),
+		NewForm("uniform", func([]string) (ArrivalProcess, error) { return Uniform{RatePerSec: ratePerSec}, nil }),
+		NewForm("diurnal:<amp>,<period>", func(a []string) (ArrivalProcess, error) {
+			d := &DiurnalArrivals{BaseQPS: ratePerSec}
+			err := Args(a, Float(&d.Amplitude), PosDuration(&d.Period))
+			return d, Need(err, d.Amplitude >= 0 && d.Amplitude < 1, "amplitude in [0, 1)")
+		}, 2),
+		NewForm("flash:<mult>,<start>,<ramp>,<hold>,<decay>", func(a []string) (ArrivalProcess, error) {
+			f := &Flash{BaseQPS: ratePerSec}
+			err := Args(a, Float(&f.Mult), Duration(&f.Start), Duration(&f.Ramp), Duration(&f.Hold), Duration(&f.Decay))
+			err = Need(err, f.Mult >= 1 && min(f.Start, f.Ramp, f.Hold, f.Decay) >= 0, "mult >= 1 and non-negative durations")
+			return f, Need(err, f.Mult == 1 || f.Ramp+f.Hold+f.Decay > 0, "a spike extent (ramp, hold and decay are all zero)")
+		}, 5),
+		NewForm("mmpp:<mult>,<meanLow>,<meanHigh>", func(a []string) (ArrivalProcess, error) {
+			m := &MMPP{LowQPS: ratePerSec}
+			var mult float64
+			err := Args(a, Float(&mult), PosDuration(&m.MeanLow), PosDuration(&m.MeanHigh))
+			m.HighQPS = ratePerSec * mult
+			return m, Need(err, mult >= 1, "burst multiplier >= 1")
+		}, 3),
+	})
 }
 
 // GenerateSpec parses a (distribution, arrivals) spec pair and generates a

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,9 +68,12 @@ type ServeOptions struct {
 	// AutoScale grow like any other.
 	Replicas int
 	// RoutingPolicy picks the serving replica per query: "round-robin"
-	// (the default), "least-loaded" (fewest outstanding queries), or
+	// (the default), "least-loaded" (fewest outstanding queries),
 	// "size-aware[:<n>]" (queries of >= n items steer to GPU-capable
-	// replicas; n defaults to 512).
+	// replicas; n defaults to 512), "tenant-partition" (share-proportional
+	// replica partitions per tenant) or "shape-spread" (interference-aware
+	// placement by tenant resource shape). An unknown policy's error
+	// enumerates this list from the parser's own table.
 	RoutingPolicy string
 	// Jitter models node-to-node performance heterogeneity: per-replica
 	// service-time scale factors drawn from N(1, Jitter²) clamped to
@@ -337,37 +338,21 @@ func (s *System) logicalTableRows() int {
 // "fallback=<model>" (a cheaper zoo variant, built against the system's
 // seed so degraded replies stay deterministic).
 func (s *System) parseDegrade(spec string) (live.DegradeConfig, error) {
-	if spec == "" || spec == "none" {
-		return live.DegradeConfig{}, nil
-	}
 	var cfg live.DegradeConfig
-	for _, field := range strings.Split(spec, ",") {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return live.DegradeConfig{}, fmt.Errorf("deeprecsys: bad degrade field %q in %q (want truncate=<n> or fallback=<model>)", field, spec)
-		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
-		switch key {
-		case "truncate":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 1 {
-				return live.DegradeConfig{}, fmt.Errorf("deeprecsys: degrade truncation %q must be a positive integer", val)
-			}
-			cfg.Truncate = n
-		case "fallback":
+	if workload.Off(spec) {
+		return cfg, nil
+	}
+	err := workload.Pairs("deeprecsys", "degrade", workload.Fields(spec, ","), "=",
+		workload.NewKey("truncate=<n>", workload.Int(&cfg.Truncate, 1)),
+		workload.NewKey("fallback=<model>", func(val string) error {
 			mc, err := model.ByName(val)
-			if err != nil {
-				return live.DegradeConfig{}, fmt.Errorf("deeprecsys: degrade fallback: %w", err)
+			if err == nil {
+				cfg.Fallback, err = model.New(mc, s.seed)
 			}
-			fb, err := model.New(mc, s.seed)
-			if err != nil {
-				return live.DegradeConfig{}, fmt.Errorf("deeprecsys: degrade fallback: %w", err)
-			}
-			cfg.Fallback = fb
-		default:
-			return live.DegradeConfig{}, fmt.Errorf("deeprecsys: unknown degrade key %q in %q (have truncate, fallback)", key, spec)
-		}
+			return err
+		}))
+	if err != nil {
+		return live.DegradeConfig{}, err
 	}
 	return cfg, nil
 }
@@ -641,31 +626,28 @@ func (s *Service) submit(ctx context.Context, q live.Query) (Reply, error) {
 // identity; GPUWorkShare and EmbHitRate derive the ratios from its sums.
 type Ledger = live.Ledger
 
+// Stats is the online snapshot every tier reports — the lifetime Ledger
+// plus everything that is not a counter: the current knobs (BatchSize,
+// GPUThreshold, DegradeLevel), the Queued gauge, the windowed P50 / P95
+// over WindowLen samples, the SLA and MeetsSLA, and the ratios recomputed
+// from the ledger's sums (GPUQueryShare, GPUWorkShare, EmbHitRate).
+// ServiceStats, ReplicaStats and TenantStats embed this one declaration.
+type Stats = live.Stats
+
 // ServiceStats is an online snapshot of a live Service.
 type ServiceStats struct {
 	// Model is the served model's name.
 	Model string
-	// Ledger holds the lifetime counters, summed over replicas (removed
-	// ones included) — except Submitted, which counts each query once at
-	// the service's front door however many replicas it tried (Retried
-	// below counts the second attempts).
-	Ledger
-	// BatchSize is the current per-request batch size and DegradeLevel the
-	// current degrade rung (the first replica's; PerReplica carries each
-	// replica's own). GPUThreshold is the current offload threshold (the
-	// first GPU-capable replica's; 0 = no offload).
-	BatchSize, GPUThreshold, DegradeLevel int
-	// GPUQueryShare is the fraction of submitted queries offloaded;
-	// GPUWorkShare is the fraction of candidate-item work offloaded — the
-	// live counterparts of the simulator's Fig. 14 series.
-	GPUQueryShare, GPUWorkShare float64
-	// P50 / P95 are the windowed online latency percentiles, computed over
-	// the union of the replicas' latency windows.
-	P50, P95 time.Duration
-	// WindowLen is the number of samples behind the percentiles.
-	WindowLen int
-	// SLA is the target the service reports against.
-	SLA time.Duration
+	// Stats is the service-wide snapshot. Its Ledger sums over replicas
+	// (removed ones included) — except Submitted, which counts each query
+	// once at the service's front door however many replicas it tried
+	// (Retried below counts the second attempts); the ratios are recomputed
+	// from those sums. P50 / P95 are computed over the union of the
+	// replicas' latency windows, Queued is the summed admission-queue
+	// depth, BatchSize / DegradeLevel are the first replica's and
+	// GPUThreshold the first GPU-capable replica's (PerReplica carries each
+	// replica's own). Tenant and Share are unset at this level.
+	Stats
 	// Retried counts crash-triggered second submissions (ServeOptions.Retry).
 	Retried uint64
 	// ScaleUps / ScaleDowns count autoscaler membership moves; Crashes /
@@ -681,9 +663,6 @@ type ServiceStats struct {
 	// was configured with (0 for models without tables), even when
 	// ShardTables splits it across replicas.
 	TableRows int
-	// EmbHitRate is the hot-row cache hit rate recomputed from the summed
-	// Ledger counters (zero unless Ledger.EmbStore).
-	EmbHitRate float64
 	// RoutingPolicy is the router's name.
 	RoutingPolicy string
 	// PerReplica holds per-replica snapshots in replica-ID order: each
@@ -698,44 +677,14 @@ type ServiceStats struct {
 	Tenants []TenantStats
 }
 
-// ReplicaStats is the online snapshot of one replica.
-type ReplicaStats struct {
-	// ID is the fleet-assigned replica identity (stable across membership
-	// changes; IDs of removed replicas are not reused).
-	ID int
-	// Speed is the replica's service-time scale factor (1 = nominal,
-	// larger = slower node), drawn from the ServeOptions.Jitter model.
-	Speed float64
-	// HasGPU reports whether the replica has the accelerator offload lane.
-	HasGPU bool
-	// Draining reports whether the replica is excluded from routing.
-	Draining bool
-	// Failed reports whether the replica has been crashed by fault
-	// injection (ejected from routing until its restart). It shadows the
-	// ledger's Failed query counter, which reads as Ledger.Failed.
-	Failed bool
-	// Outstanding is the number of routed-but-unreturned queries — the
-	// signal the least-loaded policy balances on.
-	Outstanding int
-	// Ledger holds the replica's own lifetime counters. On a table-sharded
-	// fleet its Emb* counters show per-shard locality.
-	Ledger
-	// BatchSize and GPUThreshold are the replica's current knob values
-	// (per-replica AutoTune may diverge them across the fleet);
-	// DegradeLevel is its current degrade rung.
-	BatchSize, GPUThreshold, DegradeLevel int
-	// P50 / P95 are the replica's own windowed percentiles.
-	P50, P95 time.Duration
-	// WindowLen is the number of samples behind the percentiles.
-	WindowLen int
-	// EmbHitRate is the replica's own embedding-cache hit rate.
-	EmbHitRate float64
-}
-
-// MeetsSLA reports whether the online p95 is within the target.
-func (st ServiceStats) MeetsSLA() bool {
-	return st.SLA > 0 && st.WindowLen > 0 && st.P95 <= st.SLA
-}
+// ReplicaStats is the online snapshot of one replica: its fleet identity
+// (ID, Speed — the service-time scale factor drawn from ServeOptions.Jitter,
+// HasGPU), its routing state (Draining, Outstanding — the count the
+// least-loaded policy balances on — and Failed, which shadows the ledger's
+// Failed query counter; that one reads as Ledger.Failed), and the
+// replica's own Stats: window, knobs and ledger. On a table-sharded fleet
+// the Emb* counters show per-shard locality.
+type ReplicaStats = fleet.ReplicaStats
 
 // Stats returns an online snapshot of the service: P50/P95 over the union
 // of the replicas' latency windows, counters as fleet-lifetime sums
@@ -744,16 +693,7 @@ func (s *Service) Stats() ServiceStats {
 	fst := s.fl.Stats()
 	st := ServiceStats{
 		Model:         s.model,
-		Ledger:        fst.Ledger,
-		BatchSize:     fst.BatchSize,
-		GPUThreshold:  fst.GPUThreshold,
-		DegradeLevel:  fst.DegradeLevel,
-		GPUQueryShare: fst.GPUQueryShare,
-		GPUWorkShare:  fst.GPUWorkShare,
-		P50:           fst.P50,
-		P95:           fst.P95,
-		WindowLen:     fst.WindowLen,
-		SLA:           fst.SLA,
+		Stats:         fst.Stats,
 		Retried:       fst.Retried,
 		ScaleUps:      fst.ScaleUps,
 		ScaleDowns:    fst.ScaleDowns,
@@ -762,52 +702,25 @@ func (s *Service) Stats() ServiceStats {
 		Healthy:       fst.Healthy,
 		Replicas:      fst.Size,
 		TableRows:     s.tableRows,
-		EmbHitRate:    fst.EmbHitRate,
 		RoutingPolicy: fst.Policy,
-		PerReplica:    make([]ReplicaStats, len(fst.Replicas)),
+		PerReplica:    fst.Replicas,
 	}
 	st.Submitted = fst.FrontSubmitted
-	for i, r := range fst.Replicas {
-		st.PerReplica[i] = ReplicaStats{
-			ID:           r.ID,
-			Speed:        r.Speed,
-			HasGPU:       r.HasGPU,
-			Draining:     r.Draining,
-			Failed:       r.Failed,
-			Outstanding:  r.Outstanding,
-			Ledger:       r.Ledger,
-			BatchSize:    r.BatchSize,
-			GPUThreshold: r.GPUThreshold,
-			DegradeLevel: r.DegradeLevel,
-			P50:          r.P50,
-			P95:          r.P95,
-			WindowLen:    r.WindowLen,
-			EmbHitRate:   r.EmbHitRate,
-		}
-	}
 	if len(s.tenantNames) > 0 {
 		st.Tenants = make([]TenantStats, len(fst.Tenants))
 		for i, ft := range fst.Tenants {
 			st.Tenants[i] = TenantStats{
-				Name:          s.tenantNames[i],
-				Model:         s.tenantModels[i],
-				Share:         ft.Share,
-				Ledger:        ft.Ledger,
-				SLA:           ft.SLA,
-				P50:           ft.P50,
-				P95:           ft.P95,
-				WindowLen:     ft.WindowLen,
-				BatchSize:     ft.BatchSize,
-				GPUThreshold:  ft.GPUThreshold,
-				DegradeLevel:  ft.DegradeLevel,
-				GPUQueryShare: ft.GPUQueryShare,
-				GPUWorkShare:  ft.GPUWorkShare,
-				EmbHitRate:    ft.EmbHitRate,
-				Outstanding:   ft.Outstanding,
-				Cap:           ft.Cap,
-				CapShed:       ft.CapShed,
-				Shape:         ft.Shape,
+				Name:        s.tenantNames[i],
+				Model:       s.tenantModels[i],
+				Stats:       ft.Stats,
+				Outstanding: ft.Outstanding,
+				Cap:         ft.Cap,
+				CapShed:     ft.CapShed,
+				Shape:       ft.Shape,
 			}
+			// The fleet's configured share, not the first member's echo of
+			// it (which a remote member reports from its own config).
+			st.Tenants[i].Share = ft.Share
 		}
 	}
 	return st

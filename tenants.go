@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -83,12 +82,6 @@ type TenantSpec struct {
 	Rows, Lookups int
 }
 
-// tenantKeyNames enumerates the ParseTenants field keys in grammar order.
-var tenantKeyNames = []string{
-	"name", "sla", "share", "batch", "thresh", "admission", "deadline",
-	"degrade", "access", "seed", "cap", "workload", "store", "rows", "lookups",
-}
-
 // ParseTenants parses the CLI tenant grammar: semicolon-separated tenants,
 // each a zoo model name with optional comma-separated key=value fields:
 //
@@ -101,66 +94,35 @@ var tenantKeyNames = []string{
 // commas (degrade, access, workload, store) write '+' in place of ',':
 // "degrade=truncate=128+fallback=NCF". "" and "none" parse to no tenants.
 func ParseTenants(spec string) ([]TenantSpec, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "none" {
+	if workload.Off(spec) {
 		return nil, nil
 	}
 	var out []TenantSpec
-	for _, entry := range strings.Split(spec, ";") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			return nil, fmt.Errorf("deeprecsys: empty tenant entry in %q", spec)
-		}
-		modelName, rest, hasOpts := strings.Cut(entry, "@")
+	for _, entry := range workload.Fields(spec, ";") {
+		modelName, opts, hasOpts := strings.Cut(entry, "@")
 		ts := TenantSpec{Model: strings.TrimSpace(modelName)}
 		if ts.Model == "" {
-			return nil, fmt.Errorf("deeprecsys: tenant entry %q has no model name", entry)
+			return nil, fmt.Errorf("deeprecsys: tenant entry %q in %q has no model name", entry, spec)
 		}
 		if hasOpts {
-			for _, field := range strings.Split(rest, ",") {
-				key, val, ok := strings.Cut(field, "=")
-				if !ok {
-					return nil, fmt.Errorf("deeprecsys: tenant field %q in %q is not key=value", field, entry)
-				}
-				key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-				var err error
-				switch key {
-				case "name":
-					ts.Name = val
-				case "sla":
-					ts.SLA, err = time.ParseDuration(val)
-				case "share":
-					ts.Share, err = strconv.ParseFloat(val, 64)
-				case "batch":
-					ts.BatchSize, err = strconv.Atoi(val)
-				case "thresh":
-					ts.GPUThreshold, err = strconv.Atoi(val)
-				case "admission":
-					ts.Admission = uncomma(val)
-				case "deadline":
-					ts.Deadline, err = time.ParseDuration(val)
-				case "degrade":
-					ts.Degrade = uncomma(val)
-				case "access":
-					ts.Access = uncomma(val)
-				case "seed":
-					ts.Seed, err = strconv.ParseInt(val, 10, 64)
-				case "cap":
-					ts.MaxOutstanding, err = strconv.Atoi(val)
-				case "workload":
-					ts.Workload = uncomma(val)
-				case "store":
-					ts.Store = uncomma(val)
-				case "rows":
-					ts.Rows, err = strconv.Atoi(val)
-				case "lookups":
-					ts.Lookups, err = strconv.Atoi(val)
-				default:
-					return nil, workload.UnknownSpec("deeprecsys", "tenant key", key, tenantKeyNames...)
-				}
-				if err != nil {
-					return nil, fmt.Errorf("deeprecsys: tenant %s: bad %s %q: %v", ts.Model, key, val, err)
-				}
+			err := workload.Pairs("deeprecsys", "tenant "+ts.Model, workload.Fields(opts, ","), "=",
+				workload.NewKey("name", workload.String(&ts.Name)),
+				workload.NewKey("sla", workload.Duration(&ts.SLA)),
+				workload.NewKey("share", workload.Float(&ts.Share)),
+				workload.NewKey("batch", workload.Int(&ts.BatchSize)),
+				workload.NewKey("thresh", workload.Int(&ts.GPUThreshold)),
+				workload.NewKey("admission", nested(&ts.Admission)),
+				workload.NewKey("deadline", workload.Duration(&ts.Deadline)),
+				workload.NewKey("degrade", nested(&ts.Degrade)),
+				workload.NewKey("access", nested(&ts.Access)),
+				workload.NewKey("seed", workload.Int(&ts.Seed)),
+				workload.NewKey("cap", workload.Int(&ts.MaxOutstanding)),
+				workload.NewKey("workload", nested(&ts.Workload)),
+				workload.NewKey("store", nested(&ts.Store)),
+				workload.NewKey("rows", workload.Int(&ts.Rows)),
+				workload.NewKey("lookups", workload.Int(&ts.Lookups)))
+			if err != nil {
+				return nil, err
 			}
 		}
 		out = append(out, ts)
@@ -168,10 +130,12 @@ func ParseTenants(spec string) ([]TenantSpec, error) {
 	return out, nil
 }
 
-// uncomma maps the tenant grammar's '+' back to the ',' of the nested spec
-// grammars (degrade, access, workload, store), which the tenant grammar
+// nested reads a value written in another spec grammar (degrade, access,
+// workload, store), where '+' stands for the ',' the tenant grammar
 // reserves as its own field separator.
-func uncomma(v string) string { return strings.ReplaceAll(v, "+", ",") }
+func nested(dst *string) workload.Reader {
+	return func(val string) error { *dst = strings.ReplaceAll(val, "+", ","); return nil }
+}
 
 // tenantSplit is the deterministic smooth weighted round-robin Submit uses
 // to spread un-addressed queries across tenants by Share: each pick raises
@@ -360,25 +324,16 @@ func (s *Service) SubmitTo(ctx context.Context, tenant string, candidates, topN 
 // ones) and the percentiles computed over the union of the tenant's
 // per-replica latency windows.
 type TenantStats struct {
-	// Name is the tenant's name, Model the zoo model it serves, Share its
-	// configured traffic weight.
+	// Name is the tenant's name and Model the zoo model it serves.
 	Name  string
 	Model string
-	Share float64
-	// Ledger holds the tenant's lifetime counters. Per tenant it is
-	// Conserved — Submitted == Completed + Cancelled + Shed + ShedDeadline
-	// + Failed + Abandoned — independently of every other tenant.
-	Ledger
-	// SLA is the tenant's p95 target; P50/P95 its windowed online
-	// percentiles; WindowLen the samples behind them.
-	SLA       time.Duration
-	P50, P95  time.Duration
-	WindowLen int
-	// BatchSize / GPUThreshold are the tenant's current knob values and
-	// DegradeLevel its current degrade rung (the first replica's).
-	BatchSize, GPUThreshold, DegradeLevel int
-	// GPUQueryShare / GPUWorkShare / EmbHitRate: see ServiceStats.
-	GPUQueryShare, GPUWorkShare, EmbHitRate float64
+	// Stats is the tenant's own snapshot: Share (its configured traffic
+	// weight), its knobs and degrade rung (the first replica's), its
+	// windowed percentiles against its own SLA, and its Ledger — per
+	// tenant Conserved (Submitted == Completed + Cancelled + Shed +
+	// ShedDeadline + Failed + Abandoned) independently of every other
+	// tenant.
+	Stats
 	// Outstanding is the tenant's fleet-wide routed-but-unreturned count,
 	// Cap its MaxOutstanding ceiling (0 = uncapped), CapShed the queries
 	// refused at the front door for exceeding it (they reach no replica, so
@@ -389,9 +344,4 @@ type TenantStats struct {
 	Cap         int
 	CapShed     uint64
 	Shape       [2]float64
-}
-
-// MeetsSLA reports whether the tenant's online p95 is within its target.
-func (t TenantStats) MeetsSLA() bool {
-	return t.SLA > 0 && t.WindowLen > 0 && t.P95 <= t.SLA
 }
