@@ -48,11 +48,7 @@ func (a Activation) Apply(t *tensor.Tensor) *tensor.Tensor {
 	switch a {
 	case None:
 	case ReLU:
-		for i, v := range t.Data {
-			if v < 0 {
-				t.Data[i] = 0
-			}
-		}
+		tensor.ReLU(t.Data)
 	case Sigmoid:
 		for i, v := range t.Data {
 			t.Data[i] = sigmoid(v)

@@ -214,12 +214,15 @@ func (b *EmbeddingBag) ForwardInto(ar *tensor.Arena, indices [][]int) *tensor.Te
 			return out
 		}
 		var prefetch float32
+		rows := uint(w.Rows) // dense path: the row count is fixed for the call
 		for i, idxs := range indices {
 			row := out.Row(i)
 			// Validate the whole item up front: the pooling loop below (and
 			// its prefetch touches) may then index the weights unchecked.
 			for _, idx := range idxs {
-				b.Table.mustIndex(idx)
+				if uint(idx) >= rows {
+					panic(&IndexError{Table: b.Table.ID, Index: idx, Rows: w.Rows})
+				}
 			}
 			// Pool eight gathered rows per pass: the output row stays in
 			// registers across them and the eight random-row reads miss the

@@ -38,8 +38,11 @@ func view(ar *tensor.Arena, rows, cols int, data []float32) *tensor.Tensor {
 }
 
 // Linear is a fully-connected layer: y = x·W + b followed by an activation.
+// The weights live only as a tensor.Panel — the strip layout the FC kernels
+// stream, built once at construction and immutable afterwards — on every
+// backend; Weights and SetWeights convert from and to row-major form.
 type Linear struct {
-	W   *tensor.Tensor // [in x out]
+	w   *tensor.Panel  // [in x out]
 	B   *tensor.Tensor // [1 x out]
 	Act Activation
 }
@@ -47,17 +50,30 @@ type Linear struct {
 // NewLinear creates a Xavier-initialized fully-connected layer.
 func NewLinear(rng *rand.Rand, in, out int, act Activation) *Linear {
 	return &Linear{
-		W:   tensor.XavierUniform(rng, in, out),
+		w:   tensor.XavierPanel(rng, in, out),
 		B:   tensor.New(1, out),
 		Act: act,
 	}
 }
 
+// Weights returns a row-major [in x out] copy of the layer's weights.
+func (l *Linear) Weights() *tensor.Tensor { return l.w.Unpack() }
+
+// SetWeights replaces the layer's weights with a packed copy of the
+// row-major [in x out] tensor w. It must not run concurrently with a forward
+// pass.
+func (l *Linear) SetWeights(w *tensor.Tensor) {
+	if w.Rows != l.In() || w.Cols != l.Out() {
+		panic(fmt.Sprintf("nn: SetWeights shape [%dx%d], want [%dx%d]", w.Rows, w.Cols, l.In(), l.Out()))
+	}
+	l.w = tensor.PackPanel(w)
+}
+
 // In returns the input width of the layer.
-func (l *Linear) In() int { return l.W.Rows }
+func (l *Linear) In() int { return l.w.Rows }
 
 // Out returns the output width of the layer.
-func (l *Linear) Out() int { return l.W.Cols }
+func (l *Linear) Out() int { return l.w.Cols }
 
 // Forward computes the layer output for a [batch x in] input.
 func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
@@ -68,8 +84,12 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 // into scratch allocated from ar (heap when ar is nil). The result is valid
 // until the arena is reset.
 func (l *Linear) ForwardInto(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	out := allocUninit(ar, x.Rows, l.Out()) // MatMulAddBiasInto fully overwrites
-	tensor.MatMulAddBiasInto(out, x, l.W, l.B)
+	out := allocUninit(ar, x.Rows, l.Out()) // FCInto fully overwrites
+	relu := l.Act == ReLU
+	tensor.FCInto(out, x, l.w, l.B, relu) // bias, GEMM and ReLU in one pass
+	if relu {
+		return out
+	}
 	return l.Act.Apply(out)
 }
 

@@ -70,7 +70,7 @@ func TestActivationString(t *testing.T) {
 func TestLinearForwardShapeAndBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLinear(rng, 4, 3, None)
-	l.W.Zero()
+	l.SetWeights(tensor.New(4, 3))
 	l.B.Data[0], l.B.Data[1], l.B.Data[2] = 1, 2, 3
 	x := tensor.New(2, 4)
 	out := l.Forward(x)

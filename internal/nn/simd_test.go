@@ -117,3 +117,90 @@ func TestEmbeddingBagPoolingBitIdenticalAcrossBackends(t *testing.T) {
 		}
 	}
 }
+
+// A Linear holds its weights only as a packed panel, but a seed must still
+// yield the model it always did: the layers of an MLP carry, bit for bit, the
+// values successive row-major XavierUniform draws produce from the same
+// generator, and leave the generator where those draws would.
+func TestLinearPanelWeightsBitIdenticalToRowMajorSeed(t *testing.T) {
+	sizes := []int{300, 40, 17, 1} // crosses the k-tile, every strip width
+	r1, r2 := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+	mlp := NewMLP(r1, sizes, ReLU, Sigmoid)
+	for i, l := range mlp.Layers {
+		want := tensor.XavierUniform(r2, sizes[i], sizes[i+1])
+		got := l.Weights()
+		if !got.SameShape(want) {
+			t.Fatalf("layer %d: shape %v, want %v", i, got, want)
+		}
+		for j := range want.Data {
+			if math.Float32bits(got.Data[j]) != math.Float32bits(want.Data[j]) {
+				t.Fatalf("layer %d weight %d = %v, want %v", i, j, got.Data[j], want.Data[j])
+			}
+		}
+	}
+	if a, b := r1.Int63(), r2.Int63(); a != b {
+		t.Fatalf("generator diverged after construction (%d vs %d)", a, b)
+	}
+}
+
+// Linear.Forward over the panel against the unpacked path it replaced — the
+// generic GEMM on the row-major weights, then the historical activation loop
+// — bit for bit, on every backend this process can run (forced scalar: the
+// reference order; AVX2: the same micro-kernels in the same k order).
+func TestLinearPanelForwardBitIdenticalToGenericGEMMBothBackends(t *testing.T) {
+	prev := tensor.ActiveBackend()
+	defer tensor.SetBackend(prev)
+	for _, bk := range []tensor.Backend{tensor.Scalar, tensor.AVX2} {
+		if tensor.SetBackend(bk) != nil {
+			continue // AVX2 unavailable here; the scalar leg still ran
+		}
+		rng := rand.New(rand.NewSource(44))
+		for _, act := range []Activation{None, ReLU, Sigmoid, Tanh} {
+			for _, s := range []struct{ m, in, out int }{{1, 1, 1}, {3, 48, 33}, {5, 257, 24}, {16, 600, 7}, {4, 64, 512}} {
+				l := NewLinear(rng, s.in, s.out, act)
+				l.B = tensor.RandUniform(rng, 1, s.out, 1)
+				x := tensor.RandUniform(rng, s.m, s.in, 1)
+				for i := range x.Data { // a ReLU-sparse input, as hidden layers see
+					if i%2 == 0 {
+						x.Data[i] = 0
+					}
+				}
+				want := tensor.MatMulAddBias(x, l.Weights(), l.B)
+				if act == ReLU {
+					for i, v := range want.Data {
+						if v < 0 {
+							want.Data[i] = 0
+						}
+					}
+				} else {
+					act.Apply(want)
+				}
+				got := l.Forward(x)
+				for i := range want.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+						t.Fatalf("%v %v [%dx%d→%d][%d]: %v, want %v", bk, act, s.m, s.in, s.out, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestLinearPanelSetWeightsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	l := NewLinear(rng, 270, 29, None)
+	w := tensor.RandUniform(rng, 270, 29, 1)
+	l.SetWeights(w)
+	got := l.Weights()
+	for i := range w.Data {
+		if got.Data[i] != w.Data[i] {
+			t.Fatalf("weight %d = %v after SetWeights, want %v", i, got.Data[i], w.Data[i])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SetWeights accepted a wrong-shaped tensor")
+		}
+	}()
+	l.SetWeights(tensor.New(29, 270))
+}

@@ -21,8 +21,26 @@ func RandUniform(rng *rand.Rand, rows, cols int, scale float32) *Tensor {
 // stacks in the model zoo. It keeps activations in a numerically sane range
 // so inference outputs are meaningful probabilities after the sigmoid.
 func XavierUniform(rng *rand.Rand, in, out int) *Tensor {
-	limit := float32(math.Sqrt(6.0 / float64(in+out)))
-	return RandUniform(rng, in, out, limit)
+	return RandUniform(rng, in, out, xavierLimit(in, out))
+}
+
+func xavierLimit(in, out int) float32 { return float32(math.Sqrt(6.0 / float64(in+out))) }
+
+// XavierPanel is XavierUniform laid out as a Panel: it draws the same values
+// from rng in the same row-major order, so a seed yields the same weights in
+// either form, but writes each row straight into its strips — a layer's
+// weights never exist row-major.
+func XavierPanel(rng *rand.Rand, in, out int) *Panel {
+	limit := xavierLimit(in, out)
+	p := newPanel(in, out)
+	row := make([]float32, out)
+	for r := 0; r < in; r++ {
+		for c := range row {
+			row[c] = (rng.Float32()*2 - 1) * limit
+		}
+		p.setRow(r, row)
+	}
+	return p
 }
 
 // RandNormal fills a new [rows x cols] tensor with N(0, stddev²) values.

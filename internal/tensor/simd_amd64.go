@@ -16,16 +16,19 @@ func addToAVX2(y, x []float32)
 func addTo8AVX2(dst *float32, n int, s0, s1, s2, s3, s4, s5, s6, s7 *float32)
 
 //go:noescape
-func gemm4x16(c *float32, ldc int, a *float32, lda int, p *float32, ldp, kc int)
+func gemm4x16(c *float32, ldc int, a *float32, lda int, p *float32, ldp, kc int, init *float32, relu int)
 
 //go:noescape
-func gemm1x16(c *float32, a *float32, p *float32, ldp, kc int)
+func gemm1x16(c *float32, a *float32, p *float32, ldp, kc int, init *float32, relu int)
 
 //go:noescape
-func gemm4x8(c *float32, ldc int, a *float32, lda int, p *float32, ldp, kc int)
+func gemm4x8(c *float32, ldc int, a *float32, lda int, p *float32, ldp, kc int, init *float32, relu int)
 
 //go:noescape
-func gemm1x8(c *float32, a *float32, p *float32, ldp, kc int)
+func gemm1x8(c *float32, a *float32, p *float32, ldp, kc int, init *float32, relu int)
+
+//go:noescape
+func reluAVX2(x *float32, n int)
 
 func dotSIMD(a, b []float32) float32 { return dotAVX2(a, b) }
 
@@ -55,16 +58,91 @@ func addTo8SIMD(dst []float32, s0, s1, s2, s3, s4, s5, s6, s7 []float32) {
 	}
 }
 
-// SIMD GEMM blocking parameters. The vector path packs b into kc-deep strips
-// of 16 (or 8) columns: 256×16 floats = 16 KiB, sized so the panel plus the
-// four active a-row tiles stay L1-resident. Unlike the scalar path there is
-// no sparse-row classification — at 8 lanes × 2 FMA ports the dense kernel
-// outruns the zero-skip even on ReLU-sparse (~50% zero) activations, and
-// multiplying by an exact zero is still exact.
+// reluSIMD is ReLU on the vector backend: the assembly kernel covers the
+// 8-aligned prefix, the scalar bit mask the (at most 7-element) tail — the two
+// agree bit for bit.
+func reluSIMD(x []float32) {
+	n := len(x) &^ 7
+	if n > 0 {
+		reluAVX2(&x[0], n)
+	}
+	reluScalar(x[n:])
+}
+
+// SIMD GEMM blocking parameters — the Panel's: the generic vector path packs
+// b per call into the kc-deep strips of 16 (or 8) columns a Panel holds from
+// construction. Unlike the scalar path there is no sparse-row classification
+// — at 8 lanes × 2 FMA ports the dense kernel outruns the zero-skip even on
+// ReLU-sparse (~50% zero) activations, and multiplying by an exact zero is
+// still exact.
 const (
-	kcSIMD = 256
-	ncSIMD = 16
+	kcSIMD = panelKC
+	ncSIMD = panelNR
 )
+
+// fcSIMD is the vector backend's panel kernel: matMulAccumSIMD's loop nest
+// (k-tile, strip, 4-row block) and micro-kernels, reading each strip where
+// the Panel already holds it. The first tile's kernels start from the bias
+// strip instead of loading c, the last tile's clamp as they store. The
+// under-8-column tail runs in Go with a separately rounded multiply and add
+// per element, exactly as the generic path's tail does.
+func fcSIMD(out, a *Tensor, w *Panel, bias []float32, relu bool) {
+	m, kDim, n := a.Rows, a.Cols, w.Cols
+	for k0 := 0; k0 < kDim; k0 += kcSIMD {
+		kc := min(kcSIMD, kDim-k0)
+		first, last := k0 == 0, k0+kc == kDim
+		clamp := 0
+		if relu && last {
+			clamp = 1
+		}
+		tile := w.data[k0*n : (k0+kc)*n]
+		for j := 0; j < n; {
+			wd := stripWidth(n - j)
+			p := &tile[j*kc]
+			var init *float32
+			if first && wd >= 8 {
+				init = &bias[j]
+			}
+			i := 0
+			switch wd {
+			case ncSIMD:
+				for ; i+4 <= m; i += 4 {
+					gemm4x16(&out.Data[i*n+j], n, &a.Data[i*kDim+k0], kDim, p, wd, kc, init, clamp)
+				}
+				for ; i < m; i++ {
+					gemm1x16(&out.Data[i*n+j], &a.Data[i*kDim+k0], p, wd, kc, init, clamp)
+				}
+			case 8:
+				for ; i+4 <= m; i += 4 {
+					gemm4x8(&out.Data[i*n+j], n, &a.Data[i*kDim+k0], kDim, p, wd, kc, init, clamp)
+				}
+				for ; i < m; i++ {
+					gemm1x8(&out.Data[i*n+j], &a.Data[i*kDim+k0], p, wd, kc, init, clamp)
+				}
+			default:
+				strip := tile[j*kc : (j+wd)*kc]
+				for ; i < m; i++ {
+					aTile := a.Data[i*kDim+k0 : i*kDim+k0+kc]
+					o := out.Data[i*n+j : i*n+j+wd]
+					if first {
+						copy(o, bias[j:])
+					}
+					for c := range o {
+						v := o[c]
+						for k, av := range aTile {
+							v += av * strip[k*wd+c]
+						}
+						o[c] = v
+					}
+					if clamp != 0 {
+						reluScalar(o)
+					}
+				}
+			}
+			j += wd
+		}
+	}
+}
 
 // matMulAccumSIMD accumulates a × b into out (out += a·b) on the AVX2+FMA
 // kernels. Accumulation order differs from the scalar backend (FMA fuses the
@@ -101,10 +179,10 @@ func matMulAccumSIMD(out, a, b *Tensor) {
 			}
 			i := 0
 			for ; i+4 <= m; i += 4 {
-				gemm4x16(&out.Data[i*n+j], n, &a.Data[i*kDim+k0], kDim, p, ldp, kc)
+				gemm4x16(&out.Data[i*n+j], n, &a.Data[i*kDim+k0], kDim, p, ldp, kc, nil, 0)
 			}
 			for ; i < m; i++ {
-				gemm1x16(&out.Data[i*n+j], &a.Data[i*kDim+k0], p, ldp, kc)
+				gemm1x16(&out.Data[i*n+j], &a.Data[i*kDim+k0], p, ldp, kc, nil, 0)
 			}
 		}
 		for ; j+8 <= n; j += 8 {
@@ -119,10 +197,10 @@ func matMulAccumSIMD(out, a, b *Tensor) {
 			}
 			i := 0
 			for ; i+4 <= m; i += 4 {
-				gemm4x8(&out.Data[i*n+j], n, &a.Data[i*kDim+k0], kDim, p, ldp, kc)
+				gemm4x8(&out.Data[i*n+j], n, &a.Data[i*kDim+k0], kDim, p, ldp, kc, nil, 0)
 			}
 			for ; i < m; i++ {
-				gemm1x8(&out.Data[i*n+j], &a.Data[i*kDim+k0], p, ldp, kc)
+				gemm1x8(&out.Data[i*n+j], &a.Data[i*kDim+k0], p, ldp, kc, nil, 0)
 			}
 		}
 		// Scalar column tail (< 8 columns): same loop as the scalar

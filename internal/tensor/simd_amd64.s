@@ -258,20 +258,26 @@ pool8done:
 	VZEROUPPER
 	RET
 
-// GEMM micro-kernels. All accumulate into c (c += a·p): the caller seeds c
-// with zeros (MatMulInto) or the broadcast bias row (MatMulAddBiasInto).
-// p is a kc-row panel of b with row stride ldp elements — either a packed
-// L1-resident copy (ldp = strip width) or b itself (ldp = b.Cols) when too
-// few rows share the strip to amortize packing. ldc/lda are row strides of
-// c/a in elements.
+// GEMM micro-kernels. All accumulate over one k-tile into a block of c held
+// in registers: c = start + a·p, where start is c itself when init is nil
+// (the generic GEMM: the caller seeded c with zeros or the broadcast bias
+// row) or, for every row of the block, the strip-wide vector at init (FCInto's
+// first k-tile: the layer's bias, so c is never pre-filled). A nonzero relu
+// clamps the block as it is stored (FCInto's last k-tile): max(0, v) with v
+// as VMAXPS's second source, the operand it returns for NaNs and for equal
+// zeros, so -0, NaN payloads and +Inf keep their bits (see tensor.ReLU).
+// p is a kc-row panel of b with row stride ldp elements — a Panel strip or a
+// packed L1-resident copy (ldp = strip width), or b itself (ldp = b.Cols)
+// when too few rows share the strip to amortize packing. ldc/lda are row
+// strides of c/a in elements.
 
-// func gemm4x16(c *float32, ldc int, a *float32, lda int, p *float32, ldp, kc int)
+// func gemm4x16(c *float32, ldc int, a *float32, lda int, p *float32, ldp, kc int, init *float32, relu int)
 //
 // The main kernel: a 4-row × 16-column block of c lives in 8 YMM accumulators
 // across the whole k-tile. Per k step: 2 panel loads, 4 broadcasts, 8 FMAs —
 // eight independent accumulation chains, enough to keep both FMA ports busy
 // (the scalar ceiling this backend exists to break is one mul-add chain).
-TEXT ·gemm4x16(SB), NOSPLIT, $0-56
+TEXT ·gemm4x16(SB), NOSPLIT, $0-72
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), DX
 	SHLQ $2, DX
@@ -288,6 +294,20 @@ TEXT ·gemm4x16(SB), NOSPLIT, $0-56
 	LEAQ (DI)(DX*1), R8
 	LEAQ (DI)(DX*2), R9
 	LEAQ (R8)(DX*2), R10
+	MOVQ init+56(FP), DX
+	TESTQ DX, DX
+	JZ   g4x16loadc
+	VMOVUPS (DX), Y0
+	VMOVUPS 32(DX), Y1
+	VMOVAPS Y0, Y2
+	VMOVAPS Y1, Y3
+	VMOVAPS Y0, Y4
+	VMOVAPS Y1, Y5
+	VMOVAPS Y0, Y6
+	VMOVAPS Y1, Y7
+	JMP  g4x16k
+
+g4x16loadc:
 	VMOVUPS (DI), Y0
 	VMOVUPS 32(DI), Y1
 	VMOVUPS (R8), Y2
@@ -296,8 +316,10 @@ TEXT ·gemm4x16(SB), NOSPLIT, $0-56
 	VMOVUPS 32(R9), Y5
 	VMOVUPS (R10), Y6
 	VMOVUPS 32(R10), Y7
-	TESTQ   AX, AX
-	JZ      g4x16done
+
+g4x16k:
+	TESTQ AX, AX
+	JZ    g4x16done
 
 g4x16loop:
 	VMOVUPS (BX), Y12
@@ -323,6 +345,20 @@ g4x16loop:
 	JNZ  g4x16loop
 
 g4x16done:
+	MOVQ  relu+64(FP), DX
+	TESTQ DX, DX
+	JZ    g4x16store
+	VXORPS Y12, Y12, Y12
+	VMAXPS Y0, Y12, Y0
+	VMAXPS Y1, Y12, Y1
+	VMAXPS Y2, Y12, Y2
+	VMAXPS Y3, Y12, Y3
+	VMAXPS Y4, Y12, Y4
+	VMAXPS Y5, Y12, Y5
+	VMAXPS Y6, Y12, Y6
+	VMAXPS Y7, Y12, Y7
+
+g4x16store:
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	VMOVUPS Y2, (R8)
@@ -334,18 +370,21 @@ g4x16done:
 	VZEROUPPER
 	RET
 
-// func gemm1x16(c *float32, a *float32, p *float32, ldp, kc int)
+// func gemm1x16(c *float32, a *float32, p *float32, ldp, kc int, init *float32, relu int)
 //
 // Row tail (m mod 4) of the 16-wide strips: one row, two accumulators.
-TEXT ·gemm1x16(SB), NOSPLIT, $0-40
+TEXT ·gemm1x16(SB), NOSPLIT, $0-56
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ p+16(FP), BX
 	MOVQ ldp+24(FP), CX
 	SHLQ $2, CX
 	MOVQ kc+32(FP), AX
-	VMOVUPS (DI), Y0
-	VMOVUPS 32(DI), Y1
+	MOVQ init+40(FP), DX
+	TESTQ DX, DX
+	CMOVQEQ DI, DX
+	VMOVUPS (DX), Y0
+	VMOVUPS 32(DX), Y1
 	TESTQ   AX, AX
 	JZ      g1x16done
 
@@ -359,15 +398,23 @@ g1x16loop:
 	JNZ  g1x16loop
 
 g1x16done:
+	MOVQ  relu+48(FP), DX
+	TESTQ DX, DX
+	JZ    g1x16store
+	VXORPS Y12, Y12, Y12
+	VMAXPS Y0, Y12, Y0
+	VMAXPS Y1, Y12, Y1
+
+g1x16store:
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	VZEROUPPER
 	RET
 
-// func gemm4x8(c *float32, ldc int, a *float32, lda int, p *float32, ldp, kc int)
+// func gemm4x8(c *float32, ldc int, a *float32, lda int, p *float32, ldp, kc int, init *float32, relu int)
 //
 // Column tail (8 ≤ cols < 16): 4 rows × 8 columns, four accumulators.
-TEXT ·gemm4x8(SB), NOSPLIT, $0-56
+TEXT ·gemm4x8(SB), NOSPLIT, $0-72
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), DX
 	SHLQ $2, DX
@@ -384,12 +431,24 @@ TEXT ·gemm4x8(SB), NOSPLIT, $0-56
 	LEAQ (DI)(DX*1), R8
 	LEAQ (DI)(DX*2), R9
 	LEAQ (R8)(DX*2), R10
+	MOVQ init+56(FP), DX
+	TESTQ DX, DX
+	JZ   g4x8loadc
+	VMOVUPS (DX), Y0
+	VMOVAPS Y0, Y1
+	VMOVAPS Y0, Y2
+	VMOVAPS Y0, Y3
+	JMP  g4x8k
+
+g4x8loadc:
 	VMOVUPS (DI), Y0
 	VMOVUPS (R8), Y1
 	VMOVUPS (R9), Y2
 	VMOVUPS (R10), Y3
-	TESTQ   AX, AX
-	JZ      g4x8done
+
+g4x8k:
+	TESTQ AX, AX
+	JZ    g4x8done
 
 g4x8loop:
 	VMOVUPS (BX), Y12
@@ -410,6 +469,16 @@ g4x8loop:
 	JNZ  g4x8loop
 
 g4x8done:
+	MOVQ  relu+64(FP), DX
+	TESTQ DX, DX
+	JZ    g4x8store
+	VXORPS Y12, Y12, Y12
+	VMAXPS Y0, Y12, Y0
+	VMAXPS Y1, Y12, Y1
+	VMAXPS Y2, Y12, Y2
+	VMAXPS Y3, Y12, Y3
+
+g4x8store:
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, (R8)
 	VMOVUPS Y2, (R9)
@@ -417,17 +486,20 @@ g4x8done:
 	VZEROUPPER
 	RET
 
-// func gemm1x8(c *float32, a *float32, p *float32, ldp, kc int)
+// func gemm1x8(c *float32, a *float32, p *float32, ldp, kc int, init *float32, relu int)
 //
 // Row tail of the 8-wide strips: one row, one accumulator.
-TEXT ·gemm1x8(SB), NOSPLIT, $0-40
+TEXT ·gemm1x8(SB), NOSPLIT, $0-56
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ p+16(FP), BX
 	MOVQ ldp+24(FP), CX
 	SHLQ $2, CX
 	MOVQ kc+32(FP), AX
-	VMOVUPS (DI), Y0
+	MOVQ init+40(FP), DX
+	TESTQ DX, DX
+	CMOVQEQ DI, DX
+	VMOVUPS (DX), Y0
 	TESTQ   AX, AX
 	JZ      g1x8done
 
@@ -440,6 +512,55 @@ g1x8loop:
 	JNZ  g1x8loop
 
 g1x8done:
+	MOVQ  relu+48(FP), DX
+	TESTQ DX, DX
+	JZ    g1x8store
+	VXORPS Y12, Y12, Y12
+	VMAXPS Y0, Y12, Y0
+
+g1x8store:
 	VMOVUPS Y0, (DI)
+	VZEROUPPER
+	RET
+
+// func reluAVX2(x *float32, n int)
+//
+// In-place ReLU over the first n (a multiple of 8; the Go wrapper finishes the
+// tail) elements: max(0, v) with v as the second source — see the GEMM
+// kernels' relu epilogue for why that operand order keeps -0 and NaN bits.
+TEXT ·reluAVX2(SB), NOSPLIT, $0-16
+	MOVQ x+0(FP), DI
+	MOVQ n+8(FP), CX
+	VXORPS Y12, Y12, Y12
+	MOVQ CX, AX
+	SHRQ $5, AX
+	JZ   relu8
+
+relu32:
+	VMAXPS (DI), Y12, Y0
+	VMAXPS 32(DI), Y12, Y1
+	VMAXPS 64(DI), Y12, Y2
+	VMAXPS 96(DI), Y12, Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, DI
+	DECQ AX
+	JNZ  relu32
+
+relu8:
+	ANDQ $31, CX
+	SHRQ $3, CX
+	JZ   reludone
+
+relu8loop:
+	VMAXPS (DI), Y12, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  relu8loop
+
+reludone:
 	VZEROUPPER
 	RET
