@@ -17,6 +17,7 @@ import (
 
 	deeprecsys "github.com/deeprecinfra/deeprecsys"
 	"github.com/deeprecinfra/deeprecsys/internal/fleet"
+	"github.com/deeprecinfra/deeprecsys/internal/tensor"
 	"github.com/deeprecinfra/deeprecsys/internal/workload"
 )
 
@@ -196,20 +197,22 @@ func serveMain(args []string) {
 		return
 	}
 
-	st := svc.Stats()
+	// Every start-up line names the kernel backend: a QPS read off serve is
+	// otherwise unattributable.
+	st, kernels := svc.Stats(), tensor.ActiveBackend()
 	switch {
 	case len(specs) > 0 && st.Replicas > 1:
-		fmt.Printf("serving %d tenants (%s) live: %d queries over %d shared replicas (%s routing)\n",
-			len(specs), strings.Join(svc.Tenants(), ", "), len(queries), st.Replicas, st.RoutingPolicy)
+		fmt.Printf("serving %d tenants (%s) live on %v kernels: %d queries over %d shared replicas (%s routing)\n",
+			len(specs), strings.Join(svc.Tenants(), ", "), kernels, len(queries), st.Replicas, st.RoutingPolicy)
 	case len(specs) > 0:
-		fmt.Printf("serving %d tenants (%s) live: %d queries on one shared pool\n",
-			len(specs), strings.Join(svc.Tenants(), ", "), len(queries))
+		fmt.Printf("serving %d tenants (%s) live on %v kernels: %d queries on one shared pool\n",
+			len(specs), strings.Join(svc.Tenants(), ", "), kernels, len(queries))
 	case st.Replicas > 1:
-		fmt.Printf("serving %s live: %d queries over %d replicas (%s routing), batch %d, p95 target %v\n",
-			*modelName, len(queries), st.Replicas, st.RoutingPolicy, svc.BatchSize(), st.SLA)
+		fmt.Printf("serving %s live on %v kernels: %d queries over %d replicas (%s routing), batch %d, p95 target %v\n",
+			*modelName, kernels, len(queries), st.Replicas, st.RoutingPolicy, svc.BatchSize(), st.SLA)
 	default:
-		fmt.Printf("serving %s live: %d queries, batch %d, p95 target %v\n",
-			*modelName, len(queries), svc.BatchSize(), st.SLA)
+		fmt.Printf("serving %s live on %v kernels: %d queries, batch %d, p95 target %v\n",
+			*modelName, kernels, len(queries), svc.BatchSize(), st.SLA)
 	}
 
 	ticker := time.NewTicker(time.Second)
@@ -384,13 +387,13 @@ func listenMode(ctx context.Context, svc *deeprecsys.Service, addr, modelName st
 		svc.Close()
 		os.Exit(2)
 	}
-	st := svc.Stats()
+	st, kernels := svc.Stats(), tensor.ActiveBackend()
 	if tenants > 0 {
-		fmt.Printf("listening on http://%s: %d tenants, %d replicas (stop with SIGINT/SIGTERM)\n",
-			srv.Addr(), tenants, st.Replicas)
+		fmt.Printf("listening on http://%s: %d tenants, %d replicas, %v kernels (stop with SIGINT/SIGTERM)\n",
+			srv.Addr(), tenants, st.Replicas, kernels)
 	} else {
-		fmt.Printf("listening on http://%s: serving %s, %d replicas, p95 target %v (stop with SIGINT/SIGTERM)\n",
-			srv.Addr(), modelName, st.Replicas, st.SLA)
+		fmt.Printf("listening on http://%s: serving %s, %d replicas, %v kernels, p95 target %v (stop with SIGINT/SIGTERM)\n",
+			srv.Addr(), modelName, st.Replicas, kernels, st.SLA)
 	}
 
 	ticker := time.NewTicker(time.Second)

@@ -32,9 +32,9 @@ var realExecGolden = map[string][]struct {
 
 // pinBackend forces a kernel backend for one test, restoring the previous
 // one afterward. The bit-exact golden pins Scalar (its CTR bits are a
-// scalar-tier contract); the SIMD golden pins AVX2 and skips cleanly on
-// hosts (or under DEEPRECSYS_BACKEND=scalar) where the vector backend is
-// unavailable.
+// scalar-tier contract); the SIMD golden pins each vector backend in turn
+// and skips cleanly on hosts (or under DEEPRECSYS_BACKEND=scalar) where
+// there is none.
 func pinBackend(t *testing.T, b tensor.Backend) {
 	t.Helper()
 	prev := tensor.ActiveBackend()
@@ -72,8 +72,8 @@ func TestRealExecutionRecommendGolden(t *testing.T) {
 	}
 }
 
-// simdGoldenRelTol bounds each recommendation's CTR drift between the AVX2
-// and scalar backends. The FMA/multi-accumulator reordering perturbs the
+// simdGoldenRelTol bounds each recommendation's CTR drift between a vector
+// backend and scalar. The FMA/multi-accumulator reordering perturbs the
 // forward pass by single ULPs (observed drift on the pinned seed is exactly
 // one ULP, ~1.2e-7 relative); the bound leaves two orders of magnitude of
 // headroom while still catching any real kernel defect, which shows up as
@@ -81,46 +81,53 @@ func TestRealExecutionRecommendGolden(t *testing.T) {
 const simdGoldenRelTol = 1e-5
 
 // TestRealExecutionRecommendGoldenSIMD is the vector tier's re-pinned
-// golden: the same end-to-end Recommend runs (all 8 zoo models, 64
-// candidates, top 5, seed 7) must produce the exact item sets in the exact
-// order of the scalar golden, with each CTR within simdGoldenRelTol of the
-// scalar-tier bit pattern. Skipped (not passed vacuously) on non-AVX2 hosts.
+// golden: under every vector backend this process can run, the same
+// end-to-end Recommend runs (all 8 zoo models, 64 candidates, top 5, seed 7)
+// must produce the exact item sets in the exact order of the scalar golden,
+// with each CTR within simdGoldenRelTol of the scalar-tier bit pattern.
+// Skipped (not passed vacuously) on hosts without one.
 func TestRealExecutionRecommendGoldenSIMD(t *testing.T) {
-	pinBackend(t, tensor.AVX2)
-	maxDrift := 0.0
-	for _, name := range deeprecsys.ModelNames() {
-		want, ok := realExecGolden[name]
-		if !ok {
-			t.Errorf("%s: zoo model missing a golden entry", name)
-			continue
-		}
-		sys, err := deeprecsys.NewSystem(name, "skylake", deeprecsys.WithEngine(deeprecsys.RealExecution))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		recs, err := sys.Recommend(64, 5, 7)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(recs) != len(want) {
-			t.Fatalf("%s: got %d recommendations, want %d", name, len(recs), len(want))
-		}
-		for i, r := range recs {
-			if r.Item != want[i].item {
-				t.Errorf("%s[%d]: got item %d, want item %d (recommendation order must be exact)",
-					name, i, r.Item, want[i].item)
+	vector := tensor.Backends()[1:]
+	if len(vector) == 0 {
+		t.Skip("no vector backend available")
+	}
+	for _, bk := range vector {
+		pinBackend(t, bk)
+		maxDrift := 0.0
+		for _, name := range deeprecsys.ModelNames() {
+			want, ok := realExecGolden[name]
+			if !ok {
+				t.Errorf("%s: zoo model missing a golden entry", name)
 				continue
 			}
-			ref := float64(math.Float32frombits(want[i].ctr))
-			drift := math.Abs(float64(r.CTR)-ref) / ref
-			if drift > simdGoldenRelTol {
-				t.Errorf("%s[%d]: ctr 0x%08x drifts %.3g relative from golden 0x%08x (tol %g)",
-					name, i, math.Float32bits(r.CTR), drift, want[i].ctr, simdGoldenRelTol)
+			sys, err := deeprecsys.NewSystem(name, "skylake", deeprecsys.WithEngine(deeprecsys.RealExecution))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			if drift > maxDrift {
-				maxDrift = drift
+			recs, err := sys.Recommend(64, 5, 7)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(recs) != len(want) {
+				t.Fatalf("%s: got %d recommendations, want %d", name, len(recs), len(want))
+			}
+			for i, r := range recs {
+				if r.Item != want[i].item {
+					t.Errorf("%v %s[%d]: got item %d, want item %d (recommendation order must be exact)",
+						bk, name, i, r.Item, want[i].item)
+					continue
+				}
+				ref := float64(math.Float32frombits(want[i].ctr))
+				drift := math.Abs(float64(r.CTR)-ref) / ref
+				if drift > simdGoldenRelTol {
+					t.Errorf("%v %s[%d]: ctr 0x%08x drifts %.3g relative from golden 0x%08x (tol %g)",
+						bk, name, i, math.Float32bits(r.CTR), drift, want[i].ctr, simdGoldenRelTol)
+				}
+				if drift > maxDrift {
+					maxDrift = drift
+				}
 			}
 		}
+		t.Logf("max CTR drift %v vs scalar golden: %.3g relative (tol %g)", bk, maxDrift, simdGoldenRelTol)
 	}
-	t.Logf("max CTR drift SIMD vs scalar golden: %.3g relative (tol %g)", maxDrift, simdGoldenRelTol)
 }

@@ -152,6 +152,10 @@ func TestRetryOnCrashAccounting(t *testing.T) {
 	cfgA.BatchSize = 8
 	cfgB := baseConfig(m, 2)
 	cfgB.BatchSize = 8
+	// Each of a query's 125 chunks sleeps three times as long as it computed,
+	// so the victim's backlog outlasts the poll below however fast the kernels
+	// are, and the lanes leave the poll a processor while they sleep.
+	cfgA.Scale, cfgB.Scale = 4, 4
 	f := newFleet(t, []live.Config{cfgA, cfgB}, nil)
 	f.SetRetry(true)
 	ctx := context.Background()
@@ -286,6 +290,12 @@ func TestChaosSoakFlashCrowd(t *testing.T) {
 		// One slot per worker, one waiter: the tightest gate, so admitted
 		// queries never interleave on the lane and the p95 bound is crisp.
 		cfg.Admission = live.AdmissionConfig{Policy: live.AdmitShedOldest, Concurrency: 1, Depth: 1}
+		// Chunks sleep three times as long as they compute: the lanes stay
+		// occupied between the crowd's 500 µs back-offs however fast the
+		// kernels are (a crash always finds a query mid-flight), and latency
+		// is mostly sleep, which three lanes on two processors do not fight
+		// over.
+		cfg.Scale = 4
 		return cfg
 	}
 	f := newFleet(t, []live.Config{mkConfig(1), mkConfig(2), mkConfig(3)}, nil)

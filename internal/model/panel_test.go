@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -34,9 +35,9 @@ func TestFCWeightsResidentOncePerModelAcrossBackends(t *testing.T) {
 	defer tensor.SetBackend(prev)
 	before := liveHeap()
 	m := MustNew(cfg, 1)
-	for _, bk := range []tensor.Backend{tensor.Scalar, tensor.AVX2} {
-		if tensor.SetBackend(bk) != nil {
-			continue // AVX2 unavailable: one backend, same bound
+	for _, bk := range tensor.Backends() {
+		if err := tensor.SetBackend(bk); err != nil {
+			t.Fatal(err)
 		}
 		in := m.NewInput(rand.New(rand.NewSource(2)), 4)
 		m.ForwardInto(NewScratch(), in)
@@ -47,6 +48,39 @@ func TestFCWeightsResidentOncePerModelAcrossBackends(t *testing.T) {
 	if got < 0.9*want || got > 1.1*want {
 		t.Fatalf("live heap pinned by DLRM-RMC3 after a forward per backend = %.1f MB, want %.1f MB ±10%% (tables + FC weights once)",
 			got/1e6, want/1e6)
+	}
+}
+
+// The vector tier is one tier at the model level too: every zoo model's
+// forward pass must produce the same bits under AVX2 and AVX512, at batch
+// sizes on both sides of the 4- and 8-row blocks and at the serving batch.
+// Beyond what the FC-layer tests reach, this drives DIEN's GRU through the
+// generic GEMM and DIN's attention. Skipped, not passed vacuously, where
+// AVX512 cannot run.
+func TestZooForwardBitIdenticalAcrossVectorBackends(t *testing.T) {
+	prev := tensor.ActiveBackend()
+	if err := tensor.SetBackend(tensor.AVX512); err != nil {
+		t.Skipf("backend %v unavailable: %v", tensor.AVX512, err)
+	}
+	defer tensor.SetBackend(prev)
+	for _, cfg := range Zoo() {
+		m := MustNew(cfg, 1)
+		s := NewScratch()
+		for _, b := range []int{1, 7, 8, 9, 37, 256} {
+			in := m.NewInput(rand.New(rand.NewSource(int64(b))), b)
+			var narrow *tensor.Tensor
+			for _, bk := range []tensor.Backend{tensor.AVX2, tensor.AVX512} {
+				if err := tensor.SetBackend(bk); err != nil {
+					t.Fatal(err)
+				}
+				out := m.ForwardInto(s, in)
+				if bk == tensor.AVX2 {
+					narrow = out.Clone() // out lives in the scratch
+					continue
+				}
+				sameBits(t, fmt.Sprintf("%s b%d under avx512 vs avx2", cfg.Name, b), out, narrow)
+			}
+		}
 	}
 }
 

@@ -14,13 +14,18 @@ import (
 // whose pooling applies one add per element in fixed source order on every
 // backend — must stay bit-identical.
 
-// runBothBackends evaluates f under AVX2 then Scalar, skipping the test when
-// the vector backend is unavailable.
+// runBothBackends evaluates f under the widest vector backend this process
+// can run (the CI legs make that each of them in turn), then under Scalar,
+// skipping the test when there is no vector backend.
 func runBothBackends(t *testing.T, f func() []float32) (scalar, simd []float32) {
 	t.Helper()
+	bs := tensor.Backends()
+	if len(bs) == 1 {
+		t.Skip("SIMD backend unavailable")
+	}
 	prev := tensor.ActiveBackend()
-	if err := tensor.SetBackend(tensor.AVX2); err != nil {
-		t.Skipf("SIMD backend unavailable: %v", err)
+	if err := tensor.SetBackend(bs[len(bs)-1]); err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() { tensor.SetBackend(prev) })
 	simd = f()
@@ -146,13 +151,13 @@ func TestLinearPanelWeightsBitIdenticalToRowMajorSeed(t *testing.T) {
 // Linear.Forward over the panel against the unpacked path it replaced — the
 // generic GEMM on the row-major weights, then the historical activation loop
 // — bit for bit, on every backend this process can run (forced scalar: the
-// reference order; AVX2: the same micro-kernels in the same k order).
+// reference order; AVX2 and AVX512: the same fma chain in the same k order).
 func TestLinearPanelForwardBitIdenticalToGenericGEMMBothBackends(t *testing.T) {
 	prev := tensor.ActiveBackend()
 	defer tensor.SetBackend(prev)
-	for _, bk := range []tensor.Backend{tensor.Scalar, tensor.AVX2} {
-		if tensor.SetBackend(bk) != nil {
-			continue // AVX2 unavailable here; the scalar leg still ran
+	for _, bk := range tensor.Backends() {
+		if err := tensor.SetBackend(bk); err != nil {
+			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(44))
 		for _, act := range []Activation{None, ReLU, Sigmoid, Tanh} {

@@ -7,9 +7,9 @@ import (
 )
 
 // Backend identifies a kernel implementation family for the hot vector and
-// GEMM kernels (MatMul*, Dot, AXPY, AddTo, AddTo8).
+// GEMM kernels (MatMul*, FCInto, ReLU, Dot, AXPY, AddTo, AddTo8).
 //
-// The two backends carry different numerical contracts:
+// The backends form two numerical tiers:
 //
 //   - Scalar preserves the historical floating-point evaluation order
 //     bit-for-bit (pinned against the retained naive references and the
@@ -20,15 +20,27 @@ import (
 //     (pinned by the differential tests in simd_test.go), with elementwise
 //     kernels (AddTo, AddTo8) still bit-identical because vectorizing an
 //     elementwise add reorders nothing.
+//   - AVX512 is AVX2 with a wider register tile for the GEMM family
+//     (MatMul*, FCInto) and nothing else: every output element still
+//     receives fma(a[i,k], b[k,j], acc) in strictly increasing k from the
+//     same start, so it is bit-identical to AVX2 on every kernel — one
+//     vector tier, held by bits. Dot, AXPY, AddTo, AddTo8 and ReLU run the
+//     256-bit kernels under it (pooling is memory-bound, and a wider Dot
+//     would reorder its accumulators).
+//
+// Each backend's requirements include the previous one's, so the backends a
+// process can run are always a prefix of this list.
 type Backend int32
 
-// The available backends.
+// The available backends, narrowest first.
 const (
 	// Scalar is the pure-Go portable backend, bit-identical to the
 	// pre-SIMD kernels on every platform.
 	Scalar Backend = iota
 	// AVX2 is the amd64 AVX2+FMA assembly backend.
 	AVX2
+	// AVX512 is the AVX2 backend with AVX-512F GEMM micro-kernels.
+	AVX512
 )
 
 // String implements fmt.Stringer.
@@ -38,21 +50,27 @@ func (b Backend) String() string {
 		return "scalar"
 	case AVX2:
 		return "avx2"
+	case AVX512:
+		return "avx512"
 	default:
 		return fmt.Sprintf("Backend(%d)", int32(b))
 	}
 }
 
-// BackendEnv is the environment variable consulted once at package init to
-// pick the starting backend and, for "scalar", to hard-disable the vector
-// backend for the whole process:
+// BackendEnv is the environment variable consulted once at package init. It
+// can only restrict what the hardware offers: the starting backend is the
+// widest one still allowed, and SetBackend refuses anything wider for the
+// whole process.
 //
-//	DEEPRECSYS_BACKEND=        auto (default): AVX2 if the CPU supports it
+//	DEEPRECSYS_BACKEND=        auto (default): the widest backend the CPU
+//	                           and OS support — AVX512, else AVX2, else scalar
 //	DEEPRECSYS_BACKEND=auto    same
-//	DEEPRECSYS_BACKEND=scalar  force scalar; SetBackend(AVX2) then fails,
-//	                           reproducing a non-AVX2 host exactly
-//	DEEPRECSYS_BACKEND=simd    AVX2, falling back to scalar when unsupported
-//	DEEPRECSYS_BACKEND=avx2    same as simd
+//	DEEPRECSYS_BACKEND=simd    same
+//	DEEPRECSYS_BACKEND=avx2    at most the 256-bit tier (scalar when
+//	                           unsupported), reproducing a host without
+//	                           AVX-512 exactly
+//	DEEPRECSYS_BACKEND=scalar  force scalar, reproducing a non-AVX2 host
+//	                           exactly
 //
 // Unrecognized values behave as auto. The scalar force is the reproducibility
 // switch: every result produced before the SIMD backend existed is
@@ -60,63 +78,62 @@ func (b Backend) String() string {
 const BackendEnv = "DEEPRECSYS_BACKEND"
 
 var (
-	hasAVX2     bool // CPU+OS capability, probed once at init
-	simdAllowed bool // capability minus the BackendEnv=scalar hard-disable
-	active      atomic.Int32
+	supported Backend // widest backend the CPU and OS support, probed once at init
+	allowed   Backend // supported, minus any BackendEnv restriction
+	active    atomic.Int32
 )
 
 func init() {
-	hasAVX2 = detectAVX2FMA()
-	simdAllowed = hasAVX2
+	supported = detectBackend()
+	allowed = supported
 	switch os.Getenv(BackendEnv) {
 	case "scalar":
-		simdAllowed = false
+		allowed = Scalar
+	case "avx2":
+		allowed = min(supported, AVX2)
 	}
-	if simdAllowed {
-		active.Store(int32(AVX2))
-	} else {
-		active.Store(int32(Scalar))
-	}
+	active.Store(int32(allowed))
 }
 
-// HasAVX2 reports whether the CPU and OS support the AVX2+FMA backend,
-// regardless of any environment override.
-func HasAVX2() bool { return hasAVX2 }
-
-// SIMDAvailable reports whether the AVX2 backend can be activated in this
-// process: the hardware supports it and DEEPRECSYS_BACKEND=scalar has not
-// disabled it. Tests gate (or skip) their vector-path assertions on this.
-func SIMDAvailable() bool { return simdAllowed }
+// Backends returns the backends this process can activate, Scalar first and
+// the widest — the one serving kernel calls unless SetBackend changed it —
+// last. Tests loop over it to cover every tier the host can run, and gate
+// (or skip) their vector-path assertions on it having more than one entry.
+func Backends() []Backend {
+	bs := make([]Backend, 0, allowed+1)
+	for b := Scalar; b <= allowed; b++ {
+		bs = append(bs, b)
+	}
+	return bs
+}
 
 // ActiveBackend returns the backend currently serving kernel calls.
 func ActiveBackend() Backend { return Backend(active.Load()) }
 
 // SetBackend pins the kernel backend, overriding the init-time choice. It is
-// the explicit hook for tests and benchmarks to run both paths; switching is
+// the explicit hook for tests and benchmarks to run every path; switching is
 // safe at any time (kernels read the backend atomically per call), though
-// callers comparing outputs should not switch mid-operation. Requesting AVX2
-// on a host (or in a process) where it is unavailable returns an error and
-// leaves the active backend unchanged.
+// callers comparing outputs should not switch mid-operation. Requesting a
+// backend this host (or, under BackendEnv, this process) cannot run returns
+// an error and leaves the active backend unchanged.
 func SetBackend(b Backend) error {
-	switch b {
-	case Scalar:
-		active.Store(int32(Scalar))
-		return nil
-	case AVX2:
-		if !simdAllowed {
-			if hasAVX2 {
-				return fmt.Errorf("tensor: AVX2 backend disabled by %s=scalar", BackendEnv)
-			}
-			return fmt.Errorf("tensor: AVX2 backend unsupported on this CPU")
-		}
-		active.Store(int32(AVX2))
-		return nil
-	default:
+	switch {
+	case b < Scalar || b > AVX512:
 		return fmt.Errorf("tensor: unknown backend %v", b)
+	case b > supported:
+		return fmt.Errorf("tensor: %v backend unsupported on this CPU", b)
+	case b > allowed:
+		return fmt.Errorf("tensor: %v backend disabled by %s=%s", b, BackendEnv, os.Getenv(BackendEnv))
 	}
+	active.Store(int32(b))
+	return nil
 }
 
 // simdActive reports whether kernel calls should take the vector path. It
 // compiles to a single atomic load (a plain MOV on amd64), so per-call
 // dispatch costs nothing measurable even for short vectors.
-func simdActive() bool { return active.Load() == int32(AVX2) }
+func simdActive() bool { return active.Load() != int32(Scalar) }
+
+// zmmActive reports whether the vector path's GEMM loops may use the 512-bit
+// micro-kernel for full register tiles.
+func zmmActive() bool { return active.Load() == int32(AVX512) }

@@ -2,6 +2,6 @@
 
 package tensor
 
-// detectAVX2FMA is the non-amd64 stub: the AVX2 backend only exists on
-// amd64, so detection is constant-false and dispatch always stays scalar.
-func detectAVX2FMA() bool { return false }
+// detectBackend is the non-amd64 stub: the vector backends only exist on
+// amd64, so detection is constant-Scalar and dispatch always stays scalar.
+func detectBackend() Backend { return Scalar }

@@ -86,8 +86,9 @@ const rowChunk = 1024
 
 // matMulAccum accumulates a × b into out (out += a·b), dispatching to the
 // active backend: the scalar blocked kernel below (the bit-exact reference
-// path) or the AVX2+FMA kernels in simd_amd64.s (tolerance tier — FMA and
-// per-block chain interleaving change accumulation order).
+// path) or the FMA micro-kernels in simd_amd64.s and simd512_amd64.s
+// (tolerance tier — FMA and per-block chain interleaving change accumulation
+// order; AVX2 and AVX512 agree bit for bit).
 func matMulAccum(out, a, b *Tensor) {
 	if simdActive() {
 		matMulAccumSIMD(out, a, b)

@@ -8,11 +8,13 @@ import (
 
 // Differential coverage of the packed fully-connected path. Two oracles, one
 // per tier: under the scalar backend FCInto must reproduce a bias row plus
-// the naive reference kernel plus the reference ReLU bit for bit; under AVX2
-// it must reproduce the generic GEMM (MatMulAddBiasInto — the pre-panel FC
-// path, same micro-kernels, same per-element k order) plus the reference ReLU
-// bit for bit. The test names carry "Panel"/"ReLU" plus "Backend"/"SIMD" so
-// both CI kernel-backend legs select them.
+// the naive reference kernel plus the reference ReLU bit for bit; under each
+// vector backend it must reproduce the generic GEMM (MatMulAddBiasInto — the
+// pre-panel FC path, same micro-kernels, same per-element k order) plus the
+// reference ReLU bit for bit. A third oracle holds the vector tier together:
+// AVX2 and AVX512 must produce the same bits on the whole GEMM family. The
+// test names carry "Panel"/"ReLU" plus "Backend"/"SIMD" so every CI
+// kernel-backend leg selects them.
 
 // refReLU is the historical activation loop, the bit contract ReLU keeps.
 func refReLU(x []float32) {
@@ -59,25 +61,40 @@ func genericFC(a, w, bias *Tensor, relu bool) *Tensor {
 	return out
 }
 
-// Every m crosses the 4-row block, every k the 256-deep tile, every n the
-// 16-wide strip, the 8-wide strip and the under-8 tail.
+// Every m crosses the 4-row block and the AVX512 kernel's 8-row block (7, 8,
+// 9, 17), every k the 256-deep tile (255 and 257 also the 128-deep one of the
+// generic GEMM's wide path), every n the 16-wide strip, the 8-wide strip, the
+// under-8 tail and the 32-column group of two strips (alone, twice, and
+// followed by a 16-strip, an 8-strip and a tail).
 var (
-	panelMs = []int{1, 3, 4, 5, 16, 255}
+	panelMs = []int{1, 3, 4, 5, 7, 8, 9, 16, 17, 255}
 	panelKs = []int{1, 255, 256, 257, 2560}
-	panelNs = []int{1, 7, 8, 9, 16, 24, 36, 512}
+	panelNs = []int{1, 7, 8, 9, 16, 24, 31, 32, 33, 36, 45, 48, 63, 64, 77, 512}
 )
 
-// forEachPanelShape runs f over the full shape grid with a ReLU-sparse left
-// operand (about half exact zeros, some of them -0), skipping the largest
-// products in -short runs.
-func forEachPanelShape(t *testing.T, seed int64, f func(a, w, bias *Tensor)) {
+// forEachPanelShape's product limits. The two per-tier oracles take wholeGrid;
+// a -short run stops at shortGrid; the tests that repeat the grid per backend
+// pair or per operand placement take a multiple of shortGrid — every tile
+// edge already occurs in a product under it.
+const (
+	wholeGrid = math.MaxInt
+	shortGrid = 1 << 22
+)
+
+// forEachPanelShape runs f over the shape grid, products m·k·n above limit
+// left out (above shortGrid in -short runs), with a ReLU-sparse left operand
+// (about half exact zeros, some of them -0). f owns its operands.
+func forEachPanelShape(t *testing.T, seed int64, limit int, f func(a, w, bias *Tensor)) {
 	t.Helper()
+	if testing.Short() {
+		limit = min(limit, shortGrid)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	negZero := math.Float32frombits(0x80000000)
 	for _, m := range panelMs {
 		for _, k := range panelKs {
 			for _, n := range panelNs {
-				if testing.Short() && m*k*n > 1<<22 {
+				if m*k*n > limit {
 					continue
 				}
 				a := RandUniform(rng, m, k, 1)
@@ -97,7 +114,7 @@ func forEachPanelShape(t *testing.T, seed int64, f func(a, w, bias *Tensor)) {
 
 func TestPanelFCScalarBackendBitIdenticalToReference(t *testing.T) {
 	pinBackend(t, Scalar)
-	forEachPanelShape(t, 51, func(a, w, bias *Tensor) {
+	forEachPanelShape(t, 51, wholeGrid, func(a, w, bias *Tensor) {
 		p := PackPanel(w)
 		for _, relu := range []bool{false, true} {
 			dst := New(a.Rows, w.Cols)
@@ -108,15 +125,147 @@ func TestPanelFCScalarBackendBitIdenticalToReference(t *testing.T) {
 }
 
 func TestPanelFCSIMDBitIdenticalToGenericGEMM(t *testing.T) {
-	pinBackend(t, AVX2)
-	forEachPanelShape(t, 52, func(a, w, bias *Tensor) {
-		p := PackPanel(w)
-		for _, relu := range []bool{false, true} {
-			dst := New(a.Rows, w.Cols)
-			dst.Fill(42)
-			sameBits(t, "FCInto(avx2)", FCInto(dst, a, p, bias, relu).Data, genericFC(a, w, bias, relu).Data)
+	pinBackend(t, AVX2) // skips when there is no vector backend
+	for _, bk := range Backends()[1:] {
+		pinBackend(t, bk)
+		forEachPanelShape(t, 52, wholeGrid, func(a, w, bias *Tensor) {
+			p := PackPanel(w)
+			for _, relu := range []bool{false, true} {
+				dst := New(a.Rows, w.Cols)
+				dst.Fill(42)
+				sameBits(t, "FCInto("+bk.String()+")", FCInto(dst, a, p, bias, relu).Data, genericFC(a, w, bias, relu).Data)
+			}
+		})
+	}
+}
+
+// sprinkleSpecials overwrites about one element in sixteen of x with a value
+// from reluSpecials: signed zeros, NaNs with payloads, infinities, denormals.
+func sprinkleSpecials(rng *rand.Rand, x []float32) {
+	for i := rng.Intn(16); i < len(x); i += 1 + rng.Intn(31) {
+		x[i] = math.Float32frombits(reluSpecials[rng.Intn(len(reluSpecials))])
+	}
+}
+
+// The vector tier is one tier: every GEMM-family entry point must produce the
+// same bits under AVX2 and AVX512 at every tile edge, special values in all
+// three operands included — which NaN an fma of two NaNs returns depends on
+// operand order, so even that is pinned. The product limit leaves out only the
+// few largest shapes: every tile edge, ten k-tiles deep, occurs under it.
+// Skipped, not passed vacuously, where AVX512 cannot run.
+func TestPanelGEMMFamilyBitIdenticalAcrossVectorBackends(t *testing.T) {
+	pinBackend(t, AVX512)
+	rng := rand.New(rand.NewSource(56))
+	forEachPanelShape(t, 55, 4*shortGrid, func(a, w, bias *Tensor) {
+		for _, specials := range []bool{false, true} {
+			if specials {
+				sprinkleSpecials(rng, a.Data)
+				sprinkleSpecials(rng, w.Data)
+				sprinkleSpecials(rng, bias.Data)
+			}
+			p := PackPanel(w)
+			run := func(bk Backend) [4]*Tensor {
+				if err := SetBackend(bk); err != nil {
+					t.Fatal(err)
+				}
+				var out [4]*Tensor
+				for i := range out {
+					out[i] = New(a.Rows, w.Cols)
+					out[i].Fill(42)
+				}
+				FCInto(out[0], a, p, bias, false)
+				FCInto(out[1], a, p, bias, true)
+				MatMulInto(out[2], a, w)
+				MatMulAddBiasInto(out[3], a, w, bias)
+				return out
+			}
+			narrow, wide := run(AVX2), run(AVX512)
+			for i, name := range []string{"FCInto", "FCInto+ReLU", "MatMulInto", "MatMulAddBiasInto"} {
+				sameBits(t, name+"(avx512 vs avx2)", wide[i].Data, narrow[i].Data)
+			}
 		}
 	})
+}
+
+// guarded returns a length-n slice with pad sentinel floats in front of it
+// and, unless flush, behind it (flush: the slice ends where its array ends),
+// plus a check that every sentinel is intact. The sentinel is a NaN whose
+// payload is the operand's own (its name's first byte): a kernel that strays
+// into one operand's guard and stores what it computed into another's leaves
+// the wrong payload there, not a copy of the sentinel.
+func guarded(t *testing.T, name string, n int, flush bool) (mid []float32, check func()) {
+	sentinelBits := 0x7fc5e100 | uint32(name[0])
+	const pad = 64 // four ZMM stores
+	back := pad
+	if flush {
+		back = 0
+	}
+	whole := make([]float32, pad+n+back)
+	front, behind := whole[:pad], whole[pad+n:]
+	for _, guard := range [][]float32{front, behind} {
+		for i := range guard {
+			guard[i] = math.Float32frombits(sentinelBits)
+		}
+	}
+	return whole[pad : pad+n : pad+n], func() {
+		t.Helper()
+		for _, guard := range []struct {
+			side   string
+			floats []float32
+		}{{"front", front}, {"back", behind}} {
+			for i, v := range guard.floats {
+				if math.Float32bits(v) != sentinelBits {
+					t.Fatalf("%s: %s sentinel %d overwritten with %v", name, guard.side, i, v)
+				}
+			}
+		}
+	}
+}
+
+// A 64-byte store one column or one row off lands in a neighbour and nothing
+// else notices: run FCInto and MatMulInto with dst, a and the panel / b each
+// sliced from the middle of a sentinel-filled array (and once flush against
+// the end of it) and require every sentinel intact and dst fully overwritten
+// with the plain call's bits.
+func TestPanelNoWriteOutsideBlockAllBackends(t *testing.T) {
+	for _, bk := range Backends() {
+		pinBackend(t, bk)
+		forEachPanelShape(t, 57, shortGrid/4, func(a, w, bias *Tensor) {
+			m, k, n := a.Rows, a.Cols, w.Cols
+			wantFC := FCInto(New(m, n), a, PackPanel(w), bias, true)
+			wantMM := MatMulInto(New(m, n), a, w)
+			for _, flush := range []bool{false, true} {
+				dstData, checkDst := guarded(t, "dst", m*n, flush)
+				aData, checkA := guarded(t, "a", m*k, flush)
+				wData, checkW := guarded(t, "w", k*n, flush)
+				pData, checkP := guarded(t, "panel", k*n, flush)
+				copy(aData, a.Data)
+				copy(wData, w.Data)
+				ga, gw := FromSlice(m, k, aData), FromSlice(k, n, wData)
+				gp := &Panel{Rows: k, Cols: n, data: pData}
+				for r := 0; r < k; r++ {
+					gp.setRow(r, w.Row(r))
+				}
+				dst := FromSlice(m, n, dstData)
+				for _, call := range []struct {
+					name string
+					run  func()
+					want *Tensor
+				}{
+					{"FCInto", func() { FCInto(dst, ga, gp, bias, true) }, wantFC},
+					{"MatMulInto", func() { MatMulInto(dst, ga, gw) }, wantMM},
+				} {
+					dst.Fill(42)
+					call.run()
+					sameBits(t, call.name+"("+bk.String()+", guarded)", dst.Data, call.want.Data)
+					checkDst()
+					checkA()
+					checkW()
+					checkP()
+				}
+			}
+		})
+	}
 }
 
 // reluSpecials are the inputs whose handling distinguishes a correct ReLU
@@ -133,16 +282,8 @@ var reluSpecials = []uint32{
 	0x3f800000, 0xbf800000, // ±1
 }
 
-// backendsUnderTest lists the backends this process can run.
-func backendsUnderTest() []Backend {
-	if SIMDAvailable() {
-		return []Backend{Scalar, AVX2}
-	}
-	return []Backend{Scalar}
-}
-
 func TestReLUBitContractBothBackends(t *testing.T) {
-	for _, bk := range backendsUnderTest() {
+	for _, bk := range Backends() {
 		pinBackend(t, bk)
 		// Specials at every lane and in every loop of the vector kernel (32-
 		// and 8-element bodies, scalar tail).
@@ -178,7 +319,7 @@ func TestReLUBitContractBothBackends(t *testing.T) {
 // must keep the same bits as the standalone ReLU: drive special values
 // through the accumulators by making them the bias of an all-zero product.
 func TestPanelFCReLUEpilogueBitContractBothBackends(t *testing.T) {
-	for _, bk := range backendsUnderTest() {
+	for _, bk := range Backends() {
 		pinBackend(t, bk)
 		for _, n := range []int{5, 8, 16, 29} { // tail only, 8-strip, 16-strip, all three
 			for _, m := range []int{1, 4, 6} {
@@ -260,25 +401,29 @@ func TestPanelFCShapeChecks(t *testing.T) {
 	mustPanic("newPanel", func() { newPanel(0, 3) })
 }
 
-// FuzzPackedFCVsReference drives FCInto with fuzzer-chosen shapes (k crosses
-// the 256-deep tile, n every strip width) and operands against both oracles:
-// the naive reference under scalar, the generic GEMM under AVX2, each bit for
-// bit. (The generic GEMM's own scalar-vs-AVX2 tolerance is FuzzSIMDMatMulVsScalar's
-// business; its k-linear bound does not hold for the long same-sign sums a
-// fuzzer builds at k in the hundreds.)
+// FuzzPackedFCVsReference drives FCInto with fuzzer-chosen shapes (m crosses
+// two of the widest row blocks, k the 256-deep tile, n every strip width and
+// two 32-column groups) and operands against all three oracles: the naive
+// reference under scalar, the generic GEMM under each vector backend, and the
+// vector backends against each other, each bit for bit. (The generic GEMM's
+// own scalar-vs-vector tolerance is FuzzSIMDMatMulVsScalar's business; its
+// k-linear bound does not hold for the long same-sign sums a fuzzer builds at
+// k in the hundreds.)
 func FuzzPackedFCVsReference(f *testing.F) {
 	f.Add([]byte{3, 4, 5, 1}, []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{1, 16, 16, 0}, make([]byte, 64))
 	f.Add([]byte{4, 255, 17, 1}, []byte{0x80, 0, 0, 0, 9, 9, 9, 9, 0, 0, 0, 0, 5, 5, 5, 5})
 	f.Add([]byte{9, 3, 40, 1}, []byte{0xff, 0x7f, 0xff, 0xff, 0x7f, 0x80, 0, 1})
 	f.Add([]byte{5, 129, 7, 1}, []byte{0xbf, 0x80, 0, 0, 0x3f, 0x80, 0, 0})
+	f.Add([]byte{24, 130, 76, 1}, []byte{0x3f, 0x80, 0, 0, 0xbf, 0x80, 0, 0, 0x40, 0x49, 0x0f, 0xdb})
+	f.Add([]byte{13, 3, 32, 0}, []byte{0x3e, 0x99, 0x99, 0x9a, 0x80, 0, 0, 0, 0xc0, 0x20, 0, 0})
 	f.Fuzz(func(t *testing.T, dims, data []byte) {
 		if len(dims) < 4 {
 			t.Skip()
 		}
-		m := 1 + int(dims[0])%9
+		m := 1 + int(dims[0])%30
 		k := 1 + (int(dims[1])*2+int(dims[3])/2)%520
-		n := 1 + int(dims[2])%41
+		n := 1 + int(dims[2])%80
 		relu := dims[3]&1 == 1
 		vals := make([]float32, m*k+k*n+n)
 		if len(data) < 4*len(vals) {
@@ -298,11 +443,15 @@ func FuzzPackedFCVsReference(f *testing.F) {
 		defer SetBackend(prev)
 		SetBackend(Scalar)
 		sameBits(t, "FCInto(scalar,fuzz)", FCInto(New(m, n), a, p, bias, relu).Data, refFC(a, w, bias, relu).Data)
-		if !SIMDAvailable() {
-			return
+		var narrower *Tensor
+		for _, bk := range Backends()[1:] {
+			SetBackend(bk)
+			simd := FCInto(New(m, n), a, p, bias, relu)
+			sameBits(t, "FCInto("+bk.String()+",fuzz)", simd.Data, genericFC(a, w, bias, relu).Data)
+			if narrower != nil {
+				sameBits(t, "FCInto("+bk.String()+" vs the narrower vector backend,fuzz)", simd.Data, narrower.Data)
+			}
+			narrower = simd
 		}
-		SetBackend(AVX2)
-		simd := FCInto(New(m, n), a, p, bias, relu)
-		sameBits(t, "FCInto(avx2,fuzz)", simd.Data, genericFC(a, w, bias, relu).Data)
 	})
 }

@@ -30,6 +30,9 @@ func gemm1x8(c *float32, a *float32, p *float32, ldp, kc int, init *float32, rel
 //go:noescape
 func reluAVX2(x *float32, n int)
 
+//go:noescape
+func gemm8x32(c *float32, ldc int, a *float32, lda int, p0, p1 *float32, ldp, kc int, init *float32, relu int)
+
 func dotSIMD(a, b []float32) float32 { return dotAVX2(a, b) }
 
 func axpySIMD(alpha float32, x, y []float32) { axpyAVX2(alpha, x, y) }
@@ -78,16 +81,26 @@ func reluSIMD(x []float32) {
 const (
 	kcSIMD = panelKC
 	ncSIMD = panelNR
+	// The AVX512 backend's register tile: mrZMM rows of two adjacent strips.
+	mrZMM = 8
 )
 
 // fcSIMD is the vector backend's panel kernel: matMulAccumSIMD's loop nest
-// (k-tile, strip, 4-row block) and micro-kernels, reading each strip where
+// (k-tile, strip group, row block) and micro-kernels, reading each strip where
 // the Panel already holds it. The first tile's kernels start from the bias
 // strip instead of loading c, the last tile's clamp as they store. The
 // under-8-column tail runs in Go with a separately rounded multiply and add
 // per element, exactly as the generic path's tail does.
+//
+// A strip group is one strip, or under AVX512 two adjacent 16-column strips
+// (kc·16 floats apart in the Panel) that the mrZMM × 32 kernel covers
+// together; the rows past the last full block of mrZMM fall through to the
+// 256-bit kernels, one strip at a time. Every kernel applies the same
+// fma(a, b, acc) chain per output element, so which one computes a block
+// changes no bits.
 func fcSIMD(out, a *Tensor, w *Panel, bias []float32, relu bool) {
 	m, kDim, n := a.Rows, a.Cols, w.Cols
+	zmm := zmmActive()
 	for k0 := 0; k0 < kDim; k0 += kcSIMD {
 		kc := min(kcSIMD, kDim-k0)
 		first, last := k0 == 0, k0+kc == kDim
@@ -98,109 +111,148 @@ func fcSIMD(out, a *Tensor, w *Panel, bias []float32, relu bool) {
 		tile := w.data[k0*n : (k0+kc)*n]
 		for j := 0; j < n; {
 			wd := stripWidth(n - j)
-			p := &tile[j*kc]
-			var init *float32
-			if first && wd >= 8 {
-				init = &bias[j]
+			strips, i0 := 1, 0
+			if zmm && n-j >= 2*ncSIMD {
+				strips = 2
+				var init *float32
+				if first {
+					init = &bias[j]
+				}
+				for ; i0+mrZMM <= m; i0 += mrZMM {
+					gemm8x32(&out.Data[i0*n+j], n, &a.Data[i0*kDim+k0], kDim, &tile[j*kc], &tile[(j+ncSIMD)*kc], ncSIMD, kc, init, clamp)
+				}
 			}
-			i := 0
-			switch wd {
-			case ncSIMD:
-				for ; i+4 <= m; i += 4 {
-					gemm4x16(&out.Data[i*n+j], n, &a.Data[i*kDim+k0], kDim, p, wd, kc, init, clamp)
+			for s := 0; s < strips; s, j = s+1, j+wd {
+				p := &tile[j*kc]
+				var init *float32
+				if first && wd >= 8 {
+					init = &bias[j]
 				}
-				for ; i < m; i++ {
-					gemm1x16(&out.Data[i*n+j], &a.Data[i*kDim+k0], p, wd, kc, init, clamp)
-				}
-			case 8:
-				for ; i+4 <= m; i += 4 {
-					gemm4x8(&out.Data[i*n+j], n, &a.Data[i*kDim+k0], kDim, p, wd, kc, init, clamp)
-				}
-				for ; i < m; i++ {
-					gemm1x8(&out.Data[i*n+j], &a.Data[i*kDim+k0], p, wd, kc, init, clamp)
-				}
-			default:
-				strip := tile[j*kc : (j+wd)*kc]
-				for ; i < m; i++ {
-					aTile := a.Data[i*kDim+k0 : i*kDim+k0+kc]
-					o := out.Data[i*n+j : i*n+j+wd]
-					if first {
-						copy(o, bias[j:])
+				i := i0
+				switch wd {
+				case ncSIMD:
+					for ; i+4 <= m; i += 4 {
+						gemm4x16(&out.Data[i*n+j], n, &a.Data[i*kDim+k0], kDim, p, wd, kc, init, clamp)
 					}
-					for c := range o {
-						v := o[c]
-						for k, av := range aTile {
-							v += av * strip[k*wd+c]
+					for ; i < m; i++ {
+						gemm1x16(&out.Data[i*n+j], &a.Data[i*kDim+k0], p, wd, kc, init, clamp)
+					}
+				case 8:
+					for ; i+4 <= m; i += 4 {
+						gemm4x8(&out.Data[i*n+j], n, &a.Data[i*kDim+k0], kDim, p, wd, kc, init, clamp)
+					}
+					for ; i < m; i++ {
+						gemm1x8(&out.Data[i*n+j], &a.Data[i*kDim+k0], p, wd, kc, init, clamp)
+					}
+				default:
+					strip := tile[j*kc : (j+wd)*kc]
+					for ; i < m; i++ {
+						aTile := a.Data[i*kDim+k0 : i*kDim+k0+kc]
+						o := out.Data[i*n+j : i*n+j+wd]
+						if first {
+							copy(o, bias[j:])
 						}
-						o[c] = v
-					}
-					if clamp != 0 {
-						reluScalar(o)
+						for c := range o {
+							v := o[c]
+							for k, av := range aTile {
+								v += av * strip[k*wd+c]
+							}
+							o[c] = v
+						}
+						if clamp != 0 {
+							reluScalar(o)
+						}
 					}
 				}
 			}
-			j += wd
 		}
 	}
 }
 
-// matMulAccumSIMD accumulates a × b into out (out += a·b) on the AVX2+FMA
+// packStrip copies kc rows of a wd-column strip of b (row stride ld) back to
+// back into dst. Out of line on purpose: inlined into matMulAccumSIMD's loop
+// nest its counters spill to the stack, which costs more than the call.
+//
+//go:noinline
+func packStrip(dst, src []float32, ld, kc, wd int) {
+	for k := 0; k < kc; k++ {
+		copy(dst[k*wd:k*wd+wd], src[k*ld:])
+	}
+}
+
+// matMulAccumSIMD accumulates a × b into out (out += a·b) on the FMA
 // kernels. Accumulation order differs from the scalar backend (FMA fuses the
 // rounding; the micro-kernels interleave k-chains per output block), so this
 // path is pinned by the tolerance-based differential tests, not bit equality.
+// Strip groups and row blocks are fcSIMD's.
 func matMulAccumSIMD(out, a, b *Tensor) {
 	m, kDim, n := a.Rows, a.Cols, b.Cols
 	if n == 0 || kDim == 0 || m == 0 {
 		return
 	}
-	var pack [kcSIMD * ncSIMD]float32
-	for k0 := 0; k0 < kDim; k0 += kcSIMD {
-		k1 := k0 + kcSIMD
-		if k1 > kDim {
-			k1 = kDim
-		}
+	// The wide kernel takes two strips per k step, so where it runs the k-tiles
+	// are half as deep and a strip group packs into what one full-depth strip
+	// takes: one buffer size, the 256-bit tier's, whichever kernels run. A
+	// tile's depth changes no bits — c is float32 between tiles either way.
+	wide := zmmActive() && m >= mrZMM && n >= 2*ncSIMD
+	kcMax := kcSIMD
+	if wide {
+		kcMax /= 2
+	}
+	// Packing a strip costs one pass over it; it pays off once enough rows
+	// of a stream against the packed copy (same crossover as the scalar
+	// path's packMinRows). Below that, the kernels read b in place with
+	// ldp = n, and the buffer — which Go would zero on entry — is not
+	// declared at all: the GRU's one-row steps are thousands of such calls.
+	var pack []float32
+	if m >= packMinRows {
+		var buf [kcSIMD * ncSIMD]float32
+		pack = buf[:]
+	}
+	for k0 := 0; k0 < kDim; k0 += kcMax {
+		k1 := min(k0+kcMax, kDim)
 		kc := k1 - k0
-		// Packing a strip costs one pass over it; it pays off once enough
-		// rows of a stream against the packed copy (same crossover as the
-		// scalar path's packMinRows). Below that, the kernels read b in
-		// place with ldp = n.
-		usePack := m >= packMinRows
 
 		j := 0
-		for ; j+ncSIMD <= n; j += ncSIMD {
-			p, ldp := &b.Data[k0*n+j], n
-			if usePack {
-				pk := 0
-				for k := k0; k < k1; k++ {
-					copy(pack[pk:pk+ncSIMD], b.Data[k*n+j:k*n+j+ncSIMD])
-					pk += ncSIMD
+		for j+8 <= n {
+			wd := stripWidth(n - j)
+			strips := 1
+			if wide && n-j >= 2*ncSIMD {
+				strips = 2
+			}
+			// The group's strips start at p[0] and p[next]: b in place, or
+			// packed back to back the way a Panel holds them.
+			p, ldp, next := b.Data[k0*n+j:], n, wd
+			if pack != nil {
+				for s := 0; s < strips; s++ {
+					packStrip(pack[s*kc*wd:], b.Data[k0*n+j+s*wd:], n, kc, wd)
 				}
-				p, ldp = &pack[0], ncSIMD
+				p, ldp, next = pack, wd, kc*wd
 			}
-			i := 0
-			for ; i+4 <= m; i += 4 {
-				gemm4x16(&out.Data[i*n+j], n, &a.Data[i*kDim+k0], kDim, p, ldp, kc, nil, 0)
-			}
-			for ; i < m; i++ {
-				gemm1x16(&out.Data[i*n+j], &a.Data[i*kDim+k0], p, ldp, kc, nil, 0)
-			}
-		}
-		for ; j+8 <= n; j += 8 {
-			p, ldp := &b.Data[k0*n+j], n
-			if usePack {
-				pk := 0
-				for k := k0; k < k1; k++ {
-					copy(pack[pk:pk+8], b.Data[k*n+j:k*n+j+8])
-					pk += 8
+			i0 := 0
+			if strips == 2 {
+				for ; i0+mrZMM <= m; i0 += mrZMM {
+					gemm8x32(&out.Data[i0*n+j], n, &a.Data[i0*kDim+k0], kDim, &p[0], &p[next], ldp, kc, nil, 0)
 				}
-				p, ldp = &pack[0], 8
 			}
-			i := 0
-			for ; i+4 <= m; i += 4 {
-				gemm4x8(&out.Data[i*n+j], n, &a.Data[i*kDim+k0], kDim, p, ldp, kc, nil, 0)
-			}
-			for ; i < m; i++ {
-				gemm1x8(&out.Data[i*n+j], &a.Data[i*kDim+k0], p, ldp, kc, nil, 0)
+			for s := 0; s < strips; s, j = s+1, j+wd {
+				ps := &p[s*next]
+				i := i0
+				if wd == ncSIMD {
+					for ; i+4 <= m; i += 4 {
+						gemm4x16(&out.Data[i*n+j], n, &a.Data[i*kDim+k0], kDim, ps, ldp, kc, nil, 0)
+					}
+					for ; i < m; i++ {
+						gemm1x16(&out.Data[i*n+j], &a.Data[i*kDim+k0], ps, ldp, kc, nil, 0)
+					}
+				} else {
+					for ; i+4 <= m; i += 4 {
+						gemm4x8(&out.Data[i*n+j], n, &a.Data[i*kDim+k0], kDim, ps, ldp, kc, nil, 0)
+					}
+					for ; i < m; i++ {
+						gemm1x8(&out.Data[i*n+j], &a.Data[i*kDim+k0], ps, ldp, kc, nil, 0)
+					}
+				}
 			}
 		}
 		// Scalar column tail (< 8 columns): same loop as the scalar

@@ -2,7 +2,7 @@
 
 package tensor
 
-// Non-amd64 stubs. detectAVX2FMA is constant-false off amd64, so simdActive
+// Non-amd64 stubs. detectBackend is constant-Scalar off amd64, so simdActive
 // can never be true and none of these are reachable; they exist only to keep
 // the dispatchers portable.
 

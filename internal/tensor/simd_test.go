@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -10,9 +11,9 @@ import (
 // the previous backend afterward. Pinning Scalar always succeeds (it is the
 // portable reference tier, and the bit-exact tests pin it because bit
 // equality against the naive references is a scalar-tier contract). Pinning
-// AVX2 skips the test when the backend is unavailable — missing hardware or
-// a DEEPRECSYS_BACKEND=scalar force — so the vector tier's tolerance tests
-// vanish cleanly on hosts that cannot run them.
+// a vector backend skips the test when it is unavailable — missing hardware
+// or a DEEPRECSYS_BACKEND restriction — so the vector tier's tests vanish
+// cleanly on hosts that cannot run them.
 func pinBackend(tb testing.TB, b Backend) {
 	tb.Helper()
 	prev := ActiveBackend()
@@ -28,41 +29,69 @@ func TestBackendDetectionAndOverrides(t *testing.T) {
 	prev := ActiveBackend()
 	defer SetBackend(prev)
 
-	if err := SetBackend(Scalar); err != nil {
-		t.Fatalf("SetBackend(Scalar) = %v, want nil (scalar must always be available)", err)
+	// Backends() is the prefix of {Scalar, AVX2, AVX512} this process can
+	// run, and the process starts on its widest entry.
+	bs := Backends()
+	if len(bs) == 0 || len(bs) > 3 {
+		t.Fatalf("Backends() = %v", bs)
 	}
-	if got := ActiveBackend(); got != Scalar {
-		t.Fatalf("ActiveBackend() = %v after forcing scalar", got)
+	for i, bk := range bs {
+		if bk != Backend(i) {
+			t.Fatalf("Backends() = %v, want Scalar first and no gaps", bs)
+		}
+	}
+	widest := bs[len(bs)-1]
+	// The env override can only restrict what the hardware offers.
+	if widest > supported {
+		t.Fatalf("Backends() ends at %v but the CPU supports at most %v", widest, supported)
+	}
+	switch os.Getenv(BackendEnv) {
+	case "scalar":
+		if widest != Scalar {
+			t.Fatalf("%s=scalar left %v activatable", BackendEnv, widest)
+		}
+	case "avx2":
+		if widest != min(supported, AVX2) {
+			t.Fatalf("%s=avx2 on a host supporting %v allows up to %v", BackendEnv, supported, widest)
+		}
+	default:
+		if widest != supported {
+			t.Fatalf("no restriction in force, yet Backends() ends at %v on a host supporting %v", widest, supported)
+		}
 	}
 
-	err := SetBackend(AVX2)
-	if SIMDAvailable() {
-		if err != nil {
-			t.Fatalf("SetBackend(AVX2) = %v with SIMDAvailable() true", err)
+	for _, bk := range []Backend{Scalar, AVX2, AVX512} {
+		if err := SetBackend(Scalar); err != nil {
+			t.Fatalf("SetBackend(Scalar) = %v, want nil (scalar must always be available)", err)
 		}
-		if got := ActiveBackend(); got != AVX2 {
-			t.Fatalf("ActiveBackend() = %v after forcing AVX2", got)
+		err := SetBackend(bk)
+		if bk <= widest {
+			if err != nil {
+				t.Fatalf("SetBackend(%v) = %v with Backends() = %v", bk, err, bs)
+			}
+			if got := ActiveBackend(); got != bk {
+				t.Fatalf("ActiveBackend() = %v after forcing %v", got, bk)
+			}
+			continue
 		}
-	} else {
 		if err == nil {
-			t.Fatal("SetBackend(AVX2) succeeded with SIMDAvailable() false")
+			t.Fatalf("SetBackend(%v) succeeded with Backends() = %v", bk, bs)
 		}
 		if got := ActiveBackend(); got != Scalar {
-			t.Fatalf("failed SetBackend changed the active backend to %v", got)
+			t.Fatalf("failed SetBackend(%v) changed the active backend to %v", bk, got)
 		}
 	}
 
-	if SIMDAvailable() && !HasAVX2() {
-		t.Fatal("SIMDAvailable() true but HasAVX2() false: the env override can only restrict")
+	for _, bad := range []Backend{42, -1} {
+		if err := SetBackend(bad); err == nil {
+			t.Fatalf("SetBackend(%d) accepted an unknown backend", int32(bad))
+		}
 	}
-	if err := SetBackend(Backend(42)); err == nil {
-		t.Fatal("SetBackend(42) accepted an unknown backend")
-	}
-	if s := AVX2.String(); s != "avx2" {
-		t.Errorf("AVX2.String() = %q", s)
-	}
-	if s := Scalar.String(); s != "scalar" {
-		t.Errorf("Scalar.String() = %q", s)
+	// cmd/bench writes String() into every result record's Backend field.
+	for bk, want := range map[Backend]string{Scalar: "scalar", AVX2: "avx2", AVX512: "avx512"} {
+		if s := bk.String(); s != want {
+			t.Errorf("Backend(%d).String() = %q, want %q", int32(bk), s, want)
+		}
 	}
 }
 
@@ -139,19 +168,22 @@ func tolEqual(t *testing.T, name string, got, want []float32, tol, relTol float6
 	return maxAbsDiff, maxRelDiff
 }
 
-// runBoth evaluates f under the scalar and AVX2 backends and returns both
-// results. f must be a pure function of its inputs.
+// runBoth evaluates f under the scalar backend and under the widest vector
+// backend this process can run (the CI legs make that each of them in turn),
+// skipping the test when there is none. f must be a pure function of its
+// inputs.
 func runBoth(t *testing.T, f func() []float32) (scalar, simd []float32) {
 	t.Helper()
-	pinBackend(t, AVX2)
+	pinBackend(t, AVX2) // skips without a vector backend, restores on cleanup
+	bs := Backends()
+	if err := SetBackend(bs[len(bs)-1]); err != nil {
+		t.Fatal(err)
+	}
 	simd = f()
 	if err := SetBackend(Scalar); err != nil {
 		t.Fatal(err)
 	}
 	scalar = f()
-	if err := SetBackend(AVX2); err != nil {
-		t.Fatal(err)
-	}
 	return scalar, simd
 }
 
@@ -419,7 +451,7 @@ func FuzzSIMDDotVsScalar(f *testing.F) {
 	f.Add(make([]byte, 260)) // all zeros, past one 32-element unroll
 	f.Add([]byte{0x80, 0, 0, 0, 0x80, 0, 0, 0, 3, 3, 3, 3, 9, 9, 9, 9, 1, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if !SIMDAvailable() {
+		if len(Backends()) == 1 {
 			t.Skip("SIMD backend unavailable")
 		}
 		n := len(data) / 8
@@ -446,7 +478,7 @@ func FuzzSIMDMatMulVsScalar(f *testing.F) {
 	f.Add([]byte{4, 2, 17}, []byte{0x80, 0, 0, 0, 9, 9, 9, 9, 0, 0, 0, 0, 5, 5, 5, 5})
 	f.Add([]byte{8, 9, 24}, []byte{0xff, 0x7f, 0xff, 0xff, 0x7f, 0x80, 0, 1})
 	f.Fuzz(func(t *testing.T, dims, data []byte) {
-		if !SIMDAvailable() {
+		if len(Backends()) == 1 {
 			t.Skip("SIMD backend unavailable")
 		}
 		if len(dims) < 3 {
@@ -466,10 +498,11 @@ func FuzzSIMDMatMulVsScalar(f *testing.F) {
 		defer SetBackend(prev)
 		SetBackend(Scalar)
 		want := MatMul(a, b)
-		SetBackend(AVX2)
-		got := MatMul(a, b)
 		tol := gemmTol(k, maxAbs(a.Data), maxAbs(b.Data))
-		tolEqual(t, "MatMul(fuzz)", got.Data, want.Data, tol, 0)
+		for _, bk := range Backends()[1:] {
+			SetBackend(bk)
+			tolEqual(t, "MatMul(fuzz,"+bk.String()+")", MatMul(a, b).Data, want.Data, tol, 0)
+		}
 	})
 }
 
@@ -495,7 +528,7 @@ func benchGEMM(b *testing.B, bk Backend, dim int) {
 }
 
 func BenchmarkMatMulBackends(b *testing.B) {
-	for _, bk := range []Backend{Scalar, AVX2} {
+	for _, bk := range []Backend{Scalar, AVX2, AVX512} { // benchGEMM skips what the host lacks
 		for _, dim := range []int{256, 512} {
 			b.Run(bk.String()+"/"+map[int]string{256: "256", 512: "512"}[dim], func(b *testing.B) {
 				benchGEMM(b, bk, dim)
