@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -111,6 +112,10 @@ type Input struct {
 	Size   int
 	Dense  *tensor.Tensor
 	Sparse [][][]int
+
+	// index[t] is the array table t's lists are carved from when NewInputInto
+	// fills the input: one allocation per table, reused across calls.
+	index [][]int
 }
 
 // NewInput draws a random, shape-correct input batch for the model. Index
@@ -158,10 +163,7 @@ func (m *Model) NewInputSampled(s *Scratch, rng *rand.Rand, size int, src IndexS
 			in.Dense.Rows, in.Dense.Cols = size, d
 			in.Dense.Data = in.Dense.Data[:size*d]
 		}
-		for i := range in.Dense.Data {
-			// Matches tensor.RandUniform(rng, size, d, 1) draw for draw.
-			in.Dense.Data[i] = rng.Float32()*2 - 1
-		}
+		fillDense(rng, in.Dense.Data)
 	} else {
 		in.Dense = nil
 	}
@@ -173,6 +175,9 @@ func (m *Model) NewInputSampled(s *Scratch, rng *rand.Rand, size int, src IndexS
 		grown := make([][][]int, nt)
 		copy(grown, in.Sparse)
 		in.Sparse = grown
+	}
+	if len(in.index) < nt {
+		in.index = append(in.index, make([][]int, nt-len(in.index))...)
 	}
 	for t := range in.Sparse {
 		lookups := m.Cfg.LookupsPerTable
@@ -186,31 +191,68 @@ func (m *Model) NewInputSampled(s *Scratch, rng *rand.Rand, size int, src IndexS
 		if cap(perItem) >= size {
 			perItem = perItem[:size]
 		} else {
-			grown := make([][]int, size)
-			copy(grown, perItem[:cap(perItem)])
-			perItem = grown
+			perItem = make([][]int, size)
+		}
+		// One backing array per table, carved into the per-item lists on
+		// every call (a Scratch serves models of any shape, so the carving
+		// cannot be kept): a table's lists lie back to back in item order.
+		if cap(in.index[t]) < size*lookups {
+			in.index[t] = make([]int, size*lookups)
+		}
+		idx := in.index[t][:size*lookups]
+		if src != nil {
+			for j := range idx {
+				idx[j] = src.Next()
+			}
+		} else {
+			fillIndices(rng, idx, rows)
 		}
 		for i := range perItem {
-			idxs := perItem[i]
-			if cap(idxs) >= lookups {
-				idxs = idxs[:lookups]
-			} else {
-				idxs = make([]int, lookups)
-			}
-			if src != nil {
-				for j := range idxs {
-					idxs[j] = src.Next()
-				}
-			} else {
-				for j := range idxs {
-					idxs[j] = rng.Intn(rows)
-				}
-			}
-			perItem[i] = idxs
+			perItem[i] = idx[i*lookups : (i+1)*lookups : (i+1)*lookups]
 		}
 		in.Sparse[t] = perItem
 	}
 	return in
+}
+
+// fillIndices draws len(idx) uniform indices in [0, rows) exactly as a loop of
+// rng.Intn(rows) would — the same values from the same Int63 draws, leaving
+// rng in the same state — with Int31n's rejection threshold, which Intn
+// recomputes (a 32-bit division) on every call, computed once.
+func fillIndices(rng *rand.Rand, idx []int, rows int) {
+	switch {
+	case rows <= 0 || rows > math.MaxInt32:
+		for j := range idx {
+			idx[j] = rng.Intn(rows) // panics, or takes Int63n's path
+		}
+	case rows&(rows-1) == 0:
+		for j := range idx {
+			idx[j] = int(rng.Int63()>>32) & (rows - 1)
+		}
+	default:
+		n := int32(rows)
+		limit := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+		for j := range idx {
+			v := int32(rng.Int63() >> 32)
+			for v > limit {
+				v = int32(rng.Int63() >> 32)
+			}
+			idx[j] = int(v % n)
+		}
+	}
+}
+
+// fillDense draws len(x) dense features in [-1, 1) exactly as a loop of
+// rng.Float32()*2-1 would, draw for draw: Go 1's frozen Float32 stream is
+// float32(float64(Int63())/(1<<63)), resampled when it rounds to 1.
+func fillDense(rng *rand.Rand, x []float32) {
+	for i := range x {
+		f := float32(float64(rng.Int63()) / (1 << 63))
+		for f == 1 {
+			f = float32(float64(rng.Int63()) / (1 << 63))
+		}
+		x[i] = f*2 - 1
+	}
 }
 
 // Slice returns a view of items [lo, hi) of the batch: the dense rows and

@@ -89,6 +89,128 @@ func TestNewInputIntoMatchesNewInput(t *testing.T) {
 	}
 }
 
+// The index draw is math/rand's, draw for draw: the same values as a literal
+// rng.Intn loop from the same seed and the same generator state afterwards,
+// for row counts on every path — 1 and the powers of two (mask), small and
+// zoo-sized (one rejection in millions), 2^30+1 (about half of all draws
+// rejected), the last int32, and past it (Intn's own Int63n path).
+func TestFillIndicesMatchesIntnDrawForDraw(t *testing.T) {
+	for _, r := range []uint64{1, 2, 3, 7, 1000, 10000, 1 << 20, 1<<30 + 1, 1<<31 - 1, 1 << 31, 1 << 40} {
+		if r > math.MaxInt {
+			continue // 32-bit int
+		}
+		rows := int(r)
+		ours, theirs := rand.New(rand.NewSource(int64(rows))), rand.New(rand.NewSource(int64(rows)))
+		got := make([]int, 3000)
+		fillIndices(ours, got, rows)
+		for j := range got {
+			if want := theirs.Intn(rows); got[j] != want {
+				t.Fatalf("rows %d: draw %d = %d, rng.Intn gives %d", rows, j, got[j], want)
+			}
+		}
+		if a, b := ours.Int63(), theirs.Int63(); a != b {
+			t.Fatalf("rows %d: generator left in a different state than %d Intn calls leave it", rows, len(got))
+		}
+	}
+}
+
+// scriptedSource replays a fixed list of Int63 values, to put the dense draw
+// on the two resampling paths a seeded generator reaches once in 2^24 draws.
+type scriptedSource struct {
+	vals []int64
+	at   int
+}
+
+func (s *scriptedSource) Int63() int64 { v := s.vals[s.at%len(s.vals)]; s.at++; return v }
+func (s *scriptedSource) Seed(int64)   {}
+
+// The dense fill is a literal rng.Float32()*2-1 loop, draw for draw — Go 1's
+// frozen stream, float64(Int63())/(1<<63) narrowed to float32 and resampled
+// when either step rounds to 1 — and leaves the generator where that loop does.
+func TestFillDenseMatchesFloat32DrawForDraw(t *testing.T) {
+	script := []int64{
+		1 << 62, 12345,
+		1<<63 - 1,         // float64 rounds to 1: Float64 resamples
+		1<<63 - (1 << 38), // below 1 as float64, 1 as float32: Float32 resamples
+		1<<63 - (1 << 39), // the largest float32 below 1: kept
+		0, 987654321987654321,
+	}
+	for name, pair := range map[string][2]*rand.Rand{
+		"seeded":   {rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))},
+		"scripted": {rand.New(&scriptedSource{vals: script}), rand.New(&scriptedSource{vals: script})},
+	} {
+		ours, theirs := pair[0], pair[1]
+		got := make([]float32, 5000)
+		fillDense(ours, got)
+		for i := range got {
+			if want := theirs.Float32()*2 - 1; math.Float32bits(got[i]) != math.Float32bits(want) {
+				t.Fatalf("%s: draw %d = %v, rng.Float32()*2-1 gives %v", name, i, got[i], want)
+			}
+		}
+		if a, b := ours.Int63(), theirs.Int63(); a != b {
+			t.Fatalf("%s: generator left in a different state than %d Float32 calls leave it", name, len(got))
+		}
+	}
+}
+
+// NewInputInto against the definition, not against NewInput (which shares its
+// code): for every zoo model, dense features then table by table, item by
+// item, lookup by lookup, each a literal math/rand call on a second generator.
+// A toolchain that changed the v1 stream would fail here, not in a golden
+// three layers up.
+func TestNewInputIntoMatchesLiteralRandLoopsWholeZoo(t *testing.T) {
+	for _, name := range ZooNames() {
+		cfg, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := MustNew(cfg, 1)
+		ours, theirs := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
+		s := NewScratch()
+		for _, size := range []int{3, 37, 2} {
+			in := m.NewInputInto(s, ours, size)
+			if (in.Dense != nil) != (cfg.DenseInDim > 0) {
+				t.Fatalf("%s: dense presence %v with DenseInDim %d", name, in.Dense != nil, cfg.DenseInDim)
+			}
+			if in.Dense != nil {
+				if in.Dense.Rows != size || in.Dense.Cols != cfg.DenseInDim || len(in.Dense.Data) != size*cfg.DenseInDim {
+					t.Fatalf("%s: dense shape %v (%d values) at size %d", name, in.Dense, len(in.Dense.Data), size)
+				}
+				for i, v := range in.Dense.Data {
+					if want := theirs.Float32()*2 - 1; math.Float32bits(v) != math.Float32bits(want) {
+						t.Fatalf("%s: dense %d = %v, want %v", name, i, v, want)
+					}
+				}
+			}
+			if len(in.Sparse) != cfg.NumTables {
+				t.Fatalf("%s: %d tables, want %d", name, len(in.Sparse), cfg.NumTables)
+			}
+			for tt, perItem := range in.Sparse {
+				lookups := cfg.LookupsPerTable
+				if m.isSeqTable(tt) {
+					lookups = cfg.SeqLen
+				}
+				if len(perItem) != size {
+					t.Fatalf("%s: table %d has %d lists, want %d", name, tt, len(perItem), size)
+				}
+				for i, idxs := range perItem {
+					if len(idxs) != lookups {
+						t.Fatalf("%s: table %d item %d has %d lookups, want %d", name, tt, i, len(idxs), lookups)
+					}
+					for j, idx := range idxs {
+						if want := theirs.Intn(cfg.TableRows); idx != want {
+							t.Fatalf("%s: index [%d][%d][%d] = %d, want %d", name, tt, i, j, idx, want)
+						}
+					}
+				}
+			}
+		}
+		if a, b := ours.Int63(), theirs.Int63(); a != b {
+			t.Fatalf("%s: generator left in a different state than the literal loops leave it", name)
+		}
+	}
+}
+
 // The scratch forward path must be allocation-free in steady state — the
 // acceptance headline of the compute-stack rewrite.
 func TestForwardIntoSteadyStateAllocationFree(t *testing.T) {
@@ -162,8 +284,8 @@ func TestRankTopNNaNSafety(t *testing.T) {
 }
 
 // Concurrent forwards on distinct scratches must share no mutable state —
-// including in the sum-pooling prefetch path, which only PoolSum models
-// with many lookups exercise (run under -race).
+// including in the sum-pooling kernel and its prefetch cursor, which only
+// PoolSum models with many lookups exercise (run under -race).
 func TestConcurrentForwardIntoDistinctScratches(t *testing.T) {
 	cfg, err := ByName("DLRM-RMC1") // PoolSum, 80 lookups per table
 	if err != nil {

@@ -65,10 +65,13 @@ func (e *IndexError) Error() string {
 // on-demand synthesis, hot-row caches — see internal/embstore), restoring
 // production-sized row counts without materializing dense weights.
 //
-// Exactly one of Weights and Store is non-nil. The Weights path is the
-// historical hot path and is preserved verbatim (including its
-// memory-level-parallel pooling); the Store path gathers through the
-// interface, serially per item, with bit-identical accumulation order.
+// Exactly one of Weights and Store is non-nil. The Weights path pools through
+// tensor.PoolSum, which reads rows where they lie; the Store path gathers
+// through the interface one row at a time (a RowStore row is only valid until
+// the next Row call), in the same per-element accumulation order, so the two
+// return the same bits for the same row content. Every lookup loop resolves
+// the table's backing, height and width once per call and checks each index
+// inline before the row it names is read.
 type EmbeddingTable struct {
 	Weights *tensor.Tensor // [rows x dim], dense in-memory backend
 	Store   RowStore       // at-scale backend (nil when Weights-backed)
@@ -113,23 +116,6 @@ func (e *EmbeddingTable) CheckIndex(idx int) error {
 	return nil
 }
 
-// mustIndex is CheckIndex for lookup paths whose signatures cannot carry an
-// error: it panics with the typed *IndexError.
-func (e *EmbeddingTable) mustIndex(idx int) {
-	if err := e.CheckIndex(idx); err != nil {
-		panic(err)
-	}
-}
-
-// row returns row idx from whichever backend is active. Callers have
-// already bounds-checked idx via mustIndex.
-func (e *EmbeddingTable) row(idx int) []float32 {
-	if e.Weights != nil {
-		return e.Weights.Row(idx)
-	}
-	return e.Store.Row(idx)
-}
-
 // Lookup gathers the rows at the given indices into a [len(indices) x dim]
 // tensor. Indices must be within range; out-of-range access indicates a
 // corrupted query and panics with a *IndexError.
@@ -140,28 +126,35 @@ func (e *EmbeddingTable) Lookup(indices []int) *tensor.Tensor {
 // LookupInto gathers the rows at the given indices into a
 // [len(indices) x dim] tensor allocated from ar (heap when ar is nil).
 func (e *EmbeddingTable) LookupInto(ar *tensor.Arena, indices []int) *tensor.Tensor {
-	out := allocUninit(ar, len(indices), e.Dim()) // every row is copied below
-	if w := e.Weights; w != nil {
-		for i, idx := range indices {
-			e.mustIndex(idx)
-			copy(out.Row(i), w.Row(idx))
-		}
-		return out
-	}
-	for i, idx := range indices {
-		e.mustIndex(idx)
-		copy(out.Row(i), e.Store.Row(idx))
-	}
+	dim := e.Dim()
+	out := allocUninit(ar, len(indices), dim) // every row is copied below
+	e.gather(out.Data, dim, len(indices), [][]int{indices})
 	return out
 }
 
-// sinkHole observes a pooling pass's local prefetch accumulator through an
-// opaque call, so the compiler cannot eliminate the prefetch touches as
-// dead loads. The accumulator itself stays per-call — concurrent forwards
-// share no state here.
-//
-//go:noinline
-func sinkHole(*float32) {}
+// gather copies the rows each list names back to back into dst — list i at
+// dst[i·l·dim:], so dst holds len(lists)·l·dim elements — resolving the
+// table's backing and height once per call: the copy behind LookupInto (one
+// list) and concat pooling (one list per item, every one of length l).
+func (e *EmbeddingTable) gather(dst []float32, dim, l int, lists [][]int) {
+	w, st, rows := e.Weights, e.Store, e.Rows()
+	for i, idxs := range lists {
+		if len(idxs) != l {
+			panic(fmt.Sprintf("nn: concat pooling requires uniform lookups, got %d and %d", l, len(idxs)))
+		}
+		out := dst[i*l*dim : (i+1)*l*dim]
+		for k, idx := range idxs {
+			if uint(idx) >= uint(rows) {
+				panic(&IndexError{Table: e.ID, Index: idx, Rows: rows})
+			}
+			if w != nil {
+				copy(out[k*dim:(k+1)*dim], w.Data[idx*dim:])
+			} else {
+				copy(out[k*dim:(k+1)*dim], st.Row(idx))
+			}
+		}
+	}
+}
 
 // EmbeddingBag is the fused lookup-and-pool operator: for each batch item it
 // gathers that item's indices and reduces them with the configured pooling.
@@ -195,82 +188,38 @@ func (b *EmbeddingBag) ForwardInto(ar *tensor.Arena, indices [][]int) *tensor.Te
 	dim := b.Table.Dim()
 	switch b.Pool {
 	case PoolSum:
-		out := alloc(ar, len(indices), dim)
 		w := b.Table.Weights
 		if w == nil {
 			// Store-backed gather: rows come through the RowStore interface
 			// (mmap page faults, cache probes, on-demand synthesis), pooled
-			// serially per item in list order — the same element-wise
-			// accumulation order as the dense path below, so results are
-			// bit-identical for equal row content.
-			st := b.Table.Store
+			// serially per item in list order — the element-wise accumulation
+			// order of tensor.PoolSum, so results are bit-identical for equal
+			// row content.
+			out := alloc(ar, len(indices), dim)
+			st, rows := b.Table.Store, b.Table.Store.Rows()
 			for i, idxs := range indices {
 				row := out.Row(i)
 				for _, idx := range idxs {
-					b.Table.mustIndex(idx)
-					tensor.AddTo(row, st.Row(idx)[:len(row)])
+					if uint(idx) >= uint(rows) {
+						panic(&IndexError{Table: b.Table.ID, Index: idx, Rows: rows})
+					}
+					tensor.AddTo(row, st.Row(idx)[:dim])
 				}
 			}
 			return out
 		}
-		var prefetch float32
-		rows := uint(w.Rows) // dense path: the row count is fixed for the call
-		for i, idxs := range indices {
-			row := out.Row(i)
-			// Validate the whole item up front: the pooling loop below (and
-			// its prefetch touches) may then index the weights unchecked.
-			for _, idx := range idxs {
-				if uint(idx) >= rows {
-					panic(&IndexError{Table: b.Table.ID, Index: idx, Rows: w.Rows})
-				}
-			}
-			// Pool eight gathered rows per pass: the output row stays in
-			// registers across them and the eight random-row reads miss the
-			// cache concurrently instead of serially — memory-level
-			// parallelism is the whole game for production-scale lookup
-			// counts (Fig. 1(b)), where every gather is a likely miss.
-			// Each element still accumulates its lookups one at a time in
-			// list order, so results are bit-identical to serial pooling.
-			l := 0
-			for ; l+8 <= len(idxs); l += 8 {
-				if l+16 <= len(idxs) {
-					// Touch the next group's rows now so their cache misses
-					// overlap this group's arithmetic (poor-Go software
-					// prefetch; sinkHole below keeps the loads live).
-					prefetch += w.Data[idxs[l+8]*dim] + w.Data[idxs[l+9]*dim] +
-						w.Data[idxs[l+10]*dim] + w.Data[idxs[l+11]*dim] +
-						w.Data[idxs[l+12]*dim] + w.Data[idxs[l+13]*dim] +
-						w.Data[idxs[l+14]*dim] + w.Data[idxs[l+15]*dim]
-				}
-				// tensor.AddTo8 pools the eight rows in one fused pass on the
-				// active kernel backend; every backend applies the same
-				// per-element source order, so pooling stays bit-identical to
-				// serial accumulation (and across backends).
-				tensor.AddTo8(row,
-					w.Row(idxs[l]), w.Row(idxs[l+1]),
-					w.Row(idxs[l+2]), w.Row(idxs[l+3]),
-					w.Row(idxs[l+4]), w.Row(idxs[l+5]),
-					w.Row(idxs[l+6]), w.Row(idxs[l+7]))
-			}
-			for ; l < len(idxs); l++ {
-				tensor.AddTo(row, w.Row(idxs[l]))
-			}
+		// The kernel writes every output element from its own accumulators,
+		// so the destination is never zeroed, and it checks every index before
+		// the load: a bad one comes back as a position, not a fault.
+		out := allocUninit(ar, len(indices), dim)
+		if i, p := tensor.PoolSum(out.Data, w.Data, dim, indices); i >= 0 {
+			panic(&IndexError{Table: b.Table.ID, Index: indices[i][p], Rows: w.Rows})
 		}
-		sinkHole(&prefetch)
 		return out
 	case PoolConcat:
 		l := len(indices[0])
 		out := allocUninit(ar, len(indices), l*dim) // every segment is copied below
-		for i, idxs := range indices {
-			if len(idxs) != l {
-				panic(fmt.Sprintf("nn: concat pooling requires uniform lookups, got %d and %d", l, len(idxs)))
-			}
-			row := out.Row(i)
-			for k, idx := range idxs {
-				b.Table.mustIndex(idx)
-				copy(row[k*dim:(k+1)*dim], b.Table.row(idx))
-			}
-		}
+		b.Table.gather(out.Data, dim, l, indices)
 		return out
 	default:
 		panic(fmt.Sprintf("nn: unknown pooling %d", int(b.Pool)))

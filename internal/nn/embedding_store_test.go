@@ -117,6 +117,46 @@ func TestOutOfRangeIndexTypedError(t *testing.T) {
 	}
 }
 
+// The dense PoolSum path hands the whole batch to tensor.PoolSum and gets a
+// position back: whatever the backend, a bad index at any position of a
+// 24-long list in the first, a middle or the last item must surface as the
+// IndexError naming that index — the first offender in list order, not a
+// later one — and the table it was looked up in.
+func TestEmbeddingBagPoolSumIndexErrorNamesFirstOffenderAllBackends(t *testing.T) {
+	const rows, length = 16, 24
+	prev := tensor.ActiveBackend()
+	defer tensor.SetBackend(prev)
+	for _, bk := range tensor.Backends() {
+		if err := tensor.SetBackend(bk); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(12))
+		for _, dim := range []int{4, 32, 36} {
+			bag := NewEmbeddingBag(rng, rows, dim, PoolSum)
+			bag.Table.ID = 7
+			batch := make([][]int, 5)
+			for i := range batch {
+				batch[i] = make([]int, length)
+				for j := range batch[i] {
+					batch[i][j] = rng.Intn(rows)
+				}
+			}
+			last := len(batch) - 1
+			for _, item := range []int{0, 2, last} {
+				for pos := 0; pos < length; pos++ {
+					for k, bad := range []int{-1, rows, math.MaxInt64, math.MinInt64} {
+						keep, keepLast := batch[item][pos], batch[last][length-1]
+						batch[last][length-1] = rows + 1 + k // a later offender, never reached
+						batch[item][pos] = bad
+						mustPanicIndexError(t, bk.String(), 7, bad, rows, func() { bag.Forward(batch) })
+						batch[item][pos], batch[last][length-1] = keep, keepLast
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestStoreTableGeometry(t *testing.T) {
 	w := tensor.New(12, 6)
 	e := NewStoreEmbeddingTable(2, tensorStore{w})

@@ -99,8 +99,9 @@ func TestAttentionAndGRUForwardSIMDWithinTolerance(t *testing.T) {
 
 // The embedding bag is pinned bit-exact across backends: pooling performs no
 // multiplies and both backends accumulate sources in identical per-element
-// order (tensor.AddTo8 + AddTo). Lookup counts cover the fused 8-row passes,
-// the serial tail, and the store-backed serial path.
+// order (tensor.PoolSum). Lookup counts cover the scalar backend's fused 8-row
+// passes and its serial tail; width 36 the vector kernel's 32-float block and
+// the 4-column tail in Go.
 func TestEmbeddingBagPoolingBitIdenticalAcrossBackends(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	bag := NewEmbeddingBag(rng, 500, 36, PoolSum)

@@ -7,7 +7,7 @@ import (
 )
 
 // Backend identifies a kernel implementation family for the hot vector and
-// GEMM kernels (MatMul*, FCInto, ReLU, Dot, AXPY, AddTo, AddTo8).
+// GEMM kernels (MatMul*, FCInto, ReLU, Dot, AXPY, AddTo, AddTo8, PoolSum).
 //
 // The backends form two numerical tiers:
 //
@@ -17,16 +17,19 @@ import (
 //   - AVX2 uses fused multiply-add and multi-accumulator summation, which
 //     change rounding and accumulation order. Its contract is
 //     tolerance-based: small relative/ULP error against the scalar backend
-//     (pinned by the differential tests in simd_test.go), with elementwise
-//     kernels (AddTo, AddTo8) still bit-identical because vectorizing an
-//     elementwise add reorders nothing.
+//     (pinned by the differential tests in simd_test.go), with the kernels
+//     that only add (AddTo, AddTo8, PoolSum) still bit-identical because
+//     vectorizing an elementwise add reorders nothing.
 //   - AVX512 is AVX2 with a wider register tile for the GEMM family
 //     (MatMul*, FCInto) and nothing else: every output element still
 //     receives fma(a[i,k], b[k,j], acc) in strictly increasing k from the
 //     same start, so it is bit-identical to AVX2 on every kernel — one
-//     vector tier, held by bits. Dot, AXPY, AddTo, AddTo8 and ReLU run the
-//     256-bit kernels under it (pooling is memory-bound, and a wider Dot
-//     would reorder its accumulators).
+//     vector tier, held by bits. Dot, AXPY, AddTo, AddTo8, ReLU and PoolSum
+//     run the 256-bit kernels under it: a wider Dot would reorder its
+//     accumulators, and the pooling kernel is bound by the µops it issues
+//     per lookup, not by register width — ZMM accumulators measured 2%
+//     better inside an RMC1 forward pass, and a second kernel has to earn
+//     10% (see poolSumAVX2).
 //
 // Each backend's requirements include the previous one's, so the backends a
 // process can run are always a prefix of this list.

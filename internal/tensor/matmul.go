@@ -438,11 +438,17 @@ func AXPY(alpha float32, x, y []float32) {
 
 // AddTo8 accumulates eight source rows into dst in one fused pass: for each
 // element j, dst[j] += s0[j]; dst[j] += s1[j]; … dst[j] += s7[j], in that
-// order. It is the embedding bag's eight-row pooling kernel, hoisted here so
-// it dispatches with the rest of the backend: the AVX2 path applies the same
-// per-element source order with vector adds (no multiplies), so AddTo8 is
-// bit-identical across backends. Every source must be at least len(dst)
-// long; callers slice sources to the destination width.
+// order. The AVX2 path applies the same per-element source order with vector
+// adds (no multiplies), so AddTo8 is bit-identical across backends. Every
+// source must be at least len(dst) long; callers slice sources to the
+// destination width.
+//
+// It was the embedding bag's eight-row pooling pass until PoolSum took the
+// gather in as well, and is now the scalar PoolSum's inner pass only: its
+// vector path has no caller left in the product (under a vector backend
+// PoolSum reaches AddTo8 for the under-8-column tail, which never gets as far
+// as the assembly) and stays because cmd/bench's ladder times it as
+// tensor.addto8_gbps.
 func AddTo8(dst []float32, s0, s1, s2, s3, s4, s5, s6, s7 []float32) {
 	s0 = s0[:len(dst)]
 	s1 = s1[:len(dst)]

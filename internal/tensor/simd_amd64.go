@@ -16,6 +16,9 @@ func addToAVX2(y, x []float32)
 func addTo8AVX2(dst *float32, n int, s0, s1, s2, s3, s4, s5, s6, s7 *float32)
 
 //go:noescape
+func poolSumAVX2(dst, table *float32, rows, stride, vecs int, lists [][]int) (off, pos int)
+
+//go:noescape
 func gemm4x16(c *float32, ldc int, a *float32, lda int, p *float32, ldp, kc int, init *float32, relu int)
 
 //go:noescape
@@ -59,6 +62,33 @@ func addTo8SIMD(dst []float32, s0, s1, s2, s3, s4, s5, s6, s7 []float32) {
 		v += s7[j]
 		dst[j] = v
 	}
+}
+
+// poolSumSIMD is PoolSum on the vector backend: the assembly kernel pools one
+// column block per pass — 32 floats while that many columns remain, then a
+// 16- and an 8-wide strip — and the scalar loop the (at most 7-column) tail.
+// Every pass checks every index before the loads it makes, and the first pass
+// is the one that finds a bad one.
+func poolSumSIMD(dst, table []float32, dim int, lists [][]int) (list, pos int) {
+	const header = 24 // bytes per []int header, the unit of the kernel's off
+	col := 0
+	for dim-col >= 8 {
+		vecs := 1
+		switch {
+		case dim-col >= 32:
+			vecs = 4
+		case dim-col >= 16:
+			vecs = 2
+		}
+		if off, pos := poolSumAVX2(&dst[col], &table[col], len(table)/dim, dim*4, vecs, lists); off >= 0 {
+			return off / header, pos
+		}
+		col += 8 * vecs
+	}
+	if col < dim {
+		return poolSumCols(dst, table, dim, col, lists)
+	}
+	return -1, -1
 }
 
 // reluSIMD is ReLU on the vector backend: the assembly kernel covers the

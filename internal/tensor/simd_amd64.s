@@ -6,9 +6,9 @@
 // Numerical contract (see backend.go): these kernels use fused multiply-add
 // and, for Dot, multiple accumulators — both change rounding/accumulation
 // order versus the scalar backend, which is why the vector tier is pinned by
-// tolerance-based differential tests rather than bit equality. addTo8AVX2 and
-// addToAVX2 contain no multiplies and preserve per-element add order, so they
-// remain bit-identical to scalar.
+// tolerance-based differential tests rather than bit equality. addToAVX2,
+// addTo8AVX2 and poolSumAVX2 contain no multiplies and preserve per-element
+// add order, so they remain bit-identical to scalar.
 
 #include "textflag.h"
 
@@ -211,12 +211,12 @@ adddone:
 
 // func addTo8AVX2(dst *float32, n int, s0, s1, s2, s3, s4, s5, s6, s7 *float32)
 //
-// The embedding-bag pooling primitive: dst[j] += s0[j] + … + s7[j] for the
-// first n (a multiple of 8; the Go wrapper finishes the tail) elements, adds
-// applied in source order per element — the exact accumulation order of the
-// scalar fused pooling loop, so results are bit-identical across backends.
-// One dst load/store per 8 elements instead of 8, with the eight gathered
-// rows streaming through a single vector chain.
+// AddTo8's kernel (no longer on a serving path — see AddTo8): dst[j] += s0[j]
+// + … + s7[j] for the first n (a multiple of 8; the Go wrapper finishes the
+// tail) elements, adds applied in source order per element — the scalar
+// loop's accumulation order, so results are bit-identical across backends.
+// One dst load/store per 8 elements instead of 8, with the eight source rows
+// streaming through a single vector chain.
 TEXT ·addTo8AVX2(SB), NOSPLIT, $0-80
 	MOVQ dst+0(FP), DI
 	MOVQ n+8(FP), CX
@@ -255,6 +255,146 @@ pool8loop:
 	JNZ     pool8loop
 
 pool8done:
+	VZEROUPPER
+	RET
+
+// func poolSumAVX2(dst, table *float32, rows, stride, vecs int, lists [][]int) (off, pos int)
+//
+// The embedding bag's gather-and-pool kernel (tensor.PoolSum) over one column
+// block of vecs·8 floats (vecs is 4, 2 or 1): dst and table point at the
+// block's first column in row 0, stride is the byte distance between rows of
+// either. For each list the block of the output row lives in Y0–Y3 from +0
+// until the list ends, takes one VADDPS per gathered row in list order — the
+// scalar loop's per-element order, so the bits are the scalar backend's — and
+// is stored once; nothing else writes dst. The kernel walks the slice headers
+// itself (24 bytes each; a zero-length list's pointer is never read).
+//
+// Every index is compared, unsigned, against rows before its row is loaded.
+// On the first one out of range the kernel returns the byte offset of its
+// list's header and its position in the list; (-1, -1) otherwise.
+//
+// A second cursor runs poolAhead lookups in front of the first, through the
+// same lists and across their boundaries, and issues PREFETCHT0 for both
+// cache lines of the 128-byte block it will reach. That address is the one
+// place an index is used before it is checked, which is safe because a
+// prefetch is a hint: it raises no fault on any address, mapped or not, and
+// changes no architectural state.
+//
+// Register shape, by measurement (CHANGES, issue 18; variants alternated
+// inside one process): one list at a time in four YMM accumulators. At about
+// 18 issued µops per lookup the loop is bound by issue width, not by the
+// 4-cycle add chain, so two lists interleaved in eight YMM measured the same
+// (ratio 0.97–1.00); two ZMM accumulators were 15–17% faster on the kernel
+// alone but 1.3–2.1% inside an RMC1 batch-256 forward pass, two lists in four
+// ZMM 23–25% and 2.7–3.5%. A ZMM kernel cannot serve the AVX2 tier, and none
+// of these earns the 10% a second kernel has to: this one serves both vector
+// tiers. Prefetch distances 16 to 64 measured alike in the pass, 8 was 3–5%
+// slower and no prefetch 6–7%.
+#define poolAhead 16
+
+TEXT ·poolSumAVX2(SB), NOSPLIT, $0-80
+	MOVQ dst+0(FP), DI
+	MOVQ table+8(FP), SI
+	MOVQ stride+24(FP), DX
+	MOVQ vecs+32(FP), R14
+	MOVQ lists_base+40(FP), BX
+	MOVQ lists_len+48(FP), CX
+	LEAQ (CX)(CX*2), CX
+	LEAQ (BX)(CX*8), CX  // end of the headers
+	LEAQ -24(BX), R10    // prefetch cursor: header, next index, end of its list
+	XORQ R11, R11
+	XORQ R12, R12
+	MOVQ $poolAhead, R13 // steps the prefetch cursor takes before the first add
+
+poollist:
+	CMPQ BX, CX
+	JAE  poolok
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ 8(BX), AX
+	TESTQ AX, AX
+	JZ   poolstore
+	MOVQ (BX), R8        // next index, end of the list
+	LEAQ (R8)(AX*8), R9
+
+poolstep:
+	CMPQ R11, R12
+	JEQ  poolnextlist
+
+poolfetch:
+	MOVQ (R11), AX
+	ADDQ $8, R11
+	IMULQ DX, AX
+	PREFETCHT0 (SI)(AX*1)
+	PREFETCHT0 64(SI)(AX*1)
+
+pooltake:
+	TESTQ R13, R13
+	JNZ  poolwarm
+	MOVQ (R8), AX
+	CMPQ AX, rows+16(FP)
+	JAE  poolbad
+	ADDQ $8, R8
+	IMULQ DX, AX
+	VADDPS (SI)(AX*1), Y0, Y0
+	CMPQ R14, $2 // VEX adds leave the flags for both branches
+	JB   pooltaken
+	VADDPS 32(SI)(AX*1), Y1, Y1
+	JEQ  pooltaken
+	VADDPS 64(SI)(AX*1), Y2, Y2
+	VADDPS 96(SI)(AX*1), Y3, Y3
+
+pooltaken:
+	CMPQ R8, R9
+	JNE  poolstep
+
+poolstore:
+	VMOVUPS Y0, (DI)
+	CMPQ R14, $2
+	JB   poolstored
+	VMOVUPS Y1, 32(DI)
+	JEQ  poolstored
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+
+poolstored:
+	ADDQ DX, DI
+	ADDQ $24, BX
+	JMP  poollist
+
+poolwarm:
+	DECQ R13
+	JMP  poolstep
+
+poolnextlist:
+	ADDQ $24, R10
+	CMPQ R10, CX
+	JAE  poolspent
+	MOVQ 8(R10), AX
+	TESTQ AX, AX
+	JZ   poolnextlist
+	MOVQ (R10), R11
+	LEAQ (R11)(AX*8), R12
+	JMP  poolfetch
+
+poolspent:
+	SUBQ $24, R10 // parked on the last header: every later step lands here
+	JMP  pooltake
+
+poolbad:
+	SUBQ (BX), R8
+	SHRQ $3, R8
+	SUBQ lists_base+40(FP), BX
+	MOVQ BX, off+64(FP)
+	MOVQ R8, pos+72(FP)
+	VZEROUPPER
+	RET
+
+poolok:
+	MOVQ $-1, off+64(FP)
+	MOVQ $-1, pos+72(FP)
 	VZEROUPPER
 	RET
 

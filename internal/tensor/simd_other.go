@@ -16,6 +16,10 @@ func addTo8SIMD(dst []float32, s0, s1, s2, s3, s4, s5, s6, s7 []float32) {
 	panic("tensor: SIMD backend unavailable")
 }
 
+func poolSumSIMD(dst, table []float32, dim int, lists [][]int) (list, pos int) {
+	panic("tensor: SIMD backend unavailable")
+}
+
 func matMulAccumSIMD(out, a, b *Tensor) { panic("tensor: SIMD backend unavailable") }
 
 func fcSIMD(out, a *Tensor, w *Panel, bias []float32, relu bool) {
