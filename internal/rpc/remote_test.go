@@ -190,13 +190,23 @@ func TestRemoteWireLostIdentity(t *testing.T) {
 		}
 	}
 
-	st := f.Stats()
+	// The verdict is read through the wire under test: a /statsz fetch the
+	// chaos drops leaves the remote serving its last good snapshot (by
+	// design), which can predate the final submits. StatsTTL is 1 ms, so
+	// every poll refetches; the identity must hold once a fetch lands.
+	var st fleet.Stats
 	var sum uint64
 	var remote fleet.ReplicaStats
-	for _, rs := range st.Replicas {
-		sum += rs.Submitted
-		if rs.ID == remoteID {
-			remote = rs
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		st, sum = f.Stats(), 0
+		for _, rs := range st.Replicas {
+			sum += rs.Submitted
+			if rs.ID == remoteID {
+				remote = rs
+			}
+		}
+		if sum == st.FrontSubmitted+st.Retried || time.Now().After(deadline) {
+			break
 		}
 	}
 	if sum != st.FrontSubmitted+st.Retried {

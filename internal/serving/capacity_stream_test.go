@@ -9,37 +9,12 @@ import (
 	"github.com/deeprecinfra/deeprecsys/internal/workload"
 )
 
-// referenceMaxQPS mirrors MaxQPS's search loop but regenerates the seeded
-// query stream at every probe through the public Evaluate — the behaviour
-// the shared-stream fast path must reproduce exactly.
+// referenceMaxQPS is the ascending reference search with every probe made
+// through the public Evaluate, which regenerates the seeded query stream and
+// prices a fresh service-time table each time — the behaviour the shared
+// stream and the per-search table must reproduce exactly.
 func referenceMaxQPS(e Engine, cfg Config, opts SearchOpts) (float64, Result) {
-	lo := 1.0
-	res, ok := Evaluate(e, cfg, opts, lo)
-	if !ok {
-		return 0, Result{}
-	}
-	bestRes := res
-	hi := 2.0
-	for hi <= opts.MaxQPS {
-		r, ok := Evaluate(e, cfg, opts, hi)
-		if !ok {
-			break
-		}
-		lo, bestRes = hi, r
-		hi *= 2
-	}
-	if hi > opts.MaxQPS {
-		return lo, bestRes
-	}
-	for hi/lo-1 > opts.RelTol {
-		mid := (lo + hi) / 2
-		if r, ok := Evaluate(e, cfg, opts, mid); ok {
-			lo, bestRes = mid, r
-		} else {
-			hi = mid
-		}
-	}
-	return lo, bestRes
+	return maxQPSAscending(opts, func(qps float64) (Result, bool) { return Evaluate(e, cfg, opts, qps) })
 }
 
 // TestMaxQPSSharedStreamMatchesPerProbeRegeneration asserts the tentpole

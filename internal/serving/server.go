@@ -88,33 +88,24 @@ type query struct {
 	measured  bool
 }
 
-// request is one batch-sized slice of a query awaiting a core.
+// request is one batch-sized slice of a query, awaiting or holding a core.
+// It names its query by querySlab index: no pointers, so moving requests
+// between and within the queue and the running set pays no write barriers.
 type request struct {
-	q     *query
-	batch int
-}
-
-// cpuRunning is one request executing on a core. The CPU pool is simulated
-// with processor-sharing dynamics for the chip's shared resources: a
-// request's progress rate is 1/T(batch, active) units of work per second,
-// re-evaluated whenever the number of active cores changes. Freezing the
-// service time at dispatch — the quasi-static shortcut — lets a finite
-// stream exceed the chip's aggregate bandwidth during ramp-up, inflating
-// measured capacity beyond the physical ceiling.
-type cpuRunning struct {
-	req       request
-	remaining float64 // unit work remaining, starts at 1
+	query int32
+	batch int32
 }
 
 // server is the single-node serving simulation state. Servers are pooled
 // and reused across Run calls: every capacity search performs dozens of
 // runs of a few thousand queries each, and recycling the event heap, the
-// queue/running backing arrays, the query slab, and the service-time cache
-// keeps the hot path allocation-free.
+// queue/running backing arrays and the query slab keeps the hot path
+// allocation-free.
 type server struct {
 	sim    *sim.Sim
 	cfg    Config
 	engine Engine
+	times  *serviceTimes // the owner's table: one capacity search or one Run
 	cores  int
 
 	// Arrival feeding: instead of pre-scheduling one event per query, the
@@ -124,20 +115,25 @@ type server struct {
 	fed     int
 	feedFn  func()
 
-	queue   []request // FIFO central dispatch queue; qHead is its pop cursor
-	qHead   int
-	running []cpuRunning
+	queue []request // FIFO central dispatch queue; qHead is its pop cursor
+	qHead int
+
+	// The requests executing on cores, as parallel slices: running[i] has
+	// remaining[i] of its unit of work left (1 at dispatch). The CPU pool is
+	// simulated with processor-sharing dynamics for the chip's shared
+	// resources: a request's progress rate is 1/T(batch, active) units of
+	// work per second, re-evaluated whenever the number of active cores
+	// changes. Freezing the service time at dispatch — the quasi-static
+	// shortcut — lets a finite stream exceed the chip's aggregate bandwidth
+	// during ramp-up, inflating measured capacity beyond the physical
+	// ceiling. A query's requests are dispatched together, so the per-event
+	// loops price T once per stretch of neighbours of one batch size: the
+	// operands, and so the bits, of pricing it per request.
+	running   []request
+	remaining []float64
 
 	lastUpdate time.Duration
 	coreBusy   float64 // core-seconds of busy time
-
-	// timeCache memoizes Engine.CPURequest as a dense [active][batch]
-	// matrix (flattened, active-major; 0 = unfilled). Batch is bounded by
-	// Config.BatchSize and active by the core count, so a slice lookup
-	// replaces the map probe the processor-sharing loop used to pay per
-	// running request per event.
-	timeCache   []float64
-	batchStride int
 
 	// Completion arming. A single pre-bound event closure is scheduled for
 	// the soonest-finishing request; armedSeq records the sim sequence
@@ -185,11 +181,19 @@ func Run(e Engine, cfg Config, queries []workload.Query) Result {
 	if err := cfg.Validate(e); err != nil {
 		panic(err)
 	}
+	times := newServiceTimes(e, cfg.BatchSize)
+	defer times.release()
+	return run(cfg, queries, times)
+}
+
+// run is Run on the caller's service-time table, for a configuration the
+// caller has validated against the table's engine.
+func run(cfg Config, queries []workload.Query, times *serviceTimes) Result {
 	if len(queries) == 0 {
 		panic("serving: empty query stream")
 	}
 	s := serverPool.Get().(*server)
-	s.reset(e, cfg, queries)
+	s.reset(cfg, queries, times)
 	s.sim.At(queries[0].Arrival, s.feedFn)
 	s.sim.Run()
 
@@ -220,7 +224,7 @@ func Run(e Engine, cfg Config, queries []workload.Query) Result {
 }
 
 // reset prepares a pooled server for one run, reusing backing storage.
-func (s *server) reset(e Engine, cfg Config, queries []workload.Query) {
+func (s *server) reset(cfg Config, queries []workload.Query, times *serviceTimes) {
 	if s.sim == nil {
 		s.sim = sim.New()
 	} else {
@@ -231,9 +235,10 @@ func (s *server) reset(e Engine, cfg Config, queries []workload.Query) {
 		s.completeFn = s.completeCPU
 	}
 	s.cfg = cfg
-	s.engine = e
-	s.cores = e.Cores()
-	s.gpuStreams = e.GPUStreams()
+	s.engine = times.e
+	s.times = times
+	s.cores = s.engine.Cores()
+	s.gpuStreams = s.engine.GPUStreams()
 
 	s.queries = queries
 	s.fed = 0
@@ -241,17 +246,9 @@ func (s *server) reset(e Engine, cfg Config, queries []workload.Query) {
 	s.queue = s.queue[:0]
 	s.qHead = 0
 	s.running = s.running[:0]
+	s.remaining = s.remaining[:0]
 	s.lastUpdate = 0
 	s.coreBusy = 0
-
-	s.batchStride = cfg.BatchSize + 1
-	need := (s.cores + 1) * s.batchStride
-	if cap(s.timeCache) < need {
-		s.timeCache = make([]float64, need)
-	} else {
-		s.timeCache = s.timeCache[:need]
-		clear(s.timeCache)
-	}
 
 	s.armed = false
 	s.armedSeq = 0
@@ -280,6 +277,7 @@ func (s *server) reset(e Engine, cfg Config, queries []workload.Query) {
 // returned Result.
 func (s *server) releaseToPool() {
 	s.engine = nil
+	s.times = nil
 	s.queries = nil
 	s.latencies = nil
 	serverPool.Put(s)
@@ -296,21 +294,27 @@ func (s *server) feed() {
 	s.arrive(i, s.queries[i], i >= s.cfg.Warmup)
 }
 
-// serviceTime returns the memoized full-service time (seconds) of a request
-// at the given active-core count. Memoization keeps the processor-sharing
-// updates cheap and, for the real-execution engine, avoids re-running the
-// model on every progress update.
-func (s *server) serviceTime(batch, active int) float64 {
-	idx := active*s.batchStride + batch
-	if t := s.timeCache[idx]; t != 0 {
+// serviceTime returns the full-service time (seconds) of a request while
+// len(s.running) cores are active, given that row of the owner's table: the
+// table keeps the processor-sharing updates cheap and, for the
+// real-execution engine, avoids re-running the model on every progress
+// update. The common case, an entry already priced, inlines into the loops.
+func (s *server) serviceTime(row []float64, batch int32) float64 {
+	if t := row[batch]; t > 0 {
 		return t
 	}
-	t := s.engine.CPURequest(batch, active).Seconds()
-	if t <= 0 {
-		t = 1e-12 // keep progress rates finite for degenerate engines
+	return s.slowServiceTime(batch)
+}
+
+// slowServiceTime prices an entry on first use, and keeps progress rates
+// finite for degenerate engines that price a request at zero.
+//
+//go:noinline
+func (s *server) slowServiceTime(batch int32) float64 {
+	if t := s.times.at(int(batch), len(s.running)); t > 0 {
+		return t
 	}
-	s.timeCache[idx] = t
-	return t
+	return 1e-12
 }
 
 // updateProgress advances every running request to the current virtual time
@@ -323,11 +327,15 @@ func (s *server) updateProgress() {
 	if dt <= 0 || len(s.running) == 0 {
 		return
 	}
-	active := len(s.running)
-	s.coreBusy += dt * float64(active)
-	for i := range s.running {
-		r := &s.running[i]
-		r.remaining -= dt / s.serviceTime(r.req.batch, active)
+	running, remaining := s.running, s.remaining[:len(s.running)] // same length: the reslice tells the compiler
+	row := s.times.row(len(running))
+	s.coreBusy += dt * float64(len(running))
+	for i := 0; i < len(running); {
+		batch := running[i].batch
+		done := dt / s.serviceTime(row, batch)
+		for ; i < len(running) && running[i].batch == batch; i++ {
+			remaining[i] -= done
+		}
 	}
 }
 
@@ -345,12 +353,16 @@ func (s *server) scheduleNextCompletion() {
 	if len(s.running) == 0 {
 		return
 	}
-	active := len(s.running)
+	running, remaining := s.running, s.remaining[:len(s.running)]
+	row := s.times.row(len(running))
 	soonest := math.Inf(1)
-	for i := range s.running {
-		r := &s.running[i]
-		if t := r.remaining * s.serviceTime(r.req.batch, active); t < soonest {
-			soonest = t
+	for i := 0; i < len(running); {
+		batch := running[i].batch
+		full := s.serviceTime(row, batch)
+		for ; i < len(running) && running[i].batch == batch; i++ {
+			if t := remaining[i] * full; t < soonest {
+				soonest = t
+			}
 		}
 	}
 	if soonest < 0 {
@@ -381,7 +393,7 @@ func (s *server) arrive(idx int, wq workload.Query, measured bool) {
 		if b > remaining {
 			b = remaining
 		}
-		s.queue = append(s.queue, request{q: q, batch: b})
+		s.queue = append(s.queue, request{query: int32(idx), batch: int32(b)})
 		q.remaining++
 		remaining -= b
 	}
@@ -394,7 +406,8 @@ func (s *server) arrive(idx int, wq workload.Query, measured bool) {
 // updateProgress first and must re-arm the completion event afterwards.
 func (s *server) dispatch() {
 	for len(s.running) < s.cores && s.qHead < len(s.queue) {
-		s.running = append(s.running, cpuRunning{req: s.queue[s.qHead], remaining: 1})
+		s.running = append(s.running, s.queue[s.qHead])
+		s.remaining = append(s.remaining, 1)
 		s.qHead++
 		s.runningDirty = true
 	}
@@ -417,19 +430,20 @@ func (s *server) completeCPU() {
 	s.runningDirty = true
 	s.updateProgress()
 	const eps = 1e-9
-	kept := s.running[:0]
-	for i := range s.running {
-		r := s.running[i]
-		if r.remaining <= eps {
-			r.req.q.remaining--
-			if r.req.q.remaining == 0 {
-				s.finish(r.req.q)
+	kept := 0
+	for i, left := range s.remaining {
+		if left <= eps {
+			q := &s.querySlab[s.running[i].query]
+			q.remaining--
+			if q.remaining == 0 {
+				s.finish(q)
 			}
 			continue
 		}
-		kept = append(kept, r)
+		s.running[kept], s.remaining[kept] = s.running[i], left
+		kept++
 	}
-	s.running = kept
+	s.running, s.remaining = s.running[:kept], s.remaining[:kept]
 	s.dispatch()
 	s.scheduleNextCompletion()
 }
