@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/deeprecinfra/deeprecsys/internal/embstore"
 	"github.com/deeprecinfra/deeprecsys/internal/model"
 	"github.com/deeprecinfra/deeprecsys/internal/nn"
+	"github.com/deeprecinfra/deeprecsys/internal/platform"
 	"github.com/deeprecinfra/deeprecsys/internal/workload"
 )
 
@@ -138,6 +140,46 @@ func TestUniformAccessMatchesNilAccess(t *testing.T) {
 			if want[q][k] != got[q][k] {
 				t.Fatalf("query %d rec %d: %+v vs %+v", q, k, want[q][k], got[q][k])
 			}
+		}
+	}
+}
+
+// One seed, one stream per lane: a Zipf source (drawing through rand.New on
+// the lane's Stream) and the dense fill (drawing on the Stream directly)
+// interleave on one state, so a one-worker service replies identically on a
+// second run, on both lanes, and differently under another seed.
+func TestZipfAccessRepliesRepeatUnderSeed(t *testing.T) {
+	cfg, err := model.ByName("DLRM-RMC1") // dense features and multi-lookup tables
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg, err = cfg.WithTableScale(5000, 0); err != nil {
+		t.Fatal(err)
+	}
+	m := model.MustNew(cfg, 1)
+	run := func(seed int64, gpu *platform.GPU) [][]model.Ranked {
+		c := Config{Model: m, Workers: 1, BatchSize: 16, Seed: seed, Access: workload.ZipfAccess{S: 1.2, V: 1}}
+		if gpu != nil {
+			c.GPU, c.GPUThreshold = gpu, 40
+		}
+		s := newService(t, c)
+		var out [][]model.Ranked
+		for i := 0; i < 6; i++ {
+			r, err := s.Submit(context.Background(), Query{Candidates: 24 + 8*i, TopN: 5}) // 24..64: both sides of the threshold
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, r.Recs)
+		}
+		return out
+	}
+	for _, gpu := range []*platform.GPU{nil, testGPU(1)} {
+		first, again, other := run(9, gpu), run(9, gpu), run(10, gpu)
+		if !reflect.DeepEqual(first, again) {
+			t.Fatalf("gpu=%v: two runs under seed 9 replied differently:\n%v\n%v", gpu != nil, first, again)
+		}
+		if reflect.DeepEqual(first, other) {
+			t.Fatalf("gpu=%v: seeds 9 and 10 replied identically", gpu != nil)
 		}
 	}
 }

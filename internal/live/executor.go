@@ -12,23 +12,25 @@ import (
 	"github.com/deeprecinfra/deeprecsys/internal/workload"
 )
 
-// indexSampler binds one worker's rng to the configured sparse-access
+// indexSampler binds one lane's Stream to the configured sparse-access
 // distribution, caching one source per table geometry: the degrade fallback
 // model (and a sharded store) can serve a different row count than the
 // service model, and a Zipf source is bound to its range at construction.
-// A nil sampler (or a model without tables) yields a nil source, which
-// NewInputSampled treats as the exact legacy rng.Intn path.
+// Sources draw through rand.New(st) — a view of the lane's own state, so
+// their draws and NewInputSampled's direct fills are one seeded stream. A
+// nil sampler (or a model without tables) yields a nil source: the Stream's
+// own uniform bulk fill.
 type indexSampler struct {
 	dist workload.IndexDist
 	rng  *rand.Rand
 	srcs map[int]model.IndexSource
 }
 
-func newIndexSampler(dist workload.IndexDist, rng *rand.Rand) *indexSampler {
+func newIndexSampler(dist workload.IndexDist, st *model.Stream) *indexSampler {
 	if dist == nil {
 		return nil
 	}
-	return &indexSampler{dist: dist, rng: rng, srcs: make(map[int]model.IndexSource)}
+	return &indexSampler{dist: dist, rng: rand.New(st), srcs: make(map[int]model.IndexSource)}
 }
 
 // source returns the sampler's IndexSource for m's table geometry.
@@ -76,7 +78,7 @@ type Executor interface {
 // Each worker owns its model.Scratch (plus intraOp-1 more when intra-query
 // splitting is enabled), so steady-state forward passes allocate nothing;
 // scratches are never shared across workers — the race-enabled live tests
-// pin that ownership rule. Scratches are model-agnostic (NewInputInto
+// pin that ownership rule. Scratches are model-agnostic (NewInputSampled
 // re-derives shapes per call), so the one scratch set serves every tenant's
 // model — the "multiple per-tenant model scratch sets behind one lane pair"
 // is one arena re-shaped per chunk, not N arenas.
@@ -93,7 +95,7 @@ func newCPUPool(tenants []*tenant, workers, queueDepth int, seed int64, scale *a
 	p := &cpuPool{tenants: tenants, scale: scale, intraOp: intraOp, tasks: make(chan chunk, queueDepth)}
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go p.worker(rand.New(rand.NewSource(seed + int64(w))))
+		go p.worker(model.NewStream(seed + int64(w)))
 	}
 	return p
 }
@@ -101,19 +103,19 @@ func newCPUPool(tenants []*tenant, workers, queueDepth int, seed int64, scale *a
 // worker executes batch-sized chunks: a real forward pass over a fresh
 // random input of the chunk's size, then (when the query wants ranked
 // output) a per-chunk top-N selection merged at query completion.
-func (p *cpuPool) worker(rng *rand.Rand) {
+func (p *cpuPool) worker(st *model.Stream) {
 	defer p.wg.Done()
 	scratches := make([]*model.Scratch, p.intraOp)
 	for i := range scratches {
 		scratches[i] = model.NewScratch()
 	}
-	// One sampler per tenant, all bound to this worker's rng: each tenant
+	// One sampler per tenant, all bound to this worker's stream: each tenant
 	// keeps its own access distribution while the worker's draw sequence
 	// stays deterministic under Seed. A tenant with uniform access has a
-	// nil sampler (the legacy rng.Intn fast path).
+	// nil sampler (the stream's own bulk fill).
 	samplers := make([]*indexSampler, len(p.tenants))
 	for i, t := range p.tenants {
-		samplers[i] = newIndexSampler(t.access, rng)
+		samplers[i] = newIndexSampler(t.access, st)
 	}
 	for c := range p.tasks {
 		if c.q.skip.Load() {
@@ -131,7 +133,7 @@ func (p *cpuPool) worker(rng *rand.Rand) {
 			m = t.model
 		}
 		start := time.Now()
-		in := m.NewInputSampled(scratches[0], rng, c.size, samplers[t.idx].source(m))
+		in := m.NewInputSampled(scratches[0], st, c.size, samplers[t.idx].source(m))
 		// With IntraOp > 1, big-batch chunks split across the par pool for
 		// intra-query parallelism (bit-identical results).
 		out := m.ForwardMaybeSplit(scratches, in)
@@ -213,8 +215,15 @@ type accelerator struct {
 	slots   chan struct{} // one token per concurrent device stream
 	seq     atomic.Int64  // per-query seed stream for ranked offloads
 	seed    int64
-	scratch sync.Pool // *model.Scratch for ranked offloads (one per active stream)
+	scratch sync.Pool // *offloadScratch for ranked offloads (one per active stream)
 	wg      sync.WaitGroup
+}
+
+// offloadScratch is what one ranked offload draws from and computes in; the
+// stream is re-seeded per query, so which pooled one a query gets is moot.
+type offloadScratch struct {
+	s  *model.Scratch
+	st model.Stream
 }
 
 // newAccelerator builds the lane, shared by every tenant. The modeled
@@ -234,7 +243,7 @@ func newAccelerator(t *tenant, gpu *platform.GPU, seed int64, scale *atomicScale
 		slots:   make(chan struct{}, streams),
 		seed:    seed,
 	}
-	a.scratch.New = func() any { return model.NewScratch() }
+	a.scratch.New = func() any { return &offloadScratch{s: model.NewScratch()} }
 	return a
 }
 
@@ -281,18 +290,18 @@ func (a *accelerator) run(iq *inflight, size int) {
 		if m == nil {
 			m = t.model
 		}
-		rng := rand.New(rand.NewSource(a.seed + a.seq.Add(1)))
-		s := a.scratch.Get().(*model.Scratch)
-		// Ranked offloads bind one fresh source per query — the per-query
-		// rng is fresh too, so the draw sequence stays deterministic.
-		out := m.ForwardInto(s, m.NewInputSampled(s, rng, size, newIndexSampler(t.access, rng).source(m)))
+		o := a.scratch.Get().(*offloadScratch)
+		o.st.Seed(a.seed + a.seq.Add(1))
+		// Ranked offloads bind one fresh source per query — the stream is
+		// freshly seeded too, so the draw sequence stays deterministic.
+		out := m.ForwardInto(o.s, m.NewInputSampled(o.s, &o.st, size, newIndexSampler(t.access, &o.st).source(m)))
 		if n > size {
 			n = size
 		}
 		iq.mu.Lock()
 		iq.recs = append(iq.recs, model.RankTopN(out, n)...)
 		iq.mu.Unlock()
-		a.scratch.Put(s)
+		a.scratch.Put(o)
 	}
 	if rem := service - time.Since(start); rem > 0 {
 		time.Sleep(rem)

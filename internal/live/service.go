@@ -239,9 +239,8 @@ func (cfg Config) withDefaults() (Config, error) {
 		return cfg, fmt.Errorf("live: intra-op parallelism %d outside [1, 64]", cfg.IntraOp)
 	}
 	if _, uniform := cfg.Access.(workload.UniformAccess); uniform {
-		// The unwrapped uniform source is bit-identical to the legacy
-		// rng.Intn stream (pinned by workload's equivalence test), so
-		// explicit uniform access takes the exact nil-sampler fast path.
+		// Uniform is what a lane's Stream draws by itself, in bulk: explicit
+		// uniform access means the nil sampler, not a Next call per lookup.
 		cfg.Access = nil
 	}
 	if cfg.Seed == 0 {

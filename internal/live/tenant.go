@@ -143,8 +143,8 @@ func (tc TenantConfig) withDefaults(cfg Config, idx int) (TenantConfig, error) {
 		tc.Access = cfg.Access
 	}
 	if _, uniform := tc.Access.(workload.UniformAccess); uniform {
-		// Explicit uniform access takes the exact nil-sampler fast path
-		// (bit-identical to the legacy rng.Intn stream).
+		// Explicit uniform access means the nil sampler: the lane's Stream
+		// draws uniform indices by itself, in bulk.
 		tc.Access = nil
 	}
 	if tc.Share == 0 {

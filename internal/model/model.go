@@ -113,15 +113,17 @@ type Input struct {
 	Dense  *tensor.Tensor
 	Sparse [][][]int
 
-	// index[t] is the array table t's lists are carved from when NewInputInto
+	// index[t] is the array table t's lists are carved from when newInput
 	// fills the input: one allocation per table, reused across calls.
 	index [][]int
 }
 
-// NewInput draws a random, shape-correct input batch for the model. Index
-// draws are uniform; the performance characteristics the simulator models do
-// not depend on the index distribution (each lookup touches one random row
-// either way), and functional tests only need valid indices.
+// NewInput draws a random, shape-correct input batch for the model from the
+// reference stream: math/rand's, dense features as rng.Float32()*2-1 and then
+// table by table, item by item, lookup by lookup as rng.Intn(rows). No lane
+// draws from it any more (they take a Stream through NewInputSampled); it
+// stays, bit for bit, because Recommend(candidates, topN, seed), the root
+// goldens and cmd/bench's Recommend(64, 5, 7) pin are defined on it.
 func (m *Model) NewInput(rng *rand.Rand, size int) *Input {
 	return m.NewInputInto(nil, rng, size)
 }
@@ -131,19 +133,38 @@ func (m *Model) NewInput(rng *rand.Rand, size int) *Input {
 // of an already-seen size allocates nothing. The RNG is consumed in exactly
 // the same order as NewInput, so the two produce identical inputs from
 // identical generator states. The returned Input aliases s and is valid
-// until the next NewInputInto call on the same Scratch.
+// until the next NewInputInto or NewInputSampled call on the same Scratch.
 func (m *Model) NewInputInto(s *Scratch, rng *rand.Rand, size int) *Input {
-	return m.NewInputSampled(s, rng, size, nil)
+	return m.newInput(s, reference{rng}, size, nil)
 }
 
-// NewInputSampled is NewInputInto with the sparse-index draws delegated to
-// src (a skewed access distribution from internal/workload — Zipf hot-row
-// popularity and friends). A nil src draws uniform indices from rng on
-// exactly the classic stream, making NewInputInto a zero-cost alias; a
-// non-nil src must produce indices within [0, Model.TableRows()) — each
-// draw is consumed in the same per-table, per-item, per-lookup order the
-// uniform path uses. Dense features always come from rng.
-func (m *Model) NewInputSampled(s *Scratch, rng *rand.Rand, size int, src IndexSource) *Input {
+// NewInputSampled is the lanes' draw: the same shapes and buffer reuse as
+// NewInputInto, filled from st by its bulk fills — dense features first,
+// then one fill per table (see Stream for the stream this defines; it is not
+// NewInputInto's). A non-nil src (a skewed access distribution from
+// internal/workload — Zipf hot-row popularity and friends) replaces the
+// index fills: it must produce indices within [0, Model.TableRows()), and
+// each draw is consumed in the same per-table, per-item, per-lookup order.
+// Dense features always come from st.
+func (m *Model) NewInputSampled(s *Scratch, st *Stream, size int, src IndexSource) *Input {
+	return m.newInput(s, st, size, src)
+}
+
+// filler is what newInput asks of a generator: once per input and once per
+// table, never per draw. *Stream is the lanes'; reference is math/rand's.
+type filler interface {
+	dense(x []float32)
+	indices(idx []int, rows int)
+}
+
+// reference is the reference stream as a filler.
+type reference struct{ rng *rand.Rand }
+
+func (r reference) dense(x []float32)           { fillDense(r.rng, x) }
+func (r reference) indices(idx []int, rows int) { fillIndices(r.rng, idx, rows) }
+
+// newInput carves the input's shapes out of s's buffers and has f fill them.
+func (m *Model) newInput(s *Scratch, f filler, size int, src IndexSource) *Input {
 	if size <= 0 {
 		panic(fmt.Sprintf("model: input size must be positive, got %d", size))
 	}
@@ -163,7 +184,7 @@ func (m *Model) NewInputSampled(s *Scratch, rng *rand.Rand, size int, src IndexS
 			in.Dense.Rows, in.Dense.Cols = size, d
 			in.Dense.Data = in.Dense.Data[:size*d]
 		}
-		fillDense(rng, in.Dense.Data)
+		f.dense(in.Dense.Data)
 	} else {
 		in.Dense = nil
 	}
@@ -205,7 +226,7 @@ func (m *Model) NewInputSampled(s *Scratch, rng *rand.Rand, size int, src IndexS
 				idx[j] = src.Next()
 			}
 		} else {
-			fillIndices(rng, idx, rows)
+			f.indices(idx, rows)
 		}
 		for i := range perItem {
 			perItem[i] = idx[i*lookups : (i+1)*lookups : (i+1)*lookups]

@@ -6,7 +6,7 @@ import (
 
 // Scratch is the per-worker working memory of the real-execution inference
 // path. A worker owns one Scratch and passes it to every
-// Model.ForwardInto / Model.NewInputInto call; in steady state a forward
+// Model.ForwardInto / Model.NewInputSampled call; in steady state a forward
 // pass then performs no heap allocation — every intermediate tensor comes
 // from the scratch arena, reusable slice headers are kept across calls, and
 // the input buffers are refilled in place.
@@ -19,8 +19,9 @@ import (
 //   - Tensors returned by ForwardInto alias the arena and are valid only
 //     until the next ForwardInto call on the same Scratch (which resets the
 //     arena). Callers that retain results across calls must Clone them.
-//   - Inputs returned by NewInputInto alias buffers owned by the Scratch
-//     (not the arena) and are valid until the next NewInputInto call.
+//   - Inputs returned by NewInputSampled (the lanes' draw) and NewInputInto
+//     (the reference stream's) alias buffers owned by the Scratch, not the
+//     arena, and are valid until the next call of either.
 type Scratch struct {
 	ar tensor.Arena
 
@@ -29,7 +30,7 @@ type Scratch struct {
 	history []*tensor.Tensor
 	scores  [][]float32
 
-	// Reused input buffers for NewInputInto.
+	// Reused input buffers for NewInputSampled / NewInputInto.
 	input *Input
 }
 

@@ -247,7 +247,7 @@ func TestValidateInputOutOfRange(t *testing.T) {
 func TestNewInputSampledOrder(t *testing.T) {
 	m := MustNew(scaled(t, "DLRM-RMC1", 1000), 1)
 	src := &countingSource{}
-	in := m.NewInputSampled(nil, rand.New(rand.NewSource(4)), 3, src)
+	in := m.NewInputSampled(nil, NewStream(4), 3, src)
 	want := 0
 	for t2 := range in.Sparse {
 		for i := range in.Sparse[t2] {

@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"math/rand"
 	"time"
 
 	"github.com/deeprecinfra/deeprecsys/internal/model"
@@ -15,7 +14,7 @@ import (
 // machine, and this machine has no modeled GPU.
 //
 // The serving simulator that drives the engine is single-threaded, so the
-// shared RNG and scratch need no locking. "Cores" is the number of simulated
+// shared stream and scratch need no locking. "Cores" is the number of simulated
 // workers; service times are measured serially on the host, so contention
 // between simulated cores is not reflected (use PlatformEngine for
 // contention studies). The engine owns a model.Scratch, so steady-state
@@ -24,7 +23,7 @@ import (
 type RealEngine struct {
 	Model   *model.Model
 	NumCore int
-	rng     *rand.Rand
+	stream  *model.Stream // the lanes' draw: the timed pass runs over what a lane would feed it
 
 	// Per-engine working memory: scratches[0] doubles as the input scratch;
 	// the rest exist only when SetParallel enabled intra-request splitting.
@@ -41,7 +40,7 @@ func NewRealEngine(m *model.Model, cores int, seed int64) *RealEngine {
 	return &RealEngine{
 		Model:     m,
 		NumCore:   cores,
-		rng:       rand.New(rand.NewSource(seed)),
+		stream:    model.NewStream(seed),
 		scratches: []*model.Scratch{model.NewScratch()},
 		parallel:  1,
 	}
@@ -67,7 +66,7 @@ func (e *RealEngine) SetParallel(workers int) {
 // generation happens outside the timed region: the paper's serving stack
 // receives already-materialized feature tensors from upstream services.
 func (e *RealEngine) CPURequest(batch, active int) time.Duration {
-	in := e.Model.NewInputInto(e.scratches[0], e.rng, batch)
+	in := e.Model.NewInputSampled(e.scratches[0], e.stream, batch, nil)
 	start := time.Now()
 	e.Model.ForwardMaybeSplit(e.scratches[:e.parallel], in)
 	return time.Since(start)

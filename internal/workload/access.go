@@ -30,8 +30,8 @@ type IndexDist interface {
 }
 
 // UniformAccess draws every row with equal probability — the classic
-// default (bit-identical to the historical rng.Intn stream when unwrapped;
-// the executor passes a nil sampler for it so the fast path stays exact).
+// default. Its Source is a literal rng.Intn per lookup; the live service
+// strips it to a nil sampler, which its lanes serve by a bulk uniform fill.
 type UniformAccess struct{}
 
 // Name implements IndexDist.

@@ -69,9 +69,9 @@ func TestAccessDeterminism(t *testing.T) {
 	}
 }
 
-// The unwrapped uniform source must reproduce the historical rng.Intn
-// stream exactly (the executor relies on this equivalence when it passes a
-// nil sampler for uniform access).
+// The unwrapped uniform source is a literal rng.Intn per lookup (the cache
+// benchmarks draw through it; the live lanes serve uniform access by their
+// own bulk fill instead).
 func TestUniformMatchesIntnStream(t *testing.T) {
 	src := UniformAccess{}.Source(rand.New(rand.NewSource(9)), 777)
 	ref := rand.New(rand.NewSource(9))
