@@ -202,17 +202,3 @@ func writeFile(path string, h Header, emit func(putRow func([]float32) error) er
 	}
 	return os.Rename(tmp.Name(), path)
 }
-
-// ReadHeader reads and validates a table file's header.
-func ReadHeader(path string) (Header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Header{}, err
-	}
-	defer f.Close()
-	b := make([]byte, headerSize)
-	if _, err := f.ReadAt(b, 0); err != nil {
-		return Header{}, fmt.Errorf("embstore: reading header of %s: %w", path, err)
-	}
-	return decodeHeader(b)
-}

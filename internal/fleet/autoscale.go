@@ -48,7 +48,8 @@ func (f *Fleet) StartAutoscale(cfg AutoscaleConfig) error {
 	if cfg.Interval < 0 {
 		return fmt.Errorf("fleet: negative autoscale interval %v", cfg.Interval)
 	}
-	if f.sla <= 0 {
+	sla := f.Stats().SLA
+	if sla <= 0 {
 		return errors.New("fleet: autoscale requires the replicas to share an SLA target")
 	}
 	f.mu.Lock()
@@ -63,7 +64,7 @@ func (f *Fleet) StartAutoscale(cfg AutoscaleConfig) error {
 	f.asStop = make(chan struct{})
 	f.asDone = make(chan struct{})
 	f.mu.Unlock()
-	go f.autoscaler(cfg)
+	go f.autoscaler(cfg, sla)
 	return nil
 }
 
@@ -72,9 +73,9 @@ func (f *Fleet) StartAutoscale(cfg AutoscaleConfig) error {
 // signal, one tier up) whose actuator is the membership — a breach adds a
 // replica up to Max, headroom removes the newest one down to Min. The
 // fleet has no one window to reset; replicas keep their own.
-func (f *Fleet) autoscaler(cfg AutoscaleConfig) {
+func (f *Fleet) autoscaler(cfg AutoscaleConfig, sla time.Duration) {
 	defer close(f.asDone)
-	st := live.Stepper{SLA: f.sla}
+	st := live.Stepper{SLA: sla}
 	st.Run(f.asStop, cfg.Interval,
 		func() live.Signal {
 			fs := f.Stats()

@@ -12,45 +12,43 @@ import (
 // Backend is the transport interface under the fleet: everything the front
 // end needs from one serving replica, with no assumption about where that
 // replica runs. *live.Service satisfies it natively (the in-process
-// replica), and internal/rpc.RemoteReplica satisfies it over an HTTP
-// connection (a replica in another process, reached through the wire).
-// Routing, health ejection, retry-on-crash, membership, and stats merging
-// are written against this interface, so a fleet mixes local and remote
-// members freely — the refactor that turns the fleet from an in-process
-// library into a multi-process system.
+// replica), internal/rpc.RemoteReplica over an HTTP connection (a replica in
+// another process), and a whole Fleet through AsBackend. Routing, health
+// ejection, retry-on-crash, membership and stats merging are written
+// against it, so a fleet mixes local and remote members freely.
 //
-// Semantics the fleet relies on:
+// One method reads, and every consumer folds what it returns:
 //
+//   - Snapshot is one read of the backend: each tenant's live.Stats in
+//     tenant order, the samples of that tenant's latency window beside
+//     them, and the node's scale factor. It carries no service-wide
+//     aggregate: whoever wants one (Fleet.Stats per member, per tenant and
+//     fleet-wide; the RPC server's /statsz and Retry-After hint) calls
+//     live.Fold on these parts, so a total always equals the sum of the
+//     breakdown reported with it. The ledgers must be monotone: the fleet
+//     sums them across members and keeps a removed member's last ones. The
+//     tenant set (count, names, order) is fixed for the backend's lifetime
+//     and is read from a snapshot at join. A remote backend reports
+//     client-measured round trips as its samples — from where the router
+//     stands, the wire is part of the replica's latency.
 //   - Submit blocks until the query completes, ctx dies, or the backend
 //     fails; it returns live.ErrReplicaDown when the serving process is
 //     down (crashed, unreachable, connection refused) so health-checked
 //     routing and the one-retry-on-crash path treat local crashes and
 //     severed connections identically.
+//   - SetBatchSize / SetGPUThreshold move tenant 0's knobs; the values in
+//     effect come back in the next Snapshot.
 //   - Failed reports the backend's health (true = eject from routing). A
 //     remote backend derives it from health probes and connection errors.
-//   - Stats / TenantStats return the backend's lifetime ledger; the fleet
-//     sums them across members (and folds them into retired totals at
-//     Remove), so they must be monotone counters.
-//   - LatencySnapshot returns the latency window the fleet merges into its
-//     fleet-wide percentiles. A remote backend reports its client-side
-//     view — measured over the wire — which is exactly the latency the
-//     front end's callers experience.
-//   - Close releases the fleet's handle. A remote Close severs the
+//   - Close releases the fleet's handle; Snapshot keeps answering after it
+//     (Remove reads the final ledgers then). A remote Close severs the
 //     connection and stops probing; it does not shut the remote process
 //     down (that process owns its own lifecycle).
 type Backend interface {
 	Submit(ctx context.Context, q live.Query) (live.Reply, error)
-	Stats() live.Stats
-	TenantStats(i int) live.Stats
-	TenantCount() int
-	TenantName(i int) string
-	LatencySnapshot() []float64
-	TenantLatencySnapshot(i int) []float64
-	BatchSize() int
-	GPUThreshold() int
+	Snapshot() live.Snapshot
 	SetBatchSize(b int) error
 	SetGPUThreshold(thr int) error
-	Scale() float64
 	Failed() bool
 	Close() error
 }
@@ -88,7 +86,7 @@ type BackendInfo struct {
 func (f *Fleet) AddBackend(b Backend, info BackendInfo) (int, error) {
 	speed := info.Speed
 	if speed == 0 {
-		speed = b.Scale()
+		speed = b.Snapshot().Scale
 	}
 	if speed <= 0 {
 		speed = 1
@@ -104,8 +102,8 @@ func (f *Fleet) AddBackend(b Backend, info BackendInfo) (int, error) {
 type fleetBackend struct{ f *Fleet }
 
 // AsBackend returns the fleet viewed as one Backend: Submit routes as
-// usual, Stats is the fleet-merged ledger, and Failed reports whether the
-// fleet has no healthy routable replica left.
+// usual, Snapshot is the fleet's tenants merged over its members, and Failed
+// reports whether the fleet has no healthy routable replica left.
 func (f *Fleet) AsBackend() Backend { return fleetBackend{f} }
 
 func (fb fleetBackend) Submit(ctx context.Context, q live.Query) (live.Reply, error) {
@@ -118,53 +116,24 @@ func (fb fleetBackend) Submit(ctx context.Context, q live.Query) (live.Reply, er
 	return reply, err
 }
 
-// Stats is the fleet-merged snapshot as a Backend consumer (an upstream
-// front end, the RPC server's /statsz and Retry-After hint) aggregates it,
-// with FrontSubmitted — each query once, however many replicas it tried —
-// as the Submitted figure the outside world sees.
-func (fb fleetBackend) Stats() live.Stats {
-	fst := fb.f.Stats()
-	fst.Submitted = fst.FrontSubmitted
-	return fst.Stats
-}
-
-func (fb fleetBackend) TenantStats(i int) live.Stats {
-	return fb.f.Stats().Tenants[i].Stats
-}
-
-func (fb fleetBackend) TenantCount() int { return fb.f.TenantCount() }
-
-func (fb fleetBackend) TenantName(i int) string {
+// Snapshot is each tenant merged over the fleet's members, as Fleet.Stats
+// reports it, with one change: Submitted is the tenant's front-door count —
+// each query once, however many replicas it tried — which is what a
+// consumer on the far side of a Backend edge (an upstream front end, the RPC
+// server's /statsz) submitted. Admitted stays the per-replica sum, the
+// fleet's GPUQueryShare denominator.
+func (fb fleetBackend) Snapshot() live.Snapshot {
 	fb.f.mu.RLock()
-	defer fb.f.mu.RUnlock()
-	return fb.f.tenants[i].Name
-}
-
-func (fb fleetBackend) LatencySnapshot() []float64 {
-	fb.f.mu.RLock()
-	defer fb.f.mu.RUnlock()
-	var merged []float64
-	for _, r := range fb.f.replicas {
-		merged = append(merged, r.svc.LatencySnapshot()...)
+	_, tenants := fb.f.snapshots()
+	fb.f.mu.RUnlock()
+	for ti := range tenants {
+		tenants[ti].Submitted = fb.f.frontSubmitted[ti].Load()
 	}
-	return merged
+	return live.Snapshot{Tenants: tenants, Scale: 1}
 }
 
-func (fb fleetBackend) TenantLatencySnapshot(i int) []float64 {
-	fb.f.mu.RLock()
-	defer fb.f.mu.RUnlock()
-	var merged []float64
-	for _, r := range fb.f.replicas {
-		merged = append(merged, r.svc.TenantLatencySnapshot(i)...)
-	}
-	return merged
-}
-
-func (fb fleetBackend) BatchSize() int              { return fb.f.BatchSize() }
-func (fb fleetBackend) GPUThreshold() int           { return fb.f.GPUThreshold() }
 func (fb fleetBackend) SetBatchSize(b int) error    { return fb.f.SetBatchSize(b) }
 func (fb fleetBackend) SetGPUThreshold(t int) error { return fb.f.SetGPUThreshold(t) }
-func (fb fleetBackend) Scale() float64              { return 1 }
 
 // Failed reports whether the fleet has nowhere to route: every routable
 // replica is down.

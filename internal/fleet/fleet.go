@@ -20,10 +20,10 @@
 //     replicas — the fleet-level analogue of the per-node offload
 //     threshold.
 //
-//   - Aggregation. Stats merges the replicas' online latency windows into
-//     one coherent sample set and reports fleet-wide p50/p95 alongside
-//     per-replica snapshots, the live counterpart of the paper's
-//     fleet-wide latency distributions.
+//   - Aggregation. Stats takes one live.Snapshot per replica and folds
+//     them — per replica, per tenant, fleet-wide — so the fleet-wide
+//     p50/p95 are over the union of the replicas' latency windows, the live
+//     counterpart of the paper's fleet-wide latency distributions.
 //
 //   - Membership. Replicas can be added, drained, and removed while the
 //     fleet serves: draining excludes a replica from routing but lets its
@@ -37,11 +37,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/deeprecinfra/deeprecsys/internal/live"
 	"github.com/deeprecinfra/deeprecsys/internal/model"
-	"github.com/deeprecinfra/deeprecsys/internal/stats"
 	"github.com/deeprecinfra/deeprecsys/internal/workload"
 )
 
@@ -89,7 +87,6 @@ func (r *replica) healthy() bool { return !r.svc.Failed() }
 // replica.
 type Fleet struct {
 	policy Policy
-	sla    time.Duration
 
 	mu       sync.RWMutex
 	replicas []*replica // membership in ID order
@@ -111,18 +108,16 @@ type Fleet struct {
 	tenantCap []atomic.Int64
 	capShed   []atomic.Uint64
 
-	// Lifetime accounting for removed replicas, folded into Stats so the
-	// fleet's counters are monotone across membership changes.
-	// retiredTenants is the per-tenant breakdown of the same retirement.
-	retired        live.Ledger
-	retiredTenants []live.Ledger
+	// Lifetime accounting for removed replicas, per tenant, folded into
+	// Stats so the fleet's counters are monotone across membership changes.
+	retired []live.Ledger
 
-	// Front-door accounting: every query entering the fleet counts once
-	// here even when a replica failure makes it try two replicas, so the
-	// fleet's external view stays exact while per-replica counters stay
-	// per-replica truth (sum of replica Submitted == FrontSubmitted +
-	// Retried).
-	frontSubmitted atomic.Uint64
+	// Front-door accounting, per tenant: every query entering the fleet
+	// counts once here even when a replica failure makes it try two
+	// replicas, so the fleet's external view stays exact while per-replica
+	// counters stay per-replica truth (sum of replica Submitted ==
+	// FrontSubmitted + Retried).
+	frontSubmitted []atomic.Uint64
 	retried        atomic.Uint64
 	retry          atomic.Bool // one retry on ErrReplicaDown enabled
 
@@ -157,7 +152,8 @@ func New(cfgs []live.Config, policy Policy) (*Fleet, error) {
 		tenantOut:      make([]atomic.Int64, len(infos)),
 		tenantCap:      make([]atomic.Int64, len(infos)),
 		capShed:        make([]atomic.Uint64, len(infos)),
-		retiredTenants: make([]live.Ledger, len(infos)),
+		retired:        make([]live.Ledger, len(infos)),
+		frontSubmitted: make([]atomic.Uint64, len(infos)),
 	}
 	if tp, ok := policy.(TenantPolicy); ok {
 		tp.BindTenants(infos)
@@ -169,7 +165,6 @@ func New(cfgs []live.Config, policy Policy) (*Fleet, error) {
 			return nil, err
 		}
 	}
-	f.sla = f.replicas[0].svc.Stats().SLA
 	return f, nil
 }
 
@@ -245,14 +240,15 @@ func (f *Fleet) add(cfg live.Config) (int, error) {
 // member must host the fleet's tenant set: same count, same names, same
 // order. On any error the backend is closed (join took ownership).
 func (f *Fleet) join(svc Backend, cfg live.Config, local, hasGPU bool, speed float64) (int, error) {
-	if svc.TenantCount() != len(f.tenants) {
+	hosted := svc.Snapshot().Tenants
+	if len(hosted) != len(f.tenants) {
 		svc.Close()
-		return 0, fmt.Errorf("fleet: replica hosts %d tenants, fleet has %d", svc.TenantCount(), len(f.tenants))
+		return 0, fmt.Errorf("fleet: replica hosts %d tenants, fleet has %d", len(hosted), len(f.tenants))
 	}
 	for i := range f.tenants {
-		if svc.TenantName(i) != f.tenants[i].Name {
+		if hosted[i].Tenant != f.tenants[i].Name {
 			svc.Close()
-			return 0, fmt.Errorf("fleet: replica tenant %d is %q, fleet has %q", i, svc.TenantName(i), f.tenants[i].Name)
+			return 0, fmt.Errorf("fleet: replica tenant %d is %q, fleet has %q", i, hosted[i].Tenant, f.tenants[i].Name)
 		}
 	}
 	f.mu.Lock()
@@ -385,7 +381,7 @@ func (f *Fleet) Submit(ctx context.Context, q live.Query) (live.Reply, int, erro
 	if q.Tenant < 0 || q.Tenant >= len(f.tenants) {
 		return live.Reply{}, -1, fmt.Errorf("fleet: tenant %d outside [0, %d]", q.Tenant, len(f.tenants)-1)
 	}
-	f.frontSubmitted.Add(1)
+	f.frontSubmitted[q.Tenant].Add(1)
 	// Per-tenant fleet-wide outstanding cap: the interference guard that
 	// keeps one saturated tenant from occupying every execution slot the
 	// fleet has. Cap-shed queries are refused at the front door — they
@@ -502,10 +498,10 @@ func (f *Fleet) Remove(id int) error {
 	// unretryable and Stats report a zombie.
 	err := r.svc.Close()
 
+	last := r.svc.Snapshot().Tenants
 	f.mu.Lock()
-	f.retired = f.retired.Add(r.svc.Stats().Ledger)
-	for ti := range f.retiredTenants {
-		f.retiredTenants[ti] = f.retiredTenants[ti].Add(r.svc.TenantStats(ti).Ledger)
+	for ti := range f.retired {
+		f.retired[ti] = f.retired[ti].Add(last[ti].Ledger)
 	}
 	for i, cur := range f.replicas {
 		if cur == r {
@@ -561,27 +557,11 @@ func (f *Fleet) SetGPUThreshold(thr int) error {
 // BatchSize returns the first replica's current batch size. Replicas share
 // knob settings through SetBatchSize, but per-replica AutoTune may diverge
 // them; Stats().Replicas carries every replica's value.
-func (f *Fleet) BatchSize() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if len(f.replicas) == 0 {
-		return 0
-	}
-	return f.replicas[0].svc.BatchSize()
-}
+func (f *Fleet) BatchSize() int { return f.Stats().BatchSize }
 
 // GPUThreshold returns the first GPU-capable replica's current offload
 // threshold (0 when none has an accelerator).
-func (f *Fleet) GPUThreshold() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	for _, r := range f.replicas {
-		if r.hasGPU {
-			return r.svc.GPUThreshold()
-		}
-	}
-	return 0
-}
+func (f *Fleet) GPUThreshold() int { return f.Stats().GPUThreshold }
 
 // ReplicaStats is one replica's slice of the fleet snapshot: its identity
 // and routing state alongside its full live.Stats.
@@ -668,93 +648,86 @@ type Stats struct {
 	Tenants []TenantStats
 }
 
-// Stats returns a fleet-wide online snapshot: per-replica states plus
-// fleet-level percentiles merged across every replica's latency window.
+// snapshots takes one Snapshot per member and folds each tenant's parts
+// across them, plus the retired ledger, into that tenant's fleet-wide
+// snapshot. Callers hold mu.
+func (f *Fleet) snapshots() (members [][]live.TenantSnapshot, merged []live.TenantSnapshot) {
+	members = make([][]live.TenantSnapshot, len(f.replicas))
+	for i, r := range f.replicas {
+		members[i] = r.svc.Snapshot().Tenants
+	}
+	merged = make([]live.TenantSnapshot, len(f.tenants))
+	parts := make([]live.TenantSnapshot, len(members)+1)
+	for ti, info := range f.tenants {
+		for i, m := range members {
+			parts[i] = m[ti]
+		}
+		parts[len(members)] = live.TenantSnapshot{Stats: live.Stats{Tenant: info.Name, Ledger: f.retired[ti]}}
+		for i := range parts {
+			// The fleet states GPUQueryShare over Submitted.
+			parts[i].Admitted = parts[i].Submitted
+		}
+		merged[ti] = live.Fold(parts)
+	}
+	return members, merged
+}
+
+// Stats returns a fleet-wide online snapshot. Each member's tenants fold
+// into its ReplicaStats, each tenant's merged snapshot is its TenantStats,
+// and those fold into the fleet-wide aggregate — which is therefore the sum
+// of the tenants reported with it, percentiles over the union of every
+// replica's latency window.
 func (f *Fleet) Stats() Stats {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
+	members, merged := f.snapshots()
 	st := Stats{
-		Policy:         f.policy.Name(),
-		Size:           f.routable(),
-		Stats:          live.Stats{Ledger: f.retired, SLA: f.sla},
-		FrontSubmitted: f.frontSubmitted.Load(),
-		Retried:        f.retried.Load(),
-		ScaleUps:       f.scaleUps.Load(),
-		ScaleDowns:     f.scaleDowns.Load(),
-		Crashes:        f.crashes.Load(),
-		Restarts:       f.restarts.Load(),
-		Replicas:       make([]ReplicaStats, 0, len(f.replicas)),
+		Policy:     f.policy.Name(),
+		Size:       f.routable(),
+		Stats:      live.Fold(merged).Stats,
+		Retried:    f.retried.Load(),
+		ScaleUps:   f.scaleUps.Load(),
+		ScaleDowns: f.scaleDowns.Load(),
+		Crashes:    f.crashes.Load(),
+		Restarts:   f.restarts.Load(),
+		Replicas:   make([]ReplicaStats, len(f.replicas)),
+		Tenants:    make([]TenantStats, len(f.tenants)),
 	}
-	var merged []float64
+	// The fleet-wide aggregate names no tenant, even when there is only one,
+	// and its threshold is the first GPU-capable replica's.
+	st.Tenant, st.Share, st.GPUThreshold = "", 0, 0
 	gpuSeen := false
 	for i, r := range f.replicas {
-		rs := r.svc.Stats()
-		st.Ledger = st.Ledger.Add(rs.Ledger)
-		st.Queued += rs.Queued
-		if i == 0 {
-			st.BatchSize, st.DegradeLevel = rs.BatchSize, rs.DegradeLevel
-		}
-		if r.hasGPU && !gpuSeen {
-			st.GPUThreshold, gpuSeen = rs.GPUThreshold, true
-		}
-		if !r.draining && r.healthy() {
+		failed := r.svc.Failed()
+		if !r.draining && !failed {
 			st.Healthy++
 		}
-		merged = append(merged, r.svc.LatencySnapshot()...)
-		st.Replicas = append(st.Replicas, ReplicaStats{
+		st.Replicas[i] = ReplicaStats{
 			ID:          r.id,
 			Speed:       r.speed,
 			HasGPU:      r.hasGPU,
 			Draining:    r.draining,
-			Failed:      !r.healthy(),
+			Failed:      failed,
 			Outstanding: int(r.outstanding.Load()),
-			Stats:       rs,
-		})
-	}
-	derive(&st.Stats, merged)
-	st.Tenants = make([]TenantStats, len(f.tenants))
-	for ti := range f.tenants {
-		agg := live.Stats{Ledger: f.retiredTenants[ti]}
-		var tmerged []float64
-		for ri, r := range f.replicas {
-			rs := r.svc.TenantStats(ti)
-			if ri == 0 {
-				// Identity/knob fields come from the first member.
-				agg.Tenant, agg.Share = rs.Tenant, rs.Share
-				agg.BatchSize, agg.GPUThreshold = rs.BatchSize, rs.GPUThreshold
-				agg.SLA, agg.DegradeLevel = rs.SLA, rs.DegradeLevel
-			}
-			agg.Ledger = agg.Ledger.Add(rs.Ledger)
-			agg.Queued += rs.Queued
-			tmerged = append(tmerged, r.svc.TenantLatencySnapshot(ti)...)
+			Stats:       live.Fold(members[i]).Stats,
 		}
-		derive(&agg, tmerged)
+		if r.hasGPU && !gpuSeen {
+			st.GPUThreshold, gpuSeen = st.Replicas[i].GPUThreshold, true
+		}
+	}
+	for ti, info := range f.tenants {
+		st.FrontSubmitted += f.frontSubmitted[ti].Load()
 		st.Tenants[ti] = TenantStats{
-			Name:        f.tenants[ti].Name,
-			Share:       f.tenants[ti].Share,
-			Shape:       f.tenants[ti].Shape,
+			Name:        info.Name,
+			Share:       info.Share,
+			Shape:       info.Shape,
 			Outstanding: int(f.tenantOut[ti].Load()),
 			Cap:         int(f.tenantCap[ti].Load()),
 			CapShed:     f.capShed[ti].Load(),
-			Stats:       agg,
+			Stats:       merged[ti].Stats,
 		}
 	}
 	return st
-}
-
-// derive fills the non-additive half of a merged snapshot from its summed
-// ledger and the union of its members' latency windows.
-func derive(st *live.Stats, window []float64) {
-	st.WindowLen = len(window)
-	if len(window) > 0 {
-		st.P50 = time.Duration(stats.Percentile(window, 50) * float64(time.Second))
-		st.P95 = time.Duration(stats.Percentile(window, 95) * float64(time.Second))
-	}
-	if st.Submitted > 0 {
-		st.GPUQueryShare = float64(st.GPUQueries) / float64(st.Submitted)
-	}
-	st.GPUWorkShare = st.Ledger.GPUWorkShare()
-	st.EmbHitRate = st.Ledger.EmbHitRate()
 }
 
 // Close stops accepting queries, then closes every replica concurrently:

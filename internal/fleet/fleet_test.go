@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,6 +43,81 @@ func newFleet(t testing.TB, cfgs []live.Config, p Policy) *Fleet {
 	}
 	t.Cleanup(func() { f.Close() })
 	return f
+}
+
+// pollLedgerIdentity reads f.Stats() again and again until the returned stop
+// is called, and fails the test at the first poll whose fleet-wide ledger is
+// not the sum of the tenant ledgers reported with it — queries in flight,
+// membership churn and retired members included.
+func pollLedgerIdentity(t *testing.T, f *Fleet) (stop func()) {
+	t.Helper()
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for polls := 1; ; polls++ {
+			st := f.Stats()
+			var sum live.Ledger
+			for _, ts := range st.Tenants {
+				sum = sum.Add(ts.Ledger)
+			}
+			if sum != st.Ledger {
+				t.Errorf("poll %d: fleet ledger != sum of tenant ledgers:\nfleet   %+v\ntenants %+v", polls, st.Ledger, sum)
+				return
+			}
+			select {
+			case <-quit:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	return func() { close(quit); <-done }
+}
+
+// countingBackend counts the Snapshots taken of the member it wraps.
+type countingBackend struct {
+	Backend
+	snaps atomic.Int64
+}
+
+func (c *countingBackend) Snapshot() live.Snapshot {
+	c.snaps.Add(1)
+	return c.Backend.Snapshot()
+}
+
+// TestStatsTakesOneSnapshotPerMember pins the cost of a read in reads, not
+// microseconds: Stats, the knob getters and AsBackend's Snapshot take
+// exactly one Snapshot of every member, and Remove exactly one of the member
+// it retires.
+func TestStatsTakesOneSnapshotPerMember(t *testing.T) {
+	ncf, rmc := tenantModels(t)
+	f := newFleet(t, []live.Config{tenantConfig(ncf, rmc, 1), tenantConfig(ncf, rmc, 2), tenantConfig(ncf, rmc, 3)}, nil)
+	members := make([]*countingBackend, len(f.replicas))
+	for i, r := range f.replicas {
+		members[i] = &countingBackend{Backend: r.svc}
+		r.svc = members[i]
+	}
+	expect := func(what string, want ...int64) {
+		t.Helper()
+		for i, m := range members {
+			if got := m.snaps.Swap(0); got != want[i] {
+				t.Errorf("%s took %d snapshots of member %d, want %d", what, got, i, want[i])
+			}
+		}
+	}
+	f.Stats()
+	expect("Stats", 1, 1, 1)
+	f.BatchSize()
+	expect("BatchSize", 1, 1, 1)
+	f.GPUThreshold()
+	expect("GPUThreshold", 1, 1, 1)
+	f.AsBackend().Snapshot()
+	expect("AsBackend().Snapshot", 1, 1, 1)
+	if err := f.Remove(1); err != nil {
+		t.Fatal(err)
+	}
+	expect("Remove", 0, 1, 0)
 }
 
 // --- Policy unit tests (no services involved) ---
@@ -279,7 +355,7 @@ func TestSizeAwareFleetRouting(t *testing.T) {
 	}
 	// The fleet viewed as one Backend carries the item counts, so an
 	// upstream fleet merging it recomputes the same exact work share.
-	if up := (live.Ledger{}).Add(f.AsBackend().Stats().Ledger); up.WorkItems != 408 || up.GPUItems != 400 || up.GPUWorkShare() != st.GPUWorkShare {
+	if up := live.Fold(f.AsBackend().Snapshot().Tenants).Ledger; up.WorkItems != 408 || up.GPUItems != 400 || up.GPUWorkShare() != st.GPUWorkShare {
 		t.Errorf("AsBackend ledger = %+v, want 400 of 408 items offloaded", up)
 	}
 	// Removing the GPU replica must keep the lifetime counters and shares
@@ -526,6 +602,7 @@ func TestMixedFleetSoak(t *testing.T) {
 
 	// Membership churn while traffic flows: add a GPU replica, then drain
 	// and remove the slow one.
+	stopPolling := pollLedgerIdentity(t, f)
 	id, err := f.Add(mk(4, true, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -537,6 +614,7 @@ func TestMixedFleetSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
+	stopPolling()
 
 	st := f.Stats()
 	want := uint64(submitters * perSubmitter)

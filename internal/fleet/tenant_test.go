@@ -227,6 +227,7 @@ func TestMixedTenantFleetSoak(t *testing.T) {
 
 	// Membership churn while the submitters run: grow by one replica,
 	// then drain and remove an original member.
+	stopPolling := pollLedgerIdentity(t, f)
 	time.Sleep(2 * time.Millisecond)
 	if _, err := f.Add(tenantConfig(ncf, rmc, 4)); err != nil {
 		t.Errorf("mid-soak Add: %v", err)
@@ -238,6 +239,7 @@ func TestMixedTenantFleetSoak(t *testing.T) {
 		t.Errorf("mid-soak Remove: %v", err)
 	}
 	wg.Wait()
+	stopPolling()
 
 	st := f.Stats()
 	if len(st.Tenants) != 2 {

@@ -18,10 +18,10 @@
 //
 // A Service is one serving node. Config.Scale stretches its service times
 // by a per-node factor — the live counterpart of the offline fleet
-// simulator's ScaledEngine node-heterogeneity model — and LatencySnapshot
-// exposes the online latency window for cross-node aggregation; both exist
-// so internal/fleet can shard traffic across N replica Services, the
-// paper's at-scale tier made live.
+// simulator's ScaledEngine node-heterogeneity model — and Snapshot reads
+// every tenant's Stats and latency samples at once, for Fold to merge
+// across tenants and nodes; both exist so internal/fleet can shard traffic
+// across N replica Services, the paper's at-scale tier made live.
 package live
 
 import (
@@ -334,6 +334,80 @@ func (s Stats) MeetsSLA() bool {
 	return s.SLA > 0 && s.WindowLen > 0 && s.P95 <= s.SLA
 }
 
+// TenantSnapshot is one tenant's part of a Snapshot: its Stats and, beside
+// them, the two things a merge needs that Stats do not carry.
+type TenantSnapshot struct {
+	Stats
+	// Admitted is GPUQueryShare's denominator: the queries that reached a
+	// lane, here. A tier that states the share over another count (the
+	// fleet: over Submitted) sets it before folding.
+	Admitted uint64
+	// Samples is the latency window behind P50 / P95, in seconds, unordered.
+	Samples []float64
+}
+
+// Snapshot is one read of a serving node: every tenant's part in tenant
+// order, and the node's service-time scale factor. It carries no aggregate;
+// Fold computes one from the parts.
+type Snapshot struct {
+	Tenants []TenantSnapshot
+	Scale   float64
+}
+
+// Fold merges parts — a service's tenants, one tenant's slices across a
+// fleet's members, a fleet's tenants — into one: ledgers by Ledger.Add,
+// Queued and Admitted summed, percentiles over the concatenated samples,
+// ratios from the summed ledger. Knobs, SLA and DegradeLevel are the first
+// part's; Tenant and Share survive only when every part names the same
+// tenant. A fold of one part is that part. Every aggregate Stats in the
+// system is computed here.
+func Fold(parts []TenantSnapshot) TenantSnapshot {
+	if len(parts) == 0 {
+		return TenantSnapshot{}
+	}
+	agg := parts[0]
+	if len(parts) == 1 {
+		return agg
+	}
+	n := len(agg.Samples)
+	for _, p := range parts[1:] {
+		if p.Tenant != agg.Tenant {
+			agg.Tenant, agg.Share = "", 0
+		}
+		agg.Ledger = agg.Ledger.Add(p.Ledger)
+		agg.Queued += p.Queued
+		agg.Admitted += p.Admitted
+		n += len(p.Samples)
+	}
+	all := make([]float64, 0, n)
+	for _, p := range parts {
+		all = append(all, p.Samples...)
+	}
+	agg.SetSamples(all)
+	agg.setRatios()
+	return agg
+}
+
+// SetSamples sets the latency window and the percentiles over it.
+func (s *TenantSnapshot) SetSamples(samples []float64) {
+	sum := stats.Summarize(samples)
+	s.Samples = samples
+	s.P50 = time.Duration(sum.P50 * float64(time.Second))
+	s.P95 = time.Duration(sum.P95 * float64(time.Second))
+	s.WindowLen = sum.Count
+}
+
+// setRatios fills the ratios a snapshot derives from its ledger's sums and
+// from Admitted, which the ledger does not carry.
+func (s *TenantSnapshot) setRatios() {
+	s.GPUQueryShare = 0
+	if s.Admitted > 0 {
+		s.GPUQueryShare = float64(s.GPUQueries) / float64(s.Admitted)
+	}
+	s.GPUWorkShare = s.Ledger.GPUWorkShare()
+	s.EmbHitRate = s.Ledger.EmbHitRate()
+}
+
 // inflight tracks one submitted query across its units of work: batch-sized
 // chunks on the CPU lane, a single whole-query request when offloaded.
 type inflight struct {
@@ -643,10 +717,6 @@ func mergeTopN(recs []model.Ranked, n int) []model.Ranked {
 // single-model service).
 func (s *Service) TenantCount() int { return len(s.tenants) }
 
-// TenantName returns the name of the tenant at index i ("" for the classic
-// single-model service's anonymous tenant).
-func (s *Service) TenantName(i int) string { return s.tenants[i].name }
-
 // TenantIndex maps a tenant name to its index in Config.Tenants order.
 func (s *Service) TenantIndex(name string) (int, bool) {
 	i, ok := s.byName[name]
@@ -689,25 +759,6 @@ func (s *Service) SetTenantGPUThreshold(tenant, thr int) error {
 	s.tenants[tenant].thresh.Store(int64(thr))
 	return nil
 }
-
-// LatencySnapshot copies the current contents of the online latency window
-// in seconds (unordered), concatenated across tenants. A fleet front end
-// merges the snapshots of its replicas to estimate fleet-wide percentiles
-// over one coherent sample set.
-func (s *Service) LatencySnapshot() []float64 {
-	if len(s.tenants) == 1 {
-		return s.tenants[0].win.Snapshot()
-	}
-	var all []float64
-	for _, t := range s.tenants {
-		all = append(all, t.win.Snapshot()...)
-	}
-	return all
-}
-
-// TenantLatencySnapshot copies one tenant's online latency window in
-// seconds (unordered), for per-tenant fleet-wide percentile merging.
-func (s *Service) TenantLatencySnapshot(i int) []float64 { return s.tenants[i].win.Snapshot() }
 
 // Scale returns the current service-time scale factor (1 = nominal speed).
 func (s *Service) Scale() float64 { return s.scale.Load() }
@@ -759,50 +810,24 @@ func (s *Service) Fail() {
 // the health signal fleet routing checks.
 func (s *Service) Failed() bool { return s.failed.Load() }
 
-// Stats returns an online snapshot. On a multi-tenant service the ledgers
-// are summed across tenants, the percentiles are computed over the merged
-// tenant windows, and the knob/SLA fields are tenant 0's (read TenantStats
-// for any one tenant's own).
-func (s *Service) Stats() Stats {
-	st := s.tenants[0].snapshot()
-	if len(s.tenants) == 1 {
-		return st
+// Snapshot reads every tenant once, in tenant order. Stats, the fleet's
+// merges and /statsz all fold these same parts, so a total and its
+// breakdown are never read at different instants.
+func (s *Service) Snapshot() Snapshot {
+	snap := Snapshot{Tenants: make([]TenantSnapshot, len(s.tenants)), Scale: s.Scale()}
+	for i, t := range s.tenants {
+		snap.Tenants[i] = t.snapshot()
 	}
-	st.Tenant = ""
-	st.Share = 0
-	admitted := s.tenants[0].cpuQueries.Load()
-	for _, t := range s.tenants[1:] {
-		ts := t.snapshot()
-		st.Ledger = st.Ledger.Add(ts.Ledger)
-		st.Queued += ts.Queued
-		admitted += t.cpuQueries.Load()
-	}
-	all := s.LatencySnapshot()
-	st.P50, st.P95 = 0, 0
-	if len(all) > 0 {
-		st.P50 = time.Duration(stats.Percentile(all, 50) * float64(time.Second))
-		st.P95 = time.Duration(stats.Percentile(all, 95) * float64(time.Second))
-	}
-	st.WindowLen = len(all)
-	st.setRatios(admitted + st.GPUQueries)
-	return st
+	return snap
 }
 
-// setRatios fills the ratios a snapshot derives from its ledger's sums.
-// admitted — the queries that reached a lane — is GPUQueryShare's
-// denominator, which the ledger does not carry.
-func (s *Stats) setRatios(admitted uint64) {
-	s.GPUQueryShare = 0
-	if admitted > 0 {
-		s.GPUQueryShare = float64(s.GPUQueries) / float64(admitted)
-	}
-	s.GPUWorkShare = s.Ledger.GPUWorkShare()
-	s.EmbHitRate = s.Ledger.EmbHitRate()
-}
+// Stats returns the service-wide online snapshot: the Fold of every
+// tenant's (read TenantStats for any one tenant's own).
+func (s *Service) Stats() Stats { return Fold(s.Snapshot().Tenants).Stats }
 
 // TenantStats returns one tenant's slice of the online snapshot: its own
 // knobs, windowed percentiles, SLA, and counter ledger.
-func (s *Service) TenantStats(i int) Stats { return s.tenants[i].snapshot() }
+func (s *Service) TenantStats(i int) Stats { return s.tenants[i].snapshot().Stats }
 
 // Close stops accepting queries, waits for every in-flight query to
 // complete, and shuts down the executor lanes and controllers. Queries

@@ -240,12 +240,11 @@ func (t *tenant) countAborted(err error) {
 	}
 }
 
-// snapshot builds this tenant's slice of the service Stats: the one place
+// snapshot reads this tenant's part of the service Snapshot: the one place
 // the ledger's counters are loaded from their atomics.
-func (t *tenant) snapshot() Stats {
-	sum := t.win.Summary()
+func (t *tenant) snapshot() TenantSnapshot {
 	gpuItems := t.gpuItems.Load()
-	st := Stats{
+	st := TenantSnapshot{Stats: Stats{
 		Tenant: t.name,
 		Share:  t.share,
 		Ledger: Ledger{
@@ -267,12 +266,10 @@ func (t *tenant) snapshot() Stats {
 		},
 		BatchSize:    int(t.batch.Load()),
 		GPUThreshold: int(t.thresh.Load()),
-		P50:          time.Duration(sum.P50 * float64(time.Second)),
-		P95:          time.Duration(sum.P95 * float64(time.Second)),
-		WindowLen:    sum.Count,
 		SLA:          t.sla,
 		DegradeLevel: int(t.degLevel.Load()),
-	}
+	}}
+	st.SetSamples(t.win.Snapshot())
 	if t.adm != nil {
 		st.Queued = t.adm.queued()
 	}
@@ -288,6 +285,7 @@ func (t *tenant) snapshot() Stats {
 		st.EmbEvictions = est.Evictions
 		st.EmbBytesRead = est.BytesRead
 	}
-	st.setRatios(st.GPUQueries + t.cpuQueries.Load())
+	st.Admitted = st.GPUQueries + t.cpuQueries.Load()
+	st.setRatios()
 	return st
 }

@@ -332,10 +332,8 @@ func (m *Model) ForwardInto(s *Scratch, in *Input) *tensor.Tensor {
 // ForwardMaybeSplit is the one place the intra-query split policy lives:
 // it fans out through ForwardSplit when more than one scratch is provided
 // and the batch has at least 2·MinSplitRows rows, and runs a plain
-// ForwardInto on scratches[0] otherwise. The live CPU lane and the offline
-// RealEngine both route through it, so they cannot diverge on when to
-// parallelize. Like ForwardInto, the serial path's result aliases
-// scratches[0]'s arena.
+// ForwardInto on scratches[0] otherwise. Like ForwardInto, the serial
+// path's result aliases scratches[0]'s arena.
 func (m *Model) ForwardMaybeSplit(scratches []*Scratch, in *Input) *tensor.Tensor {
 	if parts := in.Size / MinSplitRows; len(scratches) > 1 && parts >= 2 {
 		return m.ForwardSplit(scratches, in, parts)

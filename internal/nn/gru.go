@@ -46,13 +46,6 @@ func (g *GRUCell) Step(x, h *tensor.Tensor) *tensor.Tensor {
 	return g.stepInto(nil, x, h, 1, false, tensor.New(h.Rows, h.Cols))
 }
 
-// StepWeighted advances the recurrence like Step but scales the update gate
-// by attn, implementing the attentional update gate of DIEN's AUGRU: a
-// position the attention unit scores low barely perturbs the hidden state.
-func (g *GRUCell) StepWeighted(x, h *tensor.Tensor, attn float32) *tensor.Tensor {
-	return g.stepInto(nil, x, h, attn, true, tensor.New(h.Rows, h.Cols))
-}
-
 // stepInto advances the recurrence writing the next hidden state into out,
 // which must not alias x or h. Gate scratch comes from ar (heap when nil)
 // and is reclaimed before returning, so a T-step sequence holds at most one

@@ -26,8 +26,8 @@ type RemoteConfig struct {
 	// (default 250ms). ProbeTimeout bounds each probe (default
 	// ProbeInterval).
 	ProbeInterval, ProbeTimeout time.Duration
-	// StatsTTL bounds how stale the cached /statsz snapshot behind
-	// Stats()/BatchSize()/... may be (default 100ms).
+	// StatsTTL bounds how stale the cached /statsz body behind Snapshot()
+	// may be (default 100ms).
 	StatsTTL time.Duration
 }
 
@@ -44,33 +44,32 @@ type RemoteConfig struct {
 //   - Failed() is backed by a /healthz prober plus instant demotion on a
 //     connect error, so routing stops sending to a dead process within a
 //     probe period.
-//   - Stats() serves a TTL-cached /statsz snapshot, falling back to the
-//     last good one when the server is unreachable; Close caches a final
-//     snapshot first, because the fleet folds a removed member's counters
-//     AFTER closing it. A crash between snapshots can lose the final few
-//     counts from the fleet's merged view — the remote process's own
-//     ledger remains exact, which is where conservation is asserted.
+//   - Snapshot() is built from one TTL-cached /statsz body — every tenant
+//     of one snapshot comes from the same fetch — falling back to the last
+//     good one when the server is unreachable; Close caches a final body
+//     first, because the fleet reads a removed member's counters AFTER
+//     closing it. A crash between fetches can lose the final few counts
+//     from the fleet's merged view — the remote process's own ledger
+//     remains exact, which is where conservation is asserted.
 //   - A submit that provably never reached the server (connect error: the
 //     wire refused before delivery) appears in no server-side ledger, which
 //     would break the fleet's front-door identity sum(replica Submitted) ==
 //     FrontSubmitted + Retried. The replica keeps a client-side overlay for
-//     exactly these: each counts as Submitted and Failed in Stats(), so the
-//     identity — and per-replica conservation — stay exact over a lossy
-//     wire. Resets need no overlay (the server executed and counted the
-//     query); a deadline that fires mid-flight is genuinely ambiguous, and
-//     identity tests avoid it.
-//   - LatencySnapshot() reports client-side measured RTTs, not the
-//     server's own windows: to the routing tier, the wire is part of the
-//     replica's latency, and load-aware policies should see it.
+//     exactly these: each counts as Submitted and Failed in its tenant's
+//     part of the snapshot, so the identity — and per-replica conservation
+//     — stay exact over a lossy wire. Resets need no overlay (the server
+//     executed and counted the query); a deadline that fires mid-flight is
+//     genuinely ambiguous, and identity tests avoid it.
+//   - The snapshot's samples are client-side measured RTTs, not the
+//     server's own windows, and once a tenant has any its percentiles are
+//     over them: to the routing tier, the wire is part of the replica's
+//     latency, and load-aware policies should see it.
 type RemoteReplica struct {
-	target string
 	client *Client
 	cfg    RemoteConfig
 
 	tenants []string
-
-	lat       *stats.Window
-	tenantLat []*stats.Window
+	lat     []*stats.Window // client-observed RTTs, per tenant
 
 	// wireLost counts submits per tenant that provably never reached the
 	// server (connect errors); they overlay the fetched ledger as
@@ -116,10 +115,8 @@ func NewRemoteReplica(target string, cfg RemoteConfig) (*RemoteReplica, error) {
 		return nil, fmt.Errorf("rpc: remote replica %s unreachable: %w", target, err)
 	}
 	r := &RemoteReplica{
-		target:    target,
 		client:    client,
 		cfg:       cfg,
-		lat:       stats.NewWindow(512),
 		lastStats: st,
 		statsAt:   time.Now(),
 		stop:      make(chan struct{}),
@@ -127,20 +124,18 @@ func NewRemoteReplica(target string, cfg RemoteConfig) (*RemoteReplica, error) {
 	}
 	for _, t := range st.Tenants {
 		r.tenants = append(r.tenants, t.Name)
-		r.tenantLat = append(r.tenantLat, stats.NewWindow(512))
 	}
 	if len(r.tenants) == 0 {
 		// Single-model server: one anonymous tenant, as in live.New.
 		r.tenants = []string{""}
-		r.tenantLat = []*stats.Window{r.lat}
+	}
+	for range r.tenants {
+		r.lat = append(r.lat, stats.NewWindow(512))
 	}
 	r.wireLost = make([]atomic.Uint64, len(r.tenants))
 	go r.prober()
 	return r, nil
 }
-
-// Target returns the remote server's address.
-func (r *RemoteReplica) Target() string { return r.target }
 
 // Client exposes the underlying wire client (for its Stats ledger).
 func (r *RemoteReplica) Client() *Client { return r.client }
@@ -189,8 +184,7 @@ func (r *RemoteReplica) Submit(ctx context.Context, q live.Query) (live.Reply, e
 		}
 		return live.Reply{}, err
 	}
-	r.lat.Add(rtt.Seconds())
-	r.tenantLat[q.Tenant].Add(rtt.Seconds())
+	r.lat[q.Tenant].Add(rtt.Seconds())
 	reply := live.Reply{
 		Latency:   rtt, // the replica's latency includes its wire
 		BatchSize: resp.Batch,
@@ -227,69 +221,32 @@ func (r *RemoteReplica) statsz() StatsResponse {
 	return r.lastStats
 }
 
-// Stats returns the remote backend's merged lifetime ledger, with the
-// online latency view overridden by client-side RTT measurements and
-// wire-lost submits folded in as Submitted+Failed.
-func (r *RemoteReplica) Stats() live.Stats {
-	var lost uint64
-	for i := range r.wireLost {
-		lost += r.wireLost[i].Load()
-	}
-	return overlay(r.statsz().Service, r.lat, lost)
-}
-
-// TenantStats returns tenant i's slice of the remote ledger.
-func (r *RemoteReplica) TenantStats(i int) live.Stats {
-	if i < 0 || i >= len(r.tenants) {
-		return live.Stats{}
-	}
+// Snapshot lays the client's view over one fetched /statsz body, tenant by
+// tenant: submits that provably never reached the server count as
+// Submitted+Failed, and once RTTs have been seen the client-observed
+// percentiles replace the server-measured ones — the wire is part of this
+// replica's service time from where the fleet stands. GPUQueryShare's
+// denominator does not cross the wire; folds above a remote member state it
+// over Submitted, as the fleet does.
+func (r *RemoteReplica) Snapshot() live.Snapshot {
 	sz := r.statsz()
-	st := sz.Service // single-model server: the anonymous tenant is the whole service
-	if i < len(sz.Tenants) {
-		st = sz.Tenants[i].Stats
+	snap := live.Snapshot{Tenants: make([]live.TenantSnapshot, len(r.tenants)), Scale: sz.Scale}
+	for i := range snap.Tenants {
+		t := &snap.Tenants[i]
+		t.Stats = sz.Service // single-model server: the anonymous tenant is the whole service
+		if i < len(sz.Tenants) {
+			t.Stats = sz.Tenants[i].Stats
+		}
+		lost := r.wireLost[i].Load()
+		t.Submitted += lost
+		t.Failed += lost
+		t.Admitted = t.Submitted
+		if rtts := r.lat[i].Snapshot(); len(rtts) > 0 {
+			t.SetSamples(rtts)
+		}
 	}
-	return overlay(st, r.tenantLat[i], r.wireLost[i].Load())
+	return snap
 }
-
-// overlay lays the client's view over a fetched snapshot: submits that
-// provably never reached the server count as Submitted+Failed, and once
-// RTTs have been seen the client-observed percentiles replace the
-// server-measured ones — the wire is part of this replica's service time
-// from where the fleet stands.
-func overlay(st live.Stats, w *stats.Window, lost uint64) live.Stats {
-	st.Submitted += lost
-	st.Failed += lost
-	if n := w.Len(); n > 0 {
-		st.P50 = time.Duration(w.Percentile(50) * float64(time.Second))
-		st.P95 = time.Duration(w.Percentile(95) * float64(time.Second))
-		st.WindowLen = n
-	}
-	return st
-}
-
-func (r *RemoteReplica) TenantCount() int { return len(r.tenants) }
-
-func (r *RemoteReplica) TenantName(i int) string {
-	if i < 0 || i >= len(r.tenants) {
-		return ""
-	}
-	return r.tenants[i]
-}
-
-// LatencySnapshot returns the client-observed RTT window (seconds).
-func (r *RemoteReplica) LatencySnapshot() []float64 { return r.lat.Snapshot() }
-
-// TenantLatencySnapshot returns tenant i's client-observed RTT window.
-func (r *RemoteReplica) TenantLatencySnapshot(i int) []float64 {
-	if i < 0 || i >= len(r.tenantLat) {
-		return nil
-	}
-	return r.tenantLat[i].Snapshot()
-}
-
-func (r *RemoteReplica) BatchSize() int { return r.statsz().Service.BatchSize }
-
-func (r *RemoteReplica) GPUThreshold() int { return r.statsz().Service.GPUThreshold }
 
 // SetBatchSize applies the knob on the remote server.
 func (r *RemoteReplica) SetBatchSize(b int) error {
@@ -305,14 +262,6 @@ func (r *RemoteReplica) SetGPUThreshold(thr int) error {
 	defer cancel()
 	_, err := r.client.SetKnobs(ctx, -1, thr)
 	return err
-}
-
-// Scale reports the remote backend's service-time scale factor.
-func (r *RemoteReplica) Scale() float64 {
-	if s := r.statsz().Scale; s > 0 {
-		return s
-	}
-	return 1
 }
 
 // Failed reports the prober's current verdict (true also immediately

@@ -73,7 +73,7 @@ func TestRemoteReplicaServesInFleet(t *testing.T) {
 	}
 	// The wire is part of the remote replica's latency: its merged window
 	// must be client-side RTTs, hence non-empty after serving.
-	if len(r.LatencySnapshot()) == 0 {
+	if len(r.Snapshot().Tenants[0].Samples) == 0 {
 		t.Fatal("remote replica's client-side latency window is empty")
 	}
 

@@ -3,9 +3,11 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -67,6 +69,7 @@ type stubBackend struct {
 	tenants []string
 	submit  func(n uint64, ctx context.Context, q live.Query) (live.Reply, error)
 	n       atomic.Uint64
+	snaps   atomic.Uint64 // Snapshot calls
 	batch   atomic.Int64
 	thr     atomic.Int64
 	failed  atomic.Bool
@@ -86,21 +89,26 @@ func (s *stubBackend) Submit(ctx context.Context, q live.Query) (live.Reply, err
 	return s.submit(s.n.Add(1), ctx, q)
 }
 
-func (s *stubBackend) Stats() live.Stats {
-	return live.Stats{Ledger: live.Ledger{Submitted: s.n.Load()}, BatchSize: int(s.batch.Load()), P50: 5 * time.Millisecond}
+// Snapshot counts its calls: the cost tests assert how many reads a request
+// takes.
+func (s *stubBackend) Snapshot() live.Snapshot {
+	s.snaps.Add(1)
+	snap := live.Snapshot{Tenants: make([]live.TenantSnapshot, len(s.tenants)), Scale: 1}
+	for i, name := range s.tenants {
+		snap.Tenants[i].Stats = live.Stats{
+			Tenant:       name,
+			Ledger:       live.Ledger{Submitted: s.n.Load()},
+			BatchSize:    int(s.batch.Load()),
+			GPUThreshold: int(s.thr.Load()),
+			P50:          5 * time.Millisecond,
+		}
+	}
+	return snap
 }
-func (s *stubBackend) TenantStats(i int) live.Stats          { return s.Stats() }
-func (s *stubBackend) TenantCount() int                      { return len(s.tenants) }
-func (s *stubBackend) TenantName(i int) string               { return s.tenants[i] }
-func (s *stubBackend) LatencySnapshot() []float64            { return nil }
-func (s *stubBackend) TenantLatencySnapshot(i int) []float64 { return nil }
-func (s *stubBackend) BatchSize() int                        { return int(s.batch.Load()) }
-func (s *stubBackend) GPUThreshold() int                     { return int(s.thr.Load()) }
-func (s *stubBackend) SetBatchSize(b int) error              { s.batch.Store(int64(b)); return nil }
-func (s *stubBackend) SetGPUThreshold(thr int) error         { s.thr.Store(int64(thr)); return nil }
-func (s *stubBackend) Scale() float64                        { return 1 }
-func (s *stubBackend) Failed() bool                          { return s.failed.Load() }
-func (s *stubBackend) Close() error                          { return nil }
+func (s *stubBackend) SetBatchSize(b int) error      { s.batch.Store(int64(b)); return nil }
+func (s *stubBackend) SetGPUThreshold(thr int) error { s.thr.Store(int64(thr)); return nil }
+func (s *stubBackend) Failed() bool                  { return s.failed.Load() }
+func (s *stubBackend) Close() error                  { return nil }
 
 // --- end-to-end round trips over a real live.Service ---
 
@@ -639,6 +647,58 @@ func TestNetChaosResetDelivers(t *testing.T) {
 	}
 }
 
+// --- what a scrape costs, in reads ---
+
+// TestStatszTakesOneSnapshot pins the cost of a /statsz request without a
+// clock: exactly one Snapshot of the served backend, and when that backend
+// is a fleet viewed through AsBackend, exactly one of each member — the
+// service aggregate in the body is the fold of the tenants beside it, not a
+// second read.
+func TestStatszTakesOneSnapshot(t *testing.T) {
+	ok := func(n uint64, ctx context.Context, q live.Query) (live.Reply, error) { return okReply() }
+	scrape := func(srv *Server) StatsResponse {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, PathStats, nil))
+		var resp StatsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("/statsz: status %d, decode error %v", rec.Code, err)
+		}
+		return resp
+	}
+
+	stub := newStub(ok)
+	stub.tenants = []string{"search", "ads"}
+	srv := NewServer(stub, ServerConfig{})
+	stub.Submit(context.Background(), live.Query{Candidates: 8})
+	stub.snaps.Store(0)
+	resp := scrape(srv)
+	if got := stub.snaps.Load(); got != 1 {
+		t.Errorf("/statsz took %d snapshots of the backend, want 1", got)
+	}
+	if len(resp.Tenants) != 2 || resp.Service.Submitted != resp.Tenants[0].Stats.Submitted+resp.Tenants[1].Stats.Submitted {
+		t.Errorf("service ledger is not the sum of the tenants in the same body: %+v", resp)
+	}
+
+	f := newLocalFleet(t, 1)
+	members := []*stubBackend{newStub(ok), newStub(ok)}
+	for _, m := range members {
+		if _, err := f.AddBackend(m, fleet.BackendInfo{Speed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fsrv := NewServer(f.AsBackend(), ServerConfig{})
+	for _, m := range members {
+		m.snaps.Store(0)
+	}
+	scrape(fsrv)
+	for i, m := range members {
+		if got := m.snaps.Load(); got != 1 {
+			t.Errorf("/statsz over AsBackend took %d snapshots of member %d, want 1", got, i)
+		}
+	}
+}
+
 // --- knobs ---
 
 func TestKnobsOverTheWire(t *testing.T) {
@@ -652,8 +712,8 @@ func TestKnobsOverTheWire(t *testing.T) {
 	if resp.Batch != 64 || resp.Threshold != 512 {
 		t.Fatalf("knobs echo %+v, want 64/512", resp)
 	}
-	if stub.BatchSize() != 64 || stub.GPUThreshold() != 512 {
-		t.Fatalf("backend knobs %d/%d, want 64/512", stub.BatchSize(), stub.GPUThreshold())
+	if stub.batch.Load() != 64 || stub.thr.Load() != 512 {
+		t.Fatalf("backend knobs %d/%d, want 64/512", stub.batch.Load(), stub.thr.Load())
 	}
 }
 

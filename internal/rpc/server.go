@@ -71,8 +71,8 @@ type Server struct {
 }
 
 // NewServer wraps a backend in the wire protocol. The backend's tenant set
-// is read once at construction; SubmitTo-style addressing uses it to map
-// wire tenant names to indices.
+// is read once, from a snapshot, at construction; SubmitTo-style addressing
+// uses it to map wire tenant names to indices.
 func NewServer(b fleet.Backend, cfg ServerConfig) *Server {
 	if cfg.DrainGrace == 0 {
 		cfg.DrainGrace = 30 * time.Second
@@ -84,11 +84,10 @@ func NewServer(b fleet.Backend, cfg ServerConfig) *Server {
 		cfg.RetryAfterCap = 2 * time.Second
 	}
 	s := &Server{b: b, cfg: cfg, tenantIdx: make(map[string]int)}
-	for i := 0; i < b.TenantCount(); i++ {
-		name := b.TenantName(i)
-		s.tenants = append(s.tenants, name)
-		if name != "" {
-			s.tenantIdx[name] = i
+	for i, t := range b.Snapshot().Tenants {
+		s.tenants = append(s.tenants, t.Tenant)
+		if t.Tenant != "" {
+			s.tenantIdx[t.Tenant] = i
 		}
 	}
 	return s
@@ -311,7 +310,7 @@ func (s *Server) retryAfterHint() time.Duration {
 	if time.Since(s.hintAt) < 50*time.Millisecond && s.hintVal > 0 {
 		return s.hintVal
 	}
-	st := s.b.Stats()
+	st := live.Fold(s.b.Snapshot().Tenants)
 	p50 := st.P50
 	if p50 <= 0 {
 		p50 = 10 * time.Millisecond
@@ -371,18 +370,20 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// handleStats serves the backend's full lifetime ledger plus the wire
-// counters — the payload a RemoteReplica merges into its fleet's stats.
+// handleStats serves one snapshot of the backend — each tenant's ledger and
+// their fold as the service's — plus the wire counters: the payload a
+// RemoteReplica merges into its fleet's stats.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	snap := s.b.Snapshot()
 	resp := StatsResponse{
 		Model:    s.cfg.Model,
-		Scale:    s.b.Scale(),
+		Scale:    snap.Scale,
 		Draining: s.draining.Load(),
-		Service:  s.b.Stats(),
+		Service:  live.Fold(snap.Tenants).Stats,
 		Server:   s.Counters(),
 	}
-	for i := range s.tenants {
-		resp.Tenants = append(resp.Tenants, TenantStatsz{Name: s.tenants[i], Stats: s.b.TenantStats(i)})
+	for _, t := range snap.Tenants {
+		resp.Tenants = append(resp.Tenants, TenantStatsz{Name: t.Tenant, Stats: t.Stats})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -411,5 +412,6 @@ func (s *Server) handleKnobs(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, KnobsResponse{Batch: s.b.BatchSize(), Threshold: s.b.GPUThreshold()})
+	st := live.Fold(s.b.Snapshot().Tenants)
+	writeJSON(w, http.StatusOK, KnobsResponse{Batch: st.BatchSize, Threshold: st.GPUThreshold})
 }

@@ -23,12 +23,8 @@ import (
 type RealEngine struct {
 	Model   *model.Model
 	NumCore int
-	stream  *model.Stream // the lanes' draw: the timed pass runs over what a lane would feed it
-
-	// Per-engine working memory: scratches[0] doubles as the input scratch;
-	// the rest exist only when SetParallel enabled intra-request splitting.
-	scratches []*model.Scratch
-	parallel  int
+	stream  *model.Stream  // the lanes' draw: the timed pass runs over what a lane would feed it
+	scratch *model.Scratch // per-engine working memory, the input's and the pass's
 }
 
 // NewRealEngine wraps an instantiated model as a serving engine with the
@@ -38,27 +34,10 @@ func NewRealEngine(m *model.Model, cores int, seed int64) *RealEngine {
 		panic("serving: RealEngine needs at least one core")
 	}
 	return &RealEngine{
-		Model:     m,
-		NumCore:   cores,
-		stream:    model.NewStream(seed),
-		scratches: []*model.Scratch{model.NewScratch()},
-		parallel:  1,
-	}
-}
-
-// SetParallel lets big-batch requests split their forward pass row-wise
-// across up to workers goroutines (internal/par), one scratch arena each.
-// Results are bit-identical to serial execution; only the measured wall
-// time changes, which is the point — the engine then reports what the host
-// can actually do with its cores. workers <= 1 restores serial execution
-// (the default, and the configuration every recorded artifact uses).
-func (e *RealEngine) SetParallel(workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	e.parallel = workers
-	for len(e.scratches) < workers {
-		e.scratches = append(e.scratches, model.NewScratch())
+		Model:   m,
+		NumCore: cores,
+		stream:  model.NewStream(seed),
+		scratch: model.NewScratch(),
 	}
 }
 
@@ -66,9 +45,9 @@ func (e *RealEngine) SetParallel(workers int) {
 // generation happens outside the timed region: the paper's serving stack
 // receives already-materialized feature tensors from upstream services.
 func (e *RealEngine) CPURequest(batch, active int) time.Duration {
-	in := e.Model.NewInputSampled(e.scratches[0], e.stream, batch, nil)
+	in := e.Model.NewInputSampled(e.scratch, e.stream, batch, nil)
 	start := time.Now()
-	e.Model.ForwardMaybeSplit(e.scratches[:e.parallel], in)
+	e.Model.ForwardInto(e.scratch, in)
 	return time.Since(start)
 }
 
