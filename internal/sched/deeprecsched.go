@@ -43,8 +43,11 @@ func StaticBaseline(e serving.Engine, opts serving.SearchOpts) Decision {
 // argument is carried through unchanged so the GPU stage can re-tune
 // batching decisions are made under the same offload policy.
 func TuneBatch(e serving.Engine, threshold int, opts serving.SearchOpts) Decision {
+	// One search object for the climb; refine reaches half again past the cap.
+	search := serving.NewSearch(e, opts, MaxTunedBatch+MaxTunedBatch/2)
+	defer search.Release()
 	eval := func(batch int) Score {
-		qps, res := serving.MaxQPS(e, serving.Config{BatchSize: batch, GPUThreshold: threshold}, opts)
+		qps, res := search.MaxQPS(serving.Config{BatchSize: batch, GPUThreshold: threshold})
 		return Score{Value: batch, QPS: qps, Result: res}
 	}
 	best, n1 := climb(powersOfTwo(MaxTunedBatch), 2, eval)
@@ -67,17 +70,20 @@ func TuneThreshold(e serving.Engine, batch int, opts serving.SearchOpts) Decisio
 	if !e.HasGPU() {
 		panic("sched: TuneThreshold on a CPU-only engine")
 	}
+	search := serving.NewSearch(e, opts, batch)
+	defer search.Release()
 	eval := func(threshold int) Score {
-		qps, res := serving.MaxQPS(e, serving.Config{BatchSize: batch, GPUThreshold: threshold}, opts)
+		qps, res := search.MaxQPS(serving.Config{BatchSize: batch, GPUThreshold: threshold})
 		return Score{Value: threshold, QPS: qps, Result: res}
 	}
 	// Thresholds beyond the maximum query size disable offload entirely;
 	// include one such point so the climb can discover "keep everything on
-	// the CPU" if the accelerator never helps.
-	cands := powersOfTwo(workload.MaxQuerySize)
-	cands = append(cands, workload.MaxQuerySize+1)
+	// the CPU" if the accelerator never helps — and one only: refining
+	// upward from it would search the same operating point again.
+	disabled := workload.MaxQuerySize + 1
+	cands := append(powersOfTwo(workload.MaxQuerySize), disabled)
 	best, n1 := climb(cands, 2, eval)
-	best, n2 := refine(best, eval)
+	best, n2 := refineUpTo(best, disabled, eval)
 	return Decision{
 		BatchSize:    batch,
 		GPUThreshold: best.Value,

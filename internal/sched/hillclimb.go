@@ -14,6 +14,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/deeprecinfra/deeprecsys/internal/serving"
 )
@@ -79,11 +80,17 @@ func climb(cands []int, patience int, eval evalFunc) (Score, int) {
 // extra evaluations and recovers most of the gap a coarse multiplicative
 // climb leaves on the table.
 func refine(best Score, eval evalFunc) (Score, int) {
+	return refineUpTo(best, math.MaxInt, eval)
+}
+
+// refineUpTo is refine for a knob whose values above max are all one
+// operating point, already evaluated at max: it skips them.
+func refineUpTo(best Score, max int, eval evalFunc) (Score, int) {
 	evals := 0
 	lower := best.Value - best.Value/4 // midpoint toward value/2
 	upper := best.Value + best.Value/2 // midpoint toward 2*value
 	for _, v := range []int{lower, upper} {
-		if v <= 0 || v == best.Value {
+		if v <= 0 || v == best.Value || v > max {
 			continue
 		}
 		s := eval(v)

@@ -63,3 +63,23 @@ func TestZooDecisionsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestZooEvaluationsPinned pins, beside the decisions above, the capacity
+// searches each of them took: a climb that visits one operating point more or
+// fewer, to the same decision, fails here.
+func TestZooEvaluationsPinned(t *testing.T) {
+	want := map[string][3]int{
+		"DLRM-RMC1": {1, 13, 25}, "DLRM-RMC2": {1, 13, 25}, "DLRM-RMC3": {1, 13, 25}, "NCF": {1, 13, 26},
+		"WnD": {1, 12, 25}, "MT-WnD": {1, 9, 20}, "DIN": {1, 11, 23}, "DIEN": {1, 12, 25},
+	}
+	for _, cfg := range model.Zoo() {
+		cpu := serving.NewPlatformEngine(platform.Skylake(), nil, cfg)
+		gpu := serving.NewPlatformEngine(platform.Skylake(), platform.DefaultGPU(), cfg)
+		opts := serving.DefaultSearchOpts(workload.DefaultProduction(), cfg.SLAMedium)
+		opts.Queries, opts.Warmup, opts.RelTol, opts.Seed = 400, 50, 0.05, 1
+		got := [3]int{StaticBaseline(cpu, opts).Evaluations, DeepRecSchedCPU(cpu, opts).Evaluations, DeepRecSchedGPU(gpu, opts).Evaluations}
+		if got != want[cfg.Name] {
+			t.Errorf("%s: static, DeepRecSched-CPU and -GPU took %v capacity searches, pinned %v", cfg.Name, got, want[cfg.Name])
+		}
+	}
+}

@@ -183,10 +183,12 @@ func TestMaxQPSSimulatesFewProbes(t *testing.T) {
 	}
 }
 
-// pairCounter counts how often each (batch, active) pair is priced.
+// pairCounter counts how often each (batch, active) pair and each offloaded
+// query size is priced.
 type pairCounter struct {
 	Engine
 	priced map[[2]int]int
+	sizes  map[int]int
 }
 
 func (p *pairCounter) CPURequest(batch, active int) time.Duration {
@@ -194,26 +196,54 @@ func (p *pairCounter) CPURequest(batch, active int) time.Duration {
 	return p.Engine.CPURequest(batch, active)
 }
 
-// TestMaxQPSPricesEachPairOnce: the service-time table belongs to the search,
-// so the utilization estimate and every probe of one MaxQPS together price a
-// (batch, active) pair at most once.
+func (p *pairCounter) GPUQuery(size int) time.Duration {
+	p.sizes[size]++
+	return p.Engine.GPUQuery(size)
+}
+
+// TestMaxQPSPricesEachPairOnce: the service-time table belongs to the Search,
+// so the utilization estimates and every probe of every configuration the
+// Search is run through — one for a MaxQPS, all of a hill climb's for a
+// climb — together price a (batch, active) pair, and an offloaded query size,
+// at most once.
 func TestMaxQPSPricesEachPairOnce(t *testing.T) {
 	mc, err := model.ByName("DLRM-RMC1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []Config{{BatchSize: 64}, {BatchSize: 256, GPUThreshold: 128}} {
-		e := &pairCounter{Engine: NewPlatformEngine(platform.Skylake(), platform.DefaultGPU(), mc), priced: map[[2]int]int{}}
-		if qps, _ := MaxQPS(e, cfg, benchOpts(mc.SLAMedium)); qps == 0 {
-			t.Fatalf("%+v: no capacity", cfg)
-		}
-		if len(e.priced) < 2*e.Cores() {
-			t.Errorf("%+v: only %d pairs priced; the search exercised nothing", cfg, len(e.priced))
+	newCounter := func() *pairCounter {
+		return &pairCounter{Engine: NewPlatformEngine(platform.Skylake(), platform.DefaultGPU(), mc), priced: map[[2]int]int{}, sizes: map[int]int{}}
+	}
+	check := func(name string, e *pairCounter, offloads bool) {
+		t.Helper()
+		if len(e.priced) < 2*e.Cores() || offloads && len(e.sizes) < 10 {
+			t.Errorf("%s: only %d pairs and %d sizes priced; the search exercised nothing", name, len(e.priced), len(e.sizes))
 		}
 		for pair, n := range e.priced {
 			if n != 1 {
-				t.Errorf("%+v: CPURequest(batch %d, active %d) priced %d times in one search", cfg, pair[0], pair[1], n)
+				t.Errorf("%s: CPURequest(batch %d, active %d) priced %d times", name, pair[0], pair[1], n)
+			}
+		}
+		for size, n := range e.sizes {
+			if n != 1 {
+				t.Errorf("%s: GPUQuery(%d) priced %d times", name, size, n)
 			}
 		}
 	}
+	for _, cfg := range []Config{{BatchSize: 64}, {BatchSize: 256, GPUThreshold: 128}} {
+		e := newCounter()
+		if qps, _ := MaxQPS(e, cfg, benchOpts(mc.SLAMedium)); qps == 0 {
+			t.Fatalf("%+v: no capacity", cfg)
+		}
+		check(fmt.Sprintf("one search, %+v", cfg), e, cfg.GPUThreshold > 0)
+	}
+	e := newCounter()
+	climb := NewSearch(e, benchOpts(mc.SLAMedium), 256)
+	defer climb.Release()
+	for _, cfg := range []Config{{BatchSize: 64}, {BatchSize: 256, GPUThreshold: 128}, {BatchSize: 64, GPUThreshold: 1}, {BatchSize: 256}, {BatchSize: 64}} {
+		if qps, _ := climb.MaxQPS(cfg); qps == 0 {
+			t.Fatalf("%+v: no capacity", cfg)
+		}
+	}
+	check("one climb", e, true)
 }

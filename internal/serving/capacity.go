@@ -52,25 +52,31 @@ func DefaultSearchOpts(sizes workload.SizeDist, sla time.Duration) SearchOpts {
 // pre-filter.
 const utilSampleQueries = 300
 
-// serviceTimes prices Engine.CPURequest once per (batch, active) pair for
-// its owner: a dense [active][batch] matrix (flattened, active-major) of the
-// engine's own seconds, NaN where not yet priced. Batch is bounded by
-// Config.BatchSize and active by the core count, so a slice lookup replaces
-// the engine call the processor-sharing loop would otherwise pay per running
-// request per event. The owner is one capacity search — every probe of the
-// search, and the utilization estimate before the first, read one table, so
-// with a measuring engine (RealEngine) the probes are paired on service
-// times as SearchOpts.Seed pairs them on the stream — or one standalone Run.
-// A table is never found by engine identity: engines are shared between
-// concurrent searches and wrapped by callers.
+// serviceTimes prices an engine once per operating point for its owner.
+// Engine.CPURequest, once per (batch, active) pair: a dense [active][batch]
+// matrix (flattened, active-major) of the engine's own seconds, NaN where not
+// yet priced. Batch is bounded by the largest Config.BatchSize the owner runs
+// and active by the core count, so a slice lookup replaces the engine call the
+// processor-sharing loop would otherwise pay per running request per event.
+// Engine.GPUQuery, once per query size: a size-indexed slice, negative where
+// not yet priced, grown on demand because a recorded trace may carry sizes
+// above workload.MaxQuerySize. The owner is one climb (a Search run through
+// every configuration of a hill climb), or one search (MaxQPS, Evaluate), or
+// one standalone Run: every probe of every search of the owner, and the
+// utilization estimates before them, read one table, so with a measuring
+// engine (RealEngine) a whole climb is paired on service times as
+// SearchOpts.Seed pairs it on the stream. A table is never found by engine
+// identity: engines are shared between concurrent searches and wrapped by
+// callers.
 type serviceTimes struct {
 	e      Engine
 	stride int
 	secs   []float64
+	gpu    []time.Duration
 }
 
-// timesPool recycles table storage (a third of a megabyte at batch 1024 on
-// 40 cores) across owners.
+// timesPool recycles table storage (half a megabyte at batch 1536 on 40
+// cores) across owners.
 var timesPool = sync.Pool{New: func() interface{} { return new(serviceTimes) }}
 
 // newServiceTimes returns an empty table for requests of up to maxBatch
@@ -87,6 +93,7 @@ func newServiceTimes(e Engine, maxBatch int) *serviceTimes {
 	for i := range st.secs {
 		st.secs[i] = math.NaN()
 	}
+	st.gpu = st.gpu[:0]
 	return st
 }
 
@@ -115,30 +122,94 @@ func (st *serviceTimes) row(active int) []float64 {
 	return st.secs[active*st.stride : (active+1)*st.stride]
 }
 
-// perQuerySeconds estimates the mean service demand one query imposes on
-// the CPU pool and the accelerator, by sampling query sizes and pricing
-// their requests at full contention (the operating regime near capacity).
-// The estimate is independent of the arrival rate, so a capacity search
-// computes it once and reuses it at every probe.
-func perQuerySeconds(times *serviceTimes, cfg Config, opts SearchOpts) (cpuSecPerQuery, gpuSecPerQuery float64) {
-	e, cores := times.e, times.e.Cores()
+// gpuQuery returns the engine's accelerator time for a whole query of the
+// given size.
+func (st *serviceTimes) gpuQuery(size int) time.Duration {
+	for len(st.gpu) <= size {
+		st.gpu = append(st.gpu, -1)
+	}
+	if st.gpu[size] < 0 {
+		st.gpu[size] = st.e.GPUQuery(size)
+	}
+	return st.gpu[size]
+}
+
+// Search carries what the capacity searches of one hill climb share: the
+// pre-generated query-stream shape and a reusable realization buffer, the
+// sizes behind the utilization estimate, and the service-time table every
+// probe reads — all fixed by the engine and the SearchOpts, none by the
+// configuration searched. One seeded stream shape serves every probed rate of
+// every configuration — only the arrival gaps scale — so a climb stops
+// regenerating the identical workload per evaluation and re-pricing the
+// engine per search. Per configuration it holds only the per-query service
+// demand behind the stability pre-filter. A Search is not safe for concurrent
+// use.
+type Search struct {
+	e    Engine
+	opts SearchOpts
+
+	stream    *workload.PoissonStream
+	buf       []workload.Query
+	times     *serviceTimes
+	utilSizes [utilSampleQueries]int
+
+	cfg         Config
+	perQueryCPU float64
+	perQueryGPU float64
+	simulated   int // probes that passed the pre-filter and ran the simulator
+}
+
+// NewSearch returns a Search on e for configurations of batch size up to
+// maxBatch. The caller calls Release after its last search.
+func NewSearch(e Engine, opts SearchOpts, maxBatch int) *Search {
+	s := &Search{e: e, opts: opts, times: newServiceTimes(e, maxBatch)}
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x5eedfeed))
+	for i := range s.utilSizes {
+		s.utilSizes[i] = opts.Sizes.Sample(rng)
+	}
+	return s
+}
+
+// Release returns the search's pooled storage; s must not be used afterwards.
+func (s *Search) Release() { s.times.release() }
+
+// newCapacitySearch returns a Search set to its one configuration.
+func newCapacitySearch(e Engine, cfg Config, opts SearchOpts) *Search {
+	s := NewSearch(e, opts, cfg.BatchSize)
+	s.configure(cfg)
+	return s
+}
+
+// configure points the search at one configuration and estimates the mean
+// service demand one query imposes on the CPU pool and the accelerator under
+// it, by pricing the requests of the sampled query sizes at full contention
+// (the operating regime near capacity). The estimate is independent of the
+// arrival rate, so every probe of the configuration reuses it.
+func (s *Search) configure(cfg Config) {
+	cfg.Warmup = s.opts.Warmup
+	if err := cfg.Validate(s.e); err != nil {
+		panic(err)
+	}
+	if cfg.BatchSize >= s.times.stride {
+		panic(fmt.Sprintf("serving: batch size %d on a Search built for at most %d", cfg.BatchSize, s.times.stride-1))
+	}
+	s.cfg = cfg
+	cores := s.e.Cores()
 	var cpuSec, gpuSec float64
-	for i := 0; i < utilSampleQueries; i++ {
-		size := opts.Sizes.Sample(rng)
+	for _, size := range s.utilSizes {
 		if cfg.GPUThreshold > 0 && size >= cfg.GPUThreshold {
-			gpuSec += e.GPUQuery(size).Seconds()
+			gpuSec += s.times.gpuQuery(size).Seconds()
 			continue
 		}
 		full := size / cfg.BatchSize
 		if full > 0 {
-			cpuSec += float64(full) * times.at(cfg.BatchSize, cores)
+			cpuSec += float64(full) * s.times.at(cfg.BatchSize, cores)
 		}
 		if tail := size % cfg.BatchSize; tail > 0 {
-			cpuSec += times.at(tail, cores)
+			cpuSec += s.times.at(tail, cores)
 		}
 	}
-	return cpuSec / utilSampleQueries, gpuSec / utilSampleQueries
+	s.perQueryCPU, s.perQueryGPU = cpuSec/utilSampleQueries, gpuSec/utilSampleQueries
 }
 
 // Evaluate runs one serving simulation at the given Poisson arrival rate and
@@ -152,44 +223,8 @@ func Evaluate(e Engine, cfg Config, opts SearchOpts, qps float64) (Result, bool)
 		panic(fmt.Sprintf("serving: non-positive rate %v", qps))
 	}
 	search := newCapacitySearch(e, cfg, opts)
-	defer search.times.release()
+	defer search.Release()
 	return search.evaluate(qps)
-}
-
-// capacitySearch carries the probe-invariant state of one capacity search:
-// the pre-generated query-stream shape, a reusable realization buffer, the
-// service-time table every probe reads, and the per-query service demand
-// behind the stability pre-filter. One seeded stream shape serves every
-// probed rate — only the arrival gaps scale — so the search stops
-// regenerating the identical workload per evaluation.
-type capacitySearch struct {
-	e    Engine
-	cfg  Config
-	opts SearchOpts
-
-	stream      *workload.PoissonStream
-	buf         []workload.Query
-	times       *serviceTimes
-	perQueryCPU float64
-	perQueryGPU float64
-	simulated   int // probes that passed the pre-filter and ran the simulator
-}
-
-func newCapacitySearch(e Engine, cfg Config, opts SearchOpts) *capacitySearch {
-	cfg.Warmup = opts.Warmup
-	if err := cfg.Validate(e); err != nil {
-		panic(err)
-	}
-	times := newServiceTimes(e, cfg.BatchSize)
-	cpuSec, gpuSec := perQuerySeconds(times, cfg, opts)
-	return &capacitySearch{
-		e:           e,
-		cfg:         cfg,
-		opts:        opts,
-		times:       times,
-		perQueryCPU: cpuSec,
-		perQueryGPU: gpuSec,
-	}
 }
 
 // overloaded is the stability pre-filter: utilization above 1 means the
@@ -197,7 +232,7 @@ func newCapacitySearch(e Engine, cfg Config, opts SearchOpts) *capacitySearch {
 // simulation can make such a rate sustainable. Rejecting it outright guards
 // the search against the finite-stream artifact where a grossly overloaded
 // run "meets" the SLA because its whole backlog fits within one SLA window.
-func (s *capacitySearch) overloaded(qps float64) bool {
+func (s *Search) overloaded(qps float64) bool {
 	cpuUtil := qps * s.perQueryCPU / float64(s.e.Cores())
 	gpuUtil := qps * s.perQueryGPU / float64(s.e.GPUStreams())
 	return cpuUtil > 1 || gpuUtil > 1
@@ -207,7 +242,7 @@ func (s *capacitySearch) overloaded(qps float64) bool {
 // semantics, shared stream shape and service-time table. The stream is
 // generated lazily so a rate the pre-filter rejects costs no stream
 // generation at all.
-func (s *capacitySearch) evaluate(qps float64) (Result, bool) {
+func (s *Search) evaluate(qps float64) (Result, bool) {
 	if s.overloaded(qps) {
 		return Result{}, false
 	}
@@ -262,16 +297,23 @@ func (s *capacitySearch) evaluate(qps float64) (Result, bool) {
 // is bit-identical to regenerating the seeded stream per probe (see
 // workload.PoissonStream) at a fraction of the cost.
 func MaxQPS(e Engine, cfg Config, opts SearchOpts) (float64, Result) {
-	if opts.Queries <= opts.Warmup {
-		panic("serving: SearchOpts.Queries must exceed Warmup")
-	}
-	search := newCapacitySearch(e, cfg, opts)
-	defer search.times.release()
-	return search.maxQPS()
+	search := NewSearch(e, opts, cfg.BatchSize)
+	defer search.Release()
+	return search.MaxQPS(cfg)
 }
 
-// maxQPS is MaxQPS on an already constructed search.
-func (s *capacitySearch) maxQPS() (float64, Result) {
+// MaxQPS is the package's MaxQPS for one configuration of a climb, on the
+// climb's shared stream and service times.
+func (s *Search) MaxQPS(cfg Config) (float64, Result) {
+	if s.opts.Queries <= s.opts.Warmup {
+		panic("serving: SearchOpts.Queries must exceed Warmup")
+	}
+	s.configure(cfg)
+	return s.maxQPS()
+}
+
+// maxQPS searches the configuration s is set to.
+func (s *Search) maxQPS() (float64, Result) {
 	lo := 1.0
 	bestRes, ok := s.evaluate(lo)
 	if !ok {

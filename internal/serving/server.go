@@ -88,12 +88,17 @@ type query struct {
 	measured  bool
 }
 
-// request is one batch-sized slice of a query, awaiting or holding a core.
-// It names its query by querySlab index: no pointers, so moving requests
-// between and within the queue and the running set pays no write barriers.
+// request is a run of count identical batch-sized slices of one query,
+// awaiting or holding count cores. A query is split into at most two runs —
+// its size/BatchSize full requests, then the ragged tail as a run of one —
+// and a queued run is split again only by dispatch, when fewer cores are idle
+// than it has members. It names its query by querySlab index: no pointers, so
+// moving requests between and within the queue and the running set pays no
+// write barriers.
 type request struct {
 	query int32
 	batch int32
+	count int32
 }
 
 // server is the single-node serving simulation state. Servers are pooled
@@ -102,11 +107,10 @@ type request struct {
 // queue/running backing arrays and the query slab keeps the hot path
 // allocation-free.
 type server struct {
-	sim    *sim.Sim
-	cfg    Config
-	engine Engine
-	times  *serviceTimes // the owner's table: one capacity search or one Run
-	cores  int
+	sim   *sim.Sim
+	cfg   Config
+	times *serviceTimes // the owner's table: one climb, one capacity search or one Run
+	cores int
 
 	// Arrival feeding: instead of pre-scheduling one event per query, the
 	// stream is chained — each arrival schedules the next — keeping the
@@ -118,19 +122,27 @@ type server struct {
 	queue []request // FIFO central dispatch queue; qHead is its pop cursor
 	qHead int
 
-	// The requests executing on cores, as parallel slices: running[i] has
-	// remaining[i] of its unit of work left (1 at dispatch). The CPU pool is
-	// simulated with processor-sharing dynamics for the chip's shared
-	// resources: a request's progress rate is 1/T(batch, active) units of
-	// work per second, re-evaluated whenever the number of active cores
-	// changes. Freezing the service time at dispatch — the quasi-static
+	// The requests executing on cores, as parallel slices: every member of
+	// the run running[i] has remaining[i] of its unit of work left (1 at
+	// dispatch), and busy — the sum of the running counts — cores are active.
+	// The CPU pool is simulated with processor-sharing dynamics for the
+	// chip's shared resources: a request's progress rate is 1/T(batch, busy)
+	// units of work per second, re-evaluated whenever the number of active
+	// cores changes. Freezing the service time at dispatch — the quasi-static
 	// shortcut — lets a finite stream exceed the chip's aggregate bandwidth
 	// during ramp-up, inflating measured capacity beyond the physical
-	// ceiling. A query's requests are dispatched together, so the per-event
-	// loops price T once per stretch of neighbours of one batch size: the
-	// operands, and so the bits, of pricing it per request.
+	// ceiling. The members of a run share one float because they would hold
+	// equal ones: dispatched together they start at 1, and every update
+	// subtracts from each the same quotient for their batch size. A run
+	// stands where its members would stand side by side, so the loops visit
+	// queries in the order a per-request array gives, retire a run's members
+	// in one event, and finish queries — hence fill LatencySamples — in that
+	// order (TestRunMatchesPerRequestReference holds Run to such an array,
+	// bit for bit). The per-event loops price T once per stretch of
+	// neighbouring runs of one batch size.
 	running   []request
 	remaining []float64
+	busy      int
 
 	lastUpdate time.Duration
 	coreBusy   float64 // core-seconds of busy time
@@ -235,10 +247,9 @@ func (s *server) reset(cfg Config, queries []workload.Query, times *serviceTimes
 		s.completeFn = s.completeCPU
 	}
 	s.cfg = cfg
-	s.engine = times.e
 	s.times = times
-	s.cores = s.engine.Cores()
-	s.gpuStreams = s.engine.GPUStreams()
+	s.cores = times.e.Cores()
+	s.gpuStreams = times.e.GPUStreams()
 
 	s.queries = queries
 	s.fed = 0
@@ -247,6 +258,7 @@ func (s *server) reset(cfg Config, queries []workload.Query, times *serviceTimes
 	s.qHead = 0
 	s.running = s.running[:0]
 	s.remaining = s.remaining[:0]
+	s.busy = 0
 	s.lastUpdate = 0
 	s.coreBusy = 0
 
@@ -276,7 +288,6 @@ func (s *server) reset(cfg Config, queries []workload.Query, times *serviceTimes
 // server for reuse. The recorder is not recycled: its samples alias the
 // returned Result.
 func (s *server) releaseToPool() {
-	s.engine = nil
 	s.times = nil
 	s.queries = nil
 	s.latencies = nil
@@ -295,7 +306,7 @@ func (s *server) feed() {
 }
 
 // serviceTime returns the full-service time (seconds) of a request while
-// len(s.running) cores are active, given that row of the owner's table: the
+// s.busy cores are active, given that row of the owner's table: the
 // table keeps the processor-sharing updates cheap and, for the
 // real-execution engine, avoids re-running the model on every progress
 // update. The common case, an entry already priced, inlines into the loops.
@@ -306,12 +317,13 @@ func (s *server) serviceTime(row []float64, batch int32) float64 {
 	return s.slowServiceTime(batch)
 }
 
-// slowServiceTime prices an entry on first use, and keeps progress rates
-// finite for degenerate engines that price a request at zero.
+// slowServiceTime prices an entry on first use — at busy, the active-core
+// count, not at the number of runs — and keeps progress rates finite for
+// degenerate engines that price a request at zero.
 //
 //go:noinline
 func (s *server) slowServiceTime(batch int32) float64 {
-	if t := s.times.at(int(batch), len(s.running)); t > 0 {
+	if t := s.times.at(int(batch), s.busy); t > 0 {
 		return t
 	}
 	return 1e-12
@@ -328,8 +340,8 @@ func (s *server) updateProgress() {
 		return
 	}
 	running, remaining := s.running, s.remaining[:len(s.running)] // same length: the reslice tells the compiler
-	row := s.times.row(len(running))
-	s.coreBusy += dt * float64(len(running))
+	row := s.times.row(s.busy)
+	s.coreBusy += dt * float64(s.busy)
 	for i := 0; i < len(running); {
 		batch := running[i].batch
 		done := dt / s.serviceTime(row, batch)
@@ -354,7 +366,7 @@ func (s *server) scheduleNextCompletion() {
 		return
 	}
 	running, remaining := s.running, s.remaining[:len(s.running)]
-	row := s.times.row(len(running))
+	row := s.times.row(s.busy)
 	soonest := math.Inf(1)
 	for i := 0; i < len(running); {
 		batch := running[i].batch
@@ -374,7 +386,8 @@ func (s *server) scheduleNextCompletion() {
 }
 
 // arrive admits one query: offload whole to the accelerator above the
-// threshold, otherwise split into batch-sized requests for the core pool.
+// threshold, otherwise split into batch-sized requests for the core pool —
+// the full ones as one run, the ragged tail as a run of one.
 func (s *server) arrive(idx int, wq workload.Query, measured bool) {
 	q := &s.querySlab[idx]
 	*q = query{arrival: s.sim.Now(), size: wq.Size, measured: measured}
@@ -387,28 +400,34 @@ func (s *server) arrive(idx int, wq workload.Query, measured bool) {
 	}
 	s.cpuQueries++
 	s.cpuItems += int64(wq.Size)
-	remaining := wq.Size
-	for remaining > 0 {
-		b := s.cfg.BatchSize
-		if b > remaining {
-			b = remaining
-		}
-		s.queue = append(s.queue, request{query: int32(idx), batch: int32(b)})
+	if full := wq.Size / s.cfg.BatchSize; full > 0 {
+		s.queue = append(s.queue, request{query: int32(idx), batch: int32(s.cfg.BatchSize), count: int32(full)})
+		q.remaining = full
+	}
+	if tail := wq.Size % s.cfg.BatchSize; tail > 0 {
+		s.queue = append(s.queue, request{query: int32(idx), batch: int32(tail), count: 1})
 		q.remaining++
-		remaining -= b
 	}
 	s.updateProgress()
 	s.dispatch()
 	s.scheduleNextCompletion()
 }
 
-// dispatch moves queued requests onto idle cores. Callers must have called
-// updateProgress first and must re-arm the completion event afterwards.
+// dispatch moves queued requests onto idle cores: as much of the head run as
+// there are idle cores, as one running run; what does not fit stays queued.
+// Callers must have called updateProgress first and must re-arm the
+// completion event afterwards.
 func (s *server) dispatch() {
-	for len(s.running) < s.cores && s.qHead < len(s.queue) {
-		s.running = append(s.running, s.queue[s.qHead])
+	for s.busy < s.cores && s.qHead < len(s.queue) {
+		head := &s.queue[s.qHead]
+		run := *head
+		run.count = min(run.count, int32(s.cores-s.busy))
+		s.running = append(s.running, run)
 		s.remaining = append(s.remaining, 1)
-		s.qHead++
+		s.busy += int(run.count)
+		if head.count -= run.count; head.count == 0 {
+			s.qHead++
+		}
 		s.runningDirty = true
 	}
 	if s.qHead == len(s.queue) {
@@ -433,9 +452,10 @@ func (s *server) completeCPU() {
 	kept := 0
 	for i, left := range s.remaining {
 		if left <= eps {
-			q := &s.querySlab[s.running[i].query]
-			q.remaining--
-			if q.remaining == 0 {
+			run := s.running[i]
+			s.busy -= int(run.count)
+			q := &s.querySlab[run.query]
+			if q.remaining -= int(run.count); q.remaining == 0 {
 				s.finish(q)
 			}
 			continue
@@ -455,7 +475,7 @@ func (s *server) kickGPU() {
 		q := s.gpuQueue[s.gqHead]
 		s.gqHead++
 		s.gpuInFlight++
-		service := s.engine.GPUQuery(q.size)
+		service := s.times.gpuQuery(q.size)
 		s.gpuTotal += service
 		s.sim.After(service, func() {
 			s.gpuInFlight--

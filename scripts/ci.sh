@@ -70,13 +70,16 @@ stage_backend_simd() { go test -count=1 -v -run 'SIMD|Backend|Panel|ReLU|Pool' $
 
 # The offline path (sched → serving → sim → platform → workload → stats) held
 # by bytes: Run's latency samples hashed bit for bit against captures from
-# before the simulator's loops were hoisted, the top-down capacity bracket
-# against the ascending probe it replaced (naming the test by -run also
-# enables its full 27,648-search grid, a few minutes), the benchmark's 24
-# pinned tuning decisions, and every quick-fidelity artifact against its
+# before the simulator's loops were hoisted, and Run — one entry per run of
+# identical requests — against a literal one-entry-per-request simulator; the
+# top-down capacity bracket against the ascending probe it replaced (naming
+# the test by -run also enables its full 27,648-search grid, a few minutes);
+# one Search reused through a whole climb, in any order, against a fresh
+# search per configuration; the benchmark's 24 pinned tuning decisions and the
+# capacity searches each took; and every quick-fidelity artifact against its
 # golden rendering.
 stage_offline_identity() {
-  go test -count=1 -run 'TestRunBitsPinned|TestMaxQPSMatchesAscendingProbe|TestZooDecisionsPinned|TestQuickArtifactsGolden' \
+  go test -count=1 -run 'TestRunBitsPinned|TestRunMatchesPerRequestReference|TestMaxQPSMatchesAscendingProbe|TestSearchReuseMatchesFreshSearches|TestZooDecisionsPinned|TestZooEvaluationsPinned|TestQuickArtifactsGolden' \
     ./internal/serving/ ./internal/sched/ ./internal/experiments/
 }
 
@@ -111,11 +114,13 @@ stage_stepper() { go test -count=1 -run 'TestStepper' ./internal/live/; }
 # FuzzStreamIndices: the lanes' bulk index draw against the
 # one-Uint64-at-a-time restatement of model.Stream's definition.
 # FuzzWireDecoders: arbitrary bytes as every request body the server decodes
-# and every reply the client decodes.
+# and every reply the client decodes. FuzzRunMatchesReference: serving.Run
+# against the literal per-request simulator, by bits, at a fuzzer-chosen batch
+# size, threshold, arrival rate and stream seed.
 stage_fuzz() {
   local target
   for target in FuzzSpecParsers:. FuzzPackedFCVsReference:./internal/tensor/ FuzzPoolSumVsReference:./internal/tensor/ \
-    FuzzStreamIndices:./internal/model/ FuzzWireDecoders:./internal/rpc/; do
+    FuzzStreamIndices:./internal/model/ FuzzWireDecoders:./internal/rpc/ FuzzRunMatchesReference:./internal/serving/; do
     go test -run '^$' -fuzz "${target%%:*}" -fuzztime 10s "${target#*:}"
   done
 }
