@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -28,31 +29,32 @@ import (
 // goroutine and reporting the online p95 against the model's SLA.
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	var opts deeprecsys.ServeOptions
 	modelName := fs.String("model", "NCF", "zoo model to serve")
 	tenants := fs.String("tenants", "", "multi-tenant serving: semicolon-separated tenant specs \"<model>[@key=val,...];...\" with keys name, sla, share, batch, thresh, admission, deadline, degrade, access, seed, cap, workload, store, rows, lookups ('+' stands for ',' inside values); overrides -model (see `deeprecsys models` for the zoo)")
-	workers := fs.Int("workers", 0, "CPU worker-pool size (0 = GOMAXPROCS)")
-	batch := fs.Int("batch", 256, "initial per-request batch size")
-	intraop := fs.Int("intraop", 1, "split one big-batch request across up to this many goroutines (1 = off)")
+	fs.IntVar(&opts.Workers, "workers", 0, "CPU worker-pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&opts.BatchSize, "batch", 256, "initial per-request batch size")
+	fs.IntVar(&opts.IntraOp, "intraop", 1, "split one big-batch request across up to this many goroutines (1 = off)")
 	pprofAddr := fs.String("pprof", "", "expose net/http/pprof on this address (e.g. localhost:6060) to profile the live path")
 	gpu := fs.Bool("gpu", false, "provision the modeled accelerator offload lane")
-	threshold := fs.Int("threshold", 0, "initial offload threshold: queries >= this size go whole to the accelerator (0 = no offload; needs -gpu)")
-	sla := fs.Duration("sla", 0, "p95 target (0 = the model's published SLA)")
-	autotune := fs.Bool("autotune", false, "retune the knobs online against the measured p95 (batch size, and offload threshold with -gpu; per replica with -replicas)")
-	replicas := fs.Int("replicas", 1, "fleet size: shard traffic across this many replica services")
-	policy := fs.String("policy", "round-robin", "fleet routing policy: "+strings.Join(fleet.PolicyUsages(), ", "))
-	jitter := fs.Float64("jitter", 0, "per-replica service-time jitter: speed factors drawn from N(1, jitter^2), the offline fleet simulator's node model")
-	gpuReplicas := fs.Int("gpu-replicas", 0, "provision the accelerator on only the first n replicas (0 = all; needs -gpu)")
-	admission := fs.String("admission", "none", "admission control: none, reject, queue:<depth>, or shed-oldest[:<depth>]")
-	deadline := fs.Duration("deadline", 0, "per-query latency budget; expired queries are shed before execution (0 = none)")
-	degrade := fs.String("degrade", "none", "graceful-degradation ladder: truncate=<n> and/or fallback=<model> (comma-separated; needs -sla or a model SLA)")
+	fs.IntVar(&opts.GPUThreshold, "threshold", 0, "initial offload threshold: queries >= this size go whole to the accelerator (0 = no offload; needs -gpu)")
+	fs.DurationVar(&opts.SLA, "sla", 0, "p95 target (0 = the model's published SLA)")
+	fs.BoolVar(&opts.AutoTune, "autotune", false, "retune the knobs online against the measured p95 (batch size, and offload threshold with -gpu; per replica with -replicas)")
+	fs.IntVar(&opts.Replicas, "replicas", 1, "fleet size: shard traffic across this many replica services")
+	fs.StringVar(&opts.RoutingPolicy, "policy", "round-robin", "fleet routing policy: "+strings.Join(fleet.PolicyUsages(), ", "))
+	fs.Float64Var(&opts.Jitter, "jitter", 0, "per-replica service-time jitter: speed factors drawn from N(1, jitter^2), the offline fleet simulator's node model")
+	fs.IntVar(&opts.GPUReplicas, "gpu-replicas", 0, "provision the accelerator on only the first n replicas (0 = all; needs -gpu)")
+	fs.StringVar(&opts.Admission, "admission", "none", "admission control: none, reject, queue:<depth>, or shed-oldest[:<depth>]")
+	fs.DurationVar(&opts.Deadline, "deadline", 0, "per-query latency budget; expired queries are shed before execution (0 = none)")
+	fs.StringVar(&opts.Degrade, "degrade", "none", "graceful-degradation ladder: truncate=<n> and/or fallback=<model> (comma-separated; needs -sla or a model SLA)")
 	autoscale := fs.String("autoscale", "", "fleet autoscaling bounds <min>:<max>; the fleet grows on SLA breach and shrinks on headroom")
-	chaos := fs.String("chaos", "none", "fault injection: key=value list among every=<dur>, crash=<p>, restart=<dur>, slow=<p>, factor=<f>, spike=<p>, delay=<dur>")
-	retry := fs.Bool("retry", false, "resubmit a query once when a replica crash aborts it")
+	fs.StringVar(&opts.Chaos, "chaos", "none", "fault injection: key=value list among every=<dur>, crash=<p>, restart=<dur>, slow=<p>, factor=<f>, spike=<p>, delay=<dur>")
+	fs.BoolVar(&opts.Retry, "retry", false, "resubmit a query once when a replica crash aborts it")
 	rows := fs.Int("rows", 0, "embedding-table rows per table (0 = the zoo default, 10^4); at-scale geometries pair with -store")
 	lookups := fs.Int("lookups", 0, "embedding lookups per table per item (0 = the model's default)")
 	store := fs.String("store", "", "embedding-store spec: dense, synth, or mmap:<dir> (files from `deeprecsys tables gen`), each optionally +\",cache=lru:<cap>\" or \",cache=lfu:<cap>\" (\"\" = classic in-memory tables)")
-	access := fs.String("access", "", "sparse-index popularity: uniform or zipf[:<s>[,<v>]] hot-row skew (\"\" = uniform)")
-	shardTables := fs.Bool("shard-tables", false, "shard the embedding-row space across the fleet's replicas (needs -store and -replicas >= 2)")
+	fs.StringVar(&opts.Access, "access", "", "sparse-index popularity: uniform or zipf[:<s>[,<v>]] hot-row skew (\"\" = uniform)")
+	fs.BoolVar(&opts.ShardTables, "shard-tables", false, "shard the embedding-row space across the fleet's replicas (needs -store and -replicas >= 2)")
 	listen := fs.String("listen", "", "serve over HTTP on this address (e.g. 127.0.0.1:8080; port 0 picks one) until SIGINT/SIGTERM instead of driving a local workload; shutdown drains gracefully and prints the final report")
 	remote := fs.String("remote", "", "comma-separated http://host:port targets of `deeprecsys serve -listen` processes to join as fleet replicas")
 	topn := fs.Int("topn", 0, "ranked items to return per query (0 = latency only)")
@@ -80,44 +82,41 @@ func serveMain(args []string) {
 		fmt.Printf("pprof: http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
-	specs, err := deeprecsys.ParseTenants(*tenants)
-	if err != nil {
+	var err error
+	if opts.Tenants, err = deeprecsys.ParseTenants(*tenants); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if len(specs) > 0 && *tracePath != "" {
+	if len(opts.Tenants) > 0 && *tracePath != "" {
 		fmt.Fprintln(os.Stderr, "serve: -trace cannot drive -tenants (each tenant generates its own stream)")
 		os.Exit(2)
+	}
+	// What the run drives and reports on: the tenant specs, or — a -model
+	// run — the one spec the flags spell, served un-addressed.
+	specs := opts.Tenants
+	if len(specs) == 0 {
+		specs = []deeprecsys.TenantSpec{{Model: *modelName, Store: *store}}
 	}
 	// -listen serves queries arriving over the wire; generating a local
 	// drive stream would be wasted work.
 	var queries []drivenQuery
 	if *listen == "" {
-		if len(specs) > 0 {
-			queries, err = tenantStreams(specs, *wl, *arrivals, *rate, *n, *seed)
-		} else {
-			var qs []workload.Query
-			qs, err = driveStream(*tracePath, *wl, *arrivals, *rate, *n, *seed)
-			queries = make([]drivenQuery, len(qs))
-			for i, q := range qs {
-				queries[i] = drivenQuery{arrival: q.Arrival, size: q.Size}
-			}
-		}
+		queries, err = driveStream(*tracePath, specs, len(opts.Tenants) > 0, *wl, *arrivals, *rate, *n, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 	}
 
-	if *threshold > 0 && !*gpu {
+	if opts.GPUThreshold > 0 && !*gpu {
 		fmt.Fprintln(os.Stderr, "serve: -threshold needs -gpu")
 		os.Exit(2)
 	}
-	if *gpuReplicas > 0 && !*gpu {
+	if opts.GPUReplicas > 0 && !*gpu {
 		fmt.Fprintln(os.Stderr, "serve: -gpu-replicas needs -gpu")
 		os.Exit(2)
 	}
-	minReplicas, maxReplicas, doScale, err := parseAutoscale(*autoscale)
+	opts.MinReplicas, opts.MaxReplicas, opts.AutoScale, err = parseAutoscale(*autoscale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(2)
@@ -134,39 +133,13 @@ func serveMain(args []string) {
 	}
 	// A multi-tenant service serves the tenants' own models; the system
 	// model is a placeholder (Serve skips building it).
-	sysModel := *modelName
-	if len(specs) > 0 {
-		sysModel = specs[0].Model
-	}
-	sys, err := deeprecsys.NewSystem(sysModel, "skylake", sysOpts...)
+	sys, err := deeprecsys.NewSystem(specs[0].Model, "skylake", sysOpts...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	defer sys.Close()
-	svc, err := sys.Serve(deeprecsys.ServeOptions{
-		Workers:       *workers,
-		BatchSize:     *batch,
-		IntraOp:       *intraop,
-		GPUThreshold:  *threshold,
-		SLA:           *sla,
-		AutoTune:      *autotune,
-		Replicas:      *replicas,
-		RoutingPolicy: *policy,
-		Jitter:        *jitter,
-		GPUReplicas:   *gpuReplicas,
-		Admission:     *admission,
-		Deadline:      *deadline,
-		Degrade:       *degrade,
-		AutoScale:     doScale,
-		MinReplicas:   minReplicas,
-		MaxReplicas:   maxReplicas,
-		Chaos:         *chaos,
-		Retry:         *retry,
-		Access:        *access,
-		ShardTables:   *shardTables,
-		Tenants:       specs,
-	})
+	svc, err := sys.Serve(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -193,27 +166,25 @@ func serveMain(args []string) {
 	}
 
 	if *listen != "" {
-		listenMode(ctx, svc, *listen, *modelName, len(specs))
+		listenMode(ctx, svc, *listen, *modelName)
 		return
 	}
 
 	// Every start-up line names the kernel backend: a QPS read off serve is
 	// otherwise unattributable.
-	st, kernels := svc.Stats(), tensor.ActiveBackend()
-	switch {
-	case len(specs) > 0 && st.Replicas > 1:
-		fmt.Printf("serving %d tenants (%s) live on %v kernels: %d queries over %d shared replicas (%s routing)\n",
-			len(specs), strings.Join(svc.Tenants(), ", "), kernels, len(queries), st.Replicas, st.RoutingPolicy)
-	case len(specs) > 0:
-		fmt.Printf("serving %d tenants (%s) live on %v kernels: %d queries on one shared pool\n",
-			len(specs), strings.Join(svc.Tenants(), ", "), kernels, len(queries))
-	case st.Replicas > 1:
-		fmt.Printf("serving %s live on %v kernels: %d queries over %d replicas (%s routing), batch %d, p95 target %v\n",
-			*modelName, kernels, len(queries), st.Replicas, st.RoutingPolicy, svc.BatchSize(), st.SLA)
-	default:
-		fmt.Printf("serving %s live on %v kernels: %d queries, batch %d, p95 target %v\n",
-			*modelName, kernels, len(queries), svc.BatchSize(), st.SLA)
+	st, kernels, names := svc.Stats(), tensor.ActiveBackend(), svc.Tenants()
+	what, shared, knobs := *modelName, "", fmt.Sprintf(", batch %d, p95 target %v", svc.BatchSize(), st.SLA)
+	if names != nil {
+		// Tenants bring their own knobs and SLAs; the per-tenant report has them.
+		what, shared, knobs = fmt.Sprintf("%d tenants (%s)", len(names), strings.Join(names, ", ")), "shared ", ""
 	}
+	where := ""
+	if st.Replicas > 1 {
+		where = fmt.Sprintf(" over %d %sreplicas (%s routing)", st.Replicas, shared, st.RoutingPolicy)
+	} else if names != nil {
+		where = " on one shared pool"
+	}
+	fmt.Printf("serving %s live on %v kernels: %d queries%s%s\n", what, kernels, len(queries), where, knobs)
 
 	ticker := time.NewTicker(time.Second)
 	defer ticker.Stop()
@@ -227,7 +198,7 @@ func serveMain(args []string) {
 				if *gpu {
 					line += fmt.Sprintf("  thr %4d", s.GPUThreshold)
 				}
-				if doScale {
+				if opts.AutoScale {
 					line += fmt.Sprintf("  reps %2d", s.Replicas)
 				}
 				if shed := s.Shed + s.ShedDeadline; shed > 0 {
@@ -251,7 +222,7 @@ func serveMain(args []string) {
 	start := time.Now()
 drive:
 	for _, q := range queries {
-		due := time.Duration(float64(q.arrival) / *speed)
+		due := time.Duration(float64(q.Arrival) / *speed)
 		if wait := due - time.Since(start); wait > 0 {
 			select {
 			case <-time.After(wait):
@@ -260,9 +231,9 @@ drive:
 			}
 		}
 		if submitted == 0 {
-			firstArrival = q.arrival
+			firstArrival = q.Arrival
 		}
-		lastArrival = q.arrival
+		lastArrival = q.Arrival
 		submitted++
 		wg.Add(1)
 		go func(size int, tenant string) {
@@ -276,7 +247,7 @@ drive:
 			if err != nil && ctx.Err() == nil {
 				failed.Add(1)
 			}
-		}(q.size, q.tenant)
+		}(q.Size, q.tenant)
 	}
 	wg.Wait()
 	close(progress)
@@ -303,7 +274,7 @@ drive:
 		fmt.Printf("gpu offload: threshold %d, %d queries (%.0f%% of queries, %.0f%% of work)\n",
 			final.GPUThreshold, final.GPUQueries, final.GPUQueryShare*100, final.GPUWorkShare*100)
 	}
-	if *autotune {
+	if opts.AutoTune {
 		fmt.Printf("autotune: batch ended at %d", final.BatchSize)
 		if *gpu {
 			fmt.Printf(", threshold at %d", final.GPUThreshold)
@@ -318,20 +289,29 @@ drive:
 		fmt.Printf("degrade: %d ladder moves, %d queries truncated, %d served by fallback (level %d at end)\n",
 			final.DegradeSteps, final.Truncated, final.FallbackServed, final.DegradeLevel)
 	}
-	if final.EmbStore {
-		accessName := *access
-		if accessName == "" {
-			accessName = "uniform"
+	// One embedding-store line per store-backed tenant, from its own spec and
+	// snapshot; the -model run's one tenant is the service itself.
+	served := final.Tenants
+	if served == nil {
+		served = []deeprecsys.TenantStats{{Stats: final.Stats, TableRows: final.TableRows}}
+	}
+	for i, t := range served {
+		if !t.EmbStore {
+			continue
+		}
+		whose, accessName := "", cmp.Or(specs[i].Access, opts.Access, "uniform")
+		if t.Name != "" {
+			whose = "tenant " + t.Name + ": "
 		}
 		layout := ""
-		if *shardTables {
+		if opts.ShardTables {
 			layout = fmt.Sprintf(", sharded over %d replicas", final.Replicas)
 		}
-		fmt.Printf("embedding store %q: %d-row tables%s, %s access: %.1f%% cache hit rate, %d evictions, %.1f MB read from backing store\n",
-			*store, final.TableRows, layout, accessName,
-			final.EmbHitRate*100, final.EmbEvictions, float64(final.EmbBytesRead)/(1<<20))
+		fmt.Printf("%sembedding store %q: %d-row tables%s, %s access: %.1f%% cache hit rate, %d evictions, %.1f MB read from backing store\n",
+			whose, specs[i].Store, t.TableRows, layout, accessName,
+			t.EmbHitRate*100, t.EmbEvictions, float64(t.EmbBytesRead)/(1<<20))
 	}
-	if doScale {
+	if opts.AutoScale {
 		fmt.Printf("autoscale: %d scale-ups, %d scale-downs, ended at %d replicas\n",
 			final.ScaleUps, final.ScaleDowns, final.Replicas)
 	}
@@ -380,21 +360,20 @@ drive:
 // in-flight requests finish, the service flushes its queues — and prints
 // the final report. This is the long-running server the driven mode is
 // not: it exits only on a stop signal, never because a workload ran dry.
-func listenMode(ctx context.Context, svc *deeprecsys.Service, addr, modelName string, tenants int) {
+func listenMode(ctx context.Context, svc *deeprecsys.Service, addr, modelName string) {
 	srv, err := svc.StartHTTP(addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		svc.Close()
 		os.Exit(2)
 	}
-	st, kernels := svc.Stats(), tensor.ActiveBackend()
-	if tenants > 0 {
-		fmt.Printf("listening on http://%s: %d tenants, %d replicas, %v kernels (stop with SIGINT/SIGTERM)\n",
-			srv.Addr(), tenants, st.Replicas, kernels)
-	} else {
-		fmt.Printf("listening on http://%s: serving %s, %d replicas, %v kernels, p95 target %v (stop with SIGINT/SIGTERM)\n",
-			srv.Addr(), modelName, st.Replicas, kernels, st.SLA)
+	st := svc.Stats()
+	what, target := "serving "+modelName, fmt.Sprintf(", p95 target %v", st.SLA)
+	if n := len(svc.Tenants()); n > 0 {
+		what, target = fmt.Sprintf("%d tenants", n), "" // each has its own
 	}
+	fmt.Printf("listening on http://%s: %s, %d replicas, %v kernels%s (stop with SIGINT/SIGTERM)\n",
+		srv.Addr(), what, st.Replicas, tensor.ActiveBackend(), target)
 
 	ticker := time.NewTicker(time.Second)
 	defer ticker.Stop()
@@ -454,52 +433,64 @@ func listenMode(ctx context.Context, svc *deeprecsys.Service, addr, modelName st
 // drivenQuery is one query of the drive stream: an arrival offset, a size,
 // and — under -tenants — the tenant it is addressed to.
 type drivenQuery struct {
-	arrival time.Duration
-	size    int
-	tenant  string
+	workload.Query
+	tenant string
 }
 
-// tenantStreams generates one workload stream per tenant — its own spec
+// driveStream loads or generates the query stream that drives the service:
+// a recorded trace, or one generated stream per spec — its own workload
 // (TenantSpec.Workload or the -workload default) at its Share-proportional
-// slice of -rate and -n, on its own seed stream — and merges them by
-// arrival time into one drive stream addressed per query.
-func tenantStreams(specs []deeprecsys.TenantSpec, defWL, arrivals string, rate float64, n int, seed int64) ([]drivenQuery, error) {
-	total := 0.0
-	for _, sp := range specs {
-		total += tenantShare(sp)
-	}
+// slice of -rate and -n, on its own seed stream — merged by arrival time.
+// A -model run is the one-spec case: the whole rate and count on the run's
+// seed. addressed sends each query to its spec's tenant by name.
+func driveStream(tracePath string, specs []deeprecsys.TenantSpec, addressed bool, defWL, arrivals string, rate float64, n int, seed int64) ([]drivenQuery, error) {
 	var out []drivenQuery
-	for i, sp := range specs {
-		frac := tenantShare(sp) / total
-		ni := int(float64(n)*frac + 0.5)
-		if ni < 1 {
-			ni = 1
+	if tracePath != "" {
+		r := os.Stdin
+		if tracePath != "-" {
+			f, err := os.Open(tracePath)
+			if err != nil {
+				return nil, err
+			}
+			defer f.Close()
+			r = f
 		}
-		wlSpec := sp.Workload
-		if wlSpec == "" {
-			wlSpec = defWL
-		}
-		name := sp.Name
-		if name == "" {
-			name = sp.Model
-		}
-		qs, err := workload.GenerateSpec(wlSpec, arrivals, rate*frac, ni, seed+9973*int64(i))
+		qs, err := workload.ReadTrace(r)
 		if err != nil {
-			return nil, fmt.Errorf("serve: tenant %s: %w", name, err)
+			return nil, err
 		}
 		for _, q := range qs {
-			out = append(out, drivenQuery{arrival: q.Arrival, size: q.Size, tenant: name})
+			out = append(out, drivenQuery{Query: q})
+		}
+		return out, nil
+	}
+	total := 0.0
+	for _, sp := range specs {
+		total += cmp.Or(sp.Share, 1)
+	}
+	for i, sp := range specs {
+		frac := cmp.Or(sp.Share, 1) / total
+		ni := int(float64(n)*frac + 0.5)
+		if ni < 1 && n > 0 {
+			ni = 1 // a share too small for one query of a real run still gets one
+		}
+		name := ""
+		if addressed {
+			name = cmp.Or(sp.Name, sp.Model)
+		}
+		qs, err := workload.GenerateSpec(cmp.Or(sp.Workload, defWL), arrivals, rate*frac, ni, seed+9973*int64(i))
+		if err != nil {
+			if addressed {
+				err = fmt.Errorf("serve: tenant %s: %w", name, err)
+			}
+			return nil, err
+		}
+		for _, q := range qs {
+			out = append(out, drivenQuery{q, name})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].arrival < out[b].arrival })
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Arrival < out[b].Arrival })
 	return out, nil
-}
-
-func tenantShare(sp deeprecsys.TenantSpec) float64 {
-	if sp.Share == 0 {
-		return 1
-	}
-	return sp.Share
 }
 
 // parseAutoscale parses the -autoscale "<min>:<max>" bounds ("" = off).
@@ -515,21 +506,4 @@ func parseAutoscale(spec string) (min, max int, on bool, err error) {
 		return 0, 0, false, fmt.Errorf("bad -autoscale %q (want <min>:<max> with 1 <= min <= max)", spec)
 	}
 	return min, max, true, nil
-}
-
-// driveStream loads or generates the query stream that drives the service.
-func driveStream(tracePath, wl, arrivals string, rate float64, n int, seed int64) ([]workload.Query, error) {
-	if tracePath != "" {
-		r := os.Stdin
-		if tracePath != "-" {
-			f, err := os.Open(tracePath)
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			r = f
-		}
-		return workload.ReadTrace(r)
-	}
-	return workload.GenerateSpec(wl, arrivals, rate, n, seed)
 }

@@ -20,10 +20,11 @@ type AutoscaleConfig struct {
 	// settle/reset discipline: after every membership move one interval is
 	// skipped so the next decision reads the new operating point.
 	Interval time.Duration
-	// NewConfig supplies the config for each grown replica. The caller owns
+	// NewConfig supplies the config for each grown replica, or the reason
+	// one cannot be built (the scale-up is then skipped). The caller owns
 	// seed and speed-factor assignment, so grown replicas keep the fleet's
 	// deterministic seeding and heterogeneity model.
-	NewConfig func() live.Config
+	NewConfig func() (live.Config, error)
 }
 
 // StartAutoscale starts the closed-loop autoscaler on a serving fleet. It
@@ -86,7 +87,11 @@ func (f *Fleet) autoscaler(cfg AutoscaleConfig, sla time.Duration) {
 				if f.Size() >= cfg.Max {
 					return false
 				}
-				if _, err := f.Add(cfg.NewConfig()); err != nil {
+				grown, err := cfg.NewConfig()
+				if err == nil {
+					_, err = f.Add(grown)
+				}
+				if err != nil {
 					return false
 				}
 				f.scaleUps.Add(1)

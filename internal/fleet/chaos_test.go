@@ -73,7 +73,7 @@ func TestStartChaosValidation(t *testing.T) {
 
 func TestStartAutoscaleValidation(t *testing.T) {
 	m := testModel(t)
-	mk := func() live.Config { return baseConfig(m, 9) }
+	mk := func() (live.Config, error) { return baseConfig(m, 9), nil }
 	noSLA := newFleet(t, []live.Config{baseConfig(m, 1)}, nil)
 	if err := noSLA.StartAutoscale(AutoscaleConfig{Min: 1, Max: 2, NewConfig: mk}); err == nil {
 		t.Error("autoscale without an SLA accepted")
@@ -220,8 +220,8 @@ func TestAutoscaleGrowsAndShrinks(t *testing.T) {
 		Min:      1,
 		Max:      3,
 		Interval: 20 * time.Millisecond,
-		NewConfig: func() live.Config {
-			return mkConfig(100 + grown.Add(1))
+		NewConfig: func() (live.Config, error) {
+			return mkConfig(100 + grown.Add(1)), nil
 		},
 	}); err != nil {
 		t.Fatal(err)

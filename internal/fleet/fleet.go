@@ -168,61 +168,39 @@ func New(cfgs []live.Config, policy Policy) (*Fleet, error) {
 	return f, nil
 }
 
-// tenantInfosFrom derives the fleet's tenant set from one replica config:
-// names and shares straight from the tenant configs, resource shapes from
-// each tenant model's analytic profile. Shapes are normalized per dimension
-// across the tenant set, then per tenant to sum to 1, so [1, 0] reads
-// "all FC compute" and [0, 1] "all embedding traffic" relative to the
-// fleet's own zoo.
+// tenantInfosFrom derives the fleet's tenant set from one replica config's
+// resolved tenant list (live.Config.WithDefaults: a single-model config is
+// the list of one tenant named ""): names and shares straight from the
+// tenant configs, resource shapes from each tenant model's analytic profile.
+// Shapes are normalized per dimension across the tenant set, then per tenant
+// to sum to 1, so [1, 0] reads "all FC compute" and [0, 1] "all embedding
+// traffic" relative to the fleet's own zoo.
 func tenantInfosFrom(cfg live.Config) ([]TenantInfo, error) {
-	type raw struct {
-		name  string
-		share float64
-		flops float64
-		bytes float64
+	cfg, err := cfg.WithDefaults()
+	if err != nil {
+		return nil, err
 	}
-	var raws []raw
-	if len(cfg.Tenants) == 0 {
-		if cfg.Model == nil {
-			return nil, errors.New("fleet: replica config has no model")
-		}
-		p := model.BuildProfile(cfg.Model.Cfg)
-		raws = []raw{{share: 1, flops: float64(p.TotalFLOPs()), bytes: float64(p.EmbBytes)}}
-	} else {
-		for i, tc := range cfg.Tenants {
-			if tc.Model == nil {
-				return nil, fmt.Errorf("fleet: tenant %d (%s) has no model", i, tc.Name)
-			}
-			share := tc.Share
-			if share == 0 {
-				share = 1
-			}
-			p := model.BuildProfile(tc.Model.Cfg)
-			raws = append(raws, raw{name: tc.Name, share: share, flops: float64(p.TotalFLOPs()), bytes: float64(p.EmbBytes)})
-		}
-	}
+	infos := make([]TenantInfo, len(cfg.Tenants))
 	var maxFLOPs, maxBytes float64
-	for _, r := range raws {
-		if r.flops > maxFLOPs {
-			maxFLOPs = r.flops
-		}
-		if r.bytes > maxBytes {
-			maxBytes = r.bytes
-		}
+	for i, tc := range cfg.Tenants {
+		// Raw demand first; normalized in place below.
+		p := model.BuildProfile(tc.Model.Cfg)
+		infos[i] = TenantInfo{Name: tc.Name, Share: tc.Share, Shape: [2]float64{float64(p.TotalFLOPs()), float64(p.EmbBytes)}}
+		maxFLOPs = max(maxFLOPs, infos[i].Shape[0])
+		maxBytes = max(maxBytes, infos[i].Shape[1])
 	}
-	infos := make([]TenantInfo, len(raws))
-	for i, r := range raws {
+	for i := range infos {
 		var f, b float64
 		if maxFLOPs > 0 {
-			f = r.flops / maxFLOPs
+			f = infos[i].Shape[0] / maxFLOPs
 		}
 		if maxBytes > 0 {
-			b = r.bytes / maxBytes
+			b = infos[i].Shape[1] / maxBytes
 		}
 		if sum := f + b; sum > 0 {
 			f, b = f/sum, b/sum
 		}
-		infos[i] = TenantInfo{Name: r.name, Share: r.share, Shape: [2]float64{f, b}}
+		infos[i].Shape = [2]float64{f, b}
 	}
 	return infos, nil
 }

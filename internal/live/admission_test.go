@@ -215,10 +215,10 @@ func TestConfigDeadlineApplies(t *testing.T) {
 	holder := make(chan error, 1)
 	go func() {
 		// Occupy the only execution slot far beyond the deadline.
-		_, err := s.adm.admit(context.Background())
+		_, err := s.tenants[0].adm.admit(context.Background())
 		holder <- err
 		<-release
-		s.adm.release()
+		s.tenants[0].adm.release()
 	}()
 	if err := <-holder; err != nil {
 		t.Fatal(err)
@@ -256,9 +256,9 @@ func TestCloseUnderSaturationAbandonsQueued(t *testing.T) {
 		holderErr <- err
 	}()
 	waitFor(t, func() bool {
-		s.adm.mu.Lock()
-		busy := s.adm.inExec > 0
-		s.adm.mu.Unlock()
+		s.tenants[0].adm.mu.Lock()
+		busy := s.tenants[0].adm.inExec > 0
+		s.tenants[0].adm.mu.Unlock()
 		return busy
 	})
 	const queued = 4
@@ -271,7 +271,7 @@ func TestCloseUnderSaturationAbandonsQueued(t *testing.T) {
 			errs <- err
 		}()
 	}
-	waitFor(t, func() bool { return s.adm.queued() == queued })
+	waitFor(t, func() bool { return s.tenants[0].adm.queued() == queued })
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestDegradeLadderManual(t *testing.T) {
 		BatchSize: 16,
 		Degrade:   DegradeConfig{Truncate: 8, Fallback: fb},
 	})
-	if got := len(s.degLadder); got != 3 {
+	if got := len(s.tenants[0].degLadder); got != 3 {
 		t.Fatalf("ladder has %d rungs, want 3", got)
 	}
 	ctx := context.Background()
@@ -461,9 +461,9 @@ func TestFailAbortsPromptly(t *testing.T) {
 		execErr <- err
 	}()
 	waitFor(t, func() bool {
-		s.adm.mu.Lock()
-		busy := s.adm.inExec > 0
-		s.adm.mu.Unlock()
+		s.tenants[0].adm.mu.Lock()
+		busy := s.tenants[0].adm.inExec > 0
+		s.tenants[0].adm.mu.Unlock()
 		return busy
 	})
 	queuedErr := make(chan error, 1)
@@ -471,7 +471,7 @@ func TestFailAbortsPromptly(t *testing.T) {
 		_, err := s.Submit(ctx, Query{Candidates: 10})
 		queuedErr <- err
 	}()
-	waitFor(t, func() bool { return s.adm.queued() == 1 })
+	waitFor(t, func() bool { return s.tenants[0].adm.queued() == 1 })
 
 	s.Fail()
 	if err := <-queuedErr; !errors.Is(err, ErrReplicaDown) {

@@ -45,9 +45,6 @@ func (d DegradeConfig) rungs() []degradeRung {
 	return levels
 }
 
-// enabled reports whether any rung above normal service exists.
-func (d DegradeConfig) enabled() bool { return d.Truncate > 0 || d.Fallback != nil }
-
 // degradeRung is one level of the ladder.
 type degradeRung struct {
 	truncate int  // cap on the candidate slate (0 = none)

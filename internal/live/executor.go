@@ -124,14 +124,7 @@ func (p *cpuPool) worker(st *model.Stream) {
 		}
 		// The chunk executes its query's model — the serving tenant's, or
 		// its fallback variant under deep degradation.
-		t := c.q.tn
-		if t == nil {
-			t = p.tenants[0]
-		}
-		m := c.q.m
-		if m == nil {
-			m = t.model
-		}
+		t, m := c.q.tn, c.q.m
 		start := time.Now()
 		in := m.NewInputSampled(scratches[0], st, c.size, samplers[t.idx].source(m))
 		// With IntraOp > 1, big-batch chunks split across the par pool for
@@ -163,11 +156,7 @@ func (p *cpuPool) worker(st *model.Stream) {
 // Enqueue implements Executor: the query is split into batch-sized chunks
 // pushed onto the bounded task queue.
 func (p *cpuPool) Enqueue(ctx context.Context, iq *inflight, size int) error {
-	t := iq.tn
-	if t == nil {
-		t = p.tenants[0]
-	}
-	batch := int(t.batch.Load())
+	batch := int(iq.tn.batch.Load())
 	iq.batch = batch
 	nChunks := (size + batch - 1) / batch
 	iq.pending.Store(int32(nChunks))
@@ -208,9 +197,7 @@ func (p *cpuPool) Close() {
 // waiting on a stream slot, with Submit's completion wait providing the
 // backpressure.
 type accelerator struct {
-	tn      *tenant // default tenant (0): serves untagged queries
 	gpu     *platform.GPU
-	profile model.Profile // tenant 0's profile; per-query time uses the serving tenant's
 	scale   *atomicScale  // live service-time stretch on the modeled device time
 	slots   chan struct{} // one token per concurrent device stream
 	seq     atomic.Int64  // per-query seed stream for ranked offloads
@@ -230,18 +217,16 @@ type offloadScratch struct {
 // service time of each query is computed from the serving tenant's own
 // model profile, so an FC-heavy tenant and an embedding-heavy tenant
 // occupying the same device streams cost what their architectures cost.
-func newAccelerator(t *tenant, gpu *platform.GPU, seed int64, scale *atomicScale) *accelerator {
+func newAccelerator(gpu *platform.GPU, seed int64, scale *atomicScale) *accelerator {
 	streams := gpu.Streams
 	if streams < 1 {
 		streams = 1
 	}
 	a := &accelerator{
-		tn:      t,
-		gpu:     gpu,
-		profile: t.profile,
-		scale:   scale,
-		slots:   make(chan struct{}, streams),
-		seed:    seed,
+		gpu:   gpu,
+		scale: scale,
+		slots: make(chan struct{}, streams),
+		seed:  seed,
 	}
 	a.scratch.New = func() any { return &offloadScratch{s: model.NewScratch()} }
 	return a
@@ -279,17 +264,10 @@ func (a *accelerator) run(iq *inflight, size int) {
 		iq.retire() // cancelled during the wait: consume no device time
 		return
 	}
-	t := iq.tn
-	if t == nil {
-		t = a.tn
-	}
+	t, m := iq.tn, iq.m
 	service := time.Duration(float64(a.gpu.QueryTime(t.profile, size)) * a.scale.Load())
 	start := time.Now()
 	if n := iq.topN; n > 0 {
-		m := iq.m
-		if m == nil {
-			m = t.model
-		}
 		o := a.scratch.Get().(*offloadScratch)
 		o.st.Seed(a.seed + a.seq.Add(1))
 		// Ranked offloads bind one fresh source per query — the stream is

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,6 +63,75 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("bad config %d accepted: %+v", i, cfg)
 		}
 	}
+	// Every bad per-tenant value, written on the single-model Config: its one
+	// anonymous tenant inherits it and must refuse it.
+	for _, b := range badPerTenant {
+		if b.onConfig == nil {
+			continue
+		}
+		cfg := Config{Model: m}
+		b.onConfig(&cfg)
+		if s, err := New(cfg); err == nil {
+			s.Close()
+			t.Errorf("single-model config with %s accepted", b.name)
+		} else if strings.Contains(err.Error(), "tenant") {
+			t.Errorf("%s: single-model error names a tenant: %v", b.name, err)
+		}
+	}
+}
+
+// badPerTenant is every out-of-range value a per-tenant field can take,
+// written on a TenantConfig and — Share apart, which only a tenant has — on
+// the Config-level field of the same name that tenants inherit.
+var badPerTenant = []struct {
+	name     string
+	onTenant func(*TenantConfig)
+	onConfig func(*Config)
+}{
+	{"negative SLA",
+		func(tc *TenantConfig) { tc.SLA = -time.Second },
+		func(c *Config) { c.SLA = -time.Second }},
+	{"negative batch",
+		func(tc *TenantConfig) { tc.BatchSize = -5 },
+		func(c *Config) { c.BatchSize = -5 }},
+	{"batch above MaxBatchSize",
+		func(tc *TenantConfig) { tc.BatchSize = MaxBatchSize + 1 },
+		func(c *Config) { c.BatchSize = MaxBatchSize + 1 }},
+	{"negative threshold",
+		func(tc *TenantConfig) { tc.GPUThreshold = -1 },
+		func(c *Config) { c.GPUThreshold = -1 }},
+	{"threshold without a GPU",
+		func(tc *TenantConfig) { tc.GPUThreshold = 100 },
+		func(c *Config) { c.GPUThreshold = 100 }},
+	{"AutoTune without an SLA",
+		func(tc *TenantConfig) { tc.AutoTune = true },
+		func(c *Config) { c.AutoTune = true }},
+	{"negative window",
+		func(tc *TenantConfig) { tc.WindowSize = -1 },
+		func(c *Config) { c.WindowSize = -1 }},
+	{"window below minTuneSamples with AutoTune",
+		func(tc *TenantConfig) { tc.AutoTune, tc.SLA, tc.WindowSize = true, time.Second, minTuneSamples-1 },
+		func(c *Config) { c.AutoTune, c.SLA, c.WindowSize = true, time.Second, minTuneSamples-1 }},
+	{"unknown admission policy",
+		func(tc *TenantConfig) { tc.Admission.Policy = AdmitShedOldest + 1 },
+		func(c *Config) { c.Admission.Policy = AdmitShedOldest + 1 }},
+	{"negative admission concurrency",
+		func(tc *TenantConfig) { tc.Admission = AdmissionConfig{Policy: AdmitReject, Concurrency: -1} },
+		func(c *Config) { c.Admission = AdmissionConfig{Policy: AdmitReject, Concurrency: -1} }},
+	{"negative admission depth",
+		func(tc *TenantConfig) { tc.Admission = AdmissionConfig{Policy: AdmitQueue, Depth: -1} },
+		func(c *Config) { c.Admission = AdmissionConfig{Policy: AdmitQueue, Depth: -1} }},
+	{"negative deadline",
+		func(tc *TenantConfig) { tc.Deadline = -time.Second },
+		func(c *Config) { c.Deadline = -time.Second }},
+	{"negative truncation",
+		func(tc *TenantConfig) { tc.Degrade.Truncate = -1 },
+		func(c *Config) { c.Degrade.Truncate = -1 }},
+	{"truncation above MaxQuerySize",
+		func(tc *TenantConfig) { tc.Degrade.Truncate = workload.MaxQuerySize + 1 },
+		func(c *Config) { c.Degrade.Truncate = workload.MaxQuerySize + 1 }},
+	{"negative share",
+		func(tc *TenantConfig) { tc.Share = -1 }, nil},
 }
 
 func TestSubmitValidation(t *testing.T) {

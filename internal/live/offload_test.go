@@ -76,7 +76,7 @@ func TestThresholdBoundaryOffloadsWhole(t *testing.T) {
 		}
 	}
 	// The modeled service time bounds the offloaded latency from below.
-	if want := testGPU(2).QueryTime(s.acc.profile, 100); at.Latency < want {
+	if want := testGPU(2).QueryTime(s.tenants[0].profile, 100); at.Latency < want {
 		t.Errorf("offloaded latency %v below modeled service time %v", at.Latency, want)
 	}
 }
@@ -161,7 +161,7 @@ func TestStreamsBoundConcurrentOffloads(t *testing.T) {
 	gpu := testGPU(1)
 	s := newService(t, Config{Workers: 1, BatchSize: 8, GPU: gpu, GPUThreshold: 1})
 	const n = 4
-	per := gpu.QueryTime(s.acc.profile, 10)
+	per := gpu.QueryTime(s.tenants[0].profile, 10)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < n; i++ {

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,20 +56,25 @@ var ErrReplicaDown = errors.New("live: replica down")
 // paper's hill climb explores (up to 1024).
 const MaxBatchSize = 1024
 
-// Config parameterizes a Service. Model is required (unless Tenants is
-// set); every other field has a working default.
+// Config parameterizes a Service. Every Service serves a tenant list:
+// Tenants, or — when it is empty — the one anonymous tenant WithDefaults
+// synthesizes over Model, which is all a single-model service is. Workers,
+// GPU, TuneInterval, QueueDepth, IntraOp, Seed and Scale describe the
+// shared lanes and are validated as given; BatchSize, GPUThreshold, SLA,
+// AutoTune, WindowSize, Admission, Deadline, Degrade and Access are the
+// values a tenant that leaves the field unset inherits, validated in the
+// tenant that inherits them (a default nobody inherits is not read). Model
+// or Tenants is required; every other field has a working default.
 type Config struct {
-	// Model executes the forward passes. It must not be mutated while the
-	// service runs; concurrent Forward calls are safe by construction
-	// (weights are read-only, outputs freshly allocated). When Tenants is
-	// set, Model is ignored: each tenant brings its own.
+	// Model executes the anonymous tenant's forward passes. It must not be
+	// mutated while the service runs; concurrent Forward calls are safe by
+	// construction (weights are read-only, outputs freshly allocated). When
+	// Tenants is set, Model is ignored: each tenant brings its own.
 	Model *model.Model
-	// Tenants runs the service multi-tenant: N named (model, SLA, knobs,
-	// ledger) bindings sharing this service's executor lanes. Empty keeps
-	// the classic single-model service, which behaves exactly as one
-	// anonymous tenant synthesized from the Config-level fields. When set,
-	// every tenant needs a unique non-empty Name and its own Model
-	// instance, and the Config-level fields act as tenant defaults.
+	// Tenants names the (model, SLA, knobs, ledger) bindings sharing this
+	// service's executor lanes: every tenant needs a unique non-empty Name
+	// and its own Model instance. Empty = one anonymous tenant (name "")
+	// serving Model.
 	Tenants []TenantConfig
 	// Workers is the CPU worker-pool size (default GOMAXPROCS).
 	Workers int
@@ -140,30 +146,13 @@ type Config struct {
 	Scale float64
 }
 
-// withDefaults returns cfg with defaults filled in, validating what cannot
-// be defaulted.
-func (cfg Config) withDefaults() (Config, error) {
-	multi := len(cfg.Tenants) > 0
-	if !multi && cfg.Model == nil {
-		return cfg, errors.New("live: Config.Model is required")
-	}
-	if multi {
-		names := make(map[string]bool, len(cfg.Tenants))
-		models := make(map[*model.Model]bool, len(cfg.Tenants))
-		for i, tc := range cfg.Tenants {
-			if tc.Name == "" {
-				return cfg, fmt.Errorf("live: tenant %d: Name is required", i)
-			}
-			if names[tc.Name] {
-				return cfg, fmt.Errorf("live: duplicate tenant name %q", tc.Name)
-			}
-			names[tc.Name] = true
-			if tc.Model != nil && models[tc.Model] {
-				return cfg, fmt.Errorf("live: tenant %d (%s): Model instance shared with another tenant", i, tc.Name)
-			}
-			models[tc.Model] = true
-		}
-	}
+// WithDefaults normalizes cfg to its tenant list — the one place a
+// single-model Config becomes the anonymous tenant serving Config.Model —
+// and returns it with every default filled in. Lane-level fields are
+// validated here; per-tenant fields, the Config-level ones included (they
+// are only what a tenant inherits), by TenantConfig.withDefaults where
+// they land.
+func (cfg Config) WithDefaults() (Config, error) {
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -172,21 +161,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 256
-	}
-	if cfg.BatchSize < 1 || cfg.BatchSize > MaxBatchSize {
-		return cfg, fmt.Errorf("live: batch size %d outside [1, %d]", cfg.BatchSize, MaxBatchSize)
-	}
-	if cfg.GPUThreshold < 0 || cfg.GPUThreshold > workload.MaxQuerySize {
-		return cfg, fmt.Errorf("live: GPU threshold %d outside [0, %d]", cfg.GPUThreshold, workload.MaxQuerySize)
-	}
-	if cfg.GPUThreshold > 0 && cfg.GPU == nil {
-		return cfg, errors.New("live: GPU threshold set without an accelerator (Config.GPU)")
-	}
-	if cfg.SLA < 0 {
-		return cfg, fmt.Errorf("live: negative SLA %v", cfg.SLA)
-	}
-	if !multi && cfg.AutoTune && cfg.SLA == 0 {
-		return cfg, errors.New("live: AutoTune requires an SLA target")
 	}
 	if cfg.TuneInterval == 0 {
 		cfg.TuneInterval = 250 * time.Millisecond
@@ -197,51 +171,17 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.WindowSize == 0 {
 		cfg.WindowSize = 4096
 	}
-	if cfg.WindowSize < 1 {
-		return cfg, fmt.Errorf("live: window size %d < 1", cfg.WindowSize)
-	}
-	if !multi && cfg.AutoTune && cfg.WindowSize < minTuneSamples {
-		return cfg, fmt.Errorf("live: AutoTune needs a window of at least %d samples, got %d", minTuneSamples, cfg.WindowSize)
-	}
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 8 * cfg.Workers
 	}
 	if cfg.QueueDepth < 1 {
 		return cfg, fmt.Errorf("live: queue depth %d < 1", cfg.QueueDepth)
 	}
-	if cfg.Admission.Policy < AdmitAll || cfg.Admission.Policy > AdmitShedOldest {
-		return cfg, fmt.Errorf("live: unknown admission policy %d", cfg.Admission.Policy)
-	}
-	if cfg.Admission.Policy != AdmitAll {
-		if cfg.Admission.Concurrency == 0 {
-			cfg.Admission.Concurrency = 2 * cfg.Workers
-		}
-		if cfg.Admission.Concurrency < 1 {
-			return cfg, fmt.Errorf("live: admission concurrency %d < 1", cfg.Admission.Concurrency)
-		}
-		if cfg.Admission.Depth == 0 {
-			cfg.Admission.Depth = 4 * cfg.Admission.Concurrency
-		}
-		if cfg.Admission.Depth < 1 {
-			return cfg, fmt.Errorf("live: admission queue depth %d < 1", cfg.Admission.Depth)
-		}
-	}
-	if cfg.Deadline < 0 {
-		return cfg, fmt.Errorf("live: negative deadline %v", cfg.Deadline)
-	}
-	if cfg.Degrade.Truncate < 0 || cfg.Degrade.Truncate > workload.MaxQuerySize {
-		return cfg, fmt.Errorf("live: degrade truncation %d outside [0, %d]", cfg.Degrade.Truncate, workload.MaxQuerySize)
-	}
 	if cfg.IntraOp == 0 {
 		cfg.IntraOp = 1
 	}
 	if cfg.IntraOp < 1 || cfg.IntraOp > 64 {
 		return cfg, fmt.Errorf("live: intra-op parallelism %d outside [1, 64]", cfg.IntraOp)
-	}
-	if _, uniform := cfg.Access.(workload.UniformAccess); uniform {
-		// Uniform is what a lane's Stream draws by itself, in bulk: explicit
-		// uniform access means the nil sampler, not a Next call per lookup.
-		cfg.Access = nil
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -251,6 +191,29 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.Scale <= 0 {
 		return cfg, fmt.Errorf("live: scale factor %v must be positive", cfg.Scale)
+	}
+	tcs := cfg.Tenants
+	if len(tcs) == 0 {
+		tcs = []TenantConfig{{Model: cfg.Model}}
+	} else if i := slices.IndexFunc(tcs, func(tc TenantConfig) bool { return tc.Name == "" }); i >= 0 {
+		return cfg, fmt.Errorf("live: tenant %d: Name is required", i)
+	}
+	cfg.Tenants = make([]TenantConfig, len(tcs))
+	names := make(map[string]bool, len(tcs))
+	models := make(map[*model.Model]bool, len(tcs))
+	for i, tc := range tcs {
+		if names[tc.Name] {
+			return cfg, fmt.Errorf("live: duplicate tenant name %q", tc.Name)
+		}
+		names[tc.Name] = true
+		if models[tc.Model] {
+			return cfg, fmt.Errorf("live: tenant %d (%s): Model instance shared with another tenant", i, tc.Name)
+		}
+		models[tc.Model] = true
+		var err error
+		if cfg.Tenants[i], err = tc.withDefaults(cfg, i); err != nil {
+			return cfg, err
+		}
 	}
 	return cfg, nil
 }
@@ -448,11 +411,6 @@ type Service struct {
 	scale   atomicScale  // dynamic service-time stretch (chaos slowdowns)
 	delay   atomic.Int64 // injected per-query latency in ns (chaos spikes)
 
-	// adm and degLadder alias tenant 0's admission gate and degrade ladder:
-	// the classic single-model service is exactly its one anonymous tenant.
-	adm       *admission // nil = admission control off for tenant 0
-	degLadder []degradeRung
-
 	failed atomic.Bool
 	failCh chan struct{} // closed by Fail: aborts waits promptly
 
@@ -475,36 +433,24 @@ func (a *atomicScale) Load() float64   { return math.Float64frombits(a.bits.Load
 // New starts the executor lanes (and the per-tenant controllers when
 // configured) and returns a running Service.
 func New(cfg Config) (*Service, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.WithDefaults()
 	if err != nil {
 		return nil, err
 	}
-	tcs := cfg.Tenants
-	if len(tcs) == 0 {
-		// The classic single-model service is the 1-tenant degenerate case:
-		// one anonymous tenant inheriting every Config-level field.
-		tcs = []TenantConfig{{Model: cfg.Model}}
-	}
 	s := &Service{
 		cfg:     cfg,
-		tenants: make([]*tenant, len(tcs)),
-		byName:  make(map[string]int, len(tcs)),
+		tenants: make([]*tenant, len(cfg.Tenants)),
+		byName:  make(map[string]int, len(cfg.Tenants)),
 		failCh:  make(chan struct{}),
 	}
-	for i, tc := range tcs {
-		tc, err := tc.withDefaults(cfg, i)
-		if err != nil {
-			return nil, err
-		}
+	for i, tc := range cfg.Tenants {
 		s.tenants[i] = newTenant(i, tc)
 		s.byName[tc.Name] = i
 	}
-	s.adm = s.tenants[0].adm
-	s.degLadder = s.tenants[0].degLadder
 	s.scale.Store(cfg.Scale)
 	s.cpu = newCPUPool(s.tenants, cfg.Workers, cfg.QueueDepth, cfg.Seed, &s.scale, cfg.IntraOp)
 	if cfg.GPU != nil {
-		s.acc = newAccelerator(s.tenants[0], cfg.GPU, cfg.Seed, &s.scale)
+		s.acc = newAccelerator(cfg.GPU, cfg.Seed, &s.scale)
 	}
 	for _, t := range s.tenants {
 		if t.autoTune || (len(t.degLadder) > 1 && t.sla > 0) {

@@ -22,10 +22,15 @@ import (
 //
 // Unset per-tenant fields inherit the Config-level value (which in turn has
 // the usual default), so a TenantConfig needs only what differs from the
-// service's baseline.
+// service's baseline. A tenant's fields are range-checked once, after that
+// inheritance (withDefaults below), so a bad value is refused wherever it
+// was written — on the tenant, or on the Config a tenant inherits it from.
+// The single-model service is the list of one such tenant, unnamed, that
+// Config.WithDefaults builds over Config.Model.
 type TenantConfig struct {
 	// Name identifies the tenant in Query.Tenant lookups, Stats, and
-	// reports. Required when Config.Tenants is used; must be unique.
+	// reports. Required, and unique, in Config.Tenants; only the synthesized
+	// tenant of a single-model Config has none.
 	Name string
 	// Model executes the tenant's forward passes (required). Tenants must
 	// not share a *model.Model instance: per-tenant embedding-store
@@ -65,79 +70,83 @@ type TenantConfig struct {
 	Share float64
 }
 
-// withDefaults fills one tenant's unset fields from the (already defaulted)
-// shared config and validates the result. idx and the config are only used
-// for error text.
+// withDefaults fills one tenant's unset fields from the shared config and
+// validates the result — the only range check a per-tenant field gets,
+// whether the tenant set it or inherited it. Errors name the tenant; the
+// anonymous tenant of a single-model Config has no name to give.
 func (tc TenantConfig) withDefaults(cfg Config, idx int) (TenantConfig, error) {
-	scope := fmt.Sprintf("tenant %d (%s)", idx, tc.Name)
+	scope := ""
+	if tc.Name != "" {
+		scope = fmt.Sprintf("tenant %d (%s): ", idx, tc.Name)
+	}
 	if tc.Model == nil {
-		return tc, fmt.Errorf("live: %s: Model is required", scope)
+		return tc, fmt.Errorf("live: %sModel is required", scope)
 	}
 	if tc.BatchSize == 0 {
 		tc.BatchSize = cfg.BatchSize
 	}
 	if tc.BatchSize < 1 || tc.BatchSize > MaxBatchSize {
-		return tc, fmt.Errorf("live: %s: batch size %d outside [1, %d]", scope, tc.BatchSize, MaxBatchSize)
+		return tc, fmt.Errorf("live: %sbatch size %d outside [1, %d]", scope, tc.BatchSize, MaxBatchSize)
 	}
 	if tc.GPUThreshold == 0 {
 		tc.GPUThreshold = cfg.GPUThreshold
 	}
 	if tc.GPUThreshold < 0 || tc.GPUThreshold > workload.MaxQuerySize {
-		return tc, fmt.Errorf("live: %s: GPU threshold %d outside [0, %d]", scope, tc.GPUThreshold, workload.MaxQuerySize)
+		return tc, fmt.Errorf("live: %sGPU threshold %d outside [0, %d]", scope, tc.GPUThreshold, workload.MaxQuerySize)
 	}
 	if tc.GPUThreshold > 0 && cfg.GPU == nil {
-		return tc, fmt.Errorf("live: %s: GPU threshold set without an accelerator (Config.GPU)", scope)
+		return tc, fmt.Errorf("live: %sGPU threshold set without an accelerator (Config.GPU)", scope)
 	}
 	if tc.SLA == 0 {
 		tc.SLA = cfg.SLA
 	}
 	if tc.SLA < 0 {
-		return tc, fmt.Errorf("live: %s: negative SLA %v", scope, tc.SLA)
+		return tc, fmt.Errorf("live: %snegative SLA %v", scope, tc.SLA)
 	}
 	tc.AutoTune = tc.AutoTune || cfg.AutoTune
 	if tc.AutoTune && tc.SLA == 0 {
-		return tc, fmt.Errorf("live: %s: AutoTune requires an SLA target", scope)
+		return tc, fmt.Errorf("live: %sAutoTune requires an SLA target", scope)
 	}
 	if tc.WindowSize == 0 {
 		tc.WindowSize = cfg.WindowSize
 	}
 	if tc.WindowSize < 1 {
-		return tc, fmt.Errorf("live: %s: window size %d < 1", scope, tc.WindowSize)
+		return tc, fmt.Errorf("live: %swindow size %d < 1", scope, tc.WindowSize)
 	}
 	if tc.AutoTune && tc.WindowSize < minTuneSamples {
-		return tc, fmt.Errorf("live: %s: AutoTune needs a window of at least %d samples, got %d", scope, minTuneSamples, tc.WindowSize)
+		return tc, fmt.Errorf("live: %sAutoTune needs a window of at least %d samples, got %d", scope, minTuneSamples, tc.WindowSize)
 	}
 	if tc.Admission == (AdmissionConfig{}) {
 		tc.Admission = cfg.Admission
 	}
 	if tc.Admission.Policy < AdmitAll || tc.Admission.Policy > AdmitShedOldest {
-		return tc, fmt.Errorf("live: %s: unknown admission policy %d", scope, tc.Admission.Policy)
+		return tc, fmt.Errorf("live: %sunknown admission policy %d", scope, tc.Admission.Policy)
 	}
 	if tc.Admission.Policy != AdmitAll {
 		if tc.Admission.Concurrency == 0 {
 			tc.Admission.Concurrency = 2 * cfg.Workers
 		}
 		if tc.Admission.Concurrency < 1 {
-			return tc, fmt.Errorf("live: %s: admission concurrency %d < 1", scope, tc.Admission.Concurrency)
+			return tc, fmt.Errorf("live: %sadmission concurrency %d < 1", scope, tc.Admission.Concurrency)
 		}
 		if tc.Admission.Depth == 0 {
 			tc.Admission.Depth = 4 * tc.Admission.Concurrency
 		}
 		if tc.Admission.Depth < 1 {
-			return tc, fmt.Errorf("live: %s: admission queue depth %d < 1", scope, tc.Admission.Depth)
+			return tc, fmt.Errorf("live: %sadmission queue depth %d < 1", scope, tc.Admission.Depth)
 		}
 	}
 	if tc.Deadline == 0 {
 		tc.Deadline = cfg.Deadline
 	}
 	if tc.Deadline < 0 {
-		return tc, fmt.Errorf("live: %s: negative deadline %v", scope, tc.Deadline)
+		return tc, fmt.Errorf("live: %snegative deadline %v", scope, tc.Deadline)
 	}
-	if !tc.Degrade.enabled() {
+	if tc.Degrade == (DegradeConfig{}) {
 		tc.Degrade = cfg.Degrade
 	}
 	if tc.Degrade.Truncate < 0 || tc.Degrade.Truncate > workload.MaxQuerySize {
-		return tc, fmt.Errorf("live: %s: degrade truncation %d outside [0, %d]", scope, tc.Degrade.Truncate, workload.MaxQuerySize)
+		return tc, fmt.Errorf("live: %sdegrade truncation %d outside [0, %d]", scope, tc.Degrade.Truncate, workload.MaxQuerySize)
 	}
 	if tc.Access == nil {
 		tc.Access = cfg.Access
@@ -151,7 +160,7 @@ func (tc TenantConfig) withDefaults(cfg Config, idx int) (TenantConfig, error) {
 		tc.Share = 1
 	}
 	if tc.Share < 0 {
-		return tc, fmt.Errorf("live: %s: negative share %v", scope, tc.Share)
+		return tc, fmt.Errorf("live: %snegative share %v", scope, tc.Share)
 	}
 	return tc, nil
 }

@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -66,6 +67,32 @@ func TestTenantConfigValidation(t *testing.T) {
 			t.Errorf("bad tenant config %d accepted", i)
 		}
 	}
+	// Every bad per-tenant value, on a named tenant and as the Config-level
+	// default that tenant inherits: refused in the tenant, by name.
+	for _, b := range badPerTenant {
+		onTenant := Config{Tenants: []TenantConfig{{Name: "a", Model: ncf}}}
+		b.onTenant(&onTenant.Tenants[0])
+		positions := map[string]Config{"on the tenant": onTenant}
+		if b.onConfig != nil {
+			inherited := Config{Tenants: []TenantConfig{{Name: "a", Model: ncf}}}
+			b.onConfig(&inherited)
+			positions["inherited"] = inherited
+		}
+		for pos, cfg := range positions {
+			if s, err := New(cfg); err == nil {
+				s.Close()
+				t.Errorf("%s %s accepted", b.name, pos)
+			} else if !strings.Contains(err.Error(), "tenant 0 (a)") {
+				t.Errorf("%s %s: error does not name the tenant: %v", b.name, pos, err)
+			}
+		}
+	}
+	// A Config-level default nobody inherits is not read.
+	s, err := New(Config{BatchSize: -5, Tenants: []TenantConfig{{Name: "a", Model: ncf, BatchSize: 16}}})
+	if err != nil {
+		t.Fatalf("overridden Config-level default was validated: %v", err)
+	}
+	s.Close()
 }
 
 // TestTenantKnobsIndependent pins that each tenant executes at its own

@@ -126,7 +126,7 @@ func NewRemoteReplica(target string, cfg RemoteConfig) (*RemoteReplica, error) {
 		r.tenants = append(r.tenants, t.Name)
 	}
 	if len(r.tenants) == 0 {
-		// Single-model server: one anonymous tenant, as in live.New.
+		// Single-model server: one anonymous tenant, as in live.Config.WithDefaults.
 		r.tenants = []string{""}
 	}
 	for range r.tenants {

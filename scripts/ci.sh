@@ -137,17 +137,20 @@ stage_chaos_soak() {
 }
 
 # Multi-tenant serving: two tenants with distinct models/SLAs/shares on one
-# shared 2-replica pool behind shape-spread placement; the exit report must
-# carry one ledger line per tenant.
+# shared 2-replica pool behind shape-spread placement, one of them over its
+# own cached store; the exit report must carry one ledger line per tenant and
+# that tenant's embedding-store line, from its own spec and table geometry.
 stage_serve_tenants() {
   local out
   out=$(serve -replicas 2 -workers 2 -policy shape-spread \
-    -tenants "DLRM-RMC1@name=ads,sla=150ms,share=2,batch=64;WnD@name=ranking,sla=400ms,cap=16,batch=16" \
+    -tenants "DLRM-RMC1@name=ads,sla=150ms,share=2,batch=64,store=synth+cache=lru:2000,rows=100000,access=zipf:1.2;WnD@name=ranking,sla=400ms,cap=16,batch=16" \
     -workload fixed:32 -rate 40 -n 200)
   echo "$out"
   echo "$out" | grep -q "per-tenant:" || { echo "missing per-tenant report"; return 1; }
   echo "$out" | grep -q "ads" || { echo "missing ads tenant line"; return 1; }
   echo "$out" | grep -q "ranking" || { echo "missing ranking tenant line"; return 1; }
+  echo "$out" | grep -q 'tenant ads: embedding store "synth,cache=lru:2000": 100000-row tables, zipf:1.2 access' ||
+    { echo "missing the ads tenant's embedding-store line"; return 1; }
 }
 
 # The mixed-tenant churn soak: per-tenant counter conservation and fleet
@@ -224,9 +227,17 @@ stage_bench_kernels() {
   DEEPRECSYS_BACKEND=scalar go test -run '^$' -bench BenchmarkModelForward -benchtime=1x .
 }
 
+# The size ROADMAP item 2 tracks, by the command every CHANGES entry since
+# PR 13 quotes: non-blank, non-comment lines of Go outside tests and
+# cmd/bench, and the lines of assembly beside them.
+stage_lines() {
+  echo "code lines: $(find . -name '*.go' -not -name '*_test.go' -not -path './cmd/bench/*' | xargs cat | grep -v '^\s*$' | grep -v '^\s*//' | wc -l)"
+  echo "assembly lines: $(find . -name '*.s' | xargs cat | wc -l)"
+}
+
 stages=(fmt vet build arm64 bench_module race backend_scalar backend_avx2 backend_simd offline_identity
   sweep_determinism examples live_race stepper fuzz serve_fleet chaos_soak serve_tenants tenant_soak wire_race
-  wire_e2e serve_overload embstore_race serve_mmap serve_synth serve_sharded bench_smoke bench_kernels)
+  wire_e2e serve_overload embstore_race serve_mmap serve_synth serve_sharded bench_smoke bench_kernels lines)
 
 [ $# -gt 0 ] || set -- list
 [ "$1" != all ] || set -- "${stages[@]}"

@@ -106,7 +106,10 @@ type ServeOptions struct {
 	// AutoScale runs the fleet autoscaler: a closed-loop controller growing
 	// the fleet toward MaxReplicas while the fleet-wide online p95 breaches
 	// the SLA or replicas are shedding, and shrinking toward MinReplicas
-	// under sustained headroom.
+	// under sustained headroom. A grown replica is built exactly as an
+	// AddReplica one is — its own instance of every store-backed model, the
+	// system's or a tenant's — so only ShardTables, whose layout is fixed at
+	// Serve, excludes it.
 	AutoScale bool
 	// MinReplicas / MaxReplicas bound the autoscaler (defaults: 1 and
 	// Replicas, respectively).
@@ -158,45 +161,72 @@ type ServeOptions struct {
 // per-replica stats, and live membership changes (AddReplica,
 // DrainReplica, RemoveReplica). See docs/ARCHITECTURE.md for how the fleet
 // tier relates to the offline cluster simulator.
+//
+// And every Service serves a list of slots — the tenants of
+// ServeOptions.Tenants, or one anonymous slot over the System's own model.
+// Both are built, grown and drained by the same code; where the one slot's
+// name is "" the API reports no tenants (Tenants and Stats().Tenants nil,
+// Reply.Tenant "", SubmitTo refused, no split on Submit).
 type Service struct {
-	fl    *fleet.Fleet
-	model string
+	fl      *fleet.Fleet
+	model   string
+	sharded bool // table rows split across replicas: membership is fixed
 
-	tableRows int  // full logical embedding-table rows (0 = no tables)
-	sharded   bool // table rows split across replicas: membership is fixed
+	// slots is what the service serves, in live tenant order: the tenants of
+	// ServeOptions.Tenants, or the one anonymous slot (name "") over the
+	// System's own model that a single-model Service is. split is the
+	// Share-weighted splitter behind Submit; the anonymous slot has none.
+	slots []slot
+	split *tenantSplit
 
-	// Replica template for AddReplica: the base live config, specialized
-	// per added replica with the next seed in the stream.
+	// base is the template every fleet member is specialized from
+	// (replicaConfig), nextSeed the members' seed stream. base holds the one
+	// instance of each classic-table slot, which every member shares, and no
+	// instance of a store-backed slot beyond the System's cached one: each
+	// member is given its own, so its cache counters are its own.
 	base     live.Config
 	nextSeed atomic.Int64
 
-	// Store-backed fleets give every replica its own model instance so
-	// per-replica cache counters stay per-replica truth (a shared model
-	// would merge every replica's traffic into one cache). newReplicaModel
-	// builds one more (nil on classic services); owned tracks them for
-	// Close, which releases them after the fleet drains.
-	newReplicaModel func() (*model.Model, error)
-	ownedMu         sync.Mutex
-	owned           []*model.Model
-
-	// Multi-tenant bookkeeping (nil/empty on a single-model Service):
-	// tenant names and model names in tenant order, the name index, the
-	// Share-weighted splitter behind Submit, per-tenant fresh-instance
-	// builders for store-backed tenants (nil entries for classic tenants,
-	// which share one instance across replicas), and the MaxOutstanding
-	// caps startFleet installs.
-	tenantNames    []string
-	tenantModels   []string
-	tenantIdx      map[string]int
-	split          *tenantSplit
-	tenantBuilders []func() (*model.Model, error)
-	tenantCaps     []int
+	// owned is every model instance the service built — classic tenants'
+	// shared ones, store-backed slots' per-member ones — for Close to
+	// release after the fleet drains. The System's cached instance is the
+	// System's.
+	ownedMu sync.Mutex
+	owned   []*model.Model
 }
 
-// addOwned records a per-replica store-backed model for release at Close.
-func (s *Service) addOwned(m *model.Model) {
+// slot is one (name, model) binding a Service serves.
+type slot struct {
+	name      string // tenant name; "" = the anonymous slot of a single-model Service
+	model     string // zoo model served
+	tableRows int    // full logical rows per embedding table (0 = no tables)
+	cap       int    // TenantSpec.MaxOutstanding (0 = uncapped)
+	// build makes one more instance of a store-backed slot's model over one
+	// shard of its rows (same seed, so identical weights); nil for classic
+	// in-memory tables.
+	build func(embstore.Shard) (*model.Model, error)
+}
+
+// newSlot describes the slot serving cfg at seed, store-backed when sp is
+// set.
+func newSlot(name string, cfg model.Config, seed int64, sp *embstore.Spec) slot {
+	sl := slot{name: name, model: cfg.Name}
+	if cfg.NumTables > 0 {
+		sl.tableRows = cfg.TableRows
+	}
+	if sp != nil {
+		sl.build = func(shard embstore.Shard) (*model.Model, error) {
+			cfg.Tables = storeOpener(*sp, shard)
+			return model.New(cfg, seed)
+		}
+	}
+	return sl
+}
+
+// own records instances the service built for release at Close.
+func (s *Service) own(ms ...*model.Model) {
 	s.ownedMu.Lock()
-	s.owned = append(s.owned, m)
+	s.owned = append(s.owned, ms...)
 	s.ownedMu.Unlock()
 }
 
@@ -211,20 +241,6 @@ func (s *Service) addOwned(m *model.Model) {
 // heterogeneity (Jitter) and a partially GPU-provisioned fleet
 // (GPUReplicas).
 func (s *System) Serve(opts ServeOptions) (*Service, error) {
-	// A table-sharded fleet never serves from the shared full-table model —
-	// each replica maps only its shard — so don't build it: at scale the
-	// full table may not even be materializable on one host (that is the
-	// point of sharding). A multi-tenant service doesn't build it either:
-	// every forward pass runs a tenant's own model. Every other mode
-	// serves the system's cached instance.
-	var m *model.Model
-	if len(opts.Tenants) == 0 && !(opts.ShardTables && s.store != nil) {
-		var err error
-		m, err = s.modelInstance()
-		if err != nil {
-			return nil, err
-		}
-	}
 	gpu, err := s.serveAccelerator()
 	if err != nil {
 		return nil, err
@@ -252,7 +268,6 @@ func (s *System) Serve(opts ServeOptions) (*Service, error) {
 		}
 	}
 	base := live.Config{
-		Model:        m,
 		Workers:      opts.Workers,
 		BatchSize:    opts.BatchSize,
 		GPU:          gpu,
@@ -306,15 +321,14 @@ func (s *System) Serve(opts ServeOptions) (*Service, error) {
 			return nil, errors.New("deeprecsys: ShardTables is incompatible with AutoScale (the shard layout is fixed at Serve)")
 		}
 	}
-	svc := &Service{model: s.cfg.Name, tableRows: s.logicalTableRows(), sharded: opts.ShardTables}
+	svc := &Service{model: s.cfg.Name, sharded: opts.ShardTables, base: base}
 	if len(opts.Tenants) > 0 {
-		err = s.applyTenants(svc, &base, opts)
-		// A multi-tenant service reports per-tenant table geometry, not
-		// the unserved system model's.
-		svc.tableRows = 0
+		err = s.tenantSlots(svc, opts)
+	} else {
+		err = s.systemSlot(svc, opts)
 	}
 	if err == nil {
-		err = s.startFleet(svc, base, opts, policy, chaos)
+		err = s.startFleet(svc, opts, policy, chaos)
 	}
 	if err != nil {
 		svc.closeOwned() // models built before the failure
@@ -323,14 +337,21 @@ func (s *System) Serve(opts ServeOptions) (*Service, error) {
 	return svc, nil
 }
 
-// logicalTableRows is the full embedding-table row count the system was
-// configured with (0 when the model has no tables) — the logical table,
-// even when a sharded fleet splits it across replicas.
-func (s *System) logicalTableRows() int {
-	if s.cfg.NumTables == 0 {
-		return 0
+// systemSlot makes svc the single-model Service: one anonymous slot over the
+// System's own config, store and seed. It serves the system's cached
+// instance, so a Service shares weights with Recommend and the
+// real-execution engine — except on a table-sharded fleet, which never
+// builds it: every replica maps only its shard, and at scale the full table
+// may not even be materializable on one host (that is the point of
+// sharding).
+func (s *System) systemSlot(svc *Service, opts ServeOptions) error {
+	svc.slots = []slot{newSlot("", s.cfg, s.seed, s.store)}
+	if opts.ShardTables {
+		return nil
 	}
-	return s.cfg.TableRows
+	m, err := s.modelInstance()
+	svc.base.Model = m
+	return err
 }
 
 // parseDegrade parses a ServeOptions.Degrade spec: "" or "none" disables;
@@ -357,74 +378,42 @@ func (s *System) parseDegrade(spec string) (live.DegradeConfig, error) {
 	return cfg, nil
 }
 
-// startFleet starts the serving fleet: opts.Replicas copies of the base
-// config, each with its own seed stream (replica 0 keeps the system seed), a
-// speed factor from the shared node-jitter model, and — for replicas past
-// GPUReplicas — no accelerator. On a store-backed system every replica of a
-// multi-replica fleet additionally gets its own model instance (same model
-// seed, so identical weights) so its embedding-cache counters are its own;
-// with ShardTables each replica's instance maps only its shard of the row
-// space. A fleet of one serves the system's cached instance. The retry,
-// autoscale, and chaos layers start here, on top of the serving fleet.
-// Models built before a failure are left in svc.owned for the caller.
-func (s *System) startFleet(svc *Service, base live.Config, opts ServeOptions, policy fleet.Policy, chaos fleet.ChaosConfig) error {
+// startFleet starts the serving fleet: opts.Replicas members built by
+// replicaConfig — replica 0 keeps the system seed, speed factors come from
+// the shared node-jitter model, replicas past GPUReplicas get no
+// accelerator, and with ShardTables replica i of N holds shard i of every
+// table. The retry, autoscale, and chaos layers start here, on top of the
+// serving fleet. Models built before a failure are left in svc.owned for the
+// caller.
+func (s *System) startFleet(svc *Service, opts ServeOptions, policy fleet.Policy, chaos fleet.ChaosConfig) error {
 	gpuReplicas := opts.Replicas
 	if opts.GPUReplicas > 0 {
 		gpuReplicas = opts.GPUReplicas
 	}
 	speeds := cluster.SpeedFactors(opts.Replicas, opts.Jitter, s.seed)
+	svc.nextSeed.Store(s.seed)
 	cfgs := make([]live.Config, opts.Replicas)
 	for i := range cfgs {
-		cfgs[i] = replicaConfig(base, s.seed+replicaSeedStride*int64(i), speeds[i], base.GPU != nil && i < gpuReplicas)
-	}
-	svc.base = base
-	// Store-backed tenants: every replica gets its own fresh instance
-	// (same seed, so identical weights) so its cache counters are its own,
-	// exactly like the single-model store-backed fleet below.
-	for i := range cfgs {
-		for ti, build := range svc.tenantBuilders {
-			if build == nil {
-				continue
-			}
-			m, err := build()
-			if err != nil {
-				return fmt.Errorf("deeprecsys: tenant %s: %w", svc.tenantNames[ti], err)
-			}
-			svc.addOwned(m)
-			cfgs[i].Tenants[ti].Model = m
+		var shard embstore.Shard
+		if opts.ShardTables {
+			shard = embstore.Shard{Index: i, Count: opts.Replicas}
 		}
-	}
-	if s.store != nil {
-		newStoreModel := func(shard embstore.Shard) (*model.Model, error) {
-			cfg := s.cfg
-			cfg.Tables = storeOpener(*s.store, shard)
-			return model.New(cfg, s.seed)
+		cfg, built, err := svc.replicaConfig(speeds[i], i < gpuReplicas, shard, opts.Replicas == 1)
+		if err != nil {
+			return err
 		}
-		svc.newReplicaModel = func() (*model.Model, error) { return newStoreModel(embstore.Shard{}) }
-		// A fleet of one keeps base.Model, the system's cached instance.
-		for i := 0; i < len(cfgs) && opts.Replicas > 1; i++ {
-			shard := embstore.Shard{}
-			if opts.ShardTables {
-				shard = embstore.Shard{Index: i, Count: opts.Replicas}
-			}
-			m, err := newStoreModel(shard)
-			if err != nil {
-				return err
-			}
-			svc.addOwned(m)
-			cfgs[i].Model = m
-		}
+		svc.own(built...)
+		cfgs[i] = cfg
 	}
 	fl, err := fleet.New(cfgs, policy)
 	if err != nil {
 		return err
 	}
 	svc.fl = fl
-	svc.nextSeed.Store(s.seed + replicaSeedStride*int64(opts.Replicas))
 	fl.SetRetry(opts.Retry)
-	for i, limit := range svc.tenantCaps {
-		if limit > 0 {
-			if err := fl.SetTenantCap(i, limit); err != nil {
+	for i, sl := range svc.slots {
+		if sl.cap > 0 {
+			if err := fl.SetTenantCap(i, sl.cap); err != nil {
 				fl.Close()
 				return err
 			}
@@ -442,22 +431,13 @@ func (s *System) startFleet(svc *Service, base live.Config, opts ServeOptions, p
 			Min:      min,
 			Max:      max,
 			Interval: opts.TuneInterval, // 0 = the autoscaler's own default
-			NewConfig: func() live.Config {
-				// Grown replicas continue the fleet's seed stream at nominal
-				// speed, exactly like AddReplica.
-				seed := svc.nextSeed.Add(replicaSeedStride) - replicaSeedStride
-				cfg := replicaConfig(svc.base, seed, 1, svc.base.GPU != nil)
-				if svc.newReplicaModel != nil {
-					// Store-backed grown replicas get their own model; on a
-					// build error (e.g. table files vanished) the replica
-					// falls back to the shared base model rather than failing
-					// the scale-up.
-					if m, err := svc.newReplicaModel(); err == nil {
-						svc.addOwned(m)
-						cfg.Model = m
-					}
-				}
-				return cfg
+			NewConfig: func() (live.Config, error) {
+				// A grown replica is an added one (AddReplica): nominal speed,
+				// the next seed, its own instances — the service's from here,
+				// joined or not.
+				cfg, built, err := svc.replicaConfig(1, true, embstore.Shard{}, false)
+				svc.own(built...)
+				return cfg, err
 			},
 		})
 		if err != nil {
@@ -480,17 +460,20 @@ func (s *System) startFleet(svc *Service, base live.Config, opts ServeOptions, p
 // seeds would alias worker streams.
 const replicaSeedStride = 7919
 
-// replicaConfig specializes the base config for one fleet replica. The
-// tenant list is deep-copied so per-replica specialization (stripping the
-// accelerator, per-replica store-backed instances) never mutates the shared
-// template or a sibling replica.
-func replicaConfig(base live.Config, seed int64, speed float64, gpu bool) live.Config {
-	cfg := base
-	cfg.Seed = seed
+// replicaConfig is what every fleet member is built from — at Serve, by the
+// autoscaler, by AddReplica: a copy of the base config on the next seed of
+// the fleet's stream, at the given speed factor, without the accelerator
+// unless gpu keeps it, holding the replica's own instance of every
+// store-backed slot over its shard of the rows (the zero Shard is every
+// row). sole marks the single founding member of a fleet of one, which
+// serves the instance base already holds — the System's cached one. The
+// built instances are the caller's to own once the replica has joined, or
+// to release; on a build error the ones already built are released here.
+func (s *Service) replicaConfig(speed float64, gpu bool, shard embstore.Shard, sole bool) (live.Config, []*model.Model, error) {
+	cfg := s.base
+	cfg.Seed = s.nextSeed.Add(replicaSeedStride) - replicaSeedStride
 	cfg.Scale = speed
-	if len(base.Tenants) > 0 {
-		cfg.Tenants = append([]live.TenantConfig(nil), base.Tenants...)
-	}
+	cfg.Tenants = append([]live.TenantConfig(nil), s.base.Tenants...)
 	if !gpu {
 		cfg.GPU = nil
 		cfg.GPUThreshold = 0
@@ -498,7 +481,29 @@ func replicaConfig(base live.Config, seed int64, speed float64, gpu bool) live.C
 			cfg.Tenants[i].GPUThreshold = 0
 		}
 	}
-	return cfg
+	var built []*model.Model
+	for i, sl := range s.slots {
+		// live reads the anonymous slot's instance from Config.Model — the
+		// tenant it synthesizes there — and a named one's from its tenant.
+		inst := &cfg.Model
+		if sl.name != "" {
+			inst = &cfg.Tenants[i].Model
+		}
+		if sl.build == nil || sole && *inst != nil {
+			continue
+		}
+		m, err := sl.build(shard)
+		if err != nil {
+			closeModels(built)
+			if sl.name != "" {
+				err = fmt.Errorf("deeprecsys: tenant %s: %w", sl.name, err)
+			}
+			return live.Config{}, nil, err
+		}
+		built = append(built, m)
+		*inst = m
+	}
+	return cfg, built, nil
 }
 
 // AddReplica starts one more nominal-speed replica from the fleet's base
@@ -512,44 +517,16 @@ func (s *Service) AddReplica(withGPU bool) (int, error) {
 	if withGPU && s.base.GPU == nil {
 		return 0, errors.New("deeprecsys: AddReplica(withGPU) on a system without an accelerator (use WithGPU)")
 	}
-	seed := s.nextSeed.Add(replicaSeedStride) - replicaSeedStride
-	cfg := replicaConfig(s.base, seed, 1, withGPU)
-	// Store-backed models: the joining replica gets its own instances, like
-	// every replica at Serve — released here if the join fails, owned by
-	// the service (for release at Close) once it succeeds.
-	var grown []*model.Model
-	fail := func(err error) (int, error) {
-		for _, g := range grown {
-			g.Close()
-		}
+	cfg, built, err := s.replicaConfig(1, withGPU, embstore.Shard{}, false)
+	if err != nil {
 		return 0, err
-	}
-	for ti, build := range s.tenantBuilders {
-		if build == nil {
-			continue
-		}
-		m, err := build()
-		if err != nil {
-			return fail(fmt.Errorf("deeprecsys: tenant %s: %w", s.tenantNames[ti], err))
-		}
-		grown = append(grown, m)
-		cfg.Tenants[ti].Model = m
-	}
-	if s.newReplicaModel != nil {
-		m, err := s.newReplicaModel()
-		if err != nil {
-			return fail(err)
-		}
-		grown = append(grown, m)
-		cfg.Model = m
 	}
 	id, err := s.fl.Add(cfg)
 	if err != nil {
-		return fail(err)
+		closeModels(built)
+		return 0, err
 	}
-	for _, g := range grown {
-		s.addOwned(g)
-	}
+	s.own(built...)
 	return id, nil
 }
 
@@ -606,10 +583,7 @@ func (s *Service) submit(ctx context.Context, q live.Query) (Reply, error) {
 	if err != nil {
 		return Reply{}, err
 	}
-	reply := Reply{Latency: r.Latency, BatchSize: r.BatchSize, Offloaded: r.Offloaded, Degraded: r.Degraded, Replica: replica}
-	if len(s.tenantNames) > 0 {
-		reply.Tenant = s.tenantNames[r.Tenant]
-	}
+	reply := Reply{Latency: r.Latency, BatchSize: r.BatchSize, Offloaded: r.Offloaded, Degraded: r.Degraded, Replica: replica, Tenant: s.slots[r.Tenant].name}
 	if q.TopN > 0 {
 		reply.Recs = make([]Recommendation, len(r.Recs))
 		for i, rec := range r.Recs {
@@ -701,27 +675,31 @@ func (s *Service) Stats() ServiceStats {
 		Restarts:      fst.Restarts,
 		Healthy:       fst.Healthy,
 		Replicas:      fst.Size,
-		TableRows:     s.tableRows,
 		RoutingPolicy: fst.Policy,
 		PerReplica:    fst.Replicas,
 	}
 	st.Submitted = fst.FrontSubmitted
-	if len(s.tenantNames) > 0 {
-		st.Tenants = make([]TenantStats, len(fst.Tenants))
-		for i, ft := range fst.Tenants {
-			st.Tenants[i] = TenantStats{
-				Name:        s.tenantNames[i],
-				Model:       s.tenantModels[i],
-				Stats:       ft.Stats,
-				Outstanding: ft.Outstanding,
-				Cap:         ft.Cap,
-				CapShed:     ft.CapShed,
-				Shape:       ft.Shape,
-			}
-			// The fleet's configured share, not the first member's echo of
-			// it (which a remote member reports from its own config).
-			st.Tenants[i].Share = ft.Share
+	if s.split == nil {
+		// The anonymous slot is the service: its table geometry is the
+		// service's, and there are no tenants to list.
+		st.TableRows = s.slots[0].tableRows
+		return st
+	}
+	st.Tenants = make([]TenantStats, len(fst.Tenants))
+	for i, ft := range fst.Tenants {
+		st.Tenants[i] = TenantStats{
+			Name:        s.slots[i].name,
+			Model:       s.slots[i].model,
+			TableRows:   s.slots[i].tableRows,
+			Stats:       ft.Stats,
+			Outstanding: ft.Outstanding,
+			Cap:         ft.Cap,
+			CapShed:     ft.CapShed,
+			Shape:       ft.Shape,
 		}
+		// The fleet's configured share, not the first member's echo of
+		// it (which a remote member reports from its own config).
+		st.Tenants[i].Share = ft.Share
 	}
 	return st
 }
@@ -763,8 +741,13 @@ func (s *Service) closeOwned() error {
 	owned := s.owned
 	s.owned = nil
 	s.ownedMu.Unlock()
+	return closeModels(owned)
+}
+
+// closeModels releases model instances, returning the first error.
+func closeModels(ms []*model.Model) error {
 	var err error
-	for _, m := range owned {
+	for _, m := range ms {
 		if cerr := m.Close(); err == nil {
 			err = cerr
 		}

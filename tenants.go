@@ -1,9 +1,11 @@
 package deeprecsys
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -74,8 +76,9 @@ type TenantSpec struct {
 	Workload string
 	// Store backs the tenant's embedding tables with a pluggable store,
 	// as a WithEmbeddingStore spec string ("" = classic in-memory tables).
-	// Every replica gets its own store-backed instance so per-replica cache
-	// counters stay per-replica truth; incompatible with AutoScale.
+	// Every replica — founding, added or autoscaled — gets its own
+	// store-backed instance, so per-replica cache counters stay per-replica
+	// truth.
 	Store string
 	// Rows / Lookups override the tenant model's embedding-table geometry,
 	// as in WithTableScale (0 = keep the zoo default).
@@ -171,14 +174,13 @@ func (ts *tenantSplit) next() int {
 	return best
 }
 
-// applyTenants builds the multi-tenant serving state from
-// ServeOptions.Tenants: it validates each spec, builds the per-tenant
-// models (owned by svc for release at Close), fills base.Tenants, and
-// wires svc's tenant bookkeeping (names, weighted split, store builders,
-// fleet caps). Models built before a failure are svc.closeOwned by the
-// caller; store-backed tenants' instances are built per replica by
-// startFleet and AddReplica.
-func (s *System) applyTenants(svc *Service, base *live.Config, opts ServeOptions) error {
+// tenantSlots makes svc multi-tenant: one slot per ServeOptions.Tenants
+// entry, its live.TenantConfig in svc.base.Tenants, and the Share-weighted
+// split behind Submit. A classic-table tenant's one instance is built here,
+// owned by svc and shared by every fleet member; a store-backed tenant's
+// instances are built per member by replicaConfig. Models built before a
+// failure are svc.closeOwned by the caller.
+func (s *System) tenantSlots(svc *Service, opts ServeOptions) error {
 	if s.store != nil {
 		return errors.New("deeprecsys: ServeOptions.Tenants on a store-backed system (give each tenant its own store via TenantSpec.Store)")
 	}
@@ -186,15 +188,9 @@ func (s *System) applyTenants(svc *Service, base *live.Config, opts ServeOptions
 		return errors.New("deeprecsys: ShardTables is incompatible with Tenants (table geometry is per-tenant; use TenantSpec.Store)")
 	}
 	n := len(opts.Tenants)
-	svc.tenantNames = make([]string, n)
-	svc.tenantModels = make([]string, n)
-	svc.tenantIdx = make(map[string]int, n)
-	svc.tenantBuilders = make([]func() (*model.Model, error), n)
-	svc.tenantCaps = make([]int, n)
+	svc.slots = make([]slot, 0, n)
+	svc.base.Tenants = make([]live.TenantConfig, n)
 	shares := make([]float64, n)
-	base.Tenants = make([]live.TenantConfig, n)
-	base.Model = nil // every forward pass runs a tenant's model
-	anyStore := false
 	for i, spec := range opts.Tenants {
 		if spec.Model == "" {
 			return fmt.Errorf("deeprecsys: tenant %d: Model is required", i)
@@ -203,50 +199,41 @@ func (s *System) applyTenants(svc *Service, base *live.Config, opts ServeOptions
 		if err != nil {
 			return err
 		}
-		name := spec.Name
-		if name == "" {
-			name = spec.Model
-		}
-		if _, dup := svc.tenantIdx[name]; dup {
+		name := cmp.Or(spec.Name, spec.Model)
+		if svc.slotIndex(name) >= 0 {
 			return fmt.Errorf("deeprecsys: duplicate tenant name %q (set TenantSpec.Name to serve one model twice)", name)
 		}
-		svc.tenantIdx[name] = i
-		svc.tenantNames[i] = name
-		svc.tenantModels[i] = spec.Model
+		scoped := func(err error) error { return fmt.Errorf("deeprecsys: tenant %s: %w", name, err) }
 		if spec.Rows > 0 || spec.Lookups > 0 {
-			mc, err = mc.WithTableScale(spec.Rows, spec.Lookups)
-			if err != nil {
-				return fmt.Errorf("deeprecsys: tenant %s: %w", name, err)
+			if mc, err = mc.WithTableScale(spec.Rows, spec.Lookups); err != nil {
+				return scoped(err)
 			}
 		}
-		storeBacked := spec.Store != "" && spec.Store != "none"
-		if storeBacked {
+		var store *embstore.Spec
+		if !workload.Off(spec.Store) {
 			sp, err := embstore.ParseSpec(spec.Store)
 			if err != nil {
-				return fmt.Errorf("deeprecsys: tenant %s: %w", name, err)
+				return scoped(err)
 			}
-			mc.Tables = storeOpener(sp, embstore.Shard{})
-			anyStore = true
+			store = &sp
 		}
 		adm, err := live.ParseAdmission(spec.Admission)
 		if err != nil {
-			return fmt.Errorf("deeprecsys: tenant %s: %w", name, err)
+			return scoped(err)
 		}
 		deg, err := s.parseDegrade(spec.Degrade)
 		if err != nil {
-			return fmt.Errorf("deeprecsys: tenant %s: %w", name, err)
+			return scoped(err)
 		}
 		var access workload.IndexDist
 		if spec.Access != "" {
-			access, err = workload.ParseAccess(spec.Access)
-			if err != nil {
-				return fmt.Errorf("deeprecsys: tenant %s: %w", name, err)
+			if access, err = workload.ParseAccess(spec.Access); err != nil {
+				return scoped(err)
 			}
 		}
 		if spec.MaxOutstanding < 0 {
 			return fmt.Errorf("deeprecsys: tenant %s: negative MaxOutstanding %d", name, spec.MaxOutstanding)
 		}
-		svc.tenantCaps[i] = spec.MaxOutstanding
 		// The tenant's default SLA is its own model's published target —
 		// not the first tenant's — unless the service baseline was set
 		// explicitly (then 0 inherits it, like every other field).
@@ -254,12 +241,9 @@ func (s *System) applyTenants(svc *Service, base *live.Config, opts ServeOptions
 		if sla == 0 && opts.SLA == 0 {
 			sla = mc.SLAMedium
 		}
-		seed := spec.Seed
-		if seed == 0 {
-			seed = s.seed
-		}
-		tenantCfg := mc // capture this tenant's final config for the builder
-		builder := func() (*model.Model, error) { return model.New(tenantCfg, seed) }
+		seed := cmp.Or(spec.Seed, s.seed)
+		sl := newSlot(name, mc, seed, store)
+		sl.cap = spec.MaxOutstanding
 		tc := live.TenantConfig{
 			Name:         name,
 			BatchSize:    spec.BatchSize,
@@ -271,48 +255,49 @@ func (s *System) applyTenants(svc *Service, base *live.Config, opts ServeOptions
 			Access:       access,
 			Share:        spec.Share,
 		}
-		if storeBacked {
-			svc.tenantBuilders[i] = builder
-		} else {
-			m, err := builder()
+		if sl.build == nil {
+			m, err := model.New(mc, seed)
 			if err != nil {
-				return fmt.Errorf("deeprecsys: tenant %s: %w", name, err)
+				return scoped(err)
 			}
-			svc.addOwned(m)
+			svc.own(m)
 			tc.Model = m
 		}
-		base.Tenants[i] = tc
-		if spec.Share == 0 {
-			shares[i] = 1
-		} else {
-			shares[i] = spec.Share
-		}
+		svc.slots = append(svc.slots, sl)
+		svc.base.Tenants[i] = tc
+		shares[i] = cmp.Or(spec.Share, 1)
 	}
 	svc.split = newTenantSplit(shares)
-	if opts.AutoScale && anyStore {
-		return errors.New("deeprecsys: AutoScale with store-backed tenants is not supported (grown replicas cannot share a store instance)")
-	}
 	return nil
 }
 
+// slotIndex maps a tenant name to its slot (-1 = none).
+func (s *Service) slotIndex(name string) int {
+	return slices.IndexFunc(s.slots, func(sl slot) bool { return sl.name == name })
+}
+
 // Tenants returns the service's tenant names in tenant order (nil on a
-// single-model Service).
+// single-model Service, whose one slot has no name).
 func (s *Service) Tenants() []string {
-	if len(s.tenantNames) == 0 {
+	if s.split == nil {
 		return nil
 	}
-	return append([]string(nil), s.tenantNames...)
+	names := make([]string, len(s.slots))
+	for i, sl := range s.slots {
+		names[i] = sl.name
+	}
+	return names
 }
 
 // SubmitTo serves one live query addressed to a named tenant, bypassing the
 // Share-weighted split. See Submit for the execution contract.
 func (s *Service) SubmitTo(ctx context.Context, tenant string, candidates, topN int) (Reply, error) {
-	if len(s.tenantNames) == 0 {
+	if s.split == nil {
 		return Reply{}, errors.New("deeprecsys: SubmitTo on a single-model Service (set ServeOptions.Tenants)")
 	}
-	idx, ok := s.tenantIdx[tenant]
-	if !ok {
-		return Reply{}, fmt.Errorf("deeprecsys: unknown tenant %q (have %s)", tenant, strings.Join(s.tenantNames, ", "))
+	idx := s.slotIndex(tenant)
+	if idx < 0 {
+		return Reply{}, fmt.Errorf("deeprecsys: unknown tenant %q (have %s)", tenant, strings.Join(s.Tenants(), ", "))
 	}
 	return s.submit(ctx, live.Query{Candidates: candidates, TopN: topN, Tenant: idx})
 }
@@ -344,4 +329,7 @@ type TenantStats struct {
 	Cap         int
 	CapShed     uint64
 	Shape       [2]float64
+	// TableRows is the full logical row count of each of the tenant model's
+	// embedding tables (0 for models without tables).
+	TableRows int
 }

@@ -156,71 +156,100 @@ func TestSubmitToAndTenantStats(t *testing.T) {
 	}
 }
 
-// TestSubmitToSingleModel pins that SubmitTo is a multi-tenant-only
-// surface.
-func TestSubmitToSingleModel(t *testing.T) {
-	sys, err := deeprecsys.NewSystem("NCF", "skylake")
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := sys.Serve(deeprecsys.ServeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	if _, err := svc.SubmitTo(context.Background(), "ncf", 10, 0); err == nil {
-		t.Error("SubmitTo accepted on a single-model service")
-	}
-	if got := svc.Tenants(); got != nil {
-		t.Errorf("Tenants() = %v on single-model service", got)
-	}
-	if st := svc.Stats(); len(st.Tenants) != 0 {
-		t.Errorf("single-model Stats().Tenants = %+v", st.Tenants)
-	}
-}
-
 // TestSingleTenantDefaultIdentity is the regression pin required by the
 // issue: a one-tenant service at defaults is behaviorally identical to
-// the classic single-model path — same recommendations, same counters.
+// the classic single-model path — same recommendations, same ledger — on
+// classic tables and on a store-backed fleet that is grown after Serve,
+// where every replica's cache counters must be its own in both forms.
 func TestSingleTenantDefaultIdentity(t *testing.T) {
-	serve := func(tenants []deeprecsys.TenantSpec) ([]deeprecsys.Recommendation, deeprecsys.ServiceStats) {
-		sys, err := deeprecsys.NewSystem("NCF", "skylake", deeprecsys.WithSeed(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc, err := sys.Serve(deeprecsys.ServeOptions{Workers: 1, BatchSize: 16, Tenants: tenants})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer svc.Close()
-		var recs []deeprecsys.Recommendation
-		for i := 0; i < 6; i++ {
-			reply, err := svc.Submit(context.Background(), 25+i, 4)
-			if err != nil {
-				t.Fatal(err)
+	const storeSpec, rows = "synth,cache=lru:500", 20000
+	cases := []struct {
+		name    string
+		sysOpts []deeprecsys.Option
+		tenant  deeprecsys.TenantSpec // the one-TenantSpec form of the same service
+		grow    bool                  // Replicas: 2, then AddReplica
+	}{
+		{name: "classic", tenant: deeprecsys.TenantSpec{Model: "NCF"}},
+		{name: "store-backed fleet",
+			sysOpts: []deeprecsys.Option{deeprecsys.WithTableScale(rows, 0), deeprecsys.WithEmbeddingStore(storeSpec)},
+			tenant:  deeprecsys.TenantSpec{Model: "NCF", Store: storeSpec, Rows: rows},
+			grow:    true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			serve := func(sysOpts []deeprecsys.Option, tenants []deeprecsys.TenantSpec) ([]deeprecsys.Recommendation, deeprecsys.ServiceStats) {
+				sys, err := deeprecsys.NewSystem("NCF", "skylake", append(sysOpts, deeprecsys.WithSeed(7))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sys.Close()
+				opts := deeprecsys.ServeOptions{Workers: 1, BatchSize: 16, Tenants: tenants}
+				if tc.grow {
+					opts.Replicas = 2
+				}
+				svc, err := sys.Serve(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer svc.Close()
+				if tc.grow {
+					if _, err := svc.AddReplica(false); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var recs []deeprecsys.Recommendation
+				for i := 0; i < 6; i++ {
+					reply, err := svc.Submit(context.Background(), 25+i, 4)
+					if err != nil {
+						t.Fatal(err)
+					}
+					recs = append(recs, reply.Recs...)
+				}
+				return recs, svc.Stats()
 			}
-			recs = append(recs, reply.Recs...)
-		}
-		return recs, svc.Stats()
-	}
 
-	classicRecs, classicStats := serve(nil)
-	tenantRecs, tenantStats := serve([]deeprecsys.TenantSpec{{Model: "NCF"}})
+			classicRecs, classicStats := serve(tc.sysOpts, nil)
+			tenantRecs, tenantStats := serve(nil, []deeprecsys.TenantSpec{tc.tenant})
 
-	if len(classicRecs) != len(tenantRecs) {
-		t.Fatalf("rec counts differ: %d vs %d", len(classicRecs), len(tenantRecs))
-	}
-	for i := range classicRecs {
-		if classicRecs[i] != tenantRecs[i] {
-			t.Fatalf("rec %d differs: classic %+v, tenant %+v", i, classicRecs[i], tenantRecs[i])
-		}
-	}
-	if classicStats.Submitted != tenantStats.Submitted ||
-		classicStats.Completed != tenantStats.Completed ||
-		classicStats.Shed != tenantStats.Shed ||
-		classicStats.BatchSize != tenantStats.BatchSize ||
-		classicStats.GPUQueries != tenantStats.GPUQueries {
-		t.Errorf("counters diverge:\nclassic %+v\ntenant  %+v", classicStats, tenantStats)
+			if len(classicRecs) != len(tenantRecs) {
+				t.Fatalf("rec counts differ: %d vs %d", len(classicRecs), len(tenantRecs))
+			}
+			for i := range classicRecs {
+				if classicRecs[i] != tenantRecs[i] {
+					t.Fatalf("rec %d differs: classic %+v, tenant %+v", i, classicRecs[i], tenantRecs[i])
+				}
+			}
+			if classicStats.Ledger != tenantStats.Ledger || classicStats.BatchSize != tenantStats.BatchSize {
+				t.Errorf("counters diverge:\nclassic %+v\ntenant  %+v", classicStats, tenantStats)
+			}
+			if classicStats.Tenants != nil || len(tenantStats.Tenants) != 1 ||
+				tenantStats.Tenants[0].TableRows != classicStats.TableRows {
+				t.Errorf("tenant views: classic %+v, tenant %+v (service TableRows %d)",
+					classicStats.Tenants, tenantStats.Tenants, classicStats.TableRows)
+			}
+			if !tc.grow {
+				return
+			}
+			// Round-robin over three replicas hands each a different number of
+			// items (53, 55, 57), so a replica reporting its own lookups reads
+			// the same lookups-per-item as every other; replicas sharing an
+			// instance would each report the sum.
+			for name, st := range map[string]deeprecsys.ServiceStats{"single-model": classicStats, "one-tenant": tenantStats} {
+				if len(st.PerReplica) != 3 || !st.EmbStore || st.EmbHits+st.EmbMisses == 0 {
+					t.Fatalf("%s: %d replicas, EmbStore=%v, %d lookups", name, len(st.PerReplica), st.EmbStore, st.EmbHits+st.EmbMisses)
+				}
+				perItem := (st.EmbHits + st.EmbMisses) / st.WorkItems
+				for i, r := range st.PerReplica {
+					if got := r.EmbHits + r.EmbMisses; got == 0 || got != perItem*r.WorkItems {
+						t.Errorf("%s: replica %d counted %d lookups for %d items, want %d per item",
+							name, r.ID, got, r.WorkItems, perItem)
+					}
+					if other := classicStats.PerReplica[i]; r.Ledger != other.Ledger {
+						t.Errorf("%s: replica %d ledger %+v != single-model form's %+v", name, r.ID, r.Ledger, other.Ledger)
+					}
+				}
+			}
+		})
 	}
 }
 
