@@ -54,9 +54,9 @@ func TestFCWeightsResidentOncePerModelAcrossBackends(t *testing.T) {
 // The vector tier is one tier at the model level too: every zoo model's
 // forward pass must produce the same bits under AVX2 and AVX512, at batch
 // sizes on both sides of the 4- and 8-row blocks and at the serving batch.
-// Beyond what the FC-layer tests reach, this drives DIEN's GRU through the
-// generic GEMM and DIN's attention. Skipped, not passed vacuously, where
-// AVX512 cannot run.
+// Beyond what the FC-layer tests reach, this drives DIEN's GRU gates (panel
+// Linears at one row per step) and DIN's attention. Skipped, not passed
+// vacuously, where AVX512 cannot run.
 func TestZooForwardBitIdenticalAcrossVectorBackends(t *testing.T) {
 	prev := tensor.ActiveBackend()
 	if err := tensor.SetBackend(tensor.AVX512); err != nil {

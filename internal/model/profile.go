@@ -142,10 +142,3 @@ func gruStepFLOPs(in, hidden int) int64 {
 func gruWeightBytes(in, hidden int) int64 {
 	return 4 * (3*int64(in)*int64(hidden) + 3*int64(hidden)*int64(hidden) + 3*int64(hidden))
 }
-
-// OperatorShare is one slice of the Fig. 3 operator breakdown: the fraction
-// of per-item work attributable to one operator group.
-type OperatorShare struct {
-	Operator string
-	Fraction float64
-}

@@ -19,24 +19,20 @@ import (
 // an item.
 type GRUCell struct {
 	InDim, HiddenDim int
-	Wz, Wr, Wh       *tensor.Tensor // [in x hidden]
-	Uz, Ur, Uh       *tensor.Tensor // [hidden x hidden]
-	Bz, Br, Bh       *tensor.Tensor // [1 x hidden]
+	Wz, Wr, Wh       *Linear // [in x hidden], carrying the gate biases bz, br, bh
+	Uz, Ur, Uh       *Linear // [hidden x hidden], zero biases
 }
 
 // NewGRUCell creates a Xavier-initialized GRU cell.
 func NewGRUCell(rng *rand.Rand, in, hidden int) *GRUCell {
 	return &GRUCell{
 		InDim: in, HiddenDim: hidden,
-		Wz: tensor.XavierUniform(rng, in, hidden),
-		Wr: tensor.XavierUniform(rng, in, hidden),
-		Wh: tensor.XavierUniform(rng, in, hidden),
-		Uz: tensor.XavierUniform(rng, hidden, hidden),
-		Ur: tensor.XavierUniform(rng, hidden, hidden),
-		Uh: tensor.XavierUniform(rng, hidden, hidden),
-		Bz: tensor.New(1, hidden),
-		Br: tensor.New(1, hidden),
-		Bh: tensor.New(1, hidden),
+		Wz: NewLinear(rng, in, hidden, None),
+		Wr: NewLinear(rng, in, hidden, None),
+		Wh: NewLinear(rng, in, hidden, None),
+		Uz: NewLinear(rng, hidden, hidden, None),
+		Ur: NewLinear(rng, hidden, hidden, None),
+		Uh: NewLinear(rng, hidden, hidden, None),
 	}
 }
 
@@ -61,20 +57,20 @@ func (g *GRUCell) stepInto(ar *tensor.Arena, x, h *tensor.Tensor, attn float32, 
 
 	// Every gate buffer is fully overwritten by its GEMM before any read.
 	z := allocUninit(ar, rows, hd)
-	tensor.MatMulAddBiasInto(z, x, g.Wz, g.Bz)
+	tensor.FCInto(z, x, g.Wz.w, g.Wz.B, false)
 	t := allocUninit(ar, rows, hd)
-	tensor.MatMulInto(t, h, g.Uz)
+	tensor.FCInto(t, h, g.Uz.w, g.Uz.B, false)
 	Sigmoid.Apply(tensor.AddInto(z, z, t))
 
 	r := allocUninit(ar, rows, hd)
-	tensor.MatMulAddBiasInto(r, x, g.Wr, g.Br)
-	tensor.MatMulInto(t, h, g.Ur)
+	tensor.FCInto(r, x, g.Wr.w, g.Wr.B, false)
+	tensor.FCInto(t, h, g.Ur.w, g.Ur.B, false)
 	Sigmoid.Apply(tensor.AddInto(r, r, t))
 
 	cand := allocUninit(ar, rows, hd)
-	tensor.MatMulAddBiasInto(cand, x, g.Wh, g.Bh)
+	tensor.FCInto(cand, x, g.Wh.w, g.Wh.B, false)
 	rh := tensor.MulInto(r, r, h) // r is dead after this; reuse it for r⊙h
-	tensor.MatMulInto(t, rh, g.Uh)
+	tensor.FCInto(t, rh, g.Uh.w, g.Uh.B, false)
 	Tanh.Apply(tensor.AddInto(cand, cand, t))
 
 	if weighted {

@@ -149,10 +149,10 @@ func TestLinearPanelWeightsBitIdenticalToRowMajorSeed(t *testing.T) {
 	}
 }
 
-// Linear.Forward over the panel against the unpacked path it replaced — the
-// generic GEMM on the row-major weights, then the historical activation loop
-// — bit for bit, on every backend this process can run (forced scalar: the
-// reference order; AVX2 and AVX512: the same fma chain in the same k order).
+// Linear.Forward over the panel against the unpacked path it replaced —
+// MatMulAddBias on the row-major weights (which packs them per call), then
+// the historical activation loop — bit for bit, on every backend this process
+// can run: the fused ReLU epilogue and the separate activations must agree.
 func TestLinearPanelForwardBitIdenticalToGenericGEMMBothBackends(t *testing.T) {
 	prev := tensor.ActiveBackend()
 	defer tensor.SetBackend(prev)

@@ -8,7 +8,7 @@ import (
 
 // CDF is an empirical cumulative distribution function built from samples.
 // It supports evaluation (fraction of mass at or below x), inverse lookup
-// (quantiles), and distance metrics between two distributions, which the
+// (quantiles), and a distance between two distributions, which the
 // fleet-subsampling experiment (paper Fig. 7) uses to show that a handful of
 // nodes tracks the datacenter-wide latency distribution.
 type CDF struct {
@@ -61,69 +61,4 @@ func (c *CDF) MaxQuantileRelError(other *CDF, qs []float64) float64 {
 		}
 	}
 	return worst
-}
-
-// KS returns the Kolmogorov–Smirnov statistic between two empirical CDFs:
-// the maximum absolute difference between the CDF curves, evaluated at every
-// sample point of both distributions.
-func (c *CDF) KS(other *CDF) float64 {
-	var worst float64
-	for _, x := range c.sorted {
-		if d := math.Abs(c.At(x) - other.At(x)); d > worst {
-			worst = d
-		}
-	}
-	for _, x := range other.sorted {
-		if d := math.Abs(c.At(x) - other.At(x)); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
-// Histogram is a fixed-width-bucket histogram over [min, max). Samples
-// outside the range are clamped into the first/last bucket so that no
-// latency observation is silently dropped.
-type Histogram struct {
-	min, max float64
-	width    float64
-	counts   []int
-	total    int
-}
-
-// NewHistogram creates a histogram with n buckets spanning [min, max).
-func NewHistogram(min, max float64, n int) *Histogram {
-	if n <= 0 || max <= min {
-		panic(fmt.Sprintf("stats: invalid histogram [%v,%v) n=%d", min, max, n))
-	}
-	return &Histogram{min: min, max: max, width: (max - min) / float64(n), counts: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.min) / h.width)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.counts) {
-		idx = len(h.counts) - 1
-	}
-	h.counts[idx]++
-	h.total++
-}
-
-// Count returns the number of observations recorded.
-func (h *Histogram) Count() int { return h.total }
-
-// Buckets returns the bucket lower bounds and normalized frequencies.
-func (h *Histogram) Buckets() (bounds []float64, freqs []float64) {
-	bounds = make([]float64, len(h.counts))
-	freqs = make([]float64, len(h.counts))
-	for i, c := range h.counts {
-		bounds[i] = h.min + float64(i)*h.width
-		if h.total > 0 {
-			freqs[i] = float64(c) / float64(h.total)
-		}
-	}
-	return bounds, freqs
 }

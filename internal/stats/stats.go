@@ -1,6 +1,6 @@
 // Package stats provides the statistical primitives used throughout
-// DeepRecInfra: percentile estimation over latency samples, histograms,
-// empirical CDFs, and aggregate summaries such as the geometric mean.
+// DeepRecInfra: percentile estimation over latency samples, empirical CDFs,
+// and aggregate summaries such as the geometric mean.
 //
 // All functions are deterministic and operate on float64 samples. Latency
 // recorders in internal/serving convert durations to seconds before handing
@@ -112,16 +112,4 @@ func GeoMean(xs []float64) float64 {
 		logSum += math.Log(x)
 	}
 	return math.Exp(logSum / float64(len(xs)))
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }

@@ -134,15 +134,6 @@ func TestGeoMeanPanicsOnNonPositive(t *testing.T) {
 	GeoMean([]float64{1, 0})
 }
 
-func TestMean(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3}); math.Abs(got-2) > 1e-9 {
-		t.Errorf("Mean = %v, want 2", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Errorf("Mean(nil) = %v, want 0", got)
-	}
-}
-
 func TestCDFAtAndQuantile(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 3, 4})
 	if got := c.At(2); math.Abs(got-0.5) > 1e-9 {
@@ -169,25 +160,8 @@ func TestCDFSelfDistanceIsZero(t *testing.T) {
 		samples[i] = rng.ExpFloat64()
 	}
 	c := NewCDF(samples)
-	if d := c.KS(c); d != 0 {
-		t.Errorf("KS(self) = %v, want 0", d)
-	}
 	if e := c.MaxQuantileRelError(c, []float64{0.5, 0.95, 0.99}); e != 0 {
 		t.Errorf("MaxQuantileRelError(self) = %v, want 0", e)
-	}
-}
-
-func TestCDFKSDetectsShift(t *testing.T) {
-	a := make([]float64, 1000)
-	b := make([]float64, 1000)
-	rng := rand.New(rand.NewSource(11))
-	for i := range a {
-		a[i] = rng.NormFloat64()
-		b[i] = rng.NormFloat64() + 3
-	}
-	d := NewCDF(a).KS(NewCDF(b))
-	if d < 0.8 {
-		t.Errorf("KS between shifted normals = %v, want > 0.8", d)
 	}
 }
 
@@ -214,63 +188,15 @@ func TestCDFMonotonicProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-5) // clamps into first bucket
-	h.Add(50) // clamps into last bucket
-	if h.Count() != 12 {
-		t.Errorf("Count = %d, want 12", h.Count())
-	}
-	bounds, freqs := h.Buckets()
-	if len(bounds) != 10 || len(freqs) != 10 {
-		t.Fatalf("Buckets lengths = %d/%d, want 10/10", len(bounds), len(freqs))
-	}
-	var total float64
-	for _, f := range freqs {
-		total += f
-	}
-	if math.Abs(total-1) > 1e-9 {
-		t.Errorf("frequencies sum to %v, want 1", total)
-	}
-	if freqs[0] != 2.0/12 {
-		t.Errorf("first bucket freq = %v, want %v", freqs[0], 2.0/12)
-	}
-	if freqs[9] != 2.0/12 {
-		t.Errorf("last bucket freq = %v, want %v", freqs[9], 2.0/12)
-	}
-}
-
-func TestHistogramPanicsOnBadRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 func TestRecorder(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 1; i <= 100; i++ {
 		r.Add(float64(i))
 	}
-	if r.Count() != 100 {
-		t.Fatalf("Count = %d, want 100", r.Count())
+	if n := len(r.Samples()); n != 100 {
+		t.Fatalf("len(Samples) = %d, want 100", n)
 	}
-	if got := r.Percentile(95); math.Abs(got-95.05) > 1e-9 {
+	if got := r.Summary().P95; math.Abs(got-95.05) > 1e-9 {
 		t.Errorf("P95 = %v, want 95.05", got)
-	}
-	other := NewRecorder(1)
-	other.Add(1000)
-	r.Merge(other)
-	if r.Count() != 101 {
-		t.Errorf("after merge Count = %d, want 101", r.Count())
-	}
-	r.Reset()
-	if r.Count() != 0 {
-		t.Errorf("after reset Count = %d, want 0", r.Count())
 	}
 }

@@ -10,8 +10,7 @@ import (
 // Recorder per metric (query latency, queueing delay, service time, ...).
 //
 // Recorder is not safe for concurrent use; the discrete-event simulator is
-// single-threaded by construction, and the real-execution engine shards
-// recorders per worker and merges them.
+// single-threaded by construction.
 type Recorder struct {
 	samples []float64
 }
@@ -24,21 +23,9 @@ func NewRecorder(n int) *Recorder {
 // Add records one observation.
 func (r *Recorder) Add(x float64) { r.samples = append(r.samples, x) }
 
-// Merge appends all observations from other.
-func (r *Recorder) Merge(other *Recorder) { r.samples = append(r.samples, other.samples...) }
-
-// Count returns the number of recorded observations.
-func (r *Recorder) Count() int { return len(r.samples) }
-
 // Samples returns the raw observations. The returned slice aliases the
 // recorder's storage; callers must not mutate it.
 func (r *Recorder) Samples() []float64 { return r.samples }
-
-// Reset discards all observations, retaining capacity.
-func (r *Recorder) Reset() { r.samples = r.samples[:0] }
-
-// Percentile returns the p-th percentile of the recorded observations.
-func (r *Recorder) Percentile(p float64) float64 { return Percentile(r.samples, p) }
 
 // Summary returns the Summary of the recorded observations.
 func (r *Recorder) Summary() Summary { return Summarize(r.samples) }
@@ -112,10 +99,6 @@ func (w *Window) Percentile(p float64) float64 {
 	}
 	return Percentile(snap, p)
 }
-
-// Summary returns the Summary of the windowed observations (zero Summary
-// when empty).
-func (w *Window) Summary() Summary { return Summarize(w.Snapshot()) }
 
 // Reset empties the window, retaining capacity and the lifetime count.
 func (w *Window) Reset() {

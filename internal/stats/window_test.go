@@ -28,10 +28,6 @@ func TestWindowSlides(t *testing.T) {
 	if got := w.Percentile(0); got != 3 {
 		t.Errorf("min after slide = %v, want 3", got)
 	}
-	sum := w.Summary()
-	if sum.Count != 4 || sum.Max != 6 {
-		t.Errorf("summary = %+v", sum)
-	}
 	w.Reset()
 	if w.Len() != 0 || w.Count() != 6 {
 		t.Errorf("after reset: Len=%d Count=%d", w.Len(), w.Count())

@@ -7,29 +7,30 @@ import (
 )
 
 // Backend identifies a kernel implementation family for the hot vector and
-// GEMM kernels (MatMul*, FCInto, ReLU, Dot, AXPY, AddTo, AddTo8, PoolSum).
+// GEMM kernels (FCInto and the MatMul* built on it, ReLU, AXPY, AddTo,
+// AddTo8, PoolSum).
 //
 // The backends form two numerical tiers:
 //
 //   - Scalar preserves the historical floating-point evaluation order
 //     bit-for-bit (pinned against the retained naive references and the
 //     end-to-end goldens). It is the portable fallback and the reference.
-//   - AVX2 uses fused multiply-add and multi-accumulator summation, which
-//     change rounding and accumulation order. Its contract is
-//     tolerance-based: small relative/ULP error against the scalar backend
-//     (pinned by the differential tests in simd_test.go), with the kernels
-//     that only add (AddTo, AddTo8, PoolSum) still bit-identical because
-//     vectorizing an elementwise add reorders nothing.
-//   - AVX512 is AVX2 with a wider register tile for the GEMM family
-//     (MatMul*, FCInto) and nothing else: every output element still
-//     receives fma(a[i,k], b[k,j], acc) in strictly increasing k from the
-//     same start, so it is bit-identical to AVX2 on every kernel — one
-//     vector tier, held by bits. Dot, AXPY, AddTo, AddTo8, ReLU and PoolSum
-//     run the 256-bit kernels under it: a wider Dot would reorder its
-//     accumulators, and the pooling kernel is bound by the µops it issues
-//     per lookup, not by register width — ZMM accumulators measured 2%
-//     better inside an RMC1 forward pass, and a second kernel has to earn
-//     10% (see poolSumAVX2).
+//   - AVX2 uses fused multiply-add, which changes rounding. Its GEMM
+//     contract is exact: every output element starts from its bias and
+//     receives fma(a[i,k], b[k,j], acc) in strictly increasing k, no element
+//     of a skipped, except the under-8-column tail, which rounds the
+//     multiply and then the add. Against the scalar backend the contract is
+//     tolerance-based: small relative/ULP error (pinned by the differential
+//     tests in simd_test.go), with the kernels that only add (AddTo, AddTo8,
+//     PoolSum) still bit-identical because vectorizing an elementwise add
+//     reorders nothing.
+//   - AVX512 is AVX2 with a wider register tile for the GEMM (FCInto) and
+//     nothing else: the same contract, so it is bit-identical to AVX2 on
+//     every kernel — one vector tier, held by bits. AXPY, AddTo, AddTo8,
+//     ReLU and PoolSum run the 256-bit kernels under it: the pooling kernel
+//     is bound by the µops it issues per lookup, not by register width — ZMM
+//     accumulators measured 2% better inside an RMC1 forward pass, and a
+//     second kernel has to earn 10% (see poolSumAVX2).
 //
 // Each backend's requirements include the previous one's, so the backends a
 // process can run are always a prefix of this list.

@@ -2,6 +2,9 @@ package tensor
 
 import (
 	"math/rand"
+	"runtime/debug"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -18,9 +21,9 @@ func bitsEqual(t *testing.T, name string, got, want *Tensor) {
 	}
 }
 
-// Shapes chosen to stress the blocking: row counts around the mrBlock=4
-// register block (tails of 1..3), inner dims crossing the kcBlock=512 tile
-// boundary, and degenerate single-row/column operands.
+// Shapes chosen to stress the blocking: row counts around the 8-row block of
+// the scalar kernel (and the vector tier's 4-row one), inner dims crossing
+// the panelKC=256 tile boundary several times, and single-row/column operands.
 var gemmShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{1, 7, 5},
@@ -89,68 +92,83 @@ func TestMatMulWithExactZeros(t *testing.T) {
 	bitsEqual(t, "MatMul(zeros)", MatMul(a, b), want)
 }
 
-func TestTransposeIntoMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for _, s := range []struct{ r, c int }{{1, 1}, {1, 9}, {9, 1}, {3, 5}, {8, 8}, {17, 31}} {
-		a := RandUniform(rng, s.r, s.c, 1)
-		want := New(s.c, s.r)
-		refTransposeInto(want, a)
-		bitsEqual(t, "Transpose", Transpose(a), want)
-		bitsEqual(t, "TransposeInto", TransposeInto(New(s.c, s.r), a), want)
+// MatMulInto and MatMulAddBiasInto are allocation-free layers (ARCHITECTURE,
+// "The compute stack") although they pack b per call: the pack reuses pooled
+// storage — except under the race detector, where sync.Pool drops a quarter of
+// its Puts on purpose. Degenerate shapes behave as before the pack existed:
+// k = 0 leaves the bias rows (or zeros), and an empty m or n is a no-op, not a
+// panic.
+func TestMatMulIntoAllocFreeAndEdgeShapesAllBackends(t *testing.T) {
+	empty := func(rows, cols int) *Tensor { return &Tensor{Rows: rows, Cols: cols} }
+	bi, _ := debug.ReadBuildInfo()
+	race := bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+	for _, bk := range Backends() {
+		pinBackend(t, bk)
+		rng := rand.New(rand.NewSource(16))
+		a, b, bias := RandUniform(rng, 9, 300, 1), RandUniform(rng, 300, 40, 1), RandUniform(rng, 1, 40, 1)
+		dst := New(9, 40)
+		for _, call := range []struct {
+			name string
+			run  func()
+		}{
+			{"MatMulInto", func() { MatMulInto(dst, a, b) }},
+			{"MatMulAddBiasInto", func() { MatMulAddBiasInto(dst, a, b, bias) }},
+		} {
+			call.run()
+			if allocs := testing.AllocsPerRun(20, call.run); allocs != 0 && !race {
+				t.Errorf("%s(%v): %v allocs/op in steady state, want 0", call.name, bk, allocs)
+			}
+		}
+
+		dst.Fill(42)
+		MatMulAddBiasInto(dst, empty(9, 0), empty(0, 40), bias)
+		for i := 0; i < dst.Rows; i++ {
+			bitsEqual(t, "MatMulAddBiasInto(k=0)", FromSlice(1, 40, dst.Row(i)), bias)
+		}
+		dst.Fill(42)
+		bitsEqual(t, "MatMulInto(k=0)", MatMulInto(dst, empty(9, 0), empty(0, 40)), New(9, 40))
+
+		MatMulInto(empty(0, 40), empty(0, 300), b)
+		MatMulAddBiasInto(empty(0, 40), empty(0, 300), b, bias)
+		MatMulInto(empty(9, 0), a, empty(300, 0))
+		MatMulAddBiasInto(empty(9, 0), a, empty(300, 0), empty(1, 0))
 	}
 }
 
-func TestTransposeShapeEdgeCases(t *testing.T) {
-	// 1xN: a row vector becomes a column vector.
-	row := FromSlice(1, 4, []float32{1, 2, 3, 4})
-	rt := Transpose(row)
-	if rt.Rows != 4 || rt.Cols != 1 {
-		t.Fatalf("1xN transpose shape [%dx%d]", rt.Rows, rt.Cols)
+// Concurrent MatMul* callers share the pack pool: each must still multiply
+// its own b. Run under -race.
+func TestMatMulConcurrentCallersPackTheirOwnOperand(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		a, b := RandUniform(rng, 5, 40+g, 1), RandUniform(rng, 40+g, 24+g, 1)
+		want := MatMul(a, b)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := New(5, 24+g)
+			for i := 0; i < 200; i++ {
+				MatMulInto(dst, a, b)
+				for j := range want.Data {
+					if dst.Data[j] != want.Data[j] {
+						t.Errorf("caller %d, call %d: element %d = %v, want %v", g, i, j, dst.Data[j], want.Data[j])
+						return
+					}
+				}
+			}
+		}()
 	}
-	for i, v := range []float32{1, 2, 3, 4} {
-		if rt.At(i, 0) != v {
-			t.Errorf("1xN transpose [%d] = %v, want %v", i, rt.At(i, 0), v)
-		}
-	}
-
-	// Nx1: a column vector becomes a row vector.
-	col := FromSlice(3, 1, []float32{5, 6, 7})
-	ct := Transpose(col)
-	if ct.Rows != 1 || ct.Cols != 3 {
-		t.Fatalf("Nx1 transpose shape [%dx%d]", ct.Rows, ct.Cols)
-	}
-	for i, v := range []float32{5, 6, 7} {
-		if ct.At(0, i) != v {
-			t.Errorf("Nx1 transpose [%d] = %v, want %v", i, ct.At(0, i), v)
-		}
-	}
-
-	// Empty: a zero-element tensor transposes to one with swapped dims.
-	empty := &Tensor{Rows: 0, Cols: 5}
-	et := Transpose(empty)
-	if et.Rows != 5 || et.Cols != 0 || len(et.Data) != 0 {
-		t.Fatalf("empty transpose = %v", et)
-	}
+	wg.Wait()
 }
 
-func TestDotAndAXPYUnrolledMatchNaive(t *testing.T) {
+func TestAXPYUnrolledMatchesNaive(t *testing.T) {
 	pinBackend(t, Scalar)
 	rng := rand.New(rand.NewSource(15))
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 100, 101} {
 		a := make([]float32, n)
-		b := make([]float32, n)
 		for i := range a {
 			a[i] = rng.Float32()*2 - 1
-			b[i] = rng.Float32()*2 - 1
 		}
-		var want float32
-		for i := range a {
-			want += a[i] * b[i]
-		}
-		if got := Dot(a, b); got != want {
-			t.Errorf("Dot(n=%d) = %v, want %v", n, got, want)
-		}
-
 		y := make([]float32, n)
 		wantY := make([]float32, n)
 		for i := range y {

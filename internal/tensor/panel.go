@@ -109,10 +109,10 @@ func stripWidth(rem int) int {
 // re-packed per call. Each output element receives its contributions in
 // strictly increasing k order on both backends. The scalar backend rounds the
 // multiply and the add separately and skips exact-zero elements of a, so it
-// is bit-identical to a bias row plus the naive reference kernel; the AVX2
-// backend runs the same micro-kernels, in the same per-element order, as
-// MatMulAddBiasInto (tolerance tier against scalar, bit-identical to the
-// generic GEMM). The ReLU is the one documented at ReLU on both.
+// is bit-identical to a bias row plus the naive reference kernel; the vector
+// backends fuse them, as backend.go states (tolerance tier against scalar).
+// The ReLU is the one documented at ReLU on both. FCInto is the package's
+// only GEMM: MatMul* pack their right-hand operand per call and run it.
 func FCInto(dst, a *Tensor, w *Panel, bias *Tensor, relu bool) *Tensor {
 	if a.Cols != w.Rows {
 		panic(fmt.Sprintf("tensor: FCInto inner dim mismatch [%dx%d]·[%dx%d]", a.Rows, a.Cols, w.Rows, w.Cols))

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -9,12 +10,12 @@ import (
 // Differential coverage of the packed fully-connected path. Two oracles, one
 // per tier: under the scalar backend FCInto must reproduce a bias row plus
 // the naive reference kernel plus the reference ReLU bit for bit; under each
-// vector backend it must reproduce the generic GEMM (MatMulAddBiasInto — the
-// pre-panel FC path, same micro-kernels, same per-element k order) plus the
-// reference ReLU bit for bit. A third oracle holds the vector tier together:
-// AVX2 and AVX512 must produce the same bits on the whole GEMM family. The
-// test names carry "Panel"/"ReLU" plus "Backend"/"SIMD" so every CI
-// kernel-backend leg selects them.
+// vector backend it must reproduce fmaRef — the contract backend.go states,
+// evaluated with exact roundings — plus the reference ReLU bit for bit. A
+// third oracle holds the vector tier together: AVX2 and AVX512 must produce
+// the same bits on the whole GEMM family, special values included. The test
+// names carry "Panel"/"ReLU" plus "Backend"/"SIMD" so every CI kernel-backend
+// leg selects them.
 
 // refReLU is the historical activation loop, the bit contract ReLU keeps.
 func refReLU(x []float32) {
@@ -51,21 +52,66 @@ func refFC(a, w, bias *Tensor, relu bool) *Tensor {
 	return out
 }
 
-// genericFC is the vector tier's oracle: the generic GEMM the FC path used
-// before weights were packed, then the reference ReLU.
-func genericFC(a, w, bias *Tensor, relu bool) *Tensor {
-	out := MatMulAddBias(a, w, bias)
+// fmaRef is the vector tier's oracle, the GEMM contract backend.go states:
+// each output element starts from its bias; columns [0, n&^7) take an exactly
+// rounded fma(a[i,k], w[k,j], acc) per k in increasing order, the tail
+// columns a rounded product and then a rounded add; no element of a is
+// skipped. Then the reference ReLU. Operands must be finite. swapK exchanges
+// the first two k steps and fuseTail gives the tail the fma too: the two
+// mistakes the oracle must be able to see.
+func fmaRef(a, w, bias *Tensor, relu bool) *Tensor {
+	return fmaRefVariant(a, w, bias, relu, false, false)
+}
+
+func fmaRefVariant(a, w, bias *Tensor, relu, swapK, fuseTail bool) *Tensor {
+	m, kDim, n := a.Rows, a.Cols, w.Cols
+	out := New(m, n)
+	for i := 0; i < m; i++ {
+		acc := out.Row(i)
+		copy(acc, bias.Data)
+		for s := 0; s < kDim; s++ { // each element's chain in k order, a row of w at a time
+			k := s
+			if swapK && kDim > 1 && s < 2 {
+				k = 1 - s
+			}
+			av := a.At(i, k)
+			for j, bv := range w.Row(k) {
+				if j < n&^7 || fuseTail {
+					acc[j] = fma32(av, bv, acc[j])
+				} else {
+					acc[j] += float32(av * bv)
+				}
+			}
+		}
+	}
 	if relu {
 		refReLU(out.Data)
 	}
 	return out
 }
 
+// fma32 returns a·b + c rounded once to float32. The float64 product of two
+// float32s is exact, so math.FMA's result is the exact value rounded once to
+// float64; rounding that to float32 is a second rounding, which can differ
+// from a single one only when the float64 result lies exactly halfway between
+// two float32s — in the normal range, when its 29 mantissa bits below float32
+// precision read 100…0. There, and below the normal range, math/big settles it.
+func fma32(a, b, c float32) float32 {
+	r := math.FMA(float64(a), float64(b), float64(c))
+	if math.Float64bits(r)&(1<<29-1) != 1<<28 && (math.Abs(r) >= 0x1p-126 || r == 0) {
+		return float32(r)
+	}
+	exact := new(big.Float).SetPrec(1024).SetFloat64(float64(a))
+	exact.Mul(exact, big.NewFloat(float64(b)))
+	exact.Add(exact, big.NewFloat(float64(c)))
+	f, _ := exact.Float32()
+	return f
+}
+
 // Every m crosses the 4-row block and the AVX512 kernel's 8-row block (7, 8,
-// 9, 17), every k the 256-deep tile (255 and 257 also the 128-deep one of the
-// generic GEMM's wide path), every n the 16-wide strip, the 8-wide strip, the
-// under-8 tail and the 32-column group of two strips (alone, twice, and
-// followed by a 16-strip, an 8-strip and a tail).
+// 9, 17), every k the 256-deep tile, every n the 16-wide strip, the 8-wide
+// strip, the under-8 tail and the 32-column group of two strips (alone,
+// twice, and followed by a 16-strip, an 8-strip and a tail).
 var (
 	panelMs = []int{1, 3, 4, 5, 7, 8, 9, 16, 17, 255}
 	panelKs = []int{1, 255, 256, 257, 2560}
@@ -124,18 +170,60 @@ func TestPanelFCScalarBackendBitIdenticalToReference(t *testing.T) {
 	})
 }
 
-func TestPanelFCSIMDBitIdenticalToGenericGEMM(t *testing.T) {
+// The reference is computed once per shape and held against every vector
+// backend, with and without the fused ReLU.
+func TestPanelFCSIMDBitIdenticalToFMAReference(t *testing.T) {
 	pinBackend(t, AVX2) // skips when there is no vector backend
-	for _, bk := range Backends()[1:] {
-		pinBackend(t, bk)
-		forEachPanelShape(t, 52, wholeGrid, func(a, w, bias *Tensor) {
-			p := PackPanel(w)
+	forEachPanelShape(t, 52, wholeGrid, func(a, w, bias *Tensor) {
+		p := PackPanel(w)
+		want := fmaRef(a, w, bias, false)
+		wantReLU := want.Clone()
+		refReLU(wantReLU.Data)
+		for _, bk := range Backends()[1:] {
+			pinBackend(t, bk)
 			for _, relu := range []bool{false, true} {
 				dst := New(a.Rows, w.Cols)
 				dst.Fill(42)
-				sameBits(t, "FCInto("+bk.String()+")", FCInto(dst, a, p, bias, relu).Data, genericFC(a, w, bias, relu).Data)
+				FCInto(dst, a, p, bias, relu)
+				if relu {
+					sameBits(t, "FCInto+ReLU("+bk.String()+")", dst.Data, wantReLU.Data)
+				} else {
+					sameBits(t, "FCInto("+bk.String()+")", dst.Data, want.Data)
+				}
+			}
+		}
+	})
+}
+
+// The oracle is worth holding the vector tier to only if it tells the contract
+// from near misses: swapping two k steps, or fusing the tail's multiply and
+// add, must each disagree with FCInto somewhere; and fma32 must round once
+// where rounding to float64 first lands exactly on a float32 midpoint.
+func TestPanelFMAReferenceCatchesNearMissesSIMD(t *testing.T) {
+	pinBackend(t, AVX2)
+	// 1 + 2^-23 + (2^-24 - 2^-70): just below the midpoint that float64 rounds
+	// it onto, and ties-to-even would then round up.
+	a, b, c := float32(math.Ldexp(1+0x1p-23, -24)), float32(1-0x1p-23), float32(1+0x1p-23)
+	if got := fma32(a, b, c); got != c {
+		t.Fatalf("fma32 midpoint case = %#08x, want %#08x", math.Float32bits(got), math.Float32bits(c))
+	}
+	for _, mistake := range []struct {
+		name            string
+		swapK, fuseTail bool
+	}{{"swapped k steps", true, false}, {"fused tail", false, true}} {
+		caught := false
+		forEachPanelShape(t, 58, 1<<16, func(a, w, bias *Tensor) {
+			got := FCInto(New(a.Rows, w.Cols), a, PackPanel(w), bias, false)
+			want := fmaRefVariant(a, w, bias, false, mistake.swapK, mistake.fuseTail)
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					caught = true
+				}
 			}
 		})
+		if !caught {
+			t.Errorf("an oracle with %s agrees with FCInto on every shape: it cannot see that mistake", mistake.name)
+		}
 	}
 }
 
@@ -404,11 +492,10 @@ func TestPanelFCShapeChecks(t *testing.T) {
 // FuzzPackedFCVsReference drives FCInto with fuzzer-chosen shapes (m crosses
 // two of the widest row blocks, k the 256-deep tile, n every strip width and
 // two 32-column groups) and operands against all three oracles: the naive
-// reference under scalar, the generic GEMM under each vector backend, and the
-// vector backends against each other, each bit for bit. (The generic GEMM's
-// own scalar-vs-vector tolerance is FuzzSIMDMatMulVsScalar's business; its
-// k-linear bound does not hold for the long same-sign sums a fuzzer builds at
-// k in the hundreds.)
+// reference under scalar, fmaRef under each vector backend, and the vector
+// backends against each other, each bit for bit. (The scalar-vs-vector
+// tolerance is FuzzSIMDMatMulVsScalar's business; its k-linear bound does not
+// hold for the long same-sign sums a fuzzer builds at k in the hundreds.)
 func FuzzPackedFCVsReference(f *testing.F) {
 	f.Add([]byte{3, 4, 5, 1}, []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{1, 16, 16, 0}, make([]byte, 64))
@@ -447,7 +534,7 @@ func FuzzPackedFCVsReference(f *testing.F) {
 		for _, bk := range Backends()[1:] {
 			SetBackend(bk)
 			simd := FCInto(New(m, n), a, p, bias, relu)
-			sameBits(t, "FCInto("+bk.String()+",fuzz)", simd.Data, genericFC(a, w, bias, relu).Data)
+			sameBits(t, "FCInto("+bk.String()+",fuzz)", simd.Data, fmaRef(a, w, bias, relu).Data)
 			if narrower != nil {
 				sameBits(t, "FCInto("+bk.String()+" vs the narrower vector backend,fuzz)", simd.Data, narrower.Data)
 			}

@@ -4,9 +4,6 @@ package tensor
 // operand pointers.
 
 //go:noescape
-func dotAVX2(a, b []float32) float32
-
-//go:noescape
 func axpyAVX2(alpha float32, x, y []float32)
 
 //go:noescape
@@ -35,8 +32,6 @@ func reluAVX2(x *float32, n int)
 
 //go:noescape
 func gemm8x32(c *float32, ldc int, a *float32, lda int, p0, p1 *float32, ldp, kc int, init *float32, relu int)
-
-func dotSIMD(a, b []float32) float32 { return dotAVX2(a, b) }
 
 func axpySIMD(alpha float32, x, y []float32) { axpyAVX2(alpha, x, y) }
 
@@ -102,25 +97,18 @@ func reluSIMD(x []float32) {
 	reluScalar(x[n:])
 }
 
-// SIMD GEMM blocking parameters — the Panel's: the generic vector path packs
-// b per call into the kc-deep strips of 16 (or 8) columns a Panel holds from
-// construction. Unlike the scalar path there is no sparse-row classification
-// — at 8 lanes × 2 FMA ports the dense kernel outruns the zero-skip even on
-// ReLU-sparse (~50% zero) activations, and multiplying by an exact zero is
-// still exact.
-const (
-	kcSIMD = panelKC
-	ncSIMD = panelNR
-	// The AVX512 backend's register tile: mrZMM rows of two adjacent strips.
-	mrZMM = 8
-)
+// mrZMM is the AVX512 backend's register tile height: mrZMM rows of two
+// adjacent strips.
+const mrZMM = 8
 
-// fcSIMD is the vector backend's panel kernel: matMulAccumSIMD's loop nest
-// (k-tile, strip group, row block) and micro-kernels, reading each strip where
-// the Panel already holds it. The first tile's kernels start from the bias
-// strip instead of loading c, the last tile's clamp as they store. The
-// under-8-column tail runs in Go with a separately rounded multiply and add
-// per element, exactly as the generic path's tail does.
+// fcSIMD is the vector backend's only GEMM: a loop nest of k-tile, strip
+// group and row block over the FMA micro-kernels, reading each strip where
+// the Panel holds it. There is no sparse-row classification — at 8 lanes × 2
+// FMA ports the dense kernel outruns a zero-skip even on ReLU-sparse
+// activations, and multiplying by an exact zero is still exact. The first
+// tile's kernels start from the bias strip instead of loading c, the last
+// tile's clamp as they store. The under-8-column tail runs in Go with a
+// separately rounded multiply and add per element.
 //
 // A strip group is one strip, or under AVX512 two adjacent 16-column strips
 // (kc·16 floats apart in the Panel) that the mrZMM × 32 kernel covers
@@ -131,8 +119,8 @@ const (
 func fcSIMD(out, a *Tensor, w *Panel, bias []float32, relu bool) {
 	m, kDim, n := a.Rows, a.Cols, w.Cols
 	zmm := zmmActive()
-	for k0 := 0; k0 < kDim; k0 += kcSIMD {
-		kc := min(kcSIMD, kDim-k0)
+	for k0 := 0; k0 < kDim; k0 += panelKC {
+		kc := min(panelKC, kDim-k0)
 		first, last := k0 == 0, k0+kc == kDim
 		clamp := 0
 		if relu && last {
@@ -142,14 +130,14 @@ func fcSIMD(out, a *Tensor, w *Panel, bias []float32, relu bool) {
 		for j := 0; j < n; {
 			wd := stripWidth(n - j)
 			strips, i0 := 1, 0
-			if zmm && n-j >= 2*ncSIMD {
+			if zmm && n-j >= 2*panelNR {
 				strips = 2
 				var init *float32
 				if first {
 					init = &bias[j]
 				}
 				for ; i0+mrZMM <= m; i0 += mrZMM {
-					gemm8x32(&out.Data[i0*n+j], n, &a.Data[i0*kDim+k0], kDim, &tile[j*kc], &tile[(j+ncSIMD)*kc], ncSIMD, kc, init, clamp)
+					gemm8x32(&out.Data[i0*n+j], n, &a.Data[i0*kDim+k0], kDim, &tile[j*kc], &tile[(j+panelNR)*kc], panelNR, kc, init, clamp)
 				}
 			}
 			for s := 0; s < strips; s, j = s+1, j+wd {
@@ -160,7 +148,7 @@ func fcSIMD(out, a *Tensor, w *Panel, bias []float32, relu bool) {
 				}
 				i := i0
 				switch wd {
-				case ncSIMD:
+				case panelNR:
 					for ; i+4 <= m; i += 4 {
 						gemm4x16(&out.Data[i*n+j], n, &a.Data[i*kDim+k0], kDim, p, wd, kc, init, clamp)
 					}
@@ -194,107 +182,6 @@ func fcSIMD(out, a *Tensor, w *Panel, bias []float32, relu bool) {
 						}
 					}
 				}
-			}
-		}
-	}
-}
-
-// packStrip copies kc rows of a wd-column strip of b (row stride ld) back to
-// back into dst. Out of line on purpose: inlined into matMulAccumSIMD's loop
-// nest its counters spill to the stack, which costs more than the call.
-//
-//go:noinline
-func packStrip(dst, src []float32, ld, kc, wd int) {
-	for k := 0; k < kc; k++ {
-		copy(dst[k*wd:k*wd+wd], src[k*ld:])
-	}
-}
-
-// matMulAccumSIMD accumulates a × b into out (out += a·b) on the FMA
-// kernels. Accumulation order differs from the scalar backend (FMA fuses the
-// rounding; the micro-kernels interleave k-chains per output block), so this
-// path is pinned by the tolerance-based differential tests, not bit equality.
-// Strip groups and row blocks are fcSIMD's.
-func matMulAccumSIMD(out, a, b *Tensor) {
-	m, kDim, n := a.Rows, a.Cols, b.Cols
-	if n == 0 || kDim == 0 || m == 0 {
-		return
-	}
-	// The wide kernel takes two strips per k step, so where it runs the k-tiles
-	// are half as deep and a strip group packs into what one full-depth strip
-	// takes: one buffer size, the 256-bit tier's, whichever kernels run. A
-	// tile's depth changes no bits — c is float32 between tiles either way.
-	wide := zmmActive() && m >= mrZMM && n >= 2*ncSIMD
-	kcMax := kcSIMD
-	if wide {
-		kcMax /= 2
-	}
-	// Packing a strip costs one pass over it; it pays off once enough rows
-	// of a stream against the packed copy (same crossover as the scalar
-	// path's packMinRows). Below that, the kernels read b in place with
-	// ldp = n, and the buffer — which Go would zero on entry — is not
-	// declared at all: the GRU's one-row steps are thousands of such calls.
-	var pack []float32
-	if m >= packMinRows {
-		var buf [kcSIMD * ncSIMD]float32
-		pack = buf[:]
-	}
-	for k0 := 0; k0 < kDim; k0 += kcMax {
-		k1 := min(k0+kcMax, kDim)
-		kc := k1 - k0
-
-		j := 0
-		for j+8 <= n {
-			wd := stripWidth(n - j)
-			strips := 1
-			if wide && n-j >= 2*ncSIMD {
-				strips = 2
-			}
-			// The group's strips start at p[0] and p[next]: b in place, or
-			// packed back to back the way a Panel holds them.
-			p, ldp, next := b.Data[k0*n+j:], n, wd
-			if pack != nil {
-				for s := 0; s < strips; s++ {
-					packStrip(pack[s*kc*wd:], b.Data[k0*n+j+s*wd:], n, kc, wd)
-				}
-				p, ldp, next = pack, wd, kc*wd
-			}
-			i0 := 0
-			if strips == 2 {
-				for ; i0+mrZMM <= m; i0 += mrZMM {
-					gemm8x32(&out.Data[i0*n+j], n, &a.Data[i0*kDim+k0], kDim, &p[0], &p[next], ldp, kc, nil, 0)
-				}
-			}
-			for s := 0; s < strips; s, j = s+1, j+wd {
-				ps := &p[s*next]
-				i := i0
-				if wd == ncSIMD {
-					for ; i+4 <= m; i += 4 {
-						gemm4x16(&out.Data[i*n+j], n, &a.Data[i*kDim+k0], kDim, ps, ldp, kc, nil, 0)
-					}
-					for ; i < m; i++ {
-						gemm1x16(&out.Data[i*n+j], &a.Data[i*kDim+k0], ps, ldp, kc, nil, 0)
-					}
-				} else {
-					for ; i+4 <= m; i += 4 {
-						gemm4x8(&out.Data[i*n+j], n, &a.Data[i*kDim+k0], kDim, ps, ldp, kc, nil, 0)
-					}
-					for ; i < m; i++ {
-						gemm1x8(&out.Data[i*n+j], &a.Data[i*kDim+k0], ps, ldp, kc, nil, 0)
-					}
-				}
-			}
-		}
-		// Scalar column tail (< 8 columns): same loop as the scalar
-		// backend's tail, a few columns at most.
-		for jj := j; jj < n; jj++ {
-			for i := 0; i < m; i++ {
-				aRow := a.Row(i)
-				c := out.Data[i*n+jj]
-				for k := k0; k < k1; k++ {
-					c += aRow[k] * b.Data[k*n+jj]
-				}
-				out.Data[i*n+jj] = c
 			}
 		}
 	}

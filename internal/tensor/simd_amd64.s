@@ -3,84 +3,14 @@
 // only ABI obligations are the ABI0 argument frame and VZEROUPPER before
 // returning to SSE-era code.
 //
-// Numerical contract (see backend.go): these kernels use fused multiply-add
-// and, for Dot, multiple accumulators — both change rounding/accumulation
-// order versus the scalar backend, which is why the vector tier is pinned by
-// tolerance-based differential tests rather than bit equality. addToAVX2,
-// addTo8AVX2 and poolSumAVX2 contain no multiplies and preserve per-element
-// add order, so they remain bit-identical to scalar.
+// Numerical contract (see backend.go): these kernels use fused multiply-add,
+// one rounding where the scalar backend rounds the multiply and the add, so
+// the vector tier is held to scalar by tolerance-based differential tests and
+// to its own written contract bit for bit. addToAVX2, addTo8AVX2 and
+// poolSumAVX2 contain no multiplies and preserve per-element add order, so
+// they remain bit-identical to scalar.
 
 #include "textflag.h"
-
-// func dotAVX2(a, b []float32) float32
-//
-// Four 8-wide accumulators hide the 4-cycle FMA latency (the scalar backend's
-// single running sum is the dependence chain that caps it at ~1 FLOP/cycle);
-// they are combined pairwise and reduced horizontally at the end.
-TEXT ·dotAVX2(SB), NOSPLIT, $0-52
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), DI
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	MOVQ CX, AX
-	SHRQ $5, AX
-	JZ   dot8
-
-dot32:
-	VMOVUPS (SI), Y4
-	VMOVUPS 32(SI), Y5
-	VMOVUPS 64(SI), Y6
-	VMOVUPS 96(SI), Y7
-	VFMADD231PS (DI), Y4, Y0
-	VFMADD231PS 32(DI), Y5, Y1
-	VFMADD231PS 64(DI), Y6, Y2
-	VFMADD231PS 96(DI), Y7, Y3
-	ADDQ $128, SI
-	ADDQ $128, DI
-	DECQ AX
-	JNZ  dot32
-
-dot8:
-	VADDPS Y1, Y0, Y0
-	VADDPS Y3, Y2, Y2
-	VADDPS Y2, Y0, Y0
-	MOVQ   CX, AX
-	ANDQ   $31, AX
-	SHRQ   $3, AX
-	JZ     dothsum
-
-dot8loop:
-	VMOVUPS (SI), Y4
-	VFMADD231PS (DI), Y4, Y0
-	ADDQ $32, SI
-	ADDQ $32, DI
-	DECQ AX
-	JNZ  dot8loop
-
-dothsum:
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS  X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	MOVQ    CX, AX
-	ANDQ    $7, AX
-	JZ      dotdone
-
-dotscalar:
-	VMOVSS (SI), X2
-	VFMADD231SS (DI), X2, X0
-	ADDQ $4, SI
-	ADDQ $4, DI
-	DECQ AX
-	JNZ  dotscalar
-
-dotdone:
-	VMOVSS X0, ret+48(FP)
-	VZEROUPPER
-	RET
 
 // func axpyAVX2(alpha float32, x, y []float32)
 //
@@ -400,16 +330,14 @@ poolok:
 
 // GEMM micro-kernels. All accumulate over one k-tile into a block of c held
 // in registers: c = start + a·p, where start is c itself when init is nil
-// (the generic GEMM: the caller seeded c with zeros or the broadcast bias
-// row) or, for every row of the block, the strip-wide vector at init (FCInto's
-// first k-tile: the layer's bias, so c is never pre-filled). A nonzero relu
-// clamps the block as it is stored (FCInto's last k-tile): max(0, v) with v
-// as VMAXPS's second source, the operand it returns for NaNs and for equal
-// zeros, so -0, NaN payloads and +Inf keep their bits (see tensor.ReLU).
-// p is a kc-row panel of b with row stride ldp elements — a Panel strip or a
-// packed L1-resident copy (ldp = strip width), or b itself (ldp = b.Cols)
-// when too few rows share the strip to amortize packing. ldc/lda are row
-// strides of c/a in elements.
+// (FCInto's later k-tiles: c holds the earlier tiles' sums) or, for every
+// row of the block, the strip-wide vector at init (FCInto's first k-tile: the
+// layer's bias, so c is never pre-filled). A nonzero relu clamps the block
+// as it is stored (FCInto's last k-tile): max(0, v) with v as VMAXPS's
+// second source, the operand it returns for NaNs and for equal zeros, so -0,
+// NaN payloads and +Inf keep their bits (see tensor.ReLU). p is a kc-row
+// Panel strip with row stride ldp elements (the strip width). ldc/lda are
+// row strides of c/a in elements.
 
 // func gemm4x16(c *float32, ldc int, a *float32, lda int, p *float32, ldp, kc int, init *float32, relu int)
 //

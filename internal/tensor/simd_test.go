@@ -189,7 +189,7 @@ func runBoth(t *testing.T, f func() []float32) (scalar, simd []float32) {
 
 // simdGemmShapes extends the scalar blocking shapes with cases that stress
 // the vector path specifically: widths around the 16- and 8-wide strips and
-// the scalar column tail, depths crossing the kcSIMD=256 tile boundary, and
+// the scalar column tail, depths crossing the panelKC=256 tile boundary, and
 // row counts around the 4-row register block.
 var simdGemmShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
@@ -323,22 +323,6 @@ func TestSIMDMatMulExtremeMagnitudes(t *testing.T) {
 	}
 }
 
-func TestSIMDDotMatchesScalarWithinTolerance(t *testing.T) {
-	pinBackend(t, AVX2)
-	rng := rand.New(rand.NewSource(36))
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 1000} {
-		a := make([]float32, n)
-		b := make([]float32, n)
-		for i := range a {
-			a[i] = rng.Float32()*2 - 1
-			b[i] = rng.Float32()*2 - 1
-		}
-		scalar, simd := runBoth(t, func() []float32 { return []float32{Dot(a, b)} })
-		tol := gemmTol(n+1, maxAbs(a), maxAbs(b))
-		tolEqual(t, "Dot", simd, scalar, tol, 0)
-	}
-}
-
 func TestSIMDAXPYMatchesScalarWithinTolerance(t *testing.T) {
 	pinBackend(t, AVX2)
 	rng := rand.New(rand.NewSource(37))
@@ -443,33 +427,6 @@ func sanitize(data []byte, out []float32) {
 			out[i] = f
 		}
 	}
-}
-
-func FuzzSIMDDotVsScalar(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 0, 1, 2, 3, 4})
-	f.Add([]byte{0x7f, 0x80, 0x00, 0x01, 0xff, 0x7f, 0xff, 0xff, 8, 8, 8, 8})
-	f.Add(make([]byte, 260)) // all zeros, past one 32-element unroll
-	f.Add([]byte{0x80, 0, 0, 0, 0x80, 0, 0, 0, 3, 3, 3, 3, 9, 9, 9, 9, 1, 1, 1, 1})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(Backends()) == 1 {
-			t.Skip("SIMD backend unavailable")
-		}
-		n := len(data) / 8
-		a := make([]float32, n)
-		b := make([]float32, n)
-		sanitize(data[:4*n], a)
-		sanitize(data[4*n:8*n], b)
-		prev := ActiveBackend()
-		defer SetBackend(prev)
-		SetBackend(Scalar)
-		want := Dot(a, b)
-		SetBackend(AVX2)
-		got := Dot(a, b)
-		tol := gemmTol(n+1, maxAbs(a), maxAbs(b))
-		if d := math.Abs(float64(got - want)); d > tol {
-			t.Fatalf("Dot(n=%d): simd %v scalar %v (|diff| %.3g > %.3g)", n, got, want, d, tol)
-		}
-	})
 }
 
 func FuzzSIMDMatMulVsScalar(f *testing.F) {

@@ -1,7 +1,7 @@
 // Package tensor implements the dense numerical substrate for the
 // recommendation model zoo: row-major float32 matrices with the small set of
 // operations neural recommendation inference needs (GEMM, bias/activation
-// application, elementwise arithmetic, concatenation, reductions).
+// application, elementwise arithmetic, concatenation, pooling).
 //
 // The package is deliberately minimal — it replaces the Caffe2/MKL backend
 // the paper used with a pure-Go implementation whose purpose is functional
@@ -71,29 +71,11 @@ func (t *Tensor) Fill(v float32) {
 // Zero resets every element to 0.
 func (t *Tensor) Zero() { t.Fill(0) }
 
-// Concat concatenates the given tensors along columns: all inputs must have
-// the same number of rows; the result has the summed column count. This is
-// the feature-interaction primitive of the generalized recommendation model
-// (paper Fig. 2): dense and pooled-sparse features are concatenated before
-// the predictor stack.
-func Concat(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: Concat of no tensors")
-	}
-	rows := ts[0].Rows
-	cols := 0
-	for _, t := range ts {
-		if t.Rows != rows {
-			panic(fmt.Sprintf("tensor: Concat row mismatch %d vs %d", t.Rows, rows))
-		}
-		cols += t.Cols
-	}
-	return ConcatInto(New(rows, cols), ts...)
-}
-
 // ConcatInto concatenates the given tensors along columns into dst, which
 // must have the row count of the inputs and their summed column count; dst
-// must not alias any input. It returns dst.
+// must not alias any input. It returns dst. This is the feature-interaction
+// primitive of the generalized recommendation model (paper Fig. 2): dense and
+// pooled-sparse features are concatenated before the predictor stack.
 func ConcatInto(dst *Tensor, ts ...*Tensor) *Tensor {
 	if len(ts) == 0 {
 		panic("tensor: ConcatInto of no tensors")
@@ -120,12 +102,6 @@ func ConcatInto(dst *Tensor, ts ...*Tensor) *Tensor {
 	return dst
 }
 
-// Add returns a + b elementwise; shapes must match.
-func Add(a, b *Tensor) *Tensor {
-	mustSameShape("Add", a, b)
-	return AddInto(New(a.Rows, a.Cols), a, b)
-}
-
 // AddInto computes dst = a + b elementwise; dst may alias a or b.
 func AddInto(dst, a, b *Tensor) *Tensor {
 	mustSameShape("AddInto", a, b)
@@ -136,36 +112,12 @@ func AddInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// Mul returns the elementwise (Hadamard) product a * b; shapes must match.
-// Neural Collaborative Filtering's generalized-matrix-factorization path is
-// an elementwise product of user and item embeddings.
-func Mul(a, b *Tensor) *Tensor {
-	mustSameShape("Mul", a, b)
-	return MulInto(New(a.Rows, a.Cols), a, b)
-}
-
 // MulInto computes the elementwise product dst = a ⊙ b; dst may alias a or b.
 func MulInto(dst, a, b *Tensor) *Tensor {
 	mustSameShape("MulInto", a, b)
 	mustSameShape("MulInto", dst, a)
 	for i := range a.Data {
 		dst.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return dst
-}
-
-// Sub returns a - b elementwise; shapes must match.
-func Sub(a, b *Tensor) *Tensor {
-	mustSameShape("Sub", a, b)
-	return SubInto(New(a.Rows, a.Cols), a, b)
-}
-
-// SubInto computes dst = a - b elementwise; dst may alias a or b.
-func SubInto(dst, a, b *Tensor) *Tensor {
-	mustSameShape("SubInto", a, b)
-	mustSameShape("SubInto", dst, a)
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
 	}
 	return dst
 }
@@ -184,19 +136,6 @@ func (t *Tensor) AddInPlace(b *Tensor) {
 	for i := range t.Data {
 		t.Data[i] += b.Data[i]
 	}
-}
-
-// SumRows reduces each row to its scalar sum, producing a [Rows x 1] tensor.
-func (t *Tensor) SumRows() *Tensor {
-	out := New(t.Rows, 1)
-	for r := 0; r < t.Rows; r++ {
-		var s float32
-		for _, v := range t.Row(r) {
-			s += v
-		}
-		out.Data[r] = s
-	}
-	return out
 }
 
 func mustSameShape(op string, a, b *Tensor) {

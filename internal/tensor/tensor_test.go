@@ -105,6 +105,17 @@ func TestMatMulIdentityProperty(t *testing.T) {
 	}
 }
 
+// transpose returns tᵀ.
+func transpose(t *Tensor) *Tensor {
+	out := New(t.Cols, t.Rows)
+	for r := 0; r < t.Rows; r++ {
+		for c, v := range t.Row(r) {
+			out.Set(c, r, v)
+		}
+	}
+	return out
+}
+
 // Property: (A·B)ᵀ == Bᵀ·Aᵀ.
 func TestMatMulTransposeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -112,8 +123,8 @@ func TestMatMulTransposeProperty(t *testing.T) {
 		m, k, n := int(m8%6)+1, int(k8%6)+1, int(n8%6)+1
 		a := RandUniform(rng, m, k, 1)
 		b := RandUniform(rng, k, n, 1)
-		lhs := Transpose(MatMul(a, b))
-		rhs := MatMul(Transpose(b), Transpose(a))
+		lhs := transpose(MatMul(a, b))
+		rhs := MatMul(transpose(b), transpose(a))
 		if !lhs.SameShape(rhs) {
 			return false
 		}
@@ -148,24 +159,10 @@ func TestMatMulAddBiasPanicsOnBadBias(t *testing.T) {
 	MatMulAddBias(New(1, 2), New(2, 2), New(1, 3))
 }
 
-func TestTranspose(t *testing.T) {
-	a := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	at := Transpose(a)
-	if at.Rows != 3 || at.Cols != 2 {
-		t.Fatalf("transpose shape = [%dx%d]", at.Rows, at.Cols)
-	}
-	if at.At(2, 1) != 6 || at.At(0, 1) != 4 {
-		t.Errorf("transpose values wrong: %v", at.Data)
-	}
-}
-
 func TestConcat(t *testing.T) {
 	a := FromSlice(2, 1, []float32{1, 2})
 	b := FromSlice(2, 2, []float32{3, 4, 5, 6})
-	c := Concat(a, b)
-	if c.Rows != 2 || c.Cols != 3 {
-		t.Fatalf("concat shape [%dx%d]", c.Rows, c.Cols)
-	}
+	c := ConcatInto(New(2, 3), a, b)
 	want := []float32{1, 3, 4, 2, 5, 6}
 	for i, w := range want {
 		if c.Data[i] != w {
@@ -180,20 +177,17 @@ func TestConcatPanicsOnRowMismatch(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Concat(New(2, 1), New(3, 1))
+	ConcatInto(New(2, 2), New(2, 1), New(3, 1))
 }
 
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice(1, 3, []float32{1, 2, 3})
 	b := FromSlice(1, 3, []float32{4, 5, 6})
-	if got := Add(a, b).Data; got[0] != 5 || got[2] != 9 {
-		t.Errorf("Add = %v", got)
+	if got := AddInto(New(1, 3), a, b).Data; got[0] != 5 || got[2] != 9 {
+		t.Errorf("AddInto = %v", got)
 	}
-	if got := Mul(a, b).Data; got[0] != 4 || got[2] != 18 {
-		t.Errorf("Mul = %v", got)
-	}
-	if got := Sub(b, a).Data; got[0] != 3 || got[2] != 3 {
-		t.Errorf("Sub = %v", got)
+	if got := MulInto(New(1, 3), a, b).Data; got[0] != 4 || got[2] != 18 {
+		t.Errorf("MulInto = %v", got)
 	}
 }
 
@@ -206,23 +200,6 @@ func TestScaleAndAddInPlace(t *testing.T) {
 	a.AddInPlace(FromSlice(1, 2, []float32{1, 1}))
 	if a.Data[0] != 4 || a.Data[1] != 7 {
 		t.Errorf("AddInPlace result %v", a.Data)
-	}
-}
-
-func TestSumRows(t *testing.T) {
-	a := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	s := a.SumRows()
-	if s.Rows != 2 || s.Cols != 1 {
-		t.Fatalf("SumRows shape [%dx%d]", s.Rows, s.Cols)
-	}
-	if s.Data[0] != 6 || s.Data[1] != 15 {
-		t.Errorf("SumRows = %v", s.Data)
-	}
-}
-
-func TestDot(t *testing.T) {
-	if got := Dot([]float32{1, 2, 3}, []float32{4, 5, 6}); got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
 	}
 }
 
