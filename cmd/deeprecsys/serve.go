@@ -87,21 +87,22 @@ func serveMain(args []string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if len(opts.Tenants) > 0 && *tracePath != "" {
+	multi := len(opts.Tenants) > 0
+	if multi && *tracePath != "" {
 		fmt.Fprintln(os.Stderr, "serve: -trace cannot drive -tenants (each tenant generates its own stream)")
 		os.Exit(2)
 	}
 	// What the run drives and reports on: the tenant specs, or — a -model
-	// run — the one spec the flags spell, served un-addressed.
+	// run — the one spec the flags spell, its tenant named after the model.
 	specs := opts.Tenants
-	if len(specs) == 0 {
+	if !multi {
 		specs = []deeprecsys.TenantSpec{{Model: *modelName, Store: *store}}
 	}
 	// -listen serves queries arriving over the wire; generating a local
 	// drive stream would be wasted work.
 	var queries []drivenQuery
 	if *listen == "" {
-		queries, err = driveStream(*tracePath, specs, len(opts.Tenants) > 0, *wl, *arrivals, *rate, *n, *seed)
+		queries, err = driveStream(*tracePath, specs, *wl, *arrivals, *rate, *n, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -166,7 +167,7 @@ func serveMain(args []string) {
 	}
 
 	if *listen != "" {
-		listenMode(ctx, svc, *listen, *modelName)
+		listenMode(ctx, svc, *listen, multi, *modelName)
 		return
 	}
 
@@ -174,14 +175,14 @@ func serveMain(args []string) {
 	// otherwise unattributable.
 	st, kernels, names := svc.Stats(), tensor.ActiveBackend(), svc.Tenants()
 	what, shared, knobs := *modelName, "", fmt.Sprintf(", batch %d, p95 target %v", svc.BatchSize(), st.SLA)
-	if names != nil {
+	if multi {
 		// Tenants bring their own knobs and SLAs; the per-tenant report has them.
 		what, shared, knobs = fmt.Sprintf("%d tenants (%s)", len(names), strings.Join(names, ", ")), "shared ", ""
 	}
 	where := ""
 	if st.Replicas > 1 {
 		where = fmt.Sprintf(" over %d %sreplicas (%s routing)", st.Replicas, shared, st.RoutingPolicy)
-	} else if names != nil {
+	} else if multi {
 		where = " on one shared pool"
 	}
 	fmt.Printf("serving %s live on %v kernels: %d queries%s%s\n", what, kernels, len(queries), where, knobs)
@@ -238,13 +239,7 @@ drive:
 		wg.Add(1)
 		go func(size int, tenant string) {
 			defer wg.Done()
-			var err error
-			if tenant != "" {
-				_, err = svc.SubmitTo(ctx, tenant, size, *topn)
-			} else {
-				_, err = svc.Submit(ctx, size, *topn)
-			}
-			if err != nil && ctx.Err() == nil {
+			if _, err := svc.SubmitTo(ctx, tenant, size, *topn); err != nil && ctx.Err() == nil {
 				failed.Add(1)
 			}
 		}(q.Size, q.tenant)
@@ -290,25 +285,17 @@ drive:
 			final.DegradeSteps, final.Truncated, final.FallbackServed, final.DegradeLevel)
 	}
 	// One embedding-store line per store-backed tenant, from its own spec and
-	// snapshot; the -model run's one tenant is the service itself.
-	served := final.Tenants
-	if served == nil {
-		served = []deeprecsys.TenantStats{{Stats: final.Stats, TableRows: final.TableRows}}
-	}
-	for i, t := range served {
+	// snapshot.
+	for i, t := range final.Tenants {
 		if !t.EmbStore {
 			continue
-		}
-		whose, accessName := "", cmp.Or(specs[i].Access, opts.Access, "uniform")
-		if t.Name != "" {
-			whose = "tenant " + t.Name + ": "
 		}
 		layout := ""
 		if opts.ShardTables {
 			layout = fmt.Sprintf(", sharded over %d replicas", final.Replicas)
 		}
-		fmt.Printf("%sembedding store %q: %d-row tables%s, %s access: %.1f%% cache hit rate, %d evictions, %.1f MB read from backing store\n",
-			whose, specs[i].Store, t.TableRows, layout, accessName,
+		fmt.Printf("tenant %s: embedding store %q: %d-row tables%s, %s access: %.1f%% cache hit rate, %d evictions, %.1f MB read from backing store\n",
+			t.Name, specs[i].Store, t.TableRows, layout, cmp.Or(specs[i].Access, opts.Access, "uniform"),
 			t.EmbHitRate*100, t.EmbEvictions, float64(t.EmbBytesRead)/(1<<20))
 	}
 	if opts.AutoScale {
@@ -333,7 +320,7 @@ drive:
 				r.P50.Round(10*time.Microsecond), r.P95.Round(10*time.Microsecond))
 		}
 	}
-	if len(final.Tenants) > 0 {
+	if multi {
 		fmt.Println("per-tenant:")
 		fmt.Printf("  %-12s %-10s %5s %8s %6s %6s %5s %12s %12s %10s  %s\n",
 			"tenant", "model", "share", "served", "shed", "batch", "thr", "p50", "p95", "sla", "")
@@ -360,7 +347,7 @@ drive:
 // in-flight requests finish, the service flushes its queues — and prints
 // the final report. This is the long-running server the driven mode is
 // not: it exits only on a stop signal, never because a workload ran dry.
-func listenMode(ctx context.Context, svc *deeprecsys.Service, addr, modelName string) {
+func listenMode(ctx context.Context, svc *deeprecsys.Service, addr string, multi bool, modelName string) {
 	srv, err := svc.StartHTTP(addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
@@ -369,8 +356,8 @@ func listenMode(ctx context.Context, svc *deeprecsys.Service, addr, modelName st
 	}
 	st := svc.Stats()
 	what, target := "serving "+modelName, fmt.Sprintf(", p95 target %v", st.SLA)
-	if n := len(svc.Tenants()); n > 0 {
-		what, target = fmt.Sprintf("%d tenants", n), "" // each has its own
+	if multi {
+		what, target = fmt.Sprintf("%d tenants", len(svc.Tenants())), "" // each has its own
 	}
 	fmt.Printf("listening on http://%s: %s, %d replicas, %v kernels%s (stop with SIGINT/SIGTERM)\n",
 		srv.Addr(), what, st.Replicas, tensor.ActiveBackend(), target)
@@ -431,7 +418,7 @@ func listenMode(ctx context.Context, svc *deeprecsys.Service, addr, modelName st
 }
 
 // drivenQuery is one query of the drive stream: an arrival offset, a size,
-// and — under -tenants — the tenant it is addressed to.
+// and the tenant it is addressed to.
 type drivenQuery struct {
 	workload.Query
 	tenant string
@@ -442,8 +429,9 @@ type drivenQuery struct {
 // (TenantSpec.Workload or the -workload default) at its Share-proportional
 // slice of -rate and -n, on its own seed stream — merged by arrival time.
 // A -model run is the one-spec case: the whole rate and count on the run's
-// seed. addressed sends each query to its spec's tenant by name.
-func driveStream(tracePath string, specs []deeprecsys.TenantSpec, addressed bool, defWL, arrivals string, rate float64, n int, seed int64) ([]drivenQuery, error) {
+// seed. Every query is addressed to its spec's tenant by name; a trace
+// drives the one spec a -model run has.
+func driveStream(tracePath string, specs []deeprecsys.TenantSpec, defWL, arrivals string, rate float64, n int, seed int64) ([]drivenQuery, error) {
 	var out []drivenQuery
 	if tracePath != "" {
 		r := os.Stdin
@@ -460,7 +448,7 @@ func driveStream(tracePath string, specs []deeprecsys.TenantSpec, addressed bool
 			return nil, err
 		}
 		for _, q := range qs {
-			out = append(out, drivenQuery{Query: q})
+			out = append(out, drivenQuery{q, cmp.Or(specs[0].Name, specs[0].Model)})
 		}
 		return out, nil
 	}
@@ -474,16 +462,10 @@ func driveStream(tracePath string, specs []deeprecsys.TenantSpec, addressed bool
 		if ni < 1 && n > 0 {
 			ni = 1 // a share too small for one query of a real run still gets one
 		}
-		name := ""
-		if addressed {
-			name = cmp.Or(sp.Name, sp.Model)
-		}
+		name := cmp.Or(sp.Name, sp.Model)
 		qs, err := workload.GenerateSpec(cmp.Or(sp.Workload, defWL), arrivals, rate*frac, ni, seed+9973*int64(i))
 		if err != nil {
-			if addressed {
-				err = fmt.Errorf("serve: tenant %s: %w", name, err)
-			}
-			return nil, err
+			return nil, fmt.Errorf("serve: tenant %s: %w", name, err)
 		}
 		for _, q := range qs {
 			out = append(out, drivenQuery{q, name})

@@ -29,8 +29,8 @@ func TestServeWithEmbeddingStore(t *testing.T) {
 	if !st.EmbStore {
 		t.Fatal("store-backed service reports EmbStore=false")
 	}
-	if st.TableRows != 50000 {
-		t.Errorf("TableRows = %d, want 50000", st.TableRows)
+	if st.Tenants[0].TableRows != 50000 {
+		t.Errorf("TableRows = %d, want 50000", st.Tenants[0].TableRows)
 	}
 	if st.EmbHits+st.EmbMisses == 0 {
 		t.Fatal("no cache lookups counted")
@@ -68,8 +68,8 @@ func TestServeShardedFleet(t *testing.T) {
 	if !st.EmbStore || st.Replicas != 3 {
 		t.Fatalf("EmbStore=%v Replicas=%d, want store-backed 3-replica fleet", st.EmbStore, st.Replicas)
 	}
-	if st.TableRows != 30000 {
-		t.Errorf("TableRows = %d, want the full logical table 30000", st.TableRows)
+	if st.Tenants[0].TableRows != 30000 {
+		t.Errorf("TableRows = %d, want the full logical table 30000", st.Tenants[0].TableRows)
 	}
 	var sum uint64
 	for _, r := range st.PerReplica {

@@ -95,8 +95,7 @@ type Fleet struct {
 
 	// Tenant set, fixed at construction from the first replica config:
 	// every member must host the same tenants in the same order.
-	tenants  []TenantInfo
-	tenantly bool // the policy is tenant-aware (implements TenantPolicy)
+	tenants []TenantInfo
 
 	// Per-tenant fleet-wide interference controls and accounting:
 	// tenantOut counts routed-but-unreturned queries per tenant across the
@@ -155,10 +154,6 @@ func New(cfgs []live.Config, policy Policy) (*Fleet, error) {
 		retired:        make([]live.Ledger, len(infos)),
 		frontSubmitted: make([]atomic.Uint64, len(infos)),
 	}
-	if tp, ok := policy.(TenantPolicy); ok {
-		tp.BindTenants(infos)
-		f.tenantly = true
-	}
 	for _, cfg := range cfgs {
 		if _, err := f.add(cfg); err != nil {
 			f.Close()
@@ -170,7 +165,7 @@ func New(cfgs []live.Config, policy Policy) (*Fleet, error) {
 
 // tenantInfosFrom derives the fleet's tenant set from one replica config's
 // resolved tenant list (live.Config.WithDefaults: a single-model config is
-// the list of one tenant named ""): names and shares straight from the
+// the list of one tenant named after its model): names and shares from the
 // tenant configs, resource shapes from each tenant model's analytic profile.
 // Shapes are normalized per dimension across the tenant set, then per tenant
 // to sum to 1, so [1, 0] reads "all FC compute" and [0, 1] "all embedding
@@ -297,8 +292,10 @@ func (f *Fleet) route(tenant, size int) (*replica, error) {
 	if f.closed {
 		return nil, ErrClosed
 	}
+	nt := len(f.tenants)
 	cands := make([]Candidate, 0, len(f.replicas))
 	routable := make([]*replica, 0, len(f.replicas))
+	out := make([]int, len(f.replicas)*nt) // every candidate's TenantOutstanding
 	any := false
 	for _, r := range f.replicas {
 		if r.draining {
@@ -309,16 +306,15 @@ func (f *Fleet) route(tenant, size int) (*replica, error) {
 			continue
 		}
 		c := Candidate{
-			ID:          r.id,
-			Outstanding: int(r.outstanding.Load()),
-			HasGPU:      r.hasGPU,
-			Speed:       r.speed,
+			ID:                r.id,
+			Outstanding:       int(r.outstanding.Load()),
+			HasGPU:            r.hasGPU,
+			Speed:             r.speed,
+			TenantOutstanding: out[:nt:nt],
 		}
-		if f.tenantly {
-			c.TenantOutstanding = make([]int, len(r.tenantOut))
-			for i := range r.tenantOut {
-				c.TenantOutstanding[i] = int(r.tenantOut[i].Load())
-			}
+		out = out[nt:]
+		for i := range r.tenantOut {
+			c.TenantOutstanding[i] = int(r.tenantOut[i].Load())
 		}
 		cands = append(cands, c)
 		routable = append(routable, r)
@@ -329,12 +325,7 @@ func (f *Fleet) route(tenant, size int) (*replica, error) {
 		}
 		return nil, ErrClosed
 	}
-	var idx int
-	if tp, ok := f.policy.(TenantPolicy); ok {
-		idx = tp.PickTenant(tenant, size, cands)
-	} else {
-		idx = f.policy.Pick(size, cands)
-	}
+	idx := f.policy.Pick(tenant, size, f.tenants, cands)
 	if idx < 0 || idx >= len(routable) {
 		idx = 0
 	}
@@ -622,7 +613,7 @@ type Stats struct {
 	// Replicas holds the per-replica snapshots in ID order.
 	Replicas []ReplicaStats
 	// Tenants holds the per-tenant fleet-merged snapshots in tenant order
-	// (one entry, name "", on a single-model fleet).
+	// (one entry, named after the model, on a single-model fleet).
 	Tenants []TenantStats
 }
 

@@ -138,7 +138,7 @@ func TestRoundRobinFairness(t *testing.T) {
 	counts := make([]int, len(cands))
 	const cycles = 40
 	for i := 0; i < cycles*len(cands); i++ {
-		counts[p.Pick(100, cands)]++
+		counts[p.Pick(0, 100, nil, cands)]++
 	}
 	for i, c := range counts {
 		if c != cycles {
@@ -156,17 +156,17 @@ func TestLeastLoadedSkew(t *testing.T) {
 	cands[0].Outstanding = 4 // busy on a heavy query
 	cands[1].Outstanding = 1
 	cands[2].Outstanding = 0
-	if got := p.Pick(10, cands); got != 2 {
+	if got := p.Pick(0, 10, nil, cands); got != 2 {
 		t.Errorf("least-loaded picked %d, want 2", got)
 	}
 	// Ties break toward the faster node, then the lower ID.
 	cands[2].Outstanding = 1
 	cands[2].Speed = 0.9
-	if got := p.Pick(10, cands); got != 2 {
+	if got := p.Pick(0, 10, nil, cands); got != 2 {
 		t.Errorf("tie should prefer the faster node, picked %d", got)
 	}
 	cands[2].Speed = 1
-	if got := p.Pick(10, cands); got != 1 {
+	if got := p.Pick(0, 10, nil, cands); got != 1 {
 		t.Errorf("speed tie should prefer the lower ID, picked %d", got)
 	}
 }
@@ -181,23 +181,23 @@ func TestSizeAwareSteering(t *testing.T) {
 	cands[3].HasGPU = true
 	cands[2].Outstanding = 3
 
-	if got := p.Pick(200, cands); got != 3 {
+	if got := p.Pick(0, 200, nil, cands); got != 3 {
 		t.Errorf("big query picked %d, want least-loaded GPU replica 3", got)
 	}
 	cands[0].Outstanding = 1
-	if got := p.Pick(50, cands); got != 1 {
+	if got := p.Pick(0, 50, nil, cands); got != 1 {
 		t.Errorf("small query picked %d, want least-loaded CPU replica 1", got)
 	}
 	// Homogeneous fleets degrade to least-loaded over everyone.
 	cpuOnly := candN(2)
 	cpuOnly[0].Outstanding = 2
-	if got := p.Pick(500, cpuOnly); got != 1 {
+	if got := p.Pick(0, 500, nil, cpuOnly); got != 1 {
 		t.Errorf("big query with no GPU replica picked %d, want 1", got)
 	}
 	allGPU := candN(2)
 	allGPU[0].HasGPU, allGPU[1].HasGPU = true, true
 	allGPU[1].Outstanding = 2
-	if got := p.Pick(50, allGPU); got != 0 {
+	if got := p.Pick(0, 50, nil, allGPU); got != 0 {
 		t.Errorf("small query with no CPU replica picked %d, want 0", got)
 	}
 }

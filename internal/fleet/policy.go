@@ -18,53 +18,42 @@ type Candidate struct {
 	Outstanding int
 	HasGPU      bool
 	Speed       float64
-	// TenantOutstanding is the per-tenant breakdown of Outstanding, in
-	// tenant-index order. The fleet fills it only when the routing policy
-	// is tenant-aware (implements TenantPolicy); it is nil otherwise.
+	// TenantOutstanding is the per-tenant breakdown of Outstanding, one
+	// entry per fleet tenant in tenant-index order.
 	TenantOutstanding []int
 }
 
 // Policy routes queries to replicas. Pick returns the index into candidates
 // (never empty) of the replica that should serve a query of `size`
-// candidate items. Implementations may keep internal state (round-robin
-// keeps a cursor) but must be safe for concurrent Pick calls; the fleet
-// serializes membership changes, not routing.
+// candidate items for tenant index `tenant`. The fleet hands every Pick its
+// own tenant set, so one policy value can route for any number of fleets.
+// Implementations may keep internal state (round-robin keeps a cursor) but
+// must be safe for concurrent Pick calls; the fleet serializes membership
+// changes, not routing.
 type Policy interface {
 	// Name identifies the policy in reports and CLI flags.
 	Name() string
-	// Pick selects the serving replica for a query of `size` items.
-	// candidates holds every routable (non-draining) replica in ID order.
-	// An out-of-range return is clamped by the fleet.
-	Pick(size int, candidates []Candidate) int
+	// Pick selects the serving replica for a query of `size` items
+	// belonging to tenants[tenant]. tenants is the fleet's tenant set in
+	// tenant-index order (read-only); candidates holds every routable
+	// (non-draining, healthy) replica in ID order. An out-of-range return is
+	// clamped by the fleet.
+	Pick(tenant, size int, tenants []TenantInfo, candidates []Candidate) int
 }
 
-// TenantInfo describes one tenant to tenant-aware placement policies.
+// TenantInfo describes one fleet tenant to the routing policy.
 type TenantInfo struct {
-	// Name is the tenant's name ("" for the single-model degenerate case).
+	// Name is the tenant's name (a single-model fleet's one tenant is named
+	// after its model).
 	Name string
-	// Share is the tenant's relative traffic weight.
+	// Share is the tenant's relative traffic weight (positive: live
+	// defaults an unset share to 1).
 	Share float64
 	// Shape is the tenant's normalized resource-demand vector, summing to
 	// 1: Shape[0] is the FC-FLOP share, Shape[1] the embedding-byte share.
 	// An FC-heavy model (WnD, NCF) sits near [1, 0]; an
 	// embedding-dominated one (DLRM-RMC1) near [0, 1].
 	Shape [2]float64
-}
-
-// TenantPolicy is a routing policy that places queries per tenant: the
-// fleet binds the tenant set once at construction and then routes through
-// PickTenant, giving the policy each candidate's per-tenant outstanding
-// breakdown. Policies that also implement plain Pick stay usable on
-// single-tenant fleets.
-type TenantPolicy interface {
-	Policy
-	// BindTenants hands the policy the fleet's tenant set, in tenant-index
-	// order. Called once before any PickTenant call.
-	BindTenants(infos []TenantInfo)
-	// PickTenant selects the serving replica for a query of `size` items
-	// belonging to the given tenant index. candidates carry
-	// TenantOutstanding. An out-of-range return is clamped by the fleet.
-	PickTenant(tenant, size int, candidates []Candidate) int
 }
 
 // RoundRobin cycles through the routable replicas in order, ignoring query
@@ -83,7 +72,7 @@ func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 func (p *RoundRobin) Name() string { return "round-robin" }
 
 // Pick implements Policy.
-func (p *RoundRobin) Pick(size int, candidates []Candidate) int {
+func (p *RoundRobin) Pick(tenant, size int, tenants []TenantInfo, candidates []Candidate) int {
 	return int((p.next.Add(1) - 1) % uint64(len(candidates)))
 }
 
@@ -103,8 +92,8 @@ func NewLeastLoaded() LeastLoaded { return LeastLoaded{} }
 func (LeastLoaded) Name() string { return "least-loaded" }
 
 // Pick implements Policy.
-func (LeastLoaded) Pick(size int, candidates []Candidate) int {
-	return leastLoaded(candidates, func(Candidate) bool { return true })
+func (LeastLoaded) Pick(tenant, size int, tenants []TenantInfo, candidates []Candidate) int {
+	return leastLoaded(candidates, anyCandidate)
 }
 
 // leastLoaded returns the index of the least-outstanding candidate among
@@ -134,6 +123,9 @@ func leastLoaded(candidates []Candidate, keep func(Candidate) bool) int {
 	}
 	return best
 }
+
+// anyCandidate is the leastLoaded filter that keeps every candidate.
+func anyCandidate(Candidate) bool { return true }
 
 // DefaultSizeThreshold is the SizeAware steering threshold when none is
 // given: queries of at least this many candidate items count as "big". It
@@ -167,12 +159,12 @@ func NewSizeAware(threshold int) SizeAware {
 func (p SizeAware) Name() string { return fmt.Sprintf("size-aware:%d", p.Threshold) }
 
 // Pick implements Policy.
-func (p SizeAware) Pick(size int, candidates []Candidate) int {
+func (p SizeAware) Pick(tenant, size int, tenants []TenantInfo, candidates []Candidate) int {
 	big := size >= p.Threshold
 	if i := leastLoaded(candidates, func(c Candidate) bool { return c.HasGPU == big }); i >= 0 {
 		return i
 	}
-	return leastLoaded(candidates, func(Candidate) bool { return true })
+	return leastLoaded(candidates, anyCandidate)
 }
 
 // TenantPartition reserves a share-proportional slice of the fleet for each
@@ -184,63 +176,32 @@ func (p SizeAware) Pick(size int, candidates []Candidate) int {
 // efficiency: a tenant's idle partition capacity is not lent out. When a
 // tenant's partition is empty (more tenants than replicas), its queries
 // fall back to least-loaded over the whole fleet.
-type TenantPartition struct {
-	infos []TenantInfo
-	cum   []float64 // cumulative share fractions, one entry per tenant
-}
+type TenantPartition struct{}
 
 // NewTenantPartition returns a share-proportional partition policy.
-func NewTenantPartition() *TenantPartition { return &TenantPartition{} }
+func NewTenantPartition() TenantPartition { return TenantPartition{} }
 
 // Name implements Policy.
-func (p *TenantPartition) Name() string { return "tenant-partition" }
+func (TenantPartition) Name() string { return "tenant-partition" }
 
-// BindTenants implements TenantPolicy.
-func (p *TenantPartition) BindTenants(infos []TenantInfo) {
-	p.infos = infos
+// Pick implements Policy: the tenant's partition spans the cumulative share
+// fractions [lo, hi) of the candidate list.
+func (TenantPartition) Pick(tenant, size int, tenants []TenantInfo, candidates []Candidate) int {
 	total := 0.0
-	for _, ti := range infos {
+	for _, ti := range tenants {
 		total += ti.Share
 	}
-	if total <= 0 {
-		total = float64(len(infos))
-	}
-	p.cum = make([]float64, len(infos))
-	run := 0.0
-	for i, ti := range infos {
-		share := ti.Share
-		if share <= 0 {
-			share = 1
-		}
-		run += share / total
-		p.cum[i] = run
-	}
-}
-
-// Pick implements Policy (the single-tenant fallback): least-loaded.
-func (p *TenantPartition) Pick(size int, candidates []Candidate) int {
-	return leastLoaded(candidates, func(Candidate) bool { return true })
-}
-
-// PickTenant implements TenantPolicy.
-func (p *TenantPartition) PickTenant(tenant, size int, candidates []Candidate) int {
-	if tenant < 0 || tenant >= len(p.cum) {
-		return p.Pick(size, candidates)
+	var lo, hi float64
+	for _, ti := range tenants[:tenant+1] {
+		lo, hi = hi, hi+ti.Share/total
 	}
 	n := len(candidates)
-	lo := 0
-	if tenant > 0 {
-		lo = int(p.cum[tenant-1]*float64(n) + 0.5)
-	}
-	hi := int(p.cum[tenant]*float64(n) + 0.5)
-	if hi > n {
-		hi = n
-	}
-	if lo >= hi {
+	from, to := int(lo*float64(n)+0.5), min(int(hi*float64(n)+0.5), n)
+	if from >= to {
 		// Empty partition (more tenants than replicas): share the fleet.
-		return p.Pick(size, candidates)
+		return leastLoaded(candidates, anyCandidate)
 	}
-	return lo + leastLoaded(candidates[lo:hi], func(Candidate) bool { return true })
+	return from + leastLoaded(candidates[from:to], anyCandidate)
 }
 
 // ShapeSpread places by resource-shape interference: each candidate's
@@ -253,39 +214,24 @@ func (p *TenantPartition) PickTenant(tenant, size int, candidates []Candidate) i
 // contending for the same resource — the paper's observation that the zoo's
 // diversity is a placement opportunity, made a policy. Ties break toward
 // fewer outstanding queries, then the lower ID.
-type ShapeSpread struct {
-	infos []TenantInfo
-}
+type ShapeSpread struct{}
 
 // NewShapeSpread returns the interference-aware placement policy.
-func NewShapeSpread() *ShapeSpread { return &ShapeSpread{} }
+func NewShapeSpread() ShapeSpread { return ShapeSpread{} }
 
 // Name implements Policy.
-func (p *ShapeSpread) Name() string { return "shape-spread" }
+func (ShapeSpread) Name() string { return "shape-spread" }
 
-// BindTenants implements TenantPolicy.
-func (p *ShapeSpread) BindTenants(infos []TenantInfo) { p.infos = infos }
-
-// Pick implements Policy (the single-tenant fallback): least-loaded.
-func (p *ShapeSpread) Pick(size int, candidates []Candidate) int {
-	return leastLoaded(candidates, func(Candidate) bool { return true })
-}
-
-// PickTenant implements TenantPolicy.
-func (p *ShapeSpread) PickTenant(tenant, size int, candidates []Candidate) int {
-	if tenant < 0 || tenant >= len(p.infos) {
-		return p.Pick(size, candidates)
-	}
-	shape := p.infos[tenant].Shape
+// Pick implements Policy.
+func (ShapeSpread) Pick(tenant, size int, tenants []TenantInfo, candidates []Candidate) int {
+	shape := tenants[tenant].Shape
 	best := -1
 	bestCost := 0.0
 	for i, c := range candidates {
 		var load [2]float64
 		for ti, out := range c.TenantOutstanding {
-			if ti < len(p.infos) {
-				load[0] += float64(out) * p.infos[ti].Shape[0]
-				load[1] += float64(out) * p.infos[ti].Shape[1]
-			}
+			load[0] += float64(out) * tenants[ti].Shape[0]
+			load[1] += float64(out) * tenants[ti].Shape[1]
 		}
 		cost := load[0]*shape[0] + load[1]*shape[1]
 		switch {

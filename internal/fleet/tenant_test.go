@@ -13,23 +13,26 @@ import (
 	"github.com/deeprecinfra/deeprecsys/internal/model"
 )
 
+// zooModel builds one instance of a zoo model.
+func zooModel(t testing.TB, name string, seed int64) *model.Model {
+	t.Helper()
+	cfg, err := model.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := model.New(cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // tenantModels builds one FC-heavy and one embedding-heavy model pair.
 // Replicas may share the pair (only tenants within one replica need
 // distinct instances).
 func tenantModels(t testing.TB) (*model.Model, *model.Model) {
 	t.Helper()
-	build := func(name string, seed int64) *model.Model {
-		cfg, err := model.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := model.New(cfg, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	return build("NCF", 1), build("DLRM-RMC1", 2)
+	return zooModel(t, "NCF", 1), zooModel(t, "DLRM-RMC1", 2)
 }
 
 // tenantConfig is one replica config hosting both tenants.
@@ -85,10 +88,10 @@ func TestTenantPartitionPlacement(t *testing.T) {
 // identical shapes spread apart.
 func TestShapeSpreadPicks(t *testing.T) {
 	p := NewShapeSpread()
-	p.BindTenants([]TenantInfo{
+	tenants := []TenantInfo{
 		{Name: "fc", Shape: [2]float64{1, 0}},
 		{Name: "emb", Shape: [2]float64{0, 1}},
-	})
+	}
 
 	// Replica 0 is loaded with FC-shaped work, replica 1 with
 	// embedding-shaped work.
@@ -96,10 +99,10 @@ func TestShapeSpreadPicks(t *testing.T) {
 		{ID: 0, Outstanding: 4, TenantOutstanding: []int{4, 0}},
 		{ID: 1, Outstanding: 4, TenantOutstanding: []int{0, 4}},
 	}
-	if got := p.PickTenant(0, 16, candidates); got != 1 {
+	if got := p.Pick(0, 16, tenants, candidates); got != 1 {
 		t.Errorf("FC tenant picked replica %d, want 1 (away from FC load)", got)
 	}
-	if got := p.PickTenant(1, 16, candidates); got != 0 {
+	if got := p.Pick(1, 16, tenants, candidates); got != 0 {
 		t.Errorf("emb tenant picked replica %d, want 0 (away from emb load)", got)
 	}
 
@@ -108,12 +111,67 @@ func TestShapeSpreadPicks(t *testing.T) {
 		{ID: 0, TenantOutstanding: []int{0, 0}},
 		{ID: 1, TenantOutstanding: []int{0, 0}},
 	}
-	if got := p.PickTenant(0, 16, idle); got != 0 {
+	if got := p.Pick(0, 16, tenants, idle); got != 0 {
 		t.Errorf("idle tie picked %d, want 0", got)
 	}
-	// Out-of-range tenant falls back to least-loaded.
-	if got := p.PickTenant(9, 16, candidates); got < 0 || got > 1 {
-		t.Errorf("fallback pick %d out of range", got)
+}
+
+// TestPolicySharedAcrossFleets: one policy value routes for two fleets, each
+// by its own tenant set. Fleet A hosts an FC-heavy tenant a and an
+// embedding-heavy tenant b at shares 3:1; fleet B, built afterwards with the
+// same policy value, three same-shaped tenants at equal shares. A's queries
+// must still land where A's own tenant set sends them: tenant b on the last
+// quarter of a tenant-partition fleet, and under shape-spread a second query
+// of a beside b's rather than on a's own — which B's shapes, all alike,
+// would read as a tie broken toward the lower ID.
+func TestPolicySharedAcrossFleets(t *testing.T) {
+	ncf, rmc := tenantModels(t)
+	a := live.Config{Workers: 1, Tenants: []live.TenantConfig{
+		{Name: "a", Model: ncf, Share: 3},
+		{Name: "b", Model: rmc, Share: 1},
+	}}
+	b := live.Config{Workers: 1, Tenants: []live.TenantConfig{
+		{Name: "x", Model: zooModel(t, "NCF", 3)},
+		{Name: "y", Model: zooModel(t, "NCF", 4)},
+		{Name: "z", Model: zooModel(t, "NCF", 5)},
+	}}
+	for _, tc := range []struct {
+		policy   Policy
+		replicas int
+		tenants  []int // tenant of each query pinned on fleet A, in order
+		want     []int // the replica each must land on
+	}{
+		{NewTenantPartition(), 4, []int{1}, []int{3}},
+		{NewShapeSpread(), 2, []int{0, 1, 0}, []int{0, 1, 1}},
+	} {
+		t.Run(tc.policy.Name(), func(t *testing.T) {
+			cfgs := make([]live.Config, tc.replicas)
+			for i := range cfgs {
+				cfgs[i] = a
+				cfgs[i].Seed = int64(1 + i)
+			}
+			fa := newFleet(t, cfgs, tc.policy)
+			newFleet(t, []live.Config{b}, tc.policy)
+			// route pins each query as Submit would, without executing it, so
+			// the load the next pick sees is exact.
+			var pinned []*replica
+			for i, tenant := range tc.tenants {
+				r, err := fa.route(tenant, 16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pinned = append(pinned, r)
+				if r.id != tc.want[i] {
+					t.Errorf("query %d of tenant %s routed to replica %d, want %d", i, fa.tenants[tenant].Name, r.id, tc.want[i])
+				}
+			}
+			for i, r := range pinned {
+				r.outstanding.Add(-1)
+				r.tenantOut[tc.tenants[i]].Add(-1)
+				fa.tenantOut[tc.tenants[i]].Add(-1)
+				r.inflight.Done()
+			}
+		})
 	}
 }
 

@@ -64,7 +64,7 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 	// Every bad per-tenant value, written on the single-model Config: its one
-	// anonymous tenant inherits it and must refuse it.
+	// tenant, named after its model, inherits it and must refuse it by name.
 	for _, b := range badPerTenant {
 		if b.onConfig == nil {
 			continue
@@ -74,8 +74,8 @@ func TestConfigValidation(t *testing.T) {
 		if s, err := New(cfg); err == nil {
 			s.Close()
 			t.Errorf("single-model config with %s accepted", b.name)
-		} else if strings.Contains(err.Error(), "tenant") {
-			t.Errorf("%s: single-model error names a tenant: %v", b.name, err)
+		} else if !strings.Contains(err.Error(), "tenant 0 (NCF)") {
+			t.Errorf("%s: single-model error does not name the tenant: %v", b.name, err)
 		}
 	}
 }

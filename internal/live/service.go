@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -57,8 +56,8 @@ var ErrReplicaDown = errors.New("live: replica down")
 const MaxBatchSize = 1024
 
 // Config parameterizes a Service. Every Service serves a tenant list:
-// Tenants, or — when it is empty — the one anonymous tenant WithDefaults
-// synthesizes over Model, which is all a single-model service is. Workers,
+// Tenants, or — when it is empty — the one tenant WithDefaults builds over
+// Model and names after it, which is all a single-model service is. Workers,
 // GPU, TuneInterval, QueueDepth, IntraOp, Seed and Scale describe the
 // shared lanes and are validated as given; BatchSize, GPUThreshold, SLA,
 // AutoTune, WindowSize, Admission, Deadline, Degrade and Access are the
@@ -66,15 +65,16 @@ const MaxBatchSize = 1024
 // tenant that inherits them (a default nobody inherits is not read). Model
 // or Tenants is required; every other field has a working default.
 type Config struct {
-	// Model executes the anonymous tenant's forward passes. It must not be
-	// mutated while the service runs; concurrent Forward calls are safe by
-	// construction (weights are read-only, outputs freshly allocated). When
-	// Tenants is set, Model is ignored: each tenant brings its own.
+	// Model executes the forward passes of the one tenant a Config without
+	// Tenants serves. It must not be mutated while the service runs;
+	// concurrent Forward calls are safe by construction (weights are
+	// read-only, outputs freshly allocated). When Tenants is set, Model is
+	// ignored: each tenant brings its own.
 	Model *model.Model
 	// Tenants names the (model, SLA, knobs, ledger) bindings sharing this
 	// service's executor lanes: every tenant needs a unique non-empty Name
-	// and its own Model instance. Empty = one anonymous tenant (name "")
-	// serving Model.
+	// and its own Model instance. Empty = one tenant serving Model, named
+	// Model.Cfg.Name.
 	Tenants []TenantConfig
 	// Workers is the CPU worker-pool size (default GOMAXPROCS).
 	Workers int
@@ -147,8 +147,8 @@ type Config struct {
 }
 
 // WithDefaults normalizes cfg to its tenant list — the one place a
-// single-model Config becomes the anonymous tenant serving Config.Model —
-// and returns it with every default filled in. Lane-level fields are
+// single-model Config becomes the tenant serving Config.Model, named after
+// the model — and returns it with every default filled in. Lane-level fields are
 // validated here; per-tenant fields, the Config-level ones included (they
 // are only what a tenant inherits), by TenantConfig.withDefaults where
 // they land.
@@ -194,14 +194,18 @@ func (cfg Config) WithDefaults() (Config, error) {
 	}
 	tcs := cfg.Tenants
 	if len(tcs) == 0 {
-		tcs = []TenantConfig{{Model: cfg.Model}}
-	} else if i := slices.IndexFunc(tcs, func(tc TenantConfig) bool { return tc.Name == "" }); i >= 0 {
-		return cfg, fmt.Errorf("live: tenant %d: Name is required", i)
+		if cfg.Model == nil {
+			return cfg, errors.New("live: Model or Tenants is required")
+		}
+		tcs = []TenantConfig{{Name: cfg.Model.Cfg.Name, Model: cfg.Model}}
 	}
 	cfg.Tenants = make([]TenantConfig, len(tcs))
 	names := make(map[string]bool, len(tcs))
 	models := make(map[*model.Model]bool, len(tcs))
 	for i, tc := range tcs {
+		if tc.Name == "" {
+			return cfg, fmt.Errorf("live: tenant %d: Name is required", i)
+		}
 		if names[tc.Name] {
 			return cfg, fmt.Errorf("live: duplicate tenant name %q", tc.Name)
 		}
@@ -225,9 +229,9 @@ func (cfg Config) WithDefaults() (Config, error) {
 type Query struct {
 	Candidates int
 	TopN       int
-	// Tenant selects which tenant serves the query, by index into
-	// Config.Tenants (TenantIndex maps names). The classic single-model
-	// service has exactly one tenant, index 0 — the zero value.
+	// Tenant selects which tenant serves the query, by index into the
+	// service's tenant list (TenantIndex maps names). A single-model
+	// service's one tenant is index 0 — the zero value.
 	Tenant int
 }
 
@@ -246,8 +250,7 @@ type Reply struct {
 	// deepest rung of the degrade ladder; slate truncation alone does not
 	// set it).
 	Degraded bool
-	// Tenant echoes the serving tenant's index (0 on the classic
-	// single-model service).
+	// Tenant echoes the serving tenant's index.
 	Tenant int
 }
 
@@ -257,8 +260,8 @@ type Reply struct {
 // percentiles, and the ratios derived from the ledger's sums. Merging
 // snapshots adds the ledgers and recomputes the rest.
 type Stats struct {
-	// Tenant is the tenant's name in per-tenant snapshots ("" for the
-	// classic single-model service and for whole-service aggregates).
+	// Tenant is the tenant's name — a single-model service's one tenant is
+	// named after its model — and "" in an aggregate over several tenants.
 	Tenant string
 	// Share is the tenant's configured relative traffic weight (0 in
 	// whole-service aggregates of a multi-tenant service).
@@ -659,8 +662,7 @@ func mergeTopN(recs []model.Ranked, n int) []model.Ranked {
 	return recs[:n]
 }
 
-// TenantCount returns the number of tenants (1 for the classic
-// single-model service).
+// TenantCount returns the number of tenants (1 for a single-model service).
 func (s *Service) TenantCount() int { return len(s.tenants) }
 
 // TenantIndex maps a tenant name to its index in Config.Tenants order.

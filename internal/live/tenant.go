@@ -25,12 +25,12 @@ import (
 // service's baseline. A tenant's fields are range-checked once, after that
 // inheritance (withDefaults below), so a bad value is refused wherever it
 // was written — on the tenant, or on the Config a tenant inherits it from.
-// The single-model service is the list of one such tenant, unnamed, that
-// Config.WithDefaults builds over Config.Model.
+// The single-model service is the list of one such tenant, named after its
+// model, that Config.WithDefaults builds over Config.Model.
 type TenantConfig struct {
 	// Name identifies the tenant in Query.Tenant lookups, Stats, and
-	// reports. Required, and unique, in Config.Tenants; only the synthesized
-	// tenant of a single-model Config has none.
+	// reports. Required, and unique, in Config.Tenants; the tenant
+	// WithDefaults builds over Config.Model is named Model.Cfg.Name.
 	Name string
 	// Model executes the tenant's forward passes (required). Tenants must
 	// not share a *model.Model instance: per-tenant embedding-store
@@ -72,13 +72,9 @@ type TenantConfig struct {
 
 // withDefaults fills one tenant's unset fields from the shared config and
 // validates the result — the only range check a per-tenant field gets,
-// whether the tenant set it or inherited it. Errors name the tenant; the
-// anonymous tenant of a single-model Config has no name to give.
+// whether the tenant set it or inherited it. Errors name the tenant.
 func (tc TenantConfig) withDefaults(cfg Config, idx int) (TenantConfig, error) {
-	scope := ""
-	if tc.Name != "" {
-		scope = fmt.Sprintf("tenant %d (%s): ", idx, tc.Name)
-	}
+	scope := fmt.Sprintf("tenant %d (%s): ", idx, tc.Name)
 	if tc.Model == nil {
 		return tc, fmt.Errorf("live: %sModel is required", scope)
 	}

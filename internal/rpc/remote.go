@@ -114,6 +114,10 @@ func NewRemoteReplica(target string, cfg RemoteConfig) (*RemoteReplica, error) {
 		client.Close()
 		return nil, fmt.Errorf("rpc: remote replica %s unreachable: %w", target, err)
 	}
+	if len(st.Tenants) == 0 {
+		client.Close()
+		return nil, fmt.Errorf("rpc: remote replica %s reports no tenants", target)
+	}
 	r := &RemoteReplica{
 		client:    client,
 		cfg:       cfg,
@@ -124,12 +128,6 @@ func NewRemoteReplica(target string, cfg RemoteConfig) (*RemoteReplica, error) {
 	}
 	for _, t := range st.Tenants {
 		r.tenants = append(r.tenants, t.Name)
-	}
-	if len(r.tenants) == 0 {
-		// Single-model server: one anonymous tenant, as in live.Config.WithDefaults.
-		r.tenants = []string{""}
-	}
-	for range r.tenants {
 		r.lat = append(r.lat, stats.NewWindow(512))
 	}
 	r.wireLost = make([]atomic.Uint64, len(r.tenants))
@@ -233,8 +231,7 @@ func (r *RemoteReplica) Snapshot() live.Snapshot {
 	snap := live.Snapshot{Tenants: make([]live.TenantSnapshot, len(r.tenants)), Scale: sz.Scale}
 	for i := range snap.Tenants {
 		t := &snap.Tenants[i]
-		t.Stats = sz.Service // single-model server: the anonymous tenant is the whole service
-		if i < len(sz.Tenants) {
+		if i < len(sz.Tenants) { // each fetched body is outside input
 			t.Stats = sz.Tenants[i].Stats
 		}
 		lost := r.wireLost[i].Load()

@@ -64,7 +64,8 @@ func newTestClient(t testing.TB, srv *Server, cfg ClientConfig) *Client {
 
 // stubBackend is a scriptable fleet.Backend for deterministic wire tests:
 // the submit hook sees a 1-based call number, so tests can fail the first
-// k calls, delay the nth, and so on.
+// k calls, delay the nth, and so on. By default it hosts one tenant named
+// after testModel's model, as a single-model NCF service does.
 type stubBackend struct {
 	tenants []string
 	submit  func(n uint64, ctx context.Context, q live.Query) (live.Reply, error)
@@ -76,7 +77,7 @@ type stubBackend struct {
 }
 
 func newStub(submit func(n uint64, ctx context.Context, q live.Query) (live.Reply, error)) *stubBackend {
-	s := &stubBackend{tenants: []string{""}, submit: submit}
+	s := &stubBackend{tenants: []string{"NCF"}, submit: submit}
 	s.batch.Store(16)
 	return s
 }
@@ -199,6 +200,34 @@ func TestTenantAddressing(t *testing.T) {
 	var re *Error
 	if !errors.As(err, &re) || re.Status != http.StatusBadRequest || re.Code != CodeBadRequest {
 		t.Fatalf("unknown tenant: got %v, want 400 bad_request", err)
+	}
+}
+
+// TestSingleModelTenantAddressing: a single-model server's one tenant is
+// named after its model, so a request may address it by that name and the
+// reply echoes it; any other name is still refused.
+func TestSingleModelTenantAddressing(t *testing.T) {
+	svc := newLiveService(t, live.Config{Model: testModel(t), Workers: 1, BatchSize: 16, Seed: 1})
+	srv := startServer(t, svc, ServerConfig{Model: "NCF"})
+	c := newTestClient(t, srv, ClientConfig{})
+
+	ctx := context.Background()
+	for _, tenant := range []string{"NCF", ""} {
+		resp, err := c.Recommend(ctx, RecommendRequest{Candidates: 32, Tenant: tenant})
+		if err != nil {
+			t.Fatalf("recommend to %q: %v", tenant, err)
+		}
+		if resp.Tenant != "NCF" {
+			t.Errorf("request to %q served by tenant %q, want NCF", tenant, resp.Tenant)
+		}
+	}
+	_, err := c.Recommend(ctx, RecommendRequest{Candidates: 32, Tenant: "WnD"})
+	var re *Error
+	if !errors.As(err, &re) || re.Status != http.StatusBadRequest || re.Code != CodeBadRequest {
+		t.Fatalf("unknown tenant: got %v, want 400 bad_request", err)
+	}
+	if st := svc.Stats(); st.Submitted != 2 {
+		t.Errorf("service ledger submitted %d, want 2 (the refused request reaches no ledger)", st.Submitted)
 	}
 }
 

@@ -86,9 +86,7 @@ func NewServer(b fleet.Backend, cfg ServerConfig) *Server {
 	s := &Server{b: b, cfg: cfg, tenantIdx: make(map[string]int)}
 	for i, t := range b.Snapshot().Tenants {
 		s.tenants = append(s.tenants, t.Tenant)
-		if t.Tenant != "" {
-			s.tenantIdx[t.Tenant] = i
-		}
+		s.tenantIdx[t.Tenant] = i
 	}
 	return s
 }

@@ -106,8 +106,8 @@ type RecommendRequest struct {
 	// TopN asks for the n highest-CTR items back (0 = serve and measure
 	// only, the load-driver mode).
 	TopN int `json:"topn,omitempty"`
-	// Tenant addresses a named tenant on a multi-tenant server ("" = the
-	// server's Share-weighted split, or the single model).
+	// Tenant addresses one of the server's tenants by name ("" = its first;
+	// a single-model server's one tenant is named after its model).
 	Tenant string `json:"tenant,omitempty"`
 }
 
@@ -129,7 +129,8 @@ type RecommendResponse struct {
 	// serving, as in live.Reply.
 	Offloaded bool `json:"offloaded,omitempty"`
 	Degraded  bool `json:"degraded,omitempty"`
-	// Tenant is the serving tenant's name ("" on a single-model server).
+	// Tenant is the serving tenant's name (a single-model server's one
+	// tenant is named after its model).
 	Tenant string `json:"tenant,omitempty"`
 }
 

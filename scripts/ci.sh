@@ -154,9 +154,11 @@ stage_serve_tenants() {
 }
 
 # The mixed-tenant churn soak: per-tenant counter conservation and fleet
-# totals == tenant sums across Add/Drain/Remove, under -race.
+# totals == tenant sums across Add/Drain/Remove, under -race; a member
+# serving another model refused at join, in process and over the wire; and
+# one policy value routing two fleets, each by its own tenant set.
 stage_tenant_soak() {
-  go test -race -count=1 -run 'TestMixedTenantFleetSoak|TestFleetTenantCap|TestTenantPartitionPlacement' ./internal/fleet/
+  go test -race -count=1 -run 'TestMixedTenantFleetSoak|TestFleetTenantCap|TestTenantPartitionPlacement|TestJoinRefusesAnotherModel|TestPolicySharedAcrossFleets' ./internal/fleet/
 }
 
 # The wire boundary under the race detector: server/client failure semantics,

@@ -135,8 +135,9 @@ type ServeOptions struct {
 	// ledger, contending for the same executor lanes. Submit splits
 	// un-addressed traffic across tenants by Share; SubmitTo addresses one
 	// tenant, and Stats().Tenants reports each tenant's own percentiles
-	// and counters. Empty = the classic single-model service. See
-	// TenantSpec and ParseTenants.
+	// and counters. Empty = the single-model service: one tenant over the
+	// System's own model (its table scale and store included), named after
+	// the model. See TenantSpec and ParseTenants.
 	Tenants []TenantSpec
 	// ShardTables splits the embedding-row space across the fleet's
 	// replicas: replica i of N maps only rows [R·i/N, R·(i+1)/N) of each
@@ -162,20 +163,17 @@ type ServeOptions struct {
 // DrainReplica, RemoveReplica). See docs/ARCHITECTURE.md for how the fleet
 // tier relates to the offline cluster simulator.
 //
-// And every Service serves a list of slots — the tenants of
-// ServeOptions.Tenants, or one anonymous slot over the System's own model.
-// Both are built, grown and drained by the same code; where the one slot's
-// name is "" the API reports no tenants (Tenants and Stats().Tenants nil,
-// Reply.Tenant "", SubmitTo refused, no split on Submit).
+// And every Service serves a list of named tenants — those of
+// ServeOptions.Tenants, or the one over the System's own model, named after
+// it, that a single-model Service is. Both are built, grown, drained and
+// reported by the same code: Submit splits across them by Share, SubmitTo
+// addresses one, and Stats().Tenants reports each.
 type Service struct {
 	fl      *fleet.Fleet
-	model   string
 	sharded bool // table rows split across replicas: membership is fixed
 
-	// slots is what the service serves, in live tenant order: the tenants of
-	// ServeOptions.Tenants, or the one anonymous slot (name "") over the
-	// System's own model that a single-model Service is. split is the
-	// Share-weighted splitter behind Submit; the anonymous slot has none.
+	// slots is what the service serves, in live tenant order, and split the
+	// Share-weighted splitter behind Submit.
 	slots []slot
 	split *tenantSplit
 
@@ -197,7 +195,7 @@ type Service struct {
 
 // slot is one (name, model) binding a Service serves.
 type slot struct {
-	name      string // tenant name; "" = the anonymous slot of a single-model Service
+	name      string // tenant name
 	model     string // zoo model served
 	tableRows int    // full logical rows per embedding table (0 = no tables)
 	cap       int    // TenantSpec.MaxOutstanding (0 = uncapped)
@@ -321,13 +319,14 @@ func (s *System) Serve(opts ServeOptions) (*Service, error) {
 			return nil, errors.New("deeprecsys: ShardTables is incompatible with AutoScale (the shard layout is fixed at Serve)")
 		}
 	}
-	svc := &Service{model: s.cfg.Name, sharded: opts.ShardTables, base: base}
+	svc := &Service{sharded: opts.ShardTables, base: base}
 	if len(opts.Tenants) > 0 {
 		err = s.tenantSlots(svc, opts)
 	} else {
 		err = s.systemSlot(svc, opts)
 	}
 	if err == nil {
+		svc.split = newTenantSplit(svc.base.Tenants)
 		err = s.startFleet(svc, opts, policy, chaos)
 	}
 	if err != nil {
@@ -337,20 +336,21 @@ func (s *System) Serve(opts ServeOptions) (*Service, error) {
 	return svc, nil
 }
 
-// systemSlot makes svc the single-model Service: one anonymous slot over the
-// System's own config, store and seed. It serves the system's cached
-// instance, so a Service shares weights with Recommend and the
+// systemSlot makes svc the single-model Service: one slot over the System's
+// own config, store and seed, named after its model. It serves the system's
+// cached instance, so a Service shares weights with Recommend and the
 // real-execution engine — except on a table-sharded fleet, which never
 // builds it: every replica maps only its shard, and at scale the full table
 // may not even be materializable on one host (that is the point of
 // sharding).
 func (s *System) systemSlot(svc *Service, opts ServeOptions) error {
-	svc.slots = []slot{newSlot("", s.cfg, s.seed, s.store)}
+	svc.slots = []slot{newSlot(s.cfg.Name, s.cfg, s.seed, s.store)}
+	svc.base.Tenants = []live.TenantConfig{{Name: s.cfg.Name}}
 	if opts.ShardTables {
 		return nil
 	}
 	m, err := s.modelInstance()
-	svc.base.Model = m
+	svc.base.Tenants[0].Model = m
 	return err
 }
 
@@ -483,22 +483,14 @@ func (s *Service) replicaConfig(speed float64, gpu bool, shard embstore.Shard, s
 	}
 	var built []*model.Model
 	for i, sl := range s.slots {
-		// live reads the anonymous slot's instance from Config.Model — the
-		// tenant it synthesizes there — and a named one's from its tenant.
-		inst := &cfg.Model
-		if sl.name != "" {
-			inst = &cfg.Tenants[i].Model
-		}
+		inst := &cfg.Tenants[i].Model
 		if sl.build == nil || sole && *inst != nil {
 			continue
 		}
 		m, err := sl.build(shard)
 		if err != nil {
 			closeModels(built)
-			if sl.name != "" {
-				err = fmt.Errorf("deeprecsys: tenant %s: %w", sl.name, err)
-			}
-			return live.Config{}, nil, err
+			return live.Config{}, nil, fmt.Errorf("deeprecsys: tenant %s: %w", sl.name, err)
 		}
 		built = append(built, m)
 		*inst = m
@@ -556,25 +548,20 @@ type Reply struct {
 	Degraded bool
 	// Replica is the ID of the replica that served the query.
 	Replica int
-	// Tenant is the name of the tenant that served the query ("" on a
-	// single-model Service) — on a plain Submit, the tenant the weighted
-	// split picked.
+	// Tenant is the name of the tenant that served the query — a
+	// single-model Service's one tenant is named after its model; on a plain
+	// Submit, the tenant the weighted split picked.
 	Tenant string
 }
 
 // Submit serves one live query: rank `candidates` items and return the
 // `topN` highest-CTR ones (topN 0 skips ranking; load drivers use it to
-// measure latency only). On a multi-tenant service the Share-weighted
-// split picks the serving tenant (SubmitTo addresses one explicitly); the
-// routing policy then picks the serving replica. Submit blocks
-// until the query completes, ctx is cancelled, or the service closes; it
-// is safe for concurrent use.
+// measure latency only). The Share-weighted split picks the serving tenant
+// (SubmitTo addresses one explicitly); the routing policy then picks the
+// serving replica. Submit blocks until the query completes, ctx is
+// cancelled, or the service closes; it is safe for concurrent use.
 func (s *Service) Submit(ctx context.Context, candidates, topN int) (Reply, error) {
-	q := live.Query{Candidates: candidates, TopN: topN}
-	if s.split != nil {
-		q.Tenant = s.split.next()
-	}
-	return s.submit(ctx, q)
+	return s.submit(ctx, live.Query{Candidates: candidates, TopN: topN, Tenant: s.split.next()})
 }
 
 // submit runs one tenant-resolved query through the serving stack.
@@ -608,9 +595,11 @@ type Ledger = live.Ledger
 // ServiceStats, ReplicaStats and TenantStats embed this one declaration.
 type Stats = live.Stats
 
-// ServiceStats is an online snapshot of a live Service.
+// ServiceStats is an online snapshot of a live Service: the aggregate over
+// its tenants, the per-replica breakdown, and the per-tenant one.
 type ServiceStats struct {
-	// Model is the served model's name.
+	// Model is the served model's name (the first tenant's, on a
+	// multi-tenant Service).
 	Model string
 	// Stats is the service-wide snapshot. Its Ledger sums over replicas
 	// (removed ones included) — except Submitted, which counts each query
@@ -633,21 +622,17 @@ type ServiceStats struct {
 	Healthy int
 	// Replicas is the number of routable replicas.
 	Replicas int
-	// TableRows is the full logical embedding-table row count the system
-	// was configured with (0 for models without tables), even when
-	// ShardTables splits it across replicas.
-	TableRows int
 	// RoutingPolicy is the router's name.
 	RoutingPolicy string
 	// PerReplica holds per-replica snapshots in replica-ID order: each
 	// entry carries that replica's own window, knobs, and ledger.
 	PerReplica []ReplicaStats
-	// Tenants holds per-tenant snapshots in ServeOptions.Tenants order
-	// (nil on a single-model Service). The top-level counters and
-	// percentiles aggregate across tenants; each Tenants entry carries one
-	// tenant's own window, knobs, and ledger, measured against its own
-	// SLA. Fleet totals equal the sum over tenants, membership churn
-	// included.
+	// Tenants holds per-tenant snapshots in tenant order (one entry, named
+	// after the model, on a single-model Service). The top-level counters
+	// and percentiles aggregate across tenants; each Tenants entry carries
+	// one tenant's own window, knobs, ledger and table geometry, measured
+	// against its own SLA. Fleet totals equal the sum over tenants,
+	// membership churn included.
 	Tenants []TenantStats
 }
 
@@ -666,7 +651,7 @@ type ReplicaStats = fleet.ReplicaStats
 func (s *Service) Stats() ServiceStats {
 	fst := s.fl.Stats()
 	st := ServiceStats{
-		Model:         s.model,
+		Model:         s.slots[0].model,
 		Stats:         fst.Stats,
 		Retried:       fst.Retried,
 		ScaleUps:      fst.ScaleUps,
@@ -677,15 +662,9 @@ func (s *Service) Stats() ServiceStats {
 		Replicas:      fst.Size,
 		RoutingPolicy: fst.Policy,
 		PerReplica:    fst.Replicas,
+		Tenants:       make([]TenantStats, len(fst.Tenants)),
 	}
 	st.Submitted = fst.FrontSubmitted
-	if s.split == nil {
-		// The anonymous slot is the service: its table geometry is the
-		// service's, and there are no tenants to list.
-		st.TableRows = s.slots[0].tableRows
-		return st
-	}
-	st.Tenants = make([]TenantStats, len(fst.Tenants))
 	for i, ft := range fst.Tenants {
 		st.Tenants[i] = TenantStats{
 			Name:        s.slots[i].name,

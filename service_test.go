@@ -10,10 +10,10 @@ import (
 	"github.com/deeprecinfra/deeprecsys/internal/model"
 )
 
-// TestSubmitToSingleModel pins that SubmitTo is a multi-tenant-only
-// surface, and that the one anonymous slot of a single-model Service shows
-// through nowhere: no tenants, no tenant on a reply, no splitter (and so no
-// mutex) on Submit — on a fleet of one and of two.
+// TestSubmitToSingleModel pins that a single-model Service is the one-tenant
+// case everywhere the API shows tenants: its one tenant is named after its
+// model, SubmitTo addresses it by that name, and Tenants(), Reply.Tenant and
+// Stats().Tenants all name it — on a fleet of one and of two.
 func TestSubmitToSingleModel(t *testing.T) {
 	sys, err := NewSystem("NCF", "skylake")
 	if err != nil {
@@ -25,26 +25,29 @@ func TestSubmitToSingleModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer svc.Close()
+		if got := svc.Tenants(); len(got) != 1 || got[0] != "NCF" {
+			t.Errorf("Tenants() = %v on a single-model NCF service, want [NCF]", got)
+		}
 		if _, err := svc.SubmitTo(context.Background(), "ncf", 10, 0); err == nil {
-			t.Error("SubmitTo accepted on a single-model service")
-		}
-		if got := svc.Tenants(); got != nil {
-			t.Errorf("Tenants() = %v on single-model service", got)
-		}
-		if svc.split != nil {
-			t.Error("single-model service holds a tenant splitter")
+			t.Error("SubmitTo accepted a tenant the service does not have")
 		}
 		for i := 0; i < 2*replicas; i++ {
 			reply, err := svc.Submit(context.Background(), 10, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if reply.Tenant != "" {
-				t.Errorf("%d replicas: Reply.Tenant = %q on a single-model service", replicas, reply.Tenant)
+			to, err := svc.SubmitTo(context.Background(), "NCF", 10, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reply.Tenant != "NCF" || to.Tenant != "NCF" {
+				t.Errorf("%d replicas: Reply.Tenant = %q (Submit), %q (SubmitTo), want NCF", replicas, reply.Tenant, to.Tenant)
 			}
 		}
-		if st := svc.Stats(); len(st.Tenants) != 0 {
-			t.Errorf("single-model Stats().Tenants = %+v", st.Tenants)
+		st := svc.Stats()
+		if len(st.Tenants) != 1 || st.Tenants[0].Name != "NCF" || st.Tenants[0].Model != "NCF" ||
+			st.Tenants[0].Ledger != st.Ledger || st.Tenants[0].Completed != uint64(4*replicas) {
+			t.Errorf("%d replicas: Stats().Tenants = %+v, want the one NCF tenant holding the whole ledger", replicas, st.Tenants)
 		}
 	}
 }

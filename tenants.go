@@ -152,10 +152,12 @@ type tenantSplit struct {
 	total float64
 }
 
-func newTenantSplit(shares []float64) *tenantSplit {
-	ts := &tenantSplit{w: shares, cur: make([]float64, len(shares))}
-	for _, w := range shares {
-		ts.total += w
+// newTenantSplit weighs each tenant by its Share (0 = 1, as live reads it).
+func newTenantSplit(tcs []live.TenantConfig) *tenantSplit {
+	ts := &tenantSplit{w: make([]float64, len(tcs)), cur: make([]float64, len(tcs))}
+	for i, tc := range tcs {
+		ts.w[i] = cmp.Or(tc.Share, 1)
+		ts.total += ts.w[i]
 	}
 	return ts
 }
@@ -175,11 +177,11 @@ func (ts *tenantSplit) next() int {
 }
 
 // tenantSlots makes svc multi-tenant: one slot per ServeOptions.Tenants
-// entry, its live.TenantConfig in svc.base.Tenants, and the Share-weighted
-// split behind Submit. A classic-table tenant's one instance is built here,
-// owned by svc and shared by every fleet member; a store-backed tenant's
-// instances are built per member by replicaConfig. Models built before a
-// failure are svc.closeOwned by the caller.
+// entry and its live.TenantConfig in svc.base.Tenants. A classic-table
+// tenant's one instance is built here, owned by svc and shared by every
+// fleet member; a store-backed tenant's instances are built per member by
+// replicaConfig. Models built before a failure are svc.closeOwned by the
+// caller.
 func (s *System) tenantSlots(svc *Service, opts ServeOptions) error {
 	if s.store != nil {
 		return errors.New("deeprecsys: ServeOptions.Tenants on a store-backed system (give each tenant its own store via TenantSpec.Store)")
@@ -190,7 +192,6 @@ func (s *System) tenantSlots(svc *Service, opts ServeOptions) error {
 	n := len(opts.Tenants)
 	svc.slots = make([]slot, 0, n)
 	svc.base.Tenants = make([]live.TenantConfig, n)
-	shares := make([]float64, n)
 	for i, spec := range opts.Tenants {
 		if spec.Model == "" {
 			return fmt.Errorf("deeprecsys: tenant %d: Model is required", i)
@@ -265,9 +266,7 @@ func (s *System) tenantSlots(svc *Service, opts ServeOptions) error {
 		}
 		svc.slots = append(svc.slots, sl)
 		svc.base.Tenants[i] = tc
-		shares[i] = cmp.Or(spec.Share, 1)
 	}
-	svc.split = newTenantSplit(shares)
 	return nil
 }
 
@@ -276,12 +275,9 @@ func (s *Service) slotIndex(name string) int {
 	return slices.IndexFunc(s.slots, func(sl slot) bool { return sl.name == name })
 }
 
-// Tenants returns the service's tenant names in tenant order (nil on a
-// single-model Service, whose one slot has no name).
+// Tenants returns the service's tenant names in tenant order (a
+// single-model Service's one tenant is named after its model).
 func (s *Service) Tenants() []string {
-	if s.split == nil {
-		return nil
-	}
 	names := make([]string, len(s.slots))
 	for i, sl := range s.slots {
 		names[i] = sl.name
@@ -292,9 +288,6 @@ func (s *Service) Tenants() []string {
 // SubmitTo serves one live query addressed to a named tenant, bypassing the
 // Share-weighted split. See Submit for the execution contract.
 func (s *Service) SubmitTo(ctx context.Context, tenant string, candidates, topN int) (Reply, error) {
-	if s.split == nil {
-		return Reply{}, errors.New("deeprecsys: SubmitTo on a single-model Service (set ServeOptions.Tenants)")
-	}
 	idx := s.slotIndex(tenant)
 	if idx < 0 {
 		return Reply{}, fmt.Errorf("deeprecsys: unknown tenant %q (have %s)", tenant, strings.Join(s.Tenants(), ", "))
@@ -302,10 +295,10 @@ func (s *Service) SubmitTo(ctx context.Context, tenant string, candidates, topN 
 	return s.submit(ctx, live.Query{Candidates: candidates, TopN: topN, Tenant: idx})
 }
 
-// TenantStats is the online snapshot of one tenant of a multi-tenant
-// Service: the tenant's own knobs, windowed percentiles against its own
-// SLA, and lifetime counter ledger, independent of its neighbors on the
-// shared lanes. The counters are fleet-merged (current replicas plus removed
+// TenantStats is the online snapshot of one tenant of a Service: the
+// tenant's own knobs, windowed percentiles against its own SLA, and
+// lifetime counter ledger, independent of its neighbors on the shared
+// lanes. The counters are fleet-merged (current replicas plus removed
 // ones) and the percentiles computed over the union of the tenant's
 // per-replica latency windows.
 type TenantStats struct {
@@ -330,6 +323,7 @@ type TenantStats struct {
 	CapShed     uint64
 	Shape       [2]float64
 	// TableRows is the full logical row count of each of the tenant model's
-	// embedding tables (0 for models without tables).
+	// embedding tables (0 for models without tables), even when ShardTables
+	// splits it across replicas.
 	TableRows int
 }

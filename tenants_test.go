@@ -2,6 +2,7 @@ package deeprecsys_test
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -156,11 +157,12 @@ func TestSubmitToAndTenantStats(t *testing.T) {
 	}
 }
 
-// TestSingleTenantDefaultIdentity is the regression pin required by the
-// issue: a one-tenant service at defaults is behaviorally identical to
-// the classic single-model path — same recommendations, same ledger — on
-// classic tables and on a store-backed fleet that is grown after Serve,
-// where every replica's cache counters must be its own in both forms.
+// TestSingleTenantDefaultIdentity: a one-tenant service at defaults is the
+// single-model service under another spelling — same recommendations, same
+// ledger, and the same one tenant (name, model, table geometry, ledger) on
+// every reply and in Stats — on classic tables and on a store-backed fleet
+// that is grown after Serve, where every replica's cache counters must be
+// its own in both forms.
 func TestSingleTenantDefaultIdentity(t *testing.T) {
 	const storeSpec, rows = "synth,cache=lru:500", 20000
 	cases := []struct {
@@ -177,7 +179,7 @@ func TestSingleTenantDefaultIdentity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			serve := func(sysOpts []deeprecsys.Option, tenants []deeprecsys.TenantSpec) ([]deeprecsys.Recommendation, deeprecsys.ServiceStats) {
+			serve := func(sysOpts []deeprecsys.Option, tenants []deeprecsys.TenantSpec) ([]deeprecsys.Recommendation, []string, deeprecsys.ServiceStats) {
 				sys, err := deeprecsys.NewSystem("NCF", "skylake", append(sysOpts, deeprecsys.WithSeed(7))...)
 				if err != nil {
 					t.Fatal(err)
@@ -198,18 +200,20 @@ func TestSingleTenantDefaultIdentity(t *testing.T) {
 					}
 				}
 				var recs []deeprecsys.Recommendation
+				var served []string
 				for i := 0; i < 6; i++ {
 					reply, err := svc.Submit(context.Background(), 25+i, 4)
 					if err != nil {
 						t.Fatal(err)
 					}
 					recs = append(recs, reply.Recs...)
+					served = append(served, reply.Tenant)
 				}
-				return recs, svc.Stats()
+				return recs, served, svc.Stats()
 			}
 
-			classicRecs, classicStats := serve(tc.sysOpts, nil)
-			tenantRecs, tenantStats := serve(nil, []deeprecsys.TenantSpec{tc.tenant})
+			classicRecs, classicServed, classicStats := serve(tc.sysOpts, nil)
+			tenantRecs, tenantServed, tenantStats := serve(nil, []deeprecsys.TenantSpec{tc.tenant})
 
 			if len(classicRecs) != len(tenantRecs) {
 				t.Fatalf("rec counts differ: %d vs %d", len(classicRecs), len(tenantRecs))
@@ -222,10 +226,16 @@ func TestSingleTenantDefaultIdentity(t *testing.T) {
 			if classicStats.Ledger != tenantStats.Ledger || classicStats.BatchSize != tenantStats.BatchSize {
 				t.Errorf("counters diverge:\nclassic %+v\ntenant  %+v", classicStats, tenantStats)
 			}
-			if classicStats.Tenants != nil || len(tenantStats.Tenants) != 1 ||
-				tenantStats.Tenants[0].TableRows != classicStats.TableRows {
-				t.Errorf("tenant views: classic %+v, tenant %+v (service TableRows %d)",
-					classicStats.Tenants, tenantStats.Tenants, classicStats.TableRows)
+			if !slices.Equal(classicServed, tenantServed) || classicServed[0] != "NCF" {
+				t.Errorf("Reply.Tenant: single-model %q, one-tenant %q, want NCF on every reply", classicServed, tenantServed)
+			}
+			if len(classicStats.Tenants) != 1 || len(tenantStats.Tenants) != 1 {
+				t.Fatalf("Stats().Tenants: single-model %d entries, one-tenant %d, want 1 each", len(classicStats.Tenants), len(tenantStats.Tenants))
+			}
+			ct, tt := classicStats.Tenants[0], tenantStats.Tenants[0]
+			if ct.Name != "NCF" || ct.Name != tt.Name || ct.Model != tt.Model || ct.TableRows != tt.TableRows || ct.Ledger != tt.Ledger {
+				t.Errorf("tenant entries diverge:\nsingle-model %s/%s %d rows %+v\none-tenant   %s/%s %d rows %+v",
+					ct.Name, ct.Model, ct.TableRows, ct.Ledger, tt.Name, tt.Model, tt.TableRows, tt.Ledger)
 			}
 			if !tc.grow {
 				return
