@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
+	"github.com/deeprecinfra/deeprecsys/internal/stats"
 	"github.com/deeprecinfra/deeprecsys/internal/workload"
 )
 
@@ -136,14 +138,17 @@ func (st *serviceTimes) gpuQuery(size int) time.Duration {
 
 // Search carries what the capacity searches of one hill climb share: the
 // pre-generated query-stream shape and a reusable realization buffer, the
-// sizes behind the utilization estimate, and the service-time table every
-// probe reads — all fixed by the engine and the SearchOpts, none by the
-// configuration searched. One seeded stream shape serves every probed rate of
-// every configuration — only the arrival gaps scale — so a climb stops
-// regenerating the identical workload per evaluation and re-pricing the
-// engine per search. Per configuration it holds only the per-query service
-// demand behind the stability pre-filter. A Search is not safe for concurrent
-// use.
+// sizes behind the utilization estimate, the service-time table every probe
+// reads, and the latency buffers every probe fills — all fixed by the engine
+// and the SearchOpts, none by the configuration searched. One seeded stream
+// shape serves every probed rate of every configuration — only the arrival
+// gaps scale — so a climb stops regenerating the identical workload per
+// evaluation and re-pricing the engine per search. Per configuration it holds
+// the per-query service demand behind the stability pre-filter and the best
+// probe so far. A warm Search's probes allocate nothing: the running probe
+// fills one samples buffer, the best passing probe's are kept in another, and
+// the two swap when a probe passes; a search allocates once, the copy of the
+// kept samples its Result returns. A Search is not safe for concurrent use.
 type Search struct {
 	e    Engine
 	opts SearchOpts
@@ -152,6 +157,13 @@ type Search struct {
 	buf       []workload.Query
 	times     *serviceTimes
 	utilSizes [utilSampleQueries]int
+
+	// probed holds the running probe's samples, kept the best passing
+	// probe's, whose Result, aliasing kept, is best. scratch is where a
+	// probe's p95 is selected and the returned Result summarized, so
+	// neither reorders a probe's samples.
+	probed, kept, scratch []float64
+	best                  Result
 
 	cfg         Config
 	perQueryCPU float64
@@ -239,13 +251,20 @@ func (s *Search) overloaded(qps float64) bool {
 }
 
 // evaluate is Evaluate with the probe-invariant state hoisted: identical
-// semantics, shared stream shape and service-time table. The stream is
-// generated lazily so a rate the pre-filter rejects costs no stream
-// generation at all.
+// semantics, shared stream shape and service-time table.
 func (s *Search) evaluate(qps float64) (Result, bool) {
 	if s.overloaded(qps) {
 		return Result{}, false
 	}
+	res, _ := run(s.cfg, s.arrivals(qps), s.times, make([]float64, 0, s.opts.Queries), never)
+	res.Latency = stats.Summarize(res.LatencySamples)
+	return res, s.meets(res)
+}
+
+// arrivals realizes the stream at qps into the search's buffer, counting a
+// simulation. The stream is generated lazily so a search whose every rate
+// the pre-filter rejects costs no stream generation at all.
+func (s *Search) arrivals(qps float64) []workload.Query {
 	if s.stream == nil {
 		switch s.opts.Arrivals {
 		case "", "poisson":
@@ -256,15 +275,63 @@ func (s *Search) evaluate(qps float64) (Result, bool) {
 			panic(fmt.Sprintf("serving: unknown arrival process %q", s.opts.Arrivals))
 		}
 		s.buf = make([]workload.Query, 0, s.opts.Queries)
+		n := s.opts.Queries
+		samples := make([]float64, 3*n)
+		s.probed, s.kept, s.scratch = samples[:0:n], samples[n:n:2*n], samples[2*n:2*n]
 	}
 	s.simulated++
 	s.buf = s.stream.AppendQueriesAt(s.buf[:0], qps)
-	res := run(s.cfg, s.buf, s.times)
+	return s.buf
+}
+
+// meets reports whether a run of the search's stream meets the SLA at p95
+// and drained promptly.
+func (s *Search) meets(res Result) bool {
 	if res.Measured == 0 || res.P95() > s.opts.SLA {
-		return res, false
+		return false
 	}
 	drain := res.Duration - s.buf[len(s.buf)-1].Arrival
-	return res, drain <= 2*s.opts.SLA
+	return drain <= 2*s.opts.SLA
+}
+
+// stopMargin is how far past the SLA a probe's latency must be to count
+// toward stopping it: the margin covers the p95's interpolation rounding and
+// Result.P95's truncation to whole nanoseconds, so a stopped probe is one
+// that would have missed.
+const stopMargin = time.Microsecond
+
+// probe is evaluate for the search's own probes: it decides what evaluate
+// decides at qps, but a run stops as soon as its p95 is certain to miss the
+// SLA, the p95 of one that finishes is selected rather than sorted out, and
+// nothing is allocated. A passing probe becomes s.best, its samples s.kept;
+// its Latency holds only P95 until result summarizes it.
+func (s *Search) probe(qps float64) bool {
+	if s.overloaded(qps) {
+		return false
+	}
+	res, finished := run(s.cfg, s.arrivals(qps), s.times, s.probed[:0], s.opts.SLA+stopMargin)
+	s.probed = res.LatencySamples
+	if !finished || res.Measured == 0 {
+		return false
+	}
+	s.scratch = append(s.scratch[:0], res.LatencySamples...)
+	res.Latency.P95 = stats.SelectPercentile(s.scratch, 95)
+	if !s.meets(res) {
+		return false
+	}
+	s.best = res
+	s.probed, s.kept = s.kept, s.probed
+	return true
+}
+
+// result returns s.best, summarized, with a copy of its samples: the one
+// allocation of a warm search.
+func (s *Search) result() Result {
+	res := s.best
+	res.LatencySamples = slices.Clone(s.kept)
+	s.scratch = append(s.scratch[:0], s.kept...)
+	res.Latency = stats.SummarizeInPlace(s.scratch)
+	return res
 }
 
 // MaxQPS finds the highest arrival rate (Poisson by default; see
@@ -315,8 +382,7 @@ func (s *Search) MaxQPS(cfg Config) (float64, Result) {
 // maxQPS searches the configuration s is set to.
 func (s *Search) maxQPS() (float64, Result) {
 	lo := 1.0
-	bestRes, ok := s.evaluate(lo)
-	if !ok {
+	if !s.probe(lo) {
 		return 0, Result{}
 	}
 
@@ -324,25 +390,25 @@ func (s *Search) maxQPS() (float64, Result) {
 	for hi <= s.opts.MaxQPS && !s.overloaded(hi) {
 		hi *= 2
 	}
-	for probe := hi / 2; probe > lo; probe /= 2 {
-		if r, ok := s.evaluate(probe); ok {
-			lo, bestRes = probe, r
+	for rate := hi / 2; rate > lo; rate /= 2 {
+		if s.probe(rate) {
+			lo = rate
 			break
 		}
-		hi = probe
+		hi = rate
 	}
 	if hi > s.opts.MaxQPS {
-		return lo, bestRes
+		return lo, s.result()
 	}
 
 	// Bisect to tolerance.
 	for hi/lo-1 > s.opts.RelTol {
 		mid := (lo + hi) / 2
-		if r, ok := s.evaluate(mid); ok {
-			lo, bestRes = mid, r
+		if s.probe(mid) {
+			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return lo, bestRes
+	return lo, s.result()
 }

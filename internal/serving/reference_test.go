@@ -196,7 +196,7 @@ func checkedRun(t *testing.T, name string, e Engine, cfg Config, queries []workl
 	times := newServiceTimes(e, cfg.BatchSize)
 	defer times.release()
 	s := new(server)
-	s.reset(cfg, queries, times)
+	s.reset(cfg, queries, times, nil, never)
 	check := func() {
 		sum := 0
 		for _, r := range s.running {
@@ -231,7 +231,7 @@ func checkedRun(t *testing.T, name string, e Engine, cfg Config, queries []workl
 	if want := max(len(queries)-cfg.Warmup, 0); s.measured != want || s.busy != 0 {
 		t.Fatalf("%s: %d queries measured, want %d; %d cores busy at the end", name, s.measured, want, s.busy)
 	}
-	return s.latencies.Samples()
+	return s.samples
 }
 
 // compareWithReference holds one Run to the per-request reference by bits

@@ -51,7 +51,9 @@ type Result struct {
 	Latency stats.Summary
 	// LatencySamples holds the raw measured latencies (seconds) backing
 	// Latency, in completion order. Fleet experiments aggregate these
-	// across nodes for datacenter-wide percentiles.
+	// across nodes for datacenter-wide percentiles. The slice belongs to
+	// the caller: a capacity search copies it, once per search, out of
+	// the buffer its probes reuse.
 	LatencySamples []float64
 	// Measured is the number of queries contributing to Latency.
 	Measured int
@@ -166,13 +168,23 @@ type server struct {
 	// allocation per arrival.
 	querySlab []query
 
-	gpuQueue    []*query
-	gqHead      int
-	gpuInFlight int
-	gpuStreams  int
-	gpuTotal    time.Duration
+	// The accelerator: queued queries by querySlab index, and the ones
+	// occupying a stream with the sequence number of their completion
+	// event, which the one pre-bound gpuDoneFn looks up by FiringSeq.
+	gpuQueue   []int32
+	gqHead     int
+	gpuFlight  []gpuJob
+	gpuDoneFn  func()
+	gpuStreams int
+	gpuTotal   time.Duration
 
-	latencies  *stats.Recorder
+	// samples receives every measured latency. A run that may stop early
+	// counts the latencies above missAbove and stops the simulation once
+	// misses reaches stopAt: the p95 can no longer meet the SLA.
+	samples    []float64
+	missAbove  time.Duration
+	misses     int
+	stopAt     int
 	measured   int
 	cpuItems   int64
 	gpuItems   int64
@@ -195,26 +207,35 @@ func Run(e Engine, cfg Config, queries []workload.Query) Result {
 	}
 	times := newServiceTimes(e, cfg.BatchSize)
 	defer times.release()
-	return run(cfg, queries, times)
+	res, _ := run(cfg, queries, times, make([]float64, 0, len(queries)), never)
+	res.Latency = stats.Summarize(res.LatencySamples)
+	return res
 }
 
+// never is the miss bound of a run that does not stop early.
+const never = time.Duration(math.MaxInt64)
+
 // run is Run on the caller's service-time table, for a configuration the
-// caller has validated against the table's engine.
-func run(cfg Config, queries []workload.Query, times *serviceTimes) Result {
+// caller has validated against the table's engine. It appends the latency
+// samples to samples and leaves Latency for the caller to summarize. Unless
+// missAbove is never, the run stops as soon as enough measured queries have
+// taken longer than missAbove that its p95 must too, and then reports false
+// and only LatencySamples, for the caller to reuse.
+func run(cfg Config, queries []workload.Query, times *serviceTimes, samples []float64, missAbove time.Duration) (Result, bool) {
 	if len(queries) == 0 {
 		panic("serving: empty query stream")
 	}
 	s := serverPool.Get().(*server)
-	s.reset(cfg, queries, times)
+	s.reset(cfg, queries, times, samples, missAbove)
 	s.sim.At(queries[0].Arrival, s.feedFn)
 	s.sim.Run()
 
-	res := Result{
-		Latency:        s.latencies.Summary(),
-		LatencySamples: s.latencies.Samples(),
-		Measured:       s.measured,
-		Duration:       s.lastFinish,
+	res := Result{LatencySamples: s.samples}
+	if s.misses >= s.stopAt {
+		s.releaseToPool()
+		return res, false
 	}
+	res.Measured, res.Duration = s.measured, s.lastFinish
 	// The offered rate is inter-arrival based: last minus first arrival,
 	// not last alone — a recorded trace preserves absolute offsets, so a
 	// stream captured mid-day starts nowhere near t=0.
@@ -232,11 +253,11 @@ func run(cfg Config, queries []workload.Query, times *serviceTimes) Result {
 		res.GPUWorkShare = float64(s.gpuItems) / float64(items)
 	}
 	s.releaseToPool()
-	return res
+	return res, true
 }
 
 // reset prepares a pooled server for one run, reusing backing storage.
-func (s *server) reset(cfg Config, queries []workload.Query, times *serviceTimes) {
+func (s *server) reset(cfg Config, queries []workload.Query, times *serviceTimes, samples []float64, missAbove time.Duration) {
 	if s.sim == nil {
 		s.sim = sim.New()
 	} else {
@@ -245,6 +266,7 @@ func (s *server) reset(cfg Config, queries []workload.Query, times *serviceTimes
 	if s.feedFn == nil {
 		s.feedFn = s.feed
 		s.completeFn = s.completeCPU
+		s.gpuDoneFn = s.gpuDone
 	}
 	s.cfg = cfg
 	s.times = times
@@ -274,10 +296,20 @@ func (s *server) reset(cfg Config, queries []workload.Query, times *serviceTimes
 
 	s.gpuQueue = s.gpuQueue[:0]
 	s.gqHead = 0
-	s.gpuInFlight = 0
+	s.gpuFlight = s.gpuFlight[:0]
 	s.gpuTotal = 0
 
-	s.latencies = stats.NewRecorder(len(queries)) // escapes via Result
+	s.samples = samples
+	s.missAbove = missAbove
+	s.misses = 0
+	s.stopAt = math.MaxInt
+	if m := len(queries) - cfg.Warmup; m > 0 {
+		// The p95 interpolates upward from rank ⌊0.95·(m−1)⌋ of the m
+		// sorted samples (stats.Percentile's rank, by its expression): once
+		// the samples above that rank and the one at it all exceed
+		// missAbove, so does the p95, up to the interpolation's rounding.
+		s.stopAt = m - int(math.Floor(95.0/100*float64(m-1)))
+	}
 	s.measured = 0
 	s.cpuItems, s.gpuItems = 0, 0
 	s.gpuQueries, s.cpuQueries = 0, 0
@@ -285,12 +317,11 @@ func (s *server) reset(cfg Config, queries []workload.Query, times *serviceTimes
 }
 
 // releaseToPool drops references the pool must not retain and returns the
-// server for reuse. The recorder is not recycled: its samples alias the
-// returned Result.
+// server for reuse. The samples are not recycled: they belong to the caller.
 func (s *server) releaseToPool() {
 	s.times = nil
 	s.queries = nil
-	s.latencies = nil
+	s.samples = nil
 	serverPool.Put(s)
 }
 
@@ -394,7 +425,7 @@ func (s *server) arrive(idx int, wq workload.Query, measured bool) {
 	if s.cfg.GPUThreshold > 0 && wq.Size >= s.cfg.GPUThreshold {
 		s.gpuQueries++
 		s.gpuItems += int64(wq.Size)
-		s.gpuQueue = append(s.gpuQueue, q)
+		s.gpuQueue = append(s.gpuQueue, int32(idx))
 		s.kickGPU()
 		return
 	}
@@ -468,25 +499,41 @@ func (s *server) completeCPU() {
 	s.scheduleNextCompletion()
 }
 
+// gpuJob is a query occupying an accelerator stream, by querySlab index,
+// and the sequence number of its completion event.
+type gpuJob struct {
+	seq   int64
+	query int32
+}
+
 // kickGPU starts the accelerator on queued queries while stream slots are
 // free. Each in-flight query occupies one stream for its full service time.
 func (s *server) kickGPU() {
-	for s.gpuInFlight < s.gpuStreams && s.gqHead < len(s.gpuQueue) {
-		q := s.gpuQueue[s.gqHead]
+	for len(s.gpuFlight) < s.gpuStreams && s.gqHead < len(s.gpuQueue) {
+		idx := s.gpuQueue[s.gqHead]
 		s.gqHead++
-		s.gpuInFlight++
-		service := s.times.gpuQuery(q.size)
+		service := s.times.gpuQuery(s.querySlab[idx].size)
 		s.gpuTotal += service
-		s.sim.After(service, func() {
-			s.gpuInFlight--
-			s.finish(q)
-			s.kickGPU()
-		})
+		s.gpuFlight = append(s.gpuFlight, gpuJob{seq: s.sim.After(service, s.gpuDoneFn), query: idx})
 	}
 	if s.gqHead == len(s.gpuQueue) {
 		s.gpuQueue = s.gpuQueue[:0]
 		s.gqHead = 0
 	}
+}
+
+// gpuDone frees the stream of the query whose completion event is firing,
+// finishes the query and refills the stream.
+func (s *server) gpuDone() {
+	i, seq := 0, s.sim.FiringSeq()
+	for s.gpuFlight[i].seq != seq {
+		i++
+	}
+	idx, last := s.gpuFlight[i].query, len(s.gpuFlight)-1
+	s.gpuFlight[i] = s.gpuFlight[last]
+	s.gpuFlight = s.gpuFlight[:last]
+	s.finish(&s.querySlab[idx])
+	s.kickGPU()
 }
 
 // finish records one completed query.
@@ -496,7 +543,13 @@ func (s *server) finish(q *query) {
 		s.lastFinish = now
 	}
 	if q.measured {
-		s.latencies.Add((now - q.arrival).Seconds())
+		latency := now - q.arrival
+		s.samples = append(s.samples, latency.Seconds())
 		s.measured++
+		if latency > s.missAbove {
+			if s.misses++; s.misses == s.stopAt {
+				s.sim.Stop()
+			}
+		}
 	}
 }

@@ -33,11 +33,12 @@ func (e event) before(o event) bool {
 // events per capacity search, and container/heap's interface{} boxing costs
 // one allocation per push.
 type Sim struct {
-	now    time.Duration
-	queue  []event // binary min-heap ordered by event.before
-	seq    int64
-	fired  int64
-	firing int64 // seq of the event currently executing (0 = none)
+	now     time.Duration
+	queue   []event // binary min-heap ordered by event.before
+	seq     int64
+	fired   int64
+	firing  int64 // seq of the event currently executing (0 = none)
+	stopped bool
 }
 
 // New returns an empty simulation with the clock at zero.
@@ -46,15 +47,23 @@ func New() *Sim {
 }
 
 // Reset returns the simulation to its initial state — clock at zero, no
-// pending events — retaining the event queue's backing storage. It lets a
-// pooled server reuse one Sim across runs without reallocating the heap.
+// pending events, not stopped — retaining the event queue's backing storage.
+// It lets a pooled server reuse one Sim across runs without reallocating the
+// heap.
 func (s *Sim) Reset() {
 	s.now = 0
 	s.queue = s.queue[:0]
 	s.seq = 0
 	s.fired = 0
 	s.firing = 0
+	s.stopped = false
 }
+
+// Stop makes Run return once the executing event's callback does: no later
+// event fires, and those still pending stay queued until Reset. A caller
+// that already knows how the run ends — a capacity probe certain to miss its
+// SLA — stops paying for the rest of it.
+func (s *Sim) Stop() { s.stopped = true }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Duration { return s.now }
@@ -94,15 +103,16 @@ func (s *Sim) After(d time.Duration, fn func()) int64 {
 // knows it is a stale heap entry.
 func (s *Sim) FiringSeq() int64 { return s.firing }
 
-// Run executes events until the queue is empty.
+// Run executes events until the queue is empty or an event calls Stop.
 func (s *Sim) Run() {
-	for len(s.queue) > 0 {
+	for len(s.queue) > 0 && !s.stopped {
 		s.step()
 	}
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
-// t. Events scheduled beyond t remain pending.
+// t. Events scheduled beyond t remain pending. RunUntil does not honour
+// Stop: only Run does.
 func (s *Sim) RunUntil(t time.Duration) {
 	for len(s.queue) > 0 && s.queue[0].at <= t {
 		s.step()

@@ -2,14 +2,15 @@
 // DeepRecInfra: percentile estimation over latency samples, empirical CDFs,
 // and aggregate summaries such as the geometric mean.
 //
-// All functions are deterministic and operate on float64 samples. Latency
-// recorders in internal/serving convert durations to seconds before handing
-// them to this package.
+// All functions are deterministic and operate on float64 samples. The
+// serving simulator and the live path convert durations to seconds before
+// handing them to this package.
 package stats
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -34,17 +35,74 @@ func Percentile(samples []float64, p float64) float64 {
 
 // percentileSorted computes the percentile of an already-sorted slice.
 func percentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
+	lo, hi, frac := ranks(len(sorted), p)
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// ranks returns the two closest ranks the p-th percentile of n sorted
+// samples interpolates between, and the weight of the upper one.
+func ranks(n int, p float64) (lo, hi int, frac float64) {
+	rank := p / 100 * float64(n-1)
+	lo, hi = int(math.Floor(rank)), int(math.Ceil(rank))
+	return lo, hi, rank - float64(lo)
+}
+
+// SelectPercentile returns Percentile(samples, p) bit for bit, in O(n): it
+// selects the two order statistics Percentile interpolates between instead
+// of sorting, and reorders samples in doing so. Samples must not be NaN; a
+// zero result may differ in sign where -0 and +0 tie at those ranks, whose
+// order sort leaves unspecified too.
+func SelectPercentile(samples []float64, p float64) float64 {
+	if len(samples) == 0 {
+		panic("stats: SelectPercentile of empty sample set")
+	}
+	lo, hi, frac := ranks(len(samples), p)
+	selectRank(samples, lo)
+	if lo == hi {
+		return samples[lo]
+	}
+	next := samples[hi]
+	for _, v := range samples[hi+1:] {
+		next = min(next, v)
+	}
+	return samples[lo]*(1-frac) + next*frac
+}
+
+// selectRank reorders x so that x[k] holds the k-th smallest value, with no
+// larger value before it and no smaller one after it (Hoare's FIND, with a
+// median-of-three pivot).
+func selectRank(x []float64, k int) {
+	lo, hi := 0, len(x)-1
+	for lo < hi {
+		a, b, c := x[lo], x[lo+(hi-lo)/2], x[hi]
+		pivot := max(min(a, b), min(max(a, b), c))
+		i, j := lo, hi
+		for i <= j {
+			for x[i] < pivot {
+				i++
+			}
+			for pivot < x[j] {
+				j--
+			}
+			if i <= j {
+				x[i], x[j] = x[j], x[i]
+				i++
+				j--
+			}
+		}
+		// x[lo:j+1] <= pivot, x[j+1:i] == pivot, x[i:hi+1] >= pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // Summary holds the aggregate statistics of a sample set. It is the unit of
@@ -65,11 +123,16 @@ type Summary struct {
 // Summarize computes a Summary of samples. It returns the zero Summary when
 // samples is empty so callers can report "no data" without a special case.
 func Summarize(samples []float64) Summary {
+	return SummarizeInPlace(slices.Clone(samples))
+}
+
+// SummarizeInPlace is Summarize on samples the caller lets it sort: it
+// reorders samples instead of copying them.
+func SummarizeInPlace(samples []float64) Summary {
 	if len(samples) == 0 {
 		return Summary{}
 	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
+	sorted := samples
 	sort.Float64s(sorted)
 
 	var sum, sumSq float64

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -188,15 +189,50 @@ func TestCDFMonotonicProperty(t *testing.T) {
 	}
 }
 
-func TestRecorder(t *testing.T) {
-	r := NewRecorder(4)
-	for i := 1; i <= 100; i++ {
-		r.Add(float64(i))
+// TestSelectPercentileMatchesPercentile: selecting the two order statistics
+// gives Percentile's bits on the shapes a selection gets wrong first — one
+// and two samples, runs of ties, signed zeros, already sorted and reversed
+// input — and on random sizes around the 350 measured queries of a capacity
+// probe.
+func TestSelectPercentileMatchesPercentile(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := [][]float64{
+		{42}, {negZero}, {2, 1}, {1, 1}, {3, 3, 3, 3, 3},
+		{negZero, 0}, {0, negZero}, {negZero, negZero, 1}, {0, negZero, 0, -1, 2},
+		{5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5},
 	}
-	if n := len(r.Samples()); n != 100 {
-		t.Fatalf("len(Samples) = %d, want 100", n)
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{20, 21, 40, 41, 100, 349, 350, 351, 1000} {
+		ramp, exp, ties := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range ramp {
+			ramp[i] = float64(i)
+			exp[i] = rng.ExpFloat64() * 1e-3
+			ties[i] = float64(rng.Intn(4)) * 0.25
+		}
+		rev := slices.Clone(ramp)
+		slices.Reverse(rev)
+		cases = append(cases, ramp, rev, exp, ties)
 	}
-	if got := r.Summary().P95; math.Abs(got-95.05) > 1e-9 {
-		t.Errorf("P95 = %v, want 95.05", got)
+	for i := 0; i < 200; i++ {
+		x := make([]float64, 300+rng.Intn(101))
+		for j := range x {
+			x[j] = rng.NormFloat64()
+		}
+		cases = append(cases, x)
+	}
+	for _, x := range cases {
+		// Where -0 and +0 tie at a selected rank neither sort nor selection
+		// orders them, so a zero result is held by value, not by sign.
+		zero := func(neg bool) bool {
+			return slices.ContainsFunc(x, func(v float64) bool { return v == 0 && math.Signbit(v) == neg })
+		}
+		bothZeros := zero(true) && zero(false)
+		for _, p := range []float64{0, 50, 95, 99, 100} {
+			want := Percentile(x, p)
+			got := SelectPercentile(slices.Clone(x), p)
+			if math.Float64bits(got) != math.Float64bits(want) && !(bothZeros && got == 0 && want == 0) {
+				t.Fatalf("n=%d p%v: selected %v, Percentile %v (%v)", len(x), p, got, want, x)
+			}
+		}
 	}
 }

@@ -5,40 +5,15 @@ import (
 	"sync"
 )
 
-// Recorder accumulates float64 observations for later summarization. It is
-// the building block of latency accounting in the serving engine: one
-// Recorder per metric (query latency, queueing delay, service time, ...).
-//
-// Recorder is not safe for concurrent use; the discrete-event simulator is
-// single-threaded by construction.
-type Recorder struct {
-	samples []float64
-}
-
-// NewRecorder returns a Recorder with capacity hint n.
-func NewRecorder(n int) *Recorder {
-	return &Recorder{samples: make([]float64, 0, n)}
-}
-
-// Add records one observation.
-func (r *Recorder) Add(x float64) { r.samples = append(r.samples, x) }
-
-// Samples returns the raw observations. The returned slice aliases the
-// recorder's storage; callers must not mutate it.
-func (r *Recorder) Samples() []float64 { return r.samples }
-
-// Summary returns the Summary of the recorded observations.
-func (r *Recorder) Summary() Summary { return Summarize(r.samples) }
-
 // Window is a concurrency-safe sliding window over the most recent N
 // observations. It backs *online* tail-latency tracking in the live serving
 // path: many worker goroutines Add measured latencies while a controller
 // and operator-facing stats reads concurrently estimate the current p95.
 //
-// Unlike Recorder (unbounded, single-threaded, for offline simulation
-// runs), a Window bounds memory and deliberately forgets: the p95 it
-// reports tracks the *current* operating point, which is what an online
-// tail-driven controller must react to.
+// Unlike the offline simulator's samples (every measured query of a
+// single-threaded run), a Window bounds memory and deliberately forgets: the
+// p95 it reports tracks the *current* operating point, which is what an
+// online tail-driven controller must react to.
 type Window struct {
 	mu    sync.Mutex
 	ring  []float64

@@ -75,12 +75,15 @@ stage_backend_simd() { go test -count=1 -v -run 'SIMD|Backend|Panel|ReLU|Pool' $
 # top-down capacity bracket against the ascending probe it replaced (naming
 # the test by -run also enables its full 27,648-search grid, a few minutes);
 # one Search reused through a whole climb, in any order, against a fresh
-# search per configuration; the benchmark's 24 pinned tuning decisions and the
-# capacity searches each took; and every quick-fidelity artifact against its
-# golden rendering.
+# search per configuration; every probe that stops once its p95 is certain to
+# miss against the full run, which must miss, and every one that does not
+# against the full run, by bits; a warm search allocating only its Result's
+# samples, and the probe's selected p95 against the sorted one; the
+# benchmark's 24 pinned tuning decisions and the capacity searches each took;
+# and every quick-fidelity artifact against its golden rendering.
 stage_offline_identity() {
-  go test -count=1 -run 'TestRunBitsPinned|TestRunMatchesPerRequestReference|TestMaxQPSMatchesAscendingProbe|TestSearchReuseMatchesFreshSearches|TestZooDecisionsPinned|TestZooEvaluationsPinned|TestQuickArtifactsGolden' \
-    ./internal/serving/ ./internal/sched/ ./internal/experiments/
+  go test -count=1 -run 'TestRunBitsPinned|TestRunMatchesPerRequestReference|TestMaxQPSMatchesAscendingProbe|TestSearchReuseMatchesFreshSearches|TestProbeStopMatchesFullRun|TestWarmSearchAllocatesOnlyItsResult|TestSelectPercentileMatchesPercentile|TestZooDecisionsPinned|TestZooEvaluationsPinned|TestQuickArtifactsGolden' \
+    ./internal/serving/ ./internal/stats/ ./internal/sched/ ./internal/experiments/
 }
 
 # Parallel sweeps fan out deterministically: the report must not depend on
@@ -107,20 +110,24 @@ stage_stepper() { go test -count=1 -run 'TestStepper' ./internal/live/; }
 # Ten seconds of each fuzz target. FuzzSpecParsers: no spec grammar may panic,
 # and whatever renders itself back in grammar form must re-parse to an equal
 # value. FuzzPackedFCVsReference: the packed FC layer against its three
-# oracles (naive reference under scalar, generic GEMM under each vector
-# backend, AVX2 vs AVX512 bits), fuzzer-chosen shapes and operands.
-# FuzzPoolSumVsReference: the gather-and-pool kernel against the naive
-# list-order loop, by bits, on every backend, bad indices included.
-# FuzzStreamIndices: the lanes' bulk index draw against the
-# one-Uint64-at-a-time restatement of model.Stream's definition.
+# oracles (naive reference under scalar, fmaRef — the GEMM contract — under
+# each vector backend, AVX2 vs AVX512 bits), fuzzer-chosen shapes and
+# operands. FuzzSIMDMatMulVsScalar: each vector backend against scalar within
+# the k-linear tolerance the vector tier promises. FuzzPoolSumVsReference: the
+# gather-and-pool kernel against the naive list-order loop, by bits, on every
+# backend, bad indices included. FuzzStreamIndices: the lanes' bulk index draw
+# against the one-Uint64-at-a-time restatement of model.Stream's definition.
 # FuzzWireDecoders: arbitrary bytes as every request body the server decodes
 # and every reply the client decodes. FuzzRunMatchesReference: serving.Run
 # against the literal per-request simulator, by bits, at a fuzzer-chosen batch
-# size, threshold, arrival rate and stream seed.
+# size, threshold, arrival rate and stream seed. FuzzProbeStopMatchesFullRun:
+# a run that may stop early against the full run at such a point, with the SLA
+# a fuzzer-chosen number of nanoseconds from the full run's p95.
 stage_fuzz() {
   local target
-  for target in FuzzSpecParsers:. FuzzPackedFCVsReference:./internal/tensor/ FuzzPoolSumVsReference:./internal/tensor/ \
-    FuzzStreamIndices:./internal/model/ FuzzWireDecoders:./internal/rpc/ FuzzRunMatchesReference:./internal/serving/; do
+  for target in FuzzSpecParsers:. FuzzPackedFCVsReference:./internal/tensor/ FuzzSIMDMatMulVsScalar:./internal/tensor/ \
+    FuzzPoolSumVsReference:./internal/tensor/ FuzzStreamIndices:./internal/model/ FuzzWireDecoders:./internal/rpc/ \
+    FuzzRunMatchesReference:./internal/serving/ FuzzProbeStopMatchesFullRun:./internal/serving/; do
     go test -run '^$' -fuzz "${target%%:*}" -fuzztime 10s "${target#*:}"
   done
 }
