@@ -1,77 +1,24 @@
 // Fleet A/B: reproduce the paper's production deployment study (Fig. 13) in
-// simulation. A fleet of serving nodes with realistic node-to-node speed
-// variation serves a day of diurnal traffic twice — once with the fixed
-// production batch size, once with the DeepRecSched-tuned one — and the
-// example reports the p95/p99 tail-latency reductions (paper: 1.39x / 1.31x
-// across hundreds of machines).
+// simulation. A fleet of DLRM-RMC1 serving nodes with realistic node-to-node
+// speed variation serves a day of diurnal traffic twice — once with the
+// fixed production batch size, once with the DeepRecSched-tuned one — and
+// the example prints the fig13 report with the p95/p99 tail-latency
+// reductions (paper: 1.39x / 1.31x across hundreds of machines).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
-	"time"
 
-	"github.com/deeprecinfra/deeprecsys/internal/cluster"
-	"github.com/deeprecinfra/deeprecsys/internal/model"
-	"github.com/deeprecinfra/deeprecsys/internal/platform"
-	"github.com/deeprecinfra/deeprecsys/internal/sched"
-	"github.com/deeprecinfra/deeprecsys/internal/serving"
-	"github.com/deeprecinfra/deeprecsys/internal/workload"
+	"github.com/deeprecinfra/deeprecsys/internal/experiments"
 )
 
 func main() {
 	nodes := flag.Int("nodes", 24, "fleet size")
-	modelName := flag.String("model", "DLRM-RMC1", "zoo model")
 	flag.Parse()
 
-	cfg, err := model.ByName(*modelName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	skl := platform.Skylake()
-	mkEngine := func() serving.Engine { return serving.NewPlatformEngine(skl, nil, cfg) }
-
-	// Tune on one representative node, as the paper's subsampling study
-	// (Fig. 7) licenses.
-	opts := serving.DefaultSearchOpts(workload.DefaultProduction(), cfg.SLAMedium)
-	opts.Queries = 800
-	opts.RelTol = 0.05
-	staticBatch := skl.StaticBatch(workload.MaxQuerySize)
-	tuned := sched.DeepRecSchedCPU(mkEngine(), opts)
-	staticCap, _ := serving.MaxQPS(mkEngine(), serving.Config{BatchSize: staticBatch}, opts)
-
-	fmt.Printf("fleet A/B: %s on %d Skylake nodes, 24h diurnal traffic\n", cfg.Name, *nodes)
-	fmt.Printf("  A (production): fixed batch %d\n", staticBatch)
-	fmt.Printf("  B (tuned):      batch %d\n", tuned.BatchSize)
-
-	fleet := cluster.NewFleet(mkEngine, *nodes, 0.05, 7)
-	traffic := cluster.Diurnal{
-		BaseQPS:   0.85 * staticCap * float64(*nodes),
-		Amplitude: 0.15,
-		Period:    24 * time.Hour,
-	}
-	ab := fleet.RunAB(
-		serving.Config{BatchSize: staticBatch},
-		serving.Config{BatchSize: tuned.BatchSize},
-		traffic,
-		cluster.ServeOpts{
-			Sizes:            workload.DefaultProduction(),
-			QueriesPerWindow: 400,
-			Windows:          12,
-			Warmup:           50,
-			Seed:             11,
-		})
-
-	fmt.Printf("\n%-12s%12s%12s\n", "config", "p95", "p99")
-	fmt.Printf("%-12s%12s%12s\n", "static",
-		fmtMs(ab.A.P95), fmtMs(ab.A.P99))
-	fmt.Printf("%-12s%12s%12s\n", "tuned",
-		fmtMs(ab.B.P95), fmtMs(ab.B.P99))
-	fmt.Printf("\ntail reduction: p95 %.2fx, p99 %.2fx (paper: 1.39x / 1.31x)\n",
-		ab.P95Reduction, ab.P99Reduction)
-}
-
-func fmtMs(sec float64) string {
-	return fmt.Sprintf("%.2fms", sec*1000)
+	opt := experiments.Quick()
+	opt.FleetNodes = *nodes
+	r, _ := experiments.Fig13(opt)
+	fmt.Print(r.String())
 }

@@ -54,3 +54,29 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 		})
 	}
 }
+
+// TestFleetFiguresIndependentOfWorkers holds the offline fleet to its
+// fan-in contract: each node's stream is seeded by its index and its
+// latencies land in its slot, so Figs. 7 and 13 at quick fidelity render
+// and return the same thing on one worker as on eight.
+func TestFleetFiguresIndependentOfWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet sims are slow")
+	}
+	figs := map[string]func(Options) (string, interface{}){
+		"fig7":  func(o Options) (string, interface{}) { r, d := Fig7(o); return r.String(), d },
+		"fig13": func(o Options) (string, interface{}) { r, d := Fig13(o); return r.String(), d },
+	}
+	for name, run := range figs {
+		serial, parallel := Quick(), Quick()
+		serial.Workers, parallel.Workers = 1, 8
+		sr, sd := run(serial)
+		pr, pd := run(parallel)
+		if sr != pr {
+			t.Errorf("%s: report differs across worker counts:\n--- 1 worker ---\n%s\n--- 8 workers ---\n%s", name, sr, pr)
+		}
+		if !reflect.DeepEqual(sd, pd) {
+			t.Errorf("%s: data differs across worker counts:\n1 worker:  %+v\n8 workers: %+v", name, sd, pd)
+		}
+	}
+}

@@ -1,10 +1,10 @@
 // Package fleet is the live fleet tier: a load-balancing front end that
 // shards Submit traffic across N replica live.Services — the at-scale
-// serving layer of the paper made live. The offline internal/cluster
-// simulator answers fleet questions in simulation (Fig. 7 subsampling
-// validity, Fig. 13 diurnal A/B); this package serves real concurrent
-// traffic over a fleet of real services, one discrete replica per node,
-// with the same node-heterogeneity model (cluster.SpeedFactors →
+// serving layer of the paper made live. The offline fleet in
+// internal/experiments answers fleet questions in simulation (Fig. 7
+// subsampling validity, Fig. 13 diurnal A/B); this package serves real
+// concurrent traffic over a fleet of real services, one discrete replica per
+// node, with the same node-heterogeneity model (platform.SpeedFactors →
 // live.Config.Scale) so a jitter level studied offline deploys unchanged.
 //
 // The front end is deliberately thin: each replica is a complete

@@ -17,8 +17,8 @@
 // here unchanged.
 //
 // A Service is one serving node. Config.Scale stretches its service times
-// by a per-node factor — the live counterpart of the offline fleet
-// simulator's ScaledEngine node-heterogeneity model — and Snapshot reads
+// by a per-node factor — the live counterpart of the offline fleet's
+// node-heterogeneity model (platform.SpeedFactors) — and Snapshot reads
 // every tenant's Stats and latency samples at once, for Fold to merge
 // across tenants and nodes; both exist so internal/fleet can shard traffic
 // across N replica Services, the paper's at-scale tier made live.
@@ -137,7 +137,7 @@ type Config struct {
 	// Seed makes the per-worker input RNGs deterministic (default 1).
 	Seed int64
 	// Scale stretches every service time by this factor (default 1) — the
-	// live counterpart of the fleet simulator's per-node ScaledEngine:
+	// live counterpart of the offline fleet's per-node speed factor:
 	// 1.05 models a node 5% slower than nominal (silicon quality, thermal
 	// headroom, co-tenancy). The accelerator lane scales its modeled
 	// service time directly; the CPU lane executes real forward passes, so
@@ -354,9 +354,10 @@ func Fold(parts []TenantSnapshot) TenantSnapshot {
 	return agg
 }
 
-// SetSamples sets the latency window and the percentiles over it.
+// SetSamples sets the latency window and the percentiles over it. It takes
+// samples over and sorts them in place: every caller hands it a fresh slice.
 func (s *TenantSnapshot) SetSamples(samples []float64) {
-	sum := stats.Summarize(samples)
+	sum := stats.SummarizeInPlace(samples)
 	s.Samples = samples
 	s.P50 = time.Duration(sum.P50 * float64(time.Second))
 	s.P95 = time.Duration(sum.P95 * float64(time.Second))

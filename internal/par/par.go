@@ -6,13 +6,13 @@
 // is byte-identical regardless of the worker count, including the serial
 // workers=1 case.
 //
-// This is what lets the paper-artifact sweeps (internal/experiments, via
-// Options.Workers) and the offline fleet simulator (internal/cluster, one
-// discrete-event run per node) use every host core while keeping reports
-// reproducible: parallelism here fans out whole single-threaded
-// simulations, never threads within one. Panics propagate — a panicking
-// item stops the pool and re-raises on the caller, so a sweep cannot
-// silently lose points.
+// This is what lets the paper-artifact sweeps and the offline fleet of
+// Figs. 7 and 13 (both internal/experiments, via Options.Workers; the fleet
+// runs one discrete-event simulation per node) use every host core while
+// keeping reports reproducible: parallelism here fans out whole
+// single-threaded simulations, never threads within one. Panics propagate —
+// a panicking item stops the pool and re-raises on the caller, so a sweep
+// cannot silently lose points.
 package par
 
 import (

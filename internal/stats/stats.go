@@ -73,10 +73,14 @@ func SelectPercentile(samples []float64, p float64) float64 {
 
 // selectRank reorders x so that x[k] holds the k-th smallest value, with no
 // larger value before it and no smaller one after it (Hoare's FIND, with a
-// median-of-three pivot).
+// median-of-three pivot). Inputs whose pivots keep landing next to an end —
+// a sorted run rotated by one, as a sliding window over a rising series
+// holds — would take quadratic time, so once three partitions have each
+// kept more than 3/4 of the range, the range still open is sorted instead.
 func selectRank(x []float64, k int) {
 	lo, hi := 0, len(x)-1
-	for lo < hi {
+	for stalls := 0; lo < hi; {
+		span := hi - lo
 		a, b, c := x[lo], x[lo+(hi-lo)/2], x[hi]
 		pivot := max(min(a, b), min(max(a, b), c))
 		i, j := lo, hi
@@ -101,6 +105,12 @@ func selectRank(x []float64, k int) {
 			lo = i
 		default:
 			return
+		}
+		if hi-lo > span*3/4 {
+			if stalls++; stalls == 3 {
+				sort.Float64s(x[lo : hi+1])
+				return
+			}
 		}
 	}
 }

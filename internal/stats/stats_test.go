@@ -211,7 +211,10 @@ func TestSelectPercentileMatchesPercentile(t *testing.T) {
 		}
 		rev := slices.Clone(ramp)
 		slices.Reverse(rev)
-		cases = append(cases, ramp, rev, exp, ties)
+		// A ramp rotated by one defeats the median-of-three pivot and
+		// takes the sorting fallback.
+		rot := append(slices.Clone(ramp[1:]), ramp[0])
+		cases = append(cases, ramp, rev, rot, exp, ties)
 	}
 	for i := 0; i < 200; i++ {
 		x := make([]float64, 300+rng.Intn(101))

@@ -15,10 +15,9 @@ import (
 // p95 it reports tracks the *current* operating point, which is what an
 // online tail-driven controller must react to.
 type Window struct {
-	mu    sync.Mutex
-	ring  []float64
-	next  int    // ring insertion cursor
-	total uint64 // lifetime observation count
+	mu   sync.Mutex
+	ring []float64
+	next int // ring insertion cursor
 }
 
 // NewWindow returns a Window holding the most recent n observations.
@@ -38,15 +37,7 @@ func (w *Window) Add(x float64) {
 		w.ring[w.next] = x
 	}
 	w.next = (w.next + 1) % cap(w.ring)
-	w.total++
 	w.mu.Unlock()
-}
-
-// Count returns the lifetime number of observations (not the window size).
-func (w *Window) Count() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.total
 }
 
 // Len returns the number of observations currently in the window.
@@ -66,16 +57,17 @@ func (w *Window) Snapshot() []float64 {
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of the windowed
-// observations, or 0 when the window is empty.
+// observations, or 0 when the window is empty. It selects on its own
+// snapshot rather than copying and sorting it again.
 func (w *Window) Percentile(p float64) float64 {
 	snap := w.Snapshot()
 	if len(snap) == 0 {
 		return 0
 	}
-	return Percentile(snap, p)
+	return SelectPercentile(snap, p)
 }
 
-// Reset empties the window, retaining capacity and the lifetime count.
+// Reset empties the window, retaining capacity.
 func (w *Window) Reset() {
 	w.mu.Lock()
 	w.ring = w.ring[:0]

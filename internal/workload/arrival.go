@@ -51,16 +51,16 @@ func (u Uniform) NextGap(*rand.Rand) time.Duration {
 // Name implements ArrivalProcess.
 func (u Uniform) Name() string { return fmt.Sprintf("uniform(%.1f qps)", u.RatePerSec) }
 
-// Time-varying arrival processes. The offline cluster simulator has always
-// modeled diurnal traffic (cluster.Diurnal drives Fig. 13); these processes
-// close the live/offline asymmetry by expressing the same shapes — plus the
-// overload scenarios the elastic serving tier has to survive — as
-// ArrivalProcess implementations any live drive loop can consume. They are
-// non-homogeneous Poisson processes: each keeps an internal clock at the
-// last arrival and draws the next gap against the instantaneous rate, so a
-// Generator stream stays deterministic for a given seed. Because of that
-// internal clock they are stateful and must not be shared across
-// generators; ParseArrivals returns a fresh instance per call.
+// Time-varying arrival processes: the diurnal cycle of the paper's fleet
+// studies (DiurnalArrivals.RateAt is also the curve the offline fleet of
+// Figs. 7 and 13 samples per window) plus the overload scenarios the
+// elastic serving tier has to survive, as ArrivalProcess implementations
+// any live drive loop can consume. They are non-homogeneous Poisson
+// processes: each keeps an internal clock at the last arrival and draws the
+// next gap against the instantaneous rate, so a Generator stream stays
+// deterministic for a given seed. Because of that internal clock they are
+// stateful and must not be shared across generators; ParseArrivals returns
+// a fresh instance per call.
 
 // rateFunc is an instantaneous-rate curve in queries/sec at time t.
 type rateFunc func(t time.Duration) float64
@@ -80,8 +80,8 @@ func nextGapThinned(rng *rand.Rand, t time.Duration, rateMax float64, rate rateF
 	}
 }
 
-// DiurnalArrivals is the live counterpart of the offline simulator's
-// cluster.Diurnal: the arrival rate oscillates sinusoidally around BaseQPS
+// DiurnalArrivals is the daily traffic cycle of a global web service: the
+// arrival rate oscillates sinusoidally around BaseQPS
 // with the given relative Amplitude over each Period. Production
 // recommendation fleets see exactly this daily cycle (paper Section VII);
 // it is the shape an autoscaler must track.
@@ -93,8 +93,7 @@ type DiurnalArrivals struct {
 	t time.Duration // internal clock: time of the last arrival
 }
 
-// RateAt returns the instantaneous arrival rate at time t into the cycle —
-// the same curve as cluster.Diurnal.RateAt.
+// RateAt returns the instantaneous arrival rate at time t into the cycle.
 func (d *DiurnalArrivals) RateAt(t time.Duration) float64 {
 	phase := 2 * math.Pi * float64(t) / float64(d.Period)
 	return d.BaseQPS * (1 + d.Amplitude*math.Sin(phase))

@@ -45,6 +45,21 @@ func TestDiurnalArrivalsRateCurve(t *testing.T) {
 	}
 }
 
+func TestDiurnalArrivalsRateOscillates(t *testing.T) {
+	d := &DiurnalArrivals{BaseQPS: 1000, Amplitude: 0.3, Period: 24 * time.Hour}
+	peak := d.RateAt(6 * time.Hour)    // sin peaks a quarter into the cycle
+	trough := d.RateAt(18 * time.Hour) // and troughs at three quarters
+	if peak <= 1200 || peak > 1300 {
+		t.Errorf("peak rate %v, want ~1300", peak)
+	}
+	if trough >= 800 || trough < 700 {
+		t.Errorf("trough rate %v, want ~700", trough)
+	}
+	if got := d.RateAt(0); got != 1000 {
+		t.Errorf("rate at t=0 = %v, want base 1000", got)
+	}
+}
+
 func TestFlashRateCurve(t *testing.T) {
 	f := &Flash{BaseQPS: 50, Mult: 10, Start: 10 * time.Second, Ramp: 2 * time.Second,
 		Hold: 5 * time.Second, Decay: 2 * time.Second}

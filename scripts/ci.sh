@@ -80,9 +80,10 @@ stage_backend_simd() { go test -count=1 -v -run 'SIMD|Backend|Panel|ReLU|Pool' $
 # against the full run, by bits; a warm search allocating only its Result's
 # samples, and the probe's selected p95 against the sorted one; the
 # benchmark's 24 pinned tuning decisions and the capacity searches each took;
-# and every quick-fidelity artifact against its golden rendering.
+# every quick-fidelity artifact against its golden rendering; and the fleet
+# figures on one worker against eight.
 stage_offline_identity() {
-  go test -count=1 -run 'TestRunBitsPinned|TestRunMatchesPerRequestReference|TestMaxQPSMatchesAscendingProbe|TestSearchReuseMatchesFreshSearches|TestProbeStopMatchesFullRun|TestWarmSearchAllocatesOnlyItsResult|TestSelectPercentileMatchesPercentile|TestZooDecisionsPinned|TestZooEvaluationsPinned|TestQuickArtifactsGolden' \
+  go test -count=1 -run 'TestRunBitsPinned|TestRunMatchesPerRequestReference|TestMaxQPSMatchesAscendingProbe|TestSearchReuseMatchesFreshSearches|TestProbeStopMatchesFullRun|TestWarmSearchAllocatesOnlyItsResult|TestSelectPercentileMatchesPercentile|TestZooDecisionsPinned|TestZooEvaluationsPinned|TestQuickArtifactsGolden|TestFleetFiguresIndependentOfWorkers' \
     ./internal/serving/ ./internal/stats/ ./internal/sched/ ./internal/experiments/
 }
 

@@ -8,11 +8,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/deeprecinfra/deeprecsys/internal/cluster"
 	"github.com/deeprecinfra/deeprecsys/internal/embstore"
 	"github.com/deeprecinfra/deeprecsys/internal/fleet"
 	"github.com/deeprecinfra/deeprecsys/internal/live"
 	"github.com/deeprecinfra/deeprecsys/internal/model"
+	"github.com/deeprecinfra/deeprecsys/internal/platform"
 	"github.com/deeprecinfra/deeprecsys/internal/workload"
 )
 
@@ -77,8 +77,8 @@ type ServeOptions struct {
 	RoutingPolicy string
 	// Jitter models node-to-node performance heterogeneity: per-replica
 	// service-time scale factors drawn from N(1, Jitter²) clamped to
-	// ±3 Jitter — the same node-jitter model as the offline fleet
-	// simulator (0 = a homogeneous fleet).
+	// ±3 Jitter by platform.SpeedFactors — the node-jitter model of the
+	// offline fleet figures (0 = a homogeneous fleet).
 	Jitter float64
 	// GPUReplicas provisions the accelerator offload lane on only the
 	// first n replicas of a fleet (0 = every replica, when the system is
@@ -161,7 +161,7 @@ type ServeOptions struct {
 // complete replica services (one by default), with fleet-wide percentiles,
 // per-replica stats, and live membership changes (AddReplica,
 // DrainReplica, RemoveReplica). See docs/ARCHITECTURE.md for how the fleet
-// tier relates to the offline cluster simulator.
+// tier relates to the offline fleet simulation.
 //
 // And every Service serves a list of named tenants — those of
 // ServeOptions.Tenants, or the one over the System's own model, named after
@@ -390,7 +390,7 @@ func (s *System) startFleet(svc *Service, opts ServeOptions, policy fleet.Policy
 	if opts.GPUReplicas > 0 {
 		gpuReplicas = opts.GPUReplicas
 	}
-	speeds := cluster.SpeedFactors(opts.Replicas, opts.Jitter, s.seed)
+	speeds := platform.SpeedFactors(opts.Replicas, opts.Jitter, s.seed)
 	svc.nextSeed.Store(s.seed)
 	cfgs := make([]live.Config, opts.Replicas)
 	for i := range cfgs {
