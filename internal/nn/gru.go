@@ -73,15 +73,17 @@ func (g *GRUCell) stepInto(ar *tensor.Arena, x, h *tensor.Tensor, attn float32, 
 	tensor.FCInto(t, rh, g.Uh.w, g.Uh.B, false)
 	Tanh.Apply(tensor.AddInto(cand, cand, t))
 
+	// float32(…) rounds each product before its add on every architecture
+	// (arm64 would otherwise fuse them; see tensor.Backend).
 	if weighted {
 		for i := range out.Data {
-			zv := attn * z.Data[i]
-			out.Data[i] = (1-zv)*h.Data[i] + zv*cand.Data[i]
+			zv := float32(attn * z.Data[i])
+			out.Data[i] = float32((1-zv)*h.Data[i]) + float32(zv*cand.Data[i])
 		}
 	} else {
 		for i := range out.Data {
 			zv := z.Data[i]
-			out.Data[i] = (1-zv)*h.Data[i] + zv*cand.Data[i]
+			out.Data[i] = float32((1-zv)*h.Data[i]) + float32(zv*cand.Data[i])
 		}
 	}
 	if ar != nil {

@@ -15,6 +15,9 @@ import (
 //   - Scalar preserves the historical floating-point evaluation order
 //     bit-for-bit (pinned against the retained naive references and the
 //     end-to-end goldens). It is the portable fallback and the reference.
+//     Its kernels write every product that feeds an add as float32(a*b):
+//     without the conversion the Go spec lets a compiler fuse the two, and
+//     arm64's does.
 //   - AVX2 uses fused multiply-add, which changes rounding. Its GEMM
 //     contract is exact: every output element starts from its bias and
 //     receives fma(a[i,k], b[k,j], acc) in strictly increasing k, no element

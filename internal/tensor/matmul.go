@@ -112,7 +112,7 @@ func refMatMulAccum(out, a, b *Tensor) {
 			}
 			bRow := b.Data[k*n : k*n+n]
 			for j, bv := range bRow {
-				outRow[j] += av * bv
+				outRow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -156,13 +156,13 @@ func AXPY(alpha float32, x, y []float32) {
 	}
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
+		y[i] += float32(alpha * x[i])
+		y[i+1] += float32(alpha * x[i+1])
+		y[i+2] += float32(alpha * x[i+2])
+		y[i+3] += float32(alpha * x[i+3])
 	}
 	for ; i < len(x); i++ {
-		y[i] += alpha * x[i]
+		y[i] += float32(alpha * x[i])
 	}
 }
 

@@ -185,7 +185,7 @@ func fcScalar(out, a *Tensor, w *Panel, bias []float32, relu bool) {
 						for c := range o {
 							v := o[c]
 							for t, k := range ks {
-								v += vs[t] * strip[int(k)*wd+c]
+								v += float32(vs[t] * strip[int(k)*wd+c])
 							}
 							o[c] = v
 						}
@@ -213,14 +213,14 @@ func panelAcc8(o, strip []float32, ld int, ks []uint8, vs []float32) {
 		av := vs[t]
 		at := int(k) * ld
 		bs := strip[at : at+8 : at+8]
-		c0 += av * bs[0]
-		c1 += av * bs[1]
-		c2 += av * bs[2]
-		c3 += av * bs[3]
-		c4 += av * bs[4]
-		c5 += av * bs[5]
-		c6 += av * bs[6]
-		c7 += av * bs[7]
+		c0 += float32(av * bs[0])
+		c1 += float32(av * bs[1])
+		c2 += float32(av * bs[2])
+		c3 += float32(av * bs[3])
+		c4 += float32(av * bs[4])
+		c5 += float32(av * bs[5])
+		c6 += float32(av * bs[6])
+		c7 += float32(av * bs[7])
 	}
 	o[0], o[1], o[2], o[3] = c0, c1, c2, c3
 	o[4], o[5], o[6], o[7] = c4, c5, c6, c7

@@ -29,12 +29,22 @@ stage_build() {
   go build ./cmd/... ./examples/...
 }
 
-# The portable side of the kernel dispatch: simd_other.go's stubs and
-# cpu_other.go are compiled by nothing else here, and every kernel added to
-# simd_amd64.go needs one.
+# The portable side of the kernel dispatch: simd_other.go's stubs,
+# cpu_other.go and internal/model's stream_other.go are compiled by nothing
+# else here, and every kernel added to simd_amd64.go or stream_amd64.go needs
+# one. arm64 is where scalar is the only tier, and its compiler fuses a*b + c
+# unless the product is converted, float32(a*b): the scalar tier promises a
+# separate rounding for each, so a fused op anywhere in tensor's or nn's
+# listing fails the stage (-a, because a cached build prints no listing).
 stage_arm64() {
   GOARCH=arm64 go build ./...
-  GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/
+  GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/ ./internal/model/
+  local listing
+  listing=$(GOARCH=arm64 go build -a -gcflags=./internal/tensor=-S -gcflags=./internal/nn=-S ./internal/tensor/ ./internal/nn/ 2>&1)
+  grep -q STEXT <<<"$listing" || { echo "no arm64 listing printed"; return 1; }
+  if grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' <<<"$listing"; then
+    echo "arm64 fuses the multiply-adds above; wrap each product in float32(...)" && return 1
+  fi
 }
 
 # cmd/bench is its own module (replace => ../..), so `./...` neither builds
