@@ -34,7 +34,8 @@ func TestParseWorkload(t *testing.T) {
 			t.Errorf("ParseWorkload(%q) claims to be a trace", c.spec)
 		}
 	}
-	for _, spec := range []string{"", "zipf", "fixed:0", "production@burst", "fixed:10@"} {
+	for _, spec := range []string{"", "zipf", "fixed:0", "production@burst", "fixed:10@",
+		"production@diurnal:0.5,10s", "fixed:10@flash:10,500ms,250ms,1s,500ms", "production@mmpp:4,1s,200ms"} {
 		if _, err := deeprecsys.ParseWorkload(spec); err == nil {
 			t.Errorf("ParseWorkload(%q) accepted", spec)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/deeprecinfra/deeprecsys/internal/model"
+	"github.com/deeprecinfra/deeprecsys/internal/par"
 	"github.com/deeprecinfra/deeprecsys/internal/platform"
 	"github.com/deeprecinfra/deeprecsys/internal/sched"
 	"github.com/deeprecinfra/deeprecsys/internal/serving"
@@ -84,7 +85,7 @@ func Ablation(opt Options) (Report, []AblationData) {
 			points = append(points, point{cfg: cfg, variant: v})
 		}
 	}
-	data := runPoints(opt, points, func(p point) AblationData {
+	data := par.Map(opt.Workers, points, func(p point) AblationData {
 		// Each point mutates its own private copy of the platform spec.
 		cpu := platform.Skylake()
 		p.variant.apply(cpu)

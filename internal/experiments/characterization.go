@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/deeprecinfra/deeprecsys/internal/model"
+	"github.com/deeprecinfra/deeprecsys/internal/par"
 	"github.com/deeprecinfra/deeprecsys/internal/platform"
 	"github.com/deeprecinfra/deeprecsys/internal/trace"
 	"github.com/deeprecinfra/deeprecsys/internal/workload"
@@ -175,7 +176,7 @@ func Fig5(opt Options) (Report, []Fig5Data) {
 		workload.DefaultLogNormal(),
 		workload.Normal{Mean: 100, Stddev: 40},
 	}
-	data := runPoints(opt, dists, func(d workload.SizeDist) Fig5Data {
+	data := par.Map(opt.Workers, dists, func(d workload.SizeDist) Fig5Data {
 		n := opt.DistSamples
 		rng := rand.New(rand.NewSource(opt.Seed))
 		over := 0
@@ -229,7 +230,7 @@ func Fig6(opt Options) (Report, []Fig6Data) {
 		data       Fig6Data
 		smallRatio float64 // CPU/GPU speedup on small queries (report-only)
 	}
-	outcomes := runPoints(opt, opt.modelNames(model.ZooNames()), func(name string) outcome {
+	outcomes := par.Map(opt.Workers, opt.modelNames(model.ZooNames()), func(name string) outcome {
 		cfg, err := model.ByName(name)
 		if err != nil {
 			panic(err)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/deeprecinfra/deeprecsys/internal/model"
+	"github.com/deeprecinfra/deeprecsys/internal/par"
 	"github.com/deeprecinfra/deeprecsys/internal/platform"
 	"github.com/deeprecinfra/deeprecsys/internal/sched"
 	"github.com/deeprecinfra/deeprecsys/internal/serving"
@@ -67,7 +68,7 @@ func Fig9(opt Options) (Report, []Fig9Data) {
 			}
 		}
 	}
-	qpsAt := runPoints(opt, points, func(p point) float64 {
+	qpsAt := par.Map(opt.Workers, points, func(p point) float64 {
 		opts := opt.searchOpts(workload.DefaultProduction(), p.sla)
 		qps, _ := serving.MaxQPS(p.e, serving.Config{BatchSize: p.batch}, opts)
 		return qps
@@ -122,7 +123,7 @@ func Fig10(opt Options) (Report, []Fig10Data) {
 		cases[i] = modelCase{e: e, name: name, opts: opt.searchOpts(workload.DefaultProduction(), cfg.SLAMedium)}
 	}
 	// CPU-side batch fixed at each model's tuned value.
-	tunedBatch := runPoints(opt, cases, func(c modelCase) int {
+	tunedBatch := par.Map(opt.Workers, cases, func(c modelCase) int {
 		return sched.TuneBatch(c.e, 0, c.opts).BatchSize
 	})
 
@@ -136,7 +137,7 @@ func Fig10(opt Options) (Report, []Fig10Data) {
 			points = append(points, point{caseIdx: ci, threshold: t})
 		}
 	}
-	qpsAt := runPoints(opt, points, func(p point) float64 {
+	qpsAt := par.Map(opt.Workers, points, func(p point) float64 {
 		c := cases[p.caseIdx]
 		qps, _ := serving.MaxQPS(c.e, serving.Config{BatchSize: tunedBatch[p.caseIdx], GPUThreshold: p.threshold}, c.opts)
 		return qps
@@ -207,7 +208,7 @@ func Fig11(opt Options) (Report, []Fig11Data) {
 			points = append(points, point{cpuEng: cpuEng, gpuEng: gpuEng, name: name, level: level, sla: cfg.SLA(level)})
 		}
 	}
-	data := runPoints(opt, points, func(p point) Fig11Data {
+	data := par.Map(opt.Workers, points, func(p point) Fig11Data {
 		opts := opt.searchOpts(workload.DefaultProduction(), p.sla)
 		base := sched.StaticBaseline(p.cpuEng, opts)
 		drsCPU := sched.DeepRecSchedCPU(p.cpuEng, opts)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/deeprecinfra/deeprecsys/internal/model"
+	"github.com/deeprecinfra/deeprecsys/internal/par"
 	"github.com/deeprecinfra/deeprecsys/internal/platform"
 	"github.com/deeprecinfra/deeprecsys/internal/sched"
 	"github.com/deeprecinfra/deeprecsys/internal/serving"
@@ -53,7 +54,7 @@ func Fig12a(opt Options) (Report, []Fig12aData) {
 	for _, level := range model.AllSLATargets() {
 		tasks = append(tasks, task{level: level, lognormal: false}, task{level: level, lognormal: true})
 	}
-	outcomes := runPoints(opt, tasks, func(t task) outcome {
+	outcomes := par.Map(opt.Workers, tasks, func(t task) outcome {
 		sla := cfg.SLA(t.level)
 		prodOpts := opt.searchOpts(workload.DefaultProduction(), sla)
 		if !t.lognormal {
@@ -106,7 +107,7 @@ func Fig12b(opt Options) (Report, []Fig12bData) {
 		Header: []string{"Model", "Class", "optimal batch", "QPS"},
 	}
 	models := opt.modelNames([]string{"DLRM-RMC1", "DIN", "DLRM-RMC3", "WnD"})
-	data := runPoints(opt, models, func(name string) Fig12bData {
+	data := par.Map(opt.Workers, models, func(name string) Fig12bData {
 		e, cfg := engineFor(name, platform.Skylake(), nil)
 		opts := opt.searchOpts(workload.DefaultProduction(), cfg.SLA(model.SLAHigh))
 		d := sched.DeepRecSchedCPU(e, opts)
@@ -154,7 +155,7 @@ func Fig12c(opt Options) (Report, []Fig12cData) {
 			points = append(points, point{e: e, cpu: cpu.Name, level: level})
 		}
 	}
-	data := runPoints(opt, points, func(p point) Fig12cData {
+	data := par.Map(opt.Workers, points, func(p point) Fig12cData {
 		opts := opt.searchOpts(workload.DefaultProduction(), targets[p.level])
 		d := sched.DeepRecSchedCPU(p.e, opts)
 		return Fig12cData{Platform: p.cpu, Level: p.level, Batch: d.BatchSize, QPS: d.QPS}
@@ -211,7 +212,7 @@ func Fig14(opt Options) (Report, []Fig14Data) {
 	for _, sla := range targets {
 		tasks = append(tasks, task{sla: sla, gpu: false}, task{sla: sla, gpu: true})
 	}
-	decisions := runPoints(opt, tasks, func(t task) sched.Decision {
+	decisions := par.Map(opt.Workers, tasks, func(t task) sched.Decision {
 		opts := opt.searchOpts(workload.DefaultProduction(), t.sla)
 		if t.gpu {
 			return sched.DeepRecSchedGPU(gpuEng, opts)

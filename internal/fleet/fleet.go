@@ -399,19 +399,6 @@ func (f *Fleet) SetTenantCap(tenant, max int) error {
 	return nil
 }
 
-// TenantCount returns the number of tenants the fleet serves.
-func (f *Fleet) TenantCount() int { return len(f.tenants) }
-
-// TenantIndex maps a tenant name to its index in tenant order.
-func (f *Fleet) TenantIndex(name string) (int, bool) {
-	for i, ti := range f.tenants {
-		if ti.Name == name {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // SetRetry enables or disables the fleet's one-retry-on-crash behavior.
 func (f *Fleet) SetRetry(on bool) { f.retry.Store(on) }
 

@@ -53,7 +53,7 @@ func TestJoinRefusesAnotherModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	r, err := rpc.NewRemoteReplica(addr, rpc.RemoteConfig{})
+	r, err := rpc.NewRemoteReplica(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

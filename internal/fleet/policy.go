@@ -196,7 +196,7 @@ func (TenantPartition) Pick(tenant, size int, tenants []TenantInfo, candidates [
 		lo, hi = hi, hi+ti.Share/total
 	}
 	n := len(candidates)
-	from, to := int(lo*float64(n)+0.5), min(int(hi*float64(n)+0.5), n)
+	from, to := int(float64(lo*float64(n))+0.5), min(int(float64(hi*float64(n))+0.5), n)
 	if from >= to {
 		// Empty partition (more tenants than replicas): share the fleet.
 		return leastLoaded(candidates, anyCandidate)
@@ -230,10 +230,10 @@ func (ShapeSpread) Pick(tenant, size int, tenants []TenantInfo, candidates []Can
 	for i, c := range candidates {
 		var load [2]float64
 		for ti, out := range c.TenantOutstanding {
-			load[0] += float64(out) * tenants[ti].Shape[0]
-			load[1] += float64(out) * tenants[ti].Shape[1]
+			load[0] += float64(float64(out) * tenants[ti].Shape[0])
+			load[1] += float64(float64(out) * tenants[ti].Shape[1])
 		}
-		cost := load[0]*shape[0] + load[1]*shape[1]
+		cost := float64(load[0]*shape[0]) + float64(load[1]*shape[1])
 		switch {
 		case best < 0 || cost < bestCost:
 			best, bestCost = i, cost

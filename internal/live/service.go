@@ -230,7 +230,7 @@ type Query struct {
 	Candidates int
 	TopN       int
 	// Tenant selects which tenant serves the query, by index into the
-	// service's tenant list (TenantIndex maps names). A single-model
+	// service's tenant list (Config.Tenants order). A single-model
 	// service's one tenant is index 0 — the zero value.
 	Tenant int
 }
@@ -409,7 +409,6 @@ type chunk struct {
 type Service struct {
 	cfg     Config
 	tenants []*tenant
-	byName  map[string]int // tenant name → index
 	cpu     *cpuPool
 	acc     *accelerator // nil = CPU-only
 	scale   atomicScale  // dynamic service-time stretch (chaos slowdowns)
@@ -444,12 +443,10 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:     cfg,
 		tenants: make([]*tenant, len(cfg.Tenants)),
-		byName:  make(map[string]int, len(cfg.Tenants)),
 		failCh:  make(chan struct{}),
 	}
 	for i, tc := range cfg.Tenants {
 		s.tenants[i] = newTenant(i, tc)
-		s.byName[tc.Name] = i
 	}
 	s.scale.Store(cfg.Scale)
 	s.cpu = newCPUPool(s.tenants, cfg.Workers, cfg.QueueDepth, cfg.Seed, &s.scale, cfg.IntraOp)
@@ -661,15 +658,6 @@ func mergeTopN(recs []model.Ranked, n int) []model.Ranked {
 		n = len(recs)
 	}
 	return recs[:n]
-}
-
-// TenantCount returns the number of tenants (1 for a single-model service).
-func (s *Service) TenantCount() int { return len(s.tenants) }
-
-// TenantIndex maps a tenant name to its index in Config.Tenants order.
-func (s *Service) TenantIndex(name string) (int, bool) {
-	i, ok := s.byName[name]
-	return i, ok
 }
 
 // BatchSize returns tenant 0's current per-request batch size.

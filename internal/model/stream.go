@@ -174,7 +174,7 @@ func (st *Stream) dense(x []float32) {
 			break
 		}
 		for h := range 16 {
-			x[i] = float32(int32(st.half(h)>>8))*(1.0/(1<<23)) - 1
+			x[i] = float32(float32(int32(st.half(h)>>8))*(1.0/(1<<23))) - 1
 			if i++; i == len(x) {
 				break
 			}

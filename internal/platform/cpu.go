@@ -164,7 +164,7 @@ func (c *CPU) contention(active, batch int) float64 {
 		active = c.Cores
 	}
 	cacheFactor := 2 * c.CacheHalfBatch / (float64(batch) + c.CacheHalfBatch)
-	return 1 + c.ContentionAlpha*float64(active-1)/float64(c.Cores-1)*cacheFactor
+	return 1 + float64(c.ContentionAlpha*float64(active-1)/float64(c.Cores-1)*cacheFactor)
 }
 
 // Breakdown decomposes one request's service time by operator group. It is

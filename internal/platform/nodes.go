@@ -23,11 +23,11 @@ func SpeedFactors(n int, jitter float64, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	factors := make([]float64, n)
 	for i := range factors {
-		factor := 1 + rng.NormFloat64()*jitter
-		if min := 1 - 3*jitter; factor < min {
+		factor := 1 + float64(rng.NormFloat64()*jitter)
+		if min := 1 - float64(3*jitter); factor < min {
 			factor = min
 		}
-		if max := 1 + 3*jitter; factor > max {
+		if max := 1 + float64(3*jitter); factor > max {
 			factor = max
 		}
 		if factor <= 0 {

@@ -21,7 +21,7 @@ func (pm PowerModel) Watts(gpuUtil float64) float64 {
 		if gpuUtil > 1 {
 			gpuUtil = 1
 		}
-		w += pm.GPU.IdleWatts + gpuUtil*(pm.GPU.TDPWatts-pm.GPU.IdleWatts)
+		w += pm.GPU.IdleWatts + float64(gpuUtil*(pm.GPU.TDPWatts-pm.GPU.IdleWatts))
 	}
 	return w
 }

@@ -69,6 +69,16 @@ const (
 	codeReset   = "reset"
 )
 
+// backoffBase and backoffCap shape the exponential backoff between
+// attempts, jittered to half-to-full (a server Retry-After hint overrides
+// it when larger); hedgeMinSamples is the number of successes that
+// calibrate the hedge trigger before hedging arms.
+const (
+	backoffBase     = 10 * time.Millisecond
+	backoffCap      = time.Second
+	hedgeMinSamples = 64
+)
+
 // ClientConfig parameterizes a Client. The zero value is a sane
 // low-latency profile: 3 attempts, 10ms–1s jittered exponential backoff,
 // a 20% client-wide retry budget, no hedging, no injected faults.
@@ -88,22 +98,15 @@ type ClientConfig struct {
 	// decay to a trickle instead of multiplying the load. Negative
 	// disables the budget (retry every eligible failure).
 	RetryBudget float64
-	// BackoffBase / BackoffCap shape the exponential backoff between
-	// attempts (defaults 10ms / 1s), jittered to half-to-full. A server
-	// Retry-After hint overrides the computed backoff when larger.
-	BackoffBase, BackoffCap time.Duration
 	// HedgePercentile, when in (0, 100), arms hedged requests: if the
 	// first attempt is still unanswered after the client-observed
 	// latency at this percentile, a second identical request is fired and
 	// the first answer wins — the classic tail-cutting move. Hedges only
-	// fire once per request, only after HedgeMinSamples successes have
-	// calibrated the trigger, and the loser is cancelled. Use with care:
-	// a hedge duplicates work on the server, so it is safe for idempotent
-	// serving reads (which /v1/recommend is) and poison for writes.
+	// fire once per request, only after 64 successes have calibrated the
+	// trigger, and the loser is cancelled. Use with care: a hedge
+	// duplicates work on the server, so it is safe for idempotent serving
+	// reads (which /v1/recommend is) and poison for writes.
 	HedgePercentile float64
-	// HedgeMinSamples is the calibration floor before hedging arms
-	// (default 64).
-	HedgeMinSamples int
 	// Transport overrides the HTTP transport (e.g. a NetChaos injector).
 	Transport http.RoundTripper
 	// Seed makes backoff jitter deterministic for tests (default: 1).
@@ -170,19 +173,10 @@ func NewClient(target string, cfg ClientConfig) (*Client, error) {
 	if cfg.RetryBudget == 0 {
 		cfg.RetryBudget = 0.2
 	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 10 * time.Millisecond
-	}
-	if cfg.BackoffCap <= 0 {
-		cfg.BackoffCap = time.Second
-	}
 	if cfg.HedgePercentile < 0 || cfg.HedgePercentile >= 100 {
 		if cfg.HedgePercentile != 0 {
 			return nil, fmt.Errorf("rpc: hedge percentile %v outside (0, 100)", cfg.HedgePercentile)
 		}
-	}
-	if cfg.HedgeMinSamples <= 0 {
-		cfg.HedgeMinSamples = 64
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -293,9 +287,9 @@ func (c *Client) retryDecision(err error, attempt int) (time.Duration, bool) {
 	default:
 		return 0, false
 	}
-	backoff := c.cfg.BackoffBase << (attempt - 1)
-	if backoff > c.cfg.BackoffCap || backoff <= 0 {
-		backoff = c.cfg.BackoffCap
+	backoff := backoffBase << (attempt - 1)
+	if backoff > backoffCap || backoff <= 0 {
+		backoff = backoffCap
 	}
 	// Jitter to [backoff/2, backoff): full synchronization with other
 	// clients is the failure mode, not imprecision.
@@ -413,7 +407,7 @@ func (c *Client) hedgeDelay() (time.Duration, bool) {
 	if c.cfg.HedgePercentile <= 0 {
 		return 0, false
 	}
-	if c.lat.Len() < c.cfg.HedgeMinSamples {
+	if c.lat.Len() < hedgeMinSamples {
 		return 0, false
 	}
 	d := time.Duration(c.lat.Percentile(c.cfg.HedgePercentile) * float64(time.Second))
@@ -509,11 +503,11 @@ func isConnectErr(err error) bool {
 	return errors.Is(err, syscall.ECONNREFUSED)
 }
 
-// sleepCtx sleeps d or until ctx dies, returning ctx's error in the
-// latter case.
+// sleepCtx sleeps d (nothing when d <= 0) or until ctx dies, returning
+// ctx's error in the latter case.
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
-		return ctx.Err()
+		return nil
 	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
@@ -529,18 +523,42 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // Healthz probes /healthz, returning nil iff the server reports healthy.
 func (c *Client) Healthz(ctx context.Context) error {
-	return c.probe(ctx, PathHealth)
+	return c.call(ctx, PathHealth, nil, nil)
 }
 
-// Readyz probes /readyz, returning nil iff the server accepts new work.
-func (c *Client) Readyz(ctx context.Context) error {
-	return c.probe(ctx, PathReady)
+// Statsz fetches the server's /statsz ledger.
+func (c *Client) Statsz(ctx context.Context) (StatsResponse, error) {
+	var resp StatsResponse
+	err := c.call(ctx, PathStats, nil, &resp)
+	return resp, err
 }
 
-func (c *Client) probe(ctx context.Context, path string) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+// SetKnobs posts /v1/knobs (negative = leave untouched), echoing the
+// values in effect after the call.
+func (c *Client) SetKnobs(ctx context.Context, batch, threshold int) (KnobsResponse, error) {
+	var resp KnobsResponse
+	err := c.call(ctx, PathKnobs, KnobsRequest{Batch: batch, Threshold: threshold}, &resp)
+	return resp, err
+}
+
+// call makes one operational request: a GET, or a POST of in as JSON when
+// in is non-nil. A 200 reply's body decodes into out (nil = discarded); any
+// other status or transport fault is a typed *Error.
+func (c *Client) call(ctx context.Context, path string, in, out any) error {
+	method, body := http.MethodGet, io.Reader(nil)
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		method, body = http.MethodPost, bytes.NewReader(b)
+	}
+	hreq, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
 		return err
+	}
+	if in != nil {
+		hreq.Header.Set("Content-Type", "application/json")
 	}
 	hresp, err := c.hc.Do(hreq)
 	if err != nil {
@@ -553,56 +571,10 @@ func (c *Client) probe(ctx context.Context, path string) error {
 	if hresp.StatusCode != http.StatusOK {
 		return decodeErrorResponse(hresp)
 	}
+	if out != nil {
+		if err := json.NewDecoder(hresp.Body).Decode(out); err != nil {
+			return fmt.Errorf("rpc: decode %s: %w", path, err)
+		}
+	}
 	return nil
-}
-
-// Statsz fetches the server's /statsz ledger.
-func (c *Client) Statsz(ctx context.Context) (StatsResponse, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+PathStats, nil)
-	if err != nil {
-		return StatsResponse{}, err
-	}
-	hresp, err := c.hc.Do(hreq)
-	if err != nil {
-		return StatsResponse{}, classifyTransportErr(ctx, err)
-	}
-	defer func() {
-		io.Copy(io.Discard, hresp.Body)
-		hresp.Body.Close()
-	}()
-	if hresp.StatusCode != http.StatusOK {
-		return StatsResponse{}, decodeErrorResponse(hresp)
-	}
-	var resp StatsResponse
-	if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
-		return StatsResponse{}, fmt.Errorf("rpc: decode statsz: %w", err)
-	}
-	return resp, nil
-}
-
-// SetKnobs posts /v1/knobs (negative = leave untouched), echoing the
-// values in effect after the call.
-func (c *Client) SetKnobs(ctx context.Context, batch, threshold int) (KnobsResponse, error) {
-	body, _ := json.Marshal(KnobsRequest{Batch: batch, Threshold: threshold})
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+PathKnobs, bytes.NewReader(body))
-	if err != nil {
-		return KnobsResponse{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := c.hc.Do(hreq)
-	if err != nil {
-		return KnobsResponse{}, classifyTransportErr(ctx, err)
-	}
-	defer func() {
-		io.Copy(io.Discard, hresp.Body)
-		hresp.Body.Close()
-	}()
-	if hresp.StatusCode != http.StatusOK {
-		return KnobsResponse{}, decodeErrorResponse(hresp)
-	}
-	var resp KnobsResponse
-	if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
-		return KnobsResponse{}, fmt.Errorf("rpc: decode knobs: %w", err)
-	}
-	return resp, nil
 }

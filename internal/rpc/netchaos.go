@@ -116,7 +116,7 @@ func (t *chaosTransport) roll() (drop, reset bool) {
 
 func (t *chaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	drop, reset := t.roll()
-	if err := t.sleep(req, t.cfg.Delay/2); err != nil {
+	if err := sleepCtx(req.Context(), t.cfg.Delay/2); err != nil {
 		return nil, err
 	}
 	if drop {
@@ -137,25 +137,10 @@ func (t *chaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		resp.Body.Close()
 		return nil, &net.OpError{Op: "read", Net: "tcp", Err: errInjectedReset}
 	}
-	if err := t.sleep(req, t.cfg.Delay-t.cfg.Delay/2); err != nil {
+	if err := sleepCtx(req.Context(), t.cfg.Delay-t.cfg.Delay/2); err != nil {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		return nil, err
 	}
 	return resp, nil
-}
-
-// sleep waits d or until the request's context dies.
-func (t *chaosTransport) sleep(req *http.Request, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-req.Context().Done():
-		return req.Context().Err()
-	}
 }

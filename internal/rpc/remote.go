@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,22 +15,9 @@ import (
 	"github.com/deeprecinfra/deeprecsys/internal/stats"
 )
 
-// RemoteConfig parameterizes a RemoteReplica. The zero value works.
-type RemoteConfig struct {
-	// Client tunes the underlying wire client. MaxAttempts defaults to 1
-	// here (not the client library's 3): the FLEET is the retry layer for
-	// replica members — its one-retry-on-crash policy re-routes to a
-	// different replica, which beats re-hammering the one that just
-	// failed.
-	Client ClientConfig
-	// ProbeInterval is the /healthz polling period backing Failed()
-	// (default 250ms). ProbeTimeout bounds each probe (default
-	// ProbeInterval).
-	ProbeInterval, ProbeTimeout time.Duration
-	// StatsTTL bounds how stale the cached /statsz body behind Snapshot()
-	// may be (default 100ms).
-	StatsTTL time.Duration
-}
+// statsTimeout bounds one /statsz read. It does not shrink with the probe
+// period: a read that times out leaves the fleet folding an older body.
+const statsTimeout = 2 * time.Second
 
 // RemoteReplica is a fleet.Backend served by another process: the wire
 // client dressed in the replica interface, so a Fleet routes to it —
@@ -40,17 +28,19 @@ type RemoteConfig struct {
 //
 //   - Submit errors arrive pre-mapped to the in-process sentinels
 //     (connect failures and drain refusals unwrap to live.ErrReplicaDown),
-//     so the fleet's retry predicate fires unchanged.
-//   - Failed() is backed by a /healthz prober plus instant demotion on a
-//     connect error, so routing stops sending to a dead process within a
-//     probe period.
-//   - Snapshot() is built from one TTL-cached /statsz body — every tenant
-//     of one snapshot comes from the same fetch — falling back to the last
-//     good one when the server is unreachable; Close caches a final body
-//     first, because the fleet reads a removed member's counters AFTER
-//     closing it. A crash between fetches can lose the final few counts
-//     from the fleet's merged view — the remote process's own ledger
-//     remains exact, which is where conservation is asserted.
+//     so the fleet's retry predicate fires unchanged. The wire client makes
+//     one attempt: the fleet is the retry layer, and its one retry goes to
+//     another replica rather than the one that just failed.
+//   - Failed() is backed by a /healthz prober (every 250ms) plus instant
+//     demotion on a connect error, so routing stops sending to a dead
+//     process within a probe period.
+//   - Snapshot() reads /statsz once — every tenant of one snapshot comes
+//     from the same body — and falls back to the last body that landed when
+//     the server is unreachable. Close takes a final read, and a closed
+//     member's Snapshot is that body, because the fleet reads a removed
+//     member's counters AFTER closing it. A crash between reads can lose the
+//     final few counts from the fleet's merged view — the remote process's
+//     own ledger remains exact, which is where conservation is asserted.
 //   - A submit that provably never reached the server (connect error: the
 //     wire refused before delivery) appears in no server-side ledger, which
 //     would break the fleet's front-door identity sum(replica Submitted) ==
@@ -66,7 +56,7 @@ type RemoteConfig struct {
 //     latency, and load-aware policies should see it.
 type RemoteReplica struct {
 	client *Client
-	cfg    RemoteConfig
+	probe  time.Duration // /healthz period, and each probe's timeout
 
 	tenants []string
 	lat     []*stats.Window // client-observed RTTs, per tenant
@@ -80,7 +70,6 @@ type RemoteReplica struct {
 	closed atomic.Bool
 
 	statsMu   sync.Mutex
-	statsAt   time.Time
 	lastStats StatsResponse
 
 	stop chan struct{}
@@ -90,26 +79,19 @@ type RemoteReplica struct {
 // NewRemoteReplica dials target and wraps it in the replica interface. It
 // fails if the server is unreachable: joining a fleet with a dead member
 // is a misconfiguration, not a fault to route around.
-func NewRemoteReplica(target string, cfg RemoteConfig) (*RemoteReplica, error) {
-	if cfg.Client.MaxAttempts == 0 {
-		cfg.Client.MaxAttempts = 1
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = 250 * time.Millisecond
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = cfg.ProbeInterval
-	}
-	if cfg.StatsTTL <= 0 {
-		cfg.StatsTTL = 100 * time.Millisecond
-	}
-	client, err := NewClient(target, cfg.Client)
+func NewRemoteReplica(target string) (*RemoteReplica, error) {
+	return newRemoteReplica(target, nil, 250*time.Millisecond)
+}
+
+// newRemoteReplica is NewRemoteReplica over a given transport (nil = the
+// client's own) with the /healthz prober at the given period.
+func newRemoteReplica(target string, transport http.RoundTripper, probe time.Duration) (*RemoteReplica, error) {
+	client, err := NewClient(target, ClientConfig{MaxAttempts: 1, Transport: transport})
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	st, err := client.Statsz(ctx)
+	r := &RemoteReplica{client: client, probe: probe, stop: make(chan struct{}), done: make(chan struct{})}
+	st, err := r.statsz(true)
 	if err != nil {
 		client.Close()
 		return nil, fmt.Errorf("rpc: remote replica %s unreachable: %w", target, err)
@@ -117,14 +99,6 @@ func NewRemoteReplica(target string, cfg RemoteConfig) (*RemoteReplica, error) {
 	if len(st.Tenants) == 0 {
 		client.Close()
 		return nil, fmt.Errorf("rpc: remote replica %s reports no tenants", target)
-	}
-	r := &RemoteReplica{
-		client:    client,
-		cfg:       cfg,
-		lastStats: st,
-		statsAt:   time.Now(),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 	}
 	for _, t := range st.Tenants {
 		r.tenants = append(r.tenants, t.Name)
@@ -142,7 +116,7 @@ func (r *RemoteReplica) Client() *Client { return r.client }
 // keys ejection off.
 func (r *RemoteReplica) prober() {
 	defer close(r.done)
-	ticker := time.NewTicker(r.cfg.ProbeInterval)
+	ticker := time.NewTicker(r.probe)
 	defer ticker.Stop()
 	for {
 		select {
@@ -150,7 +124,7 @@ func (r *RemoteReplica) prober() {
 			return
 		case <-ticker.C:
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), r.probe)
 		err := r.client.Healthz(ctx)
 		cancel()
 		r.failed.Store(err != nil)
@@ -199,35 +173,33 @@ func (r *RemoteReplica) Submit(ctx context.Context, q live.Query) (live.Reply, e
 	return reply, nil
 }
 
-// statsz returns the cached /statsz snapshot, refreshing it when older
-// than the TTL and the server is reachable; otherwise the last good
-// snapshot serves (a dead replica's lifetime counters do not regress to
-// zero — the fleet folds them on removal).
-func (r *RemoteReplica) statsz() StatsResponse {
+// statsz is the member's one /statsz read: with read set it fetches a body
+// and keeps it if one lands, and either way it returns the last body that
+// did. Reads are serialized, so a slow body cannot overwrite a newer one.
+func (r *RemoteReplica) statsz(read bool) (StatsResponse, error) {
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
-	if r.closed.Load() || time.Since(r.statsAt) < r.cfg.StatsTTL {
-		return r.lastStats
+	if !read {
+		return r.lastStats, nil
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), statsTimeout)
 	defer cancel()
 	st, err := r.client.Statsz(ctx)
 	if err == nil {
 		r.lastStats = st
 	}
-	r.statsAt = time.Now()
-	return r.lastStats
+	return r.lastStats, err
 }
 
-// Snapshot lays the client's view over one fetched /statsz body, tenant by
-// tenant: submits that provably never reached the server count as
+// Snapshot lays the client's view over one /statsz body, tenant by tenant:
+// submits that provably never reached the server count as
 // Submitted+Failed, and once RTTs have been seen the client-observed
 // percentiles replace the server-measured ones — the wire is part of this
 // replica's service time from where the fleet stands. GPUQueryShare's
 // denominator does not cross the wire; folds above a remote member state it
 // over Submitted, as the fleet does.
 func (r *RemoteReplica) Snapshot() live.Snapshot {
-	sz := r.statsz()
+	sz, _ := r.statsz(!r.closed.Load())
 	snap := live.Snapshot{Tenants: make([]live.TenantSnapshot, len(r.tenants)), Scale: sz.Scale}
 	for i := range snap.Tenants {
 		t := &snap.Tenants[i]
@@ -265,25 +237,15 @@ func (r *RemoteReplica) SetGPUThreshold(thr int) error {
 // after any connect error on the submit path).
 func (r *RemoteReplica) Failed() bool { return r.failed.Load() }
 
-// Close detaches from the remote server: a final stats snapshot is cached
-// (the fleet folds counters after Close), the prober stops, and idle
-// connections drop. The remote process itself keeps serving — closing a
-// handle is not a shutdown order.
+// Close detaches from the remote server: submits are refused, a final
+// /statsz read lands if the wire allows (the fleet folds counters after
+// Close), the prober stops, and idle connections drop. The remote process
+// itself keeps serving — closing a handle is not a shutdown order.
 func (r *RemoteReplica) Close() error {
 	if r.closed.Swap(true) {
 		return nil
 	}
-	// Final fetch before the cache freezes, so the folded counters are as
-	// complete as the wire allows.
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	st, err := r.client.Statsz(ctx)
-	cancel()
-	if err == nil {
-		r.statsMu.Lock()
-		r.lastStats = st
-		r.statsAt = time.Now()
-		r.statsMu.Unlock()
-	}
+	r.statsz(true)
 	close(r.stop)
 	<-r.done
 	r.client.Close()

@@ -36,7 +36,7 @@ func TestRemoteReplicaServesInFleet(t *testing.T) {
 	_, _, addr := startRemoteServer(t, 1)
 	f := newLocalFleet(t, 2)
 
-	r, err := NewRemoteReplica(addr, RemoteConfig{StatsTTL: time.Millisecond})
+	r, err := NewRemoteReplica(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +95,12 @@ func TestRemoteReplicaServesInFleet(t *testing.T) {
 func TestRemoteHealthEjection(t *testing.T) {
 	rsvc, rsrv, addr := startRemoteServer(t, 1)
 	f := newLocalFleet(t, 2)
-	r, err := NewRemoteReplica(addr, RemoteConfig{ProbeInterval: 20 * time.Millisecond, StatsTTL: time.Millisecond})
+	r, err := newRemoteReplica(addr, nil, 20*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.AddBackend(r, fleet.BackendInfo{}); err != nil {
+	remoteID, err := f.AddBackend(r, fleet.BackendInfo{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	f.SetRetry(true)
@@ -110,10 +111,24 @@ func TestRemoteHealthEjection(t *testing.T) {
 			t.Fatalf("warmup submit %d: %v", i, err)
 		}
 	}
-	// Refresh the merged view while the remote is alive (as any stats loop
-	// would): its last-known-good snapshot is what the fleet keeps serving
-	// for the member once the process is gone.
-	f.Stats()
+	// The merged view must hold the remote's own ledger before the crash:
+	// the last body that landed is what the fleet keeps serving for the
+	// member once the process is gone. Check it rather than assume it.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		var folded uint64
+		for _, rs := range f.Stats().Replicas {
+			if rs.ID == remoteID {
+				folded = rs.Submitted
+			}
+		}
+		own := rsvc.Stats().Submitted
+		if folded == own {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("remote member folded %d submitted before the crash, its service counted %d", folded, own)
+		}
+	}
 
 	// Crash the remote process: sever the listener and stop the service.
 	rsrv.Close()
@@ -163,11 +178,8 @@ func TestRemoteWireLostIdentity(t *testing.T) {
 	f := newLocalFleet(t, 2)
 
 	nc := NetChaos{Drop: 0.3, Seed: 5}
-	r, err := NewRemoteReplica(addr, RemoteConfig{
-		Client:        ClientConfig{Transport: nc.Transport(nil)},
-		ProbeInterval: 15 * time.Millisecond, // quick recovery after drop-triggered demotion
-		StatsTTL:      time.Millisecond,
-	})
+	// A quick probe period restores the member soon after a drop demotes it.
+	r, err := newRemoteReplica(addr, nc.Transport(nil), 15*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,10 +202,10 @@ func TestRemoteWireLostIdentity(t *testing.T) {
 		}
 	}
 
-	// The verdict is read through the wire under test: a /statsz fetch the
-	// chaos drops leaves the remote serving its last good snapshot (by
-	// design), which can predate the final submits. StatsTTL is 1 ms, so
-	// every poll refetches; the identity must hold once a fetch lands.
+	// The verdict is read through the wire under test: a /statsz read the
+	// chaos drops leaves the remote serving the last body that landed (by
+	// design), which can predate the final submits. Every poll reads again;
+	// the identity must hold once a read lands.
 	var st fleet.Stats
 	var sum uint64
 	var remote fleet.ReplicaStats
@@ -231,7 +243,7 @@ func TestRemoteWireLostIdentity(t *testing.T) {
 // misconfiguration, reported at construction — not a fault to route
 // around.
 func TestNewRemoteReplicaUnreachable(t *testing.T) {
-	if _, err := NewRemoteReplica("127.0.0.1:1", RemoteConfig{}); err == nil {
+	if _, err := NewRemoteReplica("127.0.0.1:1"); err == nil {
 		t.Fatal("want an error joining an unreachable server")
 	}
 }

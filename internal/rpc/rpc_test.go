@@ -126,7 +126,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := c.Healthz(ctx); err != nil {
 		t.Fatalf("healthz: %v", err)
 	}
-	if err := c.Readyz(ctx); err != nil {
+	if err := c.call(ctx, PathReady, nil, nil); err != nil {
 		t.Fatalf("readyz: %v", err)
 	}
 	resp, err := c.Recommend(ctx, RecommendRequest{Candidates: 64, TopN: 3})
@@ -369,7 +369,7 @@ func TestDrainFinishesInFlight(t *testing.T) {
 		}
 		return okReply()
 	})
-	srv := startServer(t, stub, ServerConfig{DrainGrace: 5 * time.Second})
+	srv := startServer(t, stub, ServerConfig{})
 	c := newTestClient(t, srv, ClientConfig{MaxAttempts: 1})
 	ctx := context.Background()
 
@@ -392,7 +392,7 @@ func TestDrainFinishesInFlight(t *testing.T) {
 	// Draining flips readiness and refuses new work while the listener is
 	// still up for the in-flight request.
 	deadline = time.Now().Add(2 * time.Second)
-	for c.Readyz(ctx) == nil {
+	for c.call(ctx, PathReady, nil, nil) == nil {
 		if time.Now().After(deadline) {
 			t.Fatal("readyz never flipped to draining")
 		}
@@ -453,7 +453,6 @@ func TestRetryOnConnectError(t *testing.T) {
 	ft.remaining.Store(2)
 	c := newTestClient(t, srv, ClientConfig{
 		MaxAttempts: 3, RetryBudget: -1,
-		BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond,
 		Transport: ft,
 	})
 	if _, err := c.Recommend(context.Background(), RecommendRequest{Candidates: 32}); err != nil {
@@ -474,11 +473,8 @@ func TestRetryOnOverloaded(t *testing.T) {
 		}
 		return okReply()
 	})
-	srv := startServer(t, stub, ServerConfig{RetryAfterFloor: time.Millisecond, RetryAfterCap: 2 * time.Millisecond})
-	c := newTestClient(t, srv, ClientConfig{
-		MaxAttempts: 3, RetryBudget: -1,
-		BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond,
-	})
+	srv := startServer(t, stub, ServerConfig{})
+	c := newTestClient(t, srv, ClientConfig{MaxAttempts: 3, RetryBudget: -1})
 	if _, err := c.Recommend(context.Background(), RecommendRequest{Candidates: 32}); err != nil {
 		t.Fatalf("recommend: %v", err)
 	}
@@ -536,7 +532,6 @@ func TestRetryBudget(t *testing.T) {
 	srv := startServer(t, stub, ServerConfig{})
 	c := newTestClient(t, srv, ClientConfig{
 		MaxAttempts: 3, RetryBudget: 0.2,
-		BackoffBase: time.Millisecond, BackoffCap: time.Millisecond,
 		Transport: ft,
 	})
 	for i := 0; i < 10; i++ {
@@ -558,7 +553,7 @@ func TestRetryBudget(t *testing.T) {
 // percentile, wins the race, and the call returns far sooner than the
 // stalled primary would have.
 func TestHedgeCutsTail(t *testing.T) {
-	const slowN = 9
+	const slowN = hedgeMinSamples + 1
 	stub := newStub(func(n uint64, ctx context.Context, q live.Query) (live.Reply, error) {
 		if n == slowN {
 			select {
@@ -571,10 +566,10 @@ func TestHedgeCutsTail(t *testing.T) {
 	})
 	srv := startServer(t, stub, ServerConfig{})
 	c := newTestClient(t, srv, ClientConfig{
-		MaxAttempts: 1, HedgePercentile: 90, HedgeMinSamples: 8,
+		MaxAttempts: 1, HedgePercentile: 90,
 	})
 	ctx := context.Background()
-	for i := 0; i < 8; i++ {
+	for i := 0; i < hedgeMinSamples; i++ {
 		if _, err := c.Recommend(ctx, RecommendRequest{Candidates: 32}); err != nil {
 			t.Fatalf("priming request %d: %v", i, err)
 		}
@@ -636,7 +631,6 @@ func TestNetChaosDropIsRetryable(t *testing.T) {
 	nc := NetChaos{Drop: 1, Seed: 3}
 	c := newTestClient(t, srv, ClientConfig{
 		MaxAttempts: 2, RetryBudget: -1,
-		BackoffBase: time.Millisecond, BackoffCap: time.Millisecond,
 		Transport: nc.Transport(nil),
 	})
 	_, err := c.Recommend(context.Background(), RecommendRequest{Candidates: 32})

@@ -25,16 +25,19 @@ const statusClientClosed = 499
 // three-field JSON object, so anything near the cap is garbage.
 const maxBodyBytes = 1 << 16
 
+// drainGrace bounds how long Drain waits for in-flight requests before
+// giving up on them; retryAfterFloor and retryAfterCap clamp the 503
+// backoff hint.
+const (
+	drainGrace      = 30 * time.Second
+	retryAfterFloor = 5 * time.Millisecond
+	retryAfterCap   = 2 * time.Second
+)
+
 // ServerConfig parameterizes a Server. The zero value works.
 type ServerConfig struct {
 	// Model is the served model's name, echoed in /statsz ("" = unnamed).
 	Model string
-	// DrainGrace bounds how long Drain waits for in-flight requests before
-	// giving up on them (default 30s).
-	DrainGrace time.Duration
-	// RetryAfterFloor / RetryAfterCap clamp the 503 backoff hint (defaults
-	// 5ms and 2s).
-	RetryAfterFloor, RetryAfterCap time.Duration
 }
 
 // Server serves one fleet.Backend — a live.Service, a whole Fleet viewed
@@ -74,15 +77,6 @@ type Server struct {
 // is read once, from a snapshot, at construction; SubmitTo-style addressing
 // uses it to map wire tenant names to indices.
 func NewServer(b fleet.Backend, cfg ServerConfig) *Server {
-	if cfg.DrainGrace == 0 {
-		cfg.DrainGrace = 30 * time.Second
-	}
-	if cfg.RetryAfterFloor == 0 {
-		cfg.RetryAfterFloor = 5 * time.Millisecond
-	}
-	if cfg.RetryAfterCap == 0 {
-		cfg.RetryAfterCap = 2 * time.Second
-	}
 	s := &Server{b: b, cfg: cfg, tenantIdx: make(map[string]int)}
 	for i, t := range b.Snapshot().Tenants {
 		s.tenants = append(s.tenants, t.Tenant)
@@ -97,8 +91,8 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathRecommend, s.handleRecommend)
 	mux.HandleFunc(PathKnobs, s.handleKnobs)
-	mux.HandleFunc(PathHealth, s.handleHealth)
-	mux.HandleFunc(PathReady, s.handleReady)
+	mux.HandleFunc(PathHealth, func(w http.ResponseWriter, r *http.Request) { s.answerProbe(w, s.b.Failed(), "ok") })
+	mux.HandleFunc(PathReady, func(w http.ResponseWriter, r *http.Request) { s.answerProbe(w, false, "ready") })
 	mux.HandleFunc(PathStats, s.handleStats)
 	return mux
 }
@@ -123,13 +117,13 @@ func (s *Server) Addr() string { return s.lnAddr }
 
 // Drain begins graceful shutdown: /readyz flips to 503, new recommend
 // requests are refused with 503/draining, and Drain blocks until every
-// in-flight request finishes (bounded by ctx and the DrainGrace cap), then
+// in-flight request finishes (bounded by ctx and a 30s grace), then
 // stops the listener. The backend is untouched — close it after Drain to
 // flush its queued work per the ErrShutdown semantics. Drain is
 // idempotent.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
-	grace, cancel := context.WithTimeout(ctx, s.cfg.DrainGrace)
+	grace, cancel := context.WithTimeout(ctx, drainGrace)
 	defer cancel()
 	done := make(chan struct{})
 	go func() { s.inflight.Wait(); close(done) }()
@@ -314,12 +308,7 @@ func (s *Server) retryAfterHint() time.Duration {
 		p50 = 10 * time.Millisecond
 	}
 	hint := time.Duration(st.Queued+1) * p50
-	if hint < s.cfg.RetryAfterFloor {
-		hint = s.cfg.RetryAfterFloor
-	}
-	if hint > s.cfg.RetryAfterCap {
-		hint = s.cfg.RetryAfterCap
-	}
+	hint = min(max(hint, retryAfterFloor), retryAfterCap)
 	s.hintAt, s.hintVal = time.Now(), hint
 	return hint
 }
@@ -341,31 +330,20 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// handleHealth is the liveness probe: 503 while draining or when the
-// backend reports itself failed, 200 otherwise. A fleet's remote-replica
-// prober keys ejection off it.
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
+// answerProbe answers /healthz (liveness: down when the backend reports
+// itself failed; a fleet's remote-replica prober keys ejection off it) and
+// /readyz (readiness: never down): 503 once draining begins, so load
+// balancers stop sending, or when down, and 200 with body otherwise.
+func (s *Server) answerProbe(w http.ResponseWriter, down bool, body string) {
+	switch {
+	case s.draining.Load():
 		s.writeError(w, http.StatusServiceUnavailable, CodeDraining, "draining", 0)
-		return
-	}
-	if s.b.Failed() {
+	case down:
 		s.writeError(w, http.StatusServiceUnavailable, CodeDown, "backend failed", 0)
-		return
+	default:
+		w.WriteHeader(http.StatusOK)
+		fmt.Fprintln(w, body)
 	}
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintln(w, "ok")
-}
-
-// handleReady is the readiness probe: 503 once draining begins (load
-// balancers stop sending), 200 while serving.
-func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, CodeDraining, "draining", 0)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintln(w, "ready")
 }
 
 // handleStats serves one snapshot of the backend — each tenant's ledger and

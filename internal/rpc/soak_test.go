@@ -47,7 +47,7 @@ func TestWireChaosSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := NewServer(svc, ServerConfig{DrainGrace: 5 * time.Second})
+		srv := NewServer(svc, ServerConfig{})
 		bound, err := srv.Start(addr)
 		if err != nil {
 			svc.Close()
@@ -61,7 +61,6 @@ func TestWireChaosSoak(t *testing.T) {
 	nc := NetChaos{Delay: time.Millisecond, Drop: 0.05, Reset: 0.05, Seed: 11}
 	c, err := NewClient("http://"+addr, ClientConfig{
 		MaxAttempts: 3, RetryBudget: -1,
-		BackoffBase: time.Millisecond, BackoffCap: 5 * time.Millisecond,
 		Transport: nc.Transport(nil),
 	})
 	if err != nil {

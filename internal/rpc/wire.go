@@ -36,7 +36,15 @@
 // RemoteReplica closes the loop: it implements fleet.Backend over this
 // wire, so a fleet front end routes to replicas in other processes exactly
 // as it routes in-process — health-check ejection, one-retry-on-crash, and
-// stats merging unchanged.
+// stats merging unchanged. Its stats come from one function that reads
+// /statsz, with no cache: at construction, on every Snapshot and once more
+// on Close, each read bounded by 2s, and a read that fails leaves the last
+// body that landed.
+//
+// The timings are constants, not settings: the server drains for at most
+// 30s and clamps its Retry-After hint to [5ms, 2s]; the client backs off
+// from 10ms, doubling to 1s, and arms hedging after 64 successes; a remote
+// member is probed every 250ms.
 package rpc
 
 import (

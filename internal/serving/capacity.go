@@ -215,7 +215,7 @@ func (s *Search) configure(cfg Config) {
 		}
 		full := size / cfg.BatchSize
 		if full > 0 {
-			cpuSec += float64(full) * s.times.at(cfg.BatchSize, cores)
+			cpuSec += float64(float64(full) * s.times.at(cfg.BatchSize, cores))
 		}
 		if tail := size % cfg.BatchSize; tail > 0 {
 			cpuSec += s.times.at(tail, cores)

@@ -372,7 +372,7 @@ func (s *server) updateProgress() {
 	}
 	running, remaining := s.running, s.remaining[:len(s.running)] // same length: the reslice tells the compiler
 	row := s.times.row(s.busy)
-	s.coreBusy += dt * float64(s.busy)
+	s.coreBusy += float64(dt * float64(s.busy))
 	for i := 0; i < len(running); {
 		batch := running[i].batch
 		done := dt / s.serviceTime(row, batch)

@@ -39,13 +39,13 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	if lo == hi {
 		return sorted[lo]
 	}
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // ranks returns the two closest ranks the p-th percentile of n sorted
 // samples interpolates between, and the weight of the upper one.
 func ranks(n int, p float64) (lo, hi int, frac float64) {
-	rank := p / 100 * float64(n-1)
+	rank := float64(p / 100 * float64(n-1))
 	lo, hi = int(math.Floor(rank)), int(math.Ceil(rank))
 	return lo, hi, rank - float64(lo)
 }
@@ -68,7 +68,7 @@ func SelectPercentile(samples []float64, p float64) float64 {
 	for _, v := range samples[hi+1:] {
 		next = min(next, v)
 	}
-	return samples[lo]*(1-frac) + next*frac
+	return float64(samples[lo]*(1-frac)) + float64(next*frac)
 }
 
 // selectRank reorders x so that x[k] holds the k-th smallest value, with no
@@ -148,11 +148,11 @@ func SummarizeInPlace(samples []float64) Summary {
 	var sum, sumSq float64
 	for _, v := range sorted {
 		sum += v
-		sumSq += v * v
+		sumSq += float64(v * v)
 	}
 	n := float64(len(sorted))
 	mean := sum / n
-	variance := sumSq/n - mean*mean
+	variance := sumSq/n - float64(mean*mean)
 	if variance < 0 {
 		variance = 0 // guard against catastrophic cancellation
 	}

@@ -96,7 +96,7 @@ type DiurnalArrivals struct {
 // RateAt returns the instantaneous arrival rate at time t into the cycle.
 func (d *DiurnalArrivals) RateAt(t time.Duration) float64 {
 	phase := 2 * math.Pi * float64(t) / float64(d.Period)
-	return d.BaseQPS * (1 + d.Amplitude*math.Sin(phase))
+	return d.BaseQPS * (1 + float64(d.Amplitude*math.Sin(phase)))
 }
 
 // NextGap implements ArrivalProcess.
@@ -129,18 +129,18 @@ type Flash struct {
 
 // RateAt returns the instantaneous arrival rate at time t into the run.
 func (f *Flash) RateAt(t time.Duration) float64 {
-	peak := f.BaseQPS * f.Mult
+	peak := float64(f.BaseQPS * f.Mult)
 	switch {
 	case t < f.Start:
 		return f.BaseQPS
 	case t < f.Start+f.Ramp:
 		frac := float64(t-f.Start) / float64(f.Ramp)
-		return f.BaseQPS + (peak-f.BaseQPS)*frac
+		return f.BaseQPS + float64((peak-f.BaseQPS)*frac)
 	case t < f.Start+f.Ramp+f.Hold:
 		return peak
 	case t < f.Start+f.Ramp+f.Hold+f.Decay:
 		frac := float64(t-f.Start-f.Ramp-f.Hold) / float64(f.Decay)
-		return peak - (peak-f.BaseQPS)*frac
+		return peak - float64((peak-f.BaseQPS)*frac)
 	default:
 		return f.BaseQPS
 	}

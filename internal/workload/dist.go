@@ -64,7 +64,7 @@ type Normal struct {
 
 // Sample implements SizeDist.
 func (n Normal) Sample(rng *rand.Rand) int {
-	return clampSize(rng.NormFloat64()*n.Stddev + n.Mean)
+	return clampSize(float64(rng.NormFloat64()*n.Stddev) + n.Mean)
 }
 
 // Name implements SizeDist.
@@ -78,7 +78,7 @@ type LogNormal struct {
 
 // Sample implements SizeDist.
 func (l LogNormal) Sample(rng *rand.Rand) int {
-	return clampSize(math.Exp(rng.NormFloat64()*l.Sigma + l.Mu))
+	return clampSize(math.Exp(float64(rng.NormFloat64()*l.Sigma) + l.Mu))
 }
 
 // Name implements SizeDist.
@@ -131,7 +131,7 @@ func (p Production) Sample(rng *rand.Rand) int {
 		}
 		return clampSize(p.TailXm * math.Pow(u, -1/p.TailAlpha))
 	}
-	return clampSize(math.Exp(rng.NormFloat64()*p.BodySigma + p.BodyMu))
+	return clampSize(math.Exp(float64(rng.NormFloat64()*p.BodySigma) + p.BodyMu))
 }
 
 // Name implements SizeDist.

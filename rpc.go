@@ -56,8 +56,9 @@ type HTTPServerCounters = rpc.ServerCounters
 func (h *HTTPServer) Counters() HTTPServerCounters { return h.srv.Counters() }
 
 // ClientOptions tunes a RemoteClient. The zero value is a sane profile:
-// 3 attempts with jittered exponential backoff and a 20% retry budget, no
-// hedging, no injected faults, no default timeout.
+// 3 attempts with jittered exponential backoff (10ms doubling to 1s) under a
+// 20% client-wide retry budget, no hedging, no injected faults, no default
+// timeout.
 type ClientOptions struct {
 	// Timeout is the per-request deadline applied when the caller's
 	// context has none (0 = none). The deadline propagates to the server,
@@ -67,9 +68,6 @@ type ClientOptions struct {
 	// MaxAttempts bounds tries per request (default 3; 1 disables retry).
 	// Only provably-safe failures retry: connection-refused and 503.
 	MaxAttempts int
-	// RetryBudget is the client-wide retry allowance as a fraction of
-	// requests (default 0.2; negative disables the budget).
-	RetryBudget float64
 	// HedgePercentile in (0, 100) arms tail-cutting hedged requests: a
 	// second identical request fires when the first outlasts this
 	// client-observed latency percentile, first answer wins (0 = off).
@@ -78,8 +76,6 @@ type ClientOptions struct {
 	// spec string: comma-separated netdelay:<dur>, netdrop:<p>,
 	// netreset:<p>, netseed:<n> ("" or "none" = off).
 	NetChaos string
-	// Seed makes backoff jitter deterministic (default 1).
-	Seed int64
 }
 
 // clientConfig lowers the public options onto the wire client's config.
@@ -87,9 +83,7 @@ func (o ClientOptions) clientConfig() (rpc.ClientConfig, error) {
 	cfg := rpc.ClientConfig{
 		Timeout:         o.Timeout,
 		MaxAttempts:     o.MaxAttempts,
-		RetryBudget:     o.RetryBudget,
 		HedgePercentile: o.HedgePercentile,
-		Seed:            o.Seed,
 	}
 	if o.NetChaos != "" && o.NetChaos != "none" {
 		nc, err := rpc.ParseNetChaos(o.NetChaos)
@@ -193,7 +187,7 @@ func (s *Service) AddRemoteReplica(target string) (int, error) {
 	if s.sharded {
 		return 0, fmt.Errorf("deeprecsys: cannot join %s to a table-sharded fleet (the shard layout is fixed at Serve)", target)
 	}
-	r, err := rpc.NewRemoteReplica(target, rpc.RemoteConfig{})
+	r, err := rpc.NewRemoteReplica(target)
 	if err != nil {
 		return 0, err
 	}

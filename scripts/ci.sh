@@ -33,17 +33,18 @@ stage_build() {
 # cpu_other.go and internal/model's stream_other.go are compiled by nothing
 # else here, and every kernel added to simd_amd64.go or stream_amd64.go needs
 # one. arm64 is where scalar is the only tier, and its compiler fuses a*b + c
-# unless the product is converted, float32(a*b): the scalar tier promises a
-# separate rounding for each, so a fused op anywhere in tensor's or nn's
-# listing fails the stage (-a, because a cached build prints no listing).
+# unless the product is converted, float32(a*b) or float64(a*b): the scalar
+# tier and the offline path's pinned bits promise a separate rounding for
+# each, so a fused op anywhere in internal/...'s listing fails the stage (-a,
+# because a cached build prints no listing).
 stage_arm64() {
   GOARCH=arm64 go build ./...
   GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/ ./internal/model/
   local listing
-  listing=$(GOARCH=arm64 go build -a -gcflags=./internal/tensor=-S -gcflags=./internal/nn=-S ./internal/tensor/ ./internal/nn/ 2>&1)
+  listing=$(GOARCH=arm64 go build -a -gcflags='./internal/...=-S' ./internal/... 2>&1)
   grep -q STEXT <<<"$listing" || { echo "no arm64 listing printed"; return 1; }
   if grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' <<<"$listing"; then
-    echo "arm64 fuses the multiply-adds above; wrap each product in float32(...)" && return 1
+    echo "arm64 fuses the multiply-adds above; wrap each product in float32(...) or float64(...)" && return 1
   fi
 }
 
@@ -185,6 +186,22 @@ stage_tenant_soak() {
 # counter conservation across both incarnations).
 stage_wire_race() { go test -race -count=1 ./internal/rpc/; }
 
+# The remote member's front-door identity under contention: four copies of
+# TestRemoteHealthEjection at once, fifty runs each. A /statsz read that
+# times out or serves a stale body shows here as a lost count.
+stage_remote_stress() {
+  go test -c -o "$tmp/rpc.test" ./internal/rpc/
+  local i pids=() failed=0
+  for i in 1 2 3 4; do
+    (cd internal/rpc && "$tmp/rpc.test" -test.run '^TestRemoteHealthEjection$' -test.count=50) > "$tmp/stress$i.log" 2>&1 &
+    pids+=($!)
+  done
+  for i in 1 2 3 4; do
+    wait "${pids[i-1]}" || { failed=1; grep -A3 -- '--- FAIL' "$tmp/stress$i.log"; }
+  done
+  return $failed
+}
+
 # End-to-end over a real socket: `serve -listen` + `loadgen -target`, probes
 # answered, /statsz counters moved, SIGTERM drains gracefully (exit code 0 +
 # "drained cleanly").
@@ -256,7 +273,7 @@ stage_lines() {
 }
 
 stages=(fmt vet build arm64 bench_module race backend_scalar backend_avx2 backend_simd offline_identity
-  sweep_determinism examples live_race stepper fuzz serve_fleet chaos_soak serve_tenants tenant_soak wire_race
+  sweep_determinism examples live_race stepper fuzz serve_fleet chaos_soak serve_tenants tenant_soak wire_race remote_stress
   wire_e2e serve_overload embstore_race serve_mmap serve_synth serve_sharded bench_smoke bench_kernels lines)
 
 [ $# -gt 0 ] || set -- list

@@ -51,10 +51,6 @@ type ServeOptions struct {
 	AutoTune bool
 	// TuneInterval is the controller's adjustment period (default 250ms).
 	TuneInterval time.Duration
-	// WindowSize bounds the online latency window (default 4096 samples).
-	WindowSize int
-	// QueueDepth bounds the request queue (default 8 per worker).
-	QueueDepth int
 	// IntraOp lets a CPU worker split one big-batch request row-wise across
 	// up to this many goroutines, each with its own scratch arena — purely
 	// a latency knob for large queries on multi-core hosts; results are
@@ -273,8 +269,6 @@ func (s *System) Serve(opts ServeOptions) (*Service, error) {
 		SLA:          sla,
 		AutoTune:     opts.AutoTune,
 		TuneInterval: opts.TuneInterval,
-		WindowSize:   opts.WindowSize,
-		QueueDepth:   opts.QueueDepth,
 		IntraOp:      opts.IntraOp,
 		Admission:    admission,
 		Deadline:     opts.Deadline,

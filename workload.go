@@ -38,7 +38,8 @@ func DefaultWorkload() Workload {
 //	fixed:<n>                 every query carries n items
 //
 // and the arrival half is "poisson" (the default, open-loop) or "uniform"
-// (evenly spaced); the rate is bound where the stream is realized. Examples:
+// (evenly spaced), the two processes the capacity search realizes; any
+// other is refused. The rate is bound where the stream is realized. Examples:
 // "production", "fixed:100@uniform", "lognormal:4.0,0.9".
 //
 // Drawn sizes clamp to [1, 1000] (the production distribution's observed
@@ -51,9 +52,8 @@ func ParseWorkload(spec string) (Workload, error) {
 	}
 	arrivals := "poisson"
 	if hasArr {
-		// Validate via the shared parser; the rate is bound later.
-		if _, err := workload.ParseArrivals(arrSpec, 1); err != nil {
-			return Workload{}, err
+		if arrSpec != "poisson" && arrSpec != "uniform" {
+			return Workload{}, fmt.Errorf("deeprecsys: workload arrival process %q: want poisson or uniform", arrSpec)
 		}
 		arrivals = arrSpec
 	}
