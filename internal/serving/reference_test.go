@@ -184,11 +184,11 @@ func (s *literalServer) finish(q *query) {
 	}
 }
 
-// checkedRun is run on a private server that checks, after every arrival and
-// every completion pass, that busy is the sum of the running counts and no
-// more than the cores, that no run is empty and that every running run has
-// its float; and, at the end, that every query finished exactly once (finish
-// is reached only as a query's outstanding count arrives at zero, so once at
+// checkedRun is run on a private server that drives step itself and checks,
+// after every event, that busy is the sum of the running counts and no more
+// than the cores, that no run is empty and that every running run has its
+// float; and, at the end, that every query finished exactly once (finish is
+// reached only as a query's outstanding count arrives at zero, so once at
 // most; all at zero and all measured is once each). It returns the latency
 // samples, which must be Run's.
 func checkedRun(t *testing.T, name string, e Engine, cfg Config, queries []workload.Query) []float64 {
@@ -218,11 +218,9 @@ func checkedRun(t *testing.T, name string, e Engine, cfg Config, queries []workl
 			t.Fatalf("%s: %d of %d cores busy with requests queued", name, s.busy, s.cores)
 		}
 	}
-	feed, complete := s.feedFn, s.completeFn
-	s.feedFn = func() { feed(); check() }
-	s.completeFn = func() { complete(); check() }
-	s.sim.At(queries[0].Arrival, s.feedFn)
-	s.sim.Run()
+	for s.step() {
+		check()
+	}
 	for i := range s.querySlab {
 		if left := s.querySlab[i].remaining; left != 0 {
 			t.Fatalf("%s: query %d ends with %d requests outstanding", name, i, left)
@@ -244,6 +242,95 @@ func compareWithReference(t *testing.T, name string, e func() Engine, cfg Config
 	}
 	if samples := checkedRun(t, name, e(), cfg, queries); !reflect.DeepEqual(samples, got.LatencySamples) {
 		t.Fatalf("%s: the checked run is not Run's", name)
+	}
+}
+
+// tieEngine prices every CPU request at cpu and every offloaded query at
+// gpu, whatever the size or the active-core count.
+type tieEngine struct {
+	cpu, gpu time.Duration
+	cores    int
+}
+
+func (e tieEngine) CPURequest(int, int) time.Duration { return e.cpu }
+func (e tieEngine) GPUQuery(int) time.Duration        { return e.gpu }
+func (e tieEngine) Cores() int                        { return e.cores }
+func (tieEngine) HasGPU() bool                        { return true }
+func (tieEngine) GPUStreams() int                     { return 2 }
+
+// tiesOf steps a server through queries and records in seen, before each
+// event, every two pending events due on the same nanosecond as
+// "first<second" by kind in scheduling order, and "all three" when an
+// arrival, the armed CPU completion and an accelerator completion are.
+func tiesOf(e Engine, cfg Config, queries []workload.Query, seen map[string]bool) {
+	times := newServiceTimes(e, cfg.BatchSize)
+	defer times.release()
+	s := new(server)
+	s.reset(cfg, queries, times, nil, never)
+	type pending struct {
+		kind string
+		event
+	}
+	for {
+		var due []pending
+		add := func(kind string, ev event) {
+			if len(due) > 0 && ev.at < due[0].at {
+				due = due[:0]
+			}
+			if len(due) == 0 || ev.at == due[0].at {
+				due = append(due, pending{kind, ev})
+			}
+		}
+		if s.fed < len(s.queries) {
+			add("arrival", s.arrival)
+		}
+		if s.armed {
+			add("cpu", s.completion)
+		}
+		for _, j := range s.gpuFlight {
+			add("gpu", j.done)
+		}
+		kinds := map[string]bool{}
+		for _, a := range due {
+			kinds[a.kind] = true
+			for _, b := range due {
+				if a.seq < b.seq {
+					seen[a.kind+"<"+b.kind] = true
+				}
+			}
+		}
+		if len(kinds) == 3 {
+			seen["all three"] = true
+		}
+		if !s.step() {
+			return
+		}
+	}
+}
+
+// TestTiesFireInSchedulingOrder holds Run, which picks its next event from
+// three sources, to the per-request reference, whose events fire off sim's
+// queue, on streams where events land on one nanosecond: each kind ahead of
+// and behind each other kind in scheduling order, and all three at once.
+// Arrivals come every millisecond; the service times are whole nanoseconds
+// chosen so that completions land on those ticks.
+func TestTiesFireInSchedulingOrder(t *testing.T) {
+	queries := workload.NewUniformStream(workload.DefaultProduction(), 100, 1).QueriesAt(1000)
+	seen := map[string]bool{}
+	for _, c := range []struct {
+		e   tieEngine
+		cfg Config
+	}{
+		{tieEngine{cpu: 1999999, gpu: time.Millisecond, cores: 2}, Config{BatchSize: 64, GPUThreshold: 50}},
+		{tieEngine{cpu: 999999, gpu: 2 * time.Millisecond, cores: 1}, Config{BatchSize: 64, GPUThreshold: 50}},
+	} {
+		tiesOf(c.e, c.cfg, queries, seen)
+		compareWithReference(t, fmt.Sprintf("%+v %+v", c.e, c.cfg), func() Engine { return c.e }, c.cfg, queries)
+	}
+	for _, want := range []string{"arrival<cpu", "cpu<arrival", "arrival<gpu", "gpu<arrival", "cpu<gpu", "gpu<cpu", "all three"} {
+		if !seen[want] {
+			t.Errorf("no tie %s: the streams no longer test that order", want)
+		}
 	}
 }
 

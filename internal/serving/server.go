@@ -3,10 +3,10 @@ package serving
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
-	"github.com/deeprecinfra/deeprecsys/internal/sim"
 	"github.com/deeprecinfra/deeprecsys/internal/stats"
 	"github.com/deeprecinfra/deeprecsys/internal/workload"
 )
@@ -105,21 +105,26 @@ type request struct {
 
 // server is the single-node serving simulation state. Servers are pooled
 // and reused across Run calls: every capacity search performs dozens of
-// runs of a few thousand queries each, and recycling the event heap, the
-// queue/running backing arrays and the query slab keeps the hot path
-// allocation-free.
+// runs of a few thousand queries each, and recycling the queue/running
+// backing arrays and the query slab keeps the hot path allocation-free.
+//
+// A server has at most 2 + GPUStreams pending events — the next arrival,
+// the one armed CPU completion and the accelerator completions in flight —
+// so it keeps them in those fields rather than in an event queue, and step
+// fires the one a discrete-event queue ordered by (time, scheduling order)
+// would pop: every event takes the next value of seq when it is scheduled.
 type server struct {
-	sim   *sim.Sim
 	cfg   Config
 	times *serviceTimes // the owner's table: one climb, one capacity search or one Run
 	cores int
+	now   time.Duration // the virtual clock: the time of the firing event
+	seq   int64         // events scheduled so far
 
-	// Arrival feeding: instead of pre-scheduling one event per query, the
-	// stream is chained — each arrival schedules the next — keeping the
-	// event heap small (O(active cores), not O(queries)).
+	// Arrival feeding: the stream is chained — each arrival schedules the
+	// next — so one arrival event is pending at a time.
 	queries []workload.Query
 	fed     int
-	feedFn  func()
+	arrival event
 
 	queue []request // FIFO central dispatch queue; qHead is its pop cursor
 	qHead int
@@ -140,41 +145,36 @@ type server struct {
 	// queries in the order a per-request array gives, retire a run's members
 	// in one event, and finish queries — hence fill LatencySamples — in that
 	// order (TestRunMatchesPerRequestReference holds Run to such an array,
-	// bit for bit). The per-event loops price T once per stretch of
-	// neighbouring runs of one batch size.
+	// bit for bit). svc[i] is T(batch, busy) of running[i], priced by the
+	// last arming: busy and membership change only in dispatch and retire,
+	// and each is followed by a re-arm in the same event, so until the next
+	// change it is the price every progress update divides by.
 	running   []request
 	remaining []float64
+	svc       []float64
 	busy      int
 
 	lastUpdate time.Duration
 	coreBusy   float64 // core-seconds of busy time
 
-	// Completion arming. A single pre-bound event closure is scheduled for
-	// the soonest-finishing request; armedSeq records the sim sequence
-	// number of the live event, so stale heap entries — armed before a
-	// later membership change — fail the identity check even when they were
-	// scheduled for the identical virtual timestamp (a fire-time comparison
-	// cannot tell those apart). runningDirty marks that membership of the
-	// running set changed since the last arming — while it is clean the
-	// armed event is still exact, because progress rates only change when
-	// the active-core count does, so saturated-queue arrivals skip both the
-	// rescan and the event churn.
+	// Completion arming: one pending completion, for the soonest-finishing
+	// request. runningDirty marks that membership of the running set changed
+	// since the last arming — while it is clean the armed event is still
+	// exact, because progress rates only change when the active-core count
+	// does, so saturated-queue arrivals skip both the rescan and the re-arm.
 	armed        bool
-	armedSeq     int64
+	completion   event
 	runningDirty bool
-	completeFn   func()
 
 	// querySlab backs one query object per stream entry, replacing a heap
 	// allocation per arrival.
 	querySlab []query
 
 	// The accelerator: queued queries by querySlab index, and the ones
-	// occupying a stream with the sequence number of their completion
-	// event, which the one pre-bound gpuDoneFn looks up by FiringSeq.
+	// occupying a stream with their completion event.
 	gpuQueue   []int32
 	gqHead     int
 	gpuFlight  []gpuJob
-	gpuDoneFn  func()
 	gpuStreams int
 	gpuTotal   time.Duration
 
@@ -191,6 +191,29 @@ type server struct {
 	gpuQueries int
 	cpuQueries int
 	lastFinish time.Duration
+}
+
+// event is a pending event's place in firing order: by time, then by the
+// order it was scheduled in.
+type event struct {
+	at  time.Duration
+	seq int64
+}
+
+// before reports whether e fires ahead of o.
+func (e event) before(o event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
+
+// schedule returns the event at t, next in scheduling order. Scheduling in
+// the past is a logic error and panics: a causality violation in a latency
+// simulation silently corrupts every downstream percentile.
+func (s *server) schedule(t time.Duration) event {
+	if t < s.now {
+		panic(fmt.Sprintf("serving: scheduling at %v before now %v", t, s.now))
+	}
+	s.seq++
+	return event{at: t, seq: s.seq}
 }
 
 // serverPool recycles server state across runs. Run is single-threaded per
@@ -227,8 +250,8 @@ func run(cfg Config, queries []workload.Query, times *serviceTimes, samples []fl
 	}
 	s := serverPool.Get().(*server)
 	s.reset(cfg, queries, times, samples, missAbove)
-	s.sim.At(queries[0].Arrival, s.feedFn)
-	s.sim.Run()
+	for s.misses < s.stopAt && s.step() {
+	}
 
 	res := Result{LatencySamples: s.samples}
 	if s.misses >= s.stopAt {
@@ -258,23 +281,15 @@ func run(cfg Config, queries []workload.Query, times *serviceTimes, samples []fl
 
 // reset prepares a pooled server for one run, reusing backing storage.
 func (s *server) reset(cfg Config, queries []workload.Query, times *serviceTimes, samples []float64, missAbove time.Duration) {
-	if s.sim == nil {
-		s.sim = sim.New()
-	} else {
-		s.sim.Reset()
-	}
-	if s.feedFn == nil {
-		s.feedFn = s.feed
-		s.completeFn = s.completeCPU
-		s.gpuDoneFn = s.gpuDone
-	}
 	s.cfg = cfg
 	s.times = times
 	s.cores = times.e.Cores()
 	s.gpuStreams = times.e.GPUStreams()
 
+	s.now, s.seq = 0, 0
 	s.queries = queries
 	s.fed = 0
+	s.arrival = s.schedule(queries[0].Arrival)
 
 	s.queue = s.queue[:0]
 	s.qHead = 0
@@ -285,7 +300,6 @@ func (s *server) reset(cfg Config, queries []workload.Query, times *serviceTimes
 	s.coreBusy = 0
 
 	s.armed = false
-	s.armedSeq = 0
 	s.runningDirty = false
 
 	if cap(s.querySlab) < len(queries) {
@@ -325,13 +339,44 @@ func (s *server) releaseToPool() {
 	serverPool.Put(s)
 }
 
+// step fires the pending event that comes first by (time, scheduling
+// order) and reports whether there was one.
+func (s *server) step() bool {
+	const none, feed, cpu = -3, -2, -1 // or the gpuFlight index
+	which, next := none, event{}
+	if s.fed < len(s.queries) {
+		which, next = feed, s.arrival
+	}
+	if s.armed && (which == none || s.completion.before(next)) {
+		which, next = cpu, s.completion
+	}
+	for i, j := range s.gpuFlight {
+		if which == none || j.done.before(next) {
+			which, next = i, j.done
+		}
+	}
+	if which == none {
+		return false
+	}
+	s.now = next.at
+	switch which {
+	case feed:
+		s.feed()
+	case cpu:
+		s.completeCPU()
+	default:
+		s.gpuDone(which)
+	}
+	return true
+}
+
 // feed admits the next query of the stream and schedules the following
-// arrival. Chaining keeps only one pending arrival event at a time.
+// arrival.
 func (s *server) feed() {
 	i := s.fed
 	s.fed++
 	if s.fed < len(s.queries) {
-		s.sim.At(s.queries[s.fed].Arrival, s.feedFn)
+		s.arrival = s.schedule(s.queries[s.fed].Arrival)
 	}
 	s.arrive(i, s.queries[i], i >= s.cfg.Warmup)
 }
@@ -340,7 +385,7 @@ func (s *server) feed() {
 // s.busy cores are active, given that row of the owner's table: the
 // table keeps the processor-sharing updates cheap and, for the
 // real-execution engine, avoids re-running the model on every progress
-// update. The common case, an entry already priced, inlines into the loops.
+// update. The common case, an entry already priced, inlines into the loop.
 func (s *server) serviceTime(row []float64, batch int32) float64 {
 	if t := row[batch]; t > 0 {
 		return t
@@ -360,33 +405,33 @@ func (s *server) slowServiceTime(batch int32) float64 {
 	return 1e-12
 }
 
+// advance charges the active cores for the time since the last update and
+// returns it, in seconds.
+func (s *server) advance() float64 {
+	dt := (s.now - s.lastUpdate).Seconds()
+	s.lastUpdate = s.now
+	s.coreBusy += float64(dt * float64(s.busy))
+	return dt
+}
+
 // updateProgress advances every running request to the current virtual time
 // at the progress rate implied by the active-core count since the last
 // update.
 func (s *server) updateProgress() {
-	now := s.sim.Now()
-	dt := (now - s.lastUpdate).Seconds()
-	s.lastUpdate = now
-	if dt <= 0 || len(s.running) == 0 {
-		return
-	}
-	running, remaining := s.running, s.remaining[:len(s.running)] // same length: the reslice tells the compiler
-	row := s.times.row(s.busy)
-	s.coreBusy += float64(dt * float64(s.busy))
-	for i := 0; i < len(running); {
-		batch := running[i].batch
-		done := dt / s.serviceTime(row, batch)
-		for ; i < len(running) && running[i].batch == batch; i++ {
-			remaining[i] -= done
-		}
+	dt := s.advance()
+	remaining := s.remaining
+	svc := s.svc[:len(remaining)] // same length: the reslice tells the compiler
+	for i := range remaining {
+		remaining[i] -= dt / svc[i]
 	}
 }
 
-// scheduleNextCompletion arms a completion event for the soonest-finishing
-// running request under the current active-core count. While the running
-// set's membership is unchanged the previously armed event is still exact —
-// progress rates only change with the active-core count — so the rescan and
-// the event push are skipped entirely (the saturated-arrival fast path).
+// scheduleNextCompletion prices every running request under the current
+// active-core count into svc and arms the completion event for the
+// soonest-finishing one. While the running set's membership is unchanged
+// the armed event and the prices are still exact — progress rates only
+// change with the active-core count — so the rescan and the re-arm are
+// skipped entirely (the saturated-arrival fast path).
 func (s *server) scheduleNextCompletion() {
 	if s.armed && !s.runningDirty {
 		return
@@ -398,22 +443,21 @@ func (s *server) scheduleNextCompletion() {
 	}
 	running, remaining := s.running, s.remaining[:len(s.running)]
 	row := s.times.row(s.busy)
+	s.svc = slices.Grow(s.svc[:0], len(running))[:len(running)]
+	svc := s.svc
 	soonest := math.Inf(1)
-	for i := 0; i < len(running); {
-		batch := running[i].batch
-		full := s.serviceTime(row, batch)
-		for ; i < len(running) && running[i].batch == batch; i++ {
-			if t := remaining[i] * full; t < soonest {
-				soonest = t
-			}
+	for i, r := range running {
+		full := s.serviceTime(row, r.batch)
+		svc[i] = full
+		if t := remaining[i] * full; t < soonest {
+			soonest = t
 		}
 	}
 	if soonest < 0 {
 		soonest = 0
 	}
 	s.armed = true
-	fire := s.sim.Now() + time.Duration(soonest*float64(time.Second)) + 1
-	s.armedSeq = s.sim.At(fire, s.completeFn)
+	s.completion = s.schedule(s.now + time.Duration(soonest*float64(time.Second)) + 1)
 }
 
 // arrive admits one query: offload whole to the accelerator above the
@@ -421,7 +465,7 @@ func (s *server) scheduleNextCompletion() {
 // the full ones as one run, the ragged tail as a run of one.
 func (s *server) arrive(idx int, wq workload.Query, measured bool) {
 	q := &s.querySlab[idx]
-	*q = query{arrival: s.sim.Now(), size: wq.Size, measured: measured}
+	*q = query{arrival: s.now, size: wq.Size, measured: measured}
 	if s.cfg.GPUThreshold > 0 && wq.Size >= s.cfg.GPUThreshold {
 		s.gpuQueries++
 		s.gpuItems += int64(wq.Size)
@@ -446,7 +490,7 @@ func (s *server) arrive(idx int, wq workload.Query, measured bool) {
 
 // dispatch moves queued requests onto idle cores: as much of the head run as
 // there are idle cores, as one running run; what does not fit stays queued.
-// Callers must have called updateProgress first and must re-arm the
+// Callers must have advanced the running requests first and must re-arm the
 // completion event afterwards.
 func (s *server) dispatch() {
 	for s.busy < s.cores && s.qHead < len(s.queue) {
@@ -467,23 +511,20 @@ func (s *server) dispatch() {
 	}
 }
 
-// completeCPU retires every finished request, refills cores from the queue,
-// and re-arms the completion event. Stale heap entries — armed before a
-// later membership change — fail the armedSeq identity check and fall
-// through, even when the superseding arming landed on the identical virtual
-// timestamp.
+// completeCPU advances every running request and retires the finished ones
+// in one pass, refills cores from the queue, and re-arms the completion
+// event.
 func (s *server) completeCPU() {
-	if !s.armed || s.sim.FiringSeq() != s.armedSeq {
-		return // superseded by a later state change
-	}
 	s.armed = false
 	s.runningDirty = true
-	s.updateProgress()
+	dt := s.advance()
 	const eps = 1e-9
+	running, remaining := s.running, s.remaining[:len(s.running)]
+	svc := s.svc[:len(running)]
 	kept := 0
-	for i, left := range s.remaining {
-		if left <= eps {
-			run := s.running[i]
+	for i, left := range remaining {
+		if left -= dt / svc[i]; left <= eps {
+			run := running[i]
 			s.busy -= int(run.count)
 			q := &s.querySlab[run.query]
 			if q.remaining -= int(run.count); q.remaining == 0 {
@@ -491,18 +532,21 @@ func (s *server) completeCPU() {
 			}
 			continue
 		}
-		s.running[kept], s.remaining[kept] = s.running[i], left
+		if kept < i {
+			running[kept] = running[i]
+		}
+		remaining[kept] = left
 		kept++
 	}
-	s.running, s.remaining = s.running[:kept], s.remaining[:kept]
+	s.running, s.remaining = running[:kept], remaining[:kept]
 	s.dispatch()
 	s.scheduleNextCompletion()
 }
 
 // gpuJob is a query occupying an accelerator stream, by querySlab index,
-// and the sequence number of its completion event.
+// and its completion event.
 type gpuJob struct {
-	seq   int64
+	done  event
 	query int32
 }
 
@@ -514,7 +558,7 @@ func (s *server) kickGPU() {
 		s.gqHead++
 		service := s.times.gpuQuery(s.querySlab[idx].size)
 		s.gpuTotal += service
-		s.gpuFlight = append(s.gpuFlight, gpuJob{seq: s.sim.After(service, s.gpuDoneFn), query: idx})
+		s.gpuFlight = append(s.gpuFlight, gpuJob{done: s.schedule(s.now + service), query: idx})
 	}
 	if s.gqHead == len(s.gpuQueue) {
 		s.gpuQueue = s.gpuQueue[:0]
@@ -522,13 +566,9 @@ func (s *server) kickGPU() {
 	}
 }
 
-// gpuDone frees the stream of the query whose completion event is firing,
-// finishes the query and refills the stream.
-func (s *server) gpuDone() {
-	i, seq := 0, s.sim.FiringSeq()
-	for s.gpuFlight[i].seq != seq {
-		i++
-	}
+// gpuDone frees the stream of in-flight job i, finishes its query and
+// refills the stream.
+func (s *server) gpuDone(i int) {
 	idx, last := s.gpuFlight[i].query, len(s.gpuFlight)-1
 	s.gpuFlight[i] = s.gpuFlight[last]
 	s.gpuFlight = s.gpuFlight[:last]
@@ -538,18 +578,15 @@ func (s *server) gpuDone() {
 
 // finish records one completed query.
 func (s *server) finish(q *query) {
-	now := s.sim.Now()
-	if now > s.lastFinish {
-		s.lastFinish = now
+	if s.now > s.lastFinish {
+		s.lastFinish = s.now
 	}
 	if q.measured {
-		latency := now - q.arrival
+		latency := s.now - q.arrival
 		s.samples = append(s.samples, latency.Seconds())
 		s.measured++
 		if latency > s.missAbove {
-			if s.misses++; s.misses == s.stopAt {
-				s.sim.Stop()
-			}
+			s.misses++
 		}
 	}
 }

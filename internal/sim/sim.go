@@ -1,8 +1,8 @@
 // Package sim is a deterministic discrete-event simulator: a virtual clock
-// and an event queue ordered by time with FIFO tie-breaking. The serving
-// engine builds its at-scale latency experiments on it so that every run is
-// reproducible bit-for-bit and thousands of capacity searches finish in
-// seconds of wall-clock time.
+// and an event queue ordered by time with FIFO tie-breaking. It is the
+// general form of the event order the serving simulator keeps without a
+// queue: the serving tests' literal per-request oracle runs on it, so that
+// Run's firing order is checked against an independent implementation.
 package sim
 
 import (
@@ -29,16 +29,14 @@ func (e event) before(o event) bool {
 // usable; create one with New.
 //
 // The event queue is a hand-rolled binary min-heap over a value slice rather
-// than container/heap: the serving hot path schedules and pops millions of
-// events per capacity search, and container/heap's interface{} boxing costs
-// one allocation per push.
+// than container/heap, whose interface{} boxing costs one allocation per
+// push.
 type Sim struct {
-	now     time.Duration
-	queue   []event // binary min-heap ordered by event.before
-	seq     int64
-	fired   int64
-	firing  int64 // seq of the event currently executing (0 = none)
-	stopped bool
+	now    time.Duration
+	queue  []event // binary min-heap ordered by event.before
+	seq    int64
+	fired  int64
+	firing int64 // seq of the event currently executing (0 = none)
 }
 
 // New returns an empty simulation with the clock at zero.
@@ -47,23 +45,15 @@ func New() *Sim {
 }
 
 // Reset returns the simulation to its initial state — clock at zero, no
-// pending events, not stopped — retaining the event queue's backing storage.
-// It lets a pooled server reuse one Sim across runs without reallocating the
-// heap.
+// pending events — retaining the event queue's backing storage, so one Sim
+// serves many runs without reallocating the heap.
 func (s *Sim) Reset() {
 	s.now = 0
 	s.queue = s.queue[:0]
 	s.seq = 0
 	s.fired = 0
 	s.firing = 0
-	s.stopped = false
 }
-
-// Stop makes Run return once the executing event's callback does: no later
-// event fires, and those still pending stay queued until Reset. A caller
-// that already knows how the run ends — a capacity probe certain to miss its
-// SLA — stops paying for the rest of it.
-func (s *Sim) Stop() { s.stopped = true }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Duration { return s.now }
@@ -103,16 +93,15 @@ func (s *Sim) After(d time.Duration, fn func()) int64 {
 // knows it is a stale heap entry.
 func (s *Sim) FiringSeq() int64 { return s.firing }
 
-// Run executes events until the queue is empty or an event calls Stop.
+// Run executes events until the queue is empty.
 func (s *Sim) Run() {
-	for len(s.queue) > 0 && !s.stopped {
+	for len(s.queue) > 0 {
 		s.step()
 	}
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
-// t. Events scheduled beyond t remain pending. RunUntil does not honour
-// Stop: only Run does.
+// t. Events scheduled beyond t remain pending.
 func (s *Sim) RunUntil(t time.Duration) {
 	for len(s.queue) > 0 && s.queue[0].at <= t {
 		s.step()

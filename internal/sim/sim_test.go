@@ -244,64 +244,6 @@ func TestEventSeqIdentity(t *testing.T) {
 	}
 }
 
-// TestStopEndsRun: Run returns after the event that called Stop, whatever
-// it scheduled and whatever was pending, including an event at the same
-// instant; those stay pending.
-func TestStopEndsRun(t *testing.T) {
-	s := New()
-	var fired []int
-	for i := 0; i < 5; i++ {
-		i := i
-		s.At(time.Duration(i/2)*time.Millisecond, func() {
-			fired = append(fired, i)
-			if i == 2 {
-				s.After(0, func() { fired = append(fired, -1) })
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if len(fired) != 3 || fired[2] != 2 {
-		t.Fatalf("fired %v, want [0 1 2]", fired)
-	}
-	if s.Pending() != 3 || s.Now() != time.Millisecond || s.FiringSeq() != 0 {
-		t.Errorf("after Stop: %d pending, clock %v, FiringSeq %d; want 3, 1ms, 0", s.Pending(), s.Now(), s.FiringSeq())
-	}
-	s.Run()
-	if len(fired) != 3 {
-		t.Errorf("a second Run before Reset fired %v", fired[3:])
-	}
-}
-
-// TestResetClearsStop: a stopped Sim runs to completion again after Reset.
-func TestResetClearsStop(t *testing.T) {
-	s := New()
-	s.At(0, s.Stop)
-	s.At(time.Millisecond, func() {})
-	s.Run()
-	s.Reset()
-	fired := 0
-	for i := 0; i < 3; i++ {
-		s.At(time.Duration(i), func() { fired++ })
-	}
-	s.Run()
-	if fired != 3 || s.Pending() != 0 {
-		t.Errorf("after Reset: fired %d of 3, %d pending", fired, s.Pending())
-	}
-}
-
-// TestRunUntilIgnoresStop is RunUntil's documented contract: Stop is Run's.
-func TestRunUntilIgnoresStop(t *testing.T) {
-	s := New()
-	fired := 0
-	s.At(time.Millisecond, func() { fired++; s.Stop() })
-	s.At(2*time.Millisecond, func() { fired++ })
-	s.RunUntil(5 * time.Millisecond)
-	if fired != 2 || s.Now() != 5*time.Millisecond {
-		t.Errorf("RunUntil after Stop: fired %d of 2, clock %v", fired, s.Now())
-	}
-}
-
 func TestResetClearsFiringSeq(t *testing.T) {
 	s := New()
 	s.At(0, func() {})

@@ -79,10 +79,12 @@ stage_backend_avx2() { DEEPRECSYS_BACKEND=avx2 go test -count=1 $compute_pkgs; }
 # name).
 stage_backend_simd() { go test -count=1 -v -run 'SIMD|Backend|Panel|ReLU|Pool' $compute_pkgs; }
 
-# The offline path (sched → serving → sim → platform → workload → stats) held
-# by bytes: Run's latency samples hashed bit for bit against captures from
+# The offline path (sched → serving → platform → workload → stats) held by
+# bytes: Run's latency samples hashed bit for bit against captures from
 # before the simulator's loops were hoisted, and Run — one entry per run of
-# identical requests — against a literal one-entry-per-request simulator; the
+# identical requests — against a literal one-entry-per-request simulator on
+# internal/sim's event queue, also where an arrival, a CPU and an accelerator
+# completion land on one nanosecond; the
 # top-down capacity bracket against the ascending probe it replaced (naming
 # the test by -run also enables its full 27,648-search grid, a few minutes);
 # one Search reused through a whole climb, in any order, against a fresh
@@ -94,7 +96,7 @@ stage_backend_simd() { go test -count=1 -v -run 'SIMD|Backend|Panel|ReLU|Pool' $
 # every quick-fidelity artifact against its golden rendering; and the fleet
 # figures on one worker against eight.
 stage_offline_identity() {
-  go test -count=1 -run 'TestRunBitsPinned|TestRunMatchesPerRequestReference|TestMaxQPSMatchesAscendingProbe|TestSearchReuseMatchesFreshSearches|TestProbeStopMatchesFullRun|TestWarmSearchAllocatesOnlyItsResult|TestSelectPercentileMatchesPercentile|TestZooDecisionsPinned|TestZooEvaluationsPinned|TestQuickArtifactsGolden|TestFleetFiguresIndependentOfWorkers' \
+  go test -count=1 -run 'TestRunBitsPinned|TestRunMatchesPerRequestReference|TestTiesFireInSchedulingOrder|TestMaxQPSMatchesAscendingProbe|TestSearchReuseMatchesFreshSearches|TestProbeStopMatchesFullRun|TestWarmSearchAllocatesOnlyItsResult|TestSelectPercentileMatchesPercentile|TestZooDecisionsPinned|TestZooEvaluationsPinned|TestQuickArtifactsGolden|TestFleetFiguresIndependentOfWorkers' \
     ./internal/serving/ ./internal/stats/ ./internal/sched/ ./internal/experiments/
 }
 
@@ -264,7 +266,7 @@ stage_bench_kernels() {
   DEEPRECSYS_BACKEND=scalar go test -run '^$' -bench BenchmarkModelForward -benchtime=1x .
 }
 
-# The size ROADMAP item 2 tracks, by the command every CHANGES entry since
+# The north star's "small" size, by the command every CHANGES entry since
 # PR 13 quotes: non-blank, non-comment lines of Go outside tests and
 # cmd/bench, and the lines of assembly beside them.
 stage_lines() {
