@@ -47,16 +47,17 @@ func TuneBatch(e serving.Engine, threshold int, opts serving.SearchOpts) Decisio
 	search := serving.NewSearch(e, opts, MaxTunedBatch+MaxTunedBatch/2)
 	defer search.Release()
 	eval := func(batch int) Score {
-		qps, res := search.MaxQPS(serving.Config{BatchSize: batch, GPUThreshold: threshold})
-		return Score{Value: batch, QPS: qps, Result: res}
+		b := search.Bracket(serving.Config{BatchSize: batch, GPUThreshold: threshold})
+		return Score{Value: batch, QPS: &b}
 	}
 	best, n1 := climb(powersOfTwo(MaxTunedBatch), 2, eval)
 	best, n2 := refine(best, eval)
+	qps, res := best.QPS.(*serving.Bracket).Close()
 	return Decision{
 		BatchSize:    best.Value,
 		GPUThreshold: threshold,
-		QPS:          best.QPS,
-		Result:       best.Result,
+		QPS:          qps,
+		Result:       res,
 		Evaluations:  n1 + n2,
 	}
 }
@@ -73,8 +74,8 @@ func TuneThreshold(e serving.Engine, batch int, opts serving.SearchOpts) Decisio
 	search := serving.NewSearch(e, opts, batch)
 	defer search.Release()
 	eval := func(threshold int) Score {
-		qps, res := search.MaxQPS(serving.Config{BatchSize: batch, GPUThreshold: threshold})
-		return Score{Value: threshold, QPS: qps, Result: res}
+		b := search.Bracket(serving.Config{BatchSize: batch, GPUThreshold: threshold})
+		return Score{Value: threshold, QPS: &b}
 	}
 	// Thresholds beyond the maximum query size disable offload entirely;
 	// include one such point so the climb can discover "keep everything on
@@ -84,11 +85,12 @@ func TuneThreshold(e serving.Engine, batch int, opts serving.SearchOpts) Decisio
 	cands := append(powersOfTwo(workload.MaxQuerySize), disabled)
 	best, n1 := climb(cands, 2, eval)
 	best, n2 := refineUpTo(best, disabled, eval)
+	qps, res := best.QPS.(*serving.Bracket).Close()
 	return Decision{
 		BatchSize:    batch,
 		GPUThreshold: best.Value,
-		QPS:          best.QPS,
-		Result:       best.Result,
+		QPS:          qps,
+		Result:       res,
 		Evaluations:  n1 + n2,
 	}
 }

@@ -15,18 +15,24 @@ package sched
 import (
 	"fmt"
 	"math"
-
-	"github.com/deeprecinfra/deeprecsys/internal/serving"
 )
+
+// capacity is a candidate's latency-bounded throughput as the climbs see
+// it: a rate in [lo, hi) that Narrow tightens, exactly lo once lo == hi.
+// The schedulers' capacities are *serving.Brackets, so a climb spends
+// simulations on a candidate only until its comparisons are settled.
+type capacity interface {
+	Bounds() (lo, hi float64)
+	Narrow()
+}
 
 // Score is one evaluated operating point.
 type Score struct {
-	Value  int // the knob setting (batch size or threshold)
-	QPS    float64
-	Result serving.Result
+	Value int // the knob setting (batch size or threshold)
+	QPS   capacity
 }
 
-// evalFunc measures the achievable QPS at one knob setting.
+// evalFunc opens the capacity search at one knob setting.
 type evalFunc func(value int) Score
 
 // Plateau/degradation tolerances for the hill climb. An evaluation within
@@ -57,17 +63,17 @@ func climb(cands []int, patience int, eval evalFunc) (Score, int) {
 		s := eval(v)
 		evals++
 		switch {
-		case s.QPS > best.QPS*(1+improveTol):
+		case exceeds(s.QPS, best.QPS, 1+improveTol):
 			best = s
 			bad = 0
-		case s.QPS < best.QPS*(1-degradeTol):
+		case trails(s.QPS, best.QPS, 1-degradeTol):
 			bad++
 			if bad >= patience {
 				return best, evals
 			}
 		default:
 			// Plateau: prefer the higher score but keep climbing.
-			if s.QPS > best.QPS {
+			if exceeds(s.QPS, best.QPS, 1) {
 				best = s
 			}
 		}
@@ -95,11 +101,63 @@ func refineUpTo(best Score, max int, eval evalFunc) (Score, int) {
 		}
 		s := eval(v)
 		evals++
-		if s.QPS > best.QPS {
+		if exceeds(s.QPS, best.QPS, 1) {
 			best = s
 		}
 	}
 	return best, evals
+}
+
+// exceeds reports whether a > b·k, the exact rates compared in float64
+// arithmetic. The rounded product is monotone in b, so fl(b·k) lies between
+// fl(lo·k) and fl(hi·k) of b's bounds; the relatively wider of the two
+// capacities is narrowed until the bounds settle the comparison.
+func exceeds(a, b capacity, k float64) bool {
+	for {
+		alo, ahi := a.Bounds()
+		blo, bhi := b.Bounds()
+		switch {
+		case alo > bhi*k:
+			return true
+		case ahi <= blo*k:
+			return false
+		}
+		narrowWider(a, b)
+	}
+}
+
+// trails reports whether a < b·k on the exact rates, as exceeds does.
+func trails(a, b capacity, k float64) bool {
+	for {
+		alo, ahi := a.Bounds()
+		blo, bhi := b.Bounds()
+		switch {
+		case ahi < blo*k:
+			return true
+		case alo >= bhi*k:
+			return false
+		}
+		narrowWider(a, b)
+	}
+}
+
+// narrowWider narrows whichever of a and b has the larger hi/lo: a done
+// capacity has none left to narrow, one whose gate has not run an infinite
+// ratio.
+func narrowWider(a, b capacity) {
+	if width(a) >= width(b) {
+		a.Narrow()
+	} else {
+		b.Narrow()
+	}
+}
+
+func width(c capacity) float64 {
+	lo, hi := c.Bounds()
+	if lo == hi {
+		return 0
+	}
+	return hi / lo
 }
 
 // powersOfTwo returns {1, 2, 4, ..., <=max}, always including max itself

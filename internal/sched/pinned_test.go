@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/deeprecinfra/deeprecsys/internal/model"
@@ -80,6 +81,27 @@ func TestZooEvaluationsPinned(t *testing.T) {
 		got := [3]int{StaticBaseline(cpu, opts).Evaluations, DeepRecSchedCPU(cpu, opts).Evaluations, DeepRecSchedGPU(gpu, opts).Evaluations}
 		if got != want[cfg.Name] {
 			t.Errorf("%s: static, DeepRecSched-CPU and -GPU took %v capacity searches, pinned %v", cfg.Name, got, want[cfg.Name])
+		}
+	}
+}
+
+// TestGPUBatchStageIsCPUClimb: DeepRecSched-GPU's first stage, the batch
+// climb with offload off on the accelerated engine, decides what
+// DeepRecSched-CPU decides on the CPU-only engine — batch, rate, every
+// latency sample of the Result and the evaluations — for every zoo model on
+// both CPUs at the benchmark's search fidelity. A caller holding the CPU
+// decision could pass it to the GPU stage instead of climbing again.
+func TestGPUBatchStageIsCPUClimb(t *testing.T) {
+	for _, cfg := range model.Zoo() {
+		for _, cpu := range []*platform.CPU{platform.Skylake(), platform.Broadwell()} {
+			opts := serving.DefaultSearchOpts(workload.DefaultProduction(), cfg.SLAMedium)
+			opts.Queries, opts.Warmup, opts.RelTol, opts.Seed = 400, 50, 0.05, 1
+			want := DeepRecSchedCPU(serving.NewPlatformEngine(cpu, nil, cfg), opts)
+			got := TuneBatch(serving.NewPlatformEngine(cpu, platform.DefaultGPU(), cfg), 0, opts)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s on %s: the GPU engine's batch climb decides batch %d at %v q/s in %d searches, the CPU engine's %d at %v in %d (or the Results differ)",
+					cfg.Name, cpu.Name, got.BatchSize, got.QPS, got.Evaluations, want.BatchSize, want.QPS, want.Evaluations)
+			}
 		}
 	}
 }

@@ -16,7 +16,7 @@ func TestClimbFindsUnimodalPeak(t *testing.T) {
 	evals := 0
 	best, n := climb([]int{1, 2, 4, 8, 16, 32, 64, 128}, 1, func(v int) Score {
 		evals++
-		return Score{Value: v, QPS: profile[v]}
+		return Score{Value: v, QPS: point(profile[v])}
 	})
 	if best.Value != 16 {
 		t.Errorf("climb found %d, want 16", best.Value)
@@ -33,7 +33,7 @@ func TestClimbFindsUnimodalPeak(t *testing.T) {
 func TestClimbPatienceSkipsLocalDip(t *testing.T) {
 	profile := map[int]float64{1: 10, 2: 30, 4: 25, 8: 50, 16: 20, 32: 10}
 	best, _ := climb([]int{1, 2, 4, 8, 16, 32}, 2, func(v int) Score {
-		return Score{Value: v, QPS: profile[v]}
+		return Score{Value: v, QPS: point(profile[v])}
 	})
 	if best.Value != 8 {
 		t.Errorf("patience-2 climb found %d, want 8 (over the dip at 4)", best.Value)
@@ -52,8 +52,8 @@ func TestClimbPanics(t *testing.T) {
 func TestRefineImprovesWhenMidpointBetter(t *testing.T) {
 	// True optimum at 24, coarse climb would settle on 16 or 32.
 	f := func(v int) float64 { return -float64((v - 24) * (v - 24)) }
-	best := Score{Value: 16, QPS: f(16)}
-	refined, n := refine(best, func(v int) Score { return Score{Value: v, QPS: f(v)} })
+	best := Score{Value: 16, QPS: point(f(16))}
+	refined, n := refine(best, func(v int) Score { return Score{Value: v, QPS: point(f(v))} })
 	if refined.Value != 24 {
 		t.Errorf("refine found %d, want 24", refined.Value)
 	}

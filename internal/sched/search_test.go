@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -52,24 +53,25 @@ type visit struct {
 	res serving.Result
 }
 
-// freshGPUClimb is DeepRecSchedGPU with a fresh serving.MaxQPS — its own
-// stream, utilization sample and service-time table — per configuration, as
-// the schedulers ran before they shared a serving.Search: it returns the
-// decision and every search made, in order.
+// freshGPUClimb is DeepRecSchedGPU as the schedulers ran before they shared
+// a serving.Search and compared brackets: the eager climb, with a fresh
+// serving.MaxQPS — its own stream, utilization sample and service-time
+// table — run to the end for every configuration. It returns the decision
+// and every search made, in order.
 func freshGPUClimb(e serving.Engine, opts serving.SearchOpts) (Decision, []visit) {
 	var visits []visit
-	eval := func(cfg serving.Config, value int) Score {
+	eval := func(cfg serving.Config, value int) eagerScore {
 		qps, res := serving.MaxQPS(e, cfg, opts)
 		visits = append(visits, visit{cfg, qps, res})
-		return Score{Value: value, QPS: qps, Result: res}
+		return eagerScore{Value: value, QPS: qps, Result: res}
 	}
-	byBatch := func(b int) Score { return eval(serving.Config{BatchSize: b}, b) }
-	batch, _ := climb(powersOfTwo(MaxTunedBatch), 2, byBatch)
-	batch, _ = refine(batch, byBatch)
-	byThreshold := func(th int) Score { return eval(serving.Config{BatchSize: batch.Value, GPUThreshold: th}, th) }
+	byBatch := func(b int) eagerScore { return eval(serving.Config{BatchSize: b}, b) }
+	batch, _ := eagerClimb(powersOfTwo(MaxTunedBatch), 2, byBatch)
+	batch, _ = eagerRefineUpTo(batch, math.MaxInt, byBatch)
+	byThreshold := func(th int) eagerScore { return eval(serving.Config{BatchSize: batch.Value, GPUThreshold: th}, th) }
 	disabled := workload.MaxQuerySize + 1
-	best, _ := climb(append(powersOfTwo(workload.MaxQuerySize), disabled), 2, byThreshold)
-	best, _ = refineUpTo(best, disabled, byThreshold)
+	best, _ := eagerClimb(append(powersOfTwo(workload.MaxQuerySize), disabled), 2, byThreshold)
+	best, _ = eagerRefineUpTo(best, disabled, byThreshold)
 	d := Decision{BatchSize: batch.Value, GPUThreshold: best.Value, QPS: best.QPS, Result: best.Result, Evaluations: len(visits)}
 	if batch.QPS > best.QPS {
 		d.GPUThreshold, d.QPS, d.Result = 0, batch.QPS, batch.Result

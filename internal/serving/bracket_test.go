@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -246,4 +247,173 @@ func TestMaxQPSPricesEachPairOnce(t *testing.T) {
 		}
 	}
 	check("one climb", e, true)
+}
+
+// narrowHolding narrows b until it is done, requiring at every step that the
+// rate want, a fresh MaxQPS's, lie in its bounds and, once done, be lo.
+func narrowHolding(t *testing.T, name string, b *Bracket, want float64) {
+	t.Helper()
+	for {
+		lo, hi := b.Bounds()
+		if lo == hi {
+			if lo != want {
+				t.Fatalf("%s: done at %v q/s, MaxQPS returns %v", name, lo, want)
+			}
+			return
+		}
+		if want < lo || want >= hi {
+			t.Fatalf("%s: bounds [%v, %v) do not hold MaxQPS's %v q/s", name, lo, hi, want)
+		}
+		b.Narrow()
+	}
+}
+
+// closeMatches closes a done bracket and requires MaxQPS's rate (==) and
+// Result (reflect.DeepEqual).
+func closeMatches(t *testing.T, name string, b *Bracket, want float64, wantRes Result) {
+	t.Helper()
+	if qps, res := b.Close(); qps != want {
+		t.Fatalf("%s: closes at %v q/s, MaxQPS returns %v", name, qps, want)
+	} else if !reflect.DeepEqual(res, wantRes) {
+		t.Fatalf("%s: closes at MaxQPS's %v q/s with another Result", name, qps)
+	}
+}
+
+// climbValues returns what DeepRecSched's climbs visit of a knob whose
+// powers of two run to top: the powers, top, and the refine step's midpoints
+// around each.
+func climbValues(top int, extra ...int) []int {
+	var out []int
+	for v := 1; ; v *= 2 {
+		v = min(v, top)
+		out = append(out, v, v-v/4, v+v/2)
+		if v == top {
+			break
+		}
+	}
+	out = append(out, extra...)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// TestBracketHoldsMaxQPS: at every Narrow, a Bracket's bounds hold the rate
+// a fresh MaxQPS returns for its configuration, and a done one closes on
+// that rate with that Result — over every configuration the zoo's climbs
+// visit, the flat-cost and zero-cost engines under every small cap (the
+// capped return, the [1, 2] bracket, a failing gate), and two brackets
+// narrowed alternately on one Search, so that each resumes after the
+// other's probes and a closed one replays its last passing probe.
+func TestBracketHoldsMaxQPS(t *testing.T) {
+	t.Run("zoo", func(t *testing.T) {
+		batches := climbValues(1024)
+		thresholds := climbValues(workload.MaxQuerySize, workload.MaxQuerySize+1)
+		for _, mc := range model.Zoo() {
+			for _, cpu := range []*platform.CPU{platform.Skylake(), platform.Broadwell()} {
+				for _, gpu := range []*platform.GPU{nil, platform.DefaultGPU()} {
+					var cfgs []Config
+					if gpu == nil {
+						for _, b := range batches {
+							cfgs = append(cfgs, Config{BatchSize: b})
+						}
+					} else {
+						for _, b := range []int{64, 512} {
+							for _, th := range thresholds {
+								cfgs = append(cfgs, Config{BatchSize: b, GPUThreshold: th})
+							}
+						}
+					}
+					e := NewPlatformEngine(cpu, gpu, mc)
+					opts := benchOpts(mc.SLAMedium)
+					s := NewSearch(e, opts, batches[len(batches)-1])
+					for _, cfg := range cfgs {
+						name := fmt.Sprintf("%s/%s/gpu=%t/b%d/t%d", mc.Name, cpu.Name, gpu != nil, cfg.BatchSize, cfg.GPUThreshold)
+						want, wantRes := MaxQPS(e, cfg, opts)
+						b := s.Bracket(cfg)
+						narrowHolding(t, name, &b, want)
+						closeMatches(t, name, &b, want, wantRes)
+					}
+					s.Release()
+				}
+			}
+		}
+	})
+	t.Run("flat", func(t *testing.T) {
+		cpuOnly := []Config{{BatchSize: 1}, {BatchSize: 32}, {BatchSize: 1024}}
+		offload := []Config{{BatchSize: 32, GPUThreshold: 1}, {BatchSize: 32, GPUThreshold: 300}}
+		for _, perItem := range []time.Duration{0, time.Nanosecond, time.Microsecond, 10 * time.Millisecond} {
+			for _, cores := range []int{1, 4, 40} {
+				for _, limit := range []float64{1, 2, 3, 100, 1e4, 2e6} {
+					for _, sla := range []time.Duration{time.Microsecond, time.Millisecond, 100 * time.Millisecond} {
+						opts := benchOpts(sla)
+						opts.MaxQPS = limit
+						for i, cfg := range append(cpuOnly, offload...) {
+							e := &fakeEngine{cores: cores, perItem: perItem}
+							if i >= len(cpuOnly) {
+								e.withGPU, e.gpuFixed, e.gpuItem = true, time.Millisecond, perItem/8
+							}
+							name := fmt.Sprintf("perItem=%v/cores=%d/cap=%v/sla=%v/b%d/t%d", perItem, cores, limit, sla, cfg.BatchSize, cfg.GPUThreshold)
+							want, wantRes := MaxQPS(e, cfg, opts)
+							s := NewSearch(e, opts, cfg.BatchSize)
+							b := s.Bracket(cfg)
+							narrowHolding(t, name, &b, want)
+							closeMatches(t, name, &b, want, wantRes)
+							s.Release()
+						}
+					}
+				}
+			}
+		}
+	})
+	t.Run("alternating", func(t *testing.T) {
+		pairs := [][2]Config{
+			{{BatchSize: 64}, {BatchSize: 512}},
+			{{BatchSize: 1}, {BatchSize: 1024}},
+			{{BatchSize: 256, GPUThreshold: 128}, {BatchSize: 256, GPUThreshold: 1}},
+			{{BatchSize: 64, GPUThreshold: 1001}, {BatchSize: 512, GPUThreshold: 256}},
+		}
+		replays := 0
+		for _, mc := range model.Zoo() {
+			e := NewPlatformEngine(platform.Skylake(), platform.DefaultGPU(), mc)
+			opts := benchOpts(mc.SLAMedium)
+			s := NewSearch(e, opts, 1024)
+			for i, pair := range pairs {
+				var brackets [2]Bracket
+				var want [2]float64
+				var wantRes [2]Result
+				for j, cfg := range pair {
+					want[j], wantRes[j] = MaxQPS(e, cfg, opts)
+					brackets[j] = s.Bracket(cfg)
+				}
+				name := func(j int) string { return fmt.Sprintf("%s/%+v beside %+v", mc.Name, pair[j], pair[1-j]) }
+				for open := true; open; {
+					open = false
+					for j := range brackets {
+						lo, hi := brackets[j].Bounds()
+						if lo == hi {
+							continue
+						}
+						if want[j] < lo || want[j] >= hi {
+							t.Fatalf("%s: bounds [%v, %v) do not hold MaxQPS's %v q/s", name(j), lo, hi, want[j])
+						}
+						brackets[j].Narrow()
+						open = true
+					}
+				}
+				// Close them in both orders across the pairs: the first
+				// closed has usually lost its samples to the other's probes.
+				for k := range brackets {
+					j := (i + k) % 2
+					if s.keptBy != brackets[j].id && want[j] > 0 {
+						replays++
+					}
+					narrowHolding(t, name(j), &brackets[j], want[j])
+					closeMatches(t, name(j), &brackets[j], want[j], wantRes[j])
+				}
+			}
+			s.Release()
+		}
+		if replays == 0 {
+			t.Error("no bracket closed after another's probes replaced its samples: nothing replayed")
+		}
+	})
 }

@@ -169,6 +169,11 @@ type Search struct {
 	perQueryCPU float64
 	perQueryGPU float64
 	simulated   int // probes that passed the pre-filter and ran the simulator
+
+	// Brackets are numbered from 1 as they are opened. configured is the
+	// number of the one cfg and the per-query demands are set for (0 when
+	// none is), keptBy that of the one whose passing probe best is.
+	brackets, configured, keptBy int
 }
 
 // NewSearch returns a Search on e for configurations of batch size up to
@@ -319,7 +324,7 @@ func (s *Search) probe(qps float64) bool {
 	if !s.meets(res) {
 		return false
 	}
-	s.best = res
+	s.best, s.keptBy = res, s.configured
 	s.probed, s.kept = s.kept, s.probed
 	return true
 }
@@ -350,7 +355,8 @@ func (s *Search) result() Result {
 // every rate tried above it lowered hi. If hi is still above opts.MaxQPS the
 // search is capped and returns lo unrefined. Otherwise [lo, hi] is bisected
 // until hi/lo-1 <= RelTol, and lo — always a rate that was simulated and
-// passed — is returned with its Result.
+// passed — is returned with its Result. A Bracket runs the same steps a
+// probe at a time.
 //
 // The bracket is the one an ascending probe (2, 4, 8, … until the first
 // failure) finds, without simulating the feasible rates below it, provided
@@ -372,43 +378,117 @@ func MaxQPS(e Engine, cfg Config, opts SearchOpts) (float64, Result) {
 // MaxQPS is the package's MaxQPS for one configuration of a climb, on the
 // climb's shared stream and service times.
 func (s *Search) MaxQPS(cfg Config) (float64, Result) {
-	if s.opts.Queries <= s.opts.Warmup {
-		panic("serving: SearchOpts.Queries must exceed Warmup")
-	}
 	s.configure(cfg)
 	return s.maxQPS()
 }
 
 // maxQPS searches the configuration s is set to.
 func (s *Search) maxQPS() (float64, Result) {
-	lo := 1.0
-	if !s.probe(lo) {
-		return 0, Result{}
-	}
+	b := s.bracket()
+	return b.Close()
+}
 
+// Bracket is the capacity search of one configuration, run a probe at a
+// time: until it is done, the rate MaxQPS returns for the configuration lies
+// in [lo, hi); once done, lo == hi is that rate. A hill climb that only asks
+// whether one capacity beats another by a margin narrows each bracket only
+// until its bounds settle the question. The brackets of one Search share its
+// stream, table and buffers; any number may be open, narrowed in any order.
+type Bracket struct {
+	s          *Search
+	id         int
+	cfg        Config
+	lo, hi     float64
+	descending bool // the gate has passed and no power of two below hi has
+}
+
+// Bracket opens the capacity search of cfg on s without simulating: its
+// bounds are 0 and the analytic ceiling.
+func (s *Search) Bracket(cfg Config) Bracket {
+	s.configure(cfg)
+	return s.bracket()
+}
+
+// bracket opens a Bracket on the configuration s is set to.
+func (s *Search) bracket() Bracket {
+	if s.opts.Queries <= s.opts.Warmup {
+		panic("serving: SearchOpts.Queries must exceed Warmup")
+	}
 	hi := 2.0
 	for hi <= s.opts.MaxQPS && !s.overloaded(hi) {
 		hi *= 2
 	}
-	for rate := hi / 2; rate > lo; rate /= 2 {
-		if s.probe(rate) {
-			lo = rate
-			break
-		}
-		hi = rate
-	}
-	if hi > s.opts.MaxQPS {
-		return lo, s.result()
-	}
+	s.brackets++
+	s.configured = s.brackets
+	return Bracket{s: s, id: s.brackets, cfg: s.cfg, hi: hi}
+}
 
-	// Bisect to tolerance.
-	for hi/lo-1 > s.opts.RelTol {
-		mid := (lo + hi) / 2
-		if s.probe(mid) {
-			lo = mid
+// Bounds returns the bracket's bounds: the capacity lies in [lo, hi), or is
+// lo once lo == hi.
+func (b *Bracket) Bounds() (lo, hi float64) { return b.lo, b.hi }
+
+// Narrow runs the search's next probe — the gate, a step of the descent or
+// one of the bisection, in MaxQPS's order — and tightens the bounds by it.
+// It must not be called on a done bracket.
+func (b *Bracket) Narrow() {
+	if b.lo == b.hi {
+		panic("serving: narrowing a done Bracket")
+	}
+	b.configure()
+	switch {
+	case b.lo == 0: // the gate
+		if !b.s.probe(1) {
+			b.hi = 0
+			return
+		}
+		b.lo, b.descending = 1, true
+	case b.descending:
+		if rate := b.hi / 2; b.s.probe(rate) {
+			b.lo, b.descending = rate, false
 		} else {
-			hi = mid
+			b.hi = rate
+		}
+	default:
+		if mid := (b.lo + b.hi) / 2; b.s.probe(mid) {
+			b.lo = mid
+		} else {
+			b.hi = mid
 		}
 	}
-	return lo, s.result()
+	if b.descending && b.hi/2 > b.lo {
+		return
+	}
+	b.descending = false
+	if b.hi > b.s.opts.MaxQPS || b.hi/b.lo-1 <= b.s.opts.RelTol {
+		b.hi = b.lo // capped, or bisected to tolerance
+	}
+}
+
+// Close narrows the bracket until it is done and returns what MaxQPS returns
+// for its configuration.
+func (b *Bracket) Close() (float64, Result) {
+	for b.lo != b.hi {
+		b.Narrow()
+	}
+	if b.lo == 0 {
+		return 0, Result{}
+	}
+	if b.s.keptBy != b.id {
+		// Another bracket's probes have replaced the kept samples: replay
+		// the last passing probe, the same rate on the same stream and table.
+		b.configure()
+		if !b.s.probe(b.lo) {
+			panic("serving: the replayed probe failed")
+		}
+	}
+	return b.lo, b.s.result()
+}
+
+// configure sets the search to the bracket's configuration, unless it is
+// set to it already.
+func (b *Bracket) configure() {
+	if b.s.configured != b.id {
+		b.s.configure(b.cfg)
+		b.s.configured = b.id
+	}
 }

@@ -96,7 +96,7 @@ stage_backend_simd() { go test -count=1 -v -run 'SIMD|Backend|Panel|ReLU|Pool' $
 # every quick-fidelity artifact against its golden rendering; and the fleet
 # figures on one worker against eight.
 stage_offline_identity() {
-  go test -count=1 -run 'TestRunBitsPinned|TestRunMatchesPerRequestReference|TestTiesFireInSchedulingOrder|TestMaxQPSMatchesAscendingProbe|TestSearchReuseMatchesFreshSearches|TestProbeStopMatchesFullRun|TestWarmSearchAllocatesOnlyItsResult|TestSelectPercentileMatchesPercentile|TestZooDecisionsPinned|TestZooEvaluationsPinned|TestQuickArtifactsGolden|TestFleetFiguresIndependentOfWorkers' \
+  go test -count=1 -run 'TestRunBitsPinned|TestRunMatchesPerRequestReference|TestTiesFireInSchedulingOrder|TestMaxQPSMatchesAscendingProbe|TestBracketHoldsMaxQPS|TestSearchReuseMatchesFreshSearches|TestProbeStopMatchesFullRun|TestWarmSearchAllocatesOnlyItsResult|TestSelectPercentileMatchesPercentile|TestZooDecisionsPinned|TestZooEvaluationsPinned|TestQuickArtifactsGolden|TestFleetFiguresIndependentOfWorkers' \
     ./internal/serving/ ./internal/stats/ ./internal/sched/ ./internal/experiments/
 }
 
@@ -137,11 +137,15 @@ stage_stepper() { go test -count=1 -run 'TestStepper' ./internal/live/; }
 # size, threshold, arrival rate and stream seed. FuzzProbeStopMatchesFullRun:
 # a run that may stop early against the full run at such a point, with the SLA
 # a fuzzer-chosen number of nanoseconds from the full run's p95.
+# FuzzClimbOnBracketsMatchesExact: DeepRecSched's climb and refine step on
+# capacity brackets closing along fuzzer-chosen paths against the eager climb
+# on the exact rates, at ties, plateaus and one ulp around both tolerances.
 stage_fuzz() {
   local target
   for target in FuzzSpecParsers:. FuzzPackedFCVsReference:./internal/tensor/ FuzzSIMDMatMulVsScalar:./internal/tensor/ \
     FuzzPoolSumVsReference:./internal/tensor/ FuzzStreamIndices:./internal/model/ FuzzWireDecoders:./internal/rpc/ \
-    FuzzRunMatchesReference:./internal/serving/ FuzzProbeStopMatchesFullRun:./internal/serving/; do
+    FuzzRunMatchesReference:./internal/serving/ FuzzProbeStopMatchesFullRun:./internal/serving/ \
+    FuzzClimbOnBracketsMatchesExact:./internal/sched/; do
     go test -run '^$' -fuzz "${target%%:*}" -fuzztime 10s "${target#*:}"
   done
 }
