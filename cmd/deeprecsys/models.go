@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"github.com/deeprecinfra/deeprecsys/internal/model"
 )
@@ -27,14 +26,12 @@ func modelsMain(args []string) {
 	for i, name := range names {
 		cfg, err := model.ByName(name)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		if (*rows != 0 || *lookups != 0) && cfg.NumTables > 0 {
 			cfg, err = cfg.WithTableScale(*rows, *lookups)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fail(1, err)
 			}
 		}
 		cfgs[i] = cfg

@@ -11,8 +11,6 @@ import (
 	"os/signal"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -23,10 +21,10 @@ import (
 )
 
 // serveMain runs the live serving demo: it starts a concurrent Service for
-// one zoo model and drives it with a query stream — a recorded loadgen CSV
-// trace replayed in (scaled) real time, or a stream generated from the
-// shared workload spec grammar — submitting each query from its own
-// goroutine and reporting the online p95 against the model's SLA.
+// one zoo model and drives it open-loop with a query stream — a recorded
+// `deeprecsys loadgen` CSV trace replayed in (scaled) real time, or a stream
+// generated from the shared workload spec grammar — reporting the online
+// p95 against the model's SLA.
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	var opts deeprecsys.ServeOptions
@@ -68,8 +66,7 @@ func serveMain(args []string) {
 	fs.Parse(args)
 
 	if *speed <= 0 {
-		fmt.Fprintln(os.Stderr, "serve: -speed must be positive")
-		os.Exit(2)
+		fail(2, "serve: -speed must be positive")
 	}
 
 	if *pprofAddr != "" {
@@ -84,13 +81,11 @@ func serveMain(args []string) {
 
 	var err error
 	if opts.Tenants, err = deeprecsys.ParseTenants(*tenants); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fail(2, err)
 	}
 	multi := len(opts.Tenants) > 0
 	if multi && *tracePath != "" {
-		fmt.Fprintln(os.Stderr, "serve: -trace cannot drive -tenants (each tenant generates its own stream)")
-		os.Exit(2)
+		fail(2, "serve: -trace cannot drive -tenants (each tenant generates its own stream)")
 	}
 	// What the run drives and reports on: the tenant specs, or — a -model
 	// run — the one spec the flags spell, its tenant named after the model.
@@ -104,23 +99,19 @@ func serveMain(args []string) {
 	if *listen == "" {
 		queries, err = driveStream(*tracePath, specs, *wl, *arrivals, *rate, *n, *seed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fail(2, err)
 		}
 	}
 
 	if opts.GPUThreshold > 0 && !*gpu {
-		fmt.Fprintln(os.Stderr, "serve: -threshold needs -gpu")
-		os.Exit(2)
+		fail(2, "serve: -threshold needs -gpu")
 	}
 	if opts.GPUReplicas > 0 && !*gpu {
-		fmt.Fprintln(os.Stderr, "serve: -gpu-replicas needs -gpu")
-		os.Exit(2)
+		fail(2, "serve: -gpu-replicas needs -gpu")
 	}
 	opts.MinReplicas, opts.MaxReplicas, opts.AutoScale, err = parseAutoscale(*autoscale)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "serve:", err)
-		os.Exit(2)
+		fail(2, "serve:", err)
 	}
 	sysOpts := []deeprecsys.Option{deeprecsys.WithSeed(*seed)}
 	if *gpu {
@@ -136,14 +127,12 @@ func serveMain(args []string) {
 	// model is a placeholder (Serve skips building it).
 	sys, err := deeprecsys.NewSystem(specs[0].Model, "skylake", sysOpts...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fail(2, err)
 	}
 	defer sys.Close()
 	svc, err := sys.Serve(opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fail(2, err)
 	}
 
 	// SIGTERM joins SIGINT: a supervisor's stop order gets the same
@@ -194,76 +183,39 @@ func serveMain(args []string) {
 		for {
 			select {
 			case <-ticker.C:
-				s := svc.Stats()
-				line := fmt.Sprintf("  %6d done  batch %4d", s.Completed, s.BatchSize)
-				if *gpu {
-					line += fmt.Sprintf("  thr %4d", s.GPUThreshold)
-				}
-				if opts.AutoScale {
-					line += fmt.Sprintf("  reps %2d", s.Replicas)
-				}
-				if shed := s.Shed + s.ShedDeadline; shed > 0 {
-					line += fmt.Sprintf("  shed %5d", shed)
-				}
-				fmt.Printf("%s  online p50 %-12v p95 %v\n",
-					line, s.P50.Round(10*time.Microsecond), s.P95.Round(10*time.Microsecond))
+				printProgress(svc.Stats(), *gpu, opts.AutoScale)
 			case <-progress:
 				return
 			}
 		}
 	}()
 
-	var wg sync.WaitGroup
-	var failed atomic.Uint64
-	// The offered-QPS denominator must reflect the queries actually
-	// submitted: an interrupt truncates the drive loop, and the full
-	// generated stream's span would then misreport the offered rate.
-	submitted := 0
-	var firstArrival, lastArrival time.Duration
-	start := time.Now()
-drive:
-	for _, q := range queries {
-		due := time.Duration(float64(q.Arrival) / *speed)
-		if wait := due - time.Since(start); wait > 0 {
-			select {
-			case <-time.After(wait):
-			case <-ctx.Done():
-				break drive
-			}
-		}
-		if submitted == 0 {
-			firstArrival = q.Arrival
-		}
-		lastArrival = q.Arrival
-		submitted++
-		wg.Add(1)
-		go func(size int, tenant string) {
-			defer wg.Done()
-			if _, err := svc.SubmitTo(ctx, tenant, size, *topn); err != nil && ctx.Err() == nil {
-				failed.Add(1)
-			}
-		}(q.Size, q.tenant)
-	}
-	wg.Wait()
+	submitted, failed, elapsed := openLoop(ctx, queries, *speed, func(ctx context.Context, q drivenQuery) error {
+		_, err := svc.SubmitTo(ctx, q.tenant, q.Size, *topn)
+		return err
+	})
 	close(progress)
-	elapsed := time.Since(start)
 
 	final := svc.Stats()
 	if err := svc.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail(1, err)
 	}
+	// The offered-QPS denominator spans the queries actually submitted: an
+	// interrupt truncates the drive, and the full stream's span would then
+	// misreport the offered rate.
 	offered := "n/a"
-	if span := (lastArrival - firstArrival).Seconds() / *speed; span > 0 && submitted > 1 {
-		offered = fmt.Sprintf("%.1f", float64(submitted-1)/span)
+	if submitted > 1 {
+		if span := (queries[submitted-1].Arrival - queries[0].Arrival).Seconds() / *speed; span > 0 {
+			offered = fmt.Sprintf("%.1f", float64(submitted-1)/span)
+		}
 	}
 	fmt.Printf("served %d/%d queries in %v (%s QPS offered, %.1f achieved)\n",
 		final.Completed, submitted, elapsed.Round(time.Millisecond),
 		offered, float64(final.Completed)/elapsed.Seconds())
 	fmt.Printf("online latency: p50 %v  p95 %v  (window of last %d)\n",
 		final.P50.Round(10*time.Microsecond), final.P95.Round(10*time.Microsecond), final.WindowLen)
-	if final.Cancelled > 0 || failed.Load() > 0 {
-		fmt.Printf("cancelled/failed: %d\n", final.Cancelled+failed.Load())
+	if final.Cancelled > 0 || len(failed) > 0 {
+		fmt.Printf("cancelled/failed: %d\n", final.Cancelled+uint64(len(failed)))
 	}
 	if *gpu {
 		fmt.Printf("gpu offload: threshold %d, %d queries (%.0f%% of queries, %.0f%% of work)\n",
@@ -276,10 +228,7 @@ drive:
 		}
 		fmt.Printf(" after %d retunes\n", final.Retunes)
 	}
-	if shed := final.Shed + final.ShedDeadline + final.Abandoned; shed > 0 {
-		fmt.Printf("admission: %d shed overloaded (%d evicted), %d shed on deadline, %d abandoned at close\n",
-			final.Shed, final.Evicted, final.ShedDeadline, final.Abandoned)
-	}
+	printAdmission(final)
 	if final.DegradeSteps > 0 || final.Truncated > 0 || final.FallbackServed > 0 {
 		fmt.Printf("degrade: %d ladder moves, %d queries truncated, %d served by fallback (level %d at end)\n",
 			final.DegradeSteps, final.Truncated, final.FallbackServed, final.DegradeLevel)
@@ -369,16 +318,9 @@ func listenMode(ctx context.Context, svc *deeprecsys.Service, addr string, multi
 		case <-ctx.Done():
 			serving = false
 		case <-ticker.C:
-			s := svc.Stats()
-			if s.Submitted == 0 {
-				continue // nothing to report until traffic arrives
+			if s := svc.Stats(); s.Submitted > 0 { // nothing to report until traffic arrives
+				printProgress(s, false, false)
 			}
-			line := fmt.Sprintf("  %6d done  batch %4d", s.Completed, s.BatchSize)
-			if shed := s.Shed + s.ShedDeadline; shed > 0 {
-				line += fmt.Sprintf("  shed %5d", shed)
-			}
-			fmt.Printf("%s  online p50 %-12v p95 %v\n",
-				line, s.P50.Round(10*time.Microsecond), s.P95.Round(10*time.Microsecond))
 		}
 	}
 
@@ -397,65 +339,64 @@ func listenMode(ctx context.Context, svc *deeprecsys.Service, addr string, multi
 	}
 	fmt.Printf("wire: %d requests, %d ok, %d overloaded, %d deadline, %d draining, %d down, %d cancelled, %d bad\n",
 		wire.Requests, wire.OK, wire.Overloaded, wire.Deadline, wire.Draining, wire.Down, wire.Cancelled, wire.BadRequest)
-	if shed := final.Shed + final.ShedDeadline + final.Abandoned; shed > 0 {
-		fmt.Printf("admission: %d shed overloaded (%d evicted), %d shed on deadline, %d abandoned at close\n",
-			final.Shed, final.Evicted, final.ShedDeadline, final.Abandoned)
-	}
+	printAdmission(final)
 	for _, t := range final.Tenants {
 		fmt.Printf("tenant %s: %d submitted, %d completed, %d shed, p95 %v (sla %v)\n",
 			t.Name, t.Submitted, t.Completed, t.Shed+t.ShedDeadline+t.CapShed,
 			t.P95.Round(10*time.Microsecond), t.SLA)
 	}
 	if drainErr != nil {
-		fmt.Fprintln(os.Stderr, "serve: drain:", drainErr)
-		os.Exit(1)
+		fail(1, "serve: drain:", drainErr)
 	}
 	if closeErr != nil {
-		fmt.Fprintln(os.Stderr, "serve:", closeErr)
-		os.Exit(1)
+		fail(1, "serve:", closeErr)
 	}
 	fmt.Println("drained cleanly")
 }
 
-// drivenQuery is one query of the drive stream: an arrival offset, a size,
-// and the tenant it is addressed to.
-type drivenQuery struct {
-	workload.Query
-	tenant string
+// printProgress prints a running service's per-second progress line: the
+// knobs (the threshold with the accelerator, the fleet size under
+// autoscaling), sheds, and the online percentiles.
+func printProgress(s deeprecsys.ServiceStats, gpu, autoscale bool) {
+	line := fmt.Sprintf("  %6d done  batch %4d", s.Completed, s.BatchSize)
+	if gpu {
+		line += fmt.Sprintf("  thr %4d", s.GPUThreshold)
+	}
+	if autoscale {
+		line += fmt.Sprintf("  reps %2d", s.Replicas)
+	}
+	if shed := s.Shed + s.ShedDeadline; shed > 0 {
+		line += fmt.Sprintf("  shed %5d", shed)
+	}
+	fmt.Printf("%s  online p50 %-12v p95 %v\n",
+		line, s.P50.Round(10*time.Microsecond), s.P95.Round(10*time.Microsecond))
 }
 
-// driveStream loads or generates the query stream that drives the service:
-// a recorded trace, or one generated stream per spec — its own workload
-// (TenantSpec.Workload or the -workload default) at its Share-proportional
-// slice of -rate and -n, on its own seed stream — merged by arrival time.
-// A -model run is the one-spec case: the whole rate and count on the run's
-// seed. Every query is addressed to its spec's tenant by name; a trace
-// drives the one spec a -model run has.
+// printAdmission prints the exit report's admission line when anything was
+// shed or abandoned.
+func printAdmission(final deeprecsys.ServiceStats) {
+	if shed := final.Shed + final.ShedDeadline + final.Abandoned; shed > 0 {
+		fmt.Printf("admission: %d shed overloaded (%d evicted), %d shed on deadline, %d abandoned at close\n",
+			final.Shed, final.Evicted, final.ShedDeadline, final.Abandoned)
+	}
+}
+
+// driveStream loads or generates the query stream that drives the service.
+// A -model run (or a trace) is one spec: the whole rate and count on the
+// run's seed. A -tenants run generates one stream per spec — its own
+// workload (TenantSpec.Workload or the -workload default) at its
+// Share-proportional slice of -rate and -n, on its own seed stream — merged
+// by arrival time. Every query is addressed to its spec's tenant by name.
 func driveStream(tracePath string, specs []deeprecsys.TenantSpec, defWL, arrivals string, rate float64, n int, seed int64) ([]drivenQuery, error) {
-	var out []drivenQuery
-	if tracePath != "" {
-		r := os.Stdin
-		if tracePath != "-" {
-			f, err := os.Open(tracePath)
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			r = f
-		}
-		qs, err := workload.ReadTrace(r)
-		if err != nil {
-			return nil, err
-		}
-		for _, q := range qs {
-			out = append(out, drivenQuery{q, cmp.Or(specs[0].Name, specs[0].Model)})
-		}
-		return out, nil
+	if len(specs) == 1 {
+		qs, err := queryStream(tracePath, cmp.Or(specs[0].Workload, defWL), arrivals, rate, n, seed)
+		return addressed(qs, cmp.Or(specs[0].Name, specs[0].Model)), err
 	}
 	total := 0.0
 	for _, sp := range specs {
 		total += cmp.Or(sp.Share, 1)
 	}
+	var out []drivenQuery
 	for i, sp := range specs {
 		frac := cmp.Or(sp.Share, 1) / total
 		ni := int(float64(n)*frac + 0.5)
@@ -463,13 +404,11 @@ func driveStream(tracePath string, specs []deeprecsys.TenantSpec, defWL, arrival
 			ni = 1 // a share too small for one query of a real run still gets one
 		}
 		name := cmp.Or(sp.Name, sp.Model)
-		qs, err := workload.GenerateSpec(cmp.Or(sp.Workload, defWL), arrivals, rate*frac, ni, seed+9973*int64(i))
+		qs, err := queryStream("", cmp.Or(sp.Workload, defWL), arrivals, rate*frac, ni, seed+9973*int64(i))
 		if err != nil {
 			return nil, fmt.Errorf("serve: tenant %s: %w", name, err)
 		}
-		for _, q := range qs {
-			out = append(out, drivenQuery{q, name})
-		}
+		out = append(out, addressed(qs, name)...)
 	}
 	sort.SliceStable(out, func(a, b int) bool { return out[a].Arrival < out[b].Arrival })
 	return out, nil

@@ -1,14 +1,3 @@
-// Command sweep measures latency-bounded throughput across a grid of
-// serving configurations for one model: batch sizes, and optionally
-// accelerator query-size thresholds. It is the manual counterpart of
-// DeepRecSched's hill climber, useful for inspecting the whole operating
-// surface rather than the optimum.
-//
-// Usage:
-//
-//	sweep -model DLRM-RMC1 -sla 100ms
-//	sweep -model DLRM-RMC3 -platform broadwell -batches 32,64,128
-//	sweep -model DLRM-RMC1 -gpu -batch 512 -thresholds 1,128,256,512
 package main
 
 import (
@@ -23,17 +12,23 @@ import (
 	"github.com/deeprecinfra/deeprecsys/internal/par"
 )
 
-func main() {
-	modelName := flag.String("model", "DLRM-RMC1", "zoo model")
-	platformName := flag.String("platform", "skylake", "skylake or broadwell")
-	slaFlag := flag.Duration("sla", 0, "p95 target (default: the model's published target)")
-	batchesFlag := flag.String("batches", "16,32,64,128,256,512,1024", "batch sizes to sweep")
-	withGPU := flag.Bool("gpu", false, "provision the accelerator and sweep thresholds")
-	batchFlag := flag.Int("batch", 0, "fixed CPU batch for threshold sweeps (default: tuned)")
-	thresholdsFlag := flag.String("thresholds", "1,64,128,256,512,768,1001", "GPU thresholds to sweep")
-	queries := flag.Int("queries", 1200, "queries per capacity evaluation")
-	workers := flag.Int("workers", 0, "concurrent capacity searches (0 = GOMAXPROCS); output is identical at any setting")
-	flag.Parse()
+// sweepMain measures latency-bounded throughput across a grid of serving
+// configurations for one model: batch sizes, and optionally accelerator
+// query-size thresholds. It is the manual counterpart of DeepRecSched's
+// hill climber, useful for inspecting the whole operating surface rather
+// than the optimum.
+func sweepMain(args []string) {
+	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+	modelName := fs.String("model", "DLRM-RMC1", "zoo model")
+	platformName := fs.String("platform", "skylake", "skylake or broadwell")
+	slaFlag := fs.Duration("sla", 0, "p95 target (default: the model's published target)")
+	batchesFlag := fs.String("batches", "16,32,64,128,256,512,1024", "batch sizes to sweep")
+	withGPU := fs.Bool("gpu", false, "provision the accelerator and sweep thresholds")
+	batchFlag := fs.Int("batch", 0, "fixed CPU batch for threshold sweeps (default: tuned)")
+	thresholdsFlag := fs.String("thresholds", "1,64,128,256,512,768,1001", "GPU thresholds to sweep")
+	queries := fs.Int("queries", 1200, "queries per capacity evaluation")
+	workers := fs.Int("workers", 0, "concurrent capacity searches (0 = GOMAXPROCS); output is identical at any setting")
+	fs.Parse(args)
 
 	opts := []deeprecsys.Option{deeprecsys.WithSearchFidelity(*queries, 0.03)}
 	if *withGPU {

@@ -17,8 +17,7 @@ import (
 // alone. The files pair with `serve -store mmap:<dir>`.
 func tablesMain(args []string) {
 	if len(args) < 1 || args[0] != "gen" {
-		fmt.Fprintln(os.Stderr, "usage: deeprecsys tables gen -model <name> -dir <dir> [-rows N] [-seed S] [-shards K]")
-		os.Exit(2)
+		fail(2, "usage: deeprecsys tables gen -model <name> -dir <dir> [-rows N] [-seed S] [-shards K]")
 	}
 	fs := flag.NewFlagSet("tables gen", flag.ExitOnError)
 	modelName := fs.String("model", "NCF", "zoo model whose tables to materialize")
@@ -29,26 +28,21 @@ func tablesMain(args []string) {
 	fs.Parse(args[1:])
 
 	if *dir == "" {
-		fmt.Fprintln(os.Stderr, "tables gen: -dir is required")
-		os.Exit(2)
+		fail(2, "tables gen: -dir is required")
 	}
 	if *shards < 1 {
-		fmt.Fprintln(os.Stderr, "tables gen: -shards must be >= 1")
-		os.Exit(2)
+		fail(2, "tables gen: -shards must be >= 1")
 	}
 	cfg, err := model.ByName(*modelName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tables gen:", err)
-		os.Exit(2)
+		fail(2, "tables gen:", err)
 	}
 	cfg, err = cfg.WithTableScale(*rows, 0)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tables gen:", err)
-		os.Exit(2)
+		fail(2, "tables gen:", err)
 	}
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "tables gen:", err)
-		os.Exit(2)
+		fail(2, "tables gen:", err)
 	}
 
 	perTable := int64(cfg.TableRows) * int64(cfg.EmbDim) * 4
@@ -66,8 +60,7 @@ func tablesMain(args []string) {
 				fmt.Printf("\r  table %d/%d shard %d/%d: %3.0f%%", t+1, cfg.NumTables, p+1, *shards, 100*float64(done)/float64(total))
 			})
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "\ntables gen: table %d shard %d: %v\n", t, p, err)
-				os.Exit(1)
+				fail(1, fmt.Sprintf("\ntables gen: table %d shard %d: %v", t, p, err))
 			}
 			info, err := os.Stat(path)
 			if err == nil {

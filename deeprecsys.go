@@ -21,8 +21,9 @@
 //   - Workload — the serving scenario: query-size distribution plus arrival
 //     process. The default is the paper's production workload; ParseWorkload
 //     ("fixed:100@uniform", "lognormal:4.0,0.9", ...) and TraceWorkload
-//     (deriving an empirical distribution from a recorded cmd/loadgen CSV)
-//     build alternatives, installed per System with WithWorkload.
+//     (deriving an empirical distribution from a recorded `deeprecsys
+//     loadgen` CSV) build alternatives, installed per System with
+//     WithWorkload.
 //
 //   - Engine — how service times are obtained: Analytical (the calibrated
 //     platform models behind every paper artifact, GPU-capable) or
@@ -198,14 +199,9 @@ func NewSystem(modelName, platformName string, opts ...Option) (*System, error) 
 	if err != nil {
 		return nil, err
 	}
-	var cpu *platform.CPU
-	switch platformName {
-	case "skylake":
-		cpu = platform.Skylake()
-	case "broadwell":
-		cpu = platform.Broadwell()
-	default:
-		return nil, fmt.Errorf("deeprecsys: unknown platform %q (have %v)", platformName, PlatformNames())
+	cpu, err := platform.CPUByName(platformName)
+	if err != nil {
+		return nil, fmt.Errorf("deeprecsys: %w", err)
 	}
 	s := &System{cfg: cfg, cpu: cpu, seed: 1, queries: 2200, relTol: 0.02}
 	for _, o := range opts {

@@ -93,7 +93,8 @@ func ExampleSystem_Serve_fleet() {
 }
 
 // ExampleParseWorkload builds serving scenarios from the spec grammar
-// shared with cmd/loadgen and cmd/replay, and installs one on a System.
+// shared with `deeprecsys loadgen` and `deeprecsys replay`, and installs
+// one on a System.
 func ExampleParseWorkload() {
 	wl, err := deeprecsys.ParseWorkload("fixed:100@uniform")
 	if err != nil {

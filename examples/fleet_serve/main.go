@@ -1,4 +1,4 @@
-// Fleet serving: the live counterpart of examples/fleet_ab. A heterogeneous
+// Fleet serving: the live counterpart of `deeprecsys fig13`. A heterogeneous
 // fleet of replica services — some GPU-capable, all with node-to-node speed
 // jitter — serves concurrent traffic behind a size-aware router that steers
 // the heavy tail of big queries to the accelerator-equipped replicas. The

@@ -90,6 +90,18 @@ type CPU struct {
 	DispatchOverhead time.Duration
 }
 
+// CPUByName returns the CPU a platform name selects: "skylake" or
+// "broadwell".
+func CPUByName(name string) (*CPU, error) {
+	switch name {
+	case "skylake":
+		return Skylake(), nil
+	case "broadwell":
+		return Broadwell(), nil
+	}
+	return nil, fmt.Errorf("unknown platform %q (have skylake, broadwell)", name)
+}
+
 // Broadwell returns the paper's Intel Broadwell configuration: 28 cores at
 // 2.4 GHz with AVX-2 and an inclusive L2/L3 hierarchy, TDP 120 W.
 func Broadwell() *CPU {

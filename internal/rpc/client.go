@@ -354,7 +354,7 @@ func (c *Client) countFailure(err error) {
 func (c *Client) attemptMaybeHedged(ctx context.Context, body []byte) (RecommendResponse, error) {
 	hedgeAfter, armed := c.hedgeDelay()
 	if !armed {
-		return c.attemptOnce(ctx, body)
+		return c.attemptOnce(ctx, body, false)
 	}
 	type outcome struct {
 		resp  RecommendResponse
@@ -365,7 +365,7 @@ func (c *Client) attemptMaybeHedged(ctx context.Context, body []byte) (Recommend
 	defer cancel()
 	results := make(chan outcome, 2)
 	launch := func(hedge bool) {
-		resp, err := c.attemptOnce(raceCtx, body)
+		resp, err := c.attemptOnce(raceCtx, body, hedge)
 		results <- outcome{resp, err, hedge}
 	}
 	go launch(false)
@@ -418,8 +418,8 @@ func (c *Client) hedgeDelay() (time.Duration, bool) {
 }
 
 // attemptOnce performs one HTTP round trip, attaching the deadline headers
-// and classifying the outcome.
-func (c *Client) attemptOnce(ctx context.Context, body []byte) (RecommendResponse, error) {
+// (and the hedge mark on a hedge) and classifying the outcome.
+func (c *Client) attemptOnce(ctx context.Context, body []byte, hedge bool) (RecommendResponse, error) {
 	c.attempts.Add(1)
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+PathRecommend, bytes.NewReader(body))
 	if err != nil {
@@ -434,6 +434,9 @@ func (c *Client) attemptOnce(ctx context.Context, body []byte) (RecommendRespons
 			budget = 0
 		}
 		hreq.Header.Set(HeaderTimeoutUs, strconv.FormatInt(budget, 10))
+	}
+	if hedge {
+		hreq.Header.Set(headerHedge, "1")
 	}
 	hresp, err := c.hc.Do(hreq)
 	if err != nil {

@@ -551,11 +551,16 @@ func TestRetryBudget(t *testing.T) {
 // TestHedgeCutsTail primes the latency window with fast requests, then
 // makes one primary pathologically slow: the hedge fires at the observed
 // percentile, wins the race, and the call returns far sooner than the
-// stalled primary would have.
+// stalled primary would have. The slow attempt is picked by identity, not
+// by arrival order: the priming requests are sequential and never hedged,
+// so the slowN-th arrival without the hedge mark is the primary of request
+// slowN even when a descheduled primary lets its hedge reach the server
+// first.
 func TestHedgeCutsTail(t *testing.T) {
 	const slowN = hedgeMinSamples + 1
-	stub := newStub(func(n uint64, ctx context.Context, q live.Query) (live.Reply, error) {
-		if n == slowN {
+	type slowKey struct{}
+	inner := NewServer(newStub(func(_ uint64, ctx context.Context, _ live.Query) (live.Reply, error) {
+		if ctx.Value(slowKey{}) != nil {
 			select {
 			case <-time.After(2 * time.Second):
 			case <-ctx.Done():
@@ -563,11 +568,20 @@ func TestHedgeCutsTail(t *testing.T) {
 			}
 		}
 		return okReply()
-	})
-	srv := startServer(t, stub, ServerConfig{})
-	c := newTestClient(t, srv, ClientConfig{
-		MaxAttempts: 1, HedgePercentile: 90,
-	})
+	}), ServerConfig{}).Handler()
+	var primaries atomic.Uint64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathRecommend && r.Header.Get(headerHedge) == "" && primaries.Add(1) == slowN {
+			r = r.WithContext(context.WithValue(r.Context(), slowKey{}, true))
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	c, err := NewClient(ts.URL, ClientConfig{MaxAttempts: 1, HedgePercentile: 90})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
 	ctx := context.Background()
 	for i := 0; i < hedgeMinSamples; i++ {
 		if _, err := c.Recommend(ctx, RecommendRequest{Candidates: 32}); err != nil {

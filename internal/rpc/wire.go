@@ -80,6 +80,9 @@ const (
 	// milliseconds — finer-grained than the standard integral-seconds
 	// Retry-After, which is also set.
 	HeaderRetryAfterMs = "Deeprecsys-Retry-After-Ms"
+	// headerHedge marks a hedged duplicate of a request already in flight;
+	// a primary attempt goes without it.
+	headerHedge = "Deeprecsys-Hedge"
 )
 
 // Error codes carried in ErrorResponse.Code: the machine-readable failure

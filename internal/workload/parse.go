@@ -6,8 +6,8 @@ import (
 )
 
 // Spec parsing: the textual workload format shared by the public
-// deeprecsys.ParseWorkload API, cmd/loadgen, cmd/replay, and
-// `deeprecsys serve -workload`. The grammar is documented canonically on
+// deeprecsys.ParseWorkload API and the loadgen, replay and serve
+// subcommands of cmd/deeprecsys. The grammar is documented canonically on
 // deeprecsys.ParseWorkload; ParseDist and ParseArrivals implement its two
 // halves (the size-distribution spec and the arrival spec).
 
@@ -84,7 +84,7 @@ func ParseArrivals(spec string, ratePerSec float64) (ArrivalProcess, error) {
 
 // GenerateSpec parses a (distribution, arrivals) spec pair and generates a
 // deterministic n-query stream — the shared generate-from-spec entry point
-// of cmd/replay and the deeprecsys serve subcommand.
+// of the loadgen, replay and serve subcommands of cmd/deeprecsys.
 func GenerateSpec(dist, arrivals string, rate float64, n int, seed int64) ([]Query, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("workload: need at least one query, got %d", n)

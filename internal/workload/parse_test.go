@@ -142,7 +142,7 @@ func TestUniformStreamMatchesGenerator(t *testing.T) {
 	}
 }
 
-// ParseDist must agree with the historical cmd/loadgen parser for the specs
+// ParseDist must agree with loadgen's historical standalone parser for the specs
 // loadgen documented, so existing invocations keep producing identical
 // traces.
 func TestParseDistMatchesLoadgenDefaults(t *testing.T) {

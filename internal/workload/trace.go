@@ -9,11 +9,11 @@ import (
 	"time"
 )
 
-// Trace I/O: the CSV interchange format of cmd/loadgen ("arrival_sec,size"
-// header followed by one row per query). WriteTrace and ReadTrace round-trip
-// exactly, so traces captured from production systems — or generated once
-// and versioned — can be replayed deterministically through the serving
-// simulator (cmd/replay).
+// Trace I/O: the CSV interchange format of `deeprecsys loadgen`
+// ("arrival_sec,size" header followed by one row per query). WriteTrace and
+// ReadTrace round-trip exactly, so traces captured from production systems —
+// or generated once and versioned — can be replayed deterministically
+// through the serving simulator (`deeprecsys replay`).
 
 // WriteTrace emits queries as CSV.
 func WriteTrace(w io.Writer, queries []Query) error {

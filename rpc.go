@@ -22,8 +22,9 @@ type HTTPServer struct {
 
 // StartHTTP publishes the service at addr ("host:port"; port 0 picks a
 // free one) and returns the running server. Remote clients reach it with
-// NewRemoteClient, `loadgen -target`, or any HTTP client speaking the wire
-// format; a fleet in another process joins it with AddRemoteReplica.
+// NewRemoteClient, `deeprecsys loadgen -target`, or any HTTP client
+// speaking the wire format; a fleet in another process joins it with
+// AddRemoteReplica.
 func (s *Service) StartHTTP(addr string) (*HTTPServer, error) {
 	srv := rpc.NewServer(s.fl.AsBackend(), rpc.ServerConfig{Model: s.slots[0].model})
 	if _, err := srv.Start(addr); err != nil {

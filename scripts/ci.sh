@@ -103,13 +103,22 @@ stage_offline_identity() {
 # Parallel sweeps fan out deterministically: the report must not depend on
 # the worker count.
 stage_sweep_determinism() {
-  go run ./cmd/sweep -model DLRM-RMC1 -sla 100ms -queries 600 -workers 1 > "$tmp/sweep-w1.txt"
-  go run ./cmd/sweep -model DLRM-RMC1 -sla 100ms -queries 600 -workers 8 > "$tmp/sweep-w8.txt"
+  go run ./cmd/deeprecsys sweep -model DLRM-RMC1 -sla 100ms -queries 600 -workers 1 > "$tmp/sweep-w1.txt"
+  go run ./cmd/deeprecsys sweep -model DLRM-RMC1 -sla 100ms -queries 600 -workers 8 > "$tmp/sweep-w8.txt"
   cmp "$tmp/sweep-w1.txt" "$tmp/sweep-w8.txt"
 }
 
-# Root examples are compiled docs.
-stage_examples() { go test -run Example -v -count=1 .; }
+# Root examples are compiled docs; each program under examples/ must also run
+# to a zero exit at its default flags.
+stage_examples() {
+  go test -run Example -v -count=1 .
+  local ex
+  for ex in examples/*/; do
+    echo "-- $ex"
+    go build -o "$tmp/example" "./$ex"
+    "$tmp/example" > "$tmp/example.log" 2>&1 || { cat "$tmp/example.log"; echo "$ex exited non-zero"; return 1; }
+  done
+}
 
 # The live tests run the CPU lane's per-worker scratch arenas (and the
 # intra-op split path) under the race detector: scratches must never be
@@ -208,19 +217,18 @@ stage_remote_stress() {
   return $failed
 }
 
-# End-to-end over a real socket: `serve -listen` + `loadgen -target`, probes
-# answered, /statsz counters moved, SIGTERM drains gracefully (exit code 0 +
-# "drained cleanly").
+# End-to-end over a real socket: `deeprecsys serve -listen` + `deeprecsys
+# loadgen -target`, probes answered, /statsz counters moved, SIGTERM drains
+# gracefully (exit code 0 + "drained cleanly").
 stage_wire_e2e() {
   local url=http://127.0.0.1:8123 srv
   go build -o "$tmp/deeprecsys" ./cmd/deeprecsys
-  go build -o "$tmp/loadgen" ./cmd/loadgen
   "$tmp/deeprecsys" serve -model NCF -workers 2 -listen 127.0.0.1:8123 > "$tmp/serve.log" 2>&1 &
   srv=$!
   for _ in $(seq 1 50); do curl -sf $url/healthz > /dev/null && break; sleep 0.2; done
   curl -sf $url/healthz
   curl -sf $url/readyz
-  "$tmp/loadgen" -target $url -rate 200 -n 200 -deadline 500ms -attempts 3
+  "$tmp/deeprecsys" loadgen -target $url -rate 200 -n 200 -deadline 500ms -attempts 3
   curl -s $url/statsz | grep -q '"Completed":200' || { echo "statsz did not reach 200 completed"; curl -s $url/statsz; kill $srv; return 1; }
   kill -TERM $srv
   wait $srv

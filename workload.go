@@ -28,7 +28,7 @@ func DefaultWorkload() Workload {
 
 // ParseWorkload parses a workload spec of the form "<dist>[@<arrivals>]".
 // This is the canonical statement of the spec grammar, shared by
-// cmd/loadgen (-dist), cmd/replay (-workload), and
+// `deeprecsys loadgen -dist`, `deeprecsys replay -workload` and
 // `deeprecsys serve -workload`. The size-distribution half is one of
 //
 //	production                the paper's heavy-tailed production dist
@@ -61,11 +61,11 @@ func ParseWorkload(spec string) (Workload, error) {
 }
 
 // TraceWorkload derives a workload from a recorded query trace in the CSV
-// interchange format of cmd/loadgen ("arrival_sec,size"): the trace's
+// interchange format of `deeprecsys loadgen` ("arrival_sec,size"): the trace's
 // sizes become the workload's empirical size distribution, so capacity
 // searches and the tuner can extrapolate beyond the recorded span. The
 // recorded arrival timings are not replayed here — the search probes
-// arrival rates; to replay a trace tick-for-tick use cmd/replay (offline)
+// arrival rates; to replay a trace tick-for-tick use `deeprecsys replay` (offline)
 // or `deeprecsys serve -trace` (live).
 func TraceWorkload(r io.Reader) (Workload, error) {
 	queries, err := workload.ReadTrace(r)
