@@ -107,7 +107,8 @@ type ClientConfig struct {
 	// duplicates work on the server, so it is safe for idempotent serving
 	// reads (which /v1/recommend is) and poison for writes.
 	HedgePercentile float64
-	// Transport overrides the HTTP transport (e.g. a NetChaos injector).
+	// Transport overrides the HTTP transport (e.g. a NetChaos injector);
+	// nil is the package's own keep-alive HTTP/1.1 transport (transport.go).
 	Transport http.RoundTripper
 	// Seed makes backoff jitter deterministic for tests (default: 1).
 	Seed int64
@@ -152,7 +153,8 @@ type Client struct {
 }
 
 // NewClient returns a Client for the server at target (e.g.
-// "http://127.0.0.1:8080"; scheme defaults to http).
+// "http://127.0.0.1:8080"; scheme defaults to http, and is the only one the
+// wire speaks).
 func NewClient(target string, cfg ClientConfig) (*Client, error) {
 	if target == "" {
 		return nil, errors.New("rpc: empty target")
@@ -163,6 +165,9 @@ func NewClient(target string, cfg ClientConfig) (*Client, error) {
 	u, err := url.Parse(target)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: bad target %q: %w", target, err)
+	}
+	if u.Scheme != "http" {
+		return nil, fmt.Errorf("rpc: target %q: scheme %q is not supported, only http", target, u.Scheme)
 	}
 	if u.Host == "" {
 		return nil, fmt.Errorf("rpc: target %q has no host", target)
@@ -186,7 +191,7 @@ func NewClient(target string, cfg ClientConfig) (*Client, error) {
 	if rt == nil {
 		// A dedicated transport per client keeps connection pools (and
 		// injected chaos) isolated between clients in one process.
-		rt = &http.Transport{MaxIdleConnsPerHost: 64}
+		rt = newTransport()
 	}
 	return &Client{
 		base: strings.TrimRight(u.String(), "/"),
@@ -217,7 +222,7 @@ func (c *Client) Stats() ClientStats {
 
 // Close releases idle connections.
 func (c *Client) Close() {
-	if t, ok := c.hc.Transport.(*http.Transport); ok {
+	if t, ok := c.hc.Transport.(interface{ CloseIdleConnections() }); ok {
 		t.CloseIdleConnections()
 	}
 }
@@ -234,11 +239,7 @@ func (c *Client) Recommend(ctx context.Context, req RecommendRequest) (Recommend
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.Timeout)
 		defer cancel()
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		c.failures.Add(1)
-		return RecommendResponse{}, fmt.Errorf("rpc: encode request: %w", err)
-	}
+	body := appendRequest(make([]byte, 0, 64), &req)
 
 	var lastErr error
 	for attempt := 1; ; attempt++ {
@@ -425,7 +426,7 @@ func (c *Client) attemptOnce(ctx context.Context, body []byte, hedge bool) (Reco
 	if err != nil {
 		return RecommendResponse{}, fmt.Errorf("rpc: build request: %w", err)
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header["Content-Type"] = jsonContentType
 	if deadline, ok := ctx.Deadline(); ok {
 		// Both forms ride along; the server picks (wire.go explains why).
 		hreq.Header.Set(HeaderDeadlineUnixUs, strconv.FormatInt(deadline.UnixMicro(), 10))
@@ -448,7 +449,7 @@ func (c *Client) attemptOnce(ctx context.Context, body []byte, hedge bool) (Reco
 	}()
 	if hresp.StatusCode == http.StatusOK {
 		var resp RecommendResponse
-		if derr := json.NewDecoder(hresp.Body).Decode(&resp); derr != nil {
+		if derr := decodeBody(hresp.Body, &resp, scanResponse); derr != nil {
 			// The status line said success but the payload died mid-wire:
 			// ambiguous, treated like a reset.
 			return RecommendResponse{}, &Error{Code: codeReset, Msg: "response truncated: " + derr.Error()}

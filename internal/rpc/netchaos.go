@@ -82,11 +82,12 @@ func ParseNetChaos(spec string) (NetChaos, error) {
 	return cfg, nil
 }
 
-// Transport wraps rt (nil = a fresh default transport) with the fault
-// injector. The result plugs into ClientConfig.Transport.
+// Transport wraps rt (nil = a fresh instance of the client's own default
+// transport) with the fault injector. The result plugs into
+// ClientConfig.Transport.
 func (c NetChaos) Transport(rt http.RoundTripper) http.RoundTripper {
 	if rt == nil {
-		rt = &http.Transport{MaxIdleConnsPerHost: 64}
+		rt = newTransport()
 	}
 	if !c.Enabled() {
 		return rt

@@ -190,8 +190,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req RecommendRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req, scanRequest); err != nil {
 		s.badreq.Add(1)
 		s.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: "+err.Error(), 0)
 		return
@@ -237,7 +236,17 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 			resp.Recs[i] = Rec{Item: rec.Item, CTR: rec.CTR}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	bp := getBuf()
+	b, ok := appendResponse(*bp, &resp)
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	if ok {
+		// A NaN or infinite CTR leaves the 200 without a body, as
+		// encoding/json's refusal did: the client reads a truncated reply.
+		w.Write(b)
+	}
+	*bp = b
+	putBuf(bp)
 }
 
 // wireDeadline extracts the propagated deadline from the request headers:
@@ -324,8 +333,11 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string,
 	writeJSON(w, status, ErrorResponse{Code: code, Error: msg, RetryAfterMs: retryAfter.Milliseconds()})
 }
 
+// jsonContentType is the Content-Type of every JSON body, shared read-only.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }

@@ -41,6 +41,17 @@
 // on Close, each read bounded by 2s, and a read that fails leaves the last
 // body that landed.
 //
+// The recommend round trip is the wire's hot path, and two pieces keep its
+// software cost down without changing a byte of what crosses the network.
+// The client's default transport (transport.go) is the package's own
+// keep-alive HTTP/1.1 client: it writes the request and reads the reply on
+// the calling goroutine, where net/http's Transport hands each to a goroutine
+// of its own, checks an idle connection with a non-blocking peek before
+// reusing it, and speaks plain-text http only. The recommend messages are
+// encoded by hand, byte for byte what encoding/json writes, and decoded by a
+// strict scanner that passes any body it does not recognise to encoding/json
+// (codec.go); the operational endpoints keep encoding/json.
+//
 // The timings are constants, not settings: the server drains for at most
 // 30s and clamps its Retry-After hint to [5ms, 2s]; the client backs off
 // from 10ms, doubling to 1s, and arms hedging after 64 successes; a remote

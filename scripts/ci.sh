@@ -141,9 +141,11 @@ stage_stepper() { go test -count=1 -run 'TestStepper' ./internal/live/; }
 # backend, bad indices included. FuzzStreamIndices: the lanes' bulk index draw
 # against the one-Uint64-at-a-time restatement of model.Stream's definition.
 # FuzzWireDecoders: arbitrary bytes as every request body the server decodes
-# and every reply the client decodes. FuzzRunMatchesReference: serving.Run
-# against the literal per-request simulator, by bits, at a fuzzer-chosen batch
-# size, threshold, arrival rate and stream seed. FuzzProbeStopMatchesFullRun:
+# and every reply the client decodes. FuzzRecommendCodec: the recommend
+# verb's hand-written codec against encoding/json, bytes out and values in.
+# FuzzRunMatchesReference: serving.Run against the literal per-request
+# simulator, by bits, at a fuzzer-chosen batch size, threshold, arrival rate
+# and stream seed. FuzzProbeStopMatchesFullRun:
 # a run that may stop early against the full run at such a point, with the SLA
 # a fuzzer-chosen number of nanoseconds from the full run's p95.
 # FuzzClimbOnBracketsMatchesExact: DeepRecSched's climb and refine step on
@@ -153,7 +155,7 @@ stage_fuzz() {
   local target
   for target in FuzzSpecParsers:. FuzzPackedFCVsReference:./internal/tensor/ FuzzSIMDMatMulVsScalar:./internal/tensor/ \
     FuzzPoolSumVsReference:./internal/tensor/ FuzzStreamIndices:./internal/model/ FuzzWireDecoders:./internal/rpc/ \
-    FuzzRunMatchesReference:./internal/serving/ FuzzProbeStopMatchesFullRun:./internal/serving/ \
+    FuzzRecommendCodec:./internal/rpc/ FuzzRunMatchesReference:./internal/serving/ FuzzProbeStopMatchesFullRun:./internal/serving/ \
     FuzzClimbOnBracketsMatchesExact:./internal/sched/; do
     go test -run '^$' -fuzz "${target%%:*}" -fuzztime 10s "${target#*:}"
   done
