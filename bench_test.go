@@ -263,7 +263,7 @@ func BenchmarkModelForward(b *testing.B) {
 // forward pass).
 func BenchmarkLiveServiceThroughput(b *testing.B) {
 	m := model.MustNew(mustZooCfg(b, "DLRM-RMC1"), 1)
-	svc, err := live.New(live.Config{Model: m, Workers: 2, BatchSize: 64, WindowSize: 4096})
+	svc, err := live.New(live.Config{Model: m, Workers: 2, BatchSize: 64})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -20,9 +20,9 @@ import (
 // (seconds), query size (candidate items). It is DeepRecInfra's load
 // generator exposed as a tool, useful for driving external serving stacks —
 // or `deeprecsys serve -trace` and `deeprecsys replay` — with the paper's
-// arrival and working-set-size distributions. The -dist grammar is the
-// shared workload spec format, documented canonically on
-// deeprecsys.ParseWorkload.
+// arrival and working-set-size distributions. -dist takes the
+// size-distribution half of the workload spec grammar documented on
+// deeprecsys.ParseWorkload; -arrivals takes the arrival process.
 //
 // With -target it drives a `deeprecsys serve -listen` process (or anything
 // speaking the /v1/recommend protocol) open-loop over the wire instead,

@@ -53,7 +53,8 @@ func run(t *testing.T, stdin, args string) (stdout, stderr string, code int) {
 // TestSubcommandsKeepTheirToolsBytes holds loadgen, replay and sweep to the
 // stdout of the standalone commands they replaced: every testdata file was
 // captured from those binaries with the same arguments (replay's trace
-// input is loadgen's default output).
+// input is loadgen's default output). The models files were captured from
+// deeprecsys itself before its shape column moved to model.Shapes.
 func TestSubcommandsKeepTheirToolsBytes(t *testing.T) {
 	for _, c := range []struct{ args, stdin, golden string }{
 		{"loadgen", "", "loadgen_default.csv"},
@@ -64,6 +65,8 @@ func TestSubcommandsKeepTheirToolsBytes(t *testing.T) {
 		{"replay -gpu -batch 512 -threshold 256", "loadgen_default.csv", "replay_trace_gpu.txt"},
 		{"sweep -queries 600", "", "sweep_cpu.txt"},
 		{"sweep -gpu -batch 512 -thresholds 1,128,256,512 -queries 600", "", "sweep_gpu.txt"},
+		{"models", "", "models_default.txt"},
+		{"models -rows 1000000 -lookups 40", "", "models_scaled.txt"},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
 		if err != nil {

@@ -11,7 +11,7 @@ import (
 // where its work goes, FC FLOPs versus embedding-gather bytes — so an
 // operator can pick complementary co-location pairings (an FC-heavy tenant
 // beside an embedding-heavy one) before binding tenants onto one shared
-// fleet. The shape column is the same normalized (fc, emb) vector the
+// fleet. The shape column is model.Shapes over the zoo, the rule the
 // fleet's shape-spread placement policy keys on.
 func modelsMain(args []string) {
 	fs := flag.NewFlagSet("models", flag.ExitOnError)
@@ -22,7 +22,6 @@ func modelsMain(args []string) {
 	names := model.ZooNames()
 	cfgs := make([]model.Config, len(names))
 	profs := make([]model.Profile, len(names))
-	var maxFLOPs, maxEmb float64
 	for i, name := range names {
 		cfg, err := model.ByName(name)
 		if err != nil {
@@ -36,33 +35,17 @@ func modelsMain(args []string) {
 		}
 		cfgs[i] = cfg
 		profs[i] = model.BuildProfile(cfg)
-		if f := float64(profs[i].TotalFLOPs()); f > maxFLOPs {
-			maxFLOPs = f
-		}
-		if e := float64(profs[i].EmbBytes); e > maxEmb {
-			maxEmb = e
-		}
 	}
+	shapes := model.Shapes(profs)
 
 	fmt.Printf("%-10s %-20s %9s %12s %12s %13s %12s %8s\n",
 		"model", "class", "sla", "flops/item", "embB/item", "shape(fc/emb)", "tablebytes", "tables")
 	for i, name := range names {
 		cfg, p := cfgs[i], profs[i]
-		// The same two-step normalization as fleet placement: each
-		// dimension relative to the zoo's heaviest model, then L1 — so
-		// shapes compare across models with very different magnitudes.
-		fc := float64(p.TotalFLOPs()) / maxFLOPs
-		emb := 0.0
-		if maxEmb > 0 {
-			emb = float64(p.EmbBytes) / maxEmb
-		}
-		if sum := fc + emb; sum > 0 {
-			fc, emb = fc/sum, emb/sum
-		}
 		tableBytes := int64(cfg.NumTables) * int64(cfg.TableRows) * int64(cfg.EmbDim) * 4
 		fmt.Printf("%-10s %-20s %9v %12d %12d %6.0f%%/%4.0f%% %12s %8d\n",
 			name, cfg.Class.String(), cfg.SLAMedium, p.TotalFLOPs(), p.EmbBytes,
-			fc*100, emb*100, humanBytes(tableBytes), cfg.NumTables)
+			shapes[i][0]*100, shapes[i][1]*100, humanBytes(tableBytes), cfg.NumTables)
 	}
 	if *rows != 0 {
 		fmt.Printf("table bytes at %d rows/table (override); lookups/table", *rows)

@@ -8,7 +8,6 @@ import (
 	"github.com/deeprecinfra/deeprecsys/internal/model"
 	"github.com/deeprecinfra/deeprecsys/internal/par"
 	"github.com/deeprecinfra/deeprecsys/internal/platform"
-	"github.com/deeprecinfra/deeprecsys/internal/trace"
 	"github.com/deeprecinfra/deeprecsys/internal/workload"
 )
 
@@ -72,12 +71,49 @@ func Table2() Report {
 	}
 	skl := platform.Skylake()
 	for _, cfg := range model.Zoo() {
-		dom := trace.DominantOperator(trace.OpBreakdown(cfg, skl, 64))
+		shares := opShares(cfg, skl)
+		i := dominant(shares)
 		r.AddRow(cfg.Name, cfg.Class.String(),
-			fmt.Sprintf("%s (%.0f%%)", dom.Operator, dom.Fraction*100),
+			fmt.Sprintf("%s (%.0f%%)", fig3Ops[i], shares[i]*100),
 			cfg.SLAMedium.String())
 	}
 	return r
+}
+
+// rooflinePoint places one workload on a platform's roofline (Fig. 1a) with
+// the share of its memory traffic that is irregular embedding gathers
+// (Fig. 1b).
+type rooflinePoint struct {
+	name         string
+	intensity    float64 // FLOPs per byte of memory traffic
+	attainable   float64 // GFLOP/s: the memory roof at intensity, capped at the chip's peak
+	computeBound bool
+	sparse       float64
+}
+
+// roofline places the model zoo, then the paper's CNN/RNN references, on
+// cpu's roofline. A zoo model's traffic is its input streaming and
+// embedding gathers plus its FC weights read once per batch-64 request. The
+// references' byte counts assume batched serving (weights amortized over
+// the batch, activations streamed), which gives their commonly reported
+// intensities: ~120 FLOP/B for ResNet-50, ~50 for DeepSpeech2.
+func roofline(cpu *platform.CPU) []rooflinePoint {
+	peak := cpu.PeakCoreGFLOPs * float64(cpu.Cores)
+	var points []rooflinePoint
+	add := func(name string, flops, bytes, embBytes int64) {
+		p := rooflinePoint{name: name, intensity: float64(flops) / float64(bytes), sparse: float64(embBytes) / float64(bytes)}
+		if p.attainable = p.intensity * cpu.PeakDRAMGBs; !(p.attainable < peak) {
+			p.attainable, p.computeBound = peak, true
+		}
+		points = append(points, p)
+	}
+	for _, cfg := range model.Zoo() {
+		p := model.BuildProfile(cfg)
+		add(cfg.Name, p.TotalFLOPs(), p.TotalBytes()+p.MLPWeightBytes/64, p.EmbBytes)
+	}
+	add("ResNet50", 4_000_000_000, 33_000_000, 0)
+	add("DeepSpeech2", 2_400_000_000, 48_000_000, 0)
+	return points
 }
 
 // Fig1 regenerates the paper's Fig. 1: the roofline placement of the model
@@ -89,23 +125,42 @@ func Fig1() Report {
 		Title:  "Roofline characterization vs CNN/RNN references (Skylake)",
 		Header: []string{"Workload", "FLOPs/B", "Attainable GFLOP/s", "Bound", "Sparse-byte %"},
 	}
-	skl := platform.Skylake()
-	add := func(p trace.RooflinePoint) {
+	for _, p := range roofline(platform.Skylake()) {
 		bound := "memory"
-		if p.ComputeBound {
+		if p.computeBound {
 			bound = "compute"
 		}
-		r.AddRow(p.Name, fmt.Sprintf("%.1f", p.Intensity),
-			fmt.Sprintf("%.0f", p.AttainableGFLOPs), bound,
-			fmt.Sprintf("%.0f%%", p.SparseByteFraction*100))
-	}
-	for _, p := range trace.Roofline(model.Zoo(), skl) {
-		add(p)
-	}
-	for _, p := range trace.ReferenceRoofline(skl) {
-		add(p)
+		r.AddRow(p.name, fmt.Sprintf("%.1f", p.intensity),
+			fmt.Sprintf("%.0f", p.attainable), bound, pct(p.sparse))
 	}
 	return r
+}
+
+// fig3Ops names Fig. 3's operator groups in its column order.
+var fig3Ops = []string{"FC", "Embedding", "Attention", "Recurrent", "DenseInput", "Other"}
+
+// opShares returns each operator group's share of one batch-64 request's
+// service time on cpu, in fig3Ops order.
+func opShares(cfg model.Config, cpu *platform.CPU) []float64 {
+	bd := cpu.RequestBreakdown(model.BuildProfile(cfg), 64, 1)
+	shares := []float64{float64(bd.MLP), float64(bd.Embedding), float64(bd.Attention),
+		float64(bd.GRU), float64(bd.Dense), float64(bd.Overhead)}
+	total := float64(bd.Total())
+	for i := range shares {
+		shares[i] /= total
+	}
+	return shares
+}
+
+// dominant returns the index of the largest share, the first on a tie.
+func dominant(shares []float64) int {
+	best := 0
+	for i, s := range shares {
+		if s > shares[best] {
+			best = i
+		}
+	}
+	return best
 }
 
 // Fig3 regenerates the paper's Fig. 3: the operator execution-time breakdown
@@ -114,18 +169,15 @@ func Fig3() Report {
 	r := Report{
 		ID:     "fig3",
 		Title:  "Operator time breakdown at batch 64 (Skylake, single core)",
-		Header: []string{"Model", "FC", "Embedding", "Attention", "Recurrent", "DenseInput", "Other"},
+		Header: append([]string{"Model"}, fig3Ops...),
 	}
 	skl := platform.Skylake()
 	for _, cfg := range model.Zoo() {
-		shares := trace.OpBreakdown(cfg, skl, 64)
-		byOp := map[string]float64{}
-		for _, s := range shares {
-			byOp[s.Operator] = s.Fraction
+		row := []string{cfg.Name}
+		for _, s := range opShares(cfg, skl) {
+			row = append(row, pct(s))
 		}
-		r.AddRow(cfg.Name,
-			pct(byOp["FC"]), pct(byOp["Embedding"]), pct(byOp["Attention"]),
-			pct(byOp["Recurrent"]), pct(byOp["DenseInput"]), pct(byOp["Other"]))
+		r.AddRow(row...)
 	}
 	return r
 }

@@ -63,35 +63,22 @@ type faulter interface {
 	SetDelay(d time.Duration) error
 }
 
-// BackendInfo describes a joining backend to the router: whether size-aware
-// policies may steer big queries to it, and its relative node speed (0 =
-// read from the backend's own Scale).
-type BackendInfo struct {
-	HasGPU bool
-	Speed  float64
-}
-
 // AddBackend joins an externally constructed Backend — typically a remote
 // replica speaking the wire protocol — to the routing set, returning its
 // fleet-assigned ID. The backend must host the fleet's tenant set (same
 // count, names, and order). The fleet takes ownership of the handle: Remove
 // and Close call the backend's Close (which, for a remote member, severs
-// the connection without stopping the remote process).
+// the connection without stopping the remote process). The member's node
+// speed is the Scale of the snapshot it joins with, and size-aware policies
+// treat it as CPU-only.
 //
 // Remote members are full citizens of routing, health ejection, retry, and
 // stats merging, but the chaos controller never crashes or slows them (it
 // cannot reach inside another process), and the autoscaler never picks one
 // as a scale-down victim (the fleet did not provision it, so it must not
 // deprovision it).
-func (f *Fleet) AddBackend(b Backend, info BackendInfo) (int, error) {
-	speed := info.Speed
-	if speed == 0 {
-		speed = b.Snapshot().Scale
-	}
-	if speed <= 0 {
-		speed = 1
-	}
-	return f.join(b, live.Config{}, false, info.HasGPU, speed)
+func (f *Fleet) AddBackend(b Backend) (int, error) {
+	return f.join(b, live.Config{}, false, false)
 }
 
 // fleetBackend adapts a whole Fleet to the Backend interface, so a fleet

@@ -166,36 +166,20 @@ func New(cfgs []live.Config, policy Policy) (*Fleet, error) {
 // tenantInfosFrom derives the fleet's tenant set from one replica config's
 // resolved tenant list (live.Config.WithDefaults: a single-model config is
 // the list of one tenant named after its model): names and shares from the
-// tenant configs, resource shapes from each tenant model's analytic profile.
-// Shapes are normalized per dimension across the tenant set, then per tenant
-// to sum to 1, so [1, 0] reads "all FC compute" and [0, 1] "all embedding
-// traffic" relative to the fleet's own zoo.
+// tenant configs, resource shapes (model.Shapes) from the tenant models'
+// analytic profiles, relative to the fleet's own tenant set.
 func tenantInfosFrom(cfg live.Config) ([]TenantInfo, error) {
 	cfg, err := cfg.WithDefaults()
 	if err != nil {
 		return nil, err
 	}
-	infos := make([]TenantInfo, len(cfg.Tenants))
-	var maxFLOPs, maxBytes float64
+	profs := make([]model.Profile, len(cfg.Tenants))
 	for i, tc := range cfg.Tenants {
-		// Raw demand first; normalized in place below.
-		p := model.BuildProfile(tc.Model.Cfg)
-		infos[i] = TenantInfo{Name: tc.Name, Share: tc.Share, Shape: [2]float64{float64(p.TotalFLOPs()), float64(p.EmbBytes)}}
-		maxFLOPs = max(maxFLOPs, infos[i].Shape[0])
-		maxBytes = max(maxBytes, infos[i].Shape[1])
+		profs[i] = model.BuildProfile(tc.Model.Cfg)
 	}
-	for i := range infos {
-		var f, b float64
-		if maxFLOPs > 0 {
-			f = infos[i].Shape[0] / maxFLOPs
-		}
-		if maxBytes > 0 {
-			b = infos[i].Shape[1] / maxBytes
-		}
-		if sum := f + b; sum > 0 {
-			f, b = f/sum, b/sum
-		}
-		infos[i].Shape = [2]float64{f, b}
+	infos := make([]TenantInfo, len(cfg.Tenants))
+	for i, shape := range model.Shapes(profs) {
+		infos[i] = TenantInfo{Name: cfg.Tenants[i].Name, Share: cfg.Tenants[i].Share, Shape: shape}
 	}
 	return infos, nil
 }
@@ -206,14 +190,20 @@ func (f *Fleet) add(cfg live.Config) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return f.join(svc, cfg, true, cfg.GPU != nil, svc.Scale())
+	return f.join(svc, cfg, true, cfg.GPU != nil)
 }
 
 // join adds a serving backend — local or remote — to the routing set. Every
 // member must host the fleet's tenant set: same count, same names, same
-// order. On any error the backend is closed (join took ownership).
-func (f *Fleet) join(svc Backend, cfg live.Config, local, hasGPU bool, speed float64) (int, error) {
-	hosted := svc.Snapshot().Tenants
+// order. The member's node speed is the Scale of the one snapshot join
+// takes (≤ 0 reads as nominal, 1). On any error the backend is closed (join
+// took ownership).
+func (f *Fleet) join(svc Backend, cfg live.Config, local, hasGPU bool) (int, error) {
+	snap := svc.Snapshot()
+	hosted, speed := snap.Tenants, snap.Scale
+	if speed <= 0 {
+		speed = 1
+	}
 	if len(hosted) != len(f.tenants) {
 		svc.Close()
 		return 0, fmt.Errorf("fleet: replica hosts %d tenants, fleet has %d", len(hosted), len(f.tenants))
@@ -469,8 +459,9 @@ func (f *Fleet) Remove(id int) error {
 	return err
 }
 
-// SetBatchSize sets the per-request batch size on every replica (the
-// manual counterpart of per-replica AutoTune, which may re-diverge them).
+// SetBatchSize sets the first tenant's per-request batch size, on every
+// replica (the manual counterpart of per-replica AutoTune, which may
+// re-diverge them). Other tenants keep theirs.
 func (f *Fleet) SetBatchSize(b int) error {
 	if b < 1 || b > live.MaxBatchSize {
 		return fmt.Errorf("fleet: batch size %d outside [1, %d]", b, live.MaxBatchSize)
@@ -485,9 +476,9 @@ func (f *Fleet) SetBatchSize(b int) error {
 	return nil
 }
 
-// SetGPUThreshold sets the offload threshold on every GPU-capable replica;
-// CPU-only replicas are untouched. It fails when no replica has an
-// accelerator.
+// SetGPUThreshold sets the first tenant's offload threshold, on every
+// GPU-capable replica; CPU-only replicas and other tenants are untouched.
+// It fails when no replica has an accelerator.
 func (f *Fleet) SetGPUThreshold(thr int) error {
 	if thr < 0 || thr > workload.MaxQuerySize {
 		return fmt.Errorf("fleet: GPU threshold %d outside [0, %d]", thr, workload.MaxQuerySize)
@@ -510,13 +501,14 @@ func (f *Fleet) SetGPUThreshold(thr int) error {
 	return nil
 }
 
-// BatchSize returns the first replica's current batch size. Replicas share
-// knob settings through SetBatchSize, but per-replica AutoTune may diverge
-// them; Stats().Replicas carries every replica's value.
+// BatchSize returns the first tenant's current batch size on the first
+// replica. Replicas share knob settings through SetBatchSize, but
+// per-replica AutoTune may diverge them; Stats().Replicas carries every
+// replica's value.
 func (f *Fleet) BatchSize() int { return f.Stats().BatchSize }
 
-// GPUThreshold returns the first GPU-capable replica's current offload
-// threshold (0 when none has an accelerator).
+// GPUThreshold returns the first tenant's current offload threshold on the
+// first GPU-capable replica (0 when none has an accelerator).
 func (f *Fleet) GPUThreshold() int { return f.Stats().GPUThreshold }
 
 // ReplicaStats is one replica's slice of the fleet snapshot: its identity

@@ -57,7 +57,7 @@ func TestJoinRefusesAnotherModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err = f.AddBackend(r, fleet.BackendInfo{})
+	id, err = f.AddBackend(r)
 	refused("remote join", id, err)
 
 	if st := f.Stats(); len(st.Replicas) != 1 {

@@ -53,10 +53,7 @@ func TestConfigValidation(t *testing.T) {
 		{Model: m, BatchSize: MaxBatchSize + 1},
 		{Model: m, SLA: -time.Second},
 		{Model: m, AutoTune: true}, // no SLA
-		{Model: m, AutoTune: true, SLA: time.Second, WindowSize: minTuneSamples - 1},
 		{Model: m, TuneInterval: -time.Second},
-		{Model: m, WindowSize: -1},
-		{Model: m, QueueDepth: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -103,15 +100,6 @@ var badPerTenant = []struct {
 	{"threshold without a GPU",
 		func(tc *TenantConfig) { tc.GPUThreshold = 100 },
 		func(c *Config) { c.GPUThreshold = 100 }},
-	{"AutoTune without an SLA",
-		func(tc *TenantConfig) { tc.AutoTune = true },
-		func(c *Config) { c.AutoTune = true }},
-	{"negative window",
-		func(tc *TenantConfig) { tc.WindowSize = -1 },
-		func(c *Config) { c.WindowSize = -1 }},
-	{"window below minTuneSamples with AutoTune",
-		func(tc *TenantConfig) { tc.AutoTune, tc.SLA, tc.WindowSize = true, time.Second, minTuneSamples-1 },
-		func(c *Config) { c.AutoTune, c.SLA, c.WindowSize = true, time.Second, minTuneSamples-1 }},
 	{"unknown admission policy",
 		func(tc *TenantConfig) { tc.Admission.Policy = AdmitShedOldest + 1 },
 		func(c *Config) { c.Admission.Policy = AdmitShedOldest + 1 }},
@@ -150,7 +138,7 @@ func TestSubmitValidation(t *testing.T) {
 // TestConcurrentSubmitters hammers the service from many goroutines and
 // checks every reply is well-formed; -race covers the synchronization.
 func TestConcurrentSubmitters(t *testing.T) {
-	s := newService(t, Config{Workers: 4, BatchSize: 16, WindowSize: 1024})
+	s := newService(t, Config{Workers: 4, BatchSize: 16})
 	const goroutines, perG = 8, 12
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines*perG)
@@ -222,10 +210,10 @@ func (g gatedAccess) Next() int {
 // verdict does not depend on how fast the kernels run.
 func TestContextCancellationMidQuery(t *testing.T) {
 	gate := gatedAccess{entered: make(chan struct{}), open: make(chan struct{}), once: new(sync.Once)}
-	s := newService(t, Config{Workers: 1, BatchSize: 1, QueueDepth: 1, Access: gate})
+	s := newService(t, Config{Workers: 1, BatchSize: 1, Access: gate})
 	openGate := sync.OnceFunc(func() { close(gate.open) })
 	defer openGate() // a failed assertion must not leave the worker parked under Close
-	// Clog the lone worker and the depth-1 queue with a many-chunk query.
+	// Clog the lone worker and its 8-deep queue with a many-chunk query.
 	bgDone := make(chan struct{})
 	go func() {
 		defer close(bgDone)
@@ -297,7 +285,7 @@ func TestCloseDrains(t *testing.T) {
 // serially and checks the online window converges to exactly the empirical
 // p95 of the measured replies (the window holds every sample).
 func TestOnlineP95MatchesReplies(t *testing.T) {
-	s := newService(t, Config{Workers: 2, BatchSize: 32, WindowSize: 512, SLA: time.Minute})
+	s := newService(t, Config{Workers: 2, BatchSize: 32, SLA: time.Minute})
 	const n = 80
 	latencies := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
@@ -324,7 +312,7 @@ func TestOnlineP95MatchesReplies(t *testing.T) {
 // reducing the batch size (more request-level parallelism).
 func TestAutoTuneStepsDown(t *testing.T) {
 	s := newService(t, Config{
-		Workers: 2, BatchSize: 256, WindowSize: 256,
+		Workers: 2, BatchSize: 256,
 		SLA:      time.Nanosecond, // unmeetable: every sample breaches
 		AutoTune: true, TuneInterval: 10 * time.Millisecond,
 	})
@@ -347,7 +335,7 @@ func TestAutoTuneStepsDown(t *testing.T) {
 // the tail has ample headroom.
 func TestAutoTuneStepsUp(t *testing.T) {
 	s := newService(t, Config{
-		Workers: 2, BatchSize: 1, WindowSize: 256,
+		Workers: 2, BatchSize: 1,
 		SLA:      time.Hour, // bottomless headroom
 		AutoTune: true, TuneInterval: 10 * time.Millisecond,
 	})
@@ -370,7 +358,7 @@ func TestAutoTuneStepsUp(t *testing.T) {
 // doubling step would overshoot MaxBatchSize without the clamp.
 func TestAutoTuneClampsAtMax(t *testing.T) {
 	s := newService(t, Config{
-		Workers: 2, BatchSize: 600, WindowSize: 256,
+		Workers: 2, BatchSize: 600,
 		SLA: time.Hour, AutoTune: true, TuneInterval: 10 * time.Millisecond,
 	})
 	deadline := time.Now().Add(3 * time.Second)

@@ -188,7 +188,7 @@ func TestStreamsBoundConcurrentOffloads(t *testing.T) {
 // synchronization, the assertions cover the accounting.
 func TestOffloadRaceMixed(t *testing.T) {
 	s := newService(t, Config{
-		Workers: 2, BatchSize: 16, WindowSize: 256,
+		Workers: 2, BatchSize: 16,
 		GPU: testGPU(2), GPUThreshold: 60,
 		SLA: 50 * time.Millisecond, AutoTune: true, TuneInterval: 5 * time.Millisecond,
 	})
@@ -262,7 +262,7 @@ func TestAwaitQueryPrefersCompletion(t *testing.T) {
 // "off" to pull the heavy tail onto the accelerator.
 func TestAutoTuneWalksBothKnobs(t *testing.T) {
 	s := newService(t, Config{
-		Workers: 2, BatchSize: 256, WindowSize: 256,
+		Workers: 2, BatchSize: 256,
 		GPU:      testGPU(2), // threshold 0: offload starts disabled
 		SLA:      time.Nanosecond,
 		AutoTune: true, TuneInterval: 10 * time.Millisecond,
@@ -293,7 +293,7 @@ func TestAutoTuneWalksBothKnobs(t *testing.T) {
 // pool (and off the accelerator entirely at the top of the ladder).
 func TestAutoTuneRelaxesThresholdUnderHeadroom(t *testing.T) {
 	s := newService(t, Config{
-		Workers: 2, BatchSize: 1, WindowSize: 256,
+		Workers: 2, BatchSize: 1,
 		GPU: testGPU(2), GPUThreshold: 64,
 		SLA: time.Hour, AutoTune: true, TuneInterval: 10 * time.Millisecond,
 	})

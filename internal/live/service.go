@@ -58,12 +58,14 @@ const MaxBatchSize = 1024
 // Config parameterizes a Service. Every Service serves a tenant list:
 // Tenants, or — when it is empty — the one tenant WithDefaults builds over
 // Model and names after it, which is all a single-model service is. Workers,
-// GPU, TuneInterval, QueueDepth, IntraOp, Seed and Scale describe the
-// shared lanes and are validated as given; BatchSize, GPUThreshold, SLA,
-// AutoTune, WindowSize, Admission, Deadline, Degrade and Access are the
-// values a tenant that leaves the field unset inherits, validated in the
+// GPU, TuneInterval, IntraOp, Seed and Scale describe the shared lanes and
+// are validated as given; AutoTune switches on every tenant's controller;
+// BatchSize, GPUThreshold, SLA, Admission, Deadline, Degrade and Access are
+// the values a tenant that leaves the field unset inherits, validated in the
 // tenant that inherits them (a default nobody inherits is not read). Model
-// or Tenants is required; every other field has a working default.
+// or Tenants is required; every other field has a working default. Each
+// tenant's latency window holds its last 4096 samples, and the CPU lane
+// queues up to 8 requests per worker.
 type Config struct {
 	// Model executes the forward passes of the one tenant a Config without
 	// Tenants serves. It must not be mutated while the service runs;
@@ -92,16 +94,13 @@ type Config struct {
 	// SLA is the p95 tail-latency target reported by Stats and steered
 	// toward by the controller. Required when AutoTune is set.
 	SLA time.Duration
-	// AutoTune enables the background controller: a hill climb on the
-	// batch-size and offload-threshold knobs against the measured p95 (the
-	// online analogue of DeepRecSched's tuning loop).
+	// AutoTune enables the background controllers: per tenant, a hill
+	// climb on the batch-size and offload-threshold knobs against that
+	// tenant's measured p95 (the online analogue of DeepRecSched's tuning
+	// loop). Every tenant then needs an SLA.
 	AutoTune bool
 	// TuneInterval is the controller's adjustment period (default 250ms).
 	TuneInterval time.Duration
-	// WindowSize bounds the online latency window (default 4096 samples).
-	WindowSize int
-	// QueueDepth bounds the request queue (default 8 per worker).
-	QueueDepth int
 	// IntraOp enables intra-query parallelism on the CPU lane: a worker
 	// splits any chunk of at least 2·model.MinSplitRows candidates
 	// row-wise across up to IntraOp goroutines (internal/par), each with
@@ -167,15 +166,6 @@ func (cfg Config) WithDefaults() (Config, error) {
 	}
 	if cfg.TuneInterval < 0 {
 		return cfg, fmt.Errorf("live: negative tune interval %v", cfg.TuneInterval)
-	}
-	if cfg.WindowSize == 0 {
-		cfg.WindowSize = 4096
-	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = 8 * cfg.Workers
-	}
-	if cfg.QueueDepth < 1 {
-		return cfg, fmt.Errorf("live: queue depth %d < 1", cfg.QueueDepth)
 	}
 	if cfg.IntraOp == 0 {
 		cfg.IntraOp = 1
@@ -449,19 +439,19 @@ func New(cfg Config) (*Service, error) {
 		s.tenants[i] = newTenant(i, tc)
 	}
 	s.scale.Store(cfg.Scale)
-	s.cpu = newCPUPool(s.tenants, cfg.Workers, cfg.QueueDepth, cfg.Seed, &s.scale, cfg.IntraOp)
+	s.cpu = newCPUPool(s.tenants, cfg.Workers, 8*cfg.Workers, cfg.Seed, &s.scale, cfg.IntraOp)
 	if cfg.GPU != nil {
 		s.acc = newAccelerator(cfg.GPU, cfg.Seed, &s.scale)
 	}
 	for _, t := range s.tenants {
-		if t.autoTune || (len(t.degLadder) > 1 && t.sla > 0) {
+		if cfg.AutoTune || (len(t.degLadder) > 1 && t.sla > 0) {
 			if s.bgStop == nil {
 				s.bgStop = make(chan struct{})
 			}
 		}
 	}
 	for _, t := range s.tenants {
-		if t.autoTune {
+		if cfg.AutoTune {
 			s.bgWG.Add(1)
 			go s.controllerFor(t)
 		}

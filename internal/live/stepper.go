@@ -13,6 +13,9 @@ const (
 	// minTuneSamples gates latency-driven moves until the window carries
 	// enough fresh observations to estimate a p95 at all.
 	minTuneSamples = 32
+	// windowSize is how many of a tenant's latest latencies its window
+	// holds: the p95 the loops steer by and Stats reports.
+	windowSize = 4096
 )
 
 // Signal is what a feedback loop observes once per interval.

@@ -45,11 +45,6 @@ type TenantConfig struct {
 	GPUThreshold int
 	// SLA is the tenant's p95 target (0 = inherit Config.SLA).
 	SLA time.Duration
-	// AutoTune runs this tenant's own two-knob controller against its own
-	// measured p95 (ORed with Config.AutoTune).
-	AutoTune bool
-	// WindowSize bounds the tenant's online latency window (0 = inherit).
-	WindowSize int
 	// Admission bounds the work this tenant may have in the lanes at once
 	// — the per-tenant outstanding-work cap that keeps one tenant's
 	// saturation from consuming every execution slot. The zero value
@@ -99,18 +94,8 @@ func (tc TenantConfig) withDefaults(cfg Config, idx int) (TenantConfig, error) {
 	if tc.SLA < 0 {
 		return tc, fmt.Errorf("live: %snegative SLA %v", scope, tc.SLA)
 	}
-	tc.AutoTune = tc.AutoTune || cfg.AutoTune
-	if tc.AutoTune && tc.SLA == 0 {
+	if cfg.AutoTune && tc.SLA == 0 {
 		return tc, fmt.Errorf("live: %sAutoTune requires an SLA target", scope)
-	}
-	if tc.WindowSize == 0 {
-		tc.WindowSize = cfg.WindowSize
-	}
-	if tc.WindowSize < 1 {
-		return tc, fmt.Errorf("live: %swindow size %d < 1", scope, tc.WindowSize)
-	}
-	if tc.AutoTune && tc.WindowSize < minTuneSamples {
-		return tc, fmt.Errorf("live: %sAutoTune needs a window of at least %d samples, got %d", scope, minTuneSamples, tc.WindowSize)
 	}
 	if tc.Admission == (AdmissionConfig{}) {
 		tc.Admission = cfg.Admission
@@ -176,7 +161,6 @@ type tenant struct {
 	profile  model.Profile // modeled accelerator time for this tenant's queries
 	sla      time.Duration
 	deadline time.Duration
-	autoTune bool
 	share    float64
 	access   workload.IndexDist
 	fallback *model.Model
@@ -219,11 +203,10 @@ func newTenant(idx int, tc TenantConfig) *tenant {
 		profile:   model.BuildProfile(tc.Model.Cfg),
 		sla:       tc.SLA,
 		deadline:  tc.Deadline,
-		autoTune:  tc.AutoTune,
 		share:     tc.Share,
 		access:    tc.Access,
 		fallback:  tc.Degrade.Fallback,
-		win:       stats.NewWindow(tc.WindowSize),
+		win:       stats.NewWindow(windowSize),
 		degLadder: tc.Degrade.rungs(),
 	}
 	t.batch.Store(int64(tc.BatchSize))

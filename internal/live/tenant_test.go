@@ -87,6 +87,18 @@ func TestTenantConfigValidation(t *testing.T) {
 			}
 		}
 	}
+	// AutoTune switches on every tenant's controller, so every tenant needs
+	// an SLA: the one without is refused by name.
+	autoTune := Config{AutoTune: true, Tenants: []TenantConfig{
+		{Name: "a", Model: ncf, SLA: time.Second},
+		{Name: "b", Model: namedModel(t, "NCF", 2)},
+	}}
+	if s, err := New(autoTune); err == nil {
+		s.Close()
+		t.Error("AutoTune with a tenant lacking an SLA accepted")
+	} else if !strings.Contains(err.Error(), "tenant 1 (b)") {
+		t.Errorf("AutoTune without an SLA: error does not name the tenant: %v", err)
+	}
 	// A Config-level default nobody inherits is not read.
 	s, err := New(Config{BatchSize: -5, Tenants: []TenantConfig{{Name: "a", Model: ncf, BatchSize: 16}}})
 	if err != nil {

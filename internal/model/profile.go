@@ -3,7 +3,7 @@ package model
 // Profile is the per-item operator accounting of one model configuration.
 // It is the interface between the model zoo and the hardware performance
 // models: internal/platform converts these FLOP and byte counts into
-// service times, and internal/trace renders them as the paper's
+// service times, and internal/experiments renders them as the paper's
 // characterization figures (arithmetic intensity for Fig. 1, operator
 // breakdown for Fig. 3).
 type Profile struct {
@@ -53,6 +53,34 @@ func (p Profile) ArithmeticIntensity() float64 {
 		return 0
 	}
 	return float64(p.TotalFLOPs()) / float64(b)
+}
+
+// Shapes returns each profile's resource shape, the (FC FLOPs, embedding
+// bytes) per item that fleet placement keys on: each dimension relative to
+// the set's heaviest profile, then scaled to sum to 1, so [1, 0] reads "all
+// FC compute" and [0, 1] "all embedding traffic" and shapes compare across
+// models of very different magnitudes.
+func Shapes(ps []Profile) [][2]float64 {
+	var maxFLOPs, maxBytes float64
+	for _, p := range ps {
+		maxFLOPs = max(maxFLOPs, float64(p.TotalFLOPs()))
+		maxBytes = max(maxBytes, float64(p.EmbBytes))
+	}
+	shapes := make([][2]float64, len(ps))
+	for i, p := range ps {
+		var f, b float64
+		if maxFLOPs > 0 {
+			f = float64(p.TotalFLOPs()) / maxFLOPs
+		}
+		if maxBytes > 0 {
+			b = float64(p.EmbBytes) / maxBytes
+		}
+		if sum := f + b; sum > 0 {
+			f, b = f/sum, b/sum
+		}
+		shapes[i] = [2]float64{f, b}
+	}
+	return shapes
 }
 
 // BuildProfile computes the per-item operator accounting of a configuration

@@ -71,17 +71,22 @@ const (
 
 // backoffBase and backoffCap shape the exponential backoff between
 // attempts, jittered to half-to-full (a server Retry-After hint overrides
-// it when larger); hedgeMinSamples is the number of successes that
-// calibrate the hedge trigger before hedging arms.
+// it when larger); retryBudget is the client-wide retry allowance as a
+// fraction of requests: each request earns 0.2 retry tokens and each retry
+// spends one, so when a dying server fails every request, retries decay to
+// a trickle instead of multiplying the load; hedgeMinSamples is the number
+// of successes that calibrate the hedge trigger before hedging arms.
 const (
 	backoffBase     = 10 * time.Millisecond
 	backoffCap      = time.Second
+	retryBudget     = 0.2
 	hedgeMinSamples = 64
 )
 
 // ClientConfig parameterizes a Client. The zero value is a sane
 // low-latency profile: 3 attempts, 10ms–1s jittered exponential backoff,
-// a 20% client-wide retry budget, no hedging, no injected faults.
+// no hedging, no injected faults. Every client's retries draw on the 20%
+// client-wide budget (retryBudget).
 type ClientConfig struct {
 	// Timeout is the default per-request deadline applied when the
 	// caller's context has none (0 = none).
@@ -92,12 +97,6 @@ type ClientConfig struct {
 	// failures — resets, timeouts, 5xx after delivery — are never retried,
 	// because the server may have executed the query.
 	MaxAttempts int
-	// RetryBudget is the client-wide retry allowance as a fraction of
-	// requests (default 0.2): each request earns 0.2 retry tokens, each
-	// retry spends one. When a dying server fails every request, retries
-	// decay to a trickle instead of multiplying the load. Negative
-	// disables the budget (retry every eligible failure).
-	RetryBudget float64
 	// HedgePercentile, when in (0, 100), arms hedged requests: if the
 	// first attempt is still unanswered after the client-observed
 	// latency at this percentile, a second identical request is fired and
@@ -146,6 +145,7 @@ type Client struct {
 
 	budgetMu     sync.Mutex
 	budgetTokens float64
+	unbudgeted   bool // retry every eligible failure (tests only)
 
 	requests, attempts, successes, failures     atomic.Uint64
 	retries, budgetDenied, hedges, hedgeWins    atomic.Uint64
@@ -174,9 +174,6 @@ func NewClient(target string, cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
-	}
-	if cfg.RetryBudget == 0 {
-		cfg.RetryBudget = 0.2
 	}
 	if cfg.HedgePercentile < 0 || cfg.HedgePercentile >= 100 {
 		if cfg.HedgePercentile != 0 {
@@ -306,12 +303,12 @@ func (c *Client) retryDecision(err error, attempt int) (time.Duration, bool) {
 
 // earnBudget credits the client-wide retry budget for one request.
 func (c *Client) earnBudget() {
-	if c.cfg.RetryBudget < 0 {
+	if c.unbudgeted {
 		return
 	}
 	c.budgetMu.Lock()
 	// Cap the bucket so a long quiet period cannot bankroll a storm.
-	if c.budgetTokens += c.cfg.RetryBudget; c.budgetTokens > 100 {
+	if c.budgetTokens += retryBudget; c.budgetTokens > 100 {
 		c.budgetTokens = 100
 	}
 	c.budgetMu.Unlock()
@@ -320,7 +317,7 @@ func (c *Client) earnBudget() {
 // spendBudget consumes one retry token, reporting whether one was
 // available.
 func (c *Client) spendBudget() bool {
-	if c.cfg.RetryBudget < 0 {
+	if c.unbudgeted {
 		return true
 	}
 	c.budgetMu.Lock()

@@ -40,7 +40,7 @@ func TestRemoteReplicaServesInFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remoteID, err := f.AddBackend(r, fleet.BackendInfo{})
+	remoteID, err := f.AddBackend(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRemoteHealthEjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remoteID, err := f.AddBackend(r, fleet.BackendInfo{})
+	remoteID, err := f.AddBackend(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestRemoteWireLostIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remoteID, err := f.AddBackend(r, fleet.BackendInfo{})
+	remoteID, err := f.AddBackend(r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,6 +62,13 @@ func newTestClient(t testing.TB, srv *Server, cfg ClientConfig) *Client {
 	return c
 }
 
+// unbudgeted lifts c's client-wide retry budget, so every eligible failure
+// is retried up to MaxAttempts.
+func unbudgeted(c *Client) *Client {
+	c.unbudgeted = true
+	return c
+}
+
 // stubBackend is a scriptable fleet.Backend for deterministic wire tests:
 // the submit hook sees a 1-based call number, so tests can fail the first
 // k calls, delay the nth, and so on. By default it hosts one tenant named
@@ -451,10 +458,10 @@ func TestRetryOnConnectError(t *testing.T) {
 	srv := startServer(t, stub, ServerConfig{})
 	ft := &flakyTransport{next: http.DefaultTransport}
 	ft.remaining.Store(2)
-	c := newTestClient(t, srv, ClientConfig{
-		MaxAttempts: 3, RetryBudget: -1,
-		Transport: ft,
-	})
+	c := unbudgeted(newTestClient(t, srv, ClientConfig{
+		MaxAttempts: 3,
+		Transport:   ft,
+	}))
 	if _, err := c.Recommend(context.Background(), RecommendRequest{Candidates: 32}); err != nil {
 		t.Fatalf("recommend: %v", err)
 	}
@@ -474,7 +481,7 @@ func TestRetryOnOverloaded(t *testing.T) {
 		return okReply()
 	})
 	srv := startServer(t, stub, ServerConfig{})
-	c := newTestClient(t, srv, ClientConfig{MaxAttempts: 3, RetryBudget: -1})
+	c := unbudgeted(newTestClient(t, srv, ClientConfig{MaxAttempts: 3}))
 	if _, err := c.Recommend(context.Background(), RecommendRequest{Candidates: 32}); err != nil {
 		t.Fatalf("recommend: %v", err)
 	}
@@ -502,10 +509,10 @@ func (rt *resetTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 func TestNoRetryOnReset(t *testing.T) {
 	stub := newStub(func(n uint64, ctx context.Context, q live.Query) (live.Reply, error) { return okReply() })
 	srv := startServer(t, stub, ServerConfig{})
-	c := newTestClient(t, srv, ClientConfig{
-		MaxAttempts: 3, RetryBudget: -1,
-		Transport: &resetTransport{next: http.DefaultTransport},
-	})
+	c := unbudgeted(newTestClient(t, srv, ClientConfig{
+		MaxAttempts: 3,
+		Transport:   &resetTransport{next: http.DefaultTransport},
+	}))
 	_, err := c.Recommend(context.Background(), RecommendRequest{Candidates: 32})
 	if err == nil {
 		t.Fatal("want an error through a resetting transport")
@@ -531,8 +538,8 @@ func TestRetryBudget(t *testing.T) {
 	stub := newStub(func(n uint64, ctx context.Context, q live.Query) (live.Reply, error) { return okReply() })
 	srv := startServer(t, stub, ServerConfig{})
 	c := newTestClient(t, srv, ClientConfig{
-		MaxAttempts: 3, RetryBudget: 0.2,
-		Transport: ft,
+		MaxAttempts: 3,
+		Transport:   ft,
 	})
 	for i := 0; i < 10; i++ {
 		c.Recommend(context.Background(), RecommendRequest{Candidates: 32})
@@ -643,10 +650,10 @@ func TestNetChaosDropIsRetryable(t *testing.T) {
 	stub := newStub(func(n uint64, ctx context.Context, q live.Query) (live.Reply, error) { return okReply() })
 	srv := startServer(t, stub, ServerConfig{})
 	nc := NetChaos{Drop: 1, Seed: 3}
-	c := newTestClient(t, srv, ClientConfig{
-		MaxAttempts: 2, RetryBudget: -1,
-		Transport: nc.Transport(nil),
-	})
+	c := unbudgeted(newTestClient(t, srv, ClientConfig{
+		MaxAttempts: 2,
+		Transport:   nc.Transport(nil),
+	}))
 	_, err := c.Recommend(context.Background(), RecommendRequest{Candidates: 32})
 	if !errors.Is(err, live.ErrReplicaDown) {
 		t.Fatalf("got %v, want ErrReplicaDown", err)
@@ -667,10 +674,10 @@ func TestNetChaosResetDelivers(t *testing.T) {
 	stub := newStub(func(n uint64, ctx context.Context, q live.Query) (live.Reply, error) { return okReply() })
 	srv := startServer(t, stub, ServerConfig{})
 	nc := NetChaos{Reset: 1, Seed: 3}
-	c := newTestClient(t, srv, ClientConfig{
-		MaxAttempts: 3, RetryBudget: -1,
-		Transport: nc.Transport(nil),
-	})
+	c := unbudgeted(newTestClient(t, srv, ClientConfig{
+		MaxAttempts: 3,
+		Transport:   nc.Transport(nil),
+	}))
 	_, err := c.Recommend(context.Background(), RecommendRequest{Candidates: 32})
 	if err == nil {
 		t.Fatal("want an error through a resetting wire")
@@ -720,7 +727,7 @@ func TestStatszTakesOneSnapshot(t *testing.T) {
 	f := newLocalFleet(t, 1)
 	members := []*stubBackend{newStub(ok), newStub(ok)}
 	for _, m := range members {
-		if _, err := f.AddBackend(m, fleet.BackendInfo{Speed: 1}); err != nil {
+		if _, err := f.AddBackend(m); err != nil {
 			t.Fatal(err)
 		}
 	}

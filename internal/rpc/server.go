@@ -377,7 +377,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleKnobs applies remote knob settings: the wire counterpart of
-// SetBatchSize / SetGPUThreshold (negative = leave untouched).
+// SetBatchSize / SetGPUThreshold, the first tenant's knobs on every replica
+// (negative = leave untouched).
 func (s *Server) handleKnobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)

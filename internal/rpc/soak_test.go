@@ -60,13 +60,14 @@ func TestWireChaosSoak(t *testing.T) {
 
 	nc := NetChaos{Delay: time.Millisecond, Drop: 0.05, Reset: 0.05, Seed: 11}
 	c, err := NewClient("http://"+addr, ClientConfig{
-		MaxAttempts: 3, RetryBudget: -1,
-		Transport: nc.Transport(nil),
+		MaxAttempts: 3,
+		Transport:   nc.Transport(nil),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	unbudgeted(c)
 
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, 16)

@@ -76,11 +76,12 @@ func TestRestartedServerGetsFreshConnection(t *testing.T) {
 		}
 	}))
 	t.Cleanup(dying.Close)
-	dc, err := NewClient(dying.URL, ClientConfig{MaxAttempts: 3, RetryBudget: -1})
+	dc, err := NewClient(dying.URL, ClientConfig{MaxAttempts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(dc.Close)
+	unbudgeted(dc)
 	_, err = dc.Recommend(ctx, RecommendRequest{Candidates: 8})
 	var re *Error
 	if !errors.As(err, &re) || re.Code != codeReset {

@@ -166,7 +166,8 @@ type ErrorResponse struct {
 }
 
 // KnobsRequest is the POST /v1/knobs body: remote counterpart of
-// SetBatchSize / SetGPUThreshold. Negative fields are left untouched.
+// SetBatchSize / SetGPUThreshold, so it sets the first tenant's knobs, on
+// every replica behind the server. Negative fields are left untouched.
 type KnobsRequest struct {
 	Batch     int `json:"batch"`
 	Threshold int `json:"threshold"`

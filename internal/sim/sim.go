@@ -35,7 +35,6 @@ type Sim struct {
 	now    time.Duration
 	queue  []event // binary min-heap ordered by event.before
 	seq    int64
-	fired  int64
 	firing int64 // seq of the event currently executing (0 = none)
 }
 
@@ -51,15 +50,11 @@ func (s *Sim) Reset() {
 	s.now = 0
 	s.queue = s.queue[:0]
 	s.seq = 0
-	s.fired = 0
 	s.firing = 0
 }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Duration { return s.now }
-
-// Fired returns the number of events executed so far.
-func (s *Sim) Fired() int64 { return s.fired }
 
 // At schedules fn at absolute virtual time t and returns the event's unique
 // sequence number. Two events scheduled for the identical timestamp carry
@@ -100,17 +95,6 @@ func (s *Sim) Run() {
 	}
 }
 
-// RunUntil executes events with timestamps <= t, then advances the clock to
-// t. Events scheduled beyond t remain pending.
-func (s *Sim) RunUntil(t time.Duration) {
-	for len(s.queue) > 0 && s.queue[0].at <= t {
-		s.step()
-	}
-	if t > s.now {
-		s.now = t
-	}
-}
-
 // step pops and executes the earliest event.
 func (s *Sim) step() {
 	e := s.queue[0]
@@ -122,7 +106,6 @@ func (s *Sim) step() {
 		s.siftDown(0)
 	}
 	s.now = e.at
-	s.fired++
 	s.firing = e.seq
 	e.fn()
 	s.firing = 0
@@ -164,6 +147,3 @@ func (s *Sim) siftDown(i int) {
 	}
 	q[i] = e
 }
-
-// Pending returns the number of scheduled-but-unfired events.
-func (s *Sim) Pending() int { return len(s.queue) }

@@ -23,9 +23,6 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	if len(got) != 5 {
 		t.Errorf("fired %d events, want 5", len(got))
 	}
-	if s.Fired() != 5 {
-		t.Errorf("Fired() = %d, want 5", s.Fired())
-	}
 }
 
 func TestTiesFireInInsertionOrder(t *testing.T) {
@@ -68,80 +65,26 @@ func TestAfterSchedulesRelative(t *testing.T) {
 	}
 }
 
-func TestRunUntilLeavesLaterEventsPending(t *testing.T) {
-	s := New()
-	fired := 0
-	s.At(1*time.Millisecond, func() { fired++ })
-	s.At(10*time.Millisecond, func() { fired++ })
-	s.RunUntil(5 * time.Millisecond)
-	if fired != 1 {
-		t.Errorf("fired %d, want 1", fired)
-	}
-	if s.Pending() != 1 {
-		t.Errorf("pending %d, want 1", s.Pending())
-	}
-	if s.Now() != 5*time.Millisecond {
-		t.Errorf("clock %v, want 5ms", s.Now())
-	}
-	s.Run()
-	if fired != 2 {
-		t.Errorf("after Run fired %d, want 2", fired)
-	}
-}
-
-func TestRunUntilPastQueueAdvancesClock(t *testing.T) {
-	// RunUntil beyond the last pending event must drain the queue and leave
-	// the clock at the requested time, not at the last event's time.
-	s := New()
-	fired := 0
-	s.At(3*time.Millisecond, func() { fired++ })
-	s.At(8*time.Millisecond, func() { fired++ })
-	s.RunUntil(50 * time.Millisecond)
-	if fired != 2 {
-		t.Errorf("fired %d, want 2", fired)
-	}
-	if s.Pending() != 0 {
-		t.Errorf("pending %d, want 0", s.Pending())
-	}
-	if s.Now() != 50*time.Millisecond {
-		t.Errorf("clock %v, want 50ms", s.Now())
-	}
-	// A later RunUntil with an earlier target must not move the clock
-	// backwards — and scheduling relative to the advanced clock works.
-	s.RunUntil(10 * time.Millisecond)
-	if s.Now() != 50*time.Millisecond {
-		t.Errorf("clock moved backwards to %v", s.Now())
-	}
-	s.After(time.Millisecond, func() { fired++ })
-	s.Run()
-	if fired != 3 || s.Now() != 51*time.Millisecond {
-		t.Errorf("post-advance scheduling broken: fired=%d now=%v", fired, s.Now())
-	}
-}
-
-func TestRunUntilOnEmptyQueueAdvancesClock(t *testing.T) {
-	s := New()
-	s.RunUntil(7 * time.Millisecond)
-	if s.Now() != 7*time.Millisecond {
-		t.Errorf("clock %v, want 7ms", s.Now())
-	}
-}
-
 func TestResetRestoresInitialState(t *testing.T) {
 	s := New()
-	s.At(time.Millisecond, func() {})
-	s.At(2*time.Millisecond, func() {})
-	s.RunUntil(time.Millisecond)
+	dropped := false
+	s.At(10*time.Millisecond, func() {})
+	s.Run()
+	s.At(30*time.Millisecond, func() { dropped = true })
 	s.Reset()
-	if s.Now() != 0 || s.Pending() != 0 || s.Fired() != 0 {
-		t.Errorf("reset left state: now=%v pending=%d fired=%d", s.Now(), s.Pending(), s.Fired())
+	if s.Now() != 0 {
+		t.Errorf("reset left the clock at %v", s.Now())
 	}
-	// The simulator is fully reusable after Reset.
+	// The simulator is fully reusable after Reset: scheduling before the
+	// old clock works, and no event from before the reset fires.
 	var at time.Duration
 	s.At(4*time.Millisecond, func() { at = s.Now() })
 	s.Run()
 	if at != 4*time.Millisecond {
 		t.Errorf("post-reset event at %v, want 4ms", at)
+	}
+	if dropped {
+		t.Error("an event scheduled before Reset fired after it")
 	}
 }
 

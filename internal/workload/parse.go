@@ -5,11 +5,11 @@ import (
 	"math/rand"
 )
 
-// Spec parsing: the textual workload format shared by the public
-// deeprecsys.ParseWorkload API and the loadgen, replay and serve
-// subcommands of cmd/deeprecsys. The grammar is documented canonically on
-// deeprecsys.ParseWorkload; ParseDist and ParseArrivals implement its two
-// halves (the size-distribution spec and the arrival spec).
+// Spec parsing: the textual workload format of the public
+// deeprecsys.ParseWorkload API, documented canonically there. ParseDist and
+// ParseArrivals implement its two halves (the size-distribution spec and
+// the arrival spec). The loadgen, replay and serve subcommands of
+// cmd/deeprecsys take the two halves as separate flags (GenerateSpec).
 
 // distForms is the size-distribution half of the grammar.
 var distForms = []Form[SizeDist]{

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/deeprecinfra/deeprecsys/internal/fleet"
 	"github.com/deeprecinfra/deeprecsys/internal/rpc"
 )
 
@@ -192,5 +191,5 @@ func (s *Service) AddRemoteReplica(target string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.fl.AddBackend(r, fleet.BackendInfo{})
+	return s.fl.AddBackend(r)
 }

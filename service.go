@@ -677,23 +677,24 @@ func (s *Service) Stats() ServiceStats {
 	return st
 }
 
-// BatchSize returns the current per-request batch size (the first
-// replica's, when per-replica AutoTune has diverged them).
+// BatchSize returns the first tenant's current per-request batch size (the
+// first replica's, when per-replica AutoTune has diverged them).
 func (s *Service) BatchSize() int { return s.fl.BatchSize() }
 
-// SetBatchSize retunes the batch size for subsequent queries (the manual
-// counterpart of AutoTune) on every replica.
+// SetBatchSize retunes the first tenant's batch size for subsequent queries
+// (the manual counterpart of AutoTune), on every replica. Other tenants keep
+// theirs.
 func (s *Service) SetBatchSize(b int) error { return s.fl.SetBatchSize(b) }
 
-// GPUThreshold returns the current offload threshold (the first
-// GPU-capable replica's; 0 = no offload).
+// GPUThreshold returns the first tenant's current offload threshold (the
+// first GPU-capable replica's; 0 = no offload).
 func (s *Service) GPUThreshold() int { return s.fl.GPUThreshold() }
 
-// SetGPUThreshold retunes the accelerator offload threshold for subsequent
-// queries (the manual counterpart of the AutoTune threshold walk) on every
-// GPU-capable replica: queries of at least thr candidates are served whole
-// by the accelerator lane; 0 disables offload. It fails on a service
-// without an accelerator.
+// SetGPUThreshold retunes the first tenant's accelerator offload threshold
+// for subsequent queries (the manual counterpart of the AutoTune threshold
+// walk), on every GPU-capable replica: that tenant's queries of at least thr
+// candidates are served whole by the accelerator lane; 0 disables offload.
+// Other tenants keep theirs. It fails on a service without an accelerator.
 func (s *Service) SetGPUThreshold(thr int) error { return s.fl.SetGPUThreshold(thr) }
 
 // Close stops accepting queries, drains every in-flight query, and shuts

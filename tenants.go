@@ -69,10 +69,12 @@ type TenantSpec struct {
 	// ErrOverloaded before touching a replica (Admission bounds the tenant
 	// per replica instead). 0 = uncapped.
 	MaxOutstanding int
-	// Workload names the tenant's query-size/arrival scenario, as a
-	// ParseWorkload spec. The Service does not read it — queries carry
-	// their own sizes — but load drivers (cmd/deeprecsys serve) use it to
-	// generate this tenant's stream ("" = the driver's default workload).
+	// Workload names the tenant's query-size distribution, the
+	// size-distribution half of a ParseWorkload spec (no "@<arrivals>";
+	// the driver's -arrivals applies). The Service does not read it —
+	// queries carry their own sizes — but load drivers (cmd/deeprecsys
+	// serve) use it to generate this tenant's stream ("" = the driver's
+	// default workload).
 	Workload string
 	// Store backs the tenant's embedding tables with a pluggable store,
 	// as a WithEmbeddingStore spec string ("" = classic in-memory tables).

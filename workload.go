@@ -27,9 +27,11 @@ func DefaultWorkload() Workload {
 }
 
 // ParseWorkload parses a workload spec of the form "<dist>[@<arrivals>]".
-// This is the canonical statement of the spec grammar, shared by
-// `deeprecsys loadgen -dist`, `deeprecsys replay -workload` and
-// `deeprecsys serve -workload`. The size-distribution half is one of
+// This is the canonical statement of the spec grammar. `deeprecsys loadgen
+// -dist`, `deeprecsys replay -workload`, `deeprecsys serve -workload` and a
+// tenant's `workload=` key take only its size-distribution half; those
+// subcommands take the arrival process from `-arrivals`. The
+// size-distribution half is one of
 //
 //	production                the paper's heavy-tailed production dist
 //	lognormal[:<mu>,<sigma>]  canonical web-service comparison dist
