@@ -163,7 +163,7 @@ func serveMain(args []string) {
 	// Every start-up line names the kernel backend: a QPS read off serve is
 	// otherwise unattributable.
 	st, kernels, names := svc.Stats(), tensor.ActiveBackend(), svc.Tenants()
-	what, shared, knobs := *modelName, "", fmt.Sprintf(", batch %d, p95 target %v", svc.BatchSize(), st.SLA)
+	what, shared, knobs := *modelName, "", fmt.Sprintf(", batch %d, p95 target %v", st.BatchSize, st.SLA)
 	if multi {
 		// Tenants bring their own knobs and SLAs; the per-tenant report has them.
 		what, shared, knobs = fmt.Sprintf("%d tenants (%s)", len(names), strings.Join(names, ", ")), "shared ", ""

@@ -36,8 +36,6 @@ import (
 //     down (crashed, unreachable, connection refused) so health-checked
 //     routing and the one-retry-on-crash path treat local crashes and
 //     severed connections identically.
-//   - SetBatchSize / SetGPUThreshold move tenant 0's knobs; the values in
-//     effect come back in the next Snapshot.
 //   - Failed reports the backend's health (true = eject from routing). A
 //     remote backend derives it from health probes and connection errors.
 //   - Close releases the fleet's handle; Snapshot keeps answering after it
@@ -47,8 +45,6 @@ import (
 type Backend interface {
 	Submit(ctx context.Context, q live.Query) (live.Reply, error)
 	Snapshot() live.Snapshot
-	SetBatchSize(b int) error
-	SetGPUThreshold(thr int) error
 	Failed() bool
 	Close() error
 }
@@ -118,9 +114,6 @@ func (fb fleetBackend) Snapshot() live.Snapshot {
 	}
 	return live.Snapshot{Tenants: tenants, Scale: 1}
 }
-
-func (fb fleetBackend) SetBatchSize(b int) error    { return fb.f.SetBatchSize(b) }
-func (fb fleetBackend) SetGPUThreshold(t int) error { return fb.f.SetGPUThreshold(t) }
 
 // Failed reports whether the fleet has nowhere to route: every routable
 // replica is down.

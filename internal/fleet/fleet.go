@@ -40,7 +40,6 @@ import (
 
 	"github.com/deeprecinfra/deeprecsys/internal/live"
 	"github.com/deeprecinfra/deeprecsys/internal/model"
-	"github.com/deeprecinfra/deeprecsys/internal/workload"
 )
 
 // ErrClosed is returned by Submit after Close has begun. It aliases
@@ -458,58 +457,6 @@ func (f *Fleet) Remove(id int) error {
 	f.mu.Unlock()
 	return err
 }
-
-// SetBatchSize sets the first tenant's per-request batch size, on every
-// replica (the manual counterpart of per-replica AutoTune, which may
-// re-diverge them). Other tenants keep theirs.
-func (f *Fleet) SetBatchSize(b int) error {
-	if b < 1 || b > live.MaxBatchSize {
-		return fmt.Errorf("fleet: batch size %d outside [1, %d]", b, live.MaxBatchSize)
-	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	for _, r := range f.replicas {
-		if err := r.svc.SetBatchSize(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SetGPUThreshold sets the first tenant's offload threshold, on every
-// GPU-capable replica; CPU-only replicas and other tenants are untouched.
-// It fails when no replica has an accelerator.
-func (f *Fleet) SetGPUThreshold(thr int) error {
-	if thr < 0 || thr > workload.MaxQuerySize {
-		return fmt.Errorf("fleet: GPU threshold %d outside [0, %d]", thr, workload.MaxQuerySize)
-	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	applied := false
-	for _, r := range f.replicas {
-		if !r.hasGPU {
-			continue
-		}
-		if err := r.svc.SetGPUThreshold(thr); err != nil {
-			return err
-		}
-		applied = true
-	}
-	if !applied {
-		return errors.New("fleet: no GPU-capable replica")
-	}
-	return nil
-}
-
-// BatchSize returns the first tenant's current batch size on the first
-// replica. Replicas share knob settings through SetBatchSize, but
-// per-replica AutoTune may diverge them; Stats().Replicas carries every
-// replica's value.
-func (f *Fleet) BatchSize() int { return f.Stats().BatchSize }
-
-// GPUThreshold returns the first tenant's current offload threshold on the
-// first GPU-capable replica (0 when none has an accelerator).
-func (f *Fleet) GPUThreshold() int { return f.Stats().GPUThreshold }
 
 // ReplicaStats is one replica's slice of the fleet snapshot: its identity
 // and routing state alongside its full live.Stats.

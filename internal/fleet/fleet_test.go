@@ -87,9 +87,8 @@ func (c *countingBackend) Snapshot() live.Snapshot {
 }
 
 // TestStatsTakesOneSnapshotPerMember pins the cost of a read in reads, not
-// microseconds: Stats, the knob getters and AsBackend's Snapshot take
-// exactly one Snapshot of every member, and Remove exactly one of the member
-// it retires.
+// microseconds: Stats and AsBackend's Snapshot take exactly one Snapshot of
+// every member, and Remove exactly one of the member it retires.
 func TestStatsTakesOneSnapshotPerMember(t *testing.T) {
 	ncf, rmc := tenantModels(t)
 	f := newFleet(t, []live.Config{tenantConfig(ncf, rmc, 1), tenantConfig(ncf, rmc, 2), tenantConfig(ncf, rmc, 3)}, nil)
@@ -108,10 +107,6 @@ func TestStatsTakesOneSnapshotPerMember(t *testing.T) {
 	}
 	f.Stats()
 	expect("Stats", 1, 1, 1)
-	f.BatchSize()
-	expect("BatchSize", 1, 1, 1)
-	f.GPUThreshold()
-	expect("GPUThreshold", 1, 1, 1)
 	f.AsBackend().Snapshot()
 	expect("AsBackend().Snapshot", 1, 1, 1)
 	if err := f.Remove(1); err != nil {
@@ -505,39 +500,25 @@ func TestStatsAggregation(t *testing.T) {
 	}
 }
 
-// TestKnobs checks fleet-wide knob setting: batch size on every replica,
-// offload threshold on GPU-capable replicas only.
+// TestKnobs checks how Stats reports the members' knobs: each replica's
+// own batch size and offload threshold, the fleet-wide batch size the first
+// replica's and the fleet-wide threshold the first GPU-capable replica's.
 func TestKnobs(t *testing.T) {
 	m := testModel(t)
 	cpu := baseConfig(m, 1)
 	gpu := baseConfig(m, 2)
+	gpu.BatchSize = 64
 	gpu.GPU = platform.DefaultGPU()
 	gpu.GPUThreshold = 500
-	f := newFleet(t, []live.Config{cpu, gpu}, nil)
-
-	if err := f.SetBatchSize(64); err != nil {
-		t.Fatal(err)
+	st := newFleet(t, []live.Config{cpu, gpu}, nil).Stats()
+	if st.Replicas[0].BatchSize != 16 || st.Replicas[1].BatchSize != 64 {
+		t.Errorf("replica batches %d/%d, want 16/64", st.Replicas[0].BatchSize, st.Replicas[1].BatchSize)
 	}
-	for _, r := range f.Stats().Replicas {
-		if r.BatchSize != 64 {
-			t.Errorf("replica %d batch %d after SetBatchSize(64)", r.ID, r.BatchSize)
-		}
+	if st.Replicas[0].GPUThreshold != 0 || st.Replicas[1].GPUThreshold != 500 {
+		t.Errorf("replica thresholds %d/%d, want 0/500", st.Replicas[0].GPUThreshold, st.Replicas[1].GPUThreshold)
 	}
-	if err := f.SetBatchSize(0); err == nil {
-		t.Error("batch size 0 accepted")
-	}
-	if err := f.SetGPUThreshold(250); err != nil {
-		t.Fatal(err)
-	}
-	st := f.Stats()
-	if st.Replicas[0].GPUThreshold != 0 || st.Replicas[1].GPUThreshold != 250 {
-		t.Errorf("thresholds %d/%d after SetGPUThreshold(250), want 0/250",
-			st.Replicas[0].GPUThreshold, st.Replicas[1].GPUThreshold)
-	}
-
-	cpuOnly := newFleet(t, []live.Config{baseConfig(m, 3)}, nil)
-	if err := cpuOnly.SetGPUThreshold(100); err == nil {
-		t.Error("SetGPUThreshold on a GPU-less fleet succeeded")
+	if st.BatchSize != 16 || st.GPUThreshold != 500 {
+		t.Errorf("fleet knobs batch %d threshold %d, want 16 and 500", st.BatchSize, st.GPUThreshold)
 	}
 }
 

@@ -202,34 +202,53 @@ func TestSubmitShedsExpiredDeadline(t *testing.T) {
 	}
 }
 
+// TestConfigDeadlineApplies pins Config.Deadline against a saturated
+// queue-policy gate: a parked query sheds on expiry instead of waiting
+// forever. The deadline bounds the caller's context rather than replacing
+// it, so whichever of the two expires first sheds the query. The only
+// execution slot is held throughout, so the verdict reads which deadline
+// fired, not how fast the kernels run.
 func TestConfigDeadlineApplies(t *testing.T) {
-	// With a config deadline and a saturated queue-policy gate, a parked
-	// query sheds on deadline expiry instead of waiting forever.
-	s := newService(t, Config{
-		Workers:   1,
-		BatchSize: 16,
-		Admission: AdmissionConfig{Policy: AdmitQueue, Concurrency: 1, Depth: 4},
-		Deadline:  30 * time.Millisecond,
-	})
-	release := make(chan struct{})
-	holder := make(chan error, 1)
-	go func() {
-		// Occupy the only execution slot far beyond the deadline.
-		_, err := s.tenants[0].adm.admit(context.Background())
-		holder <- err
-		<-release
-		s.tenants[0].adm.release()
-	}()
-	if err := <-holder; err != nil {
-		t.Fatal(err)
-	}
-	_, err := s.Submit(context.Background(), Query{Candidates: 10})
-	close(release)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("queued past deadline = %v, want DeadlineExceeded", err)
-	}
-	if st := s.Stats(); st.ShedDeadline != 1 {
-		t.Errorf("ShedDeadline = %d, want 1", st.ShedDeadline)
+	for _, tc := range []struct {
+		name             string
+		caller, deadline time.Duration // caller 0 = no deadline of its own
+	}{
+		{"no caller deadline", 0, 30 * time.Millisecond},
+		{"config earlier", 10 * time.Second, 30 * time.Millisecond},
+		{"caller earlier", 30 * time.Millisecond, 10 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newService(t, Config{
+				Workers:   1,
+				BatchSize: 16,
+				Admission: AdmissionConfig{Policy: AdmitQueue, Concurrency: 1, Depth: 4},
+				Deadline:  tc.deadline,
+			})
+			if _, err := s.tenants[0].adm.admit(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			defer s.tenants[0].adm.release()
+			ctx := context.Background()
+			if tc.caller > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, tc.caller)
+				defer cancel()
+			}
+			start := time.Now()
+			_, err := s.Submit(ctx, Query{Candidates: 10})
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("queued past deadline = %v, want DeadlineExceeded", err)
+			}
+			if tc.caller > tc.deadline && ctx.Err() != nil {
+				t.Errorf("shed only when the caller's %v expired, not at the service's %v", tc.caller, tc.deadline)
+			}
+			if tc.caller > 0 && tc.deadline > tc.caller && time.Since(start) >= tc.deadline {
+				t.Errorf("shed only at the service's %v, not at the caller's %v", tc.deadline, tc.caller)
+			}
+			if st := s.Stats(); st.ShedDeadline != 1 {
+				t.Errorf("ShedDeadline = %d, want 1", st.ShedDeadline)
+			}
+		})
 	}
 }
 
@@ -293,6 +312,9 @@ func TestCloseUnderSaturationAbandonsQueued(t *testing.T) {
 	}
 }
 
+// TestDegradeLadderManual stores each rung into the tenant's level, as the
+// degrader does, so every rung's effect is checked without waiting on the
+// controller.
 func TestDegradeLadderManual(t *testing.T) {
 	fb := func() *model.Model {
 		cfg, err := model.ByName("NCF")
@@ -316,9 +338,7 @@ func TestDegradeLadderManual(t *testing.T) {
 	ctx := context.Background()
 
 	// Level 1: truncation only.
-	if err := s.SetDegradeLevel(1); err != nil {
-		t.Fatal(err)
-	}
+	s.tenants[0].degLevel.Store(1)
 	r, err := s.Submit(ctx, Query{Candidates: 100, TopN: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -335,9 +355,7 @@ func TestDegradeLadderManual(t *testing.T) {
 	}
 
 	// Level 2: fallback model (plus truncation).
-	if err := s.SetDegradeLevel(2); err != nil {
-		t.Fatal(err)
-	}
+	s.tenants[0].degLevel.Store(2)
 	r, err = s.Submit(ctx, Query{Candidates: 100, TopN: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -354,21 +372,12 @@ func TestDegradeLadderManual(t *testing.T) {
 	}
 
 	// A small query is untouched by truncation.
-	if err := s.SetDegradeLevel(1); err != nil {
-		t.Fatal(err)
-	}
+	s.tenants[0].degLevel.Store(1)
 	if _, err := s.Submit(ctx, Query{Candidates: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.Truncated != 2 {
 		t.Errorf("small query truncated: %+v", st)
-	}
-
-	if err := s.SetDegradeLevel(3); err == nil {
-		t.Error("level beyond the ladder accepted")
-	}
-	if err := s.SetDegradeLevel(-1); err == nil {
-		t.Error("negative level accepted")
 	}
 }
 
@@ -381,9 +390,7 @@ func TestDegradedQueriesStayOnCPULane(t *testing.T) {
 		GPUThreshold: 1, // everything would offload at full service
 		Degrade:      DegradeConfig{Fallback: fb},
 	})
-	if err := s.SetDegradeLevel(1); err != nil {
-		t.Fatal(err)
-	}
+	s.tenants[0].degLevel.Store(1)
 	r, err := s.Submit(context.Background(), Query{Candidates: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +414,7 @@ func TestDegraderWalksLadder(t *testing.T) {
 	})
 	ctx := context.Background()
 	deadline := time.Now().Add(10 * time.Second)
-	for s.DegradeLevel() < 1 {
+	for s.Stats().DegradeLevel < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("degrader never stepped up")
 		}
@@ -427,11 +434,9 @@ func TestDegraderWalksLadder(t *testing.T) {
 		TuneInterval: 10 * time.Millisecond,
 		Degrade:      DegradeConfig{Truncate: 8},
 	})
-	if err := s2.SetDegradeLevel(1); err != nil {
-		t.Fatal(err)
-	}
+	s2.tenants[0].degLevel.Store(1)
 	deadline = time.Now().Add(10 * time.Second)
-	for s2.DegradeLevel() > 0 {
+	for s2.Stats().DegradeLevel > 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("degrader never stepped down")
 		}

@@ -1,10 +1,6 @@
 package live
 
-import (
-	"fmt"
-
-	"github.com/deeprecinfra/deeprecsys/internal/model"
-)
+import "github.com/deeprecinfra/deeprecsys/internal/model"
 
 // DegradeConfig describes the graceful-degradation ladder: what the
 // service is allowed to give up, in order, to keep admitting traffic under
@@ -79,23 +75,4 @@ func (s *Service) degraderFor(t *tenant) {
 			return true
 		},
 		t.win.Reset)
-}
-
-// DegradeLevel returns tenant 0's current degrade level (0 = full service).
-func (s *Service) DegradeLevel() int { return int(s.tenants[0].degLevel.Load()) }
-
-// SetDegradeLevel pins tenant 0's degrade level manually (the counterpart
-// of the SLA-aware controller, which may move it again when enabled).
-// Levels index the configured ladder: 0 is full service, len(ladder)-1 the
-// deepest configured degradation.
-func (s *Service) SetDegradeLevel(level int) error { return s.SetTenantDegradeLevel(0, level) }
-
-// SetTenantDegradeLevel pins one tenant's degrade level manually.
-func (s *Service) SetTenantDegradeLevel(tenant, level int) error {
-	t := s.tenants[tenant]
-	if level < 0 || level >= len(t.degLadder) {
-		return fmt.Errorf("live: degrade level %d outside [0, %d]", level, len(t.degLadder)-1)
-	}
-	t.degLevel.Store(int32(level))
-	return nil
 }

@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -54,6 +55,8 @@ func TestConfigValidation(t *testing.T) {
 		{Model: m, SLA: -time.Second},
 		{Model: m, AutoTune: true}, // no SLA
 		{Model: m, TuneInterval: -time.Second},
+		{Model: m, Scale: -1},
+		{Model: m, Scale: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -120,6 +123,8 @@ var badPerTenant = []struct {
 		func(c *Config) { c.Degrade.Truncate = workload.MaxQuerySize + 1 }},
 	{"negative share",
 		func(tc *TenantConfig) { tc.Share = -1 }, nil},
+	{"NaN share",
+		func(tc *TenantConfig) { tc.Share = math.NaN() }, nil},
 }
 
 func TestSubmitValidation(t *testing.T) {
@@ -376,19 +381,6 @@ func TestAutoTuneClampsAtMax(t *testing.T) {
 	}
 	if st.BatchSize <= 600 || st.BatchSize > MaxBatchSize {
 		t.Errorf("batch %d after step-up, want (600, %d]", st.BatchSize, MaxBatchSize)
-	}
-}
-
-func TestSetBatchSize(t *testing.T) {
-	s := newService(t, Config{Workers: 1})
-	if err := s.SetBatchSize(64); err != nil || s.BatchSize() != 64 {
-		t.Errorf("SetBatchSize(64): %v, batch %d", err, s.BatchSize())
-	}
-	if err := s.SetBatchSize(0); err == nil {
-		t.Error("batch 0 accepted")
-	}
-	if err := s.SetBatchSize(MaxBatchSize + 1); err == nil {
-		t.Error("oversized batch accepted")
 	}
 }
 

@@ -109,29 +109,17 @@ func TestStatsGPUShares(t *testing.T) {
 	}
 }
 
-func TestSetGPUThreshold(t *testing.T) {
-	cpuOnly := newService(t, Config{Workers: 1})
-	if err := cpuOnly.SetGPUThreshold(10); err == nil {
-		t.Error("SetGPUThreshold accepted on a CPU-only service")
-	}
-
+// TestThresholdMoveTakesEffect pins that a threshold moved at runtime (as
+// the AutoTune controller moves it) routes the next query: over it offloads,
+// and 0 disables offload.
+func TestThresholdMoveTakesEffect(t *testing.T) {
 	s := newService(t, Config{Workers: 1, BatchSize: 8, GPU: testGPU(1)})
-	if err := s.SetGPUThreshold(-1); err == nil {
-		t.Error("negative threshold accepted")
-	}
-	if err := s.SetGPUThreshold(workload.MaxQuerySize + 1); err == nil {
-		t.Error("oversized threshold accepted")
-	}
-	if err := s.SetGPUThreshold(20); err != nil || s.GPUThreshold() != 20 {
-		t.Fatalf("SetGPUThreshold(20): %v, threshold %d", err, s.GPUThreshold())
-	}
+	s.tenants[0].thresh.Store(20)
 	r, err := s.Submit(context.Background(), Query{Candidates: 30})
 	if err != nil || !r.Offloaded {
 		t.Errorf("size 30 over threshold 20: err=%v offloaded=%v", err, r.Offloaded)
 	}
-	if err := s.SetGPUThreshold(0); err != nil {
-		t.Fatal(err)
-	}
+	s.tenants[0].thresh.Store(0)
 	r, err = s.Submit(context.Background(), Query{Candidates: 30})
 	if err != nil || r.Offloaded {
 		t.Errorf("threshold 0 must disable offload: err=%v offloaded=%v", err, r.Offloaded)
@@ -184,8 +172,8 @@ func TestStreamsBoundConcurrentOffloads(t *testing.T) {
 
 // TestOffloadRaceMixed hammers a two-lane service from many goroutines with
 // sizes straddling the threshold while AutoTune walks both knobs and a
-// manual tuner concurrently moves them too; -race covers the
-// synchronization, the assertions cover the accounting.
+// second writer concurrently stores into the same tenant knobs; -race
+// covers the synchronization, the assertions cover the accounting.
 func TestOffloadRaceMixed(t *testing.T) {
 	s := newService(t, Config{
 		Workers: 2, BatchSize: 16,
@@ -213,8 +201,8 @@ func TestOffloadRaceMixed(t *testing.T) {
 		for i := 0; ; i++ {
 			select {
 			case <-time.After(time.Millisecond):
-				s.SetBatchSize(8 + i%32)
-				s.SetGPUThreshold(40 + i%80)
+				s.tenants[0].batch.Store(int64(8 + i%32))
+				s.tenants[0].thresh.Store(int64(40 + i%80))
 			case <-done:
 				return
 			}

@@ -115,15 +115,16 @@ type Config struct {
 	// admission control (the pre-admission behavior: backpressure only
 	// from the lane queues, tail latency unbounded at saturation).
 	Admission AdmissionConfig
-	// Deadline is the per-query latency budget Submit applies when the
-	// caller's context carries no deadline of its own (0 = none). Queries
-	// whose deadline has already expired are shed before consuming an
-	// admission slot or a forward pass.
+	// Deadline is the per-query latency budget Submit applies (0 = none).
+	// It bounds the caller's context rather than replacing it: a query
+	// expires at the earlier of the caller's deadline and arrival +
+	// Deadline. Queries whose deadline has already expired are shed before
+	// consuming an admission slot or a forward pass.
 	Deadline time.Duration
 	// Degrade configures the graceful-degradation ladder (truncated
 	// candidate slates, then a cheaper fallback model). The SLA-aware
 	// degrade controller runs when the ladder is non-empty and an SLA is
-	// set; SetDegradeLevel moves the ladder manually either way.
+	// set.
 	Degrade DegradeConfig
 	// Access is the sparse-index popularity distribution query inputs draw
 	// rows from (nil = uniform, the classic default). Skewed access
@@ -179,7 +180,7 @@ func (cfg Config) WithDefaults() (Config, error) {
 	if cfg.Scale == 0 {
 		cfg.Scale = 1
 	}
-	if cfg.Scale <= 0 {
+	if !(cfg.Scale > 0) { // NaN fails too
 		return cfg, fmt.Errorf("live: scale factor %v must be positive", cfg.Scale)
 	}
 	tcs := cfg.Tenants
@@ -650,43 +651,6 @@ func mergeTopN(recs []model.Ranked, n int) []model.Ranked {
 	return recs[:n]
 }
 
-// BatchSize returns tenant 0's current per-request batch size.
-func (s *Service) BatchSize() int { return int(s.tenants[0].batch.Load()) }
-
-// SetBatchSize retunes tenant 0's per-request batch size for subsequent
-// queries (manual counterpart of the AutoTune controller).
-func (s *Service) SetBatchSize(b int) error { return s.SetTenantBatchSize(0, b) }
-
-// SetTenantBatchSize retunes one tenant's per-request batch size.
-func (s *Service) SetTenantBatchSize(tenant, b int) error {
-	if b < 1 || b > MaxBatchSize {
-		return fmt.Errorf("live: batch size %d outside [1, %d]", b, MaxBatchSize)
-	}
-	s.tenants[tenant].batch.Store(int64(b))
-	return nil
-}
-
-// GPUThreshold returns tenant 0's current offload threshold (0 = no
-// offload).
-func (s *Service) GPUThreshold() int { return int(s.tenants[0].thresh.Load()) }
-
-// SetGPUThreshold retunes tenant 0's offload threshold for subsequent
-// queries (manual counterpart of the AutoTune threshold walk). 0 disables
-// offload.
-func (s *Service) SetGPUThreshold(thr int) error { return s.SetTenantGPUThreshold(0, thr) }
-
-// SetTenantGPUThreshold retunes one tenant's offload threshold.
-func (s *Service) SetTenantGPUThreshold(tenant, thr int) error {
-	if s.acc == nil {
-		return errors.New("live: no accelerator lane (Config.GPU unset)")
-	}
-	if thr < 0 || thr > workload.MaxQuerySize {
-		return fmt.Errorf("live: GPU threshold %d outside [0, %d]", thr, workload.MaxQuerySize)
-	}
-	s.tenants[tenant].thresh.Store(int64(thr))
-	return nil
-}
-
 // Scale returns the current service-time scale factor (1 = nominal speed).
 func (s *Service) Scale() float64 { return s.scale.Load() }
 
@@ -696,7 +660,7 @@ func (s *Service) Scale() float64 { return s.scale.Load() }
 // lane can only be slowed (factors below 1 floor at real execution speed);
 // the accelerator lane scales its modeled time directly.
 func (s *Service) SetScale(f float64) error {
-	if f <= 0 {
+	if !(f > 0) {
 		return fmt.Errorf("live: scale factor %v must be positive", f)
 	}
 	s.scale.Store(f)

@@ -140,8 +140,8 @@ func (tc TenantConfig) withDefaults(cfg Config, idx int) (TenantConfig, error) {
 	if tc.Share == 0 {
 		tc.Share = 1
 	}
-	if tc.Share < 0 {
-		return tc, fmt.Errorf("live: %snegative share %v", scope, tc.Share)
+	if !(tc.Share >= 0) { // NaN fails too
+		return tc, fmt.Errorf("live: %sshare %v is not a non-negative number", scope, tc.Share)
 	}
 	return tc, nil
 }

@@ -108,7 +108,7 @@ func TestTenantConfigValidation(t *testing.T) {
 }
 
 // TestTenantKnobsIndependent pins that each tenant executes at its own
-// batch size and that manual per-tenant retunes touch only that tenant.
+// batch size.
 func TestTenantKnobsIndependent(t *testing.T) {
 	s := newService(t, twoTenantConfig(t))
 	ctx := context.Background()
@@ -126,25 +126,6 @@ func TestTenantKnobsIndependent(t *testing.T) {
 	}
 	if r0.Tenant != 0 || r1.Tenant != 1 {
 		t.Errorf("reply tenants %d/%d, want 0/1", r0.Tenant, r1.Tenant)
-	}
-
-	if err := s.SetTenantBatchSize(1, 32); err != nil {
-		t.Fatal(err)
-	}
-	st0, st1 := s.TenantStats(0), s.TenantStats(1)
-	if st0.BatchSize != 16 || st1.BatchSize != 32 {
-		t.Errorf("after SetTenantBatchSize(1, 32): %d/%d, want 16/32", st0.BatchSize, st1.BatchSize)
-	}
-	// The tenant-0 compatibility surface: BatchSize()/SetBatchSize walk
-	// tenant 0 only.
-	if err := s.SetBatchSize(8); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.TenantStats(0).BatchSize; got != 8 {
-		t.Errorf("tenant 0 batch %d after SetBatchSize(8)", got)
-	}
-	if got := s.TenantStats(1).BatchSize; got != 32 {
-		t.Errorf("tenant 1 batch %d mutated by tenant-0 SetBatchSize", got)
 	}
 }
 

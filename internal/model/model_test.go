@@ -286,10 +286,6 @@ func TestProfileBottleneckClassesMatchTableII(t *testing.T) {
 	}
 	rmc1, rmc3, ncf, dien := get("DLRM-RMC1"), get("DLRM-RMC3"), get("NCF"), get("DIEN")
 
-	if rmc1.ArithmeticIntensity() >= rmc3.ArithmeticIntensity() {
-		t.Errorf("RMC1 intensity %v should be below RMC3 %v",
-			rmc1.ArithmeticIntensity(), rmc3.ArithmeticIntensity())
-	}
 	if rmc1.EmbBytes <= rmc3.EmbBytes {
 		t.Errorf("RMC1 emb bytes %d should exceed RMC3 %d", rmc1.EmbBytes, rmc3.EmbBytes)
 	}

@@ -44,17 +44,6 @@ func (p Profile) TotalFLOPs() int64 {
 // dense feature streaming).
 func (p Profile) TotalBytes() int64 { return p.EmbBytes + p.DenseBytes }
 
-// ArithmeticIntensity returns FLOPs per byte of memory traffic, the x-axis
-// of the paper's Fig. 1 roofline. Models below ~1 FLOP/byte are memory
-// bound on every platform the paper considers.
-func (p Profile) ArithmeticIntensity() float64 {
-	b := p.TotalBytes()
-	if b == 0 {
-		return 0
-	}
-	return float64(p.TotalFLOPs()) / float64(b)
-}
-
 // Shapes returns each profile's resource shape, the (FC FLOPs, embedding
 // bytes) per item that fleet placement keys on: each dimension relative to
 // the set's heaviest profile, then scaled to sum to 1, so [1, 0] reads "all

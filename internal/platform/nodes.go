@@ -17,8 +17,8 @@ func SpeedFactors(n int, jitter float64, seed int64) []float64 {
 	if n < 1 {
 		panic(fmt.Sprintf("platform: fleet needs at least one node, got %d", n))
 	}
-	if jitter < 0 {
-		panic(fmt.Sprintf("platform: negative jitter %v", jitter))
+	if !(jitter >= 0) {
+		panic(fmt.Sprintf("platform: jitter %v is not a non-negative number", jitter))
 	}
 	rng := rand.New(rand.NewSource(seed))
 	factors := make([]float64, n)

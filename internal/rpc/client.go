@@ -175,10 +175,8 @@ func NewClient(target string, cfg ClientConfig) (*Client, error) {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
 	}
-	if cfg.HedgePercentile < 0 || cfg.HedgePercentile >= 100 {
-		if cfg.HedgePercentile != 0 {
-			return nil, fmt.Errorf("rpc: hedge percentile %v outside (0, 100)", cfg.HedgePercentile)
-		}
+	if p := cfg.HedgePercentile; p != 0 && !(p > 0 && p < 100) { // NaN fails too
+		return nil, fmt.Errorf("rpc: hedge percentile %v outside (0, 100)", p)
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -524,42 +522,22 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // Healthz probes /healthz, returning nil iff the server reports healthy.
 func (c *Client) Healthz(ctx context.Context) error {
-	return c.call(ctx, PathHealth, nil, nil)
+	return c.call(ctx, PathHealth, nil)
 }
 
 // Statsz fetches the server's /statsz ledger.
 func (c *Client) Statsz(ctx context.Context) (StatsResponse, error) {
 	var resp StatsResponse
-	err := c.call(ctx, PathStats, nil, &resp)
+	err := c.call(ctx, PathStats, &resp)
 	return resp, err
 }
 
-// SetKnobs posts /v1/knobs (negative = leave untouched), echoing the
-// values in effect after the call.
-func (c *Client) SetKnobs(ctx context.Context, batch, threshold int) (KnobsResponse, error) {
-	var resp KnobsResponse
-	err := c.call(ctx, PathKnobs, KnobsRequest{Batch: batch, Threshold: threshold}, &resp)
-	return resp, err
-}
-
-// call makes one operational request: a GET, or a POST of in as JSON when
-// in is non-nil. A 200 reply's body decodes into out (nil = discarded); any
-// other status or transport fault is a typed *Error.
-func (c *Client) call(ctx context.Context, path string, in, out any) error {
-	method, body := http.MethodGet, io.Reader(nil)
-	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		method, body = http.MethodPost, bytes.NewReader(b)
-	}
-	hreq, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+// call makes one operational GET. A 200 reply's body decodes into out
+// (nil = discarded); any other status or transport fault is a typed *Error.
+func (c *Client) call(ctx context.Context, path string, out any) error {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
 		return err
-	}
-	if in != nil {
-		hreq.Header.Set("Content-Type", "application/json")
 	}
 	hresp, err := c.hc.Do(hreq)
 	if err != nil {

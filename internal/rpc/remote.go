@@ -217,22 +217,6 @@ func (r *RemoteReplica) Snapshot() live.Snapshot {
 	return snap
 }
 
-// SetBatchSize applies the knob on the remote server.
-func (r *RemoteReplica) SetBatchSize(b int) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_, err := r.client.SetKnobs(ctx, b, -1)
-	return err
-}
-
-// SetGPUThreshold applies the knob on the remote server.
-func (r *RemoteReplica) SetGPUThreshold(thr int) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_, err := r.client.SetKnobs(ctx, -1, thr)
-	return err
-}
-
 // Failed reports the prober's current verdict (true also immediately
 // after any connect error on the submit path).
 func (r *RemoteReplica) Failed() bool { return r.failed.Load() }

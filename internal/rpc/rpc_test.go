@@ -78,15 +78,11 @@ type stubBackend struct {
 	submit  func(n uint64, ctx context.Context, q live.Query) (live.Reply, error)
 	n       atomic.Uint64
 	snaps   atomic.Uint64 // Snapshot calls
-	batch   atomic.Int64
-	thr     atomic.Int64
 	failed  atomic.Bool
 }
 
 func newStub(submit func(n uint64, ctx context.Context, q live.Query) (live.Reply, error)) *stubBackend {
-	s := &stubBackend{tenants: []string{"NCF"}, submit: submit}
-	s.batch.Store(16)
-	return s
+	return &stubBackend{tenants: []string{"NCF"}, submit: submit}
 }
 
 func okReply() (live.Reply, error) {
@@ -104,19 +100,16 @@ func (s *stubBackend) Snapshot() live.Snapshot {
 	snap := live.Snapshot{Tenants: make([]live.TenantSnapshot, len(s.tenants)), Scale: 1}
 	for i, name := range s.tenants {
 		snap.Tenants[i].Stats = live.Stats{
-			Tenant:       name,
-			Ledger:       live.Ledger{Submitted: s.n.Load()},
-			BatchSize:    int(s.batch.Load()),
-			GPUThreshold: int(s.thr.Load()),
-			P50:          5 * time.Millisecond,
+			Tenant:    name,
+			Ledger:    live.Ledger{Submitted: s.n.Load()},
+			BatchSize: 16,
+			P50:       5 * time.Millisecond,
 		}
 	}
 	return snap
 }
-func (s *stubBackend) SetBatchSize(b int) error      { s.batch.Store(int64(b)); return nil }
-func (s *stubBackend) SetGPUThreshold(thr int) error { s.thr.Store(int64(thr)); return nil }
-func (s *stubBackend) Failed() bool                  { return s.failed.Load() }
-func (s *stubBackend) Close() error                  { return nil }
+func (s *stubBackend) Failed() bool { return s.failed.Load() }
+func (s *stubBackend) Close() error { return nil }
 
 // --- end-to-end round trips over a real live.Service ---
 
@@ -133,7 +126,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := c.Healthz(ctx); err != nil {
 		t.Fatalf("healthz: %v", err)
 	}
-	if err := c.call(ctx, PathReady, nil, nil); err != nil {
+	if err := c.call(ctx, PathReady, nil); err != nil {
 		t.Fatalf("readyz: %v", err)
 	}
 	resp, err := c.Recommend(ctx, RecommendRequest{Candidates: 64, TopN: 3})
@@ -399,7 +392,7 @@ func TestDrainFinishesInFlight(t *testing.T) {
 	// Draining flips readiness and refuses new work while the listener is
 	// still up for the in-flight request.
 	deadline = time.Now().Add(2 * time.Second)
-	for c.call(ctx, PathReady, nil, nil) == nil {
+	for c.call(ctx, PathReady, nil) == nil {
 		if time.Now().After(deadline) {
 			t.Fatal("readyz never flipped to draining")
 		}
@@ -740,24 +733,6 @@ func TestStatszTakesOneSnapshot(t *testing.T) {
 		if got := m.snaps.Load(); got != 1 {
 			t.Errorf("/statsz over AsBackend took %d snapshots of member %d, want 1", got, i)
 		}
-	}
-}
-
-// --- knobs ---
-
-func TestKnobsOverTheWire(t *testing.T) {
-	stub := newStub(func(n uint64, ctx context.Context, q live.Query) (live.Reply, error) { return okReply() })
-	srv := startServer(t, stub, ServerConfig{})
-	c := newTestClient(t, srv, ClientConfig{})
-	resp, err := c.SetKnobs(context.Background(), 64, 512)
-	if err != nil {
-		t.Fatalf("set knobs: %v", err)
-	}
-	if resp.Batch != 64 || resp.Threshold != 512 {
-		t.Fatalf("knobs echo %+v, want 64/512", resp)
-	}
-	if stub.batch.Load() != 64 || stub.thr.Load() != 512 {
-		t.Fatalf("backend knobs %d/%d, want 64/512", stub.batch.Load(), stub.thr.Load())
 	}
 }
 

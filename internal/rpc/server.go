@@ -90,7 +90,6 @@ func NewServer(b fleet.Backend, cfg ServerConfig) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathRecommend, s.handleRecommend)
-	mux.HandleFunc(PathKnobs, s.handleKnobs)
 	mux.HandleFunc(PathHealth, func(w http.ResponseWriter, r *http.Request) { s.answerProbe(w, s.b.Failed(), "ok") })
 	mux.HandleFunc(PathReady, func(w http.ResponseWriter, r *http.Request) { s.answerProbe(w, false, "ready") })
 	mux.HandleFunc(PathStats, s.handleStats)
@@ -374,33 +373,4 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Tenants = append(resp.Tenants, TenantStatsz{Name: t.Tenant, Stats: t.Stats})
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleKnobs applies remote knob settings: the wire counterpart of
-// SetBatchSize / SetGPUThreshold, the first tenant's knobs on every replica
-// (negative = leave untouched).
-func (s *Server) handleKnobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req KnobsRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: "+err.Error(), 0)
-		return
-	}
-	if req.Batch > 0 {
-		if err := s.b.SetBatchSize(req.Batch); err != nil {
-			s.writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
-			return
-		}
-	}
-	if req.Threshold >= 0 {
-		if err := s.b.SetGPUThreshold(req.Threshold); err != nil {
-			s.writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
-			return
-		}
-	}
-	st := live.Fold(s.b.Snapshot().Tenants)
-	writeJSON(w, http.StatusOK, KnobsResponse{Batch: st.BatchSize, Threshold: st.GPUThreshold})
 }

@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime/debug"
@@ -143,6 +144,18 @@ func TestNewClientRefusesOtherSchemes(t *testing.T) {
 	req, _ := http.NewRequest(http.MethodGet, "https://127.0.0.1:8443"+PathHealth, nil)
 	if _, err := newTransport().RoundTrip(req); err == nil || !strings.Contains(err.Error(), `"https"`) {
 		t.Errorf("transport round trip over https = %v, want an error naming the scheme", err)
+	}
+}
+
+// TestNewClientRefusesHedgePercentileOutsideRange: a hedge percentile
+// outside (0, 100), NaN included, is refused up front; a NaN that got
+// through would index the latency window at a negative rank once hedging
+// armed.
+func TestNewClientRefusesHedgePercentileOutsideRange(t *testing.T) {
+	for _, p := range []float64{-1, 100, math.NaN(), math.Inf(1)} {
+		if _, err := NewClient("http://127.0.0.1:1", ClientConfig{HedgePercentile: p}); err == nil {
+			t.Errorf("NewClient accepted hedge percentile %v", p)
+		}
 	}
 }
 

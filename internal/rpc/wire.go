@@ -65,10 +65,9 @@ import (
 )
 
 // Wire paths. The RPC surface is deliberately small: one serving verb,
-// three operational probes, one knob endpoint.
+// three operational probes.
 const (
 	PathRecommend = "/v1/recommend"
-	PathKnobs     = "/v1/knobs"
 	PathHealth    = "/healthz"
 	PathReady     = "/readyz"
 	PathStats     = "/statsz"
@@ -163,20 +162,6 @@ type ErrorResponse struct {
 	// RetryAfterMs duplicates the header hint for clients that only read
 	// bodies (0 = no hint).
 	RetryAfterMs int64 `json:"retry_after_ms,omitempty"`
-}
-
-// KnobsRequest is the POST /v1/knobs body: remote counterpart of
-// SetBatchSize / SetGPUThreshold, so it sets the first tenant's knobs, on
-// every replica behind the server. Negative fields are left untouched.
-type KnobsRequest struct {
-	Batch     int `json:"batch"`
-	Threshold int `json:"threshold"`
-}
-
-// KnobsResponse echoes the knob values in effect after the call.
-type KnobsResponse struct {
-	Batch     int `json:"batch"`
-	Threshold int `json:"threshold"`
 }
 
 // TenantStatsz is one tenant's slice of the /statsz payload.

@@ -67,12 +67,10 @@ func FuzzWireDecoders(f *testing.F) {
 		stub := newStub(func(n uint64, ctx context.Context, q live.Query) (live.Reply, error) { return okReply() })
 		stub.tenants = []string{"search", "ads"}
 		srv := NewServer(stub, ServerConfig{})
-		for path, into := range map[string]any{PathRecommend: new(RecommendRequest), PathKnobs: new(KnobsRequest)} {
-			rec := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-			if rec.Code == http.StatusOK && !decodes(into) {
-				t.Errorf("%s answered 200 to a body that does not decode: %q", path, body)
-			}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathRecommend, bytes.NewReader(body)))
+		if rec.Code == http.StatusOK && !decodes(new(RecommendRequest)) {
+			t.Errorf("%s answered 200 to a body that does not decode: %q", PathRecommend, body)
 		}
 		if c := srv.Counters(); c.Requests != 1 ||
 			c.OK+c.Overloaded+c.Deadline+c.Draining+c.Down+c.Cancelled+c.BadRequest != c.Requests {

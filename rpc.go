@@ -9,8 +9,8 @@ import (
 )
 
 // HTTPServer is a Service published on the wire: the HTTP/JSON serving
-// boundary (POST /v1/recommend plus the /healthz, /readyz, /statsz probes
-// and /v1/knobs) documented in docs/ARCHITECTURE.md. Create one with
+// boundary (POST /v1/recommend plus the /healthz, /readyz and /statsz
+// probes) documented in docs/ARCHITECTURE.md. Create one with
 // Service.StartHTTP; stop it with Drain (graceful — the SIGTERM path) or
 // Close (abrupt). The underlying Service keeps running either way: the
 // HTTP boundary is a view on it, and the owner still calls Service.Close

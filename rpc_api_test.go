@@ -81,6 +81,40 @@ func TestServeOverTheWire(t *testing.T) {
 	}
 }
 
+// TestRemoteClientRecommendTo addresses each tenant of a two-tenant
+// published service by name: the reply names the tenant that served it,
+// and a name the server does not host is its bad_request.
+func TestRemoteClientRecommendTo(t *testing.T) {
+	svc := serveTenants(t, deeprecsys.ServeOptions{})
+	srv, err := svc.StartHTTP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := deeprecsys.NewRemoteClient("http://"+srv.Addr(), deeprecsys.ClientOptions{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	ctx := context.Background()
+	for _, name := range svc.Tenants() {
+		reply, err := client.RecommendTo(ctx, name, 20, 2)
+		if err != nil {
+			t.Fatalf("recommend to %q: %v", name, err)
+		}
+		if reply.Tenant != name || len(reply.Recs) != 2 {
+			t.Errorf("recommend to %q: served by %q with %d recs, want %q with 2", name, reply.Tenant, len(reply.Recs), name)
+		}
+	}
+	if _, err := client.RecommendTo(ctx, "nobody", 20, 2); err == nil || !strings.Contains(err.Error(), "bad_request") {
+		t.Errorf("recommend to an unknown tenant = %v, want the server's bad_request", err)
+	}
+	if c := srv.Counters(); c.OK != 2 || c.BadRequest != 1 {
+		t.Errorf("server counters %+v, want 2 ok and 1 bad request", c)
+	}
+}
+
 // TestAddRemoteReplica joins a second process's published service to a
 // local fleet and checks traffic actually crosses the wire.
 func TestAddRemoteReplica(t *testing.T) {

@@ -86,8 +86,9 @@ type ServeOptions struct {
 	// FIFO, shed when full), or "shed-oldest[:<depth>]" (bounded FIFO,
 	// displace the oldest waiter). Shed queries fail with ErrOverloaded.
 	Admission string
-	// Deadline is the per-query latency budget applied when the caller's
-	// context carries no deadline of its own (0 = none). Queries whose
+	// Deadline is the per-query latency budget (0 = none). It bounds the
+	// caller's context rather than replacing it: a query expires at the
+	// earlier of the caller's deadline and arrival + Deadline. Queries whose
 	// deadline has already expired are shed before consuming a forward
 	// pass, and deadline expiry during the admission-queue wait sheds the
 	// query before execution.
@@ -286,8 +287,8 @@ func (s *System) Serve(opts ServeOptions) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Jitter < 0 {
-		return nil, fmt.Errorf("deeprecsys: negative jitter %v", opts.Jitter)
+	if !(opts.Jitter >= 0) { // NaN fails too
+		return nil, fmt.Errorf("deeprecsys: jitter %v is not a non-negative number", opts.Jitter)
 	}
 	if opts.GPUReplicas < 0 || opts.GPUReplicas > opts.Replicas {
 		return nil, fmt.Errorf("deeprecsys: GPUReplicas %d outside [0, Replicas=%d]", opts.GPUReplicas, opts.Replicas)
@@ -676,26 +677,6 @@ func (s *Service) Stats() ServiceStats {
 	}
 	return st
 }
-
-// BatchSize returns the first tenant's current per-request batch size (the
-// first replica's, when per-replica AutoTune has diverged them).
-func (s *Service) BatchSize() int { return s.fl.BatchSize() }
-
-// SetBatchSize retunes the first tenant's batch size for subsequent queries
-// (the manual counterpart of AutoTune), on every replica. Other tenants keep
-// theirs.
-func (s *Service) SetBatchSize(b int) error { return s.fl.SetBatchSize(b) }
-
-// GPUThreshold returns the first tenant's current offload threshold (the
-// first GPU-capable replica's; 0 = no offload).
-func (s *Service) GPUThreshold() int { return s.fl.GPUThreshold() }
-
-// SetGPUThreshold retunes the first tenant's accelerator offload threshold
-// for subsequent queries (the manual counterpart of the AutoTune threshold
-// walk), on every GPU-capable replica: that tenant's queries of at least thr
-// candidates are served whole by the accelerator lane; 0 disables offload.
-// Other tenants keep theirs. It fails on a service without an accelerator.
-func (s *Service) SetGPUThreshold(thr int) error { return s.fl.SetGPUThreshold(thr) }
 
 // Close stops accepting queries, drains every in-flight query, and shuts
 // the worker pools down. It then releases the service's own model

@@ -157,27 +157,23 @@ func TestSubmitToAndTenantStats(t *testing.T) {
 	}
 }
 
-// TestSetBatchSizeRetunesTheFirstTenant pins what the service-level knob
-// means on a multi-tenant Service: the first tenant's batch size, on every
-// replica. The other tenants keep theirs.
-func TestSetBatchSizeRetunesTheFirstTenant(t *testing.T) {
-	svc := serveTenants(t, deeprecsys.ServeOptions{Replicas: 2})
-	if err := svc.SetBatchSize(32); err != nil {
-		t.Fatal(err)
+// TestServiceBatchSizeIsTheFirstTenants pins what the service-level knob
+// reads on a multi-tenant Service: the first tenant's batch size, on every
+// replica. The other tenants report their own.
+func TestServiceBatchSizeIsTheFirstTenants(t *testing.T) {
+	st := serveTenants(t, deeprecsys.ServeOptions{Replicas: 2}).Stats()
+	if st.BatchSize != 16 {
+		t.Errorf("service batch %d, want the first tenant's 16", st.BatchSize)
 	}
-	if got := svc.BatchSize(); got != 32 {
-		t.Errorf("BatchSize() = %d, want 32", got)
-	}
-	st := svc.Stats()
-	if rk, ads := st.Tenants[0].BatchSize, st.Tenants[1].BatchSize; rk != 32 || ads != 64 {
-		t.Errorf("after SetBatchSize(32): ranking at %d, ads at %d; want 32 and its own 64", rk, ads)
+	if rk, ads := st.Tenants[0].BatchSize, st.Tenants[1].BatchSize; rk != 16 || ads != 64 {
+		t.Errorf("ranking at %d, ads at %d; want 16 and 64", rk, ads)
 	}
 	if len(st.PerReplica) != 2 {
 		t.Fatalf("%d replicas, want 2", len(st.PerReplica))
 	}
 	for _, r := range st.PerReplica {
-		if r.BatchSize != 32 {
-			t.Errorf("replica %d: first tenant's batch %d, want 32", r.ID, r.BatchSize)
+		if r.BatchSize != 16 {
+			t.Errorf("replica %d: first tenant's batch %d, want 16", r.ID, r.BatchSize)
 		}
 	}
 }
