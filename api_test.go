@@ -405,7 +405,8 @@ func TestServeFleetValidation(t *testing.T) {
 		{GPUReplicas: -1},
 		{GPUReplicas: 1}, // needs WithGPU
 		{Replicas: 2, Jitter: -0.1},
-		{Replicas: 2, Jitter: math.NaN()}, // every replica would run at speed NaN
+		{Replicas: 2, Jitter: math.NaN()},  // every replica would run at speed NaN
+		{Replicas: 2, Jitter: math.Inf(1)}, // every replica would sit at the speed floor
 		{Replicas: 2, GPUReplicas: 3},
 		{Replicas: 2, GPUReplicas: 1}, // needs WithGPU
 	}

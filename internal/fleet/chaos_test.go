@@ -209,10 +209,10 @@ func TestRetryOnCrashAccounting(t *testing.T) {
 func TestAutoscaleGrowsAndShrinks(t *testing.T) {
 	m := testModel(t)
 	mkConfig := func(seed int64) live.Config {
-		cfg := baseConfig(m, seed)
-		cfg.SLA = 500 * time.Millisecond
-		cfg.Admission = live.AdmissionConfig{Policy: live.AdmitReject, Concurrency: 1}
-		return cfg
+		return live.Config{Workers: 1, Seed: seed, Tenants: []live.TenantConfig{{
+			Name: "NCF", Model: m, BatchSize: 16, SLA: 500 * time.Millisecond,
+			Admission: live.AdmissionConfig{Policy: live.AdmitReject, Concurrency: 1},
+		}}}
 	}
 	var grown atomic.Int64
 	f := newFleet(t, []live.Config{mkConfig(1)}, nil)
@@ -285,18 +285,22 @@ func TestAutoscaleGrowsAndShrinks(t *testing.T) {
 func TestChaosSoakFlashCrowd(t *testing.T) {
 	m := testModel(t)
 	mkConfig := func(seed int64) live.Config {
-		cfg := baseConfig(m, seed)
-		cfg.SLA = 400 * time.Millisecond
-		// One slot per worker, one waiter: the tightest gate, so admitted
-		// queries never interleave on the lane and the p95 bound is crisp.
-		cfg.Admission = live.AdmissionConfig{Policy: live.AdmitShedOldest, Concurrency: 1, Depth: 1}
-		// Chunks sleep three times as long as they compute: the lanes stay
-		// occupied between the crowd's 500 µs back-offs however fast the
-		// kernels are (a crash always finds a query mid-flight), and latency
-		// is mostly sleep, which three lanes on two processors do not fight
-		// over.
-		cfg.Scale = 4
-		return cfg
+		return live.Config{
+			Workers: 1, Seed: seed,
+			Tenants: []live.TenantConfig{{
+				Name: "NCF", Model: m, BatchSize: 16, SLA: 400 * time.Millisecond,
+				// One slot per worker, one waiter: the tightest gate, so
+				// admitted queries never interleave on the lane and the p95
+				// bound is crisp.
+				Admission: live.AdmissionConfig{Policy: live.AdmitShedOldest, Concurrency: 1, Depth: 1},
+			}},
+			// Chunks sleep three times as long as they compute: the lanes
+			// stay occupied between the crowd's 500 µs back-offs however fast
+			// the kernels are (a crash always finds a query mid-flight), and
+			// latency is mostly sleep, which three lanes on two processors do
+			// not fight over.
+			Scale: 4,
+		}
 	}
 	f := newFleet(t, []live.Config{mkConfig(1), mkConfig(2), mkConfig(3)}, nil)
 	f.SetRetry(true)

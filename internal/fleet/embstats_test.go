@@ -45,9 +45,9 @@ func storeModel(t testing.TB, rows, cacheRows int) *model.Model {
 // and fold a removed replica's final counters so the totals stay monotone.
 func TestFleetMergesEmbStats(t *testing.T) {
 	mk := func(seed int64) live.Config {
-		cfg := baseConfig(storeModel(t, 20000, 500), seed)
-		cfg.Access = workload.ZipfAccess{S: 1.3, V: 1}
-		return cfg
+		return live.Config{Workers: 1, Seed: seed, Tenants: []live.TenantConfig{{
+			Name: "NCF", Model: storeModel(t, 20000, 500), BatchSize: 16, Access: workload.ZipfAccess{S: 1.3, V: 1},
+		}}}
 	}
 	f := newFleet(t, []live.Config{mk(1), mk(2)}, nil)
 	for i := 0; i < 24; i++ {

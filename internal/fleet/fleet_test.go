@@ -320,9 +320,9 @@ func TestLeastLoadedAvoidsBusyReplica(t *testing.T) {
 func TestSizeAwareFleetRouting(t *testing.T) {
 	m := testModel(t)
 	cpu := baseConfig(m, 1)
-	gpu := baseConfig(m, 2)
-	gpu.GPU = platform.DefaultGPU()
-	gpu.GPUThreshold = 100
+	gpu := live.Config{Workers: 1, Seed: 2, GPU: platform.DefaultGPU(), Tenants: []live.TenantConfig{
+		{Name: "NCF", Model: m, BatchSize: 16, GPUThreshold: 100},
+	}}
 	f := newFleet(t, []live.Config{cpu, gpu}, NewSizeAware(100))
 
 	reply, id, err := f.Submit(context.Background(), live.Query{Candidates: 400})
@@ -506,10 +506,9 @@ func TestStatsAggregation(t *testing.T) {
 func TestKnobs(t *testing.T) {
 	m := testModel(t)
 	cpu := baseConfig(m, 1)
-	gpu := baseConfig(m, 2)
-	gpu.BatchSize = 64
-	gpu.GPU = platform.DefaultGPU()
-	gpu.GPUThreshold = 500
+	gpu := live.Config{Workers: 1, Seed: 2, GPU: platform.DefaultGPU(), Tenants: []live.TenantConfig{
+		{Name: "NCF", Model: m, BatchSize: 64, GPUThreshold: 500},
+	}}
 	st := newFleet(t, []live.Config{cpu, gpu}, nil).Stats()
 	if st.Replicas[0].BatchSize != 16 || st.Replicas[1].BatchSize != 64 {
 		t.Errorf("replica batches %d/%d, want 16/64", st.Replicas[0].BatchSize, st.Replicas[1].BatchSize)
@@ -531,15 +530,13 @@ func TestMixedFleetSoak(t *testing.T) {
 	m := testModel(t)
 	sla := 250 * time.Millisecond
 	mk := func(seed int64, gpu bool, scale float64) live.Config {
-		cfg := baseConfig(m, seed)
-		cfg.Scale = scale
-		cfg.SLA = sla
-		cfg.AutoTune = true
-		cfg.TuneInterval = 20 * time.Millisecond
+		tc := live.TenantConfig{Name: "NCF", Model: m, BatchSize: 16, SLA: sla}
+		cfg := live.Config{Workers: 1, Seed: seed, Scale: scale, AutoTune: true, TuneInterval: 20 * time.Millisecond}
 		if gpu {
 			cfg.GPU = platform.DefaultGPU()
-			cfg.GPUThreshold = 200
+			tc.GPUThreshold = 200
 		}
+		cfg.Tenants = []live.TenantConfig{tc}
 		return cfg
 	}
 	f, err := New([]live.Config{mk(1, false, 1), mk(2, true, 1), mk(3, false, 1.2)}, NewSizeAware(200))
@@ -618,8 +615,10 @@ func TestMixedFleetSoak(t *testing.T) {
 // the queries still parked in the admission queue with ErrShutdown rather
 // than serving the backlog first, and the ledger records them as Abandoned.
 func TestCloseAbandonsQueued(t *testing.T) {
-	cfg := baseConfig(testModel(t), 1)
-	cfg.Admission = live.AdmissionConfig{Policy: live.AdmitQueue, Concurrency: 1, Depth: 8}
+	cfg := live.Config{Workers: 1, Seed: 1, Tenants: []live.TenantConfig{{
+		Name: "NCF", Model: testModel(t), BatchSize: 16,
+		Admission: live.AdmissionConfig{Policy: live.AdmitQueue, Concurrency: 1, Depth: 8},
+	}}}
 	f := newFleet(t, []live.Config{cfg}, nil)
 	// The injected delay holds the one admission slot open past the forward
 	// pass, so the holder is slow however fast the kernels are.

@@ -218,12 +218,11 @@ func TestConfigDeadlineApplies(t *testing.T) {
 		{"caller earlier", 30 * time.Millisecond, 10 * time.Second},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newService(t, Config{
-				Workers:   1,
+			s := newService(t, oneTenant(t, Config{Workers: 1}, TenantConfig{
 				BatchSize: 16,
 				Admission: AdmissionConfig{Policy: AdmitQueue, Concurrency: 1, Depth: 4},
 				Deadline:  tc.deadline,
-			})
+			}))
 			if _, err := s.tenants[0].adm.admit(context.Background()); err != nil {
 				t.Fatal(err)
 			}
@@ -253,11 +252,10 @@ func TestConfigDeadlineApplies(t *testing.T) {
 }
 
 func TestCloseUnderSaturationAbandonsQueued(t *testing.T) {
-	s := newService(t, Config{
-		Workers:   1,
+	s := newService(t, oneTenant(t, Config{Workers: 1}, TenantConfig{
 		BatchSize: MaxBatchSize,
 		Admission: AdmissionConfig{Policy: AdmitQueue, Concurrency: 1, Depth: 8},
-	})
+	}))
 	// The injected delay holds the admission slot open past the forward
 	// pass (release defers until Submit returns), so the holder query is
 	// deterministically slow regardless of how fast the kernel backend
@@ -327,11 +325,13 @@ func TestDegradeLadderManual(t *testing.T) {
 		}
 		return m
 	}()
-	s := newService(t, Config{
-		Workers:   1,
+	// The ladder needs an SLA; the hour-long tick keeps its controller from
+	// moving the level this test sets by hand.
+	s := newService(t, oneTenant(t, Config{Workers: 1, TuneInterval: time.Hour}, TenantConfig{
 		BatchSize: 16,
+		SLA:       time.Hour,
 		Degrade:   DegradeConfig{Truncate: 8, Fallback: fb},
-	})
+	}))
 	if got := len(s.tenants[0].degLadder); got != 3 {
 		t.Fatalf("ladder has %d rungs, want 3", got)
 	}
@@ -383,13 +383,12 @@ func TestDegradeLadderManual(t *testing.T) {
 
 func TestDegradedQueriesStayOnCPULane(t *testing.T) {
 	fb := testModel(t)
-	s := newService(t, Config{
-		Workers:      1,
+	s := newService(t, oneTenant(t, Config{Workers: 1, GPU: testGPU(2), TuneInterval: time.Hour}, TenantConfig{
 		BatchSize:    16,
-		GPU:          testGPU(2),
 		GPUThreshold: 1, // everything would offload at full service
+		SLA:          time.Hour,
 		Degrade:      DegradeConfig{Fallback: fb},
-	})
+	}))
 	s.tenants[0].degLevel.Store(1)
 	r, err := s.Submit(context.Background(), Query{Candidates: 50})
 	if err != nil {
@@ -405,13 +404,11 @@ func TestDegradedQueriesStayOnCPULane(t *testing.T) {
 
 func TestDegraderWalksLadder(t *testing.T) {
 	// Step up: an absurdly tight SLA makes every sample a breach.
-	s := newService(t, Config{
-		Workers:      1,
-		BatchSize:    16,
-		SLA:          time.Nanosecond,
-		TuneInterval: 10 * time.Millisecond,
-		Degrade:      DegradeConfig{Truncate: 8},
-	})
+	s := newService(t, oneTenant(t, Config{Workers: 1, TuneInterval: 10 * time.Millisecond}, TenantConfig{
+		BatchSize: 16,
+		SLA:       time.Nanosecond,
+		Degrade:   DegradeConfig{Truncate: 8},
+	}))
 	ctx := context.Background()
 	deadline := time.Now().Add(10 * time.Second)
 	for s.Stats().DegradeLevel < 1 {
@@ -427,13 +424,11 @@ func TestDegraderWalksLadder(t *testing.T) {
 	}
 
 	// Step down: a huge SLA gives every sample comfortable headroom.
-	s2 := newService(t, Config{
-		Workers:      1,
-		BatchSize:    16,
-		SLA:          time.Hour,
-		TuneInterval: 10 * time.Millisecond,
-		Degrade:      DegradeConfig{Truncate: 8},
-	})
+	s2 := newService(t, oneTenant(t, Config{Workers: 1, TuneInterval: 10 * time.Millisecond}, TenantConfig{
+		BatchSize: 16,
+		SLA:       time.Hour,
+		Degrade:   DegradeConfig{Truncate: 8},
+	}))
 	s2.tenants[0].degLevel.Store(1)
 	deadline = time.Now().Add(10 * time.Second)
 	for s2.Stats().DegradeLevel > 0 {
@@ -447,11 +442,10 @@ func TestDegraderWalksLadder(t *testing.T) {
 }
 
 func TestFailAbortsPromptly(t *testing.T) {
-	s := newService(t, Config{
-		Workers:   1,
+	s := newService(t, oneTenant(t, Config{Workers: 1}, TenantConfig{
 		BatchSize: MaxBatchSize,
 		Admission: AdmissionConfig{Policy: AdmitQueue, Concurrency: 1, Depth: 4},
-	})
+	}))
 	// Hold the admission slot open past the forward pass (see
 	// TestCloseUnderSaturationAbandonsQueued) so the queue forms no matter
 	// how fast the kernel backend is.
@@ -536,15 +530,15 @@ func TestScaleAndDelayInjection(t *testing.T) {
 
 func TestAdmissionConfigValidation(t *testing.T) {
 	m := testModel(t)
-	bad := []Config{
+	bad := []TenantConfig{
 		{Model: m, Admission: AdmissionConfig{Policy: AdmissionPolicy(9)}},
 		{Model: m, Admission: AdmissionConfig{Policy: AdmitQueue, Concurrency: -1}},
 		{Model: m, Admission: AdmissionConfig{Policy: AdmitQueue, Depth: -1}},
 		{Model: m, Deadline: -time.Second},
 		{Model: m, Degrade: DegradeConfig{Truncate: -1}},
 	}
-	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
+	for i, tc := range bad {
+		if _, err := New(oneTenant(t, Config{}, tc)); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}

@@ -44,12 +44,11 @@ func storeModel(t testing.TB, rows, cacheRows int) *model.Model {
 // A store-backed service surfaces the embedding-tier counters through its
 // online snapshot; a classic in-memory service reports none.
 func TestStoreBackedServiceReportsEmbStats(t *testing.T) {
-	s := newService(t, Config{
+	s := newService(t, oneTenant(t, Config{Workers: 2}, TenantConfig{
 		Model:     storeModel(t, 20000, 500),
-		Workers:   2,
 		BatchSize: 32,
 		Access:    workload.ZipfAccess{S: 1.3, V: 1},
-	})
+	}))
 	for i := 0; i < 30; i++ {
 		if _, err := s.Submit(context.Background(), Query{Candidates: 32, TopN: 4}); err != nil {
 			t.Fatal(err)
@@ -86,12 +85,11 @@ func TestStoreBackedServiceReportsEmbStats(t *testing.T) {
 // size, Zipf traffic yields a strictly higher hit rate than uniform.
 func TestZipfAccessBeatsUniformHitRate(t *testing.T) {
 	run := func(access workload.IndexDist) float64 {
-		s := newService(t, Config{
+		s := newService(t, oneTenant(t, Config{Workers: 2}, TenantConfig{
 			Model:     storeModel(t, 50000, 2000),
-			Workers:   2,
 			BatchSize: 32,
 			Access:    access,
-		})
+		}))
 		for i := 0; i < 40; i++ {
 			if _, err := s.Submit(context.Background(), Query{Candidates: 64}); err != nil {
 				t.Fatal(err)
@@ -119,7 +117,7 @@ func TestZipfAccessBeatsUniformHitRate(t *testing.T) {
 func TestUniformAccessMatchesNilAccess(t *testing.T) {
 	m := testModel(t) // shared: weights are read-only under Submit
 	run := func(access workload.IndexDist) [][]model.Ranked {
-		s := newService(t, Config{Model: m, Workers: 1, BatchSize: 64, Seed: 9, Access: access})
+		s := newService(t, oneTenant(t, Config{Workers: 1, Seed: 9}, TenantConfig{Model: m, BatchSize: 64, Access: access}))
 		var out [][]model.Ranked
 		for i := 0; i < 8; i++ {
 			r, err := s.Submit(context.Background(), Query{Candidates: 48, TopN: 5})
@@ -158,11 +156,11 @@ func TestZipfAccessRepliesRepeatUnderSeed(t *testing.T) {
 	}
 	m := model.MustNew(cfg, 1)
 	run := func(seed int64, gpu *platform.GPU) [][]model.Ranked {
-		c := Config{Model: m, Workers: 1, BatchSize: 16, Seed: seed, Access: workload.ZipfAccess{S: 1.2, V: 1}}
+		tc := TenantConfig{Model: m, BatchSize: 16, Access: workload.ZipfAccess{S: 1.2, V: 1}}
 		if gpu != nil {
-			c.GPU, c.GPUThreshold = gpu, 40
+			tc.GPUThreshold = 40
 		}
-		s := newService(t, c)
+		s := newService(t, oneTenant(t, Config{Workers: 1, Seed: seed, GPU: gpu}, tc))
 		var out [][]model.Ranked
 		for i := 0; i < 6; i++ {
 			r, err := s.Submit(context.Background(), Query{Candidates: 24 + 8*i, TopN: 5}) // 24..64: both sides of the threshold

@@ -16,6 +16,19 @@ import (
 	"github.com/deeprecinfra/deeprecsys/internal/workload"
 )
 
+// oneTenant is cfg serving the single tenant tc, over the test model unless
+// tc names one, named after its model: the single-model service of a test
+// that sets a per-tenant field the Config shorthand does not carry.
+func oneTenant(t testing.TB, cfg Config, tc TenantConfig) Config {
+	t.Helper()
+	if tc.Model == nil {
+		tc.Model = testModel(t)
+	}
+	tc.Name = tc.Model.Cfg.Name
+	cfg.Tenants = []TenantConfig{tc}
+	return cfg
+}
+
 // testModel builds a small, fast zoo model for live-serving tests.
 func testModel(t testing.TB) *model.Model {
 	t.Helper()
@@ -32,7 +45,7 @@ func testModel(t testing.TB) *model.Model {
 
 func newService(t testing.TB, cfg Config) *Service {
 	t.Helper()
-	if cfg.Model == nil {
+	if cfg.Model == nil && len(cfg.Tenants) == 0 {
 		cfg.Model = testModel(t)
 	}
 	s, err := New(cfg)
@@ -50,81 +63,50 @@ func TestConfigValidation(t *testing.T) {
 	m := testModel(t)
 	bad := []Config{
 		{Model: m, Workers: -1},
-		{Model: m, BatchSize: -5},
 		{Model: m, BatchSize: MaxBatchSize + 1},
-		{Model: m, SLA: -time.Second},
 		{Model: m, AutoTune: true}, // no SLA
 		{Model: m, TuneInterval: -time.Second},
 		{Model: m, Scale: -1},
 		{Model: m, Scale: math.NaN()},
+		{Model: m, Scale: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("bad config %d accepted: %+v", i, cfg)
 		}
 	}
-	// Every bad per-tenant value, written on the single-model Config: its one
-	// tenant, named after its model, inherits it and must refuse it by name.
-	for _, b := range badPerTenant {
-		if b.onConfig == nil {
-			continue
-		}
-		cfg := Config{Model: m}
-		b.onConfig(&cfg)
+	// The one-tenant shorthand's BatchSize and SLA are its tenant's: a bad
+	// one is refused naming that tenant, named after its model.
+	for _, cfg := range []Config{{Model: m, BatchSize: -5}, {Model: m, SLA: -time.Second}} {
 		if s, err := New(cfg); err == nil {
 			s.Close()
-			t.Errorf("single-model config with %s accepted", b.name)
+			t.Errorf("single-model config %+v accepted", cfg)
 		} else if !strings.Contains(err.Error(), "tenant 0 (NCF)") {
-			t.Errorf("%s: single-model error does not name the tenant: %v", b.name, err)
+			t.Errorf("single-model error does not name the tenant: %v", err)
 		}
 	}
 }
 
-// badPerTenant is every out-of-range value a per-tenant field can take,
-// written on a TenantConfig and — Share apart, which only a tenant has — on
-// the Config-level field of the same name that tenants inherit.
+// badPerTenant is every out-of-range value a per-tenant field can take.
 var badPerTenant = []struct {
-	name     string
-	onTenant func(*TenantConfig)
-	onConfig func(*Config)
+	name string
+	set  func(*TenantConfig)
 }{
-	{"negative SLA",
-		func(tc *TenantConfig) { tc.SLA = -time.Second },
-		func(c *Config) { c.SLA = -time.Second }},
-	{"negative batch",
-		func(tc *TenantConfig) { tc.BatchSize = -5 },
-		func(c *Config) { c.BatchSize = -5 }},
-	{"batch above MaxBatchSize",
-		func(tc *TenantConfig) { tc.BatchSize = MaxBatchSize + 1 },
-		func(c *Config) { c.BatchSize = MaxBatchSize + 1 }},
-	{"negative threshold",
-		func(tc *TenantConfig) { tc.GPUThreshold = -1 },
-		func(c *Config) { c.GPUThreshold = -1 }},
-	{"threshold without a GPU",
-		func(tc *TenantConfig) { tc.GPUThreshold = 100 },
-		func(c *Config) { c.GPUThreshold = 100 }},
-	{"unknown admission policy",
-		func(tc *TenantConfig) { tc.Admission.Policy = AdmitShedOldest + 1 },
-		func(c *Config) { c.Admission.Policy = AdmitShedOldest + 1 }},
+	{"negative SLA", func(tc *TenantConfig) { tc.SLA = -time.Second }},
+	{"negative batch", func(tc *TenantConfig) { tc.BatchSize = -5 }},
+	{"batch above MaxBatchSize", func(tc *TenantConfig) { tc.BatchSize = MaxBatchSize + 1 }},
+	{"negative threshold", func(tc *TenantConfig) { tc.GPUThreshold = -1 }},
+	{"threshold without a GPU", func(tc *TenantConfig) { tc.GPUThreshold = 100 }},
+	{"unknown admission policy", func(tc *TenantConfig) { tc.Admission.Policy = AdmitShedOldest + 1 }},
 	{"negative admission concurrency",
-		func(tc *TenantConfig) { tc.Admission = AdmissionConfig{Policy: AdmitReject, Concurrency: -1} },
-		func(c *Config) { c.Admission = AdmissionConfig{Policy: AdmitReject, Concurrency: -1} }},
-	{"negative admission depth",
-		func(tc *TenantConfig) { tc.Admission = AdmissionConfig{Policy: AdmitQueue, Depth: -1} },
-		func(c *Config) { c.Admission = AdmissionConfig{Policy: AdmitQueue, Depth: -1} }},
-	{"negative deadline",
-		func(tc *TenantConfig) { tc.Deadline = -time.Second },
-		func(c *Config) { c.Deadline = -time.Second }},
-	{"negative truncation",
-		func(tc *TenantConfig) { tc.Degrade.Truncate = -1 },
-		func(c *Config) { c.Degrade.Truncate = -1 }},
-	{"truncation above MaxQuerySize",
-		func(tc *TenantConfig) { tc.Degrade.Truncate = workload.MaxQuerySize + 1 },
-		func(c *Config) { c.Degrade.Truncate = workload.MaxQuerySize + 1 }},
-	{"negative share",
-		func(tc *TenantConfig) { tc.Share = -1 }, nil},
-	{"NaN share",
-		func(tc *TenantConfig) { tc.Share = math.NaN() }, nil},
+		func(tc *TenantConfig) { tc.Admission = AdmissionConfig{Policy: AdmitReject, Concurrency: -1} }},
+	{"negative admission depth", func(tc *TenantConfig) { tc.Admission = AdmissionConfig{Policy: AdmitQueue, Depth: -1} }},
+	{"negative deadline", func(tc *TenantConfig) { tc.Deadline = -time.Second }},
+	{"negative truncation", func(tc *TenantConfig) { tc.Degrade.Truncate = -1 }},
+	{"truncation above MaxQuerySize", func(tc *TenantConfig) { tc.Degrade.Truncate = workload.MaxQuerySize + 1 }},
+	{"degrade ladder without an SLA", func(tc *TenantConfig) { tc.Degrade.Truncate = 8 }},
+	{"negative share", func(tc *TenantConfig) { tc.Share = -1 }},
+	{"NaN share", func(tc *TenantConfig) { tc.Share = math.NaN() }},
 }
 
 func TestSubmitValidation(t *testing.T) {
@@ -215,7 +197,7 @@ func (g gatedAccess) Next() int {
 // verdict does not depend on how fast the kernels run.
 func TestContextCancellationMidQuery(t *testing.T) {
 	gate := gatedAccess{entered: make(chan struct{}), open: make(chan struct{}), once: new(sync.Once)}
-	s := newService(t, Config{Workers: 1, BatchSize: 1, Access: gate})
+	s := newService(t, oneTenant(t, Config{Workers: 1}, TenantConfig{BatchSize: 1, Access: gate}))
 	openGate := sync.OnceFunc(func() { close(gate.open) })
 	defer openGate() // a failed assertion must not leave the worker parked under Close
 	// Clog the lone worker and its 8-deep queue with a many-chunk query.

@@ -33,9 +33,9 @@ func testGPU(streams int) *platform.GPU {
 func TestOffloadConfigValidation(t *testing.T) {
 	m := testModel(t)
 	bad := []Config{
-		{Model: m, GPUThreshold: 5}, // threshold without an accelerator
-		{Model: m, GPUThreshold: -1, GPU: testGPU(1)},
-		{Model: m, GPUThreshold: workload.MaxQuerySize + 1, GPU: testGPU(1)},
+		oneTenant(t, Config{}, TenantConfig{Model: m, GPUThreshold: 5}), // threshold without an accelerator
+		oneTenant(t, Config{GPU: testGPU(1)}, TenantConfig{Model: m, GPUThreshold: -1}),
+		oneTenant(t, Config{GPU: testGPU(1)}, TenantConfig{Model: m, GPUThreshold: workload.MaxQuerySize + 1}),
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -48,7 +48,7 @@ func TestOffloadConfigValidation(t *testing.T) {
 // exactly the threshold size is offloaded, whole (no batch splitting), and
 // one below it is batched onto the CPU pool.
 func TestThresholdBoundaryOffloadsWhole(t *testing.T) {
-	s := newService(t, Config{Workers: 1, BatchSize: 16, GPU: testGPU(2), GPUThreshold: 100})
+	s := newService(t, oneTenant(t, Config{Workers: 1, GPU: testGPU(2)}, TenantConfig{BatchSize: 16, GPUThreshold: 100}))
 	ctx := context.Background()
 
 	below, err := s.Submit(ctx, Query{Candidates: 99, TopN: 2})
@@ -84,7 +84,7 @@ func TestThresholdBoundaryOffloadsWhole(t *testing.T) {
 // TestStatsGPUShares checks the offload accounting: query share counts
 // queries, work share counts candidate items.
 func TestStatsGPUShares(t *testing.T) {
-	s := newService(t, Config{Workers: 1, BatchSize: 32, GPU: testGPU(2), GPUThreshold: 150})
+	s := newService(t, oneTenant(t, Config{Workers: 1, GPU: testGPU(2)}, TenantConfig{BatchSize: 32, GPUThreshold: 150}))
 	ctx := context.Background()
 	for _, size := range []int{50, 50, 50, 200} {
 		if _, err := s.Submit(ctx, Query{Candidates: size}); err != nil {
@@ -130,7 +130,7 @@ func TestThresholdMoveTakesEffect(t *testing.T) {
 // accelerator lane: an already-cancelled context is refused at Enqueue with
 // ctx.Err(), counted as cancelled, and spawns no device work.
 func TestOffloadCancelledAtAdmission(t *testing.T) {
-	s := newService(t, Config{Workers: 1, BatchSize: 8, GPU: testGPU(1), GPUThreshold: 1})
+	s := newService(t, oneTenant(t, Config{Workers: 1, GPU: testGPU(1)}, TenantConfig{BatchSize: 8, GPUThreshold: 1}))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.Submit(ctx, Query{Candidates: 10}); err != context.Canceled {
@@ -147,7 +147,7 @@ func TestOffloadCancelledAtAdmission(t *testing.T) {
 // least n times the modeled per-query service.
 func TestStreamsBoundConcurrentOffloads(t *testing.T) {
 	gpu := testGPU(1)
-	s := newService(t, Config{Workers: 1, BatchSize: 8, GPU: gpu, GPUThreshold: 1})
+	s := newService(t, oneTenant(t, Config{Workers: 1, GPU: gpu}, TenantConfig{BatchSize: 8, GPUThreshold: 1}))
 	const n = 4
 	per := gpu.QueryTime(s.tenants[0].profile, 10)
 	var wg sync.WaitGroup
@@ -175,11 +175,9 @@ func TestStreamsBoundConcurrentOffloads(t *testing.T) {
 // second writer concurrently stores into the same tenant knobs; -race
 // covers the synchronization, the assertions cover the accounting.
 func TestOffloadRaceMixed(t *testing.T) {
-	s := newService(t, Config{
-		Workers: 2, BatchSize: 16,
-		GPU: testGPU(2), GPUThreshold: 60,
-		SLA: 50 * time.Millisecond, AutoTune: true, TuneInterval: 5 * time.Millisecond,
-	})
+	s := newService(t, oneTenant(t,
+		Config{Workers: 2, GPU: testGPU(2), AutoTune: true, TuneInterval: 5 * time.Millisecond},
+		TenantConfig{BatchSize: 16, GPUThreshold: 60, SLA: 50 * time.Millisecond}))
 	const goroutines, perG = 6, 10
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -280,11 +278,9 @@ func TestAutoTuneWalksBothKnobs(t *testing.T) {
 // a bottomless SLA the controller raises the threshold back toward the CPU
 // pool (and off the accelerator entirely at the top of the ladder).
 func TestAutoTuneRelaxesThresholdUnderHeadroom(t *testing.T) {
-	s := newService(t, Config{
-		Workers: 2, BatchSize: 1,
-		GPU: testGPU(2), GPUThreshold: 64,
-		SLA: time.Hour, AutoTune: true, TuneInterval: 10 * time.Millisecond,
-	})
+	s := newService(t, oneTenant(t,
+		Config{Workers: 2, GPU: testGPU(2), AutoTune: true, TuneInterval: 10 * time.Millisecond},
+		TenantConfig{BatchSize: 1, GPUThreshold: 64, SLA: time.Hour}))
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if _, err := s.Submit(context.Background(), Query{Candidates: 8}); err != nil {

@@ -55,23 +55,21 @@ var ErrReplicaDown = errors.New("live: replica down")
 // paper's hill climb explores (up to 1024).
 const MaxBatchSize = 1024
 
-// Config parameterizes a Service. Every Service serves a tenant list:
-// Tenants, or — when it is empty — the one tenant WithDefaults builds over
-// Model and names after it, which is all a single-model service is. Workers,
-// GPU, TuneInterval, IntraOp, Seed and Scale describe the shared lanes and
-// are validated as given; AutoTune switches on every tenant's controller;
-// BatchSize, GPUThreshold, SLA, Admission, Deadline, Degrade and Access are
-// the values a tenant that leaves the field unset inherits, validated in the
-// tenant that inherits them (a default nobody inherits is not read). Model
-// or Tenants is required; every other field has a working default. Each
-// tenant's latency window holds its last 4096 samples, and the CPU lane
-// queues up to 8 requests per worker.
+// Config parameterizes a Service. Every Service serves a tenant list,
+// Tenants, whose fields are final: each tenant's knobs, SLA and overload
+// defenses are written on its TenantConfig, which fills only built-in
+// defaults and validates. Model, BatchSize and SLA are the shorthand for a
+// Config with one tenant, serving Model and named after it, and are refused
+// beside Tenants. Workers, GPU, TuneInterval, IntraOp, Seed and Scale
+// describe the shared lanes; AutoTune switches on every tenant's
+// controller. Model or Tenants is required; every other field has a working
+// default. Each tenant's latency window holds its last 4096 samples, and
+// the CPU lane queues up to 8 requests per worker.
 type Config struct {
 	// Model executes the forward passes of the one tenant a Config without
 	// Tenants serves. It must not be mutated while the service runs;
 	// concurrent Forward calls are safe by construction (weights are
-	// read-only, outputs freshly allocated). When Tenants is set, Model is
-	// ignored: each tenant brings its own.
+	// read-only, outputs freshly allocated).
 	Model *model.Model
 	// Tenants names the (model, SLA, knobs, ledger) bindings sharing this
 	// service's executor lanes: every tenant needs a unique non-empty Name
@@ -80,19 +78,15 @@ type Config struct {
 	Tenants []TenantConfig
 	// Workers is the CPU worker-pool size (default GOMAXPROCS).
 	Workers int
-	// BatchSize is the initial per-request batch size (default 256). The
-	// controller retunes it when AutoTune is set.
+	// BatchSize is the one-tenant shorthand's initial per-request batch
+	// size (TenantConfig.BatchSize).
 	BatchSize int
 	// GPU provisions the modeled accelerator lane (nil = CPU-only):
 	// offloaded queries occupy one of its Streams slots for the modeled
-	// service time GPU.QueryTime. Routing is governed by GPUThreshold.
+	// service time GPU.QueryTime. Routing is governed by each tenant's
+	// GPUThreshold.
 	GPU *platform.GPU
-	// GPUThreshold routes queries of at least this size, whole, to the
-	// accelerator lane (0 = no offload). Setting it requires GPU. The
-	// controller walks this knob too when the lane is present.
-	GPUThreshold int
-	// SLA is the p95 tail-latency target reported by Stats and steered
-	// toward by the controller. Required when AutoTune is set.
+	// SLA is the one-tenant shorthand's p95 target (TenantConfig.SLA).
 	SLA time.Duration
 	// AutoTune enables the background controllers: per tenant, a hill
 	// climb on the batch-size and offload-threshold knobs against that
@@ -108,32 +102,6 @@ type Config struct {
 	// — forward passes are row-independent — so this is purely a latency
 	// knob for big-batch queries on multi-core hosts. Default 1 (off).
 	IntraOp int
-	// Admission bounds the work the service accepts: at most
-	// Admission.Concurrency queries execute at once, and the policy
-	// decides the fate of arrivals beyond that — shed immediately, queue
-	// bounded, or shed the oldest waiter. The zero value disables
-	// admission control (the pre-admission behavior: backpressure only
-	// from the lane queues, tail latency unbounded at saturation).
-	Admission AdmissionConfig
-	// Deadline is the per-query latency budget Submit applies (0 = none).
-	// It bounds the caller's context rather than replacing it: a query
-	// expires at the earlier of the caller's deadline and arrival +
-	// Deadline. Queries whose deadline has already expired are shed before
-	// consuming an admission slot or a forward pass.
-	Deadline time.Duration
-	// Degrade configures the graceful-degradation ladder (truncated
-	// candidate slates, then a cheaper fallback model). The SLA-aware
-	// degrade controller runs when the ladder is non-empty and an SLA is
-	// set.
-	Degrade DegradeConfig
-	// Access is the sparse-index popularity distribution query inputs draw
-	// rows from (nil = uniform, the classic default). Skewed access
-	// (workload.ZipfAccess) concentrates lookups on a hot row set — the
-	// production traffic shape that makes the embedding cache tier
-	// effective. Each CPU worker binds one source per model geometry to its
-	// own rng, and ranked accelerator queries bind one per query, so draw
-	// sequences stay deterministic under Seed.
-	Access workload.IndexDist
 	// Seed makes the per-worker input RNGs deterministic (default 1).
 	Seed int64
 	// Scale stretches every service time by this factor (default 1) — the
@@ -146,21 +114,16 @@ type Config struct {
 	Scale float64
 }
 
-// WithDefaults normalizes cfg to its tenant list — the one place a
-// single-model Config becomes the tenant serving Config.Model, named after
-// the model — and returns it with every default filled in. Lane-level fields are
-// validated here; per-tenant fields, the Config-level ones included (they
-// are only what a tenant inherits), by TenantConfig.withDefaults where
-// they land.
+// WithDefaults normalizes cfg to its tenant list — the one place the
+// one-tenant shorthand becomes the tenant serving Config.Model, named after
+// the model — and returns it with every default filled in. Lane-level
+// fields are validated here, per-tenant ones by TenantConfig.withDefaults.
 func (cfg Config) WithDefaults() (Config, error) {
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Workers < 1 {
 		return cfg, fmt.Errorf("live: %d workers", cfg.Workers)
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 256
 	}
 	if cfg.TuneInterval == 0 {
 		cfg.TuneInterval = 250 * time.Millisecond
@@ -180,16 +143,26 @@ func (cfg Config) WithDefaults() (Config, error) {
 	if cfg.Scale == 0 {
 		cfg.Scale = 1
 	}
-	if !(cfg.Scale > 0) { // NaN fails too
-		return cfg, fmt.Errorf("live: scale factor %v must be positive", cfg.Scale)
+	if !(cfg.Scale > 0 && cfg.Scale <= math.MaxFloat64) { // NaN and +Inf fail too
+		return cfg, fmt.Errorf("live: scale factor %v is not a positive finite number", cfg.Scale)
 	}
 	tcs := cfg.Tenants
 	if len(tcs) == 0 {
 		if cfg.Model == nil {
 			return cfg, errors.New("live: Model or Tenants is required")
 		}
-		tcs = []TenantConfig{{Name: cfg.Model.Cfg.Name, Model: cfg.Model}}
+		tcs = []TenantConfig{{Name: cfg.Model.Cfg.Name, Model: cfg.Model, BatchSize: cfg.BatchSize, SLA: cfg.SLA}}
+	} else {
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"Model", cfg.Model != nil}, {"BatchSize", cfg.BatchSize != 0}, {"SLA", cfg.SLA != 0}} {
+			if f.set {
+				return cfg, fmt.Errorf("live: Config.%s is the one-tenant shorthand, set beside Tenants (write it on each tenant)", f.name)
+			}
+		}
 	}
+	cfg.Model, cfg.BatchSize, cfg.SLA = nil, 0, 0
 	cfg.Tenants = make([]TenantConfig, len(tcs))
 	names := make(map[string]bool, len(tcs))
 	models := make(map[*model.Model]bool, len(tcs))
@@ -445,7 +418,7 @@ func New(cfg Config) (*Service, error) {
 		s.acc = newAccelerator(cfg.GPU, cfg.Seed, &s.scale)
 	}
 	for _, t := range s.tenants {
-		if cfg.AutoTune || (len(t.degLadder) > 1 && t.sla > 0) {
+		if cfg.AutoTune || len(t.degLadder) > 1 {
 			if s.bgStop == nil {
 				s.bgStop = make(chan struct{})
 			}
@@ -456,7 +429,7 @@ func New(cfg Config) (*Service, error) {
 			s.bgWG.Add(1)
 			go s.controllerFor(t)
 		}
-		if len(t.degLadder) > 1 && t.sla > 0 {
+		if len(t.degLadder) > 1 {
 			s.bgWG.Add(1)
 			go s.degraderFor(t)
 		}
@@ -660,8 +633,8 @@ func (s *Service) Scale() float64 { return s.scale.Load() }
 // lane can only be slowed (factors below 1 floor at real execution speed);
 // the accelerator lane scales its modeled time directly.
 func (s *Service) SetScale(f float64) error {
-	if !(f > 0) {
-		return fmt.Errorf("live: scale factor %v must be positive", f)
+	if !(f > 0 && f <= math.MaxFloat64) {
+		return fmt.Errorf("live: scale factor %v is not a positive finite number", f)
 	}
 	s.scale.Store(f)
 	return nil

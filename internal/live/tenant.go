@@ -20,13 +20,13 @@ import (
 // do; everything above the lanes (knobs, windows, gates, ladders, counters)
 // is per-tenant.
 //
-// Unset per-tenant fields inherit the Config-level value (which in turn has
-// the usual default), so a TenantConfig needs only what differs from the
-// service's baseline. A tenant's fields are range-checked once, after that
-// inheritance (withDefaults below), so a bad value is refused wherever it
-// was written — on the tenant, or on the Config a tenant inherits it from.
-// The single-model service is the list of one such tenant, named after its
-// model, that Config.WithDefaults builds over Config.Model.
+// A TenantConfig's fields are final: nothing is inherited from the Config
+// (the root package resolves a service's defaults into each tenant before
+// it gets here). withDefaults fills only built-in defaults — batch 256,
+// share 1, the admission gate's sizes — and range-checks every field, with
+// errors that name the tenant. The single-model service is the list of one
+// such tenant, named after its model, that Config.WithDefaults builds over
+// Config.Model.
 type TenantConfig struct {
 	// Name identifies the tenant in Query.Tenant lookups, Stats, and
 	// reports. Required, and unique, in Config.Tenants; the tenant
@@ -37,26 +37,44 @@ type TenantConfig struct {
 	// counters are read off the instance, so a shared one would merge the
 	// tenants' ledgers.
 	Model *model.Model
-	// BatchSize is the tenant's initial per-request batch size (0 =
-	// inherit Config.BatchSize).
+	// BatchSize is the tenant's initial per-request batch size (default
+	// 256). The controller retunes it when Config.AutoTune is set.
 	BatchSize int
-	// GPUThreshold routes the tenant's queries of at least this size to
-	// the shared accelerator lane (0 = inherit Config.GPUThreshold).
+	// GPUThreshold routes the tenant's queries of at least this size,
+	// whole, to the shared accelerator lane (0 = no offload). Setting it
+	// requires Config.GPU. The controller walks this knob too when the
+	// lane is present.
 	GPUThreshold int
-	// SLA is the tenant's p95 target (0 = inherit Config.SLA).
+	// SLA is the tenant's p95 target, reported by Stats and steered toward
+	// by its controllers (0 = none). Required by AutoTune and by a degrade
+	// ladder.
 	SLA time.Duration
 	// Admission bounds the work this tenant may have in the lanes at once
 	// — the per-tenant outstanding-work cap that keeps one tenant's
-	// saturation from consuming every execution slot. The zero value
-	// inherits Config.Admission.
+	// saturation from consuming every execution slot: at most
+	// Admission.Concurrency of its queries execute at once (default twice
+	// Config.Workers), and the policy decides the fate of arrivals beyond
+	// that — shed immediately, queue bounded, or shed the oldest waiter.
+	// The zero value disables admission control (backpressure only from
+	// the lane queues).
 	Admission AdmissionConfig
-	// Deadline is the tenant's per-query latency budget (0 = inherit).
+	// Deadline is the tenant's per-query latency budget (0 = none). It
+	// bounds the caller's context rather than replacing it: a query
+	// expires at the earlier of the caller's deadline and arrival +
+	// Deadline, and one already expired is shed before consuming an
+	// admission slot or a forward pass.
 	Deadline time.Duration
-	// Degrade is the tenant's graceful-degradation ladder (zero value =
-	// inherit Config.Degrade).
+	// Degrade is the tenant's graceful-degradation ladder (truncated
+	// candidate slates, then a cheaper fallback model), walked by an
+	// SLA-aware controller; a non-empty ladder requires an SLA.
 	Degrade DegradeConfig
-	// Access is the tenant's sparse-index popularity distribution (nil =
-	// inherit Config.Access).
+	// Access is the sparse-index popularity distribution the tenant's
+	// query inputs draw rows from (nil = uniform). Skewed access
+	// (workload.ZipfAccess) concentrates lookups on a hot row set — the
+	// production traffic shape that makes the embedding cache tier
+	// effective. Each CPU worker binds one source per model geometry to its
+	// own rng, and ranked accelerator queries bind one per query, so draw
+	// sequences stay deterministic under Config.Seed.
 	Access workload.IndexDist
 	// Share is the tenant's relative weight: fleet placement policies size
 	// partitions with it and callers implementing a weighted A/B split
@@ -65,22 +83,20 @@ type TenantConfig struct {
 	Share float64
 }
 
-// withDefaults fills one tenant's unset fields from the shared config and
-// validates the result — the only range check a per-tenant field gets,
-// whether the tenant set it or inherited it. Errors name the tenant.
+// withDefaults fills one tenant's built-in defaults and validates the
+// result — the only range check a per-tenant field gets. It reads Workers,
+// GPU and AutoTune from the shared config and nothing else. Errors name the
+// tenant.
 func (tc TenantConfig) withDefaults(cfg Config, idx int) (TenantConfig, error) {
 	scope := fmt.Sprintf("tenant %d (%s): ", idx, tc.Name)
 	if tc.Model == nil {
 		return tc, fmt.Errorf("live: %sModel is required", scope)
 	}
 	if tc.BatchSize == 0 {
-		tc.BatchSize = cfg.BatchSize
+		tc.BatchSize = 256
 	}
 	if tc.BatchSize < 1 || tc.BatchSize > MaxBatchSize {
 		return tc, fmt.Errorf("live: %sbatch size %d outside [1, %d]", scope, tc.BatchSize, MaxBatchSize)
-	}
-	if tc.GPUThreshold == 0 {
-		tc.GPUThreshold = cfg.GPUThreshold
 	}
 	if tc.GPUThreshold < 0 || tc.GPUThreshold > workload.MaxQuerySize {
 		return tc, fmt.Errorf("live: %sGPU threshold %d outside [0, %d]", scope, tc.GPUThreshold, workload.MaxQuerySize)
@@ -88,17 +104,11 @@ func (tc TenantConfig) withDefaults(cfg Config, idx int) (TenantConfig, error) {
 	if tc.GPUThreshold > 0 && cfg.GPU == nil {
 		return tc, fmt.Errorf("live: %sGPU threshold set without an accelerator (Config.GPU)", scope)
 	}
-	if tc.SLA == 0 {
-		tc.SLA = cfg.SLA
-	}
 	if tc.SLA < 0 {
 		return tc, fmt.Errorf("live: %snegative SLA %v", scope, tc.SLA)
 	}
 	if cfg.AutoTune && tc.SLA == 0 {
 		return tc, fmt.Errorf("live: %sAutoTune requires an SLA target", scope)
-	}
-	if tc.Admission == (AdmissionConfig{}) {
-		tc.Admission = cfg.Admission
 	}
 	if tc.Admission.Policy < AdmitAll || tc.Admission.Policy > AdmitShedOldest {
 		return tc, fmt.Errorf("live: %sunknown admission policy %d", scope, tc.Admission.Policy)
@@ -117,20 +127,16 @@ func (tc TenantConfig) withDefaults(cfg Config, idx int) (TenantConfig, error) {
 			return tc, fmt.Errorf("live: %sadmission queue depth %d < 1", scope, tc.Admission.Depth)
 		}
 	}
-	if tc.Deadline == 0 {
-		tc.Deadline = cfg.Deadline
-	}
 	if tc.Deadline < 0 {
 		return tc, fmt.Errorf("live: %snegative deadline %v", scope, tc.Deadline)
-	}
-	if tc.Degrade == (DegradeConfig{}) {
-		tc.Degrade = cfg.Degrade
 	}
 	if tc.Degrade.Truncate < 0 || tc.Degrade.Truncate > workload.MaxQuerySize {
 		return tc, fmt.Errorf("live: %sdegrade truncation %d outside [0, %d]", scope, tc.Degrade.Truncate, workload.MaxQuerySize)
 	}
-	if tc.Access == nil {
-		tc.Access = cfg.Access
+	if tc.Degrade != (DegradeConfig{}) && tc.SLA == 0 {
+		// The degrade controller walks the ladder against the SLA: without
+		// one the ladder would be accepted and never engage.
+		return tc, fmt.Errorf("live: %sdegrade ladder requires an SLA target", scope)
 	}
 	if _, uniform := tc.Access.(workload.UniformAccess); uniform {
 		// Explicit uniform access means the nil sampler: the lane's Stream

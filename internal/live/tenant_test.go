@@ -56,10 +56,6 @@ func TestTenantConfigValidation(t *testing.T) {
 		}},
 		// Tenant without a model.
 		{Tenants: []TenantConfig{{Name: "a"}}},
-		// Per-tenant GPU threshold without an accelerator.
-		{Tenants: []TenantConfig{{Name: "a", Model: ncf, GPUThreshold: 100}}},
-		// Negative share.
-		{Tenants: []TenantConfig{{Name: "a", Model: ncf, Share: -1}}},
 	}
 	for i, cfg := range bad {
 		if s, err := New(cfg); err == nil {
@@ -67,24 +63,15 @@ func TestTenantConfigValidation(t *testing.T) {
 			t.Errorf("bad tenant config %d accepted", i)
 		}
 	}
-	// Every bad per-tenant value, on a named tenant and as the Config-level
-	// default that tenant inherits: refused in the tenant, by name.
+	// Every bad per-tenant value is refused in the tenant, by name.
 	for _, b := range badPerTenant {
-		onTenant := Config{Tenants: []TenantConfig{{Name: "a", Model: ncf}}}
-		b.onTenant(&onTenant.Tenants[0])
-		positions := map[string]Config{"on the tenant": onTenant}
-		if b.onConfig != nil {
-			inherited := Config{Tenants: []TenantConfig{{Name: "a", Model: ncf}}}
-			b.onConfig(&inherited)
-			positions["inherited"] = inherited
-		}
-		for pos, cfg := range positions {
-			if s, err := New(cfg); err == nil {
-				s.Close()
-				t.Errorf("%s %s accepted", b.name, pos)
-			} else if !strings.Contains(err.Error(), "tenant 0 (a)") {
-				t.Errorf("%s %s: error does not name the tenant: %v", b.name, pos, err)
-			}
+		cfg := Config{Tenants: []TenantConfig{{Name: "a", Model: ncf}}}
+		b.set(&cfg.Tenants[0])
+		if s, err := New(cfg); err == nil {
+			s.Close()
+			t.Errorf("%s accepted", b.name)
+		} else if !strings.Contains(err.Error(), "tenant 0 (a)") {
+			t.Errorf("%s: error does not name the tenant: %v", b.name, err)
 		}
 	}
 	// AutoTune switches on every tenant's controller, so every tenant needs
@@ -99,12 +86,20 @@ func TestTenantConfigValidation(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "tenant 1 (b)") {
 		t.Errorf("AutoTune without an SLA: error does not name the tenant: %v", err)
 	}
-	// A Config-level default nobody inherits is not read.
-	s, err := New(Config{BatchSize: -5, Tenants: []TenantConfig{{Name: "a", Model: ncf, BatchSize: 16}}})
-	if err != nil {
-		t.Fatalf("overridden Config-level default was validated: %v", err)
+	// The one-tenant shorthand beside Tenants is refused, naming the field.
+	for field, cfg := range map[string]Config{
+		"Model":     {Model: namedModel(t, "NCF", 2)},
+		"BatchSize": {BatchSize: 16},
+		"SLA":       {SLA: time.Second},
+	} {
+		cfg.Tenants = []TenantConfig{{Name: "a", Model: ncf, BatchSize: 16}}
+		if s, err := New(cfg); err == nil {
+			s.Close()
+			t.Errorf("Config.%s beside Tenants accepted", field)
+		} else if !strings.Contains(err.Error(), "Config."+field) {
+			t.Errorf("Config.%s beside Tenants: error does not name the field: %v", field, err)
+		}
 	}
-	s.Close()
 }
 
 // TestTenantKnobsIndependent pins that each tenant executes at its own

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -17,8 +18,8 @@ func SpeedFactors(n int, jitter float64, seed int64) []float64 {
 	if n < 1 {
 		panic(fmt.Sprintf("platform: fleet needs at least one node, got %d", n))
 	}
-	if !(jitter >= 0) {
-		panic(fmt.Sprintf("platform: jitter %v is not a non-negative number", jitter))
+	if !(jitter >= 0 && jitter <= math.MaxFloat64) { // NaN and +Inf fail too
+		panic(fmt.Sprintf("platform: jitter %v is not a finite non-negative number", jitter))
 	}
 	rng := rand.New(rand.NewSource(seed))
 	factors := make([]float64, n)

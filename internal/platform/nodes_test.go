@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -32,7 +33,7 @@ func TestSpeedFactorsPanics(t *testing.T) {
 	for _, c := range []struct {
 		n      int
 		jitter float64
-	}{{0, 0.05}, {3, -0.1}} {
+	}{{0, 0.05}, {3, -0.1}, {3, math.NaN()}, {3, math.Inf(1)}} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -164,10 +164,10 @@ func TestRoundTrip(t *testing.T) {
 // tenant indices, and unknown names are refused without touching a ledger.
 func TestTenantAddressing(t *testing.T) {
 	cfg := live.Config{
-		Workers: 1, BatchSize: 16, Seed: 1,
+		Workers: 1, Seed: 1,
 		Tenants: []live.TenantConfig{
-			{Name: "search", Model: testModel(t)},
-			{Name: "ads", Model: testModel(t)},
+			{Name: "search", Model: testModel(t), BatchSize: 16},
+			{Name: "ads", Model: testModel(t), BatchSize: 16},
 		},
 	}
 	svc := newLiveService(t, cfg)

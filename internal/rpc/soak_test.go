@@ -37,10 +37,10 @@ func TestWireChaosSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := live.Config{
-			Workers: 2, BatchSize: 16, Seed: seed, Admission: adm,
+			Workers: 2, Seed: seed,
 			Tenants: []live.TenantConfig{
-				{Name: "search", Model: testModel(t)},
-				{Name: "ads", Model: testModel(t)},
+				{Name: "search", Model: testModel(t), BatchSize: 16, Admission: adm},
+				{Name: "ads", Model: testModel(t), BatchSize: 16, Admission: adm},
 			},
 		}
 		svc, err := live.New(cfg)

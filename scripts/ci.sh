@@ -132,7 +132,10 @@ stage_stepper() { go test -count=1 -run 'TestStepper' ./internal/live/; }
 
 # Ten seconds of each fuzz target. FuzzSpecParsers: no spec grammar may panic,
 # and whatever renders itself back in grammar form must re-parse to an equal
-# value. FuzzPackedFCVsReference: the packed FC layer against its three
+# value. FuzzServeOptions: fuzzed knobs (NaN, ±Inf, 0 and negatives) and spec
+# seeds on two tenants and the service; Serve refuses, naming a field, or
+# serves 32 queries with every ledger conserved, the split by share and every
+# Stats number finite. FuzzPackedFCVsReference: the packed FC layer against its three
 # oracles (naive reference under scalar, fmaRef — the GEMM contract — under
 # each vector backend, AVX2 vs AVX512 bits), fuzzer-chosen shapes and
 # operands. FuzzSIMDMatMulVsScalar: each vector backend against scalar within
@@ -153,7 +156,7 @@ stage_stepper() { go test -count=1 -run 'TestStepper' ./internal/live/; }
 # on the exact rates, at ties, plateaus and one ulp around both tolerances.
 stage_fuzz() {
   local target
-  for target in FuzzSpecParsers:. FuzzPackedFCVsReference:./internal/tensor/ FuzzSIMDMatMulVsScalar:./internal/tensor/ \
+  for target in FuzzSpecParsers:. FuzzServeOptions:. FuzzPackedFCVsReference:./internal/tensor/ FuzzSIMDMatMulVsScalar:./internal/tensor/ \
     FuzzPoolSumVsReference:./internal/tensor/ FuzzStreamIndices:./internal/model/ FuzzWireDecoders:./internal/rpc/ \
     FuzzRecommendCodec:./internal/rpc/ FuzzRunMatchesReference:./internal/serving/ FuzzProbeStopMatchesFullRun:./internal/serving/ \
     FuzzClimbOnBracketsMatchesExact:./internal/sched/; do

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -243,38 +244,31 @@ func (s *System) Serve(opts ServeOptions) (*Service, error) {
 	if opts.GPUThreshold > 0 && gpu == nil {
 		return nil, fmt.Errorf("deeprecsys: offload threshold %d set but no accelerator provisioned (use WithGPU)", opts.GPUThreshold)
 	}
-	sla := opts.SLA
-	if sla == 0 {
-		sla = s.cfg.SLAMedium
+	// The service-level knobs, spec strings parsed once: what every tenant
+	// that leaves a field unset takes (tenantConfig).
+	shared := live.TenantConfig{
+		BatchSize:    opts.BatchSize,
+		GPUThreshold: opts.GPUThreshold,
+		SLA:          opts.SLA,
+		Deadline:     opts.Deadline,
 	}
-	admission, err := live.ParseAdmission(opts.Admission)
-	if err != nil {
+	if shared.Admission, err = live.ParseAdmission(opts.Admission); err != nil {
 		return nil, err
 	}
-	degrade, err := s.parseDegrade(opts.Degrade)
-	if err != nil {
+	if shared.Degrade, err = s.parseDegrade(opts.Degrade); err != nil {
 		return nil, err
 	}
-	var access workload.IndexDist
 	if opts.Access != "" {
-		access, err = workload.ParseAccess(opts.Access)
-		if err != nil {
+		if shared.Access, err = workload.ParseAccess(opts.Access); err != nil {
 			return nil, err
 		}
 	}
 	base := live.Config{
 		Workers:      opts.Workers,
-		BatchSize:    opts.BatchSize,
 		GPU:          gpu,
-		GPUThreshold: opts.GPUThreshold,
-		SLA:          sla,
 		AutoTune:     opts.AutoTune,
 		TuneInterval: opts.TuneInterval,
 		IntraOp:      opts.IntraOp,
-		Admission:    admission,
-		Deadline:     opts.Deadline,
-		Degrade:      degrade,
-		Access:       access,
 		Seed:         s.seed,
 	}
 	if opts.Replicas < 0 {
@@ -287,8 +281,8 @@ func (s *System) Serve(opts ServeOptions) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !(opts.Jitter >= 0) { // NaN fails too
-		return nil, fmt.Errorf("deeprecsys: jitter %v is not a non-negative number", opts.Jitter)
+	if !(opts.Jitter >= 0 && opts.Jitter <= math.MaxFloat64) { // NaN and +Inf fail too
+		return nil, fmt.Errorf("deeprecsys: jitter %v is not a finite non-negative number", opts.Jitter)
 	}
 	if opts.GPUReplicas < 0 || opts.GPUReplicas > opts.Replicas {
 		return nil, fmt.Errorf("deeprecsys: GPUReplicas %d outside [0, Replicas=%d]", opts.GPUReplicas, opts.Replicas)
@@ -316,9 +310,9 @@ func (s *System) Serve(opts ServeOptions) (*Service, error) {
 	}
 	svc := &Service{sharded: opts.ShardTables, base: base}
 	if len(opts.Tenants) > 0 {
-		err = s.tenantSlots(svc, opts)
+		err = s.tenantSlots(svc, opts, shared)
 	} else {
-		err = s.systemSlot(svc, opts)
+		err = s.systemSlot(svc, opts, shared)
 	}
 	if err == nil {
 		svc.split = newTenantSplit(svc.base.Tenants)
@@ -332,20 +326,24 @@ func (s *System) Serve(opts ServeOptions) (*Service, error) {
 }
 
 // systemSlot makes svc the single-model Service: one slot over the System's
-// own config, store and seed, named after its model. It serves the system's
-// cached instance, so a Service shares weights with Recommend and the
+// own config, store and seed, named after its model, with the service's
+// knobs (a TenantSpec that sets nothing). It serves the system's cached
+// instance, so a Service shares weights with Recommend and the
 // real-execution engine — except on a table-sharded fleet, which never
 // builds it: every replica maps only its shard, and at scale the full table
 // may not even be materializable on one host (that is the point of
 // sharding).
-func (s *System) systemSlot(svc *Service, opts ServeOptions) error {
+func (s *System) systemSlot(svc *Service, opts ServeOptions, shared live.TenantConfig) error {
+	tc, err := s.tenantConfig(s.cfg.Name, TenantSpec{}, s.cfg, shared)
+	if err != nil {
+		return err
+	}
 	svc.slots = []slot{newSlot(s.cfg.Name, s.cfg, s.seed, s.store)}
-	svc.base.Tenants = []live.TenantConfig{{Name: s.cfg.Name}}
+	svc.base.Tenants = []live.TenantConfig{tc}
 	if opts.ShardTables {
 		return nil
 	}
-	m, err := s.modelInstance()
-	svc.base.Tenants[0].Model = m
+	svc.base.Tenants[0].Model, err = s.modelInstance()
 	return err
 }
 
@@ -471,7 +469,6 @@ func (s *Service) replicaConfig(speed float64, gpu bool, shard embstore.Shard, s
 	cfg.Tenants = append([]live.TenantConfig(nil), s.base.Tenants...)
 	if !gpu {
 		cfg.GPU = nil
-		cfg.GPUThreshold = 0
 		for i := range cfg.Tenants {
 			cfg.Tenants[i].GPUThreshold = 0
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -22,9 +23,9 @@ import (
 // executor lanes — the CPU worker pool and the accelerator streams — so
 // co-located tenants contend exactly the way co-located production models
 // do; everything above the lanes (knobs, latency windows, admission gates,
-// degrade ladders, stats ledgers) is per-tenant. Zero-valued fields inherit
-// the corresponding ServeOptions value, so a spec needs only what differs
-// from the service baseline.
+// degrade ladders, stats ledgers) is per-tenant. Zero-valued fields take
+// the corresponding ServeOptions value, resolved once at Serve, so a spec
+// needs only what differs from the service baseline.
 type TenantSpec struct {
 	// Model is the zoo model the tenant serves (required).
 	Model string
@@ -41,21 +42,23 @@ type TenantSpec struct {
 	// Share is the tenant's traffic weight: Submit splits un-addressed
 	// queries across tenants by Share (a deterministic smooth weighted
 	// round-robin), and share-aware fleet placement sizes partitions with
-	// it. 0 = 1.
+	// it. 0 = 1; the shares and their total must be finite.
 	Share float64
 	// BatchSize / GPUThreshold seed the tenant's two knobs (0 = inherit
 	// the ServeOptions values; per-tenant AutoTune walks them from there).
 	BatchSize    int
 	GPUThreshold int
 	// Admission bounds the work this tenant may have in the lanes at once,
-	// as a ServeOptions.Admission spec string ("" = inherit). This is the
+	// as a ServeOptions.Admission spec string ("" = inherit; "none" = no
+	// gate for this tenant, whatever the service sets). This is the
 	// per-tenant outstanding-work cap that keeps one tenant's overload
 	// from consuming every execution slot.
 	Admission string
 	// Deadline is the tenant's per-query latency budget (0 = inherit).
 	Deadline time.Duration
 	// Degrade is the tenant's graceful-degradation ladder, as a
-	// ServeOptions.Degrade spec string ("" = inherit).
+	// ServeOptions.Degrade spec string ("" = inherit; "none" = no ladder
+	// for this tenant).
 	Degrade string
 	// Access is the tenant's sparse-index popularity distribution, as a
 	// ServeOptions.Access spec string ("" = inherit).
@@ -154,12 +157,12 @@ type tenantSplit struct {
 	total float64
 }
 
-// newTenantSplit weighs each tenant by its Share (0 = 1, as live reads it).
+// newTenantSplit weighs each tenant by its resolved Share.
 func newTenantSplit(tcs []live.TenantConfig) *tenantSplit {
 	ts := &tenantSplit{w: make([]float64, len(tcs)), cur: make([]float64, len(tcs))}
 	for i, tc := range tcs {
-		ts.w[i] = cmp.Or(tc.Share, 1)
-		ts.total += ts.w[i]
+		ts.w[i] = tc.Share
+		ts.total += tc.Share
 	}
 	return ts
 }
@@ -184,7 +187,7 @@ func (ts *tenantSplit) next() int {
 // fleet member; a store-backed tenant's instances are built per member by
 // replicaConfig. Models built before a failure are svc.closeOwned by the
 // caller.
-func (s *System) tenantSlots(svc *Service, opts ServeOptions) error {
+func (s *System) tenantSlots(svc *Service, opts ServeOptions, shared live.TenantConfig) error {
 	if s.store != nil {
 		return errors.New("deeprecsys: ServeOptions.Tenants on a store-backed system (give each tenant its own store via TenantSpec.Store)")
 	}
@@ -194,6 +197,7 @@ func (s *System) tenantSlots(svc *Service, opts ServeOptions) error {
 	n := len(opts.Tenants)
 	svc.slots = make([]slot, 0, n)
 	svc.base.Tenants = make([]live.TenantConfig, n)
+	total := 0.0
 	for i, spec := range opts.Tenants {
 		if spec.Model == "" {
 			return fmt.Errorf("deeprecsys: tenant %d: Model is required", i)
@@ -220,56 +224,69 @@ func (s *System) tenantSlots(svc *Service, opts ServeOptions) error {
 			}
 			store = &sp
 		}
-		adm, err := live.ParseAdmission(spec.Admission)
-		if err != nil {
-			return scoped(err)
-		}
-		deg, err := s.parseDegrade(spec.Degrade)
-		if err != nil {
-			return scoped(err)
-		}
-		var access workload.IndexDist
-		if spec.Access != "" {
-			if access, err = workload.ParseAccess(spec.Access); err != nil {
-				return scoped(err)
-			}
-		}
 		if spec.MaxOutstanding < 0 {
-			return fmt.Errorf("deeprecsys: tenant %s: negative MaxOutstanding %d", name, spec.MaxOutstanding)
+			return scoped(fmt.Errorf("negative MaxOutstanding %d", spec.MaxOutstanding))
 		}
-		// The tenant's default SLA is its own model's published target —
-		// not the first tenant's — unless the service baseline was set
-		// explicitly (then 0 inherits it, like every other field).
-		sla := spec.SLA
-		if sla == 0 && opts.SLA == 0 {
-			sla = mc.SLAMedium
+		tc, err := s.tenantConfig(name, spec, mc, shared)
+		if err != nil {
+			return err
+		}
+		if total += tc.Share; total > math.MaxFloat64 {
+			return scoped(fmt.Errorf("share %v takes the tenants' share total to %v", tc.Share, total))
 		}
 		seed := cmp.Or(spec.Seed, s.seed)
 		sl := newSlot(name, mc, seed, store)
 		sl.cap = spec.MaxOutstanding
-		tc := live.TenantConfig{
-			Name:         name,
-			BatchSize:    spec.BatchSize,
-			GPUThreshold: spec.GPUThreshold,
-			SLA:          sla,
-			Admission:    adm,
-			Deadline:     spec.Deadline,
-			Degrade:      deg,
-			Access:       access,
-			Share:        spec.Share,
-		}
 		if sl.build == nil {
-			m, err := model.New(mc, seed)
-			if err != nil {
+			if tc.Model, err = model.New(mc, seed); err != nil {
 				return scoped(err)
 			}
-			svc.own(m)
-			tc.Model = m
+			svc.own(tc.Model)
 		}
 		svc.slots = append(svc.slots, sl)
 		svc.base.Tenants[i] = tc
 	}
 	return nil
+}
+
+// tenantConfig resolves one tenant's final live.TenantConfig: the one place
+// a per-tenant knob is defaulted, for the single-model slot and every
+// TenantSpec alike. A field the spec leaves unset takes the service's value
+// from shared (ServeOptions, its spec strings parsed once by Serve); the SLA
+// falls back past ServeOptions.SLA to the tenant model's own published
+// target, so a default multi-tenant service holds each tenant to its own
+// paper SLA. live fills only built-in defaults and range-checks the result.
+func (s *System) tenantConfig(name string, spec TenantSpec, mc model.Config, shared live.TenantConfig) (live.TenantConfig, error) {
+	tc := shared
+	tc.Name = name
+	tc.BatchSize = cmp.Or(spec.BatchSize, shared.BatchSize)
+	tc.GPUThreshold = cmp.Or(spec.GPUThreshold, shared.GPUThreshold)
+	tc.SLA = cmp.Or(spec.SLA, shared.SLA, mc.SLAMedium)
+	tc.Deadline = cmp.Or(spec.Deadline, shared.Deadline)
+	tc.Share = cmp.Or(spec.Share, 1)
+	scoped := func(err error) (live.TenantConfig, error) {
+		return tc, fmt.Errorf("deeprecsys: tenant %s: %w", name, err)
+	}
+	if !(tc.Share >= 0 && tc.Share <= math.MaxFloat64) { // NaN and +Inf fail too
+		return scoped(fmt.Errorf("share %v is not a finite non-negative number", tc.Share))
+	}
+	var err error
+	if spec.Admission != "" {
+		if tc.Admission, err = live.ParseAdmission(spec.Admission); err != nil {
+			return scoped(err)
+		}
+	}
+	if spec.Degrade != "" {
+		if tc.Degrade, err = s.parseDegrade(spec.Degrade); err != nil {
+			return scoped(err)
+		}
+	}
+	if spec.Access != "" {
+		if tc.Access, err = workload.ParseAccess(spec.Access); err != nil {
+			return scoped(err)
+		}
+	}
+	return tc, nil
 }
 
 // slotIndex maps a tenant name to its slot (-1 = none).

@@ -2,6 +2,7 @@ package deeprecsys_test
 
 import (
 	"context"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -360,6 +361,10 @@ func TestTenantValidation(t *testing.T) {
 		{Workers: 1, Tenants: []deeprecsys.TenantSpec{{Model: "NCF", Access: "bogus"}}},
 		// Negative share.
 		{Workers: 1, Tenants: []deeprecsys.TenantSpec{{Model: "NCF", Share: -2}}},
+		// Non-finite shares, and finite ones whose total overflows: either
+		// stops the Share-weighted split from splitting by weight.
+		{Workers: 1, Tenants: []deeprecsys.TenantSpec{{Model: "NCF"}, {Model: "NCF", Name: "b", Share: math.Inf(1)}}},
+		{Workers: 1, Tenants: []deeprecsys.TenantSpec{{Model: "NCF", Share: 1e308}, {Model: "NCF", Name: "b", Share: 1e308}}},
 	}
 	for i, opts := range bad {
 		if svc, err := sys.Serve(opts); err == nil {
