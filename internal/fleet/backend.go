@@ -20,7 +20,7 @@ import (
 // One method reads, and every consumer folds what it returns:
 //
 //   - Snapshot is one read of the backend: each tenant's live.Stats in
-//     tenant order, the samples of that tenant's latency window beside
+//     tenant order, the histogram of that tenant's latency window beside
 //     them, and the node's scale factor. It carries no service-wide
 //     aggregate: whoever wants one (Fleet.Stats per member, per tenant and
 //     fleet-wide; the RPC server's /statsz and Retry-After hint) calls
@@ -29,7 +29,7 @@ import (
 //     sums them across members and keeps a removed member's last ones. The
 //     tenant set (count, names, order) is fixed for the backend's lifetime
 //     and is read from a snapshot at join. A remote backend reports
-//     client-measured round trips as its samples — from where the router
+//     client-measured round trips as its histogram — from where the router
 //     stands, the wire is part of the replica's latency.
 //   - Submit blocks until the query completes, ctx dies, or the backend
 //     fails; it returns live.ErrReplicaDown when the serving process is

@@ -22,8 +22,8 @@
 //
 //   - Aggregation. Stats takes one live.Snapshot per replica and folds
 //     them — per replica, per tenant, fleet-wide — so the fleet-wide
-//     p50/p95 are over the union of the replicas' latency windows, the live
-//     counterpart of the paper's fleet-wide latency distributions.
+//     p50/p95 are over the sum of the replicas' latency histograms, the
+//     live counterpart of the paper's fleet-wide latency distributions.
 //
 //   - Membership. Replicas can be added, drained, and removed while the
 //     fleet serves: draining excludes a replica from routing but lets its
@@ -481,8 +481,8 @@ type ReplicaStats struct {
 
 // TenantStats is one tenant's fleet-merged slice of the snapshot: counters
 // summed over every current member plus the tenant's share of removed
-// replicas, percentiles over the union of the members' per-tenant latency
-// windows, and knob/SLA fields from the first member (per-replica AutoTune
+// replicas, percentiles over the sum of the members' per-tenant latency
+// histograms, and knob/SLA fields from the first member (per-replica AutoTune
 // may diverge knobs; Replicas carries each replica's own).
 type TenantStats struct {
 	// Name is the tenant's name; Share its configured traffic weight.
@@ -518,7 +518,7 @@ type Stats struct {
 	// each query once). GPUQueryShare is GPUQueries over Submitted; the
 	// other ratios are recomputed from the summed ledger, so they are exact
 	// fleet-wide rates, not averages of per-replica rates. P50 / P95 are
-	// computed over the union of the replicas' latency windows — the live
+	// computed over the sum of the replicas' latency histograms — the live
 	// counterpart of the paper's fleet-wide latency distribution. SLA is
 	// the replicas' shared target, Queued the summed admission-queue
 	// depth, BatchSize / DegradeLevel the first replica's and GPUThreshold
@@ -570,8 +570,8 @@ func (f *Fleet) snapshots() (members [][]live.TenantSnapshot, merged []live.Tena
 // Stats returns a fleet-wide online snapshot. Each member's tenants fold
 // into its ReplicaStats, each tenant's merged snapshot is its TenantStats,
 // and those fold into the fleet-wide aggregate — which is therefore the sum
-// of the tenants reported with it, percentiles over the union of every
-// replica's latency window.
+// of the tenants reported with it, percentiles over the sum of every
+// replica's latency histogram.
 func (f *Fleet) Stats() Stats {
 	f.mu.RLock()
 	defer f.mu.RUnlock()

@@ -34,7 +34,10 @@ func (s *Service) controllerFor(t *tenant) {
 	moveBatch := true // batch is the paper's primary knob; start there
 	st := Stepper{SLA: t.sla}
 	st.Run(s.bgStop, s.cfg.TuneInterval,
-		func() Signal { return Signal{P95: t.win.Percentile(95), Samples: t.win.Len()} },
+		func() Signal {
+			h := t.win.Snapshot()
+			return Signal{P95: h.Percentile(95), Samples: h.Count()}
+		},
 		func(dir int) bool {
 			// Move the preferred knob; when it is already at its limit,
 			// give the other knob the turn instead of holding.

@@ -63,7 +63,8 @@ func (s *Service) degraderFor(t *tenant) {
 	st := Stepper{SLA: t.sla}
 	st.Run(s.bgStop, s.cfg.TuneInterval,
 		func() Signal {
-			return Signal{P95: t.win.Percentile(95), Samples: t.win.Len(), Shed: t.shed.Load() + t.shedDeadline.Load()}
+			h := t.win.Snapshot()
+			return Signal{P95: h.Percentile(95), Samples: h.Count(), Shed: t.shed.Load() + t.shedDeadline.Load()}
 		},
 		func(dir int) bool {
 			lvl := int(t.degLevel.Load()) - dir // a breach (-1) degrades further

@@ -269,24 +269,24 @@ func TestCloseDrains(t *testing.T) {
 }
 
 // TestOnlineP95MatchesReplies drives a deterministic fixed-size workload
-// serially and checks the online window converges to exactly the empirical
-// p95 of the measured replies (the window holds every sample).
+// serially and checks the online p95 is exactly that of a reference window
+// fed the measured replies (the window holds every sample).
 func TestOnlineP95MatchesReplies(t *testing.T) {
 	s := newService(t, Config{Workers: 2, BatchSize: 32, SLA: time.Minute})
 	const n = 80
-	latencies := make([]float64, 0, n)
+	ref := stats.NewWindow(n)
 	for i := 0; i < n; i++ {
 		reply, err := s.Submit(context.Background(), Query{Candidates: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
-		latencies = append(latencies, reply.Latency.Seconds())
+		ref.Add(reply.Latency.Seconds())
 	}
 	st := s.Stats()
 	if st.WindowLen != n {
 		t.Fatalf("window holds %d samples, want %d", st.WindowLen, n)
 	}
-	want := time.Duration(stats.Percentile(latencies, 95) * float64(time.Second))
+	want := time.Duration(ref.Percentile(95) * float64(time.Second))
 	if st.P95 != want {
 		t.Errorf("online p95 %v != empirical p95 %v", st.P95, want)
 	}

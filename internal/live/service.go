@@ -19,7 +19,7 @@
 // A Service is one serving node. Config.Scale stretches its service times
 // by a per-node factor — the live counterpart of the offline fleet's
 // node-heterogeneity model (platform.SpeedFactors) — and Snapshot reads
-// every tenant's Stats and latency samples at once, for Fold to merge
+// every tenant's Stats and latency histogram at once, for Fold to merge
 // across tenants and nodes; both exist so internal/fleet can shard traffic
 // across N replica Services, the paper's at-scale tier made live.
 package live
@@ -272,8 +272,8 @@ type TenantSnapshot struct {
 	// lane, here. A tier that states the share over another count (the
 	// fleet: over Submitted) sets it before folding.
 	Admitted uint64
-	// Samples is the latency window behind P50 / P95, in seconds, unordered.
-	Samples []float64
+	// Latency is the histogram of the latency window behind P50 / P95.
+	Latency stats.Hist
 }
 
 // Snapshot is one read of a serving node: every tenant's part in tenant
@@ -285,9 +285,9 @@ type Snapshot struct {
 }
 
 // Fold merges parts — a service's tenants, one tenant's slices across a
-// fleet's members, a fleet's tenants — into one: ledgers by Ledger.Add,
-// Queued and Admitted summed, percentiles over the concatenated samples,
-// ratios from the summed ledger. Knobs, SLA and DegradeLevel are the first
+// fleet's members, a fleet's tenants — into one: ledgers by Ledger.Add and
+// latency histograms by Hist.Add, Queued and Admitted summed, percentiles
+// and ratios from the sums. Knobs, SLA and DegradeLevel are the first
 // part's; Tenant and Share survive only when every part names the same
 // tenant. A fold of one part is that part. Every aggregate Stats in the
 // system is computed here.
@@ -299,38 +299,26 @@ func Fold(parts []TenantSnapshot) TenantSnapshot {
 	if len(parts) == 1 {
 		return agg
 	}
-	n := len(agg.Samples)
 	for _, p := range parts[1:] {
 		if p.Tenant != agg.Tenant {
 			agg.Tenant, agg.Share = "", 0
 		}
 		agg.Ledger = agg.Ledger.Add(p.Ledger)
+		agg.Latency.Add(p.Latency)
 		agg.Queued += p.Queued
 		agg.Admitted += p.Admitted
-		n += len(p.Samples)
 	}
-	all := make([]float64, 0, n)
-	for _, p := range parts {
-		all = append(all, p.Samples...)
-	}
-	agg.SetSamples(all)
 	agg.setRatios()
 	return agg
 }
 
-// SetSamples sets the latency window and the percentiles over it. It takes
-// samples over and sorts them in place: every caller hands it a fresh slice.
-func (s *TenantSnapshot) SetSamples(samples []float64) {
-	sum := stats.SummarizeInPlace(samples)
-	s.Samples = samples
-	s.P50 = time.Duration(sum.P50 * float64(time.Second))
-	s.P95 = time.Duration(sum.P95 * float64(time.Second))
-	s.WindowLen = sum.Count
-}
-
-// setRatios fills the ratios a snapshot derives from its ledger's sums and
-// from Admitted, which the ledger does not carry.
+// setRatios fills what a snapshot derives from its sums: the percentiles
+// from its latency histogram, and the ratios from its ledger and from
+// Admitted, which the ledger does not carry.
 func (s *TenantSnapshot) setRatios() {
+	s.P50 = time.Duration(s.Latency.Percentile(50) * float64(time.Second))
+	s.P95 = time.Duration(s.Latency.Percentile(95) * float64(time.Second))
+	s.WindowLen = s.Latency.Count()
 	s.GPUQueryShare = 0
 	if s.Admitted > 0 {
 		s.GPUQueryShare = float64(s.GPUQueries) / float64(s.Admitted)
@@ -686,12 +674,8 @@ func (s *Service) Snapshot() Snapshot {
 }
 
 // Stats returns the service-wide online snapshot: the Fold of every
-// tenant's (read TenantStats for any one tenant's own).
+// tenant's (Snapshot carries each tenant's own).
 func (s *Service) Stats() Stats { return Fold(s.Snapshot().Tenants).Stats }
-
-// TenantStats returns one tenant's slice of the online snapshot: its own
-// knobs, windowed percentiles, SLA, and counter ledger.
-func (s *Service) TenantStats(i int) Stats { return s.tenants[i].snapshot().Stats }
 
 // Close stops accepting queries, waits for every in-flight query to
 // complete, and shuts down the executor lanes and controllers. Queries

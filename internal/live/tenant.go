@@ -263,7 +263,7 @@ func (t *tenant) snapshot() TenantSnapshot {
 		SLA:          t.sla,
 		DegradeLevel: int(t.degLevel.Load()),
 	}}
-	st.SetSamples(t.win.Snapshot())
+	st.Latency = t.win.Snapshot()
 	if t.adm != nil {
 		st.Queued = t.adm.queued()
 	}

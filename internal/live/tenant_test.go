@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/deeprecinfra/deeprecsys/internal/model"
+	"github.com/deeprecinfra/deeprecsys/internal/stats"
 )
 
 // namedModel builds one zoo model on its own seed for multi-tenant tests
@@ -130,15 +131,17 @@ func TestTenantLedgersIndependent(t *testing.T) {
 	s := newService(t, twoTenantConfig(t))
 	ctx := context.Background()
 	const n0, n1 = 7, 11
-	for i := 0; i < n0; i++ {
-		if _, err := s.Submit(ctx, Query{Candidates: 20, Tenant: 0}); err != nil {
+	both := stats.NewWindow(n0 + n1) // every reply of either tenant
+	for i := 0; i < n0+n1; i++ {
+		tenant := 0
+		if i >= n0 {
+			tenant = 1
+		}
+		reply, err := s.Submit(ctx, Query{Candidates: 20, Tenant: tenant})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < n1; i++ {
-		if _, err := s.Submit(ctx, Query{Candidates: 20, Tenant: 1}); err != nil {
-			t.Fatal(err)
-		}
+		both.Add(reply.Latency.Seconds())
 	}
 	// One cancelled query on tenant 0.
 	cancelled, cancel := context.WithCancel(ctx)
@@ -147,7 +150,8 @@ func TestTenantLedgersIndependent(t *testing.T) {
 		t.Fatalf("cancelled submit: %v", err)
 	}
 
-	st0, st1 := s.TenantStats(0), s.TenantStats(1)
+	snap := s.Snapshot()
+	st0, st1 := snap.Tenants[0].Stats, snap.Tenants[1].Stats
 	if st0.Submitted != n0+1 || st0.Completed != n0 || st0.Cancelled != 1 {
 		t.Errorf("tenant 0 ledger %d/%d/%d, want %d/%d/1", st0.Submitted, st0.Completed, st0.Cancelled, n0+1, n0)
 	}
@@ -171,6 +175,9 @@ func TestTenantLedgersIndependent(t *testing.T) {
 	}
 	if agg.WindowLen != st0.WindowLen+st1.WindowLen {
 		t.Errorf("aggregate window %d != %d+%d", agg.WindowLen, st0.WindowLen, st1.WindowLen)
+	}
+	if want := time.Duration(both.Percentile(95) * float64(time.Second)); agg.P95 != want {
+		t.Errorf("aggregate p95 %v != p95 %v of one window fed both tenants' replies", agg.P95, want)
 	}
 }
 
@@ -203,7 +210,8 @@ func TestTenantAdmissionIsolation(t *testing.T) {
 	}
 	wg.Wait()
 
-	st0, st1 := s.TenantStats(0), s.TenantStats(1)
+	snap := s.Snapshot()
+	st0, st1 := snap.Tenants[0].Stats, snap.Tenants[1].Stats
 	if st1.Shed != 0 {
 		t.Errorf("tenant 1 shed %d queries by tenant 0's gate", st1.Shed)
 	}

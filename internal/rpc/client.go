@@ -403,14 +403,9 @@ func (c *Client) hedgeDelay() (time.Duration, bool) {
 	if c.cfg.HedgePercentile <= 0 {
 		return 0, false
 	}
-	if c.lat.Len() < hedgeMinSamples {
-		return 0, false
-	}
-	d := time.Duration(c.lat.Percentile(c.cfg.HedgePercentile) * float64(time.Second))
-	if d <= 0 {
-		return 0, false
-	}
-	return d, true
+	h := c.lat.Snapshot()
+	d := time.Duration(h.Percentile(c.cfg.HedgePercentile) * float64(time.Second))
+	return d, h.Count() >= hedgeMinSamples && d > 0
 }
 
 // attemptOnce performs one HTTP round trip, attaching the deadline headers

@@ -50,10 +50,10 @@ const statsTimeout = 2 * time.Second
 //     — stay exact over a lossy wire. Resets need no overlay (the server
 //     executed and counted the query); a deadline that fires mid-flight is
 //     genuinely ambiguous, and identity tests avoid it.
-//   - The snapshot's samples are client-side measured RTTs, not the
-//     server's own windows, and once a tenant has any its percentiles are
-//     over them: to the routing tier, the wire is part of the replica's
-//     latency, and load-aware policies should see it.
+//   - The snapshot's latency histograms are of client-side measured RTTs,
+//     not the server's own windows, and once a tenant has any its
+//     percentiles are over them: to the routing tier, the wire is part of
+//     the replica's latency, and load-aware policies should see it.
 type RemoteReplica struct {
 	client *Client
 	probe  time.Duration // /healthz period, and each probe's timeout
@@ -108,9 +108,6 @@ func newRemoteReplica(target string, transport http.RoundTripper, probe time.Dur
 	go r.prober()
 	return r, nil
 }
-
-// Client exposes the underlying wire client (for its Stats ledger).
-func (r *RemoteReplica) Client() *Client { return r.client }
 
 // prober polls /healthz, driving Failed() — the signal the fleet's router
 // keys ejection off.
@@ -210,8 +207,11 @@ func (r *RemoteReplica) Snapshot() live.Snapshot {
 		t.Submitted += lost
 		t.Failed += lost
 		t.Admitted = t.Submitted
-		if rtts := r.lat[i].Snapshot(); len(rtts) > 0 {
-			t.SetSamples(rtts)
+		if h := r.lat[i].Snapshot(); h.Count() > 0 {
+			t.Latency = h
+			t.P50 = time.Duration(h.Percentile(50) * float64(time.Second))
+			t.P95 = time.Duration(h.Percentile(95) * float64(time.Second))
+			t.WindowLen = h.Count()
 		}
 	}
 	return snap

@@ -73,7 +73,7 @@ func TestRemoteReplicaServesInFleet(t *testing.T) {
 	}
 	// The wire is part of the remote replica's latency: its merged window
 	// must be client-side RTTs, hence non-empty after serving.
-	if len(r.Snapshot().Tenants[0].Samples) == 0 {
+	if r.Snapshot().Tenants[0].Latency.Count() == 0 {
 		t.Fatal("remote replica's client-side latency window is empty")
 	}
 
@@ -162,9 +162,9 @@ func TestRemoteHealthEjection(t *testing.T) {
 	if sum > front {
 		t.Fatalf("merged ledger invented queries: sum=%d > front+retried=%d", sum, front)
 	}
-	if deficit := front - sum; deficit > r.Client().Stats().Resets {
+	if deficit := front - sum; deficit > r.client.Stats().Resets {
 		t.Fatalf("front-door deficit %d exceeds the %d ambiguous resets (front=%d retried=%d sum=%d)",
-			deficit, r.Client().Stats().Resets, st.FrontSubmitted, st.Retried, sum)
+			deficit, r.client.Stats().Resets, st.FrontSubmitted, st.Retried, sum)
 	}
 }
 
@@ -232,7 +232,7 @@ func TestRemoteWireLostIdentity(t *testing.T) {
 	if !rst.Conserved() {
 		t.Fatalf("remote replica conservation broken: %+v", rst.Ledger)
 	}
-	if cs := r.Client().Stats(); cs.ConnectErrors == 0 {
+	if cs := r.client.Stats(); cs.ConnectErrors == 0 {
 		t.Fatal("dropping wire injected no connect errors; the test exercised nothing")
 	} else if rst.Failed == 0 {
 		t.Fatalf("remote saw %d connect errors but its ledger folded none as Failed", cs.ConnectErrors)

@@ -96,8 +96,8 @@ func TestWireChaosSoak(t *testing.T) {
 	}
 	var total [tenants]live.Ledger
 	var okTotal uint64
-	for i := 0; i < tenants; i++ {
-		total[i] = total[i].Add(svc.TenantStats(i).Ledger)
+	for i, part := range svc.Snapshot().Tenants {
+		total[i] = total[i].Add(part.Ledger)
 	}
 	okTotal += srv.Counters().OK
 
@@ -115,8 +115,8 @@ func TestWireChaosSoak(t *testing.T) {
 	if err := svc2.Close(); err != nil {
 		t.Fatalf("incarnation-2 close: %v", err)
 	}
-	for i := 0; i < tenants; i++ {
-		total[i] = total[i].Add(svc2.TenantStats(i).Ledger)
+	for i, part := range svc2.Snapshot().Tenants {
+		total[i] = total[i].Add(part.Ledger)
 	}
 	okTotal += srv2.Counters().OK
 

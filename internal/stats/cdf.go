@@ -7,10 +7,10 @@ import (
 )
 
 // CDF is an empirical cumulative distribution function built from samples.
-// It supports evaluation (fraction of mass at or below x), inverse lookup
-// (quantiles), and a distance between two distributions, which the
-// fleet-subsampling experiment (paper Fig. 7) uses to show that a handful of
-// nodes tracks the datacenter-wide latency distribution.
+// It supports inverse lookup (quantiles) and a distance between two
+// distributions, which the fleet-subsampling experiment (paper Fig. 7) uses
+// to show that a handful of nodes tracks the datacenter-wide latency
+// distribution.
 type CDF struct {
 	sorted []float64
 }
@@ -26,12 +26,6 @@ func NewCDF(samples []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
-// At returns the fraction of samples <= x.
-func (c *CDF) At(x float64) float64 {
-	idx := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(c.sorted))
-}
-
 // Quantile returns the q-th quantile (0 <= q <= 1).
 func (c *CDF) Quantile(q float64) float64 {
 	if q < 0 || q > 1 {
@@ -39,9 +33,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	}
 	return percentileSorted(c.sorted, q*100)
 }
-
-// Len returns the number of underlying samples.
-func (c *CDF) Len() int { return len(c.sorted) }
 
 // MaxQuantileRelError returns the maximum relative error between the
 // quantiles of c and other, evaluated at the given quantile points. This is

@@ -73,10 +73,12 @@ func SelectPercentile(samples []float64, p float64) float64 {
 
 // selectRank reorders x so that x[k] holds the k-th smallest value, with no
 // larger value before it and no smaller one after it (Hoare's FIND, with a
-// median-of-three pivot). Inputs whose pivots keep landing next to an end —
-// a sorted run rotated by one, as a sliding window over a rising series
-// holds — would take quadratic time, so once three partitions have each
-// kept more than 3/4 of the range, the range still open is sorted instead.
+// median-of-three pivot). Its caller is the offline capacity probe, whose
+// latencies come in completion order: nearly sorted on a probe whose queue
+// keeps growing. Inputs whose pivots keep landing next to an end — a sorted
+// run rotated by one — would take quadratic time, so once three partitions
+// have each kept more than 3/4 of the range, the range still open is sorted
+// instead.
 func selectRank(x []float64, k int) {
 	lo, hi := 0, len(x)-1
 	for stalls := 0; lo < hi; {

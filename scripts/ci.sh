@@ -154,12 +154,15 @@ stage_stepper() { go test -count=1 -run 'TestStepper' ./internal/live/; }
 # FuzzClimbOnBracketsMatchesExact: DeepRecSched's climb and refine step on
 # capacity brackets closing along fuzzer-chosen paths against the eager climb
 # on the exact rates, at ties, plateaus and one ulp around both tolerances.
+# FuzzWindowPercentile: the histogram window's count, its percentiles within
+# one bucket of the sorted samples' ranks, and its Hists adding up across a
+# split stream.
 stage_fuzz() {
   local target
   for target in FuzzSpecParsers:. FuzzServeOptions:. FuzzPackedFCVsReference:./internal/tensor/ FuzzSIMDMatMulVsScalar:./internal/tensor/ \
     FuzzPoolSumVsReference:./internal/tensor/ FuzzStreamIndices:./internal/model/ FuzzWireDecoders:./internal/rpc/ \
     FuzzRecommendCodec:./internal/rpc/ FuzzRunMatchesReference:./internal/serving/ FuzzProbeStopMatchesFullRun:./internal/serving/ \
-    FuzzClimbOnBracketsMatchesExact:./internal/sched/; do
+    FuzzClimbOnBracketsMatchesExact:./internal/sched/ FuzzWindowPercentile:./internal/stats/; do
     go test -run '^$' -fuzz "${target%%:*}" -fuzztime 10s "${target#*:}"
   done
 }

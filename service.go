@@ -597,8 +597,8 @@ type ServiceStats struct {
 	// (removed ones included) — except Submitted, which counts each query
 	// once at the service's front door however many replicas it tried
 	// (Retried below counts the second attempts); the ratios are recomputed
-	// from those sums. P50 / P95 are computed over the union of the
-	// replicas' latency windows, Queued is the summed admission-queue
+	// from those sums. P50 / P95 are computed from the sum of the
+	// replicas' latency histograms, Queued is the summed admission-queue
 	// depth, BatchSize / DegradeLevel are the first replica's and
 	// GPUThreshold the first GPU-capable replica's (PerReplica carries each
 	// replica's own). Tenant and Share are unset at this level.
@@ -637,8 +637,8 @@ type ServiceStats struct {
 // the Emb* counters show per-shard locality.
 type ReplicaStats = fleet.ReplicaStats
 
-// Stats returns an online snapshot of the service: P50/P95 over the union
-// of the replicas' latency windows, counters as fleet-lifetime sums
+// Stats returns an online snapshot of the service: P50/P95 from the sum of
+// the replicas' latency histograms, counters as fleet-lifetime sums
 // including removed replicas, and the per-replica breakdown in PerReplica.
 func (s *Service) Stats() ServiceStats {
 	fst := s.fl.Stats()

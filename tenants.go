@@ -318,8 +318,8 @@ func (s *Service) SubmitTo(ctx context.Context, tenant string, candidates, topN 
 // tenant's own knobs, windowed percentiles against its own SLA, and
 // lifetime counter ledger, independent of its neighbors on the shared
 // lanes. The counters are fleet-merged (current replicas plus removed
-// ones) and the percentiles computed over the union of the tenant's
-// per-replica latency windows.
+// ones) and the percentiles computed from the sum of the tenant's
+// per-replica latency histograms.
 type TenantStats struct {
 	// Name is the tenant's name and Model the zoo model it serves.
 	Name  string
