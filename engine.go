@@ -3,7 +3,6 @@ package deeprecsys
 import (
 	"fmt"
 
-	"github.com/deeprecinfra/deeprecsys/internal/platform"
 	"github.com/deeprecinfra/deeprecsys/internal/serving"
 )
 
@@ -50,20 +49,4 @@ func (s *System) engine() serving.Engine {
 		return serving.NewRealEngine(s.model, s.cpu.Cores, s.seed)
 	}
 	return serving.NewPlatformEngine(s.cpu, s.gpu, s.cfg)
-}
-
-// serveAccelerator returns the accelerator model backing a live Service's
-// offload lane — and, on a fleet, the lane of every GPU-capable replica —
-// or nil when none is provisioned. Only the Analytical engine
-// carries the calibrated device model the lane's modeled service times come
-// from; NewSystem already rejects RealExecution+WithGPU, so the capability
-// check here guards engine kinds added later rather than a reachable state.
-func (s *System) serveAccelerator() (*platform.GPU, error) {
-	if s.gpu == nil {
-		return nil, nil
-	}
-	if s.engineKind != Analytical {
-		return nil, fmt.Errorf("deeprecsys: live offload needs the analytical accelerator model; the %v engine has none", s.engineKind)
-	}
-	return s.gpu, nil
 }

@@ -28,9 +28,9 @@ import (
 //     breakdown reported with it. The ledgers must be monotone: the fleet
 //     sums them across members and keeps a removed member's last ones. The
 //     tenant set (count, names, order) is fixed for the backend's lifetime
-//     and is read from a snapshot at join. A remote backend reports
-//     client-measured round trips as its histogram — from where the router
-//     stands, the wire is part of the replica's latency.
+//     and is read from a snapshot at join. A remote backend's part is its
+//     server's, plus the wire-lost overlay (internal/rpc.RemoteReplica), so
+//     every fold treats local, remote and retired parts alike.
 //   - Submit blocks until the query completes, ctx dies, or the backend
 //     fails; it returns live.ErrReplicaDown when the serving process is
 //     down (crashed, unreachable, connection refused) so health-checked
@@ -103,8 +103,8 @@ func (fb fleetBackend) Submit(ctx context.Context, q live.Query) (live.Reply, er
 // reports it, with one change: Submitted is the tenant's front-door count —
 // each query once, however many replicas it tried — which is what a
 // consumer on the far side of a Backend edge (an upstream front end, the RPC
-// server's /statsz) submitted. Admitted stays the per-replica sum, the
-// fleet's GPUQueryShare denominator.
+// server's /statsz) submitted. Admitted stays the per-replica sum:
+// GPUQueryShare is over queries that reached a lane, as at every tier.
 func (fb fleetBackend) Snapshot() live.Snapshot {
 	fb.f.mu.RLock()
 	_, tenants := fb.f.snapshots()

@@ -483,11 +483,9 @@ type ReplicaStats struct {
 // summed over every current member plus the tenant's share of removed
 // replicas, percentiles over the sum of the members' per-tenant latency
 // histograms, and knob/SLA fields from the first member (per-replica AutoTune
-// may diverge knobs; Replicas carries each replica's own).
+// may diverge knobs; Replicas carries each replica's own). Its Stats name the
+// tenant and carry the fleet's configured Share.
 type TenantStats struct {
-	// Name is the tenant's name; Share its configured traffic weight.
-	Name  string
-	Share float64
 	// Shape is the tenant's normalized resource-demand vector (FC-FLOP
 	// share, embedding-byte share) — what shape-aware placement keys on.
 	Shape [2]float64
@@ -515,8 +513,8 @@ type Stats struct {
 	// Stats is the fleet-merged snapshot. Its Ledger is the fleet-lifetime
 	// sum over current members plus every removed replica's final counters
 	// (so Submitted is the per-replica sum; FrontSubmitted below counts
-	// each query once). GPUQueryShare is GPUQueries over Submitted; the
-	// other ratios are recomputed from the summed ledger, so they are exact
+	// each query once). The ratios are recomputed from the summed ledger
+	// (GPUQueryShare over Admitted, as at every tier), so they are exact
 	// fleet-wide rates, not averages of per-replica rates. P50 / P95 are
 	// computed over the sum of the replicas' latency histograms — the live
 	// counterpart of the paper's fleet-wide latency distribution. SLA is
@@ -545,7 +543,8 @@ type Stats struct {
 
 // snapshots takes one Snapshot per member and folds each tenant's parts
 // across them, plus the retired ledger, into that tenant's fleet-wide
-// snapshot. Callers hold mu.
+// snapshot, which carries the fleet's configured Share rather than a
+// member's echo of it. Callers hold mu.
 func (f *Fleet) snapshots() (members [][]live.TenantSnapshot, merged []live.TenantSnapshot) {
 	members = make([][]live.TenantSnapshot, len(f.replicas))
 	for i, r := range f.replicas {
@@ -558,11 +557,8 @@ func (f *Fleet) snapshots() (members [][]live.TenantSnapshot, merged []live.Tena
 			parts[i] = m[ti]
 		}
 		parts[len(members)] = live.TenantSnapshot{Stats: live.Stats{Tenant: info.Name, Ledger: f.retired[ti]}}
-		for i := range parts {
-			// The fleet states GPUQueryShare over Submitted.
-			parts[i].Admitted = parts[i].Submitted
-		}
 		merged[ti] = live.Fold(parts)
+		merged[ti].Share = info.Share
 	}
 	return members, merged
 }
@@ -613,8 +609,6 @@ func (f *Fleet) Stats() Stats {
 	for ti, info := range f.tenants {
 		st.FrontSubmitted += f.frontSubmitted[ti].Load()
 		st.Tenants[ti] = TenantStats{
-			Name:        info.Name,
-			Share:       info.Share,
 			Shape:       info.Shape,
 			Outstanding: int(f.tenantOut[ti].Load()),
 			Cap:         int(f.tenantCap[ti].Load()),

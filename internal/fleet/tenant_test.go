@@ -73,7 +73,7 @@ func TestTenantPartitionPlacement(t *testing.T) {
 		}
 	}
 	st := f.Stats()
-	if len(st.Tenants) != 2 || st.Tenants[0].Name != "ncf" || st.Tenants[1].Name != "rmc1" {
+	if len(st.Tenants) != 2 || st.Tenants[0].Tenant != "ncf" || st.Tenants[1].Tenant != "rmc1" {
 		t.Fatalf("fleet tenant snapshot %+v", st.Tenants)
 	}
 	if st.Tenants[0].Completed != 4 || st.Tenants[1].Completed != 4 {
@@ -307,17 +307,17 @@ func TestMixedTenantFleetSoak(t *testing.T) {
 	for i, ts := range st.Tenants {
 		if !ts.Conserved() {
 			t.Errorf("tenant %s leaks queries: Submitted %d != accounted (%+v)",
-				ts.Name, ts.Submitted, ts.Stats)
+				ts.Tenant, ts.Submitted, ts.Stats)
 		}
 		if ts.Submitted != attempts[i].Load() {
 			t.Errorf("tenant %s Submitted %d, submitters sent %d (churn lost counters)",
-				ts.Name, ts.Submitted, attempts[i].Load())
+				ts.Tenant, ts.Submitted, attempts[i].Load())
 		}
 		if ts.Completed != oks[i].Load() {
-			t.Errorf("tenant %s Completed %d, submitters saw %d", ts.Name, ts.Completed, oks[i].Load())
+			t.Errorf("tenant %s Completed %d, submitters saw %d", ts.Tenant, ts.Completed, oks[i].Load())
 		}
 		if ts.Outstanding != 0 {
-			t.Errorf("tenant %s still outstanding %d after quiesce", ts.Name, ts.Outstanding)
+			t.Errorf("tenant %s still outstanding %d after quiesce", ts.Tenant, ts.Outstanding)
 		}
 		sum.Submitted += ts.Submitted
 		sum.Completed += ts.Completed

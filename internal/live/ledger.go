@@ -23,10 +23,14 @@ type Ledger struct {
 	// Failed counts queries aborted with ErrReplicaDown by fault injection
 	// (in-flight at Fail, or arriving while failed).
 	Failed uint64
-	// GPUQueries counts queries routed to the accelerator lane (counted at
-	// admission, like the simulator). WorkItems counts admitted candidate
-	// items across both lanes and GPUItems the offloaded portion — the
-	// integer sums GPUWorkShare is derived from.
+	// Admitted counts queries that reached a lane and GPUQueries those
+	// routed to the accelerator lane (both counted at admission, like the
+	// simulator). WorkItems counts admitted candidate items across both
+	// lanes and GPUItems the offloaded portion — the integer sums
+	// GPUQueryShare and GPUWorkShare are derived from. Admitted is left off
+	// the wire while it is zero, so a body written before it existed
+	// re-encodes to the same keys.
+	Admitted            uint64 `json:",omitempty"`
 	GPUQueries          uint64
 	WorkItems, GPUItems uint64
 	// Retunes counts knob changes (batch size or offload threshold) made
@@ -58,6 +62,7 @@ func (l Ledger) Add(b Ledger) Ledger {
 	l.ShedDeadline += b.ShedDeadline
 	l.Abandoned += b.Abandoned
 	l.Failed += b.Failed
+	l.Admitted += b.Admitted
 	l.GPUQueries += b.GPUQueries
 	l.WorkItems += b.WorkItems
 	l.GPUItems += b.GPUItems
@@ -79,22 +84,23 @@ func (l Ledger) Conserved() bool {
 	return l.Submitted == l.Completed+l.Cancelled+l.Shed+l.ShedDeadline+l.Failed+l.Abandoned
 }
 
-// GPUWorkShare is the fraction of admitted candidate-item work offloaded
-// (0 before any work was admitted) — exact over any merge, because it is
-// derived from the summed item counts rather than averaged.
-func (l Ledger) GPUWorkShare() float64 {
-	if l.WorkItems == 0 {
-		return 0
-	}
-	return float64(l.GPUItems) / float64(l.WorkItems)
-}
+// The ledger's ratios are each 0 until their denominator is nonzero, and
+// exact over any merge, because they are derived from the summed counts
+// rather than averaged.
 
-// EmbHitRate is EmbHits / (EmbHits + EmbMisses), 0 until a store-backed
-// lookup has been served.
-func (l Ledger) EmbHitRate() float64 {
-	looked := l.EmbHits + l.EmbMisses
-	if looked == 0 {
+// GPUQueryShare is the fraction of admitted queries offloaded.
+func (l Ledger) GPUQueryShare() float64 { return ratio(l.GPUQueries, l.Admitted) }
+
+// GPUWorkShare is the fraction of admitted candidate-item work offloaded.
+func (l Ledger) GPUWorkShare() float64 { return ratio(l.GPUItems, l.WorkItems) }
+
+// EmbHitRate is EmbHits / (EmbHits + EmbMisses).
+func (l Ledger) EmbHitRate() float64 { return ratio(l.EmbHits, l.EmbHits+l.EmbMisses) }
+
+// ratio is num / den, 0 when den is 0.
+func ratio(num, den uint64) float64 {
+	if den == 0 {
 		return 0
 	}
-	return float64(l.EmbHits) / float64(looked)
+	return float64(num) / float64(den)
 }

@@ -38,16 +38,18 @@ func TestLedgerAddIsClosed(t *testing.T) {
 	}
 }
 
-// TestLedgerDerived pins the identity and the two ratios derived from the
+// TestLedgerDerived pins the identity and the three ratios derived from the
 // ledger's own sums, zero denominators included.
 func TestLedgerDerived(t *testing.T) {
 	var zero Ledger
-	if !zero.Conserved() || zero.GPUWorkShare() != 0 || zero.EmbHitRate() != 0 {
-		t.Errorf("zero ledger: conserved %v, work share %v, hit rate %v", zero.Conserved(), zero.GPUWorkShare(), zero.EmbHitRate())
+	if !zero.Conserved() || zero.GPUQueryShare() != 0 || zero.GPUWorkShare() != 0 || zero.EmbHitRate() != 0 {
+		t.Errorf("zero ledger: conserved %v, query share %v, work share %v, hit rate %v",
+			zero.Conserved(), zero.GPUQueryShare(), zero.GPUWorkShare(), zero.EmbHitRate())
 	}
 	l := Ledger{
 		Submitted: 21, Completed: 1, Cancelled: 2, Shed: 3, ShedDeadline: 4, Failed: 5, Abandoned: 6,
-		Evicted:   2, // a subset of Shed, not a disposition of its own
+		Evicted:  2,                // a subset of Shed, not a disposition of its own
+		Admitted: 8, GPUQueries: 2, // over the queries that reached a lane, not Submitted
 		WorkItems: 400, GPUItems: 100, EmbHits: 30, EmbMisses: 10,
 	}
 	if !l.Conserved() {
@@ -57,7 +59,7 @@ func TestLedgerDerived(t *testing.T) {
 	if l.Conserved() {
 		t.Errorf("%+v should not be conserved", l)
 	}
-	if l.GPUWorkShare() != 0.25 || l.EmbHitRate() != 0.75 {
-		t.Errorf("work share %v, hit rate %v; want 0.25 and 0.75", l.GPUWorkShare(), l.EmbHitRate())
+	if l.GPUQueryShare() != 0.25 || l.GPUWorkShare() != 0.25 || l.EmbHitRate() != 0.75 {
+		t.Errorf("query share %v, work share %v, hit rate %v; want 0.25, 0.25 and 0.75", l.GPUQueryShare(), l.GPUWorkShare(), l.EmbHitRate())
 	}
 }

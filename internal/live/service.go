@@ -236,10 +236,10 @@ type Stats struct {
 	BatchSize int
 	// GPUThreshold is the current offload threshold (0 = no offload).
 	GPUThreshold int
-	// GPUQueryShare is the fraction of admitted queries offloaded;
-	// GPUWorkShare is the fraction of candidate-item work offloaded
-	// (Ledger.GPUWorkShare) — the live counterparts of the simulator's
-	// Fig. 14 series.
+	// GPUQueryShare is the fraction of admitted queries offloaded
+	// (Ledger.GPUQueryShare); GPUWorkShare is the fraction of candidate-item
+	// work offloaded (Ledger.GPUWorkShare) — the live counterparts of the
+	// simulator's Fig. 14 series.
 	GPUQueryShare float64
 	GPUWorkShare  float64
 	// P50 / P95 are the windowed online latency percentiles.
@@ -265,13 +265,9 @@ func (s Stats) MeetsSLA() bool {
 }
 
 // TenantSnapshot is one tenant's part of a Snapshot: its Stats and, beside
-// them, the two things a merge needs that Stats do not carry.
+// them, the latency histogram a merge needs and Stats do not carry.
 type TenantSnapshot struct {
 	Stats
-	// Admitted is GPUQueryShare's denominator: the queries that reached a
-	// lane, here. A tier that states the share over another count (the
-	// fleet: over Submitted) sets it before folding.
-	Admitted uint64
 	// Latency is the histogram of the latency window behind P50 / P95.
 	Latency stats.Hist
 }
@@ -286,19 +282,17 @@ type Snapshot struct {
 
 // Fold merges parts — a service's tenants, one tenant's slices across a
 // fleet's members, a fleet's tenants — into one: ledgers by Ledger.Add and
-// latency histograms by Hist.Add, Queued and Admitted summed, percentiles
-// and ratios from the sums. Knobs, SLA and DegradeLevel are the first
-// part's; Tenant and Share survive only when every part names the same
-// tenant. A fold of one part is that part. Every aggregate Stats in the
-// system is computed here.
+// latency histograms by Hist.Add, Queued summed, percentiles and ratios
+// from the sums. Knobs, SLA and DegradeLevel are the first part's; Tenant
+// and Share survive only when every part names the same tenant. A fold of
+// one part derives its percentiles and ratios too, so a part whose derived
+// fields disagree with its counts never reaches an aggregate. Every
+// aggregate Stats in the system is computed here.
 func Fold(parts []TenantSnapshot) TenantSnapshot {
 	if len(parts) == 0 {
 		return TenantSnapshot{}
 	}
 	agg := parts[0]
-	if len(parts) == 1 {
-		return agg
-	}
 	for _, p := range parts[1:] {
 		if p.Tenant != agg.Tenant {
 			agg.Tenant, agg.Share = "", 0
@@ -306,23 +300,18 @@ func Fold(parts []TenantSnapshot) TenantSnapshot {
 		agg.Ledger = agg.Ledger.Add(p.Ledger)
 		agg.Latency.Add(p.Latency)
 		agg.Queued += p.Queued
-		agg.Admitted += p.Admitted
 	}
 	agg.setRatios()
 	return agg
 }
 
 // setRatios fills what a snapshot derives from its sums: the percentiles
-// from its latency histogram, and the ratios from its ledger and from
-// Admitted, which the ledger does not carry.
+// from its latency histogram and the ratios from its ledger.
 func (s *TenantSnapshot) setRatios() {
 	s.P50 = time.Duration(s.Latency.Percentile(50) * float64(time.Second))
 	s.P95 = time.Duration(s.Latency.Percentile(95) * float64(time.Second))
 	s.WindowLen = s.Latency.Count()
-	s.GPUQueryShare = 0
-	if s.Admitted > 0 {
-		s.GPUQueryShare = float64(s.GPUQueries) / float64(s.Admitted)
-	}
+	s.GPUQueryShare = s.Ledger.GPUQueryShare()
 	s.GPUWorkShare = s.Ledger.GPUWorkShare()
 	s.EmbHitRate = s.Ledger.EmbHitRate()
 }

@@ -237,7 +237,7 @@ func (t *tenant) countAborted(err error) {
 // snapshot reads this tenant's part of the service Snapshot: the one place
 // the ledger's counters are loaded from their atomics.
 func (t *tenant) snapshot() TenantSnapshot {
-	gpuItems := t.gpuItems.Load()
+	gpuQueries, gpuItems := t.gpuQueries.Load(), t.gpuItems.Load()
 	st := TenantSnapshot{Stats: Stats{
 		Tenant: t.name,
 		Share:  t.share,
@@ -250,7 +250,8 @@ func (t *tenant) snapshot() TenantSnapshot {
 			ShedDeadline:   t.shedDeadline.Load(),
 			Abandoned:      t.abandoned.Load(),
 			Failed:         t.failedQ.Load(),
-			GPUQueries:     t.gpuQueries.Load(),
+			Admitted:       gpuQueries + t.cpuQueries.Load(),
+			GPUQueries:     gpuQueries,
 			WorkItems:      gpuItems + t.cpuItems.Load(),
 			GPUItems:       gpuItems,
 			Retunes:        t.retunes.Load(),
@@ -279,7 +280,6 @@ func (t *tenant) snapshot() TenantSnapshot {
 		st.EmbEvictions = est.Evictions
 		st.EmbBytesRead = est.BytesRead
 	}
-	st.Admitted = st.GPUQueries + t.cpuQueries.Load()
 	st.setRatios()
 	return st
 }

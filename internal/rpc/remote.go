@@ -12,7 +12,6 @@ import (
 	"github.com/deeprecinfra/deeprecsys/internal/fleet"
 	"github.com/deeprecinfra/deeprecsys/internal/live"
 	"github.com/deeprecinfra/deeprecsys/internal/model"
-	"github.com/deeprecinfra/deeprecsys/internal/stats"
 )
 
 // statsTimeout bounds one /statsz read. It does not shrink with the probe
@@ -50,16 +49,15 @@ const statsTimeout = 2 * time.Second
 //     — stay exact over a lossy wire. Resets need no overlay (the server
 //     executed and counted the query); a deadline that fires mid-flight is
 //     genuinely ambiguous, and identity tests avoid it.
-//   - The snapshot's latency histograms are of client-side measured RTTs,
-//     not the server's own windows, and once a tenant has any its
-//     percentiles are over them: to the routing tier, the wire is part of
-//     the replica's latency, and load-aware policies should see it.
+//   - Apart from that overlay, a tenant's part of the snapshot is its
+//     server's own: the Stats and latency histogram /statsz reports, so
+//     every fold above treats this member as it treats a local one. The wire
+//     time shows in each Reply's Latency, not in the histogram.
 type RemoteReplica struct {
 	client *Client
 	probe  time.Duration // /healthz period, and each probe's timeout
 
 	tenants []string
-	lat     []*stats.Window // client-observed RTTs, per tenant
 
 	// wireLost counts submits per tenant that provably never reached the
 	// server (connect errors); they overlay the fetched ledger as
@@ -101,8 +99,11 @@ func newRemoteReplica(target string, transport http.RoundTripper, probe time.Dur
 		return nil, fmt.Errorf("rpc: remote replica %s reports no tenants", target)
 	}
 	for _, t := range st.Tenants {
+		if t.Latency == nil {
+			client.Close()
+			return nil, fmt.Errorf("rpc: remote replica %s reports tenant %q without its latency histogram", target, t.Name)
+		}
 		r.tenants = append(r.tenants, t.Name)
-		r.lat = append(r.lat, stats.NewWindow(512))
 	}
 	r.wireLost = make([]atomic.Uint64, len(r.tenants))
 	go r.prober()
@@ -153,7 +154,6 @@ func (r *RemoteReplica) Submit(ctx context.Context, q live.Query) (live.Reply, e
 		}
 		return live.Reply{}, err
 	}
-	r.lat[q.Tenant].Add(rtt.Seconds())
 	reply := live.Reply{
 		Latency:   rtt, // the replica's latency includes its wire
 		BatchSize: resp.Batch,
@@ -188,13 +188,9 @@ func (r *RemoteReplica) statsz(read bool) (StatsResponse, error) {
 	return r.lastStats, err
 }
 
-// Snapshot lays the client's view over one /statsz body, tenant by tenant:
-// submits that provably never reached the server count as
-// Submitted+Failed, and once RTTs have been seen the client-observed
-// percentiles replace the server-measured ones — the wire is part of this
-// replica's service time from where the fleet stands. GPUQueryShare's
-// denominator does not cross the wire; folds above a remote member state it
-// over Submitted, as the fleet does.
+// Snapshot is one /statsz body, tenant by tenant — the server's Stats and
+// latency histogram — with the wire-lost overlay added: submits that
+// provably never reached the server count as Submitted+Failed.
 func (r *RemoteReplica) Snapshot() live.Snapshot {
 	sz, _ := r.statsz(!r.closed.Load())
 	snap := live.Snapshot{Tenants: make([]live.TenantSnapshot, len(r.tenants)), Scale: sz.Scale}
@@ -202,17 +198,13 @@ func (r *RemoteReplica) Snapshot() live.Snapshot {
 		t := &snap.Tenants[i]
 		if i < len(sz.Tenants) { // each fetched body is outside input
 			t.Stats = sz.Tenants[i].Stats
+			if h := sz.Tenants[i].Latency; h != nil {
+				t.Latency = *h
+			}
 		}
 		lost := r.wireLost[i].Load()
 		t.Submitted += lost
 		t.Failed += lost
-		t.Admitted = t.Submitted
-		if h := r.lat[i].Snapshot(); h.Count() > 0 {
-			t.Latency = h
-			t.P50 = time.Duration(h.Percentile(50) * float64(time.Second))
-			t.P95 = time.Duration(h.Percentile(95) * float64(time.Second))
-			t.WindowLen = h.Count()
-		}
 	}
 	return snap
 }

@@ -2,11 +2,16 @@ package rpc
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/deeprecinfra/deeprecsys/internal/fleet"
 	"github.com/deeprecinfra/deeprecsys/internal/live"
+	"github.com/deeprecinfra/deeprecsys/internal/platform"
 )
 
 // startRemoteServer publishes a fresh single-model live.Service over the
@@ -71,10 +76,10 @@ func TestRemoteReplicaServesInFleet(t *testing.T) {
 	if remoteServed == 0 {
 		t.Fatal("round-robin never routed to the remote member")
 	}
-	// The wire is part of the remote replica's latency: its merged window
-	// must be client-side RTTs, hence non-empty after serving.
+	// The remote member's part is its server's: the histogram /statsz
+	// carries for the tenant, hence non-empty after serving.
 	if r.Snapshot().Tenants[0].Latency.Count() == 0 {
-		t.Fatal("remote replica's client-side latency window is empty")
+		t.Fatal("remote replica's latency histogram is empty after serving")
 	}
 
 	// Remove folds the remote member's counters into the fleet's retired
@@ -236,6 +241,105 @@ func TestRemoteWireLostIdentity(t *testing.T) {
 		t.Fatal("dropping wire injected no connect errors; the test exercised nothing")
 	} else if rst.Failed == 0 {
 		t.Fatalf("remote saw %d connect errors but its ledger folded none as Failed", cs.ConnectErrors)
+	}
+}
+
+// TestRemotePartIsItsServers: a remote member's part of a fleet snapshot is
+// its server's, so the fleet folds it like a local one. The remote server
+// has served queries directly, some of them shed on an expired deadline
+// (Submitted, never admitted), some offloaded. Before and after the fleet
+// routes traffic, the replicas' windows add up to the fleet's, the fleet
+// ledger is the sum of the tenant ledgers, and every GPUQueryShare is its
+// own ledger's; once quiet, the member reports its server's own p95, window
+// and ledger.
+func TestRemotePartIsItsServers(t *testing.T) {
+	rsvc := newLiveService(t, live.Config{Workers: 1, Seed: 1, GPU: platform.DefaultGPU(), Tenants: []live.TenantConfig{
+		{Name: "NCF", Model: testModel(t), BatchSize: 16, GPUThreshold: 100},
+	}})
+	addr := startServer(t, rsvc, ServerConfig{}).Addr()
+	ctx := context.Background()
+	expired, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
+	defer cancel()
+	for i := 0; i < 12; i++ {
+		qctx, size := ctx, []int{400, 32}[i%2]
+		if i%4 == 3 {
+			qctx = expired
+		}
+		if _, err := rsvc.Submit(qctx, live.Query{Candidates: size}); (err != nil) != (qctx == expired) {
+			t.Fatalf("direct query %d: %v", i, err)
+		}
+	}
+	if st := rsvc.Stats(); st.ShedDeadline == 0 || st.GPUQueries == 0 || st.Admitted == st.Submitted {
+		t.Fatalf("server ledger %+v: the set-up needs deadline sheds and offloads", st.Ledger)
+	}
+
+	f := newLocalFleet(t, 2)
+	r, err := NewRemoteReplica(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remoteID, err := f.AddBackend(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) fleet.Stats {
+		t.Helper()
+		st := f.Stats()
+		var windows int
+		for _, rs := range st.Replicas {
+			windows += rs.WindowLen
+			if rs.GPUQueryShare != rs.Ledger.GPUQueryShare() {
+				t.Errorf("%s: replica %d GPUQueryShare %v, its ledger's %v", when, rs.ID, rs.GPUQueryShare, rs.Ledger.GPUQueryShare())
+			}
+		}
+		if windows != st.WindowLen {
+			t.Errorf("%s: replica windows sum to %d samples, the fleet's holds %d", when, windows, st.WindowLen)
+		}
+		var tenants live.Ledger
+		for _, ts := range st.Tenants {
+			tenants = tenants.Add(ts.Ledger)
+			if ts.GPUQueryShare != ts.Ledger.GPUQueryShare() {
+				t.Errorf("%s: tenant %s GPUQueryShare %v, its ledger's %v", when, ts.Tenant, ts.GPUQueryShare, ts.Ledger.GPUQueryShare())
+			}
+		}
+		if tenants != st.Ledger {
+			t.Errorf("%s: fleet ledger %+v != tenant sum %+v", when, st.Ledger, tenants)
+		}
+		if st.GPUQueryShare != st.Ledger.GPUQueryShare() {
+			t.Errorf("%s: fleet GPUQueryShare %v, its ledger's %v", when, st.GPUQueryShare, st.Ledger.GPUQueryShare())
+		}
+		return st
+	}
+	check("before routing")
+	for i := 0; i < 20; i++ {
+		if _, _, err := f.Submit(ctx, live.Query{Candidates: []int{400, 32}[i%2]}); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	st, own := check("after routing"), rsvc.Stats()
+	for _, rs := range st.Replicas {
+		if rs.ID == remoteID && (rs.P95 != own.P95 || rs.WindowLen != own.WindowLen || rs.Ledger != own.Ledger) {
+			t.Errorf("remote member reports p95 %v over %d samples, ledger %+v; its server %v over %d, ledger %+v",
+				rs.P95, rs.WindowLen, rs.Ledger, own.P95, own.WindowLen, own.Ledger)
+		}
+	}
+}
+
+// TestNewRemoteReplicaRefusesServerWithoutHistogram: a server whose /statsz
+// carries no per-tenant latency histogram (one built before it did) cannot
+// be folded like any other member, so joining it is refused by name.
+func TestNewRemoteReplicaRefusesServerWithoutHistogram(t *testing.T) {
+	doc, err := os.ReadFile("testdata/statsz_single.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(doc)
+	}))
+	defer old.Close()
+	if _, err := NewRemoteReplica(old.URL); err == nil || !strings.Contains(err.Error(), "latency histogram") {
+		t.Fatalf("joining a server without histograms: got %v, want an error naming the missing latency histogram", err)
 	}
 }
 

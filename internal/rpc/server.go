@@ -358,8 +358,8 @@ func (s *Server) answerProbe(w http.ResponseWriter, down bool, body string) {
 }
 
 // handleStats serves one snapshot of the backend — each tenant's ledger and
-// their fold as the service's — plus the wire counters: the payload a
-// RemoteReplica merges into its fleet's stats.
+// latency histogram, and their fold as the service's — plus the wire
+// counters: the payload a RemoteReplica merges into its fleet's stats.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap := s.b.Snapshot()
 	resp := StatsResponse{
@@ -369,8 +369,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Service:  live.Fold(snap.Tenants).Stats,
 		Server:   s.Counters(),
 	}
-	for _, t := range snap.Tenants {
-		resp.Tenants = append(resp.Tenants, TenantStatsz{Name: t.Tenant, Stats: t.Stats})
+	for i, t := range snap.Tenants {
+		resp.Tenants = append(resp.Tenants, TenantStatsz{Name: t.Tenant, Stats: t.Stats, Latency: &snap.Tenants[i].Latency})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

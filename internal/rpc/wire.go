@@ -62,6 +62,7 @@ import (
 	"time"
 
 	"github.com/deeprecinfra/deeprecsys/internal/live"
+	"github.com/deeprecinfra/deeprecsys/internal/stats"
 )
 
 // Wire paths. The RPC surface is deliberately small: one serving verb,
@@ -164,10 +165,13 @@ type ErrorResponse struct {
 	RetryAfterMs int64 `json:"retry_after_ms,omitempty"`
 }
 
-// TenantStatsz is one tenant's slice of the /statsz payload.
+// TenantStatsz is one tenant's slice of the /statsz payload: its Stats and
+// the histogram of the latency window behind their percentiles, which a
+// RemoteReplica folds as its own.
 type TenantStatsz struct {
-	Name  string     `json:"name"`
-	Stats live.Stats `json:"stats"`
+	Name    string      `json:"name"`
+	Stats   live.Stats  `json:"stats"`
+	Latency *stats.Hist `json:"latency,omitempty"`
 }
 
 // ServerCounters are the wire-level ledgers the HTTP layer keeps on top of

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/deeprecinfra/deeprecsys/internal/live"
+	"github.com/deeprecinfra/deeprecsys/internal/stats"
 )
 
 // cannedTransport answers every request with one status and body: the
@@ -37,7 +38,8 @@ func (c cannedTransport) RoundTrip(*http.Request) (*http.Response, error) {
 // counters still summing to Requests. As the reply the client decodes — a
 // recommend 200, an error body, a /statsz 200: no panic, every failure a
 // typed *Error, and a StatsResponse that decodes re-encodes to a key set
-// that survives a second trip.
+// that survives a second trip, each tenant's histogram to the same bytes
+// and a count that is the sum of its buckets.
 func FuzzWireDecoders(f *testing.F) {
 	for _, name := range []string{"testdata/statsz_single.json", "testdata/statsz_tenants.json"} {
 		doc, err := os.ReadFile(name)
@@ -56,6 +58,9 @@ func FuzzWireDecoders(f *testing.F) {
 		`{"code":"overloaded","error":"live: overloaded","retry_after_ms":12}`,
 		`{"service":{"Submitted":"many"}}`,
 		`{"tenants":[{"name":"ads"},null]}`,
+		`{"tenants":[{"name":"ads","stats":{"Submitted":3,"Admitted":3},"latency":[[100,2],[400,1]]}]}`,
+		`{"tenants":[{"name":"ads","latency":[[960,1]]}]}`,
+		`{"tenants":[{"name":"ads","latency":[[0,4294967295],[1,1]]}]}`,
 		`[]`, `null`, `{`, ``, "\x00\xff",
 	} {
 		f.Add([]byte(seed))
@@ -103,6 +108,27 @@ func FuzzWireDecoders(f *testing.F) {
 			twice, _ := json.Marshal(back)
 			if got, want := sortedKeys(t, twice), sortedKeys(t, once); !reflect.DeepEqual(got, want) {
 				t.Errorf("statsz key set changed across a round trip:\ngot  %v\nwant %v", got, want)
+			}
+			for _, ts := range resp.Tenants {
+				if ts.Latency == nil {
+					continue
+				}
+				doc, _ := json.Marshal(ts.Latency)
+				var pairs [][2]uint64
+				var again stats.Hist
+				if err := json.Unmarshal(doc, &pairs); err != nil || json.Unmarshal(doc, &again) != nil || again != *ts.Latency {
+					t.Fatalf("tenant %q histogram does not re-decode from %s", ts.Name, doc)
+				}
+				if redoc, _ := json.Marshal(&again); !bytes.Equal(redoc, doc) {
+					t.Errorf("tenant %q histogram re-encodes to %s, first encoded as %s", ts.Name, redoc, doc)
+				}
+				var sum uint64
+				for _, p := range pairs {
+					sum += p[1]
+				}
+				if uint64(ts.Latency.Count()) != sum {
+					t.Errorf("tenant %q histogram counts %d, its buckets sum to %d", ts.Name, ts.Latency.Count(), sum)
+				}
 			}
 		}
 	})

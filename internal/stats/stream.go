@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -52,6 +54,42 @@ func (h *Hist) Add(o Hist) {
 
 // Count returns the number of observations in h.
 func (h *Hist) Count() int { return int(h.n) }
+
+// MarshalJSON writes h as its nonzero buckets in ascending order, each a
+// [bucket, count] pair: at most one entry per bucket, so any window encodes
+// in at most 960 pairs.
+func (h Hist) MarshalJSON() ([]byte, error) {
+	pairs := [][2]uint32{}
+	for i, c := range h.counts {
+		if c > 0 {
+			pairs = append(pairs, [2]uint32{uint32(i), c})
+		}
+	}
+	return json.Marshal(pairs)
+}
+
+// UnmarshalJSON reads the form MarshalJSON writes. Its input is outside
+// input: it refuses a bucket past the layout or not above the one before
+// it, and counts whose total overflows the uint32 count, and it derives the
+// total from the counts.
+func (h *Hist) UnmarshalJSON(data []byte) error {
+	var pairs [][2]uint64
+	if err := json.Unmarshal(data, &pairs); err != nil {
+		return err
+	}
+	var out Hist
+	for i, p := range pairs {
+		switch {
+		case p[0] >= buckets || i > 0 && p[0] <= pairs[i-1][0]:
+			return fmt.Errorf("stats: histogram bucket %d past the %d-bucket layout or out of order", p[0], buckets)
+		case p[1] > math.MaxUint32-uint64(out.n):
+			return errors.New("stats: histogram counts overflow uint32")
+		}
+		out.counts[p[0]], out.n = uint32(p[1]), out.n+uint32(p[1])
+	}
+	*h = out
+	return nil
+}
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of h, or 0 when h
 // is empty: Percentile's interpolation between closest ranks, over the

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"math"
 	"slices"
 	"sync"
@@ -133,5 +134,26 @@ func FuzzWindowPercentile(f *testing.F) {
 		if sum != whole.Snapshot() {
 			t.Fatalf("%d windows' histograms do not add up to one window's", parts)
 		}
+		var back Hist
+		if doc, err := json.Marshal(&h); err != nil || json.Unmarshal(doc, &back) != nil || back != h {
+			t.Fatalf("histogram does not survive its JSON form %s (%v)", doc, err)
+		}
 	})
+}
+
+// TestHistJSONRefusesOutsideInput: the JSON decoder takes a body from
+// another process, so a bucket past the layout, a bucket listed out of
+// order, and counts whose total overflows are errors, and the count is the
+// sum of the counts given.
+func TestHistJSONRefusesOutsideInput(t *testing.T) {
+	var h Hist
+	if err := json.Unmarshal([]byte(`[[0,2],[959,3]]`), &h); err != nil || h.Count() != 5 {
+		t.Fatalf("valid histogram: count %d, error %v", h.Count(), err)
+	}
+	for _, doc := range []string{`[[960,1]]`, `[[-1,1]]`, `[[5,1],[5,1]]`, `[[6,1],[5,1]]`,
+		`[[0,4294967295],[1,1]]`, `[[0,4294967296]]`, `{"n":3}`} {
+		if err := json.Unmarshal([]byte(doc), &h); err == nil {
+			t.Errorf("%s decoded to a histogram of %d", doc, h.Count())
+		}
+	}
 }

@@ -237,11 +237,7 @@ func (s *Service) own(ms ...*model.Model) {
 // heterogeneity (Jitter) and a partially GPU-provisioned fleet
 // (GPUReplicas).
 func (s *System) Serve(opts ServeOptions) (*Service, error) {
-	gpu, err := s.serveAccelerator()
-	if err != nil {
-		return nil, err
-	}
-	if opts.GPUThreshold > 0 && gpu == nil {
+	if opts.GPUThreshold > 0 && s.gpu == nil {
 		return nil, fmt.Errorf("deeprecsys: offload threshold %d set but no accelerator provisioned (use WithGPU)", opts.GPUThreshold)
 	}
 	// The service-level knobs, spec strings parsed once: what every tenant
@@ -252,6 +248,7 @@ func (s *System) Serve(opts ServeOptions) (*Service, error) {
 		SLA:          opts.SLA,
 		Deadline:     opts.Deadline,
 	}
+	var err error
 	if shared.Admission, err = live.ParseAdmission(opts.Admission); err != nil {
 		return nil, err
 	}
@@ -265,7 +262,7 @@ func (s *System) Serve(opts ServeOptions) (*Service, error) {
 	}
 	base := live.Config{
 		Workers:      opts.Workers,
-		GPU:          gpu,
+		GPU:          s.gpu,
 		AutoTune:     opts.AutoTune,
 		TuneInterval: opts.TuneInterval,
 		IntraOp:      opts.IntraOp,
@@ -287,7 +284,7 @@ func (s *System) Serve(opts ServeOptions) (*Service, error) {
 	if opts.GPUReplicas < 0 || opts.GPUReplicas > opts.Replicas {
 		return nil, fmt.Errorf("deeprecsys: GPUReplicas %d outside [0, Replicas=%d]", opts.GPUReplicas, opts.Replicas)
 	}
-	if opts.GPUReplicas > 0 && gpu == nil {
+	if opts.GPUReplicas > 0 && s.gpu == nil {
 		return nil, errors.New("deeprecsys: GPUReplicas set but no accelerator provisioned (use WithGPU)")
 	}
 	chaos, err := fleet.ParseChaos(opts.Chaos)
@@ -668,9 +665,6 @@ func (s *Service) Stats() ServiceStats {
 			CapShed:     ft.CapShed,
 			Shape:       ft.Shape,
 		}
-		// The fleet's configured share, not the first member's echo of
-		// it (which a remote member reports from its own config).
-		st.Tenants[i].Share = ft.Share
 	}
 	return st
 }
