@@ -233,7 +233,7 @@ func TestServeEndToEnd(t *testing.T) {
 	wg.Wait()
 
 	st := svc.Stats()
-	if st.Model != "NCF" || st.Completed != 20 || st.WindowLen != 20 {
+	if st.Tenants[0].Model != "NCF" || st.Completed != 20 || st.WindowLen != 20 {
 		t.Errorf("stats = %+v", st)
 	}
 	if st.SLA != sys.SLA() {
@@ -347,7 +347,7 @@ func TestServeFleet(t *testing.T) {
 	wg.Wait()
 
 	st := svc.Stats()
-	if st.Model != "NCF" || st.Completed != 20 || st.WindowLen != 20 {
+	if st.Tenants[0].Model != "NCF" || st.Completed != 20 || st.WindowLen != 20 {
 		t.Errorf("stats = %+v", st)
 	}
 	if st.Replicas != 2 || st.RoutingPolicy != "least-loaded" || len(st.PerReplica) != 2 {
@@ -488,7 +488,7 @@ func TestServeOneReplicaIsAFleet(t *testing.T) {
 	var sum deeprecsys.Ledger
 	for _, ts := range st.Tenants {
 		if !ts.Conserved() {
-			t.Errorf("tenant %s not conserved: %+v", ts.Name, ts.Ledger)
+			t.Errorf("tenant %s not conserved: %+v", ts.Tenant, ts.Ledger)
 		}
 		sum = sum.Add(ts.Ledger)
 	}

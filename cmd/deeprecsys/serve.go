@@ -244,7 +244,7 @@ func serveMain(args []string) {
 			layout = fmt.Sprintf(", sharded over %d replicas", final.Replicas)
 		}
 		fmt.Printf("tenant %s: embedding store %q: %d-row tables%s, %s access: %.1f%% cache hit rate, %d evictions, %.1f MB read from backing store\n",
-			t.Name, specs[i].Store, t.TableRows, layout, cmp.Or(specs[i].Access, opts.Access, "uniform"),
+			t.Tenant, specs[i].Store, t.TableRows, layout, cmp.Or(specs[i].Access, opts.Access, "uniform"),
 			t.EmbHitRate*100, t.EmbEvictions, float64(t.EmbBytesRead)/(1<<20))
 	}
 	if opts.AutoScale {
@@ -279,7 +279,7 @@ func serveMain(args []string) {
 				verdict = "VIOLATES SLA"
 			}
 			fmt.Printf("  %-12s %-10s %5.1f %8d %6d %6d %5d %12v %12v %10v  %s\n",
-				t.Name, t.Model, t.Share, t.Completed, t.Shed+t.ShedDeadline+t.CapShed,
+				t.Tenant, t.Model, t.Share, t.Completed, t.Shed+t.ShedDeadline+t.CapShed,
 				t.BatchSize, t.GPUThreshold,
 				t.P50.Round(10*time.Microsecond), t.P95.Round(10*time.Microsecond),
 				t.SLA, verdict)
@@ -342,7 +342,7 @@ func listenMode(ctx context.Context, svc *deeprecsys.Service, addr string, multi
 	printAdmission(final)
 	for _, t := range final.Tenants {
 		fmt.Printf("tenant %s: %d submitted, %d completed, %d shed, p95 %v (sla %v)\n",
-			t.Name, t.Submitted, t.Completed, t.Shed+t.ShedDeadline+t.CapShed,
+			t.Tenant, t.Submitted, t.Completed, t.Shed+t.ShedDeadline+t.CapShed,
 			t.P95.Round(10*time.Microsecond), t.SLA)
 	}
 	if drainErr != nil {

@@ -91,14 +91,14 @@ func main() {
 			verdict = "VIOLATES SLA"
 		}
 		fmt.Printf("%-8s %-10s %6.0f %6d %6d %6d %10v %10v %8v  %s\n",
-			ts.Name, ts.Model, ts.Share, ts.Completed, ts.Shed+ts.ShedDeadline+ts.CapShed,
+			ts.Tenant, ts.Model, ts.Share, ts.Completed, ts.Shed+ts.ShedDeadline+ts.CapShed,
 			ts.BatchSize,
 			ts.P50.Round(time.Microsecond), ts.P95.Round(time.Microsecond), ts.SLA, verdict)
 	}
 	fmt.Printf("\npool totals: %d served on %d replicas, fleet p95 %v\n",
 		st.Completed, st.Replicas, st.P95.Round(time.Microsecond))
 	for _, ts := range st.Tenants {
-		accounted := ts.Completed + ts.Cancelled + ts.Shed + ts.ShedDeadline + ts.Failed + ts.Abandoned + ts.CapShed
-		fmt.Printf("  %s ledger: submitted %d == accounted %d\n", ts.Name, ts.Submitted+ts.CapShed, accounted)
+		fmt.Printf("  %s: ledger conserved %v, front door (%d taken in, %d cap-shed) balances it %v\n",
+			ts.Tenant, ts.Conserved(), ts.FrontSubmitted, ts.CapShed, ts.Balances(ts.Ledger))
 	}
 }

@@ -66,7 +66,7 @@ func main() {
 	// view already holds all 60.
 	fst := front.Stats()
 	fmt.Printf("fleet: adopted the server as replica %d; front door completed %d/%d\n",
-		id, fst.Completed, fst.Submitted)
+		id, fst.Completed, fst.FrontSubmitted)
 
 	// The "client process": per-request deadlines propagate to the server,
 	// connect errors and 503s retry under a budget, and a hedge fires when

@@ -100,18 +100,13 @@ func (fb fleetBackend) Submit(ctx context.Context, q live.Query) (live.Reply, er
 }
 
 // Snapshot is each tenant merged over the fleet's members, as Fleet.Stats
-// reports it, with one change: Submitted is the tenant's front-door count —
-// each query once, however many replicas it tried — which is what a
-// consumer on the far side of a Backend edge (an upstream front end, the RPC
-// server's /statsz) submitted. Admitted stays the per-replica sum:
-// GPUQueryShare is over queries that reached a lane, as at every tier.
+// reports it: each ledger is the fold of the members' and retired ledgers,
+// so it counts the fleet's attempts. The front-door counts are the fleet's
+// own and do not cross the Backend edge.
 func (fb fleetBackend) Snapshot() live.Snapshot {
 	fb.f.mu.RLock()
 	_, tenants := fb.f.snapshots()
 	fb.f.mu.RUnlock()
-	for ti := range tenants {
-		tenants[ti].Submitted = fb.f.frontSubmitted[ti].Load()
-	}
 	return live.Snapshot{Tenants: tenants, Scale: 1}
 }
 

@@ -206,6 +206,93 @@ func TestRetryOnCrashAccounting(t *testing.T) {
 	}
 }
 
+// TestBackendLedgerIsAFold pins that what a fleet presents over a Backend
+// edge — and so a served fleet's /statsz — is the fold of its members'
+// ledgers, conserved per attempt, with the front-door counts kept beside it
+// and balancing it: under a tenant cap, under a retry after a mid-flight
+// crash, and with a route refused because every member has failed.
+func TestBackendLedgerIsAFold(t *testing.T) {
+	m := testModel(t)
+	cfgA := baseConfig(m, 1)
+	cfgA.BatchSize = 8
+	cfgB := baseConfig(m, 2)
+	cfgB.BatchSize = 8
+	cfgA.Scale, cfgB.Scale = 4, 4 // as in TestRetryOnCrashAccounting
+	f := newFleet(t, []live.Config{cfgA, cfgB}, nil)
+	ctx := context.Background()
+	check := func(phase string, want FrontDoor) {
+		t.Helper()
+		for _, ts := range f.AsBackend().Snapshot().Tenants {
+			if !ts.Conserved() {
+				t.Errorf("%s: Backend snapshot of tenant %s not conserved: %+v", phase, ts.Tenant, ts.Ledger)
+			}
+		}
+		st := f.Stats()
+		ts := st.Tenants[0]
+		if !ts.Conserved() || !ts.Balances(ts.Ledger) || !st.Balances(st.Ledger) || st.Ledger != ts.Ledger {
+			t.Errorf("%s: front door %+v against tenant ledger %+v and fleet ledger %+v", phase, ts.FrontDoor, ts.Ledger, st.Ledger)
+		}
+		if ts.FrontDoor != want || st.FrontDoor != want {
+			t.Errorf("%s: front door %+v (fleet %+v), want %+v", phase, ts.FrontDoor, st.FrontDoor, want)
+		}
+	}
+
+	// A tenant capped at one outstanding query refuses a second while the
+	// first is in flight.
+	if err := f.SetTenantCap(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan error)
+	go func() { _, _, err := f.Submit(ctx, live.Query{Candidates: 1000}); held <- err }()
+	waitUntil(t, 5*time.Second, "a query in flight", func() bool { return f.tenantOut[0].Load() == 1 })
+	if _, _, err := f.Submit(ctx, live.Query{Candidates: 10}); !errors.Is(err, live.ErrOverloaded) {
+		t.Fatalf("submit past the cap = %v, want ErrOverloaded", err)
+	}
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	check("cap", FrontDoor{FrontSubmitted: 2, CapShed: 1})
+	if err := f.SetTenantCap(0, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	// Retry after a crash: a crash-aborted attempt and its retry are two
+	// attempts, each in a member's ledger.
+	f.SetRetry(true)
+	const n = 8
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := f.Submit(ctx, live.Query{Candidates: 1000}); err != nil {
+				t.Errorf("query lost despite retry: %v", err)
+			}
+		}()
+	}
+	f.mu.RLock()
+	victim, survivor := f.replicas[0], f.replicas[1]
+	f.mu.RUnlock()
+	waitUntil(t, 5*time.Second, "victim has in-flight queries", func() bool {
+		return victim.outstanding.Load() >= 2
+	})
+	victim.svc.(faulter).Fail()
+	wg.Wait()
+	retried := f.Stats().Retried
+	if retried == 0 {
+		t.Error("no retries recorded despite mid-flight crash")
+	}
+	check("retry", FrontDoor{FrontSubmitted: 2 + n, Retried: retried, CapShed: 1})
+
+	// With every routable member failed the route refuses the query: one
+	// attempt, in no ledger, counted once.
+	survivor.svc.(faulter).Fail()
+	if _, _, err := f.Submit(ctx, live.Query{Candidates: 10}); !errors.Is(err, ErrNoHealthyReplica) {
+		t.Fatalf("submit with no healthy replica = %v, want ErrNoHealthyReplica", err)
+	}
+	check("refused", FrontDoor{FrontSubmitted: 3 + n, Retried: retried, CapShed: 1, Unrouted: 1})
+}
+
 func TestAutoscaleGrowsAndShrinks(t *testing.T) {
 	m := testModel(t)
 	mkConfig := func(seed int64) live.Config {

@@ -96,28 +96,20 @@ type Fleet struct {
 	// every member must host the same tenants in the same order.
 	tenants []TenantInfo
 
-	// Per-tenant fleet-wide interference controls and accounting:
-	// tenantOut counts routed-but-unreturned queries per tenant across the
-	// whole fleet, tenantCap the admission ceiling on that count (0 =
-	// uncapped), and capShed the queries refused at the front door for
-	// exceeding it (they never reach a replica, so they appear in no
-	// replica ledger).
+	// Per-tenant fleet-wide interference controls: tenantOut counts
+	// routed-but-unreturned queries per tenant across the whole fleet,
+	// tenantCap the admission ceiling on that count (0 = uncapped).
 	tenantOut []atomic.Int64
 	tenantCap []atomic.Int64
-	capShed   []atomic.Uint64
 
 	// Lifetime accounting for removed replicas, per tenant, folded into
 	// Stats so the fleet's counters are monotone across membership changes.
 	retired []live.Ledger
 
-	// Front-door accounting, per tenant: every query entering the fleet
-	// counts once here even when a replica failure makes it try two
-	// replicas, so the fleet's external view stays exact while per-replica
-	// counters stay per-replica truth (sum of replica Submitted ==
-	// FrontSubmitted + Retried).
-	frontSubmitted []atomic.Uint64
-	retried        atomic.Uint64
-	retry          atomic.Bool // one retry on ErrReplicaDown enabled
+	// doors holds each tenant's front-door counters (FrontDoor), kept
+	// beside the member ledgers and never folded into them.
+	doors []door
+	retry atomic.Bool // one retry on ErrReplicaDown enabled
 
 	// Elasticity and chaos lifetime counters.
 	scaleUps   atomic.Uint64
@@ -145,13 +137,12 @@ func New(cfgs []live.Config, policy Policy) (*Fleet, error) {
 		return nil, err
 	}
 	f := &Fleet{
-		policy:         policy,
-		tenants:        infos,
-		tenantOut:      make([]atomic.Int64, len(infos)),
-		tenantCap:      make([]atomic.Int64, len(infos)),
-		capShed:        make([]atomic.Uint64, len(infos)),
-		retired:        make([]live.Ledger, len(infos)),
-		frontSubmitted: make([]atomic.Uint64, len(infos)),
+		policy:    policy,
+		tenants:   infos,
+		tenantOut: make([]atomic.Int64, len(infos)),
+		tenantCap: make([]atomic.Int64, len(infos)),
+		retired:   make([]live.Ledger, len(infos)),
+		doors:     make([]door, len(infos)),
 	}
 	for _, cfg := range cfgs {
 		if _, err := f.add(cfg); err != nil {
@@ -165,8 +156,9 @@ func New(cfgs []live.Config, policy Policy) (*Fleet, error) {
 // tenantInfosFrom derives the fleet's tenant set from one replica config's
 // resolved tenant list (live.Config.WithDefaults: a single-model config is
 // the list of one tenant named after its model): names and shares from the
-// tenant configs, resource shapes (model.Shapes) from the tenant models'
-// analytic profiles, relative to the fleet's own tenant set.
+// tenant configs, model names, table rows and resource shapes (model.Shapes)
+// from the tenant models' configs and analytic profiles, relative to the
+// fleet's own tenant set.
 func tenantInfosFrom(cfg live.Config) ([]TenantInfo, error) {
 	cfg, err := cfg.WithDefaults()
 	if err != nil {
@@ -178,7 +170,11 @@ func tenantInfosFrom(cfg live.Config) ([]TenantInfo, error) {
 	}
 	infos := make([]TenantInfo, len(cfg.Tenants))
 	for i, shape := range model.Shapes(profs) {
-		infos[i] = TenantInfo{Name: cfg.Tenants[i].Name, Share: cfg.Tenants[i].Share, Shape: shape}
+		tc, mc := cfg.Tenants[i], cfg.Tenants[i].Model.Cfg
+		infos[i] = TenantInfo{Name: tc.Name, Model: mc.Name, Share: tc.Share, Shape: shape}
+		if mc.NumTables > 0 {
+			infos[i].TableRows = mc.TableRows
+		}
 	}
 	return infos, nil
 }
@@ -237,9 +233,6 @@ func (f *Fleet) join(svc Backend, cfg live.Config, local, hasGPU bool) (int, err
 // Add starts a new replica from cfg and joins it to the routing set,
 // returning its fleet-assigned ID. It is safe while the fleet serves.
 func (f *Fleet) Add(cfg live.Config) (int, error) { return f.add(cfg) }
-
-// Policy returns the routing policy's name.
-func (f *Fleet) Policy() string { return f.policy.Name() }
 
 // Size returns the number of routable (non-draining) replicas.
 func (f *Fleet) Size() int {
@@ -336,31 +329,35 @@ func (f *Fleet) route(tenant, size int) (*replica, error) {
 // routing steers the retry away from the dead replica. The front-door
 // counters record the query once regardless of how many replicas it tried.
 func (f *Fleet) Submit(ctx context.Context, q live.Query) (live.Reply, int, error) {
-	if q.Tenant < 0 || q.Tenant >= len(f.tenants) {
-		return live.Reply{}, -1, fmt.Errorf("fleet: tenant %d outside [0, %d]", q.Tenant, len(f.tenants)-1)
+	if err := q.Check(len(f.tenants)); err != nil {
+		return live.Reply{}, -1, err
 	}
-	f.frontSubmitted[q.Tenant].Add(1)
+	d := &f.doors[q.Tenant]
+	d.submitted.Add(1)
 	// Per-tenant fleet-wide outstanding cap: the interference guard that
 	// keeps one saturated tenant from occupying every execution slot the
 	// fleet has. Cap-shed queries are refused at the front door — they
 	// reach no replica, so they are counted here (CapShed) and nowhere
 	// else.
 	if limit := f.tenantCap[q.Tenant].Load(); limit > 0 && f.tenantOut[q.Tenant].Load() >= limit {
-		f.capShed[q.Tenant].Add(1)
+		d.capShed.Add(1)
 		return live.Reply{}, -1, live.ErrOverloaded
 	}
-	reply, id, err := f.submitOnce(ctx, q)
+	reply, id, err := f.submitOnce(ctx, q, d)
 	if err != nil && errors.Is(err, live.ErrReplicaDown) && f.retry.Load() && ctx.Err() == nil {
-		f.retried.Add(1)
-		reply, id, err = f.submitOnce(ctx, q)
+		d.retried.Add(1)
+		reply, id, err = f.submitOnce(ctx, q, d)
 	}
 	return reply, id, err
 }
 
-// submitOnce is one routing + submission attempt.
-func (f *Fleet) submitOnce(ctx context.Context, q live.Query) (live.Reply, int, error) {
+// submitOnce is one routing + submission attempt. An attempt that reaches
+// no member's ledger — the route refused it, or the member was already
+// closed — counts in d's Unrouted.
+func (f *Fleet) submitOnce(ctx context.Context, q live.Query, d *door) (live.Reply, int, error) {
 	r, err := f.route(q.Tenant, q.Candidates)
 	if err != nil {
+		d.unrouted.Add(1)
 		return live.Reply{}, -1, err
 	}
 	defer r.inflight.Done()
@@ -368,6 +365,9 @@ func (f *Fleet) submitOnce(ctx context.Context, q live.Query) (live.Reply, int, 
 	defer r.tenantOut[q.Tenant].Add(-1)
 	defer f.tenantOut[q.Tenant].Add(-1)
 	reply, err := r.svc.Submit(ctx, q)
+	if err != nil && errors.Is(err, live.ErrClosed) {
+		d.unrouted.Add(1)
+	}
 	return reply, r.id, err
 }
 
@@ -479,6 +479,37 @@ type ReplicaStats struct {
 	live.Stats
 }
 
+// FrontDoor is a fleet's front-door accounting for one tenant, or summed
+// over tenants: what happened to the queries the fleet took in, kept beside
+// the ledger folded from its members and never written into it.
+type FrontDoor struct {
+	// FrontSubmitted counts queries entering the front door, each once
+	// however many replicas it tried; Retried the crash-triggered second
+	// attempts (SetRetry).
+	FrontSubmitted, Retried uint64
+	// CapShed counts queries refused at the front door for exceeding the
+	// tenant's cap (SetTenantCap): they reach no replica.
+	CapShed uint64
+	// Unrouted counts attempts that reached no member's ledger: the route
+	// refused them (ErrClosed, ErrNoHealthyReplica), or the member they were
+	// routed to answered live.ErrClosed.
+	Unrouted uint64
+}
+
+// Balances reports the front-door identity against the ledger folded
+// under the same front door: every query taken in, and every retry, is an
+// attempt, and every attempt is in a member's ledger, cap-shed, or
+// unrouted — FrontSubmitted + Retried == Submitted + CapShed + Unrouted.
+// Like Ledger.Conserved it holds once the fleet is quiescent. Over a member
+// that is itself a fleet, that member's ledger counts its own attempts, not
+// the queries this front door sent it.
+func (d FrontDoor) Balances(l live.Ledger) bool {
+	return d.FrontSubmitted+d.Retried == l.Submitted+d.CapShed+d.Unrouted
+}
+
+// door is one tenant's live front-door counters, read as a FrontDoor.
+type door struct{ submitted, retried, capShed, unrouted atomic.Uint64 }
+
 // TenantStats is one tenant's fleet-merged slice of the snapshot: counters
 // summed over every current member plus the tenant's share of removed
 // replicas, percentiles over the sum of the members' per-tenant latency
@@ -486,18 +517,21 @@ type ReplicaStats struct {
 // may diverge knobs; Replicas carries each replica's own). Its Stats name the
 // tenant and carry the fleet's configured Share.
 type TenantStats struct {
-	// Shape is the tenant's normalized resource-demand vector (FC-FLOP
-	// share, embedding-byte share) — what shape-aware placement keys on.
-	Shape [2]float64
-	// Outstanding is the tenant's fleet-wide routed-but-unreturned count;
-	// Cap the configured ceiling on it (0 = uncapped); CapShed the
-	// lifetime count of queries refused at the front door for exceeding
-	// it. CapShed queries reached no replica, so they are not in the
-	// merged Stats below: tenant conservation at the fleet level is
-	// FrontSubmitted(t) == Stats.Submitted + CapShed (+ routing errors).
+	// Model is the zoo model the tenant serves, TableRows the full logical
+	// row count of each of its embedding tables (0 for models without
+	// tables, and unchanged when the rows are sharded across replicas), and
+	// Shape its normalized (FC-FLOP share, embedding-byte share)
+	// resource-demand vector — what shape-aware placement keys on.
+	Model     string
+	TableRows int
+	Shape     [2]float64
+	// Outstanding is the tenant's fleet-wide routed-but-unreturned count,
+	// Cap the configured ceiling on it (0 = uncapped).
 	Outstanding int
 	Cap         int
-	CapShed     uint64
+	// FrontDoor is the tenant's front-door accounting; it Balances the
+	// Ledger below.
+	FrontDoor
 	// Stats is the tenant's merged online snapshot.
 	live.Stats
 }
@@ -510,24 +544,20 @@ type Stats struct {
 	Policy string
 	// Size is the number of routable (non-draining) replicas.
 	Size int
-	// Stats is the fleet-merged snapshot. Its Ledger is the fleet-lifetime
-	// sum over current members plus every removed replica's final counters
-	// (so Submitted is the per-replica sum; FrontSubmitted below counts
-	// each query once). The ratios are recomputed from the summed ledger
-	// (GPUQueryShare over Admitted, as at every tier), so they are exact
-	// fleet-wide rates, not averages of per-replica rates. P50 / P95 are
-	// computed over the sum of the replicas' latency histograms — the live
-	// counterpart of the paper's fleet-wide latency distribution. SLA is
-	// the replicas' shared target, Queued the summed admission-queue
+	// Stats is the fleet-merged snapshot: the fold of Tenants, so its
+	// Ledger is the fleet-lifetime sum over current members plus every
+	// removed replica's final counters. The ratios are recomputed from the
+	// summed ledger (GPUQueryShare over Admitted, as at every tier), so they
+	// are exact fleet-wide rates, not averages of per-replica rates. P50 /
+	// P95 are computed over the sum of the replicas' latency histograms —
+	// the live counterpart of the paper's fleet-wide latency distribution.
+	// SLA is the replicas' shared target, Queued the summed admission-queue
 	// depth, BatchSize / DegradeLevel the first replica's and GPUThreshold
 	// the first GPU-capable replica's (per-replica AutoTune may diverge
 	// them; Replicas carries each replica's own).
 	live.Stats
-	// FrontSubmitted counts queries entering the fleet's front door —
-	// each query once, however many replicas it tried — and Retried the
-	// crash-triggered second attempts, so sum(replica Submitted) ==
-	// FrontSubmitted + Retried.
-	FrontSubmitted, Retried uint64
+	// FrontDoor is the sum of the tenants' front-door accounting.
+	FrontDoor
 	// ScaleUps / ScaleDowns count autoscaler membership moves; Crashes /
 	// Restarts count chaos-injected replica failures and their recoveries.
 	ScaleUps, ScaleDowns uint64
@@ -576,7 +606,6 @@ func (f *Fleet) Stats() Stats {
 		Policy:     f.policy.Name(),
 		Size:       f.routable(),
 		Stats:      live.Fold(merged).Stats,
-		Retried:    f.retried.Load(),
 		ScaleUps:   f.scaleUps.Load(),
 		ScaleDowns: f.scaleDowns.Load(),
 		Crashes:    f.crashes.Load(),
@@ -607,12 +636,19 @@ func (f *Fleet) Stats() Stats {
 		}
 	}
 	for ti, info := range f.tenants {
-		st.FrontSubmitted += f.frontSubmitted[ti].Load()
+		dr := &f.doors[ti]
+		d := FrontDoor{dr.submitted.Load(), dr.retried.Load(), dr.capShed.Load(), dr.unrouted.Load()}
+		st.FrontDoor = FrontDoor{
+			st.FrontSubmitted + d.FrontSubmitted, st.Retried + d.Retried,
+			st.CapShed + d.CapShed, st.Unrouted + d.Unrouted,
+		}
 		st.Tenants[ti] = TenantStats{
+			Model:       info.Model,
+			TableRows:   info.TableRows,
 			Shape:       info.Shape,
 			Outstanding: int(f.tenantOut[ti].Load()),
 			Cap:         int(f.tenantCap[ti].Load()),
-			CapShed:     f.capShed[ti].Load(),
+			FrontDoor:   d,
 			Stats:       merged[ti].Stats,
 		}
 	}

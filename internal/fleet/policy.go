@@ -46,6 +46,11 @@ type TenantInfo struct {
 	// Name is the tenant's name (a single-model fleet's one tenant is named
 	// after its model).
 	Name string
+	// Model is the zoo model the tenant serves, TableRows the full logical
+	// row count of each of its embedding tables (0 for models without
+	// tables).
+	Model     string
+	TableRows int
 	// Share is the tenant's relative traffic weight (positive: live
 	// defaults an unset share to 1).
 	Share float64

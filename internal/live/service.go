@@ -199,6 +199,22 @@ type Query struct {
 	Tenant int
 }
 
+// Check refuses a query no service of `tenants` tenants can serve: a size
+// outside [1, workload.MaxQuerySize], a negative TopN, or a tenant index out
+// of range. Submit refuses such a query before it counts it, and so does a
+// fleet's front door.
+func (q Query) Check(tenants int) error {
+	switch {
+	case q.Candidates < 1 || q.Candidates > workload.MaxQuerySize:
+		return fmt.Errorf("live: candidates %d outside [1, %d]", q.Candidates, workload.MaxQuerySize)
+	case q.TopN < 0:
+		return fmt.Errorf("live: negative TopN %d", q.TopN)
+	case q.Tenant < 0 || q.Tenant >= tenants:
+		return fmt.Errorf("live: tenant %d outside [0, %d]", q.Tenant, tenants-1)
+	}
+	return nil
+}
+
 // Reply is the answer to one Query.
 type Reply struct {
 	// Recs is the TopN ranked recommendations (nil when TopN is 0).
@@ -429,14 +445,8 @@ func New(cfg Config) (*Service, error) {
 // forward pass. Under degradation the candidate slate may be truncated
 // and/or the fallback model served; the Stats counters record both.
 func (s *Service) Submit(ctx context.Context, q Query) (Reply, error) {
-	if q.Candidates < 1 || q.Candidates > workload.MaxQuerySize {
-		return Reply{}, fmt.Errorf("live: candidates %d outside [1, %d]", q.Candidates, workload.MaxQuerySize)
-	}
-	if q.TopN < 0 {
-		return Reply{}, fmt.Errorf("live: negative TopN %d", q.TopN)
-	}
-	if q.Tenant < 0 || q.Tenant >= len(s.tenants) {
-		return Reply{}, fmt.Errorf("live: tenant %d outside [0, %d]", q.Tenant, len(s.tenants)-1)
+	if err := q.Check(len(s.tenants)); err != nil {
+		return Reply{}, err
 	}
 	t := s.tenants[q.Tenant]
 	s.mu.Lock()

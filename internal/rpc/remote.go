@@ -42,11 +42,11 @@ const statsTimeout = 2 * time.Second
 //     own ledger remains exact, which is where conservation is asserted.
 //   - A submit that provably never reached the server (connect error: the
 //     wire refused before delivery) appears in no server-side ledger, which
-//     would break the fleet's front-door identity sum(replica Submitted) ==
-//     FrontSubmitted + Retried. The replica keeps a client-side overlay for
-//     exactly these: each counts as Submitted and Failed in its tenant's
-//     part of the snapshot, so the identity — and per-replica conservation
-//     — stay exact over a lossy wire. Resets need no overlay (the server
+//     would break the fleet's front-door identity (fleet.FrontDoor.Balances).
+//     The replica keeps a client-side overlay for exactly these: each
+//     counts as Submitted and Failed in its tenant's part of the snapshot,
+//     so the identity — and per-replica conservation — stay exact over a
+//     lossy wire. Resets need no overlay (the server
 //     executed and counted the query); a deadline that fires mid-flight is
 //     genuinely ambiguous, and identity tests avoid it.
 //   - Apart from that overlay, a tenant's part of the snapshot is its

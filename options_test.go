@@ -358,27 +358,27 @@ func FuzzServeOptions(f *testing.F) {
 
 		st := svc.Stats()
 		var sum Ledger
-		var capShed uint64
 		weight := 0.0
 		for _, ts := range st.Tenants {
 			if !ts.Conserved() {
-				t.Errorf("tenant %s ledger not conserved: %+v", ts.Name, ts.Ledger)
+				t.Errorf("tenant %s ledger not conserved: %+v", ts.Tenant, ts.Ledger)
+			}
+			if !ts.Balances(ts.Ledger) {
+				t.Errorf("tenant %s front door %+v does not balance its ledger %+v", ts.Tenant, ts.FrontDoor, ts.Ledger)
 			}
 			sum = sum.Add(ts.Ledger)
-			capShed += ts.CapShed
 			weight += ts.Share
 		}
-		// The front door counts a query refused by a tenant's cap, which no
-		// replica saw.
-		want := sum
-		want.Submitted += capShed
-		if st.Ledger != want {
-			t.Errorf("service ledger %+v != tenant sums %+v", st.Ledger, want)
+		if st.Ledger != sum {
+			t.Errorf("service ledger %+v != tenant sums %+v", st.Ledger, sum)
+		}
+		if !st.Balances(st.Ledger) {
+			t.Errorf("service front door %+v does not balance its ledger %+v", st.FrontDoor, st.Ledger)
 		}
 		for _, ts := range st.Tenants {
-			picks, exact := float64(ts.Submitted+ts.CapShed), queries*(ts.Share/weight)
+			picks, exact := float64(ts.FrontSubmitted), queries*(ts.Share/weight)
 			if !(math.Abs(picks-exact) <= 1) { // NaN fails too
-				t.Errorf("tenant %s (share %v of %v) picked %v times of %d, want %.2f", ts.Name, ts.Share, weight, picks, queries, exact)
+				t.Errorf("tenant %s (share %v of %v) picked %v times of %d, want %.2f", ts.Tenant, ts.Share, weight, picks, queries, exact)
 			}
 		}
 		checkFinite(t, "Stats()", reflect.ValueOf(st))

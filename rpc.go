@@ -25,7 +25,7 @@ type HTTPServer struct {
 // speaking the wire format; a fleet in another process joins it with
 // AddRemoteReplica.
 func (s *Service) StartHTTP(addr string) (*HTTPServer, error) {
-	srv := rpc.NewServer(s.fl.AsBackend(), rpc.ServerConfig{Model: s.slots[0].model})
+	srv := rpc.NewServer(s.fl.AsBackend(), rpc.ServerConfig{Model: s.fl.Stats().Tenants[0].Model})
 	if _, err := srv.Start(addr); err != nil {
 		return nil, err
 	}

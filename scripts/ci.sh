@@ -226,9 +226,10 @@ stage_remote_stress() {
 }
 
 # End-to-end over a real socket: `deeprecsys serve -listen` + `deeprecsys
-# loadgen -target`, probes answered, /statsz counters moved and its tenant's
-# latency histogram published (what a remote fleet member folds), SIGTERM
-# drains gracefully (exit code 0 + "drained cleanly").
+# loadgen -target`, probes answered, /statsz counters moved, its `service`
+# ledger and every tenant's conserved, and its tenant's latency histogram
+# published (what a remote fleet member folds), SIGTERM drains gracefully
+# (exit code 0 + "drained cleanly").
 stage_wire_e2e() {
   local url=http://127.0.0.1:8123 srv
   go build -o "$tmp/deeprecsys" ./cmd/deeprecsys
@@ -240,6 +241,8 @@ stage_wire_e2e() {
   "$tmp/deeprecsys" loadgen -target $url -rate 200 -n 200 -deadline 500ms -attempts 3
   curl -s $url/statsz | grep -q '"Completed":200' || { echo "statsz did not reach 200 completed"; curl -s $url/statsz; kill $srv; return 1; }
   curl -s $url/statsz | grep -q '"latency":\[\[' || { echo "statsz lists no latency histogram for its tenant"; curl -s $url/statsz; kill $srv; return 1; }
+  curl -s $url/statsz | jq -e '[.service, .tenants[].stats] | all(.Submitted == .Completed + .Cancelled + .Shed + .ShedDeadline + .Failed + .Abandoned)' > /dev/null ||
+    { echo "statsz ledgers not conserved"; curl -s $url/statsz; kill $srv; return 1; }
   kill -TERM $srv
   wait $srv
   grep -q "drained cleanly" "$tmp/serve.log" || { echo "no graceful-drain report"; cat "$tmp/serve.log"; return 1; }

@@ -191,12 +191,10 @@ type Service struct {
 	owned   []*model.Model
 }
 
-// slot is one (name, model) binding a Service serves.
+// slot is one tenant a Service serves.
 type slot struct {
-	name      string // tenant name
-	model     string // zoo model served
-	tableRows int    // full logical rows per embedding table (0 = no tables)
-	cap       int    // TenantSpec.MaxOutstanding (0 = uncapped)
+	name string // tenant name
+	cap  int    // TenantSpec.MaxOutstanding (0 = uncapped)
 	// build makes one more instance of a store-backed slot's model over one
 	// shard of its rows (same seed, so identical weights); nil for classic
 	// in-memory tables.
@@ -206,10 +204,7 @@ type slot struct {
 // newSlot describes the slot serving cfg at seed, store-backed when sp is
 // set.
 func newSlot(name string, cfg model.Config, seed int64, sp *embstore.Spec) slot {
-	sl := slot{name: name, model: cfg.Name}
-	if cfg.NumTables > 0 {
-		sl.tableRows = cfg.TableRows
-	}
+	sl := slot{name: name}
 	if sp != nil {
 		sl.build = func(shard embstore.Shard) (*model.Model, error) {
 			cfg.Tables = storeOpener(*sp, shard)
@@ -587,27 +582,29 @@ type Stats = live.Stats
 // ServiceStats is an online snapshot of a live Service: the aggregate over
 // its tenants, the per-replica breakdown, and the per-tenant one.
 type ServiceStats struct {
-	// Model is the served model's name (the first tenant's, on a
-	// multi-tenant Service).
-	Model string
-	// Stats is the service-wide snapshot. Its Ledger sums over replicas
-	// (removed ones included) — except Submitted, which counts each query
-	// once at the service's front door however many replicas it tried
-	// (Retried below counts the second attempts); the ratios are recomputed
-	// from those sums. P50 / P95 are computed from the sum of the
-	// replicas' latency histograms, Queued is the summed admission-queue
-	// depth, BatchSize / DegradeLevel are the first replica's and
-	// GPUThreshold the first GPU-capable replica's (PerReplica carries each
-	// replica's own). Tenant and Share are unset at this level.
+	// Stats is the service-wide snapshot, the fold of Tenants: its Ledger
+	// sums over replicas (removed ones included) and equals the sum of the
+	// tenants' ledgers, and the ratios are recomputed from those sums. P50 /
+	// P95 are computed from the sum of the replicas' latency histograms,
+	// Queued is the summed admission-queue depth, BatchSize / DegradeLevel
+	// are the first replica's and GPUThreshold the first GPU-capable
+	// replica's (PerReplica carries each replica's own). Tenant and Share
+	// are unset at this level.
 	Stats
-	// Retried counts crash-triggered second submissions (ServeOptions.Retry).
-	Retried uint64
+	// FrontDoor is the service's front-door accounting summed over tenants:
+	// FrontSubmitted counts each query once however many replicas it tried,
+	// Retried the crash-triggered second attempts (ServeOptions.Retry),
+	// CapShed the queries refused by a tenant's MaxOutstanding, and Unrouted
+	// the attempts that reached no replica. Balances states the identity
+	// that ties them to the Ledger.
+	FrontDoor
 	// ScaleUps / ScaleDowns count autoscaler membership moves; Crashes /
 	// Restarts count injected replica failures and their recoveries.
 	ScaleUps, ScaleDowns uint64
 	Crashes, Restarts    uint64
-	// Healthy is the number of routable replicas not currently failed
-	// (equals Replicas when chaos is off).
+	// Healthy is the number of routable replicas not currently failed — a
+	// replica crashed by chaos, or a remote member whose health probes
+	// fail (equals Replicas when neither has happened).
 	Healthy int
 	// Replicas is the number of routable replicas.
 	Replicas int
@@ -619,11 +616,17 @@ type ServiceStats struct {
 	// Tenants holds per-tenant snapshots in tenant order (one entry, named
 	// after the model, on a single-model Service). The top-level counters
 	// and percentiles aggregate across tenants; each Tenants entry carries
-	// one tenant's own window, knobs, ledger and table geometry, measured
-	// against its own SLA. Fleet totals equal the sum over tenants,
-	// membership churn included.
+	// one tenant's own window, knobs, ledger, front-door counts and table
+	// geometry, measured against its own SLA. Fleet totals equal the sum
+	// over tenants, membership churn included.
 	Tenants []TenantStats
 }
+
+// FrontDoor is a service's front-door accounting — FrontSubmitted,
+// Retried, CapShed and Unrouted — kept beside the Ledger, never folded
+// into it. Balances(l) is its one identity: FrontSubmitted + Retried ==
+// l.Submitted + CapShed + Unrouted once the service is quiescent.
+type FrontDoor = fleet.FrontDoor
 
 // ReplicaStats is the online snapshot of one replica: its fleet identity
 // (ID, Speed — the service-time scale factor drawn from ServeOptions.Jitter,
@@ -639,10 +642,9 @@ type ReplicaStats = fleet.ReplicaStats
 // including removed replicas, and the per-replica breakdown in PerReplica.
 func (s *Service) Stats() ServiceStats {
 	fst := s.fl.Stats()
-	st := ServiceStats{
-		Model:         s.slots[0].model,
+	return ServiceStats{
 		Stats:         fst.Stats,
-		Retried:       fst.Retried,
+		FrontDoor:     fst.FrontDoor,
 		ScaleUps:      fst.ScaleUps,
 		ScaleDowns:    fst.ScaleDowns,
 		Crashes:       fst.Crashes,
@@ -651,22 +653,8 @@ func (s *Service) Stats() ServiceStats {
 		Replicas:      fst.Size,
 		RoutingPolicy: fst.Policy,
 		PerReplica:    fst.Replicas,
-		Tenants:       make([]TenantStats, len(fst.Tenants)),
+		Tenants:       fst.Tenants,
 	}
-	st.Submitted = fst.FrontSubmitted
-	for i, ft := range fst.Tenants {
-		st.Tenants[i] = TenantStats{
-			Name:        s.slots[i].name,
-			Model:       s.slots[i].model,
-			TableRows:   s.slots[i].tableRows,
-			Stats:       ft.Stats,
-			Outstanding: ft.Outstanding,
-			Cap:         ft.Cap,
-			CapShed:     ft.CapShed,
-			Shape:       ft.Shape,
-		}
-	}
-	return st
 }
 
 // Close stops accepting queries, drains every in-flight query, and shuts

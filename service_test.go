@@ -2,7 +2,9 @@ package deeprecsys
 
 import (
 	"context"
+	"errors"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -45,11 +47,89 @@ func TestSubmitToSingleModel(t *testing.T) {
 			}
 		}
 		st := svc.Stats()
-		if len(st.Tenants) != 1 || st.Tenants[0].Name != "NCF" || st.Tenants[0].Model != "NCF" ||
+		if len(st.Tenants) != 1 || st.Tenants[0].Tenant != "NCF" || st.Tenants[0].Model != "NCF" ||
 			st.Tenants[0].Ledger != st.Ledger || st.Tenants[0].Completed != uint64(4*replicas) {
 			t.Errorf("%d replicas: Stats().Tenants = %+v, want the one NCF tenant holding the whole ledger", replicas, st.Tenants)
 		}
 	}
+}
+
+// TestTopLevelLedgerIsTheTenantFold pins that a Service's ledger is the sum
+// of its tenants' at every level, conserved, with the front-door counts
+// beside it balancing it: under a tenant cap that refuses most of a
+// concurrent burst, and with a Submit after Close that reaches no replica.
+func TestTopLevelLedgerIsTheTenantFold(t *testing.T) {
+	sys, err := NewSystem("NCF", "skylake")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(setup string, st ServiceStats) {
+		t.Helper()
+		var sum Ledger
+		for _, ts := range st.Tenants {
+			if !ts.Conserved() || !ts.Balances(ts.Ledger) {
+				t.Errorf("%s: tenant %s: front door %+v, ledger %+v", setup, ts.Tenant, ts.FrontDoor, ts.Ledger)
+			}
+			sum = sum.Add(ts.Ledger)
+		}
+		for _, r := range st.PerReplica {
+			if !r.Conserved() {
+				t.Errorf("%s: replica %d ledger not conserved: %+v", setup, r.ID, r.Ledger)
+			}
+		}
+		if st.Ledger != sum {
+			t.Errorf("%s: service ledger %+v != tenant sum %+v", setup, st.Ledger, sum)
+		}
+		if !st.Conserved() || !st.Balances(st.Ledger) {
+			t.Errorf("%s: service front door %+v, ledger %+v", setup, st.FrontDoor, st.Ledger)
+		}
+	}
+
+	capped, err := sys.Serve(ServeOptions{Workers: 1, Replicas: 2, Tenants: []TenantSpec{{Model: "NCF", MaxOutstanding: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer capped.Close()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 64 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := capped.Submit(context.Background(), 256, 0); err != nil && !errors.Is(err, ErrOverloaded) {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	st := capped.Stats()
+	if st.FrontSubmitted != 64 || st.CapShed == 0 {
+		t.Errorf("cap: %d taken in, %d cap-shed; want 64, some", st.FrontSubmitted, st.CapShed)
+	}
+	check("cap", st)
+
+	plain, err := sys.Serve(ServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		if _, err := plain.Submit(context.Background(), 10, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := plain.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.Submit(context.Background(), 10, 0); !errors.Is(err, ErrServiceClosed) {
+		t.Fatalf("Submit after Close = %v, want ErrServiceClosed", err)
+	}
+	st = plain.Stats()
+	if st.FrontSubmitted != 4 || st.Unrouted != 1 || st.Completed != 3 {
+		t.Errorf("closed: %d taken in, %d unrouted, %d completed; want 4, 1, 3", st.FrontSubmitted, st.Unrouted, st.Completed)
+	}
+	check("closed", st)
 }
 
 // storeTenants is two store-backed tenants over one model architecture.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/deeprecinfra/deeprecsys/internal/embstore"
+	"github.com/deeprecinfra/deeprecsys/internal/fleet"
 	"github.com/deeprecinfra/deeprecsys/internal/live"
 	"github.com/deeprecinfra/deeprecsys/internal/model"
 	"github.com/deeprecinfra/deeprecsys/internal/workload"
@@ -315,34 +316,11 @@ func (s *Service) SubmitTo(ctx context.Context, tenant string, candidates, topN 
 }
 
 // TenantStats is the online snapshot of one tenant of a Service: the
-// tenant's own knobs, windowed percentiles against its own SLA, and
-// lifetime counter ledger, independent of its neighbors on the shared
-// lanes. The counters are fleet-merged (current replicas plus removed
-// ones) and the percentiles computed from the sum of the tenant's
-// per-replica latency histograms.
-type TenantStats struct {
-	// Name is the tenant's name and Model the zoo model it serves.
-	Name  string
-	Model string
-	// Stats is the tenant's own snapshot: Share (its configured traffic
-	// weight), its knobs and degrade rung (the first replica's), its
-	// windowed percentiles against its own SLA, and its Ledger — per
-	// tenant Conserved (Submitted == Completed + Cancelled + Shed +
-	// ShedDeadline + Failed + Abandoned) independently of every other
-	// tenant.
-	Stats
-	// Outstanding is the tenant's fleet-wide routed-but-unreturned count,
-	// Cap its MaxOutstanding ceiling (0 = uncapped), CapShed the queries
-	// refused at the front door for exceeding it (they reach no replica, so
-	// they are in no Ledger), and Shape the tenant's normalized (FC-FLOP
-	// share, embedding-byte share) resource vector — what shape-aware
-	// placement keys on.
-	Outstanding int
-	Cap         int
-	CapShed     uint64
-	Shape       [2]float64
-	// TableRows is the full logical row count of each of the tenant model's
-	// embedding tables (0 for models without tables), even when ShardTables
-	// splits it across replicas.
-	TableRows int
-}
+// tenant's Model, TableRows and Shape, its own knobs, windowed percentiles
+// against its own SLA, and lifetime counter ledger, independent of its
+// neighbors on the shared lanes, and its front-door counts beside them. The
+// counters are fleet-merged (current replicas plus removed ones) and the
+// percentiles computed from the sum of the tenant's per-replica latency
+// histograms. Stats.Tenant is its name; its Ledger is Conserved, and its
+// FrontDoor Balances that Ledger, each independently of every other tenant.
+type TenantStats = fleet.TenantStats

@@ -138,11 +138,11 @@ func TestSubmitToAndTenantStats(t *testing.T) {
 		t.Fatalf("Stats().Tenants = %+v", st.Tenants)
 	}
 	rk, ads := st.Tenants[0], st.Tenants[1]
-	if rk.Name != "ranking" || rk.Model != "NCF" || rk.Share != 3 ||
+	if rk.Tenant != "ranking" || rk.Model != "NCF" || rk.Share != 3 ||
 		rk.SLA != 50*time.Millisecond || rk.BatchSize != 16 {
 		t.Errorf("ranking stats = %+v", rk)
 	}
-	if ads.Name != "ads" || ads.Model != "DLRM-RMC1" || ads.SLA != 100*time.Millisecond ||
+	if ads.Tenant != "ads" || ads.Model != "DLRM-RMC1" || ads.SLA != 100*time.Millisecond ||
 		ads.BatchSize != 64 {
 		t.Errorf("ads stats = %+v", ads)
 	}
@@ -255,9 +255,9 @@ func TestSingleTenantDefaultIdentity(t *testing.T) {
 				t.Fatalf("Stats().Tenants: single-model %d entries, one-tenant %d, want 1 each", len(classicStats.Tenants), len(tenantStats.Tenants))
 			}
 			ct, tt := classicStats.Tenants[0], tenantStats.Tenants[0]
-			if ct.Name != "NCF" || ct.Name != tt.Name || ct.Model != tt.Model || ct.TableRows != tt.TableRows || ct.Ledger != tt.Ledger {
+			if ct.Tenant != "NCF" || ct.Tenant != tt.Tenant || ct.Model != tt.Model || ct.TableRows != tt.TableRows || ct.Ledger != tt.Ledger {
 				t.Errorf("tenant entries diverge:\nsingle-model %s/%s %d rows %+v\none-tenant   %s/%s %d rows %+v",
-					ct.Name, ct.Model, ct.TableRows, ct.Ledger, tt.Name, tt.Model, tt.TableRows, tt.Ledger)
+					ct.Tenant, ct.Model, ct.TableRows, ct.Ledger, tt.Tenant, tt.Model, tt.TableRows, tt.Ledger)
 			}
 			if !tc.grow {
 				return
