@@ -35,7 +35,7 @@ func serveMain(args []string) {
 	fs.IntVar(&opts.IntraOp, "intraop", 1, "split one big-batch request across up to this many goroutines (1 = off)")
 	pprofAddr := fs.String("pprof", "", "expose net/http/pprof on this address (e.g. localhost:6060) to profile the live path")
 	gpu := fs.Bool("gpu", false, "provision the modeled accelerator offload lane")
-	fs.IntVar(&opts.GPUThreshold, "threshold", 0, "initial offload threshold: queries >= this size go whole to the accelerator (0 = no offload; needs -gpu)")
+	fs.IntVar(&opts.GPUThreshold, "threshold", 0, "initial offload threshold: queries >= this size go whole to the accelerator (0 = no offload; needs -gpu); -policy size-aware steers by each replica's own")
 	fs.DurationVar(&opts.SLA, "sla", 0, "p95 target (0 = the model's published SLA)")
 	fs.BoolVar(&opts.AutoTune, "autotune", false, "retune the knobs online against the measured p95 (batch size, and offload threshold with -gpu; per replica with -replicas)")
 	fs.IntVar(&opts.Replicas, "replicas", 1, "fleet size: shard traffic across this many replica services")

@@ -41,9 +41,10 @@
 //     drains gracefully on Close. Every Service is a fleet of
 //     ServeOptions.Replicas replica services (one by default): a
 //     load-balancing front end sharding traffic under a pluggable routing
-//     policy (round-robin, least-loaded, size-aware), with per-replica
-//     heterogeneity and AutoTune, fleet-wide online percentiles, and
-//     membership changes that never drop in-flight queries.
+//     policy (round-robin, least-loaded, size-aware by each replica's own
+//     offload threshold), with per-replica heterogeneity and AutoTune,
+//     fleet-wide online percentiles, and membership changes that never
+//     drop in-flight queries.
 //
 // A System ties one recommendation model to one hardware platform:
 //

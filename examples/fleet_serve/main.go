@@ -1,10 +1,11 @@
 // Fleet serving: the live counterpart of `deeprecsys fig13`. A heterogeneous
 // fleet of replica services — some GPU-capable, all with node-to-node speed
 // jitter — serves concurrent traffic behind a size-aware router that steers
-// the heavy tail of big queries to the accelerator-equipped replicas. The
-// example then exercises live membership: a replica is drained and removed
-// while traffic flows, without dropping a query, and the fleet reports
-// fleet-wide and per-replica online percentiles.
+// the heavy tail of big queries to the replicas whose offload threshold
+// would send them to the accelerator. The example then exercises live
+// membership: a replica is drained and removed while traffic flows, without
+// dropping a query, and the fleet reports fleet-wide and per-replica online
+// percentiles.
 package main
 
 import (
@@ -34,7 +35,7 @@ func main() {
 	svc, err := sys.Serve(deeprecsys.ServeOptions{
 		Replicas:      *replicas,
 		GPUReplicas:   *gpuReplicas,
-		RoutingPolicy: "size-aware:256",
+		RoutingPolicy: "size-aware",
 		Jitter:        *jitter,
 		BatchSize:     64,
 		GPUThreshold:  256,

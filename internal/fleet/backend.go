@@ -59,14 +59,26 @@ type faulter interface {
 	SetDelay(d time.Duration) error
 }
 
+// offloader is the optional offload-threshold surface of a Backend: the
+// query size at or above which the member currently offloads a tenant's
+// queries (0 = it offloads none of them). The router reads it for every
+// candidate of every query, so it must be a lock-free read. *live.Service
+// reads its tenant's knob, internal/rpc.RemoteReplica its last /statsz
+// body; a member without it (a fleet joined through AsBackend) is routed as
+// one that offloads nothing.
+type offloader interface {
+	OffloadThreshold(tenant int) int
+}
+
 // AddBackend joins an externally constructed Backend — typically a remote
 // replica speaking the wire protocol — to the routing set, returning its
 // fleet-assigned ID. The backend must host the fleet's tenant set (same
 // count, names, and order). The fleet takes ownership of the handle: Remove
 // and Close call the backend's Close (which, for a remote member, severs
 // the connection without stopping the remote process). The member's node
-// speed is the Scale of the snapshot it joins with, and size-aware policies
-// treat it as CPU-only.
+// speed is the Scale of the snapshot it joins with. Its offload threshold,
+// which size-aware routing steers by, is as fresh as its last /statsz body
+// for a remote replica, and 0 (offloads nothing) for a backend without one.
 //
 // Remote members are full citizens of routing, health ejection, retry, and
 // stats merging, but the chaos controller never crashes or slows them (it
@@ -74,7 +86,7 @@ type faulter interface {
 // as a scale-down victim (the fleet did not provision it, so it must not
 // deprovision it).
 func (f *Fleet) AddBackend(b Backend) (int, error) {
-	return f.join(b, live.Config{}, false, false)
+	return f.join(b, live.Config{}, false)
 }
 
 // fleetBackend adapts a whole Fleet to the Backend interface, so a fleet

@@ -16,9 +16,10 @@
 //   - Routing. A pluggable Policy picks the serving replica per query.
 //     Round-robin is the fairness baseline, least-loaded implements
 //     join-shortest-queue over the front end's outstanding-query counts,
-//     and size-aware steers the heavy tail of big queries to GPU-capable
-//     replicas — the fleet-level analogue of the per-node offload
-//     threshold.
+//     and size-aware steers each query to a replica whose own offload
+//     threshold for the query's tenant would send it to the accelerator —
+//     the per-node offload threshold DeepRecSched tunes, read per replica,
+//     so the router keeps no threshold of its own.
 //
 //   - Aggregation. Stats takes one live.Snapshot per replica and folds
 //     them — per replica, per tenant, fleet-wide — so the fleet-wide
@@ -66,9 +67,9 @@ var ErrNoHealthyReplica = errors.New("fleet: no healthy routable replica")
 type replica struct {
 	id       int
 	svc      Backend
-	cfg      live.Config // local members only: kept for chaos restart — a crashed replica is reborn from its own config
+	cfg      live.Config // local members only: kept for chaos restart (a crashed replica is reborn from its own config) and HasGPU
 	local    bool        // started by this fleet from cfg (chaos and autoscale shrink apply only to these)
-	hasGPU   bool
+	off      offloader   // the member's offload threshold source, resolved at join (nil = offloads nothing)
 	speed    float64
 	draining bool // guarded by the fleet's mu
 	removing bool // guarded by the fleet's mu
@@ -185,15 +186,16 @@ func (f *Fleet) add(cfg live.Config) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return f.join(svc, cfg, true, cfg.GPU != nil)
+	return f.join(svc, cfg, true)
 }
 
 // join adds a serving backend — local or remote — to the routing set. Every
 // member must host the fleet's tenant set: same count, same names, same
 // order. The member's node speed is the Scale of the one snapshot join
-// takes (≤ 0 reads as nominal, 1). On any error the backend is closed (join
-// took ownership).
-func (f *Fleet) join(svc Backend, cfg live.Config, local, hasGPU bool) (int, error) {
+// takes (≤ 0 reads as nominal, 1); its offload threshold is read through
+// the backend's offloader surface, or is 0 without one. On any error the
+// backend is closed (join took ownership).
+func (f *Fleet) join(svc Backend, cfg live.Config, local bool) (int, error) {
 	snap := svc.Snapshot()
 	hosted, speed := snap.Tenants, snap.Scale
 	if speed <= 0 {
@@ -215,6 +217,7 @@ func (f *Fleet) join(svc Backend, cfg live.Config, local, hasGPU bool) (int, err
 		svc.Close()
 		return 0, ErrClosed
 	}
+	off, _ := svc.(offloader)
 	id := f.nextID
 	f.nextID++
 	f.replicas = append(f.replicas, &replica{
@@ -222,7 +225,7 @@ func (f *Fleet) join(svc Backend, cfg live.Config, local, hasGPU bool) (int, err
 		svc:       svc,
 		cfg:       cfg,
 		local:     local,
-		hasGPU:    hasGPU,
+		off:       off,
 		speed:     speed,
 		tenantOut: make([]atomic.Int64, len(f.tenants)),
 	})
@@ -290,9 +293,11 @@ func (f *Fleet) route(tenant, size int) (*replica, error) {
 		c := Candidate{
 			ID:                r.id,
 			Outstanding:       int(r.outstanding.Load()),
-			HasGPU:            r.hasGPU,
 			Speed:             r.speed,
 			TenantOutstanding: out[:nt:nt],
+		}
+		if r.off != nil {
+			c.Threshold = r.off.OffloadThreshold(tenant)
 		}
 		out = out[nt:]
 		for i := range r.tenantOut {
@@ -625,13 +630,13 @@ func (f *Fleet) Stats() Stats {
 		st.Replicas[i] = ReplicaStats{
 			ID:          r.id,
 			Speed:       r.speed,
-			HasGPU:      r.hasGPU,
+			HasGPU:      r.cfg.GPU != nil,
 			Draining:    r.draining,
 			Failed:      failed,
 			Outstanding: int(r.outstanding.Load()),
 			Stats:       live.Fold(members[i]).Stats,
 		}
-		if r.hasGPU && !gpuSeen {
+		if r.cfg.GPU != nil && !gpuSeen {
 			st.GPUThreshold, gpuSeen = st.Replicas[i].GPUThreshold, true
 		}
 	}

@@ -166,39 +166,49 @@ func TestLeastLoadedSkew(t *testing.T) {
 	}
 }
 
-// TestSizeAwareSteering checks the split: big queries to GPU-capable
-// replicas, small ones kept on CPU-only replicas, least-loaded within each
-// class, graceful fallback when a class is empty.
+// TestSizeAwareSteering checks the split by each candidate's own offload
+// threshold: a query goes to the least-loaded replica that would offload it,
+// else to the least-loaded replica that offloads nothing (threshold 0: CPU-
+// only, or its threshold is off), else to the least-loaded replica overall.
 func TestSizeAwareSteering(t *testing.T) {
-	p := NewSizeAware(100)
+	p := NewSizeAware()
 	cands := candN(4)
-	cands[2].HasGPU = true
-	cands[3].HasGPU = true
-	cands[2].Outstanding = 3
+	cands[1].Threshold = 400
+	cands[2].Threshold, cands[3].Threshold = 100, 100
+	cands[2].Outstanding, cands[3].Outstanding = 3, 1
 
 	if got := p.Pick(0, 200, nil, cands); got != 3 {
-		t.Errorf("big query picked %d, want least-loaded GPU replica 3", got)
+		t.Errorf("200-item query picked %d, want 3, the least-loaded replica that offloads it", got)
 	}
-	cands[0].Outstanding = 1
-	if got := p.Pick(0, 50, nil, cands); got != 1 {
-		t.Errorf("small query picked %d, want least-loaded CPU replica 1", got)
+	if got := p.Pick(0, 400, nil, cands); got != 1 {
+		t.Errorf("400-item query picked %d, want 1, the least-loaded replica that offloads it", got)
 	}
-	// Homogeneous fleets degrade to least-loaded over everyone.
+	cands[0].Outstanding = 2
+	if got := p.Pick(0, 50, nil, cands); got != 0 {
+		t.Errorf("small query picked %d, want 0, the one replica that offloads nothing", got)
+	}
+	// A threshold-0 replica is never preferred for a big query, even when it
+	// is the less loaded.
+	if got := p.Pick(0, 1000, nil, []Candidate{cands[0], cands[2]}); got != 1 {
+		t.Errorf("big query picked %d, want the busier offloading replica 2", got)
+	}
+	// Nobody offloads a small query and nobody has threshold 0: least-loaded
+	// over everyone; the same for a fleet where nobody offloads at all.
+	allGPU := candN(2)
+	allGPU[0].Threshold, allGPU[1].Threshold = 100, 100
+	allGPU[0].Outstanding = 2
+	if got := p.Pick(0, 50, nil, allGPU); got != 1 {
+		t.Errorf("small query with no threshold-0 replica picked %d, want 1", got)
+	}
 	cpuOnly := candN(2)
 	cpuOnly[0].Outstanding = 2
 	if got := p.Pick(0, 500, nil, cpuOnly); got != 1 {
-		t.Errorf("big query with no GPU replica picked %d, want 1", got)
-	}
-	allGPU := candN(2)
-	allGPU[0].HasGPU, allGPU[1].HasGPU = true, true
-	allGPU[1].Outstanding = 2
-	if got := p.Pick(0, 50, nil, allGPU); got != 0 {
-		t.Errorf("small query with no CPU replica picked %d, want 0", got)
+		t.Errorf("big query with no offloading replica picked %d, want 1", got)
 	}
 }
 
 func TestParsePolicy(t *testing.T) {
-	for _, spec := range []string{"", "round-robin", "least-loaded", "size-aware", "size-aware:300"} {
+	for _, spec := range []string{"", "round-robin", "least-loaded", "size-aware"} {
 		if _, err := ParsePolicy(spec); err != nil {
 			t.Errorf("ParsePolicy(%q): %v", spec, err)
 		}
@@ -208,12 +218,13 @@ func TestParsePolicy(t *testing.T) {
 			t.Errorf("ParsePolicy(%q) accepted", spec)
 		}
 	}
-	p, err := ParsePolicy("size-aware")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.(SizeAware).Threshold != DefaultSizeThreshold {
-		t.Errorf("default size-aware threshold %d, want %d", p.(SizeAware).Threshold, DefaultSizeThreshold)
+	// The router keeps no threshold of its own: the refusal names the one
+	// knob there is.
+	for _, spec := range []string{"size-aware:256", "size-aware:"} {
+		_, err := ParsePolicy(spec)
+		if err == nil || !strings.Contains(err.Error(), "GPUThreshold") || !strings.Contains(err.Error(), "-threshold") {
+			t.Errorf("ParsePolicy(%q) = %v, want a refusal naming the tenant offload threshold", spec, err)
+		}
 	}
 }
 
@@ -323,7 +334,7 @@ func TestSizeAwareFleetRouting(t *testing.T) {
 	gpu := live.Config{Workers: 1, Seed: 2, GPU: platform.DefaultGPU(), Tenants: []live.TenantConfig{
 		{Name: "NCF", Model: m, BatchSize: 16, GPUThreshold: 100},
 	}}
-	f := newFleet(t, []live.Config{cpu, gpu}, NewSizeAware(100))
+	f := newFleet(t, []live.Config{cpu, gpu}, NewSizeAware())
 
 	reply, id, err := f.Submit(context.Background(), live.Query{Candidates: 400})
 	if err != nil {
@@ -364,6 +375,55 @@ func TestSizeAwareFleetRouting(t *testing.T) {
 	}
 	if want := 400.0 / 408.0; st.GPUWorkShare != want {
 		t.Errorf("after removal: GPUWorkShare = %v, want %v", st.GPUWorkShare, want)
+	}
+}
+
+// TestSizeAwareSteersByMemberThreshold: size-aware routing reads each
+// member's own tenant offload threshold. A 256-item query goes to the GPU
+// member offloading at 128 and runs offloaded there; a small query goes to
+// the member that offloads nothing, though the GPU member (ID 0) would win
+// their tie; once the GPU member's threshold is 0, big queries have no
+// member to prefer and go to the CPU-only member, which wins that tie.
+func TestSizeAwareSteersByMemberThreshold(t *testing.T) {
+	m := testModel(t)
+	gpu := func(thresh int) live.Config {
+		return live.Config{Workers: 1, Seed: 2, GPU: platform.DefaultGPU(), Tenants: []live.TenantConfig{
+			{Name: "NCF", Model: m, BatchSize: 16, GPUThreshold: thresh},
+		}}
+	}
+	p, err := ParsePolicy("size-aware")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFleet(t, []live.Config{gpu(128), baseConfig(m, 1)}, p)
+	ctx := context.Background()
+	submit := func(size, wantID int) live.Reply {
+		t.Helper()
+		reply, id, err := f.Submit(ctx, live.Query{Candidates: size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != wantID {
+			t.Errorf("%d-item query served by replica %d, want %d", size, id, wantID)
+		}
+		return reply
+	}
+	if !submit(256, 0).Offloaded {
+		t.Error("256-item query on the member offloading at 128 was not offloaded")
+	}
+	submit(8, 1)
+	// The GPU member comes back with its threshold off (ID 2): it offloads
+	// nothing, so a big query has no member to prefer.
+	if err := f.Remove(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Add(gpu(0)); err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{256, 600} {
+		if submit(size, 1).Offloaded {
+			t.Errorf("%d-item query ran offloaded on a CPU-only member", size)
+		}
 	}
 }
 
@@ -539,7 +599,7 @@ func TestMixedFleetSoak(t *testing.T) {
 		cfg.Tenants = []live.TenantConfig{tc}
 		return cfg
 	}
-	f, err := New([]live.Config{mk(1, false, 1), mk(2, true, 1), mk(3, false, 1.2)}, NewSizeAware(200))
+	f, err := New([]live.Config{mk(1, false, 1), mk(2, true, 1), mk(3, false, 1.2)}, NewSizeAware())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"github.com/deeprecinfra/deeprecsys/internal/workload"
@@ -11,12 +10,15 @@ import (
 // routing policy may base its decision on. Outstanding is the number of
 // queries the fleet has routed to the replica that have not yet returned
 // (the front end's own count — it needs no replica cooperation and is exact
-// at pick time under the membership lock). Speed is the replica's
-// service-time scale factor (1 = nominal, larger = slower node).
+// at pick time under the membership lock). Threshold is the replica's
+// current offload threshold for the query's tenant: it offloads queries of
+// at least that many items (0 = none: CPU-only, or its threshold is off).
+// Speed is the replica's service-time scale factor (1 = nominal, larger =
+// slower node).
 type Candidate struct {
 	ID          int
 	Outstanding int
-	HasGPU      bool
+	Threshold   int
 	Speed       float64
 	// TenantOutstanding is the per-tenant breakdown of Outstanding, one
 	// entry per fleet tenant in tenant-index order.
@@ -132,41 +134,29 @@ func leastLoaded(candidates []Candidate, keep func(Candidate) bool) int {
 // anyCandidate is the leastLoaded filter that keeps every candidate.
 func anyCandidate(Candidate) bool { return true }
 
-// DefaultSizeThreshold is the SizeAware steering threshold when none is
-// given: queries of at least this many candidate items count as "big". It
-// sits at the knee of the production size distribution's heavy tail, the
-// same region DeepRecSched's tuned offload thresholds land in.
-const DefaultSizeThreshold = 512
+// SizeAware steers by query size across a heterogeneous fleet, keyed on
+// each replica's own offload threshold for the query's tenant — the one
+// threshold DeepRecSched tunes, so the router and the replicas cannot
+// disagree about what is big. A query goes to the least-loaded replica that
+// would offload it (size >= its nonzero threshold), whose accelerator lane
+// serves exactly that heavy tail; failing that, to the least-loaded replica
+// that offloads nothing, so accelerator capacity is kept for the work that
+// benefits from it; failing that, to the least-loaded replica overall. A
+// replica whose threshold walked to off is never preferred for a big query.
+type SizeAware struct{}
 
-// SizeAware steers by query size across a heterogeneous fleet: big queries
-// (>= Threshold items) go to the least-loaded GPU-capable replica, whose
-// offload lane serves exactly that heavy tail, while small queries prefer
-// the least-loaded CPU-only replica so accelerator capacity is reserved
-// for the work that benefits from it — the fleet-level analogue of
-// DeepRecSched's per-node offload threshold. When no replica of the
-// preferred kind is routable the policy falls back to least-loaded over
-// all candidates, so a homogeneous fleet degrades gracefully.
-type SizeAware struct {
-	// Threshold is the steering boundary (default DefaultSizeThreshold).
-	Threshold int
-}
-
-// NewSizeAware returns a size-aware policy; threshold 0 selects
-// DefaultSizeThreshold.
-func NewSizeAware(threshold int) SizeAware {
-	if threshold <= 0 {
-		threshold = DefaultSizeThreshold
-	}
-	return SizeAware{Threshold: threshold}
-}
+// NewSizeAware returns the size-aware policy.
+func NewSizeAware() SizeAware { return SizeAware{} }
 
 // Name implements Policy.
-func (p SizeAware) Name() string { return fmt.Sprintf("size-aware:%d", p.Threshold) }
+func (SizeAware) Name() string { return "size-aware" }
 
 // Pick implements Policy.
-func (p SizeAware) Pick(tenant, size int, tenants []TenantInfo, candidates []Candidate) int {
-	big := size >= p.Threshold
-	if i := leastLoaded(candidates, func(c Candidate) bool { return c.HasGPU == big }); i >= 0 {
+func (SizeAware) Pick(tenant, size int, tenants []TenantInfo, candidates []Candidate) int {
+	if i := leastLoaded(candidates, func(c Candidate) bool { return c.Threshold > 0 && size >= c.Threshold }); i >= 0 {
+		return i
+	}
+	if i := leastLoaded(candidates, func(c Candidate) bool { return c.Threshold == 0 }); i >= 0 {
 		return i
 	}
 	return leastLoaded(candidates, anyCandidate)
@@ -254,8 +244,8 @@ func (ShapeSpread) Pick(tenant, size int, tenants []TenantInfo, candidates []Can
 //
 //	round-robin            cycle through the replicas (the default)
 //	least-loaded           fewest outstanding queries wins
-//	size-aware[:<n>]       queries >= n items steer to GPU-capable
-//	                       replicas (default n = DefaultSizeThreshold)
+//	size-aware             queries steer to replicas that would offload
+//	                       them, by each replica's tenant offload threshold
 //	tenant-partition       share-proportional replica partitions per tenant
 //	shape-spread           interference-aware placement by resource shape
 func ParsePolicy(spec string) (Policy, error) {
@@ -268,10 +258,8 @@ func ParsePolicy(spec string) (Policy, error) {
 var policyForms = []workload.Form[Policy]{
 	workload.NewForm("round-robin", func([]string) (Policy, error) { return NewRoundRobin(), nil }),
 	workload.NewForm("least-loaded", func([]string) (Policy, error) { return NewLeastLoaded(), nil }),
-	workload.NewForm("size-aware[:<n>]", func(args []string) (Policy, error) {
-		thr := 0 // NewSizeAware's "use the default"
-		err := workload.Args(args, workload.Int(&thr, 1))
-		return NewSizeAware(thr), err
+	workload.NewForm("size-aware", func(args []string) (Policy, error) {
+		return NewSizeAware(), workload.Need(nil, args == nil, "no threshold: size-aware steers by each replica's tenant offload threshold, the one knob (GPUThreshold, -threshold, tenant thresh=)")
 	}, 0, 1),
 	workload.NewForm("tenant-partition", func([]string) (Policy, error) { return NewTenantPartition(), nil }),
 	workload.NewForm("shape-spread", func([]string) (Policy, error) { return NewShapeSpread(), nil }),

@@ -661,6 +661,13 @@ func (s *Service) Fail() {
 // the health signal fleet routing checks.
 func (s *Service) Failed() bool { return s.failed.Load() }
 
+// OffloadThreshold is the query size at or above which the service now
+// sends a tenant's queries whole to the accelerator lane: the tenant's
+// offload knob as AutoTune leaves it (0 = none; always 0 without an
+// accelerator, where Config refuses a threshold). It is one atomic load,
+// which the fleet's size-aware router makes per candidate.
+func (s *Service) OffloadThreshold(tenant int) int { return int(s.tenants[tenant].thresh.Load()) }
+
 // Snapshot reads every tenant once, in tenant order. Stats, the fleet's
 // merges and /statsz all fold these same parts, so a total and its
 // breakdown are never read at different instants.

@@ -31,8 +31,8 @@ const statsTimeout = 2 * time.Second
 //     one attempt: the fleet is the retry layer, and its one retry goes to
 //     another replica rather than the one that just failed.
 //   - Failed() is backed by a /healthz prober (every 250ms) plus instant
-//     demotion on a connect error, so routing stops sending to a dead
-//     process within a probe period.
+//     demotion on a connect error or a draining reply, so routing stops
+//     sending to a dead or draining process within a probe period.
 //   - Snapshot() reads /statsz once — every tenant of one snapshot comes
 //     from the same body — and falls back to the last body that landed when
 //     the server is unreachable. Close takes a final read, and a closed
@@ -40,9 +40,11 @@ const statsTimeout = 2 * time.Second
 //     member's counters AFTER closing it. A crash between reads can lose the
 //     final few counts from the fleet's merged view — the remote process's
 //     own ledger remains exact, which is where conservation is asserted.
-//   - A submit that provably never reached the server (connect error: the
-//     wire refused before delivery) appears in no server-side ledger, which
-//     would break the fleet's front-door identity (fleet.FrontDoor.Balances).
+//   - A submit that provably never reached the server's ledger (a connect
+//     error: the wire refused before delivery; or a draining reply: the
+//     server refused before its backend counted it) appears in no ledger,
+//     which would break the fleet's front-door identity
+//     (fleet.FrontDoor.Balances).
 //     The replica keeps a client-side overlay for exactly these: each
 //     counts as Submitted and Failed in its tenant's part of the snapshot,
 //     so the identity — and per-replica conservation — stay exact over a
@@ -60,9 +62,13 @@ type RemoteReplica struct {
 	tenants []string
 
 	// wireLost counts submits per tenant that provably never reached the
-	// server (connect errors); they overlay the fetched ledger as
-	// Submitted+Failed so fleet-level identities stay exact.
+	// server's ledger (connect errors, draining replies); they overlay the
+	// fetched ledger as Submitted+Failed so fleet-level identities stay
+	// exact.
 	wireLost []atomic.Uint64
+	// thresh is each tenant's offload threshold from the last /statsz body
+	// that landed: what the fleet's size-aware router steers by.
+	thresh []atomic.Int64
 
 	failed atomic.Bool
 	closed atomic.Bool
@@ -145,8 +151,9 @@ func (r *RemoteReplica) Submit(ctx context.Context, q live.Query) (live.Reply, e
 	rtt := time.Since(start)
 	if err != nil {
 		var re *Error
-		if errors.As(err, &re) && re.Code == codeConnect {
-			// Don't wait out a probe period to stop routing at a corpse.
+		if errors.As(err, &re) && (re.Code == codeConnect || re.Code == CodeDraining) {
+			// Don't wait out a probe period to stop routing at a corpse or
+			// a draining server: neither takes new work.
 			r.failed.Store(true)
 			// The query reached no server-side ledger; count it here so the
 			// fleet's merged view still conserves it.
@@ -184,9 +191,19 @@ func (r *RemoteReplica) statsz(read bool) (StatsResponse, error) {
 	st, err := r.client.Statsz(ctx)
 	if err == nil {
 		r.lastStats = st
+		if r.thresh == nil { // the first body, read before the member joins a fleet
+			r.thresh = make([]atomic.Int64, len(st.Tenants))
+		}
+		for i := range min(len(r.thresh), len(st.Tenants)) { // each fetched body is outside input
+			r.thresh[i].Store(int64(st.Tenants[i].Stats.GPUThreshold))
+		}
 	}
 	return r.lastStats, err
 }
+
+// OffloadThreshold is the tenant's offload threshold as of the last /statsz
+// body that landed (0 = the server offloads none of its queries).
+func (r *RemoteReplica) OffloadThreshold(tenant int) int { return int(r.thresh[tenant].Load()) }
 
 // Snapshot is one /statsz body, tenant by tenant — the server's Stats and
 // latency histogram — with the wire-lost overlay added: submits that

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -23,9 +24,25 @@ func startRemoteServer(t testing.TB, seed int64) (*live.Service, *Server, string
 	return svc, srv, srv.Addr()
 }
 
+// startGPUServer publishes a single-tenant live.Service with the
+// accelerator lane, offloading queries of at least 100 items, over the wire.
+func startGPUServer(t testing.TB) (*live.Service, string) {
+	t.Helper()
+	svc := newLiveService(t, live.Config{Workers: 1, Seed: 1, GPU: platform.DefaultGPU(), Tenants: []live.TenantConfig{
+		{Name: "NCF", Model: testModel(t), BatchSize: 16, GPUThreshold: 100},
+	}})
+	return svc, startServer(t, svc, ServerConfig{}).Addr()
+}
+
 func newLocalFleet(t testing.TB, seed int64) *fleet.Fleet {
 	t.Helper()
-	f, err := fleet.New([]live.Config{{Model: testModel(t), Workers: 1, BatchSize: 16, Seed: seed}}, nil)
+	return newLocalFleetRouting(t, seed, nil)
+}
+
+// newLocalFleetRouting is newLocalFleet under the given routing policy.
+func newLocalFleetRouting(t testing.TB, seed int64, p fleet.Policy) *fleet.Fleet {
+	t.Helper()
+	f, err := fleet.New([]live.Config{{Model: testModel(t), Workers: 1, BatchSize: 16, Seed: seed}}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,10 +270,7 @@ func TestRemoteWireLostIdentity(t *testing.T) {
 // own ledger's; once quiet, the member reports its server's own p95, window
 // and ledger.
 func TestRemotePartIsItsServers(t *testing.T) {
-	rsvc := newLiveService(t, live.Config{Workers: 1, Seed: 1, GPU: platform.DefaultGPU(), Tenants: []live.TenantConfig{
-		{Name: "NCF", Model: testModel(t), BatchSize: 16, GPUThreshold: 100},
-	}})
-	addr := startServer(t, rsvc, ServerConfig{}).Addr()
+	rsvc, addr := startGPUServer(t)
 	ctx := context.Background()
 	expired, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
 	defer cancel()
@@ -322,6 +336,72 @@ func TestRemotePartIsItsServers(t *testing.T) {
 			t.Errorf("remote member reports p95 %v over %d samples, ledger %+v; its server %v over %d, ledger %+v",
 				rs.P95, rs.WindowLen, rs.Ledger, own.P95, own.WindowLen, own.Ledger)
 		}
+	}
+}
+
+// TestSizeAwareRoutesToRemoteGPU: size-aware routing steers by a remote
+// member's offload threshold as its /statsz body reports it, so a remote
+// GPU member beside a local CPU-only one serves, offloaded, the queries it
+// would offload, and the local member the small ones.
+func TestSizeAwareRoutesToRemoteGPU(t *testing.T) {
+	_, addr := startGPUServer(t)
+	p, err := fleet.ParsePolicy("size-aware")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newLocalFleetRouting(t, 2, p)
+	r, err := NewRemoteReplica(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remoteID, err := f.AddBackend(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	reply, id, err := f.Submit(ctx, live.Query{Candidates: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != remoteID || !reply.Offloaded {
+		t.Errorf("256-item query served by replica %d (offloaded %v), want the remote GPU member %d, offloaded", id, reply.Offloaded, remoteID)
+	}
+	if _, id, err = f.Submit(ctx, live.Query{Candidates: 8}); err != nil {
+		t.Fatal(err)
+	} else if id == remoteID {
+		t.Errorf("8-item query served by the remote GPU member, want the local CPU-only member")
+	}
+}
+
+// TestRemoteDrainRefusalIsCounted: a remote member whose server is draining
+// refuses a query before its backend's ledger counts it. The member counts
+// the refusal in its overlay instead, so with the fleet's retry off or on
+// the front door balances against the ledger and the ledger conserves.
+func TestRemoteDrainRefusalIsCounted(t *testing.T) {
+	for _, retry := range []bool{false, true} {
+		t.Run(fmt.Sprintf("retry=%v", retry), func(t *testing.T) {
+			_, srv, addr := startRemoteServer(t, 1)
+			f := newLocalFleet(t, 2)
+			r, err := NewRemoteReplica(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.AddBackend(r); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Drain(0); err != nil {
+				t.Fatal(err)
+			}
+			f.SetRetry(retry)
+			srv.draining.Store(true)
+			if _, _, err := f.Submit(context.Background(), live.Query{Candidates: 32}); err == nil {
+				t.Fatal("a query routed only to a draining server was served")
+			}
+			st := f.Stats()
+			if !st.Balances(st.Ledger) || !st.Conserved() {
+				t.Errorf("front door %+v against ledger %+v: want it balanced and conserved", st.FrontDoor, st.Ledger)
+			}
+		})
 	}
 }
 

@@ -305,7 +305,8 @@ func TestErrorMapping(t *testing.T) {
 		unwraps error
 	}{
 		{"overloaded", live.ErrOverloaded, http.StatusServiceUnavailable, CodeOverloaded, live.ErrOverloaded},
-		{"shutdown", live.ErrShutdown, http.StatusServiceUnavailable, CodeDraining, live.ErrReplicaDown},
+		{"shutdown", live.ErrShutdown, http.StatusServiceUnavailable, CodeDown, live.ErrReplicaDown},
+		{"closed", live.ErrClosed, http.StatusServiceUnavailable, CodeDraining, live.ErrReplicaDown},
 		{"down", live.ErrReplicaDown, http.StatusServiceUnavailable, CodeDown, live.ErrReplicaDown},
 		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout, CodeDeadline, context.DeadlineExceeded},
 		{"validation", errors.New("live: query size 0 outside [1, 4096]"), http.StatusBadRequest, CodeBadRequest, nil},

@@ -277,10 +277,14 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, r *http.Request, err er
 	case errors.Is(err, live.ErrOverloaded):
 		s.overloaded.Add(1)
 		s.writeError(w, http.StatusServiceUnavailable, CodeOverloaded, err.Error(), s.retryAfterHint())
-	case errors.Is(err, live.ErrShutdown), errors.Is(err, live.ErrClosed):
+	case errors.Is(err, live.ErrClosed):
+		// Refused before the backend's ledger counted it, like the drain
+		// checks above: CodeDraining always means "in no server ledger".
 		s.drainingN.Add(1)
 		s.writeError(w, http.StatusServiceUnavailable, CodeDraining, err.Error(), 0)
-	case errors.Is(err, live.ErrReplicaDown):
+	case errors.Is(err, live.ErrShutdown), errors.Is(err, live.ErrReplicaDown):
+		// ErrShutdown: admitted, then flushed by Close — the backend's
+		// ledger counts it Abandoned.
 		s.down.Add(1)
 		s.writeError(w, http.StatusServiceUnavailable, CodeDown, err.Error(), 0)
 	case errors.Is(err, context.DeadlineExceeded):

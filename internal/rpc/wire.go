@@ -103,11 +103,12 @@ const (
 	// Retryable — the Retry-After hint says when.
 	CodeOverloaded = "overloaded"
 	// CodeDraining: the server is shutting down gracefully and accepts no
-	// new work (HTTP 503). Retryable — a supervisor may be restarting it,
-	// or a fleet has other replicas.
+	// new work (HTTP 503): the query reached no server ledger. Retryable —
+	// a supervisor may be restarting it, or a fleet has other replicas.
 	CodeDraining = "draining"
 	// CodeDown: the serving backend is failed/unreachable behind this
-	// server (HTTP 503). Retryable elsewhere.
+	// server, or flushed the admitted query while shutting down (HTTP 503).
+	// Retryable elsewhere.
 	CodeDown = "down"
 	// CodeDeadline: the query's deadline expired — on arrival, in the
 	// admission queue, or mid-execution (HTTP 504). Not retryable: the

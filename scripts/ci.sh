@@ -167,7 +167,17 @@ stage_fuzz() {
   done
 }
 
-stage_serve_fleet() { serve -model NCF -replicas 2 -policy least-loaded -rate 400 -n 300 -workers 2; }
+# The second leg: size-aware routing steers by the GPU replica's own offload
+# threshold, so every 256-item query reaches it and runs offloaded.
+stage_serve_fleet() {
+  local out
+  serve -model NCF -replicas 2 -policy least-loaded -rate 400 -n 300 -workers 2 || return 1
+  out=$(serve -model NCF -gpu -replicas 2 -gpu-replicas 1 -policy size-aware -threshold 128 \
+    -workload fixed:256 -rate 200 -n 200 -workers 2) || return 1
+  echo "$out"
+  echo "$out" | grep -q "gpu offload: threshold 128, 200 queries" ||
+    { echo "size-aware did not offload every 256-item query at threshold 128"; return 1; }
+}
 
 # The chaos soak is the overload acceptance test: a flash crowd into a
 # 3-replica fleet with shed-oldest admission, a replica crashed and restarted

@@ -42,7 +42,9 @@ type ServeOptions struct {
 	// of at least this many candidates are served whole by the system's
 	// modeled accelerator lane (0 = no offload). Setting it requires a
 	// system built WithGPU; the AutoTune controller walks this knob too
-	// when an accelerator is provisioned.
+	// when an accelerator is provisioned. It is the fleet's one offload
+	// threshold: size-aware routing reads each replica's current value
+	// per tenant and keeps none of its own.
 	GPUThreshold int
 	// SLA overrides the model's published p95 target.
 	SLA time.Duration
@@ -66,8 +68,10 @@ type ServeOptions struct {
 	Replicas int
 	// RoutingPolicy picks the serving replica per query: "round-robin"
 	// (the default), "least-loaded" (fewest outstanding queries),
-	// "size-aware[:<n>]" (queries of >= n items steer to GPU-capable
-	// replicas; n defaults to 512), "tenant-partition" (share-proportional
+	// "size-aware" (each query steers to a replica that would offload it,
+	// by that replica's own tenant offload threshold — GPUThreshold, as
+	// AutoTune walks it — and small queries to replicas that offload
+	// nothing), "tenant-partition" (share-proportional
 	// replica partitions per tenant) or "shape-spread" (interference-aware
 	// placement by tenant resource shape). An unknown policy's error
 	// enumerates this list from the parser's own table.
@@ -79,7 +83,8 @@ type ServeOptions struct {
 	Jitter float64
 	// GPUReplicas provisions the accelerator offload lane on only the
 	// first n replicas of a fleet (0 = every replica, when the system is
-	// built WithGPU) — a heterogeneous fleet for size-aware routing.
+	// built WithGPU) — a heterogeneous fleet, which size-aware routing
+	// splits by each replica's GPUThreshold.
 	GPUReplicas int
 	// Admission bounds the work each replica accepts, as a spec string:
 	// "none" (the default — backpressure only from the lane queues),
