@@ -98,3 +98,21 @@ func TestServeFleetParallelMatchesSerial(t *testing.T) {
 	parallel := opt.serveFleet(rmc1Skylake(), serving.Config{BatchSize: 128}, traffic)
 	sameLatencies(t, serial, parallel)
 }
+
+// TestFig7SubsetSize pins Fig. 7's subset of k = min(max(FleetNodes/10, 2),
+// FleetNodes) nodes: Fig7's first row (DLRM-RMC1 on Skylake) must report
+// the error of exactly the first k nodes' latencies against the fleet's,
+// from a fleet of one (k is the whole fleet, not two nodes it lacks) up to
+// one where a tenth of the fleet exceeds two.
+func TestFig7SubsetSize(t *testing.T) {
+	for _, tc := range []struct{ nodes, k int }{{1, 1}, {2, 2}, {3, 2}, {30, 3}} {
+		opt := fleetTestOpts(tc.nodes)
+		_, data := Fig7(opt)
+		traffic := &workload.DiurnalArrivals{BaseQPS: 2500 * float64(tc.nodes), Amplitude: 0.2, Period: 24 * time.Hour}
+		lats := opt.serveFleet(rmc1Skylake(), serving.Config{BatchSize: 128}, traffic)
+		want := stats.NewCDF(concat(lats)).MaxQuantileRelError(stats.NewCDF(concat(lats[:tc.k])), []float64{0.5, 0.75, 0.9, 0.95})
+		if got := data[0].SubsetQuantileErr; got != want {
+			t.Errorf("%d nodes: subset error %v, want %v (the first %d nodes)", tc.nodes, got, want, tc.k)
+		}
+	}
+}

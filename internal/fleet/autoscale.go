@@ -109,16 +109,16 @@ func (f *Fleet) autoscaler(cfg AutoscaleConfig, sla time.Duration) {
 		nil)
 }
 
-// newestHealthy returns the ID of the newest routable, healthy, local
-// replica — the scale-down victim (last in, first out keeps the founding
-// replicas' longer windows intact). Remote members are never victims: the
-// fleet did not provision them, so it must not deprovision them.
+// newestHealthy returns the ID of the newest victim replica, the one
+// scale-down removes (last in, first out keeps the founding replicas'
+// longer windows intact). Remote members are never victims: the fleet did
+// not provision them, so it must not deprovision them.
 func (f *Fleet) newestHealthy() (int, bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	for i := len(f.replicas) - 1; i >= 0; i-- {
 		r := f.replicas[i]
-		if r.local && !r.draining && !r.removing && r.healthy() {
+		if r.victim() {
 			return r.id, true
 		}
 	}

@@ -114,12 +114,16 @@ func (fb fleetBackend) Submit(ctx context.Context, q live.Query) (live.Reply, er
 // Snapshot is each tenant merged over the fleet's members, as Fleet.Stats
 // reports it: each ledger is the fold of the members' and retired ledgers,
 // so it counts the fleet's attempts. The front-door counts are the fleet's
-// own and do not cross the Backend edge.
+// own and do not cross the Backend edge. The fleet has the accelerator if
+// any member has.
 func (fb fleetBackend) Snapshot() live.Snapshot {
-	fb.f.mu.RLock()
-	_, tenants := fb.f.snapshots()
-	fb.f.mu.RUnlock()
-	return live.Snapshot{Tenants: tenants, Scale: 1}
+	rs, _, retired := fb.f.view()
+	_, tenants := fb.f.snapshots(rs, retired)
+	snap := live.Snapshot{Tenants: tenants, Scale: 1}
+	for _, r := range rs {
+		snap.GPU = snap.GPU || r.gpu
+	}
+	return snap
 }
 
 // Failed reports whether the fleet has nowhere to route: every routable

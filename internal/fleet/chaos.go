@@ -200,16 +200,16 @@ func (f *Fleet) chaos(cfg ChaosConfig) {
 	}
 }
 
-// pickHealthy returns one random healthy, routable, local replica (nil if
-// none). Remote members are excluded: the process-level fault classes
-// cannot reach inside another process — the network fault injector
-// (internal/rpc net chaos) breaks their wire instead.
+// pickHealthy returns one random victim replica (nil if none). Remote
+// members are excluded: the process-level fault classes cannot reach inside
+// another process — the network fault injector (internal/rpc net chaos)
+// breaks their wire instead.
 func (f *Fleet) pickHealthy(rng *rand.Rand) *replica {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	cands := make([]*replica, 0, len(f.replicas))
 	for _, r := range f.replicas {
-		if r.local && !r.draining && !r.removing && r.healthy() {
+		if r.victim() {
 			cands = append(cands, r)
 		}
 	}
@@ -219,19 +219,18 @@ func (f *Fleet) pickHealthy(rng *rand.Rand) *replica {
 	return cands[rng.Intn(len(cands))]
 }
 
-// crashOne fails one random healthy replica and schedules its restart. The
-// crash is skipped unless at least two healthy routable replicas exist:
-// chaos degrades the fleet, it does not execute it.
+// crashOne fails one random victim replica and schedules its restart. The
+// crash is skipped unless at least two healthy routable replicas, local or
+// remote, exist: chaos degrades the fleet, it does not execute it.
 func (f *Fleet) crashOne(rng *rand.Rand, restartAfter time.Duration, restarts *sync.WaitGroup) {
 	f.mu.RLock()
 	cands := make([]*replica, 0, len(f.replicas))
 	healthy := 0
 	for _, r := range f.replicas {
-		if r.draining || r.removing || !r.healthy() {
-			continue
+		if !r.draining && r.healthy() {
+			healthy++
 		}
-		healthy++
-		if r.local {
+		if r.victim() {
 			cands = append(cands, r)
 		}
 	}

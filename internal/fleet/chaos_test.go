@@ -176,7 +176,7 @@ func TestRetryOnCrashAccounting(t *testing.T) {
 	victim := f.replicas[0]
 	f.mu.RUnlock()
 	waitUntil(t, 5*time.Second, "victim has in-flight queries", func() bool {
-		return victim.outstanding.Load() >= 2
+		return victim.tenantOut[0].Load() >= 2
 	})
 	victim.svc.(faulter).Fail()
 	wg.Wait()
@@ -244,7 +244,7 @@ func TestBackendLedgerIsAFold(t *testing.T) {
 	}
 	held := make(chan error)
 	go func() { _, _, err := f.Submit(ctx, live.Query{Candidates: 1000}); held <- err }()
-	waitUntil(t, 5*time.Second, "a query in flight", func() bool { return f.tenantOut[0].Load() == 1 })
+	waitUntil(t, 5*time.Second, "a query in flight", func() bool { return f.Stats().Tenants[0].Outstanding == 1 })
 	if _, _, err := f.Submit(ctx, live.Query{Candidates: 10}); !errors.Is(err, live.ErrOverloaded) {
 		t.Fatalf("submit past the cap = %v, want ErrOverloaded", err)
 	}
@@ -274,7 +274,7 @@ func TestBackendLedgerIsAFold(t *testing.T) {
 	victim, survivor := f.replicas[0], f.replicas[1]
 	f.mu.RUnlock()
 	waitUntil(t, 5*time.Second, "victim has in-flight queries", func() bool {
-		return victim.outstanding.Load() >= 2
+		return victim.tenantOut[0].Load() >= 2
 	})
 	victim.svc.(faulter).Fail()
 	wg.Wait()
@@ -470,7 +470,7 @@ func TestChaosSoakFlashCrowd(t *testing.T) {
 			f.mu.RLock()
 			defer f.mu.RUnlock()
 			for _, r := range f.replicas {
-				if r.healthy() && r.outstanding.Load() == 0 {
+				if r.healthy() && r.tenantOut[0].Load() == 0 {
 					return false
 				}
 			}

@@ -60,27 +60,38 @@ var ErrNoHealthyReplica = errors.New("fleet: no healthy routable replica")
 // replica is one member: a serving Backend plus the front end's own routing
 // state. The backend is a *live.Service for local (in-process) members and
 // a wire transport (internal/rpc.RemoteReplica) for remote ones; routing,
-// drain, and stats code below never distinguishes them. outstanding counts
-// queries routed but not yet returned (the least-loaded signal); inflight
-// guards the drain — Remove waits on it before closing the backend, so a
-// membership change never races a Submit into a closed replica.
+// drain, and stats code below never distinguishes them. Its identity — speed
+// and accelerator — is read from the snapshot it joins with, for local and
+// remote members alike. tenantOut counts, per tenant, the queries routed to
+// it but not yet returned: the fleet's only outstanding-query state, so every
+// load figure a pick, the tenant cap or Stats reads is a sum of these
+// counters. inflight guards the drain — Remove waits on it before closing
+// the backend, so a membership change never races a Submit into a closed
+// replica.
 type replica struct {
 	id       int
 	svc      Backend
-	cfg      live.Config // local members only: kept for chaos restart (a crashed replica is reborn from its own config) and HasGPU
+	cfg      live.Config // local members only: the chaos-restart recipe (a crashed replica is reborn from its own config)
 	local    bool        // started by this fleet from cfg (chaos and autoscale shrink apply only to these)
 	off      offloader   // the member's offload threshold source, resolved at join (nil = offloads nothing)
 	speed    float64
+	gpu      bool
 	draining bool // guarded by the fleet's mu
 	removing bool // guarded by the fleet's mu
 
-	outstanding atomic.Int64
-	tenantOut   []atomic.Int64 // per-tenant slice of outstanding, tenant-index order
-	inflight    sync.WaitGroup
+	tenantOut []atomic.Int64 // tenant-index order
+	inflight  sync.WaitGroup
 }
 
 // healthy reports whether the replica can serve (not failed by chaos).
 func (r *replica) healthy() bool { return !r.svc.Failed() }
+
+// victim reports whether the fleet's own controllers may act on the
+// replica — chaos faults it, the autoscaler shrinks it: it is local (the
+// fleet started it, and cannot reach inside another process), routable and
+// healthy. Remove sets draining before removing, so a member being removed
+// is never a victim.
+func (r *replica) victim() bool { return r.local && !r.draining && r.healthy() }
 
 // Fleet shards live queries across replica services. Create one with New,
 // Submit from any number of goroutines, and Close it to drain every
@@ -97,10 +108,9 @@ type Fleet struct {
 	// every member must host the same tenants in the same order.
 	tenants []TenantInfo
 
-	// Per-tenant fleet-wide interference controls: tenantOut counts
-	// routed-but-unreturned queries per tenant across the whole fleet,
-	// tenantCap the admission ceiling on that count (0 = uncapped).
-	tenantOut []atomic.Int64
+	// tenantCap is each tenant's fleet-wide interference control: the
+	// admission ceiling on its outstanding queries summed over every member
+	// (0 = uncapped).
 	tenantCap []atomic.Int64
 
 	// Lifetime accounting for removed replicas, per tenant, folded into
@@ -123,9 +133,9 @@ type Fleet struct {
 }
 
 // New starts one live.Service per config and returns a serving Fleet.
-// policy nil selects round-robin. Each replica's GPU capability and speed
-// factor are read off its config (Scale 0 = nominal). On any replica
-// construction error the already-started replicas are closed.
+// policy nil selects round-robin. Each replica's accelerator and speed
+// factor are read from the snapshot it joins with (Scale 0 = nominal). On
+// any replica construction error the already-started replicas are closed.
 func New(cfgs []live.Config, policy Policy) (*Fleet, error) {
 	if len(cfgs) < 1 {
 		return nil, errors.New("fleet: need at least one replica config")
@@ -140,7 +150,6 @@ func New(cfgs []live.Config, policy Policy) (*Fleet, error) {
 	f := &Fleet{
 		policy:    policy,
 		tenants:   infos,
-		tenantOut: make([]atomic.Int64, len(infos)),
 		tenantCap: make([]atomic.Int64, len(infos)),
 		retired:   make([]live.Ledger, len(infos)),
 		doors:     make([]door, len(infos)),
@@ -192,7 +201,8 @@ func (f *Fleet) add(cfg live.Config) (int, error) {
 // join adds a serving backend — local or remote — to the routing set. Every
 // member must host the fleet's tenant set: same count, same names, same
 // order. The member's node speed is the Scale of the one snapshot join
-// takes (≤ 0 reads as nominal, 1); its offload threshold is read through
+// takes (≤ 0 reads as nominal, 1) and its accelerator that snapshot's GPU,
+// as tenants are read from it; its offload threshold is read through
 // the backend's offloader surface, or is 0 without one. On any error the
 // backend is closed (join took ownership).
 func (f *Fleet) join(svc Backend, cfg live.Config, local bool) (int, error) {
@@ -227,6 +237,7 @@ func (f *Fleet) join(svc Backend, cfg live.Config, local bool) (int, error) {
 		local:     local,
 		off:       off,
 		speed:     speed,
+		gpu:       snap.GPU,
 		tenantOut: make([]atomic.Int64, len(f.tenants)),
 	})
 	f.mu.Unlock()
@@ -266,23 +277,32 @@ func (f *Fleet) find(id int) *replica {
 }
 
 // route picks the serving replica for a query of `size` items and pins it:
-// the returned replica's outstanding count and in-flight group are already
+// the returned replica's tenantOut[tenant] and in-flight group are already
 // incremented, so a concurrent drain waits for this query. The caller must
-// release both when the submission returns. Routing is health-checked:
-// replicas failed by fault injection are ejected from the candidate set, so
-// a crash diverts traffic instead of black-holing it.
-func (f *Fleet) route(tenant, size int) (*replica, error) {
+// release both when the submission returns. Each member's counters are
+// loaded once, and the pick's Outstanding, TenantOutstanding and the cap
+// are all summed from those loads, so they agree. limit > 0 is the tenant's
+// cap: while the tenant holds limit queries summed over every member
+// (draining ones still hold theirs), the query is refused with
+// live.ErrOverloaded, ahead of every other refusal. Routing is
+// health-checked: replicas failed by fault injection are ejected from the
+// candidate set, so a crash diverts traffic instead of black-holing it.
+func (f *Fleet) route(tenant, size int, limit int64) (*replica, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	if f.closed {
-		return nil, ErrClosed
-	}
 	nt := len(f.tenants)
 	cands := make([]Candidate, 0, len(f.replicas))
 	routable := make([]*replica, 0, len(f.replicas))
-	out := make([]int, len(f.replicas)*nt) // every candidate's TenantOutstanding
-	any := false
+	out := make([]int, len(f.replicas)*nt) // every member's tenantOut row
+	held, any := int64(0), false
 	for _, r := range f.replicas {
+		c := Candidate{ID: r.id, Speed: r.speed, TenantOutstanding: out[:nt:nt]}
+		out = out[nt:]
+		for i := range c.TenantOutstanding {
+			c.TenantOutstanding[i] = int(r.tenantOut[i].Load())
+			c.Outstanding += c.TenantOutstanding[i]
+		}
+		held += int64(c.TenantOutstanding[tenant])
 		if r.draining {
 			continue
 		}
@@ -290,36 +310,26 @@ func (f *Fleet) route(tenant, size int) (*replica, error) {
 		if !r.healthy() {
 			continue
 		}
-		c := Candidate{
-			ID:                r.id,
-			Outstanding:       int(r.outstanding.Load()),
-			Speed:             r.speed,
-			TenantOutstanding: out[:nt:nt],
-		}
 		if r.off != nil {
 			c.Threshold = r.off.OffloadThreshold(tenant)
-		}
-		out = out[nt:]
-		for i := range r.tenantOut {
-			c.TenantOutstanding[i] = int(r.tenantOut[i].Load())
 		}
 		cands = append(cands, c)
 		routable = append(routable, r)
 	}
-	if len(routable) == 0 {
-		if any {
-			return nil, ErrNoHealthyReplica
-		}
+	switch {
+	case limit > 0 && held >= limit:
+		return nil, live.ErrOverloaded
+	case f.closed || !any:
 		return nil, ErrClosed
+	case len(routable) == 0:
+		return nil, ErrNoHealthyReplica
 	}
 	idx := f.policy.Pick(tenant, size, f.tenants, cands)
 	if idx < 0 || idx >= len(routable) {
 		idx = 0
 	}
 	r := routable[idx]
-	r.outstanding.Add(1)
 	r.tenantOut[tenant].Add(1)
-	f.tenantOut[tenant].Add(1)
 	r.inflight.Add(1)
 	return r, nil
 }
@@ -329,46 +339,46 @@ func (f *Fleet) route(tenant, size int) (*replica, error) {
 // the serving replica's ID alongside the reply and is safe for concurrent
 // use from any number of goroutines.
 //
+// The first attempt is held to the tenant's fleet-wide cap (SetTenantCap):
+// the interference guard that keeps one saturated tenant from occupying
+// every execution slot the fleet has. A cap-shed query reaches no replica,
+// so it is counted at the front door (CapShed) and nowhere else.
+//
 // When retry-on-failure is enabled (SetRetry) a query aborted by a replica
-// crash (live.ErrReplicaDown) is resubmitted exactly once; health-checked
-// routing steers the retry away from the dead replica. The front-door
-// counters record the query once regardless of how many replicas it tried.
+// crash (live.ErrReplicaDown) is resubmitted exactly once, past the cap it
+// was already admitted under; health-checked routing steers the retry away
+// from the dead replica. The front-door counters record the query once
+// regardless of how many replicas it tried.
 func (f *Fleet) Submit(ctx context.Context, q live.Query) (live.Reply, int, error) {
 	if err := q.Check(len(f.tenants)); err != nil {
 		return live.Reply{}, -1, err
 	}
 	d := &f.doors[q.Tenant]
 	d.submitted.Add(1)
-	// Per-tenant fleet-wide outstanding cap: the interference guard that
-	// keeps one saturated tenant from occupying every execution slot the
-	// fleet has. Cap-shed queries are refused at the front door — they
-	// reach no replica, so they are counted here (CapShed) and nowhere
-	// else.
-	if limit := f.tenantCap[q.Tenant].Load(); limit > 0 && f.tenantOut[q.Tenant].Load() >= limit {
-		d.capShed.Add(1)
-		return live.Reply{}, -1, live.ErrOverloaded
-	}
-	reply, id, err := f.submitOnce(ctx, q, d)
+	reply, id, err := f.submitOnce(ctx, q, d, f.tenantCap[q.Tenant].Load())
 	if err != nil && errors.Is(err, live.ErrReplicaDown) && f.retry.Load() && ctx.Err() == nil {
 		d.retried.Add(1)
-		reply, id, err = f.submitOnce(ctx, q, d)
+		reply, id, err = f.submitOnce(ctx, q, d, 0)
 	}
 	return reply, id, err
 }
 
-// submitOnce is one routing + submission attempt. An attempt that reaches
-// no member's ledger — the route refused it, or the member was already
-// closed — counts in d's Unrouted.
-func (f *Fleet) submitOnce(ctx context.Context, q live.Query, d *door) (live.Reply, int, error) {
-	r, err := f.route(q.Tenant, q.Candidates)
+// submitOnce is one routing + submission attempt under the tenant cap limit
+// (0 = none). An attempt the cap refuses counts in d's CapShed; one that
+// otherwise reaches no member's ledger — the route refused it, or the member
+// was already closed — counts in d's Unrouted.
+func (f *Fleet) submitOnce(ctx context.Context, q live.Query, d *door, limit int64) (live.Reply, int, error) {
+	r, err := f.route(q.Tenant, q.Candidates, limit)
 	if err != nil {
-		d.unrouted.Add(1)
+		if err == live.ErrOverloaded {
+			d.capShed.Add(1)
+		} else {
+			d.unrouted.Add(1)
+		}
 		return live.Reply{}, -1, err
 	}
 	defer r.inflight.Done()
-	defer r.outstanding.Add(-1)
 	defer r.tenantOut[q.Tenant].Add(-1)
-	defer f.tenantOut[q.Tenant].Add(-1)
 	reply, err := r.svc.Submit(ctx, q)
 	if err != nil && errors.Is(err, live.ErrClosed) {
 		d.unrouted.Add(1)
@@ -576,13 +586,32 @@ type Stats struct {
 	Tenants []TenantStats
 }
 
-// snapshots takes one Snapshot per member and folds each tenant's parts
-// across them, plus the retired ledger, into that tenant's fleet-wide
+// view copies the membership under mu — the member list, each member's
+// draining flag, and the retired ledgers — so the caller reads the members'
+// snapshots without the routing lock: a remote member's Snapshot is a
+// /statsz fetch, and a reader holding mu through it would stall every route
+// queued behind a pending Drain or Remove. A member removed between the
+// copy and the fold counts exactly once: Remove adds its ledger to retired
+// and drops it from the list in one critical section, so the copy holds it
+// in the list or in retired, never both.
+func (f *Fleet) view() (rs []*replica, draining []bool, retired []live.Ledger) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	rs = append([]*replica(nil), f.replicas...)
+	draining = make([]bool, len(rs))
+	for i, r := range rs {
+		draining[i] = r.draining
+	}
+	return rs, draining, append([]live.Ledger(nil), f.retired...)
+}
+
+// snapshots takes one Snapshot per member of rs and folds each tenant's
+// parts across them, plus its retired ledger, into that tenant's fleet-wide
 // snapshot, which carries the fleet's configured Share rather than a
-// member's echo of it. Callers hold mu.
-func (f *Fleet) snapshots() (members [][]live.TenantSnapshot, merged []live.TenantSnapshot) {
-	members = make([][]live.TenantSnapshot, len(f.replicas))
-	for i, r := range f.replicas {
+// member's echo of it.
+func (f *Fleet) snapshots(rs []*replica, retired []live.Ledger) (members [][]live.TenantSnapshot, merged []live.TenantSnapshot) {
+	members = make([][]live.TenantSnapshot, len(rs))
+	for i, r := range rs {
 		members[i] = r.svc.Snapshot().Tenants
 	}
 	merged = make([]live.TenantSnapshot, len(f.tenants))
@@ -591,7 +620,7 @@ func (f *Fleet) snapshots() (members [][]live.TenantSnapshot, merged []live.Tena
 		for i, m := range members {
 			parts[i] = m[ti]
 		}
-		parts[len(members)] = live.TenantSnapshot{Stats: live.Stats{Tenant: info.Name, Ledger: f.retired[ti]}}
+		parts[len(members)] = live.TenantSnapshot{Stats: live.Stats{Tenant: info.Name, Ledger: retired[ti]}}
 		merged[ti] = live.Fold(parts)
 		merged[ti].Share = info.Share
 	}
@@ -602,43 +631,21 @@ func (f *Fleet) snapshots() (members [][]live.TenantSnapshot, merged []live.Tena
 // into its ReplicaStats, each tenant's merged snapshot is its TenantStats,
 // and those fold into the fleet-wide aggregate — which is therefore the sum
 // of the tenants reported with it, percentiles over the sum of every
-// replica's latency histogram.
+// replica's latency histogram. Each member's outstanding counters are
+// loaded once, so the replicas' Outstanding and the tenants' sum to the
+// same total.
 func (f *Fleet) Stats() Stats {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	members, merged := f.snapshots()
+	rs, draining, retired := f.view()
+	members, merged := f.snapshots(rs, retired)
 	st := Stats{
 		Policy:     f.policy.Name(),
-		Size:       f.routable(),
 		Stats:      live.Fold(merged).Stats,
 		ScaleUps:   f.scaleUps.Load(),
 		ScaleDowns: f.scaleDowns.Load(),
 		Crashes:    f.crashes.Load(),
 		Restarts:   f.restarts.Load(),
-		Replicas:   make([]ReplicaStats, len(f.replicas)),
+		Replicas:   make([]ReplicaStats, len(rs)),
 		Tenants:    make([]TenantStats, len(f.tenants)),
-	}
-	// The fleet-wide aggregate names no tenant, even when there is only one,
-	// and its threshold is the first GPU-capable replica's.
-	st.Tenant, st.Share, st.GPUThreshold = "", 0, 0
-	gpuSeen := false
-	for i, r := range f.replicas {
-		failed := r.svc.Failed()
-		if !r.draining && !failed {
-			st.Healthy++
-		}
-		st.Replicas[i] = ReplicaStats{
-			ID:          r.id,
-			Speed:       r.speed,
-			HasGPU:      r.cfg.GPU != nil,
-			Draining:    r.draining,
-			Failed:      failed,
-			Outstanding: int(r.outstanding.Load()),
-			Stats:       live.Fold(members[i]).Stats,
-		}
-		if r.cfg.GPU != nil && !gpuSeen {
-			st.GPUThreshold, gpuSeen = st.Replicas[i].GPUThreshold, true
-		}
 	}
 	for ti, info := range f.tenants {
 		dr := &f.doors[ti]
@@ -648,13 +655,41 @@ func (f *Fleet) Stats() Stats {
 			st.CapShed + d.CapShed, st.Unrouted + d.Unrouted,
 		}
 		st.Tenants[ti] = TenantStats{
-			Model:       info.Model,
-			TableRows:   info.TableRows,
-			Shape:       info.Shape,
-			Outstanding: int(f.tenantOut[ti].Load()),
-			Cap:         int(f.tenantCap[ti].Load()),
-			FrontDoor:   d,
-			Stats:       merged[ti].Stats,
+			Model:     info.Model,
+			TableRows: info.TableRows,
+			Shape:     info.Shape,
+			Cap:       int(f.tenantCap[ti].Load()),
+			FrontDoor: d,
+			Stats:     merged[ti].Stats,
+		}
+	}
+	// The fleet-wide aggregate names no tenant, even when there is only one,
+	// and its threshold is the first GPU-capable replica's.
+	st.Tenant, st.Share, st.GPUThreshold = "", 0, 0
+	gpuSeen := false
+	for i, r := range rs {
+		failed := r.svc.Failed()
+		if !draining[i] {
+			st.Size++
+			if !failed {
+				st.Healthy++
+			}
+		}
+		st.Replicas[i] = ReplicaStats{
+			ID:       r.id,
+			Speed:    r.speed,
+			HasGPU:   r.gpu,
+			Draining: draining[i],
+			Failed:   failed,
+			Stats:    live.Fold(members[i]).Stats,
+		}
+		for ti := range r.tenantOut {
+			n := int(r.tenantOut[ti].Load())
+			st.Replicas[i].Outstanding += n
+			st.Tenants[ti].Outstanding += n
+		}
+		if r.gpu && !gpuSeen {
+			st.GPUThreshold, gpuSeen = st.Replicas[i].GPUThreshold, true
 		}
 	}
 	return st

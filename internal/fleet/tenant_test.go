@@ -156,7 +156,7 @@ func TestPolicySharedAcrossFleets(t *testing.T) {
 			// the load the next pick sees is exact.
 			var pinned []*replica
 			for i, tenant := range tc.tenants {
-				r, err := fa.route(tenant, 16)
+				r, err := fa.route(tenant, 16, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,9 +166,7 @@ func TestPolicySharedAcrossFleets(t *testing.T) {
 				}
 			}
 			for i, r := range pinned {
-				r.outstanding.Add(-1)
 				r.tenantOut[tc.tenants[i]].Add(-1)
-				fa.tenantOut[tc.tenants[i]].Add(-1)
 				r.inflight.Done()
 			}
 		})
@@ -338,5 +336,98 @@ func TestMixedTenantFleetSoak(t *testing.T) {
 	}
 	if st.FrontSubmitted != sum.Submitted {
 		t.Errorf("front door saw %d, replicas recorded %d", st.FrontSubmitted, sum.Submitted)
+	}
+}
+
+// sumCheckPolicy routes as its embedded policy and counts the picks that
+// saw a candidate whose Outstanding is not the sum of its TenantOutstanding.
+type sumCheckPolicy struct {
+	Policy
+	torn atomic.Int64
+}
+
+func (p *sumCheckPolicy) Pick(tenant, size int, tenants []TenantInfo, cands []Candidate) int {
+	for _, c := range cands {
+		sum := 0
+		for _, n := range c.TenantOutstanding {
+			sum += n
+		}
+		if c.Outstanding != sum {
+			p.torn.Add(1)
+		}
+	}
+	return p.Policy.Pick(tenant, size, tenants, cands)
+}
+
+// TestOneInFlightCount pins that a fleet keeps one outstanding-query count,
+// each member's per-tenant counters, and that every figure it routes or
+// reports on is their sum: with queries pinned in flight on two tenants
+// over two members, Stats' replica and tenant totals are both the pinned
+// count; under concurrent submitters every Stats has the two totals equal
+// and every pick sees each candidate's Outstanding equal to its tenant row.
+func TestOneInFlightCount(t *testing.T) {
+	ncf, rmc := tenantModels(t)
+	p := &sumCheckPolicy{Policy: NewLeastLoaded()}
+	f := newFleet(t, []live.Config{tenantConfig(ncf, rmc, 1), tenantConfig(ncf, rmc, 2)}, p)
+	totals := func() (byReplica, byTenant int) {
+		st := f.Stats()
+		for _, r := range st.Replicas {
+			byReplica += r.Outstanding
+		}
+		for _, ts := range st.Tenants {
+			byTenant += ts.Outstanding
+		}
+		return byReplica, byTenant
+	}
+
+	// route pins each query as Submit would, without executing it.
+	const n = 6
+	pinned := make([]*replica, n)
+	for i := range pinned {
+		r, err := f.route(i%2, 16, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned[i] = r
+	}
+	if byReplica, byTenant := totals(); byReplica != n || byTenant != n {
+		t.Fatalf("with %d queries pinned: Σ replica Outstanding %d, Σ tenant Outstanding %d", n, byReplica, byTenant)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				if _, _, err := f.Submit(context.Background(), live.Query{Tenant: g % 2, Candidates: 8 + i}); err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for polls, running := 0, true; running; polls++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if byReplica, byTenant := totals(); byReplica != byTenant || byReplica < n {
+			t.Errorf("poll %d: Σ replica Outstanding %d, Σ tenant Outstanding %d, %d pinned", polls, byReplica, byTenant, n)
+		}
+	}
+
+	for i, r := range pinned {
+		r.tenantOut[i%2].Add(-1)
+		r.inflight.Done()
+	}
+	if byReplica, byTenant := totals(); byReplica != 0 || byTenant != 0 {
+		t.Errorf("quiesced: Σ replica Outstanding %d, Σ tenant Outstanding %d", byReplica, byTenant)
+	}
+	if torn := p.torn.Load(); torn != 0 {
+		t.Errorf("%d picks saw a candidate's Outstanding disagree with its TenantOutstanding", torn)
 	}
 }

@@ -289,11 +289,13 @@ type TenantSnapshot struct {
 }
 
 // Snapshot is one read of a serving node: every tenant's part in tenant
-// order, and the node's service-time scale factor. It carries no aggregate;
-// Fold computes one from the parts.
+// order, the node's service-time scale factor, and whether it has the
+// accelerator offload lane. It carries no aggregate; Fold computes one from
+// the parts.
 type Snapshot struct {
 	Tenants []TenantSnapshot
 	Scale   float64
+	GPU     bool
 }
 
 // Fold merges parts — a service's tenants, one tenant's slices across a
@@ -672,7 +674,7 @@ func (s *Service) OffloadThreshold(tenant int) int { return int(s.tenants[tenant
 // merges and /statsz all fold these same parts, so a total and its
 // breakdown are never read at different instants.
 func (s *Service) Snapshot() Snapshot {
-	snap := Snapshot{Tenants: make([]TenantSnapshot, len(s.tenants)), Scale: s.Scale()}
+	snap := Snapshot{Tenants: make([]TenantSnapshot, len(s.tenants)), Scale: s.Scale(), GPU: s.acc != nil}
 	for i, t := range s.tenants {
 		snap.Tenants[i] = t.snapshot()
 	}

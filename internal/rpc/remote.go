@@ -207,10 +207,11 @@ func (r *RemoteReplica) OffloadThreshold(tenant int) int { return int(r.thresh[t
 
 // Snapshot is one /statsz body, tenant by tenant — the server's Stats and
 // latency histogram — with the wire-lost overlay added: submits that
-// provably never reached the server count as Submitted+Failed.
+// provably never reached the server count as Submitted+Failed. Its scale
+// and accelerator are the server's, as the fleet reads them at join.
 func (r *RemoteReplica) Snapshot() live.Snapshot {
 	sz, _ := r.statsz(!r.closed.Load())
-	snap := live.Snapshot{Tenants: make([]live.TenantSnapshot, len(r.tenants)), Scale: sz.Scale}
+	snap := live.Snapshot{Tenants: make([]live.TenantSnapshot, len(r.tenants)), Scale: sz.Scale, GPU: sz.GPU}
 	for i := range snap.Tenants {
 		t := &snap.Tenants[i]
 		if i < len(sz.Tenants) { // each fetched body is outside input

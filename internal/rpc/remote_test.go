@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -429,5 +430,91 @@ func TestNewRemoteReplicaRefusesServerWithoutHistogram(t *testing.T) {
 func TestNewRemoteReplicaUnreachable(t *testing.T) {
 	if _, err := NewRemoteReplica("127.0.0.1:1"); err == nil {
 		t.Fatal("want an error joining an unreachable server")
+	}
+}
+
+// TestRemoteGPUMemberIsAGPUMember: a remote member's accelerator is read
+// from the snapshot it joins with, as its tenants and speed are, so the
+// fleet reports a remote GPU member as one — and the fleet-wide threshold as
+// that member's — after it has served an offloaded query.
+func TestRemoteGPUMemberIsAGPUMember(t *testing.T) {
+	_, addr := startGPUServer(t)
+	f := newLocalFleetRouting(t, 2, fleet.NewSizeAware())
+	r, err := NewRemoteReplica(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remoteID, err := f.AddBackend(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := f.Submit(context.Background(), live.Query{Candidates: 256}); err != nil {
+		t.Fatal(err)
+	}
+	st := f.Stats()
+	for _, rs := range st.Replicas {
+		if rs.HasGPU != (rs.ID == remoteID) {
+			t.Errorf("replica %d HasGPU = %v, want it only on the remote GPU member %d", rs.ID, rs.HasGPU, remoteID)
+		}
+	}
+	if st.GPUThreshold != 100 || st.GPUQueries != 1 {
+		t.Errorf("fleet GPUThreshold %d with %d GPU queries, want the remote member's 100 with 1", st.GPUThreshold, st.GPUQueries)
+	}
+}
+
+// stallingStatsz is a transport whose /statsz stops answering while stalled:
+// a read waits for release or its own deadline.
+type stallingStatsz struct {
+	stalled atomic.Bool
+	release chan struct{}
+}
+
+func (s *stallingStatsz) RoundTrip(req *http.Request) (*http.Response, error) {
+	if s.stalled.Load() && req.URL.Path == "/statsz" {
+		select {
+		case <-s.release:
+		case <-req.Context().Done():
+			return nil, req.Context().Err()
+		}
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestStatsDoesNotStallRouting: a fleet reads its members' snapshots off
+// the routing lock. While Stats waits on a remote member whose /statsz has
+// stopped answering, and a Drain waits for the lock, a Submit still routes
+// at once; read under the lock, the fetch would hold the Drain, and the
+// Submit queued behind it, for up to the fetch's 2 s bound.
+func TestStatsDoesNotStallRouting(t *testing.T) {
+	_, _, addr := startRemoteServer(t, 1)
+	f := newLocalFleet(t, 2)
+	tr := &stallingStatsz{release: make(chan struct{})}
+	r, err := newRemoteReplica(addr, tr, 250*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.AddBackend(r); err != nil {
+		t.Fatal(err)
+	}
+	third, err := f.Add(live.Config{Model: testModel(t), Workers: 1, BatchSize: 16, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.stalled.Store(true)
+	defer close(tr.release)
+	go f.Stats()
+	time.Sleep(50 * time.Millisecond) // Stats reaches the stalled read
+	drained := make(chan error, 1)
+	go func() { drained <- f.Drain(third) }()
+	time.Sleep(50 * time.Millisecond) // Drain waits for the lock, if Stats holds it
+	start := time.Now()
+	if _, _, err := f.Submit(context.Background(), live.Query{Candidates: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 250*time.Millisecond {
+		t.Errorf("an 8-item Submit took %v while Stats read a stalled member", took)
+	}
+	if err := <-drained; err != nil {
+		t.Fatal(err)
 	}
 }

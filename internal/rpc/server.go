@@ -369,6 +369,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := StatsResponse{
 		Model:    s.cfg.Model,
 		Scale:    snap.Scale,
+		GPU:      snap.GPU,
 		Draining: s.draining.Load(),
 		Service:  live.Fold(snap.Tenants).Stats,
 		Server:   s.Counters(),

@@ -194,6 +194,8 @@ type StatsResponse struct {
 	Model string `json:"model,omitempty"`
 	// Scale is the backend's service-time scale factor (node speed).
 	Scale float64 `json:"scale"`
+	// GPU reports whether the backend has the accelerator offload lane.
+	GPU bool `json:"gpu,omitempty"`
 	// Draining reports whether graceful shutdown has begun.
 	Draining bool `json:"draining,omitempty"`
 	// Service is the backend's merged lifetime ledger.

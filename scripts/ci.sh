@@ -177,6 +177,21 @@ stage_serve_fleet() {
   echo "$out"
   echo "$out" | grep -q "gpu offload: threshold 128, 200 queries" ||
     { echo "size-aware did not offload every 256-item query at threshold 128"; return 1; }
+  # A remote GPU member is a GPU member: a CPU-only fleet joins a served GPU
+  # node (replica 1), reads its accelerator from the snapshot it joins
+  # with, and steers every query to it.
+  local srv
+  go build -o "$tmp/deeprecsys" ./cmd/deeprecsys
+  "$tmp/deeprecsys" serve -model NCF -gpu -threshold 128 -workers 1 -listen 127.0.0.1:8124 > "$tmp/gpu-serve.log" 2>&1 &
+  srv=$!
+  for _ in $(seq 1 50); do curl -sf http://127.0.0.1:8124/healthz > /dev/null && break; sleep 0.2; done
+  out=$("$tmp/deeprecsys" serve -model NCF -remote http://127.0.0.1:8124 -policy size-aware \
+    -workload fixed:256 -rate 200 -n 200 -workers 2) || { kill $srv; return 1; }
+  kill -TERM $srv
+  wait $srv
+  echo "$out"
+  echo "$out" | grep -Eq '^ +1 +[0-9.]+ +yes +200 +[0-9]+ +128 ' ||
+    { echo "the remote member is not a GPU member at threshold 128 serving all 200 queries"; return 1; }
 }
 
 # The chaos soak is the overload acceptance test: a flash crowd into a

@@ -132,6 +132,68 @@ func TestTopLevelLedgerIsTheTenantFold(t *testing.T) {
 	check("closed", st)
 }
 
+// TestRetryUnderChaosBalances: a served two-tenant fleet with Retry, whose
+// replicas chaos crashes mid-flight and restarts, keeps every ledger
+// conserved and every front door balanced, per tenant and at the top, once
+// its submitters have returned.
+func TestRetryUnderChaosBalances(t *testing.T) {
+	sys, err := NewSystem("NCF", "skylake")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := sys.Serve(ServeOptions{
+		Workers: 1, BatchSize: 16, Replicas: 3, Retry: true,
+		Chaos:   "every=2ms,crash=1,restart=10ms",
+		Tenants: []TenantSpec{{Model: "NCF", Name: "a"}, {Model: "NCF", Name: "b", Seed: 3}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_, err := svc.SubmitTo(context.Background(), []string{"a", "b"}[(g+i)%2], 256+i%64, 0)
+				if err != nil && !errors.Is(err, ErrReplicaDown) {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for st := svc.Stats(); st.Retried == 0 || st.Restarts < 2; st = svc.Stats() {
+		if time.Now().After(deadline) {
+			t.Errorf("after 20 s: %d crashes, %d restarts, %d retries", st.Crashes, st.Restarts, st.Retried)
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+
+	st := svc.Stats()
+	var sum Ledger
+	for _, ts := range st.Tenants {
+		if !ts.Conserved() || !ts.Balances(ts.Ledger) {
+			t.Errorf("tenant %s: front door %+v, ledger %+v", ts.Tenant, ts.FrontDoor, ts.Ledger)
+		}
+		sum = sum.Add(ts.Ledger)
+	}
+	if st.Ledger != sum || !st.Conserved() || !st.Balances(st.Ledger) {
+		t.Errorf("service: front door %+v, ledger %+v, tenant sum %+v", st.FrontDoor, st.Ledger, sum)
+	}
+}
+
 // storeTenants is two store-backed tenants over one model architecture.
 func storeTenants(bStore string) []TenantSpec {
 	return []TenantSpec{
